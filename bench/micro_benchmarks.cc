@@ -110,7 +110,7 @@ void BM_RStarWindowQuery(benchmark::State& state) {
   const tsq::rstar::Rect window({-10.0, -10.0, -10.0, -10.0},
                                 {10.0, 10.0, 10.0, 10.0});
   for (auto _ : state) {
-    std::vector<tsq::rstar::Entry> results;
+    std::vector<std::uint64_t> results;
     benchmark::DoNotOptimize(tree.WindowQuery(window, &results).ok());
   }
   state.SetItemsProcessed(state.iterations());

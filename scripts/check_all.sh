@@ -27,7 +27,12 @@
 #      the engine's snapshot layer;
 #   9. scripts/asan_storage_tests.sh + scripts/kernel_tests.sh —
 #      lifetime/UB gate over storage, exec and the SIMD kernel layer
-#      (unaligned loads, complex reinterpret casts, blocked-loop tails).
+#      (unaligned loads, complex reinterpret casts, blocked-loop tails);
+#  10. python3 perfbench/selftest.py — the end-to-end benchmark driver on
+#      every workload: outputs checked against the oracle, the exact-count
+#      fingerprint repeatable and equal between traced and untraced runs.
+#      It gates correctness only; run times are not gated (they are noise
+#      on a shared host — compare commits with interleaved perfbench runs).
 #
 # Usage: scripts/check_all.sh [build-dir]   (default: build-check)
 # The sanitizer stages use their own build trees (build-tsan, build-asan).
@@ -36,36 +41,39 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build-check}"
 
-echo "==> [1/9] tier-1 build (-DTSQ_WERROR=ON) + ctest"
+echo "==> [1/10] tier-1 build (-DTSQ_WERROR=ON) + ctest"
 cmake -B "$BUILD_DIR" -S . -DTSQ_WERROR=ON
 cmake --build "$BUILD_DIR" -j
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j
 
-echo "==> [2/9] planner regressions (ctest -L planner)"
+echo "==> [2/10] planner regressions (ctest -L planner)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -L planner
 
-echo "==> [3/9] differential fuzz smoke (fixed seeds, oracle-checked)"
+echo "==> [3/10] differential fuzz smoke (fixed seeds, oracle-checked)"
 scripts/fuzz_smoke.sh "$BUILD_DIR"
 
-echo "==> [4/9] persistence gate (ctest -L persist + crash-recovery sweep)"
+echo "==> [4/10] persistence gate (ctest -L persist + crash-recovery sweep)"
 scripts/persist_tests.sh "$BUILD_DIR"
 
-echo "==> [5/9] batch gate (ctest -L batch + batch-throughput smoke)"
+echo "==> [5/10] batch gate (ctest -L batch + batch-throughput smoke)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -L batch
 TSQ_BENCH_FAST=1 "$BUILD_DIR"/bench/batch_throughput --threads=4
 
-echo "==> [6/9] kernel gate (ctest -L kernels + forced-scalar tier-1 pass)"
+echo "==> [6/10] kernel gate (ctest -L kernels + forced-scalar tier-1 pass)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -L kernels
 TSQ_KERNEL_ISA=scalar ctest --test-dir "$BUILD_DIR" --output-on-failure -j
 
-echo "==> [7/9] ThreadSanitizer: exec + storage tests"
+echo "==> [7/10] ThreadSanitizer: exec + storage tests"
 scripts/tsan_exec_tests.sh
 
-echo "==> [8/9] ThreadSanitizer: engine write path (queries vs writers)"
+echo "==> [8/10] ThreadSanitizer: engine write path (queries vs writers)"
 scripts/tsan_write_tests.sh
 
-echo "==> [9/9] Address/UB sanitizer: storage + exec + kernel tests"
+echo "==> [9/10] Address/UB sanitizer: storage + exec + kernel tests"
 scripts/asan_storage_tests.sh
 scripts/kernel_tests.sh
+
+echo "==> [10/10] benchmark self-test (perfbench outputs + fingerprints)"
+python3 perfbench/selftest.py
 
 echo "==> all checks passed"

@@ -5,7 +5,8 @@
 # exec_concurrency_test) exercise the concurrent query path; the storage
 # tests (page_file_test, buffer_pool_test, record_store_test) exercise the
 # sharded buffer pool's drop-the-lock miss path and in-flight read
-# coalescing. Together they are the repo's data-race gate.
+# coalescing, and PageFile::Read's copy-under-the-lock, verify-outside-it
+# read path racing a writer. Together they are the repo's data-race gate.
 #
 # Usage: scripts/tsan_exec_tests.sh [build-dir]   (default: build-tsan)
 set -euo pipefail

@@ -25,7 +25,7 @@
 //
 // I/O attribution is deterministic by construction: the fetch table
 // memoizes each record fetch (so a page is read once per batch) and records
-// the pages it cost via FetchSpectrum's per-call out-param — never by
+// the pages it cost via FetchSpectrumInto's per-call out-param — never by
 // diffing the shared PageFile counters, which is what makes the accounting
 // immune to a concurrent ResetIoStats(). A serial post-pass then charges
 // each fetched id's pages to the lowest-indexed successful query that
@@ -37,6 +37,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -85,21 +86,25 @@ struct BatchMetrics {
 /// spectrum (or the error of the one attempted fetch) plus the physical
 /// pages that single fetch read. The slot vector is sized once from the
 /// pinned dataset and never resized, so concurrent Get() calls only race on
-/// the per-slot once_flag. Page counts come from FetchSpectrum's out-param —
-/// a per-call delta, not a shared-counter diff — so a ResetIoStats() racing
+/// the per-slot once_flag. The fetch lands straight in the slot's buffer
+/// (FetchSpectrumInto), and its page count comes from the out-param — a
+/// per-call delta, not a shared-counter diff — so a ResetIoStats() racing
 /// the batch cannot split or double the dedupe accounting.
 class BatchFetchTable {
  public:
   explicit BatchFetchTable(const Dataset& dataset)
       : dataset_(dataset), slots_(dataset.size()) {}
 
-  /// The memoized fetch of sequence `id` (first caller pays the I/O).
-  const Result<std::vector<dft::Complex>>& Get(std::size_t id) {
+  /// The memoized fetch of sequence `id` (first caller pays the I/O). The
+  /// span stays valid for the table's lifetime.
+  Result<std::span<const dft::Complex>> Get(std::size_t id) {
     Slot& slot = slots_[id];
     std::call_once(slot.once, [&] {
-      slot.value.emplace(dataset_.FetchSpectrum(id, &slot.pages));
+      slot.spectrum.resize(dataset_.length());
+      slot.status = dataset_.FetchSpectrumInto(id, slot.spectrum, &slot.pages);
     });
-    return *slot.value;
+    if (!slot.status.ok()) return slot.status;
+    return std::span<const dft::Complex>(slot.spectrum);
   }
 
   /// Physical pages the one fetch of `id` read (0 if never fetched).
@@ -108,7 +113,8 @@ class BatchFetchTable {
  private:
   struct Slot {
     std::once_flag once;
-    std::optional<Result<std::vector<dft::Complex>>> value;
+    Status status;
+    std::vector<dft::Complex> spectrum;
     std::uint64_t pages = 0;
   };
 
@@ -171,14 +177,16 @@ struct QueryExec {
   std::vector<std::uint64_t> rect_pages;  // per rect (indexed)
 };
 
-/// One rectangle of a shared traversal: the union search plus the
-/// re-filtered per-member candidate lists.
+/// One rectangle of a shared traversal: the union search's hits (ids plus
+/// their flat leaf coordinates, which the re-filter tests) and the
+/// re-filtered per-member candidate id lists.
 struct RectPass {
-  std::vector<rstar::Entry> entries;
+  std::vector<std::uint64_t> ids;
+  std::vector<double> coords;
   rstar::SearchStats search;
   std::uint64_t nanos = 0;
   Status status = Status::Ok();
-  std::vector<std::vector<rstar::Entry>> member_candidates;
+  std::vector<std::vector<std::uint64_t>> member_candidates;
 };
 
 /// Executing indexed range queries with identical (transform set, effective
@@ -507,19 +515,22 @@ std::vector<Result<QueryResult>> SimilarityEngine::ExecuteBatch(
                 q.range->epsilon, layout));
           }
           pass.status = index_->tree().Search(
-              [&](const rstar::Rect& rect) {
+              [&](const rstar::RectView& rect) {
                 for (const rstar::Rect& region : regions) {
                   if (mbr.AppliedIntersects(rect, region)) return true;
                 }
                 return false;
               },
-              &pass.entries, &pass.search);
+              &pass.ids, &pass.search, &pass.coords);
           pass.member_candidates.resize(group.members.size());
           if (pass.status.ok()) {
-            for (const rstar::Entry& entry : pass.entries) {
+            const std::size_t dims = index_->tree().dimensions();
+            for (std::size_t h = 0; h < pass.ids.size(); ++h) {
+              const rstar::RectView rect(pass.coords.data() + 2 * dims * h,
+                                         dims);
               for (std::size_t m = 0; m < regions.size(); ++m) {
-                if (mbr.AppliedIntersects(entry.rect, regions[m])) {
-                  pass.member_candidates[m].push_back(entry);
+                if (mbr.AppliedIntersects(rect, regions[m])) {
+                  pass.member_candidates[m].push_back(pass.ids[h]);
                 }
               }
             }
@@ -584,7 +595,7 @@ std::vector<Result<QueryResult>> SimilarityEngine::ExecuteBatch(
           for (std::size_t id = ref.range.first; id < ref.range.last; ++id) {
             if (dataset_->removed(id)) continue;
             const std::uint64_t fetch_start = MonotonicNanos();
-            const Result<std::vector<dft::Complex>>& spectrum =
+            const Result<std::span<const dft::Complex>> spectrum =
                 fetch_table.Get(id);
             const std::uint64_t fetch_end = MonotonicNanos();
             part.fetch_nanos += fetch_end - fetch_start;
@@ -598,20 +609,20 @@ std::vector<Result<QueryResult>> SimilarityEngine::ExecuteBatch(
           return Status::Ok();
         }
         const RectPass& pass = groups[q.group_id].rects[ref.rect];
-        const std::vector<rstar::Entry>& candidates =
+        const std::vector<std::uint64_t>& candidates =
             pass.member_candidates[q.member_index];
         for (std::size_t c = ref.range.first; c < ref.range.last; ++c) {
-          const rstar::Entry& entry = candidates[c];
+          const std::uint64_t id = candidates[c];
           const std::uint64_t fetch_start = MonotonicNanos();
-          const Result<std::vector<dft::Complex>>& spectrum =
-              fetch_table.Get(entry.id);
+          const Result<std::span<const dft::Complex>> spectrum =
+              fetch_table.Get(id);
           const std::uint64_t fetch_end = MonotonicNanos();
           part.fetch_nanos += fetch_end - fetch_start;
           if (!spectrum.ok()) return spectrum.status();
           ++part.fetched;
           VerifyCandidate(*q.range, *spectrum, q.query_spectrum,
                           q.rect_groups[ref.rect], q.rect_ordered[ref.rect],
-                          entry.id, &part.matches, &part.stats);
+                          id, &part.matches, &part.stats);
           part.verify_nanos += MonotonicNanos() - fetch_end;
         }
         return Status::Ok();
@@ -656,9 +667,9 @@ std::vector<Result<QueryResult>> SimilarityEngine::ExecuteBatch(
       } else {
         const TraversalGroup& group = groups[q.group_id];
         for (std::size_t g = 0; g < group.rects.size(); ++g) {
-          for (const rstar::Entry& entry :
+          for (const std::uint64_t id :
                group.rects[g].member_candidates[q.member_index]) {
-            request(entry.id, g);
+            request(id, g);
           }
         }
       }

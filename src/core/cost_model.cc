@@ -65,9 +65,9 @@ Status TreeCostEstimator::Init(const SequenceIndex& index) {
         }
         LevelStats& level = levels_[view.level];
         ++level.node_count;
-        rstar::Rect rect = view.entries.front().rect;
-        for (std::size_t i = 1; i < view.entries.size(); ++i) {
-          rect.Enlarge(view.entries[i].rect);
+        rstar::Rect rect = view.rect(0).ToRect();
+        for (std::size_t i = 1; i < view.size(); ++i) {
+          rect.Enlarge(view.rect(i));
         }
         for (std::size_t d = 0; d < dims; ++d) {
           level.avg_extent[d] += rect.Extent(d);

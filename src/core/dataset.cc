@@ -36,16 +36,15 @@ Result<std::size_t> Dataset::Append(const ts::Series& series) {
   // (real/imaginary interleaved). By Parseval (Eq. 8) it carries exactly
   // the information of the normal form itself, and the post-processing
   // step can evaluate transformed distances straight from it without an
-  // FFT per candidate fetch.
-  ts::Series record(2 * length_);
-  for (std::size_t f = 0; f < length_; ++f) {
-    record[2 * f] = spectrum[f].real();
-    record[2 * f + 1] = spectrum[f].imag();
-  }
+  // FFT per candidate fetch. A std::complex<double> is exactly that pair of
+  // doubles, so the spectrum's bytes are the record.
+  //
   // The store write is the one fallible step (it reads the current page, a
   // read an injected fault can fail); everything is pushed only after it
   // succeeded so a failure leaves no trace.
-  Result<storage::RecordId> id = records_->AppendSeries(record);
+  Result<storage::RecordId> id = records_->Append(
+      {reinterpret_cast<const std::uint8_t*>(spectrum.data()),
+       spectrum.size() * sizeof(dft::Complex)});
   TSQ_RETURN_IF_ERROR(id.status());
   features_.push_back(ExtractFeatures(normal, spectrum, layout_));
   record_ids_.push_back(*id);
@@ -86,8 +85,13 @@ Result<std::unique_ptr<Dataset>> Dataset::LoadFrom(
     return Status::Corruption("record store cursor out of range");
   }
   for (const SequenceMeta& meta : sequences) {
+    // The whole length header must fit on the record's page. A location
+    // that passes but points into another record's payload is caught by
+    // FetchSpectrumInto's header-length check below, before any read or
+    // allocation sized from the bytes found there.
     if (meta.record.page >= pages ||
-        meta.record.offset >= storage::kPageSize) {
+        std::size_t{meta.record.offset} + storage::RecordStore::kHeaderSize >
+            storage::kPageSize) {
       return Status::Corruption("sequence record id out of range");
     }
   }
@@ -104,38 +108,47 @@ Result<std::unique_ptr<Dataset>> Dataset::LoadFrom(
     dataset->record_ids_.push_back(meta.record);
     dataset->removed_.push_back(meta.removed);
     if (!meta.removed) ++dataset->active_count_;
-    Result<std::vector<dft::Complex>> spectrum =
-        dataset->FetchSpectrum(dataset->record_ids_.size() - 1);
-    if (!spectrum.ok()) return spectrum.status();
+    std::vector<dft::Complex> spectrum(length);
+    TSQ_RETURN_IF_ERROR(dataset->FetchSpectrumInto(
+        dataset->record_ids_.size() - 1, spectrum));
     ts::NormalForm normal;
-    normal.values = dataset->plan_->InverseReal(*spectrum);
+    normal.values = dataset->plan_->InverseReal(spectrum);
     normal.mean = meta.mean;
     normal.stddev = meta.stddev;
     dataset->features_.push_back(
-        ExtractFeatures(normal, *spectrum, dataset->layout_));
+        ExtractFeatures(normal, spectrum, dataset->layout_));
     dataset->normals_.push_back(std::move(normal));
-    dataset->spectra_.push_back(std::move(*spectrum));
+    dataset->spectra_.push_back(std::move(spectrum));
   }
   dataset->record_file_.ResetStats();
   return dataset;
 }
 
-Result<std::vector<dft::Complex>> Dataset::FetchSpectrum(
-    std::size_t i, std::uint64_t* pages_read) const {
+Status Dataset::FetchSpectrumInto(std::size_t i, std::span<dft::Complex> out,
+                                  std::uint64_t* pages_read) const {
   // Not a CHECK: the id can come from disk-resident index leaf entries, so
   // a corrupted leaf must surface as a Status through Execute(), not abort.
   if (i >= record_ids_.size()) {
     return Status::OutOfRange("no such sequence id: " + std::to_string(i));
   }
-  Result<ts::Series> record = records_->GetSeries(record_ids_[i], pages_read);
-  if (!record.ok()) return record.status();
-  if (record->size() != 2 * length_) {
-    return Status::Corruption("spectrum record has unexpected size");
+  if (out.size() != length_) {
+    return Status::InvalidArgument("spectrum buffer does not hold length() "
+                                   "values");
   }
+  // The record is the spectrum's doubles, real/imaginary interleaved — the
+  // object representation of std::complex<double> — so its payload bytes
+  // land in `out` as they are.
+  static_assert(sizeof(dft::Complex) == 2 * sizeof(double));
+  return records_->ReadInto(
+      record_ids_[i],
+      {reinterpret_cast<std::uint8_t*>(out.data()), out.size_bytes()},
+      pages_read);
+}
+
+Result<std::vector<dft::Complex>> Dataset::FetchSpectrum(
+    std::size_t i, std::uint64_t* pages_read) const {
   std::vector<dft::Complex> spectrum(length_);
-  for (std::size_t f = 0; f < length_; ++f) {
-    spectrum[f] = dft::Complex((*record)[2 * f], (*record)[2 * f + 1]);
-  }
+  TSQ_RETURN_IF_ERROR(FetchSpectrumInto(i, spectrum, pages_read));
   return spectrum;
 }
 

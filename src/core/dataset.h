@@ -2,6 +2,7 @@
 #define TSQ_CORE_DATASET_H_
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/status.h"
@@ -63,12 +64,21 @@ class Dataset {
   }
   const rstar::Point& features(std::size_t i) const { return features_[i]; }
 
-  /// Fetches sequence i's normal form from the record store (counted page
-  /// reads) and returns its spectrum. This is what executors use to touch a
-  /// "full database record" at the cost the paper's cost model charges.
-  /// `pages_read`, when non-null, is incremented by the pages this fetch
-  /// touched — per-task accounting for the parallel executor, which cannot
-  /// diff the shared record_io() counter.
+  /// Fetches sequence i's normal-form spectrum from the record store
+  /// (counted page reads) straight into `out`, which must hold exactly
+  /// length() values: the payload fragments are copied from the page
+  /// buffers into `out` with no intermediate byte, series or spectrum copy.
+  /// This is what executors use to touch a "full database record" at the
+  /// cost the paper's cost model charges; they pass per-task scratch, so a
+  /// fetch allocates nothing. `pages_read`, when non-null, is incremented by
+  /// the pages this fetch touched — per-task accounting for the parallel
+  /// executor, which cannot diff the shared record_io() counter. A record
+  /// whose stored length is not 2·length() doubles is Corruption, found
+  /// before any payload is read. On failure `out` is unspecified.
+  Status FetchSpectrumInto(std::size_t i, std::span<dft::Complex> out,
+                           std::uint64_t* pages_read = nullptr) const;
+
+  /// FetchSpectrumInto into a freshly allocated spectrum.
   Result<std::vector<dft::Complex>> FetchSpectrum(
       std::size_t i, std::uint64_t* pages_read = nullptr) const;
 

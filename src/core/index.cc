@@ -93,7 +93,7 @@ double SequenceIndex::AverageLeafCapacity() const {
       tree_->VisitNodes([&](const rstar::RStarTree::NodeView& view) {
         if (view.is_leaf) {
           ++leaves;
-          entries += view.entries.size();
+          entries += view.size();
         }
       });
   TSQ_CHECK(status.ok()) << status.ToString();

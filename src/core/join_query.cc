@@ -135,14 +135,19 @@ Result<JoinQueryResult> RunJoinQuery(const Dataset& dataset,
 
   if (options.planner.algorithm == Algorithm::kSequentialScan) {
     // A scan join touches every record anyway, so prefetch all spectra once
-    // (slices write disjoint slots) and make the pairwise phase pure
-    // compute, fanned out over fixed-size slices of the outer id.
+    // into one flat buffer (sequence i owns values [i·n, (i+1)·n); slices
+    // write disjoint slots) and make the pairwise phase pure compute, fanned
+    // out over fixed-size slices of the outer id.
     struct PrefetchPart {
       std::uint64_t record_pages = 0;  // pages read by this slice's fetches
       std::uint64_t fetched = 0;
       std::uint64_t nanos = 0;
     };
-    std::vector<std::vector<dft::Complex>> spectra(dataset.size());
+    const std::size_t n = dataset.length();
+    std::vector<dft::Complex> spectra(dataset.size() * n);
+    const auto spectrum_of = [&spectra, n](std::size_t i) {
+      return std::span<dft::Complex>(spectra.data() + i * n, n);
+    };
     const std::size_t slices = exec::ChunkCount(dataset.size(), kScanChunk);
     std::vector<PrefetchPart> prefetch(slices);
     TSQ_RETURN_IF_ERROR(exec::ParallelFor(
@@ -153,10 +158,8 @@ Result<JoinQueryResult> RunJoinQuery(const Dataset& dataset,
           const std::uint64_t start = MonotonicNanos();
           for (std::size_t i = slice.first; i < slice.last; ++i) {
             if (dataset.removed(i)) continue;
-            Result<std::vector<dft::Complex>> spectrum =
-                dataset.FetchSpectrum(i, &part.record_pages);
-            if (!spectrum.ok()) return spectrum.status();
-            spectra[i] = std::move(*spectrum);
+            TSQ_RETURN_IF_ERROR(dataset.FetchSpectrumInto(
+                i, spectrum_of(i), &part.record_pages));
             ++part.fetched;
           }
           part.nanos = MonotonicNanos() - start;
@@ -187,8 +190,8 @@ Result<JoinQueryResult> RunJoinQuery(const Dataset& dataset,
               for (std::size_t t = 0; t < spec.transforms.size(); ++t) {
                 ++part.stats.comparisons;
                 double value = 0.0;
-                if (EvaluatePair(spec, spec.transforms[t], spectra[a],
-                                 spectra[b], &value)) {
+                if (EvaluatePair(spec, spec.transforms[t], spectrum_of(a),
+                                 spectrum_of(b), &value)) {
                   part.matches.push_back(JoinMatch{a, b, t, value});
                 }
               }
@@ -275,7 +278,9 @@ Result<JoinQueryResult> RunJoinQuery(const Dataset& dataset,
   // Phase B — verify candidate pairs in fixed-size chunks, group-major.
   // Each chunk keeps its own fetch cache (a page fetched by two chunks is
   // counted by both — the per-chunk cache is what a worker would actually
-  // buffer), and the ordered merge reproduces the sequential output.
+  // buffer): one flat scratch buffer with a slot per distinct id. The
+  // ordered merge reproduces the sequential output.
+  const std::size_t n = dataset.length();
   struct VerifyTask {
     std::size_t group_index = 0;
     exec::ChunkRange range;
@@ -304,31 +309,37 @@ Result<JoinQueryResult> RunJoinQuery(const Dataset& dataset,
         const GroupPass& pass = passes[task.group_index];
         const std::vector<std::size_t>& group = partition[task.group_index];
         VerifyPart& part = parts[ti];
-        std::unordered_map<std::size_t, std::vector<dft::Complex>> fetched;
-        const auto fetch = [&](std::size_t id)
-            -> Result<const std::vector<dft::Complex>*> {
-          auto it = fetched.find(id);
-          if (it == fetched.end()) {
-            Result<std::vector<dft::Complex>> spectrum =
-                dataset.FetchSpectrum(id, &part.record_pages);
-            if (!spectrum.ok()) return spectrum.status();
-            it = fetched.emplace(id, std::move(*spectrum)).first;
+        std::unordered_map<std::size_t, std::size_t> slot_of;  // id -> slot
+        std::vector<dft::Complex> scratch;
+        // At most two new ids per pair: sized once, never reallocated.
+        scratch.reserve(2 * (task.range.last - task.range.first) * n);
+        const auto fetch = [&](std::size_t id) -> Result<std::size_t> {
+          const auto [it, inserted] = slot_of.emplace(id, slot_of.size());
+          if (inserted) {
+            scratch.resize(scratch.size() + n);
+            TSQ_RETURN_IF_ERROR(dataset.FetchSpectrumInto(
+                id, {scratch.data() + it->second * n, n},
+                &part.record_pages));
             ++part.fetched;
           }
-          return &it->second;
+          return it->second;
         };
         for (std::size_t c = task.range.first; c < task.range.last; ++c) {
           const auto& [a, b] = pass.pairs[c];
           const std::uint64_t fetch_start = MonotonicNanos();
-          Result<const std::vector<dft::Complex>*> xa = fetch(a);
-          if (!xa.ok()) return xa.status();
-          Result<const std::vector<dft::Complex>*> xb = fetch(b);
-          if (!xb.ok()) return xb.status();
+          const Result<std::size_t> slot_a = fetch(a);
+          if (!slot_a.ok()) return slot_a.status();
+          const Result<std::size_t> slot_b = fetch(b);
+          if (!slot_b.ok()) return slot_b.status();
+          const std::span<const dft::Complex> xa(scratch.data() + *slot_a * n,
+                                                 n);
+          const std::span<const dft::Complex> xb(scratch.data() + *slot_b * n,
+                                                 n);
           const std::uint64_t verify_start = MonotonicNanos();
           for (const std::size_t t : group) {
             ++part.stats.comparisons;
             double value = 0.0;
-            if (EvaluatePair(spec, spec.transforms[t], **xa, **xb, &value)) {
+            if (EvaluatePair(spec, spec.transforms[t], xa, xb, &value)) {
               part.matches.push_back(JoinMatch{a, b, t, value});
             }
           }

@@ -160,19 +160,19 @@ Result<KnnQueryResult> RunKnnQuery(const Dataset& dataset,
           // by series id, intact). The slice decomposition is fixed by
           // kScanChunk, so results stay independent of num_threads.
           std::priority_queue<double> best_k;
+          std::vector<dft::Complex> spectrum(dataset.length());  // scratch
           for (std::size_t i = slice.first; i < slice.last; ++i) {
             if (dataset.removed(i)) continue;
             const std::uint64_t fetch_start = MonotonicNanos();
-            Result<std::vector<dft::Complex>> spectrum =
-                dataset.FetchSpectrum(i, &part.record_pages);
-            if (!spectrum.ok()) return spectrum.status();
+            TSQ_RETURN_IF_ERROR(
+                dataset.FetchSpectrumInto(i, spectrum, &part.record_pages));
             ++part.stats.candidates;
             const std::uint64_t verify_start = MonotonicNanos();
             const double bound =
                 spec.k > 0 && best_k.size() == spec.k
                     ? best_k.top()
                     : std::numeric_limits<double>::infinity();
-            const auto [d2, t] = BestTransform(spec, *spectrum, query_spectrum,
+            const auto [d2, t] = BestTransform(spec, spectrum, query_spectrum,
                                                &part.stats, bound);
             if (!(d2 > bound)) {  // d2 <= bound is always exact
               part.matches.push_back(KnnMatch{i, t, std::sqrt(d2)});
@@ -253,7 +253,7 @@ Result<KnnQueryResult> RunKnnQuery(const Dataset& dataset,
                          /*epsilon=*/0.0, layout)});
   }
 
-  const auto lower_bound = [&](const rstar::Rect& rect) {
+  const auto lower_bound = [&](const rstar::RectView& rect) {
     double best = std::numeric_limits<double>::infinity();
     for (const GroupBound& g : groups) {
       best = std::min(best, RectPairSquaredDistanceLowerBound(
@@ -293,6 +293,9 @@ Result<KnnQueryResult> RunKnnQuery(const Dataset& dataset,
   std::uint64_t fetch_nanos = 0;
   std::uint64_t verify_nanos = 0;
   std::uint64_t merge_nanos = 0;
+  // Scratch reused by every node read and record fetch of the loop.
+  rstar::RStarTree::NodeView view;
+  std::vector<dft::Complex> spectrum(dataset.length());
   while (!queue.empty() && result.matches.size() < spec.k) {
     const Item item = queue.top();
     queue.pop();
@@ -306,9 +309,8 @@ Result<KnnQueryResult> RunKnnQuery(const Dataset& dataset,
       }
       case Kind::kEntry: {
         const std::uint64_t fetch_start = MonotonicNanos();
-        Result<std::vector<dft::Complex>> spectrum =
-            dataset.FetchSpectrum(item.id, &stats.record_pages_read);
-        if (!spectrum.ok()) return spectrum.status();
+        TSQ_RETURN_IF_ERROR(dataset.FetchSpectrumInto(
+            item.id, spectrum, &stats.record_pages_read));
         ++stats.candidates;
         const std::uint64_t verify_start = MonotonicNanos();
         const double bound =
@@ -316,7 +318,7 @@ Result<KnnQueryResult> RunKnnQuery(const Dataset& dataset,
                 ? refined_k.top()
                 : std::numeric_limits<double>::infinity();
         const auto [d2, t] =
-            BestTransform(spec, *spectrum, query_spectrum, &stats, bound);
+            BestTransform(spec, spectrum, query_spectrum, &stats, bound);
         if (!(d2 > bound)) {  // d2 <= bound is always exact
           queue.push(Item{d2, Kind::kExact, item.id, t});
           if (spec.k > 0) {
@@ -334,13 +336,12 @@ Result<KnnQueryResult> RunKnnQuery(const Dataset& dataset,
       }
       case Kind::kPage: {
         const std::uint64_t start = MonotonicNanos();
-        rstar::RStarTree::NodeView view;
-        TSQ_RETURN_IF_ERROR(
-            index.tree().ReadNodeView(item.id, &view, &search_stats));
-        for (const rstar::Entry& entry : view.entries) {
-          queue.push(Item{lower_bound(entry.rect),
-                          view.is_leaf ? Kind::kEntry : Kind::kPage, entry.id,
-                          0});
+        TSQ_RETURN_IF_ERROR(index.tree().ReadNodeView(
+            static_cast<storage::PageId>(item.id), &view, &search_stats));
+        for (std::size_t i = 0; i < view.size(); ++i) {
+          queue.push(Item{lower_bound(view.rect(i)),
+                          view.is_leaf ? Kind::kEntry : Kind::kPage,
+                          view.ids[i], 0});
         }
         traversal_nanos += MonotonicNanos() - start;
         break;

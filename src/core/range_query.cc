@@ -234,9 +234,9 @@ Result<RangeQueryResult> RunRangeQuery(const Dataset& dataset,
         .AddTask(MonotonicNanos() - plan_start, spec.transforms.size());
 
     // One task per fixed-size slice of the relation; each task accumulates
-    // its own matches and counters (pages via the FetchSpectrum out-param —
-    // buffer hits, tombstones and multi-page records are all accounted as
-    // they actually happen), merged below in slice order.
+    // its own matches and counters (pages via the FetchSpectrumInto
+    // out-param — buffer hits, tombstones and multi-page records are all
+    // accounted as they actually happen), merged below in slice order.
     struct ScanPart {
       std::vector<Match> matches;
       QueryStats stats;
@@ -251,16 +251,17 @@ Result<RangeQueryResult> RunRangeQuery(const Dataset& dataset,
           const exec::ChunkRange slice =
               exec::ChunkBounds(dataset.size(), kScanChunk, task);
           ScanPart& part = parts[task];
+          std::vector<dft::Complex> spectrum(dataset.length());  // scratch
           for (std::size_t i = slice.first; i < slice.last; ++i) {
             if (dataset.removed(i)) continue;
             const std::uint64_t fetch_start = MonotonicNanos();
-            Result<std::vector<dft::Complex>> spectrum =
-                dataset.FetchSpectrum(i, &part.record_pages);
+            const Status fetched =
+                dataset.FetchSpectrumInto(i, spectrum, &part.record_pages);
             const std::uint64_t fetch_end = MonotonicNanos();
             part.fetch_nanos += fetch_end - fetch_start;
-            if (!spectrum.ok()) return spectrum.status();
+            if (!fetched.ok()) return fetched;
             ++part.stats.candidates;  // sequences actually evaluated
-            VerifyCandidate(spec, *spectrum, query_spectrum, all, ordered, i,
+            VerifyCandidate(spec, spectrum, query_spectrum, all, ordered, i,
                             &part.matches, &part.stats);
             part.verify_nanos += MonotonicNanos() - fetch_end;
           }
@@ -313,7 +314,7 @@ Result<RangeQueryResult> RunRangeQuery(const Dataset& dataset,
   struct GroupPass {
     std::vector<std::size_t> group;  // chain-ordered when `ordered`
     bool ordered = false;
-    std::vector<rstar::Entry> candidates;
+    std::vector<std::uint64_t> candidates;  // sequence ids
     rstar::SearchStats search;
     std::uint64_t nanos = 0;
   };
@@ -343,7 +344,7 @@ Result<RangeQueryResult> RunRangeQuery(const Dataset& dataset,
                 : std::span<const transform::FeatureTransform>(identity),
             spec.epsilon, layout);
         Status status = index.tree().Search(
-            [&](const rstar::Rect& rect) {
+            [&](const rstar::RectView& rect) {
               return mbr.AppliedIntersects(rect, query_region);
             },
             &pass.candidates, &pass.search);
@@ -382,17 +383,18 @@ Result<RangeQueryResult> RunRangeQuery(const Dataset& dataset,
         const VerifyTask& task = tasks[ti];
         const GroupPass& pass = passes[task.group_index];
         VerifyPart& part = parts[ti];
+        std::vector<dft::Complex> spectrum(dataset.length());  // scratch
         for (std::size_t c = task.range.first; c < task.range.last; ++c) {
-          const rstar::Entry& entry = pass.candidates[c];
+          const std::uint64_t id = pass.candidates[c];
           const std::uint64_t fetch_start = MonotonicNanos();
-          Result<std::vector<dft::Complex>> spectrum =
-              dataset.FetchSpectrum(entry.id, &part.record_pages);
+          const Status fetched =
+              dataset.FetchSpectrumInto(id, spectrum, &part.record_pages);
           const std::uint64_t fetch_end = MonotonicNanos();
           part.fetch_nanos += fetch_end - fetch_start;
-          if (!spectrum.ok()) return spectrum.status();
+          if (!fetched.ok()) return fetched;
           ++part.fetched;
-          VerifyCandidate(spec, *spectrum, query_spectrum, pass.group,
-                          pass.ordered, entry.id, &part.matches, &part.stats);
+          VerifyCandidate(spec, spectrum, query_spectrum, pass.group,
+                          pass.ordered, id, &part.matches, &part.stats);
           part.verify_nanos += MonotonicNanos() - fetch_end;
         }
         return Status::Ok();

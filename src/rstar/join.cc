@@ -27,15 +27,16 @@ class NodeCache {
   Result<const JoinNodeView*> Get(storage::PageId page) {
     auto it = cache_.find(page);
     if (it != cache_.end()) return &it->second;
-    RStarTree::NodeView raw;
-    TSQ_RETURN_IF_ERROR(tree_.ReadNodeView(page, &raw, stats_));
+    TSQ_RETURN_IF_ERROR(tree_.ReadNodeView(page, &decoded_, stats_));
     JoinNodeView view;
-    view.is_leaf = raw.is_leaf;
-    view.level = raw.level;
-    view.entries = std::move(raw.entries);
-    view.mapped.reserve(view.entries.size());
-    for (const Entry& entry : view.entries) {
-      view.mapped.push_back(map_ ? map_(entry.rect) : entry.rect);
+    view.is_leaf = decoded_.is_leaf;
+    view.level = decoded_.level;
+    view.entries.reserve(decoded_.size());
+    view.mapped.reserve(decoded_.size());
+    for (std::size_t i = 0; i < decoded_.size(); ++i) {
+      view.entries.push_back(decoded_.entry(i));
+      const Rect& rect = view.entries.back().rect;
+      view.mapped.push_back(map_ ? map_(rect) : rect);
     }
     TSQ_CHECK(!view.mapped.empty());
     view.mapped_bound = view.mapped.front();
@@ -50,6 +51,7 @@ class NodeCache {
   const RStarTree& tree_;
   const RectMap& map_;
   SearchStats* stats_;
+  RStarTree::NodeView decoded_;  // decode scratch, reused for every miss
   std::unordered_map<storage::PageId, JoinNodeView> cache_;
 };
 

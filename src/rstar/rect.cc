@@ -60,6 +60,10 @@ double Rect::CenterSquaredDistance(const Rect& other) const {
 }
 
 bool Rect::Intersects(const Rect& other) const {
+  return RectView(*this).Intersects(other);
+}
+
+bool RectView::Intersects(const RectView& other) const {
   TSQ_DCHECK(dimensions() == other.dimensions());
   for (std::size_t d = 0; d < dimensions(); ++d) {
     if (low_[d] > other.high_[d] || other.low_[d] > high_[d]) return false;
@@ -83,11 +87,11 @@ bool Rect::ContainsPoint(const Point& point) const {
   return true;
 }
 
-void Rect::Enlarge(const Rect& other) {
+void Rect::Enlarge(const RectView& other) {
   TSQ_DCHECK(dimensions() == other.dimensions());
   for (std::size_t d = 0; d < dimensions(); ++d) {
-    low_[d] = std::min(low_[d], other.low_[d]);
-    high_[d] = std::max(high_[d], other.high_[d]);
+    low_[d] = std::min(low_[d], other.low(d));
+    high_[d] = std::max(high_[d], other.high(d));
   }
 }
 
@@ -110,6 +114,15 @@ double Rect::OverlapArea(const Rect& other) const {
 }
 
 double Rect::MinSquaredDistance(const Point& point) const {
+  return RectView(*this).MinSquaredDistance(point);
+}
+
+Rect RectView::ToRect() const {
+  return Rect(std::vector<double>(low_, low_ + dimensions_),
+              std::vector<double>(high_, high_ + dimensions_));
+}
+
+double RectView::MinSquaredDistance(const Point& point) const {
   TSQ_DCHECK(dimensions() == point.size());
   double acc = 0.0;
   for (std::size_t d = 0; d < dimensions(); ++d) {

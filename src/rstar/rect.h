@@ -11,6 +11,8 @@ namespace tsq::rstar {
 /// A point in d-dimensional space.
 using Point = std::vector<double>;
 
+class RectView;
+
 /// An axis-aligned d-dimensional rectangle [low_i, high_i] per dimension.
 ///
 /// Used for R*-tree node/entry bounding boxes, for transformation MBRs and
@@ -64,7 +66,7 @@ class Rect {
   bool ContainsPoint(const Point& point) const;
 
   /// Grows this rect to cover `other`.
-  void Enlarge(const Rect& other);
+  void Enlarge(const RectView& other);
 
   /// Area increase if this rect were enlarged to cover `other`.
   double Enlargement(const Rect& other) const;
@@ -90,6 +92,39 @@ class Rect {
  private:
   std::vector<double> low_;
   std::vector<double> high_;
+};
+
+/// A non-owning view of a rectangle whose d lows and d highs live in
+/// someone else's storage. R*-tree traversals test node entries through it
+/// straight from a decoded node's flat coordinates, without materializing a
+/// Rect per entry; an owning Rect converts to it implicitly, so one
+/// predicate serves both. The storage must outlive the view.
+class RectView {
+ public:
+  RectView(const double* low, const double* high, std::size_t dimensions)
+      : low_(low), high_(high), dimensions_(dimensions) {}
+  /// A rect stored flat as its d lows followed by its d highs.
+  RectView(const double* coords, std::size_t dimensions)
+      : RectView(coords, coords + dimensions, dimensions) {}
+  RectView(const Rect& rect)  // NOLINT(runtime/explicit): a view of `rect`
+      : RectView(rect.lows().data(), rect.highs().data(),
+                 rect.dimensions()) {}
+
+  std::size_t dimensions() const { return dimensions_; }
+  double low(std::size_t dim) const { return low_[dim]; }
+  double high(std::size_t dim) const { return high_[dim]; }
+
+  /// Same semantics as the Rect methods of the same names.
+  bool Intersects(const RectView& other) const;
+  double MinSquaredDistance(const Point& point) const;
+
+  /// An owning copy.
+  Rect ToRect() const;
+
+ private:
+  const double* low_;
+  const double* high_;
+  std::size_t dimensions_;
 };
 
 /// MBR of a set of rectangles. Requires a non-empty span.

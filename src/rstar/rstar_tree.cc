@@ -74,8 +74,8 @@ Status RStarTree::SerializeNode(const Node& node, storage::Page* page) const {
   return Status::Ok();
 }
 
-Status RStarTree::DeserializeNode(storage::PageId id,
-                                  const storage::Page& page, Node* out) const {
+Status RStarTree::DecodeNode(storage::PageId id, const storage::Page& page,
+                             NodeView* out) const {
   const std::uint8_t* in = page.bytes.data();
   std::uint16_t magic = 0;
   std::uint16_t level = 0;
@@ -86,41 +86,56 @@ Status RStarTree::DeserializeNode(storage::PageId id,
   if (magic != kNodeMagic) {
     return Status::Corruption("page is not an R*-tree node");
   }
-  if (count > capacity_ + 1) {
+  const std::size_t rect_bytes = 2 * dimensions_ * sizeof(double);
+  const std::size_t entry_bytes = sizeof(std::uint64_t) + rect_bytes;
+  if (count > capacity_ + 1 ||
+      kHeaderSize + std::size_t{count} * entry_bytes > storage::kPageSize) {
     return Status::Corruption("node entry count exceeds capacity");
   }
-  out->self = id;
   out->level = level;
-  out->entries.clear();
-  out->entries.reserve(count);
-  std::size_t cursor = kHeaderSize;
+  out->page = id;
+  out->is_leaf = level == 0;
+  out->dimensions = dimensions_;
+  out->ids.resize(count);
+  out->coords.resize(count * 2 * dimensions_);
+  // Entry i = [u64 id][lows][highs]: the id goes to ids[i], the two
+  // coordinate blocks (adjacent on the page) to one flat slot.
+  const std::uint8_t* entry = in + kHeaderSize;
+  double* coords = out->coords.data();
   for (std::uint32_t i = 0; i < count; ++i) {
-    Entry entry;
-    std::memcpy(&entry.id, in + cursor, sizeof entry.id);
-    cursor += sizeof entry.id;
-    std::vector<double> low(dimensions_), high(dimensions_);
-    std::memcpy(low.data(), in + cursor, dimensions_ * sizeof(double));
-    cursor += dimensions_ * sizeof(double);
-    std::memcpy(high.data(), in + cursor, dimensions_ * sizeof(double));
-    cursor += dimensions_ * sizeof(double);
-    entry.rect = Rect(std::move(low), std::move(high));
-    out->entries.push_back(std::move(entry));
+    std::memcpy(&out->ids[i], entry, sizeof(std::uint64_t));
+    std::memcpy(coords, entry + sizeof(std::uint64_t), rect_bytes);
+    entry += entry_bytes;
+    coords += 2 * dimensions_;
   }
   return Status::Ok();
 }
 
-Status RStarTree::ReadNode(storage::PageId id, Node* out,
-                           SearchStats* stats) const {
-  storage::Page page;
+Status RStarTree::ReadNodeView(storage::PageId page, NodeView* out,
+                               SearchStats* stats) const {
+  storage::Page buffer;
   if (pool_ != nullptr) {
-    TSQ_RETURN_IF_ERROR(pool_->Read(id, &page));
+    TSQ_RETURN_IF_ERROR(pool_->Read(page, &buffer));
   } else {
-    TSQ_RETURN_IF_ERROR(file_->Read(id, &page));
+    TSQ_RETURN_IF_ERROR(file_->Read(page, &buffer));
   }
-  TSQ_RETURN_IF_ERROR(DeserializeNode(id, page, out));
+  TSQ_RETURN_IF_ERROR(DecodeNode(page, buffer, out));
   if (stats != nullptr) {
     ++stats->nodes_accessed;
-    if (out->is_leaf()) ++stats->leaf_nodes_accessed;
+    if (out->is_leaf) ++stats->leaf_nodes_accessed;
+  }
+  return Status::Ok();
+}
+
+Status RStarTree::ReadNode(storage::PageId id, Node* out) const {
+  NodeView view;
+  TSQ_RETURN_IF_ERROR(ReadNodeView(id, &view));
+  out->self = id;
+  out->level = view.level;
+  out->entries.clear();
+  out->entries.reserve(view.size());
+  for (std::size_t i = 0; i < view.size(); ++i) {
+    out->entries.push_back(view.entry(i));
   }
   return Status::Ok();
 }
@@ -729,33 +744,39 @@ Status RStarTree::Delete(const Rect& rect, std::uint64_t id) {
 // --- search ------------------------------------------------------------------
 
 Status RStarTree::Search(const RectPredicate& predicate,
-                         std::vector<Entry>* results,
-                         SearchStats* stats) const {
+                         std::vector<std::uint64_t>* ids, SearchStats* stats,
+                         std::vector<double>* coords) const {
   if (root_ == storage::kInvalidPageId) return Status::Ok();
+  const std::size_t width = 2 * dimensions_;
   std::vector<storage::PageId> stack{root_};
+  NodeView node;
   while (!stack.empty()) {
     const storage::PageId page = stack.back();
     stack.pop_back();
-    Node node;
-    TSQ_RETURN_IF_ERROR(ReadNode(page, &node, stats));
-    for (const Entry& entry : node.entries) {
-      if (!predicate(entry.rect)) continue;
-      if (node.is_leaf()) {
-        results->push_back(entry);
+    TSQ_RETURN_IF_ERROR(ReadNodeView(page, &node, stats));
+    for (std::size_t i = 0; i < node.size(); ++i) {
+      if (!predicate(node.rect(i))) continue;
+      if (node.is_leaf) {
+        ids->push_back(node.ids[i]);
+        if (coords != nullptr) {
+          const double* rect = node.coords.data() + width * i;
+          coords->insert(coords->end(), rect, rect + width);
+        }
         if (stats != nullptr) ++stats->matches;
       } else {
-        stack.push_back(static_cast<storage::PageId>(entry.id));
+        stack.push_back(static_cast<storage::PageId>(node.ids[i]));
       }
     }
   }
   return Status::Ok();
 }
 
-Status RStarTree::WindowQuery(const Rect& window, std::vector<Entry>* results,
+Status RStarTree::WindowQuery(const Rect& window,
+                              std::vector<std::uint64_t>* ids,
                               SearchStats* stats) const {
   return Search(
-      [&window](const Rect& rect) { return window.Intersects(rect); },
-      results, stats);
+      [&window](const RectView& rect) { return rect.Intersects(window); },
+      ids, stats);
 }
 
 Status RStarTree::NearestNeighbors(std::size_t k,
@@ -784,27 +805,27 @@ Status RStarTree::NearestNeighbors(std::size_t k,
   std::priority_queue<Neighbor, std::vector<Neighbor>, decltype(worse)> best(
       worse);
 
+  NodeView node;
   while (!frontier.empty()) {
     const QueueItem item = frontier.top();
     frontier.pop();
     if (best.size() == k && item.distance > best.top().squared_distance) {
       break;  // Everything left is farther than the current k-th best.
     }
-    Node node;
-    TSQ_RETURN_IF_ERROR(ReadNode(item.page, &node, stats));
-    for (const Entry& entry : node.entries) {
-      if (node.is_leaf()) {
-        const double d = entry_distance(entry.rect);
+    TSQ_RETURN_IF_ERROR(ReadNodeView(item.page, &node, stats));
+    for (std::size_t i = 0; i < node.size(); ++i) {
+      if (node.is_leaf) {
+        const double d = entry_distance(node.rect(i));
         if (best.size() < k) {
-          best.push(Neighbor{entry, d});
+          best.push(Neighbor{node.ids[i], d});
         } else if (d < best.top().squared_distance) {
           best.pop();
-          best.push(Neighbor{entry, d});
+          best.push(Neighbor{node.ids[i], d});
         }
       } else {
-        const double d = node_distance(entry.rect);
+        const double d = node_distance(node.rect(i));
         if (best.size() < k || d <= best.top().squared_distance) {
-          frontier.push({d, static_cast<storage::PageId>(entry.id)});
+          frontier.push({d, static_cast<storage::PageId>(node.ids[i])});
         }
       }
     }
@@ -823,7 +844,7 @@ Status RStarTree::NearestNeighbors(std::size_t k,
 Status RStarTree::NearestNeighbors(std::size_t k, const Point& query,
                                    std::vector<Neighbor>* results,
                                    SearchStats* stats) const {
-  const auto distance = [&query](const Rect& rect) {
+  const auto distance = [&query](const RectView& rect) {
     return rect.MinSquaredDistance(query);
   };
   return NearestNeighbors(k, distance, distance, results, stats);
@@ -844,30 +865,18 @@ Status RStarTree::VisitNodes(
     const std::function<void(const NodeView&)>& fn) const {
   if (root_ == storage::kInvalidPageId) return Status::Ok();
   std::vector<storage::PageId> stack{root_};
+  NodeView node;
   while (!stack.empty()) {
     const storage::PageId page = stack.back();
     stack.pop_back();
-    Node node;
-    TSQ_RETURN_IF_ERROR(ReadNode(page, &node));
-    NodeView view{node.level, page, node.is_leaf(), node.entries};
-    fn(view);
-    if (!node.is_leaf()) {
-      for (const Entry& entry : node.entries) {
-        stack.push_back(static_cast<storage::PageId>(entry.id));
+    TSQ_RETURN_IF_ERROR(ReadNodeView(page, &node));
+    fn(node);
+    if (!node.is_leaf) {
+      for (const std::uint64_t child : node.ids) {
+        stack.push_back(static_cast<storage::PageId>(child));
       }
     }
   }
-  return Status::Ok();
-}
-
-Status RStarTree::ReadNodeView(storage::PageId page, NodeView* out,
-                               SearchStats* stats) const {
-  Node node;
-  TSQ_RETURN_IF_ERROR(ReadNode(page, &node, stats));
-  out->level = node.level;
-  out->page = page;
-  out->is_leaf = node.is_leaf();
-  out->entries = std::move(node.entries);
   return Status::Ok();
 }
 

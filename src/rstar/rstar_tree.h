@@ -62,16 +62,22 @@ struct SearchStats {
 /// works by transforming each node rectangle with a transformation MBR
 /// before testing it against the query region (paper Section 4.1), which
 /// plugs in here without the tree knowing about transformations.
+///
+/// Reads decode each node once, straight from its page bytes, into a flat
+/// NodeView (ids plus coordinates, no per-entry allocation); searches test
+/// entries through RectViews of it and report leaf hits as ids. The write
+/// path builds its owning Node from the same decoder.
 class RStarTree {
  public:
   /// A predicate deciding whether a bounding rect (internal entry or leaf
   /// entry) may contain query answers. Must never reject a rect that
-  /// contains a qualifying entry (it may accept false positives).
-  using RectPredicate = std::function<bool(const Rect&)>;
+  /// contains a qualifying entry (it may accept false positives). The view
+  /// is valid for the duration of the call only.
+  using RectPredicate = std::function<bool(const RectView&)>;
 
   /// A lower bound on the squared distance from the (implicit) query to
   /// anything inside the rect; used by nearest-neighbour search.
-  using RectDistance = std::function<double(const Rect&)>;
+  using RectDistance = std::function<double(const RectView&)>;
 
   /// Creates an empty tree of the given dimensionality backed by `file`
   /// (not owned; must outlive the tree and be exclusive to it).
@@ -115,14 +121,19 @@ class RStarTree {
   /// rebuilding (see core::SequenceIndex::Rebuild).
   Status Delete(const Rect& rect, std::uint64_t id);
 
-  /// Range search: collects all leaf entries whose rect satisfies
-  /// `predicate`, pruning subtrees whose bounding rect fails it.
-  /// Stats for this one search are added to `*stats` when non-null.
-  Status Search(const RectPredicate& predicate, std::vector<Entry>* results,
-                SearchStats* stats = nullptr) const;
+  /// Range search: appends to `*ids` the id of every leaf entry whose rect
+  /// satisfies `predicate`, in depth-first traversal order, pruning subtrees
+  /// whose bounding rect fails it. With `coords` non-null, each hit's rect
+  /// is appended there too as 2·dimensions() doubles (its lows, then its
+  /// highs) — for callers that re-test hits, such as the batch executor's
+  /// per-query re-filter. Stats for this one search are added to `*stats`
+  /// when non-null.
+  Status Search(const RectPredicate& predicate, std::vector<std::uint64_t>* ids,
+                SearchStats* stats = nullptr,
+                std::vector<double>* coords = nullptr) const;
 
-  /// Convenience window query: entries intersecting `window`.
-  Status WindowQuery(const Rect& window, std::vector<Entry>* results,
+  /// Convenience window query: ids of the entries intersecting `window`.
+  Status WindowQuery(const Rect& window, std::vector<std::uint64_t>* ids,
                      SearchStats* stats = nullptr) const;
 
   /// k-nearest-neighbour search by branch-and-bound on MINDIST (Roussopoulos
@@ -131,7 +142,7 @@ class RStarTree {
   /// the same function for both is correct for point data. Results are
   /// sorted by ascending distance.
   struct Neighbor {
-    Entry entry;
+    std::uint64_t id = 0;
     double squared_distance = 0.0;
   };
   Status NearestNeighbors(std::size_t k, const RectDistance& node_distance,
@@ -159,20 +170,39 @@ class RStarTree {
   /// Intended for tests; reads every node.
   Status CheckInvariants() const;
 
-  /// Runs `fn` on every node's (level, rect, entries); level 0 = leaf.
-  /// Intended for diagnostics and the spatial-join implementation.
+  /// One node decoded from its page bytes into flat buffers: entry i has id
+  /// `ids[i]` and rect `rect(i)`, whose lows and highs are the
+  /// 2·`dimensions` doubles starting at `coords[2·dimensions·i]` — the
+  /// page's entry layout minus the interleaved ids. Decoding into a view
+  /// that already held a node reuses its buffers, so a traversal allocates
+  /// only while they grow. Level 0 = leaf.
   struct NodeView {
-    std::uint32_t level;
-    storage::PageId page;
-    bool is_leaf;
-    std::vector<Entry> entries;
+    std::uint32_t level = 0;
+    storage::PageId page = storage::kInvalidPageId;
+    bool is_leaf = false;
+    std::size_t dimensions = 0;
+    std::vector<std::uint64_t> ids;
+    std::vector<double> coords;
+
+    std::size_t size() const { return ids.size(); }
+    RectView rect(std::size_t i) const {
+      return RectView(coords.data() + 2 * dimensions * i, dimensions);
+    }
+    /// Entry i as an owning Entry (allocates its Rect).
+    Entry entry(std::size_t i) const { return Entry{rect(i).ToRect(), ids[i]}; }
   };
+
+  /// Runs `fn` on every node, depth first from the root. The view is
+  /// reused for the next node once `fn` returns. Intended for diagnostics
+  /// and the cost model's tree statistics.
   Status VisitNodes(const std::function<void(const NodeView&)>& fn) const;
 
   storage::PageId root_page() const { return root_; }
 
-  /// Reads the node stored at `page`. Exposed for the spatial join, which
-  /// traverses two trees in lockstep. Counts page reads in `*stats`.
+  /// Reads and decodes the node stored at `page` into `*out`, reusing its
+  /// buffers. Exposed for the spatial join, which traverses two trees in
+  /// lockstep, and for k-NN best-first search. Counts page reads in
+  /// `*stats`.
   Status ReadNodeView(storage::PageId page, NodeView* out,
                       SearchStats* stats = nullptr) const;
 
@@ -186,12 +216,15 @@ class RStarTree {
   };
 
   // --- node I/O ------------------------------------------------------------
-  Status ReadNode(storage::PageId id, Node* out,
-                  SearchStats* stats = nullptr) const;
+  // The one node decoder: parses `page` (stored at page id `id`) into
+  // `*out`. Corruption for a page that is not a well-formed node.
+  Status DecodeNode(storage::PageId id, const storage::Page& page,
+                    NodeView* out) const;
+  // Owning read for the write path: ReadNodeView, then one Entry per
+  // decoded entry.
+  Status ReadNode(storage::PageId id, Node* out) const;
   Status WriteNode(const Node& node);
   Status SerializeNode(const Node& node, storage::Page* page) const;
-  Status DeserializeNode(storage::PageId id, const storage::Page& page,
-                         Node* out) const;
 
   // --- insertion -----------------------------------------------------------
   // Inserts `entry` at `target_level` (0 = leaf); `reinserted_levels` tracks

@@ -41,25 +41,41 @@ struct PageFileMetrics {
 
 }  // namespace
 
-std::uint64_t PageFile::Checksum(const Page& page) {
-  // FNV-1a over 64-bit words (the page size is a multiple of 8): one mix per
-  // 8 bytes keeps the per-read verification cost well under a microsecond.
-  static_assert(kPageSize % sizeof(std::uint64_t) == 0);
-  std::uint64_t hash = 0xCBF29CE484222325ull;
-  const std::uint8_t* data = page.bytes.data();
-  for (std::size_t i = 0; i < kPageSize; i += sizeof(std::uint64_t)) {
-    std::uint64_t word;
-    std::memcpy(&word, data + i, sizeof word);
-    hash ^= word;
-    hash *= 0x100000001B3ull;
+std::uint64_t PageFile::Digest(const Page& page) {
+  // One serial FNV-1a chain over the 512 words is a 512-long chain of
+  // dependent multiplies; eight interleaved chains cut the dependency depth
+  // to 64, which the multiplier pipelines. Each step (h ^ w) * prime is a
+  // bijection of h for a fixed word and of w for a fixed h (the prime is
+  // odd), and so is each fold step, hence any single-word change reaches
+  // the digest.
+  constexpr std::size_t kLanes = 8;
+  constexpr std::uint64_t kOffset = 0xCBF29CE484222325ull;
+  constexpr std::uint64_t kPrime = 0x100000001B3ull;
+  static_assert(kPageSize % (kLanes * sizeof(std::uint64_t)) == 0);
+  std::uint64_t lanes[kLanes] = {};
+  for (std::size_t j = 0; j < kLanes; ++j) {
+    // Distinct seeds, so equal word streams in two chains do not yield
+    // equal chain states.
+    lanes[j] = kOffset ^ (j * 0x9E3779B97F4A7C15ull);
   }
+  const std::uint8_t* data = page.bytes.data();
+  for (std::size_t i = 0; i < kPageSize;
+       i += kLanes * sizeof(std::uint64_t)) {
+    for (std::size_t j = 0; j < kLanes; ++j) {
+      std::uint64_t word = 0;
+      std::memcpy(&word, data + i + j * sizeof word, sizeof word);
+      lanes[j] = (lanes[j] ^ word) * kPrime;
+    }
+  }
+  std::uint64_t hash = kOffset;
+  for (const std::uint64_t lane : lanes) hash = (hash ^ lane) * kPrime;
   return hash;
 }
 
 PageId PageFile::Allocate() {
   std::lock_guard<std::mutex> lock(mu_);
   pages_.emplace_back();
-  checksums_.push_back(Checksum(pages_.back()));
+  digests_.push_back(Digest(pages_.back()));
   allocations_.fetch_add(1, std::memory_order_relaxed);
   PageFileMetrics::Get().allocations->Increment();
   return static_cast<PageId>(pages_.size() - 1);
@@ -87,28 +103,33 @@ Status PageFile::Read(PageId id, Page* out) {
                ? Status::IoError(PageIdMessage("injected fault", id, 0))
                : fault.status;
   }
+  std::uint64_t expected = 0;
+  std::size_t count = 0;
   {
+    // The lock covers exactly one copy: the page and its digest are taken
+    // as one consistent pair, so a concurrent Write can never produce a
+    // torn delivery that verifies.
     std::lock_guard<std::mutex> lock(mu_);
-    if (id >= pages_.size()) {
-      return Status::OutOfRange(PageIdMessage("read", id, pages_.size()));
+    count = pages_.size();
+    if (id >= count) {
+      return Status::OutOfRange(PageIdMessage("read", id, count));
     }
-    const Page& stored = pages_[id];
-    // Faults mutate the page *as delivered*, not the stored copy, and then
-    // go through the normal verification below: corruption and torn reads
-    // are caught by the same checksum machinery a real mismatch would hit.
-    Page delivered = stored;
-    if (fault.action == FaultDecision::Action::kCorruptBytes) {
-      delivered.bytes[fault.byte_offset % kPageSize] ^= 0xFF;
-    } else if (fault.action == FaultDecision::Action::kShortRead &&
-               fault.valid_bytes < kPageSize) {
-      std::fill(delivered.bytes.begin() + fault.valid_bytes,
-                delivered.bytes.end(), std::uint8_t{0});
-    }
-    if (Checksum(delivered) != checksums_[id]) {
-      return Status::Corruption(PageIdMessage("checksum mismatch", id,
-                                              pages_.size()));
-    }
-    *out = delivered;
+    *out = pages_[id];
+    expected = digests_[id];
+  }
+  // Faults mutate the page *as delivered* — the caller's private copy, not
+  // the stored one — and then go through the normal verification below:
+  // corruption and torn reads are caught by the same digest a real mismatch
+  // would hit.
+  if (fault.action == FaultDecision::Action::kCorruptBytes) {
+    out->bytes[fault.byte_offset % kPageSize] ^= 0xFF;
+  } else if (fault.action == FaultDecision::Action::kShortRead &&
+             fault.valid_bytes < kPageSize) {
+    std::fill(out->bytes.begin() + fault.valid_bytes, out->bytes.end(),
+              std::uint8_t{0});
+  }
+  if (Digest(*out) != expected) {
+    return Status::Corruption(PageIdMessage("checksum mismatch", id, count));
   }
   reads_.fetch_add(1, std::memory_order_relaxed);
   PageFileMetrics::Get().reads->Increment();
@@ -116,12 +137,14 @@ Status PageFile::Read(PageId id, Page* out) {
 }
 
 Status PageFile::Write(PageId id, const Page& page) {
+  // Digest before taking the lock: only the copy needs it.
+  const std::uint64_t digest = Digest(page);
   std::lock_guard<std::mutex> lock(mu_);
   if (id >= pages_.size()) {
     return Status::OutOfRange(PageIdMessage("write", id, pages_.size()));
   }
   pages_[id] = page;
-  checksums_[id] = Checksum(page);
+  digests_[id] = digest;
   writes_.fetch_add(1, std::memory_order_relaxed);
   PageFileMetrics::Get().writes->Increment();
   return Status::Ok();
@@ -130,16 +153,18 @@ Status PageFile::Write(PageId id, const Page& page) {
 void PageFile::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
   pages_.clear();
-  checksums_.clear();
+  digests_.clear();
 }
 
 namespace {
 // Format v1 ("TSQPAG") stored raw pages only; LoadFrom recomputed checksums
 // from whatever bytes it read, so on-disk corruption round-tripped as valid.
-// v2 ("TSQPG2") persists the per-page checksums so loads verify against the
-// values computed when the pages were written.
+// v2 ("TSQPG2") persisted per-page checksums of one serial FNV-1a chain. v3
+// ("TSQPG3") persists the lane-parallel Digest instead; the values differ
+// from v2's, so v2 files cannot be verified and are rejected like v1.
 constexpr std::uint64_t kPageFileMagicV1 = 0x545351504147u;     // "TSQPAG"
 constexpr std::uint64_t kPageFileMagicV2 = 0x325347505153u;     // "TSQPG2"
+constexpr std::uint64_t kPageFileMagicV3 = 0x335347505153u;     // "TSQPG3"
 }  // namespace
 
 Status PageFile::SaveTo(const std::string& path, FaultHook* hook,
@@ -152,11 +177,11 @@ Status PageFile::SaveTo(const std::string& path, FaultHook* hook,
   TSQ_RETURN_IF_ERROR(out.Open());
   std::lock_guard<std::mutex> lock(mu_);
   const std::uint64_t count = pages_.size();
-  TSQ_RETURN_IF_ERROR(out.Append(&kPageFileMagicV2, sizeof kPageFileMagicV2));
+  TSQ_RETURN_IF_ERROR(out.Append(&kPageFileMagicV3, sizeof kPageFileMagicV3));
   TSQ_RETURN_IF_ERROR(out.Append(&count, sizeof count));
-  if (!checksums_.empty()) {
-    TSQ_RETURN_IF_ERROR(out.Append(checksums_.data(),
-                                   checksums_.size() * sizeof(std::uint64_t)));
+  if (!digests_.empty()) {
+    TSQ_RETURN_IF_ERROR(out.Append(digests_.data(),
+                                   digests_.size() * sizeof(std::uint64_t)));
   }
   // Pages go out in bounded chunks: each chunk is one crash point for the
   // write-fault sweep, so big files do not blow up the number of injection
@@ -189,12 +214,19 @@ Status PageFile::LoadFrom(const std::string& path) {
   std::uint64_t count = 0;
   in.read(reinterpret_cast<char*>(&magic), sizeof magic);
   in.read(reinterpret_cast<char*>(&count), sizeof count);
-  if (!in || (magic != kPageFileMagicV2 && magic != kPageFileMagicV1)) {
+  if (!in || (magic != kPageFileMagicV3 && magic != kPageFileMagicV2 &&
+              magic != kPageFileMagicV1)) {
     return Status::Corruption("not a tsq page file: " + path);
   }
   if (magic == kPageFileMagicV1) {
     return Status::Corruption(
         "unsupported page file format v1 (no persisted checksums): " + path);
+  }
+  if (magic == kPageFileMagicV2) {
+    return Status::Corruption(
+        "unsupported page file format v2 (serial FNV-1a checksums, replaced "
+        "by the v3 page digest): " +
+        path);
   }
   // Bound the header's page count against the actual file size *before*
   // allocating anything: a corrupted count would otherwise request exabytes
@@ -207,9 +239,9 @@ Status PageFile::LoadFrom(const std::string& path) {
     return Status::Corruption("page count inconsistent with file size: " +
                               path);
   }
-  std::vector<std::uint64_t> checksums(count);
-  for (std::uint64_t& checksum : checksums) {
-    in.read(reinterpret_cast<char*>(&checksum), sizeof checksum);
+  std::vector<std::uint64_t> digests(count);
+  for (std::uint64_t& digest : digests) {
+    in.read(reinterpret_cast<char*>(&digest), sizeof digest);
     if (!in) return Status::Corruption("truncated page file: " + path);
   }
   std::vector<Page> pages(count);
@@ -217,10 +249,10 @@ Status PageFile::LoadFrom(const std::string& path) {
     in.read(reinterpret_cast<char*>(page.bytes.data()), kPageSize);
     if (!in) return Status::Corruption("truncated page file: " + path);
   }
-  // Verify against the *persisted* checksums before committing anything:
+  // Verify against the *persisted* digests before committing anything:
   // bytes corrupted at rest no longer re-bless themselves on load.
   for (std::size_t i = 0; i < pages.size(); ++i) {
-    if (Checksum(pages[i]) != checksums[i]) {
+    if (Digest(pages[i]) != digests[i]) {
       return Status::Corruption(
           PageIdMessage("checksum mismatch on load", static_cast<PageId>(i),
                         pages.size()) +
@@ -229,7 +261,7 @@ Status PageFile::LoadFrom(const std::string& path) {
   }
   std::lock_guard<std::mutex> lock(mu_);
   pages_ = std::move(pages);
-  checksums_ = std::move(checksums);
+  digests_ = std::move(digests);
   ResetStats();
   return Status::Ok();
 }

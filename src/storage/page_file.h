@@ -44,16 +44,20 @@ struct IoStats {
 ///
 /// Every Read/Write is counted, which makes index traversals and record
 /// fetches measurable in the same unit the paper uses (page accesses),
-/// independent of the host machine. Each page carries a checksum maintained
-/// on write and verified on read, so corruption (or the failure-injection
-/// test hook) is detected rather than silently propagated.
+/// independent of the host machine. Each page carries a 64-bit digest
+/// (Digest) maintained on write and verified on every read, so corruption
+/// (or the failure-injection test hook) is detected rather than silently
+/// propagated.
 ///
 /// Thread safety: Read, Write, Allocate and the counters may be called
 /// concurrently — page content is guarded by a mutex and the counters are
-/// atomic. The simulated read-delay spin happens on the calling thread
-/// *outside* the lock, so N concurrent readers pay their latencies in
-/// parallel (the model of N independent disks the parallel executor
-/// assumes). SaveTo/LoadFrom still require external exclusion from writers.
+/// atomic. A Read holds the mutex only to copy the page and its stored
+/// digest into the caller's buffer; fault mutation and verification run on
+/// that private copy after the lock is released. The simulated read-delay
+/// spin also happens on the calling thread *outside* the lock, so N
+/// concurrent readers pay their latencies in parallel (the model of N
+/// independent disks the parallel executor assumes). SaveTo/LoadFrom still
+/// require external exclusion from writers.
 class PageFile {
  public:
   PageFile() = default;
@@ -82,12 +86,24 @@ class PageFile {
     return pages_.size();
   }
 
-  /// Reads page `id` into `*out`. Fails with OutOfRange for an unknown id and
-  /// Corruption when the stored checksum does not match the page content.
+  /// Reads page `id` into `*out`: one copy of the stored page, taken under
+  /// the mutex together with its stored digest, then verified outside the
+  /// lock. Fails with OutOfRange for an unknown id and Corruption when the
+  /// delivered bytes do not match the stored digest. On failure the content
+  /// of `*out` is unspecified.
   Status Read(PageId id, Page* out);
 
-  /// Writes `page` to `id` and updates its checksum.
+  /// Writes `page` to `id` and updates its digest.
   Status Write(PageId id, const Page& page);
+
+  /// The page digest: eight independent FNV-1a chains over the page's
+  /// 64-bit words (chain j takes words j, j + 8, j + 16, ...), folded into
+  /// one value by a ninth FNV-1a pass over the chain states. Each chain and
+  /// the fold are bijective in every input word, so changing any single word
+  /// always changes the digest; the chains have no data dependency on each
+  /// other, so a core runs them in parallel (portable scalar code, no ISA
+  /// dispatch).
+  static std::uint64_t Digest(const Page& page);
 
   /// Snapshot of the counters (each counter is read atomically; the snapshot
   /// as a whole is not a consistent cut under concurrent I/O).
@@ -112,22 +128,22 @@ class PageFile {
   void Clear();
 
   /// Test hook: flips a byte in the stored page without updating the
-  /// checksum, so the next Read reports corruption.
+  /// digest, so the next Read reports corruption.
   Status CorruptForTesting(PageId id, std::size_t byte_offset);
 
   /// Installs (or, with nullptr, removes) a fault-injection hook consulted
   /// at the top of every Read. kFail decisions return the hook's status
-  /// without counting the read; kCorruptBytes/kShortRead mutate the page as
-  /// delivered and let the normal checksum verification detect the damage,
-  /// so the stored copy stays intact. The caller must keep the hook alive
-  /// until it is uninstalled and in-flight reads have drained.
+  /// without counting the read; kCorruptBytes/kShortRead mutate the
+  /// caller's delivered copy and let the normal digest verification detect
+  /// the damage, so the stored copy stays intact. The caller must keep the
+  /// hook alive until it is uninstalled and in-flight reads have drained.
   void SetFaultHook(FaultHook* hook) {
     fault_hook_.store(hook, std::memory_order_release);
   }
 
-  /// Writes every page to `path` (format v2, binary: magic, page count, the
-  /// per-page checksums, then the raw pages). Persisting the checksums is
-  /// what lets LoadFrom detect bytes corrupted at rest.
+  /// Writes every page to `path` (format v3, binary: magic, page count, the
+  /// per-page digests, then the raw pages). Persisting the digests is what
+  /// lets LoadFrom detect bytes corrupted at rest.
   ///
   /// The write is atomic: content goes to `<path>.tmp` and is fsynced
   /// before being renamed into place (storage::AtomicFile), so a crash or
@@ -140,20 +156,19 @@ class PageFile {
                 FileDigest* digest = nullptr) const;
 
   /// Replaces this file's contents with the pages stored at `path` after
-  /// verifying every page against its *persisted* checksum (counters reset).
-  /// Returns Corruption — without modifying this file — when a checksum does
+  /// verifying every page against its *persisted* digest (counters reset).
+  /// Returns Corruption — without modifying this file — when a digest does
   /// not match, when the file is truncated or its header page count is
   /// inconsistent with its size (validated before any allocation, so a
-  /// corrupted count can never trigger bad_alloc), or for the legacy v1
-  /// format (which carried no checksums and cannot be verified).
+  /// corrupted count can never trigger bad_alloc), or for the legacy
+  /// formats: v1 carried no checksums and v2 carried the serial FNV-1a
+  /// checksum that Digest replaced, so neither can be verified.
   Status LoadFrom(const std::string& path);
 
  private:
-  static std::uint64_t Checksum(const Page& page);
-
-  mutable std::mutex mu_;  // guards pages_ and checksums_
+  mutable std::mutex mu_;  // guards pages_ and digests_
   std::vector<Page> pages_;
-  std::vector<std::uint64_t> checksums_;
+  std::vector<std::uint64_t> digests_;
   std::atomic<std::uint64_t> reads_{0};
   std::atomic<std::uint64_t> writes_{0};
   std::atomic<std::uint64_t> allocations_{0};

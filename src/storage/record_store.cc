@@ -1,6 +1,7 @@
 #include "storage/record_store.h"
 
 #include <cstring>
+#include <string>
 
 #include "common/check.h"
 
@@ -32,13 +33,17 @@ Result<RecordId> RecordStore::Append(std::span<const std::uint8_t> payload) {
   while (true) {
     const std::size_t space = kPageSize - cursor_;
     const std::size_t chunk = std::min(space, payload.size() - written);
-    std::memcpy(page.bytes.data() + cursor_, payload.data() + written, chunk);
+    // An empty payload may have a null data(), which memcpy must not get.
+    if (chunk > 0) {
+      std::memcpy(page.bytes.data() + cursor_, payload.data() + written,
+                  chunk);
+    }
     written += chunk;
     cursor_ += static_cast<std::uint32_t>(chunk);
     TSQ_RETURN_IF_ERROR(file_->Write(current_page_, page));
     if (written == payload.size()) break;
     // Continue on a fresh page; freshly allocated pages are consecutive, so
-    // Get can follow the record by incrementing the page id.
+    // a read can follow the record by incrementing the page id.
     const PageId next = file_->Allocate();
     TSQ_CHECK_EQ(next, current_page_ + 1);
     current_page_ = next;
@@ -49,88 +54,79 @@ Result<RecordId> RecordStore::Append(std::span<const std::uint8_t> payload) {
   return id;
 }
 
-Result<std::vector<std::uint8_t>> RecordStore::Get(
-    RecordId id, std::uint64_t* pages_read) const {
-  const auto count_page = [pages_read] {
-    if (pages_read != nullptr) ++*pages_read;
-  };
-  Page page;
-  TSQ_RETURN_IF_ERROR(file_->Read(id.page, &page));
-  count_page();
-  if (id.offset + kHeaderSize > kPageSize) {
+template <typename Place>
+Status RecordStore::Walk(RecordId id, std::uint64_t* pages_read,
+                         Place&& place) const {
+  if (std::size_t{id.offset} + kHeaderSize > kPageSize) {
     return Status::OutOfRange("record offset beyond page");
   }
+  Page page;
+  TSQ_RETURN_IF_ERROR(file_->Read(id.page, &page));
+  if (pages_read != nullptr) ++*pages_read;
   std::uint32_t total = 0;
   std::memcpy(&total, page.bytes.data() + id.offset, kHeaderSize);
+  const Result<Target> target = place(total);
+  if (!target.ok()) return target.status();
 
-  std::vector<std::uint8_t> payload(total);
-  std::size_t read = 0;
-  PageId page_id = id.page;
-  std::size_t cursor = id.offset + kHeaderSize;
-  while (read < total) {
-    if (cursor >= kPageSize) {
-      ++page_id;
-      cursor = 0;
+  // Continuation pages are consecutive and carry payload from byte 0, so
+  // the first requested byte's page and in-page cursor follow from its
+  // position counted from the header page's first byte.
+  const std::size_t position =
+      std::size_t{id.offset} + kHeaderSize + target->first;
+  PageId page_id = id.page + static_cast<PageId>(position / kPageSize);
+  std::size_t cursor = position % kPageSize;
+  PageId loaded = id.page;
+  std::size_t copied = 0;
+  while (copied < target->length) {
+    if (page_id != loaded) {
       TSQ_RETURN_IF_ERROR(file_->Read(page_id, &page));
-      count_page();
+      if (pages_read != nullptr) ++*pages_read;
+      loaded = page_id;
     }
-    const std::size_t chunk = std::min(kPageSize - cursor,
-                                       static_cast<std::size_t>(total) - read);
-    std::memcpy(payload.data() + read, page.bytes.data() + cursor, chunk);
-    read += chunk;
-    cursor += chunk;
+    const std::size_t chunk =
+        std::min(kPageSize - cursor, target->length - copied);
+    std::memcpy(target->dest + copied, page.bytes.data() + cursor, chunk);
+    copied += chunk;
+    ++page_id;
+    cursor = 0;
   }
+  return Status::Ok();
+}
+
+Result<std::vector<std::uint8_t>> RecordStore::Get(
+    RecordId id, std::uint64_t* pages_read) const {
+  std::vector<std::uint8_t> payload;
+  TSQ_RETURN_IF_ERROR(
+      Walk(id, pages_read, [&payload](std::uint32_t total) -> Result<Target> {
+        payload.resize(total);
+        return Target{payload.data(), 0, total};
+      }));
   return payload;
+}
+
+Status RecordStore::ReadInto(RecordId id, std::span<std::uint8_t> out,
+                             std::uint64_t* pages_read) const {
+  return Walk(id, pages_read, [out](std::uint32_t total) -> Result<Target> {
+    if (total != out.size()) {
+      return Status::Corruption("record holds " + std::to_string(total) +
+                                " bytes, expected " +
+                                std::to_string(out.size()));
+    }
+    return Target{out.data(), 0, out.size()};
+  });
 }
 
 Result<std::vector<std::uint8_t>> RecordStore::GetRange(
     RecordId id, std::size_t byte_offset, std::size_t length) const {
-  Page page;
-  TSQ_RETURN_IF_ERROR(file_->Read(id.page, &page));
-  if (id.offset + kHeaderSize > kPageSize) {
-    return Status::OutOfRange("record offset beyond page");
-  }
-  std::uint32_t total = 0;
-  std::memcpy(&total, page.bytes.data() + id.offset, kHeaderSize);
-  if (byte_offset + length > total) {
-    return Status::OutOfRange("range exceeds record payload");
-  }
-
-  // Payload layout: the first fragment fills the header page, the rest
-  // continues on consecutive pages from byte 0.
-  const std::size_t first_fragment = kPageSize - (id.offset + kHeaderSize);
-  std::vector<std::uint8_t> out(length);
-  std::size_t produced = 0;
-  std::size_t cursor_offset = byte_offset;
-  PageId page_id;
-  std::size_t cursor;
-  bool page_loaded;
-  if (cursor_offset < first_fragment) {
-    page_id = id.page;
-    cursor = id.offset + kHeaderSize + cursor_offset;
-    page_loaded = true;  // header page already in hand
-  } else {
-    const std::size_t rest = cursor_offset - first_fragment;
-    page_id = id.page + 1 + static_cast<PageId>(rest / kPageSize);
-    cursor = rest % kPageSize;
-    page_loaded = false;
-  }
-  while (produced < length) {
-    if (!page_loaded) {
-      TSQ_RETURN_IF_ERROR(file_->Read(page_id, &page));
-      page_loaded = true;
-    }
-    const std::size_t chunk =
-        std::min(kPageSize - cursor, length - produced);
-    std::memcpy(out.data() + produced, page.bytes.data() + cursor, chunk);
-    produced += chunk;
-    cursor += chunk;
-    if (cursor >= kPageSize) {
-      ++page_id;
-      cursor = 0;
-      page_loaded = false;
-    }
-  }
+  std::vector<std::uint8_t> out;
+  TSQ_RETURN_IF_ERROR(
+      Walk(id, nullptr, [&](std::uint32_t total) -> Result<Target> {
+        if (byte_offset > total || length > total - byte_offset) {
+          return Status::OutOfRange("range exceeds record payload");
+        }
+        out.resize(length);
+        return Target{out.data(), byte_offset, length};
+      }));
   return out;
 }
 
@@ -145,20 +141,22 @@ Result<ts::Series> RecordStore::GetSeriesRange(RecordId id, std::size_t first,
 }
 
 Result<RecordId> RecordStore::AppendSeries(const ts::Series& series) {
-  std::vector<std::uint8_t> payload(series.size() * sizeof(double));
-  std::memcpy(payload.data(), series.data(), payload.size());
-  return Append(payload);
+  return Append({reinterpret_cast<const std::uint8_t*>(series.data()),
+                 series.size() * sizeof(double)});
 }
 
 Result<ts::Series> RecordStore::GetSeries(RecordId id,
                                           std::uint64_t* pages_read) const {
-  Result<std::vector<std::uint8_t>> payload = Get(id, pages_read);
-  if (!payload.ok()) return payload.status();
-  if (payload->size() % sizeof(double) != 0) {
-    return Status::Corruption("record size is not a multiple of 8");
-  }
-  ts::Series series(payload->size() / sizeof(double));
-  std::memcpy(series.data(), payload->data(), payload->size());
+  ts::Series series;
+  TSQ_RETURN_IF_ERROR(
+      Walk(id, pages_read, [&series](std::uint32_t total) -> Result<Target> {
+        if (total % sizeof(double) != 0) {
+          return Status::Corruption("record size is not a multiple of 8");
+        }
+        series.resize(total / sizeof(double));
+        return Target{reinterpret_cast<std::uint8_t*>(series.data()), 0,
+                      total};
+      }));
   return series;
 }
 

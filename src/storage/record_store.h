@@ -30,9 +30,21 @@ struct RecordId {
 /// Layout: records are appended into the current page as
 /// [u32 total_length][payload fragment]; a record that does not fit continues
 /// on freshly allocated (hence consecutive) pages until exhausted. A page's
-/// trailing free space smaller than a header starts a new page.
+/// trailing free space smaller than a header starts a new page. Payload byte
+/// p of a record therefore sits at byte `offset + kHeaderSize + p` counted
+/// from the start of its header page.
+///
+/// Every read goes through one page-walk: it reads (and counts) the header
+/// page, lets the calling method check the stored length and pick the
+/// destination (ReadInto rejects a length that differs from its span; Get
+/// sizes a fresh buffer), then copies the payload fragments straight from
+/// each page buffer to the destination, reading only the pages the
+/// requested bytes span.
 class RecordStore {
  public:
+  /// Bytes of the length header in front of every record.
+  static constexpr std::uint32_t kHeaderSize = sizeof(std::uint32_t);
+
   /// The store allocates pages from (and counts reads against) `file`, which
   /// it does not own. The file must be used exclusively by this store.
   explicit RecordStore(PageFile* file);
@@ -50,6 +62,15 @@ class RecordStore {
   Result<std::vector<std::uint8_t>> Get(RecordId id,
                                         std::uint64_t* pages_read =
                                             nullptr) const;
+
+  /// Copy-free fetch: copies record `id`'s payload straight from the page
+  /// buffers into `out`, which must be exactly the payload's size. The
+  /// header's length is checked against `out.size()` before any payload
+  /// byte is read, so a mismatch (a wrong or corrupted record location)
+  /// fails with Corruption without reading further pages. `pages_read` as
+  /// in Get. On failure the content of `out` is unspecified.
+  Status ReadInto(RecordId id, std::span<std::uint8_t> out,
+                  std::uint64_t* pages_read = nullptr) const;
 
   /// Fetches `length` payload bytes starting at `byte_offset` within the
   /// record, reading (and counting) only the pages that range spans plus the
@@ -84,7 +105,19 @@ class RecordStore {
   }
 
  private:
-  static constexpr std::uint32_t kHeaderSize = sizeof(std::uint32_t);
+  // Where a walk delivers payload bytes [first, first + length): decided by
+  // the caller from the stored length, after the header page is read.
+  struct Target {
+    std::uint8_t* dest = nullptr;
+    std::size_t first = 0;
+    std::size_t length = 0;
+  };
+
+  // The one page-walk behind every read. `place(total)` sees the stored
+  // payload length and returns the Target (or the error that stops the
+  // read); the walk then copies the target's bytes page by page.
+  template <typename Place>
+  Status Walk(RecordId id, std::uint64_t* pages_read, Place&& place) const;
 
   PageFile* file_;
   PageId current_page_ = kInvalidPageId;

@@ -140,10 +140,10 @@ Result<std::vector<SubseqMatch>> SubsequenceIndex::RangeSearch(
   const rstar::Rect query_region =
       core::BuildQueryRegion(query_features, fts, epsilon, options_.layout);
 
-  std::vector<rstar::Entry> hits;
+  std::vector<std::uint64_t> hits;  // sub-trail ids
   rstar::SearchStats search_stats;
   TSQ_RETURN_IF_ERROR(tree_->Search(
-      [&](const rstar::Rect& rect) {
+      [&](const rstar::RectView& rect) {
         return mbr.AppliedIntersects(rect, query_region);
       },
       &hits, &search_stats));
@@ -153,8 +153,8 @@ Result<std::vector<SubseqMatch>> SubsequenceIndex::RangeSearch(
   const std::uint64_t record_reads_before = record_file_.stats().reads;
   std::uint64_t candidate_windows = 0;
   std::uint64_t comparisons = 0;
-  for (const rstar::Entry& entry : hits) {
-    const Subtrail& trail = subtrails_[entry.id];
+  for (const std::uint64_t hit : hits) {
+    const Subtrail& trail = subtrails_[hit];
     // One ranged fetch covers all of the sub-trail's windows.
     const std::size_t span = trail.count + options_.window - 1;
     Result<ts::Series> values = records_->GetSeriesRange(

@@ -103,7 +103,7 @@ TransformMbr::TransformMbr(std::span<const FeatureTransform> transforms,
   }
 }
 
-rstar::Rect TransformMbr::Apply(const rstar::Rect& data) const {
+rstar::Rect TransformMbr::Apply(const rstar::RectView& data) const {
   TSQ_CHECK_EQ(data.dimensions(), dimensions());
   const std::size_t dims = dimensions();
   std::vector<double> low(dims), high(dims);
@@ -118,7 +118,7 @@ rstar::Rect TransformMbr::Apply(const rstar::Rect& data) const {
   return rstar::Rect(std::move(low), std::move(high));
 }
 
-bool TransformMbr::AppliedIntersects(const rstar::Rect& data,
+bool TransformMbr::AppliedIntersects(const rstar::RectView& data,
                                      const rstar::Rect& query) const {
   TSQ_DCHECK(data.dimensions() == dimensions());
   TSQ_DCHECK(query.dimensions() == dimensions());

@@ -45,7 +45,7 @@ class TransformMbr {
   /// Eq. 12: the image rectangle of `data` under every transformation in the
   /// MBR. Angle dimensions may exceed [-pi, pi]; use CircularIntersects for
   /// tests against query regions.
-  rstar::Rect Apply(const rstar::Rect& data) const;
+  rstar::Rect Apply(const rstar::RectView& data) const;
 
   /// True when `t` lies inside this MBR (for angle-offset dimensions,
   /// membership modulo 2*pi).
@@ -54,8 +54,9 @@ class TransformMbr {
   /// Fused Apply + CircularIntersects without allocating the image
   /// rectangle: equivalent to
   /// `CircularIntersects(Apply(data), query, layout)` but cheap enough for
-  /// the per-entry hot path of an index traversal.
-  bool AppliedIntersects(const rstar::Rect& data,
+  /// the per-entry hot path of an index traversal, which passes each node
+  /// entry as a view of the decoded node.
+  bool AppliedIntersects(const rstar::RectView& data,
                          const rstar::Rect& query) const;
 
  private:

@@ -246,6 +246,49 @@ TEST_F(CheckpointRobustnessTest, OutOfRangeRecordLocationRejected) {
   ExpectRejected("record page out of range");
 }
 
+// The 4-byte length header does not fit at offsets 4093..4095, so such a
+// location is damaged meta, not a store read that runs off its page.
+TEST_F(CheckpointRobustnessTest, RecordHeaderPastPageEndIsCorruption) {
+  TamperMeta([](std::vector<std::string>& lines) {
+    EditFields(lines, 6, [](std::vector<std::string>& f) {
+      f[1] = std::to_string(storage::kPageSize - 3);  // offset
+    });
+  });
+  const auto loaded = SimilarityEngine::LoadFrom(prefix_);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption)
+      << loaded.status().ToString();
+}
+
+// A location inside another record's payload reads a "length" out of
+// spectrum bytes. The fetch checks it against the spectrum size before
+// reading further or allocating anything sized from it.
+TEST_F(CheckpointRobustnessTest, RecordLocationInsidePayloadIsCorruption) {
+  // Sequence 0's record starts the first page: header at 0, X_0 at 4..19,
+  // X_1's real part from 20. The u32 found at 20 is mantissa bits, not the
+  // record length (64 complex values = 1024 bytes).
+  constexpr std::uint32_t kInsidePayload = 20;
+  const std::string records = ReadAllBytes(EpochFile(".records"));
+  std::uint64_t pages = 0;
+  std::memcpy(&pages, records.data() + 8, sizeof pages);
+  const std::size_t first_page = 16 + 8 * pages;
+  std::uint32_t found = 0;
+  std::memcpy(&found, records.data() + first_page + kInsidePayload,
+              sizeof found);
+  ASSERT_NE(found, 64u * 16u);
+  TamperMeta([](std::vector<std::string>& lines) {
+    EditFields(lines, 6, [](std::vector<std::string>& f) {
+      ASSERT_EQ(f[0], "0");
+      ASSERT_EQ(f[1], "0");
+      f[1] = std::to_string(kInsidePayload);
+    });
+  });
+  const auto loaded = SimilarityEngine::LoadFrom(prefix_);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption)
+      << loaded.status().ToString();
+}
+
 TEST_F(CheckpointRobustnessTest, NonFiniteNormalFormRejected) {
   TamperMeta([](std::vector<std::string>& lines) {
     EditFields(lines, 6, [](std::vector<std::string>& f) {

@@ -50,6 +50,23 @@ TEST(DatasetTest, FetchSpectrumMatchesInMemorySpectrum) {
   }
 }
 
+TEST(DatasetTest, FetchSpectrumIntoFillsScratchBitExactly) {
+  const auto series = testutil::RandomWalks(10, 128, 3);
+  Dataset dataset(series, transform::FeatureLayout{});
+  std::vector<dft::Complex> scratch(dataset.length());
+  for (std::size_t i = 0; i < dataset.size(); ++i) {
+    std::uint64_t pages = 0;
+    ASSERT_TRUE(dataset.FetchSpectrumInto(i, scratch, &pages).ok());
+    EXPECT_EQ(scratch, dataset.spectrum(i));  // the stored bytes, unchanged
+    EXPECT_GE(pages, 1u);
+  }
+  std::vector<dft::Complex> wrong(dataset.length() - 1);
+  EXPECT_EQ(dataset.FetchSpectrumInto(0, wrong).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(dataset.FetchSpectrumInto(dataset.size(), scratch).code(),
+            StatusCode::kOutOfRange);
+}
+
 TEST(DatasetTest, FetchCountsPageReads) {
   const auto series = testutil::RandomWalks(10, 128, 4);
   Dataset dataset(series, transform::FeatureLayout{});

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <set>
 
 #include "common/rng.h"
@@ -29,10 +30,8 @@ std::set<std::uint64_t> BruteWindow(const std::vector<Point>& points,
   return out;
 }
 
-std::set<std::uint64_t> ResultIds(const std::vector<Entry>& entries) {
-  std::set<std::uint64_t> out;
-  for (const Entry& e : entries) out.insert(e.id);
-  return out;
+std::set<std::uint64_t> ResultIds(const std::vector<std::uint64_t>& ids) {
+  return std::set<std::uint64_t>(ids.begin(), ids.end());
 }
 
 TEST(RStarTreeTest, EmptyTreeBehaviour) {
@@ -41,7 +40,7 @@ TEST(RStarTreeTest, EmptyTreeBehaviour) {
   EXPECT_EQ(tree.size(), 0u);
   EXPECT_EQ(tree.height(), 0u);
   EXPECT_FALSE(tree.RootRect().has_value());
-  std::vector<Entry> results;
+  std::vector<std::uint64_t> results;
   ASSERT_TRUE(tree.WindowQuery(Rect({-1.0, -1.0}, {1.0, 1.0}), &results).ok());
   EXPECT_TRUE(results.empty());
   EXPECT_TRUE(tree.CheckInvariants().ok());
@@ -55,10 +54,10 @@ TEST(RStarTreeTest, SingleInsertAndQuery) {
   ASSERT_TRUE(tree.Insert(Rect::FromPoint({1.0, 2.0}), 7).ok());
   EXPECT_EQ(tree.size(), 1u);
   EXPECT_EQ(tree.height(), 1u);
-  std::vector<Entry> results;
+  std::vector<std::uint64_t> results;
   ASSERT_TRUE(tree.WindowQuery(Rect({0.0, 0.0}, {2.0, 3.0}), &results).ok());
   ASSERT_EQ(results.size(), 1u);
-  EXPECT_EQ(results[0].id, 7u);
+  EXPECT_EQ(results[0], 7u);
   EXPECT_TRUE(tree.CheckInvariants().ok());
 }
 
@@ -99,7 +98,7 @@ TEST_P(RStarTreeParamTest, BulkInsertInvariantsAndQueries) {
       hi[d] = std::max(a, b);
     }
     const Rect window(lo, hi);
-    std::vector<Entry> results;
+    std::vector<std::uint64_t> results;
     ASSERT_TRUE(tree.WindowQuery(window, &results).ok());
     EXPECT_EQ(ResultIds(results), BruteWindow(points, window));
   }
@@ -127,7 +126,7 @@ TEST(RStarTreeTest, RectangleDataSupported) {
   }
   ASSERT_TRUE(tree.CheckInvariants().ok());
   const Rect window({-10.0, -10.0}, {10.0, 10.0});
-  std::vector<Entry> results;
+  std::vector<std::uint64_t> results;
   ASSERT_TRUE(tree.WindowQuery(window, &results).ok());
   std::set<std::uint64_t> expected;
   for (std::size_t i = 0; i < rects.size(); ++i) {
@@ -145,7 +144,7 @@ TEST(RStarTreeTest, DuplicatePointsAllowed) {
     ASSERT_TRUE(tree.Insert(Rect::FromPoint({1.0, 1.0}), i).ok());
   }
   ASSERT_TRUE(tree.CheckInvariants().ok());
-  std::vector<Entry> results;
+  std::vector<std::uint64_t> results;
   ASSERT_TRUE(
       tree.WindowQuery(Rect({0.0, 0.0}, {2.0, 2.0}), &results).ok());
   EXPECT_EQ(results.size(), 50u);
@@ -161,7 +160,7 @@ TEST(RStarTreeTest, SearchCountsNodeAccesses) {
     ASSERT_TRUE(tree.Insert(Rect::FromPoint(RandomPoint(2, rng)), i).ok());
   }
   SearchStats stats;
-  std::vector<Entry> results;
+  std::vector<std::uint64_t> results;
   ASSERT_TRUE(tree.WindowQuery(Rect({-5.0, -5.0}, {5.0, 5.0}), &results,
                                &stats)
                   .ok());
@@ -170,7 +169,7 @@ TEST(RStarTreeTest, SearchCountsNodeAccesses) {
   EXPECT_EQ(stats.matches, results.size());
   // A selective query must not read the whole tree.
   SearchStats all_stats;
-  std::vector<Entry> all;
+  std::vector<std::uint64_t> all;
   ASSERT_TRUE(tree.WindowQuery(Rect({-200.0, -200.0}, {200.0, 200.0}), &all,
                                &all_stats)
                   .ok());
@@ -209,7 +208,7 @@ TEST(RStarTreeTest, DeleteMaintainsInvariants) {
   EXPECT_EQ(tree.size(), count / 2);
   // Queries still match brute force over the survivors.
   const Rect window({-60.0, -60.0}, {60.0, 60.0});
-  std::vector<Entry> results;
+  std::vector<std::uint64_t> results;
   ASSERT_TRUE(tree.WindowQuery(window, &results).ok());
   std::set<std::uint64_t> expected;
   for (std::uint64_t id : remaining) {
@@ -328,7 +327,7 @@ TEST(RStarTreeTest, ForcedReinsertOffStillCorrect) {
   }
   ASSERT_TRUE(tree.CheckInvariants().ok());
   const Rect window({-20.0, -20.0}, {20.0, 20.0});
-  std::vector<Entry> results;
+  std::vector<std::uint64_t> results;
   ASSERT_TRUE(tree.WindowQuery(window, &results).ok());
   EXPECT_EQ(ResultIds(results), BruteWindow(points, window));
 }
@@ -347,7 +346,7 @@ TEST(RStarTreeTest, SortedInsertionOrderStillBalanced) {
   ASSERT_TRUE(tree.CheckInvariants().ok());
   EXPECT_GE(tree.height(), 3u);
   const Rect window({100.0, 100.0}, {150.0, 150.0});
-  std::vector<Entry> results;
+  std::vector<std::uint64_t> results;
   ASSERT_TRUE(tree.WindowQuery(window, &results).ok());
   EXPECT_EQ(results.size(), 51u);
 }
@@ -366,9 +365,9 @@ TEST(RStarTreeTest, CustomPredicateSearch) {
   }
   // Predicate: rect lies within L2 distance 30 of the origin (monotone).
   const Point origin = {0.0, 0.0};
-  std::vector<Entry> results;
+  std::vector<std::uint64_t> results;
   ASSERT_TRUE(tree.Search(
-                      [&](const Rect& rect) {
+                      [&](const RectView& rect) {
                         return rect.MinSquaredDistance(origin) <= 900.0;
                       },
                       &results)
@@ -397,7 +396,7 @@ TEST(RStarTreeTest, BufferPoolIntegration) {
   tree.SetBufferPool(&pool);
 
   const Rect window({-30.0, -30.0}, {30.0, 30.0});
-  std::vector<Entry> warm1, warm2;
+  std::vector<std::uint64_t> warm1, warm2;
   SearchStats s1, s2;
   file.ResetStats();
   ASSERT_TRUE(tree.WindowQuery(window, &warm1, &s1).ok());
@@ -413,13 +412,9 @@ TEST(RStarTreeTest, BufferPoolIntegration) {
   // Updates through the pool keep the tree sound and the file coherent.
   ASSERT_TRUE(tree.Insert(Rect::FromPoint({0.5, 0.5}), 999).ok());
   tree.SetBufferPool(nullptr);  // read directly from the file again
-  std::vector<Entry> direct;
+  std::vector<std::uint64_t> direct;
   ASSERT_TRUE(tree.WindowQuery(Rect({0.0, 0.0}, {1.0, 1.0}), &direct).ok());
-  bool found = false;
-  for (const Entry& e : direct) {
-    if (e.id == 999) found = true;
-  }
-  EXPECT_TRUE(found);
+  EXPECT_TRUE(ResultIds(direct).contains(999));
   ASSERT_TRUE(tree.CheckInvariants().ok());
 }
 
@@ -460,7 +455,7 @@ TEST(RStarTreeTest, CorruptedPageSurfacesAsError) {
     ASSERT_TRUE(tree.Insert(Rect::FromPoint(RandomPoint(2, rng)), i).ok());
   }
   ASSERT_TRUE(file.CorruptForTesting(tree.root_page(), 100).ok());
-  std::vector<Entry> results;
+  std::vector<std::uint64_t> results;
   EXPECT_EQ(
       tree.WindowQuery(Rect({-200.0, -200.0}, {200.0, 200.0}), &results)
           .code(),
@@ -503,7 +498,7 @@ TEST_P(BulkLoadTest, InvariantsAndQueryEquivalence) {
       hi[d] = std::max(a, b);
     }
     const Rect window(lo, hi);
-    std::vector<Entry> from_bulk, from_incremental;
+    std::vector<std::uint64_t> from_bulk, from_incremental;
     ASSERT_TRUE(bulk.WindowQuery(window, &from_bulk).ok());
     ASSERT_TRUE(incremental.WindowQuery(window, &from_incremental).ok());
     EXPECT_EQ(ResultIds(from_bulk), ResultIds(from_incremental));
@@ -548,9 +543,63 @@ TEST(BulkLoadExtraTest, EmptyAndSingleton) {
   ASSERT_TRUE(tree.BulkLoad({Entry{Rect::FromPoint({1.0, 2.0}), 7}}).ok());
   EXPECT_EQ(tree.size(), 1u);
   EXPECT_EQ(tree.height(), 1u);
-  std::vector<Entry> results;
+  std::vector<std::uint64_t> results;
   ASSERT_TRUE(tree.WindowQuery(Rect({0.0, 0.0}, {2.0, 3.0}), &results).ok());
   ASSERT_EQ(results.size(), 1u);
+}
+
+TEST(RStarTreeTest, ReadNodeViewReusesBuffersAcrossNodes) {
+  storage::PageFile file;
+  TreeOptions options;
+  options.capacity_override = 4;
+  RStarTree tree(&file, 2, options);
+  Rng rng(14);
+  std::vector<Point> points;
+  for (std::size_t i = 0; i < 60; ++i) {
+    points.push_back(RandomPoint(2, rng));
+    ASSERT_TRUE(tree.Insert(Rect::FromPoint(points.back()), i).ok());
+  }
+  // One view decoded into over and over must always equal a fresh decode,
+  // whatever size the previous node had; leaf rects are the inserted points.
+  std::vector<storage::PageId> pages;
+  ASSERT_TRUE(tree.VisitNodes([&](const RStarTree::NodeView& view) {
+                    pages.push_back(view.page);
+                  })
+                  .ok());
+  RStarTree::NodeView reused;
+  for (const storage::PageId page : pages) {
+    RStarTree::NodeView fresh;
+    ASSERT_TRUE(tree.ReadNodeView(page, &reused).ok());
+    ASSERT_TRUE(tree.ReadNodeView(page, &fresh).ok());
+    EXPECT_EQ(reused.page, page);
+    EXPECT_EQ(reused.level, fresh.level);
+    EXPECT_EQ(reused.ids, fresh.ids);
+    EXPECT_EQ(reused.coords, fresh.coords);
+    if (!reused.is_leaf) continue;
+    for (std::size_t i = 0; i < reused.size(); ++i) {
+      EXPECT_EQ(reused.entry(i).rect, Rect::FromPoint(points[reused.ids[i]]));
+    }
+  }
+}
+
+TEST(RStarTreeTest, NodeCountOverflowingThePageIsCorruption) {
+  // Six dimensions: 104-byte entries, 39 per page. A count of 40 passes the
+  // capacity + 1 bound but would run past the page, so decoding must reject
+  // it instead of reading beyond the buffer.
+  storage::PageFile file;
+  RStarTree tree(&file, 6);
+  ASSERT_EQ(tree.capacity(), 39u);
+  const storage::PageId page = file.Allocate();
+  storage::Page bytes;
+  const std::uint16_t magic = 0x5254;
+  const std::uint16_t level = 0;
+  const std::uint32_t count = 40;
+  std::memcpy(bytes.bytes.data(), &magic, 2);
+  std::memcpy(bytes.bytes.data() + 2, &level, 2);
+  std::memcpy(bytes.bytes.data() + 4, &count, 4);
+  ASSERT_TRUE(file.Write(page, bytes).ok());
+  RStarTree::NodeView view;
+  EXPECT_EQ(tree.ReadNodeView(page, &view).code(), StatusCode::kCorruption);
 }
 
 TEST(RStarTreeTest, VisitNodesSeesWholeTree) {
@@ -565,7 +614,7 @@ TEST(RStarTreeTest, VisitNodesSeesWholeTree) {
   std::size_t leaf_entries = 0;
   std::size_t max_level = 0;
   ASSERT_TRUE(tree.VisitNodes([&](const RStarTree::NodeView& view) {
-                    if (view.is_leaf) leaf_entries += view.entries.size();
+                    if (view.is_leaf) leaf_entries += view.size();
                     max_level = std::max<std::size_t>(max_level, view.level);
                   })
                   .ok());

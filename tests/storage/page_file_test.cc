@@ -1,11 +1,15 @@
 #include "storage/page_file.h"
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <thread>
 #include <vector>
 
+#include "common/rng.h"
 #include "gtest/gtest.h"
 #include "testing/fault_policy.h"
 
@@ -260,6 +264,24 @@ TEST_F(PageFilePersistenceTest, RejectsLegacyV1Format) {
   const Status status = loaded.LoadFrom(path_);
   EXPECT_EQ(status.code(), StatusCode::kCorruption);
   EXPECT_NE(status.message().find("v1"), std::string::npos);
+
+  // A v2 file is well-formed (magic, count, one checksum, one page) but its
+  // serial FNV-1a checksums are not the v3 digest, so it cannot be verified
+  // either: rejected with its version named, nothing committed.
+  constexpr std::uint64_t kV2Magic = 0x325347505153u;
+  {
+    std::ofstream out(path_, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(&kV2Magic), sizeof kV2Magic);
+    out.write(reinterpret_cast<const char*>(&count), sizeof count);
+    const std::uint64_t checksum = 0;
+    out.write(reinterpret_cast<const char*>(&checksum), sizeof checksum);
+    const std::vector<char> zeros(kPageSize, 0);
+    out.write(zeros.data(), static_cast<std::streamsize>(zeros.size()));
+  }
+  const Status v2 = loaded.LoadFrom(path_);
+  EXPECT_EQ(v2.code(), StatusCode::kCorruption);
+  EXPECT_NE(v2.message().find("v2"), std::string::npos) << v2.ToString();
+  EXPECT_EQ(loaded.page_count(), 0u);
 }
 
 TEST_F(PageFilePersistenceTest, HugePageCountIsCorruptionNotBadAlloc) {
@@ -319,6 +341,75 @@ TEST_F(PageFilePersistenceTest, SaveLeavesOldFileIntactOnInjectedCrash) {
     std::error_code ec;
     std::filesystem::remove(path_ + ".tmp", ec);  // crash debris
   }
+}
+
+// A random page with no zero byte, so zeroing any suffix changes it.
+Page RandomNonZeroPage(std::uint64_t seed) {
+  Rng rng(seed);
+  Page page;
+  for (std::uint8_t& b : page.bytes) {
+    b = static_cast<std::uint8_t>(1 + rng.UniformInt(0, 254));
+  }
+  return page;
+}
+
+TEST(PageFileDigestTest, EveryByteAndEveryLaneReachesTheDigest) {
+  const Page page = RandomNonZeroPage(41);
+  const std::uint64_t digest = PageFile::Digest(page);
+  EXPECT_EQ(PageFile::Digest(page), digest);  // a pure function of the bytes
+
+  // Flipping any one byte changes the digest.
+  for (std::size_t i = 0; i < kPageSize; ++i) {
+    Page flipped = page;
+    flipped.bytes[i] ^= 0x5A;
+    ASSERT_NE(PageFile::Digest(flipped), digest) << "byte " << i;
+  }
+  // So does zeroing the suffix from each 8-byte boundary: the last word
+  // alone belongs to one lane, so this fails for any lane the fold misses.
+  for (std::size_t start = 0; start < kPageSize; start += 8) {
+    Page truncated = page;
+    std::fill(truncated.bytes.begin() + start, truncated.bytes.end(),
+              std::uint8_t{0});
+    ASSERT_NE(PageFile::Digest(truncated), digest) << "suffix from " << start;
+  }
+}
+
+TEST(PageFileTest, ConcurrentReadsNeverSeeATornPage) {
+  // Readers race a writer that alternates between two valid images of one
+  // page. The copy and its digest are taken under the lock and verified
+  // outside it, so every successful read must be one image, byte for byte.
+  PageFile file;
+  const PageId id = file.Allocate();
+  const Page images[2] = {RandomNonZeroPage(1), RandomNonZeroPage(2)};
+  ASSERT_TRUE(file.Write(id, images[0]).ok());
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> torn{0};
+  std::atomic<std::uint64_t> failed{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; ++r) {
+    readers.emplace_back([&] {
+      Page page;
+      for (int k = 0; k < 2000; ++k) {
+        if (!file.Read(id, &page).ok()) {
+          ++failed;
+        } else if (page.bytes != images[0].bytes &&
+                   page.bytes != images[1].bytes) {
+          ++torn;
+        }
+      }
+    });
+  }
+  std::thread writer([&] {
+    for (std::size_t k = 0; !stop.load(); ++k) {
+      ASSERT_TRUE(file.Write(id, images[k % 2]).ok());
+    }
+  });
+  for (std::thread& reader : readers) reader.join();
+  stop = true;
+  writer.join();
+  EXPECT_EQ(torn.load(), 0u);
+  EXPECT_EQ(failed.load(), 0u);
+  EXPECT_EQ(file.stats().reads, 3u * 2000u);
 }
 
 TEST(PageFileTest, CorruptForTestingValidatesArguments) {

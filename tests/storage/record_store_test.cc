@@ -174,6 +174,45 @@ TEST(RecordStoreTest, CorruptPageSurfacesOnGet) {
   EXPECT_EQ(store.GetSeries(*id).status().code(), StatusCode::kCorruption);
 }
 
+TEST(RecordStoreTest, ReadIntoFillsExactSpanAndCountsPages) {
+  PageFile file;
+  RecordStore store(&file);
+  Rng rng(19);
+  std::vector<std::pair<RecordId, std::vector<std::uint8_t>>> records;
+  for (int i = 0; i < 30; ++i) {
+    std::vector<std::uint8_t> payload(rng.UniformInt(0, 9000));
+    for (auto& b : payload) b = static_cast<std::uint8_t>(rng.Next64());
+    const auto id = store.Append(payload);
+    ASSERT_TRUE(id.ok());
+    records.emplace_back(*id, std::move(payload));
+  }
+  for (const auto& [id, payload] : records) {
+    std::uint64_t get_pages = 0;
+    ASSERT_TRUE(store.Get(id, &get_pages).ok());
+    std::vector<std::uint8_t> out(payload.size());
+    std::uint64_t pages = 0;
+    ASSERT_TRUE(store.ReadInto(id, out, &pages).ok());
+    EXPECT_EQ(out, payload);
+    EXPECT_EQ(pages, get_pages);  // the same walk, the same pages
+  }
+}
+
+TEST(RecordStoreTest, ReadIntoRejectsLengthMismatchBeforeReadingPayload) {
+  PageFile file;
+  RecordStore store(&file);
+  const auto id = store.Append(std::vector<std::uint8_t>(3 * kPageSize, 7));
+  ASSERT_TRUE(id.ok());
+  for (const std::size_t size : {std::size_t{0}, 3 * kPageSize - 1,
+                                 3 * kPageSize + 1}) {
+    std::vector<std::uint8_t> out(size);
+    std::uint64_t pages = 0;
+    EXPECT_EQ(store.ReadInto(*id, out, &pages).code(),
+              StatusCode::kCorruption)
+        << size;
+    EXPECT_EQ(pages, 1u) << "only the header page is read";
+  }
+}
+
 TEST(RecordStoreTest, GetRejectsBogusOffset) {
   PageFile file;
   RecordStore store(&file);
