@@ -235,14 +235,13 @@ Result<JoinQueryResult> RunJoinQuery(const Dataset& dataset,
   const double filter_eps = FilterEpsilon(dataset, spec);
   const double filter_eps2 = filter_eps * filter_eps;
 
-  // Phase A — one spatial-join task per transformation rectangle, with the
+  // Phase A — one self-join task per transformation rectangle, with the
   // rectangle applied to both node rectangles before the proximity test; the
-  // rectangle application happens once per entry (JoinOptions maps), not
+  // rectangle application happens once per entry (the join's map), not
   // once per candidate pair.
   struct GroupPass {
     std::vector<std::pair<std::size_t, std::size_t>> pairs;
-    rstar::SearchStats left;
-    rstar::SearchStats right;
+    rstar::SearchStats index;
     std::uint64_t nanos = 0;
   };
   std::vector<GroupPass> passes(partition.size());
@@ -256,21 +255,16 @@ Result<JoinQueryResult> RunJoinQuery(const Dataset& dataset,
           group_fts.push_back(feature_transforms[t]);
         }
         const transform::TransformMbr mbr(group_fts, layout);
-        rstar::JoinOptions join_options;
-        join_options.left_map = [&](const rstar::Rect& r) {
-          return mbr.Apply(r);
-        };
-        join_options.right_map = join_options.left_map;
-        const Status join_status = rstar::SpatialJoin(
-            index.tree(), index.tree(),
+        const Status join_status = rstar::SelfJoin(
+            index.tree(),
+            [&](const rstar::RectView& r) { return mbr.Apply(r); },
             [&](const rstar::Rect& a, const rstar::Rect& b) {
-              return RectPairSquaredDistanceLowerBound(a, b, layout) <=
-                     filter_eps2;
+              return RectPairWithinSquaredDistance(a, b, layout, filter_eps2);
             },
-            [&](const rstar::Entry& a, const rstar::Entry& b) {
-              if (a.id < b.id) pass.pairs.emplace_back(a.id, b.id);
+            [&](std::uint64_t a, std::uint64_t b) {
+              pass.pairs.emplace_back(a, b);
             },
-            &pass.left, &pass.right, join_options);
+            &pass.index);
         pass.nanos = MonotonicNanos() - start;
         return join_status;
       }));
@@ -362,14 +356,11 @@ Result<JoinQueryResult> RunJoinQuery(const Dataset& dataset,
   }
   for (const GroupPass& pass : passes) {
     ++stats.traversals;
-    stats.index_nodes_accessed +=
-        pass.left.nodes_accessed + pass.right.nodes_accessed;
-    stats.index_leaves_accessed +=
-        pass.left.leaf_nodes_accessed + pass.right.leaf_nodes_accessed;
+    stats.index_nodes_accessed += pass.index.nodes_accessed;
+    stats.index_leaves_accessed += pass.index.leaf_nodes_accessed;
     stats.candidates += pass.pairs.size();
     trace.at(obs::Phase::kIndexTraversal)
-        .AddTask(pass.nanos,
-                 pass.left.nodes_accessed + pass.right.nodes_accessed);
+        .AddTask(pass.nanos, pass.index.nodes_accessed);
   }
   stats.output_size = result.matches.size();
   trace.at(obs::Phase::kMerge)

@@ -40,6 +40,16 @@ double BoxMin(double ul, double uh, double vl, double vh, double c) {
   return std::max(0.0, best);
 }
 
+// Gap between two magnitude intervals, under the same defensive clamps as
+// the boxes PolarBoxMinSquaredDistance minimizes over.
+double MagnitudeGap(double a_lo, double a_hi, double b_lo, double b_hi) {
+  a_lo = std::max(0.0, a_lo);
+  b_lo = std::max(0.0, b_lo);
+  a_hi = std::max(a_lo, a_hi);
+  b_hi = std::max(b_lo, b_hi);
+  return std::max({0.0, a_lo - b_hi, b_lo - a_hi});
+}
+
 }  // namespace
 
 double PolarBoxMinSquaredDistance(double a_mag_lo, double a_mag_hi,
@@ -48,6 +58,7 @@ double PolarBoxMinSquaredDistance(double a_mag_lo, double a_mag_hi,
                                   double b_ang_lo, double b_ang_hi) {
   TSQ_DCHECK(a_mag_lo <= a_mag_hi);
   TSQ_DCHECK(b_mag_lo <= b_mag_hi);
+  const double mag_gap = MagnitudeGap(a_mag_lo, a_mag_hi, b_mag_lo, b_mag_hi);
   // Magnitudes are non-negative by construction; clamp defensively so the
   // convexity argument stays valid for slightly negative inputs.
   a_mag_lo = std::max(0.0, a_mag_lo);
@@ -66,13 +77,12 @@ double PolarBoxMinSquaredDistance(double a_mag_lo, double a_mag_hi,
     const double delta = std::fabs(std::remainder(center_b - center_a, kTwoPi));
     gap = std::max(0.0, delta - half_widths);
   }
-  if (gap == 0.0) {
-    // Angles can coincide: distance is governed by the magnitude gap alone.
-    const double mag_gap =
-        std::max({0.0, a_mag_lo - b_mag_hi, b_mag_lo - a_mag_hi});
-    return mag_gap * mag_gap;
-  }
-  return BoxMin(a_mag_lo, a_mag_hi, b_mag_lo, b_mag_hi, std::cos(gap));
+  // Angles can coincide: distance is governed by the magnitude gap alone.
+  if (gap == 0.0) return mag_gap * mag_gap;
+  // BoxMin >= mag_gap^2 holds exactly, but with cos(gap) near 1 its
+  // cancellation can round below; the max keeps it in floating point.
+  return std::max(mag_gap * mag_gap, BoxMin(a_mag_lo, a_mag_hi, b_mag_lo,
+                                            b_mag_hi, std::cos(gap)));
 }
 
 double RectPairSquaredDistanceLowerBound(
@@ -90,6 +100,20 @@ double RectPairSquaredDistanceLowerBound(
                                         b.low(ad), b.high(ad));
   }
   return total;
+}
+
+bool RectPairWithinSquaredDistance(const rstar::Rect& a, const rstar::Rect& b,
+                                   const transform::FeatureLayout& layout,
+                                   double bound) {
+  double magnitudes = 0.0;
+  for (std::size_t i = 0; i < layout.num_coefficients; ++i) {
+    const std::size_t md = layout.magnitude_dimension(i);
+    const double gap =
+        MagnitudeGap(a.low(md), a.high(md), b.low(md), b.high(md));
+    magnitudes += layout.coefficient_weight() * (gap * gap);
+  }
+  if (magnitudes > bound) return false;
+  return RectPairSquaredDistanceLowerBound(a, b, layout) <= bound;
 }
 
 double RectPointSquaredDistanceLowerBound(

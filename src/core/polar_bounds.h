@@ -11,6 +11,8 @@ namespace tsq::core {
 /// 2*pi). This is the per-coefficient building block of index-level distance
 /// lower bounds: with magnitudes m_u, m_v and angular gap g,
 /// |u - v|^2 = m_u^2 + m_v^2 - 2 m_u m_v cos g, minimized over the boxes.
+/// Never below the squared gap between the two magnitude intervals, in
+/// floating point as in exact arithmetic (|u - v| >= ||u| - |v||).
 double PolarBoxMinSquaredDistance(double a_mag_lo, double a_mag_hi,
                                   double a_ang_lo, double a_ang_hi,
                                   double b_mag_lo, double b_mag_hi,
@@ -26,6 +28,16 @@ double PolarBoxMinSquaredDistance(double a_mag_lo, double a_mag_hi,
 double RectPairSquaredDistanceLowerBound(const rstar::Rect& a,
                                          const rstar::Rect& b,
                                          const transform::FeatureLayout& layout);
+
+/// Exactly `RectPairSquaredDistanceLowerBound(a, b, layout) <= bound`, the
+/// spatial join's predicate. It first sums the weighted squared gaps of the
+/// magnitude intervals and answers false when that sum exceeds `bound`,
+/// without any angle arithmetic. The early answer is exact: each polar term
+/// is at least its magnitude term (see PolarBoxMinSquaredDistance) and both
+/// sums add in the same order, so the full sum exceeds `bound` too.
+bool RectPairWithinSquaredDistance(const rstar::Rect& a, const rstar::Rect& b,
+                                   const transform::FeatureLayout& layout,
+                                   double bound);
 
 /// Same bound with `b` degenerate (a feature point).
 double RectPointSquaredDistanceLowerBound(

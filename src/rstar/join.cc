@@ -3,111 +3,151 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/check.h"
-
 namespace tsq::rstar {
 
 namespace {
 
-// A node as the join sees it: original entries plus their mapped rects and
-// the mapped bounding rect. Cached per side so every page is fetched once.
-struct JoinNodeView {
-  bool is_leaf = false;
-  std::uint32_t level = 0;
-  std::vector<Entry> entries;        // original rects (reported to callback)
-  std::vector<Rect> mapped;          // per-entry mapped rects
-  Rect mapped_bound;                 // bounding rect of `mapped`
+// A node as the join sees it: its entry ids (child pages, or data ids at a
+// leaf), each entry's mapped rect and the bounding rect of those.
+struct JoinNode {
+  std::uint32_t level = 0;  // 0 = leaf
+  std::vector<std::uint64_t> ids;
+  std::vector<Rect> mapped;
+  Rect bound;
 };
 
-class NodeCache {
+class SelfJoiner {
  public:
-  NodeCache(const RStarTree& tree, const RectMap& map, SearchStats* stats)
-      : tree_(tree), map_(map), stats_(stats) {}
+  SelfJoiner(const RStarTree& tree, const RectMap& map,
+             const JoinPredicate& predicate, const JoinCallback& callback,
+             SearchStats* stats)
+      : tree_(tree),
+        map_(map),
+        predicate_(predicate),
+        callback_(callback),
+        stats_(stats) {}
 
-  Result<const JoinNodeView*> Get(storage::PageId page) {
-    auto it = cache_.find(page);
+  // The node at `page`, read and mapped on first use. Corruption when it
+  // has no entries.
+  Result<const JoinNode*> Load(storage::PageId page) {
+    const auto it = cache_.find(page);
     if (it != cache_.end()) return &it->second;
     TSQ_RETURN_IF_ERROR(tree_.ReadNodeView(page, &decoded_, stats_));
-    JoinNodeView view;
-    view.is_leaf = decoded_.is_leaf;
-    view.level = decoded_.level;
-    view.entries.reserve(decoded_.size());
-    view.mapped.reserve(decoded_.size());
+    if (decoded_.size() == 0) {
+      return Status::Corruption("R*-tree node without entries");
+    }
+    JoinNode node;
+    node.level = decoded_.level;
+    node.ids = decoded_.ids;
+    node.mapped.reserve(decoded_.size());
     for (std::size_t i = 0; i < decoded_.size(); ++i) {
-      view.entries.push_back(decoded_.entry(i));
-      const Rect& rect = view.entries.back().rect;
-      view.mapped.push_back(map_ ? map_(rect) : rect);
+      node.mapped.push_back(map_ ? map_(decoded_.rect(i))
+                                 : decoded_.rect(i).ToRect());
     }
-    TSQ_CHECK(!view.mapped.empty());
-    view.mapped_bound = view.mapped.front();
-    for (std::size_t i = 1; i < view.mapped.size(); ++i) {
-      view.mapped_bound.Enlarge(view.mapped[i]);
-    }
-    auto [inserted, _] = cache_.emplace(page, std::move(view));
-    return &inserted->second;
+    node.bound = BoundingRect(node.mapped);
+    return &cache_.emplace(page, std::move(node)).first->second;
   }
 
- private:
-  const RStarTree& tree_;
-  const RectMap& map_;
-  SearchStats* stats_;
-  RStarTree::NodeView decoded_;  // decode scratch, reused for every miss
-  std::unordered_map<storage::PageId, JoinNodeView> cache_;
-};
-
-Status JoinNodes(NodeCache& left_cache, NodeCache& right_cache,
-                 storage::PageId left_page, storage::PageId right_page,
-                 const JoinPredicate& predicate,
-                 const JoinCallback& callback) {
-  Result<const JoinNodeView*> a_result = left_cache.Get(left_page);
-  if (!a_result.ok()) return a_result.status();
-  Result<const JoinNodeView*> b_result = right_cache.Get(right_page);
-  if (!b_result.ok()) return b_result.status();
-  const JoinNodeView& a = **a_result;
-  const JoinNodeView& b = **b_result;
-
-  if (a.is_leaf && b.is_leaf) {
-    for (std::size_t i = 0; i < a.entries.size(); ++i) {
-      for (std::size_t j = 0; j < b.entries.size(); ++j) {
-        if (predicate(a.mapped[i], b.mapped[j])) {
-          callback(a.entries[i], b.entries[j]);
-        }
+  // Every qualifying pair with both entries under `node`.
+  Status JoinWithin(const JoinNode& node) {
+    const std::size_t n = node.ids.size();
+    if (node.level == 0) {
+      for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = i + 1; j < n; ++j) Report(node, i, node, j);
+      }
+      return Status::Ok();
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      const Result<const JoinNode*> child_i = Child(node, i);
+      if (!child_i.ok()) return child_i.status();
+      TSQ_RETURN_IF_ERROR(JoinWithin(**child_i));
+      for (std::size_t j = i + 1; j < n; ++j) {
+        if (!predicate_(node.mapped[i], node.mapped[j])) continue;
+        const Result<const JoinNode*> child_j = Child(node, j);
+        if (!child_j.ok()) return child_j.status();
+        TSQ_RETURN_IF_ERROR(JoinAcross(**child_i, **child_j));
       }
     }
     return Status::Ok();
   }
-  if (!a.is_leaf && (b.is_leaf || a.level >= b.level)) {
-    // Descend the left (deeper or equal) side.
-    for (std::size_t i = 0; i < a.entries.size(); ++i) {
-      if (!predicate(a.mapped[i], b.mapped_bound)) continue;
-      TSQ_RETURN_IF_ERROR(JoinNodes(
-          left_cache, right_cache,
-          static_cast<storage::PageId>(a.entries[i].id), right_page,
-          predicate, callback));
+
+ private:
+  // Entry i's child. Corruption unless it sits one level below `parent`.
+  Result<const JoinNode*> Child(const JoinNode& parent, std::size_t i) {
+    Result<const JoinNode*> child =
+        Load(static_cast<storage::PageId>(parent.ids[i]));
+    if (child.ok() && (*child)->level + 1 != parent.level) {
+      return Status::Corruption(
+          "R*-tree child level is not its parent's level - 1");
+    }
+    return child;
+  }
+
+  // Every qualifying pair with one entry under `a` and the other under `b`,
+  // two distinct nodes of one level.
+  Status JoinAcross(const JoinNode& a, const JoinNode& b) {
+    // Search-space restriction: an entry that fails against the other
+    // node's bound fails against every entry under it.
+    std::vector<std::size_t> keep_a;
+    for (std::size_t i = 0; i < a.ids.size(); ++i) {
+      if (predicate_(a.mapped[i], b.bound)) keep_a.push_back(i);
+    }
+    if (keep_a.empty()) return Status::Ok();
+    std::vector<std::size_t> keep_b;
+    for (std::size_t j = 0; j < b.ids.size(); ++j) {
+      if (predicate_(a.bound, b.mapped[j])) keep_b.push_back(j);
+    }
+    if (a.level == 0) {
+      for (const std::size_t i : keep_a) {
+        for (const std::size_t j : keep_b) Report(a, i, b, j);
+      }
+      return Status::Ok();
+    }
+    for (const std::size_t i : keep_a) {
+      for (const std::size_t j : keep_b) {
+        if (!predicate_(a.mapped[i], b.mapped[j])) continue;
+        const Result<const JoinNode*> child_a = Child(a, i);
+        if (!child_a.ok()) return child_a.status();
+        const Result<const JoinNode*> child_b = Child(b, j);
+        if (!child_b.ok()) return child_b.status();
+        TSQ_RETURN_IF_ERROR(JoinAcross(**child_a, **child_b));
+      }
     }
     return Status::Ok();
   }
-  // Descend the right side.
-  for (std::size_t j = 0; j < b.entries.size(); ++j) {
-    if (!predicate(a.mapped_bound, b.mapped[j])) continue;
-    TSQ_RETURN_IF_ERROR(JoinNodes(
-        left_cache, right_cache, left_page,
-        static_cast<storage::PageId>(b.entries[j].id), predicate, callback));
+
+  // The leaf-level decision on entry i of `a` and entry j of `b`: the
+  // predicate sees the smaller id's rect first, as the callback does.
+  void Report(const JoinNode& a, std::size_t i, const JoinNode& b,
+              std::size_t j) {
+    const std::uint64_t x = a.ids[i];
+    const std::uint64_t y = b.ids[j];
+    if (x < y) {
+      if (predicate_(a.mapped[i], b.mapped[j])) callback_(x, y);
+    } else if (y < x) {
+      if (predicate_(b.mapped[j], a.mapped[i])) callback_(y, x);
+    }
   }
-  return Status::Ok();
-}
+
+  const RStarTree& tree_;
+  const RectMap& map_;
+  const JoinPredicate& predicate_;
+  const JoinCallback& callback_;
+  SearchStats* stats_;
+  RStarTree::NodeView decoded_;  // decode scratch, reused for every miss
+  std::unordered_map<storage::PageId, JoinNode> cache_;
+};
 
 }  // namespace
 
-Status SpatialJoin(const RStarTree& left, const RStarTree& right,
-                   const JoinPredicate& predicate, const JoinCallback& callback,
-                   SearchStats* left_stats, SearchStats* right_stats,
-                   const JoinOptions& options) {
-  if (left.size() == 0 || right.size() == 0) return Status::Ok();
-  NodeCache left_cache(left, options.left_map, left_stats);
-  NodeCache right_cache(right, options.right_map, right_stats);
-  return JoinNodes(left_cache, right_cache, left.root_page(),
-                   right.root_page(), predicate, callback);
+Status SelfJoin(const RStarTree& tree, const RectMap& map,
+                const JoinPredicate& predicate, const JoinCallback& callback,
+                SearchStats* stats) {
+  if (tree.size() == 0) return Status::Ok();
+  SelfJoiner joiner(tree, map, predicate, callback, stats);
+  const Result<const JoinNode*> root = joiner.Load(tree.root_page());
+  if (!root.ok()) return root.status();
+  return joiner.JoinWithin(**root);
 }
 
 }  // namespace tsq::rstar

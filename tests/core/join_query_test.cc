@@ -2,9 +2,11 @@
 
 #include <limits>
 
+#include "core/polar_bounds.h"
 #include "test_util.h"
 #include "gtest/gtest.h"
 #include "transform/builders.h"
+#include "transform/transform_mbr.h"
 #include "ts/distance.h"
 #include "ts/ops.h"
 
@@ -156,6 +158,47 @@ TEST(JoinQueryTest, IndexJoinBeatsScanOnIo) {
   // The filter prunes nearly all of the ~11k pairs.
   EXPECT_LT(mt->stats.candidates, seq->stats.candidates / 4);
   EXPECT_LT(mt->stats.comparisons, seq->stats.comparisons / 4);
+}
+
+TEST(JoinQueryTest, SingleRectangleCandidatesMatchMappedPointPairs) {
+  // Under one transformation rectangle the index join is a filter over the
+  // mapped feature points: its candidates are exactly the pairs whose mapped
+  // points pass the polar bound.
+  for (const std::uint64_t seed : {11, 12, 13}) {
+    Workload w = MakeWorkload(testutil::Stocks(300, 128, seed));
+    JoinQuerySpec spec;
+    spec.mode = JoinMode::kCorrelation;
+    spec.min_correlation = 0.99;
+    spec.transforms = transform::MovingAverageRange(128, 5, 14);
+    auto result = RunJoinQuery(*w.dataset, *w.index, spec, Algorithm::kMtIndex);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->stats.traversals, 1u);
+
+    const transform::FeatureLayout& layout = w.dataset->layout();
+    std::vector<transform::FeatureTransform> fts;
+    for (const transform::SpectralTransform& t : spec.transforms) {
+      fts.push_back(t.ToFeatureTransform(layout));
+    }
+    const transform::TransformMbr mbr(fts, layout);
+    const double eps = spec.slack * ts::CorrelationToDistanceThreshold(
+                                        spec.min_correlation, 128);
+    std::vector<rstar::Rect> mapped;
+    for (std::size_t i = 0; i < w.dataset->size(); ++i) {
+      mapped.push_back(
+          mbr.Apply(rstar::Rect::FromPoint(w.dataset->features(i))));
+    }
+    std::uint64_t expected = 0;
+    for (std::size_t a = 0; a < mapped.size(); ++a) {
+      for (std::size_t b = a + 1; b < mapped.size(); ++b) {
+        if (RectPairSquaredDistanceLowerBound(mapped[a], mapped[b], layout) <=
+            eps * eps) {
+          ++expected;
+        }
+      }
+    }
+    EXPECT_GT(expected, 0u) << seed;
+    EXPECT_EQ(result->stats.candidates, expected) << seed;
+  }
 }
 
 TEST(JoinQueryTest, InvalidSpecsRejected) {

@@ -1,8 +1,11 @@
 #include "core/polar_bounds.h"
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
+#include <limits>
 #include <numbers>
+#include <vector>
 
 #include "common/rng.h"
 #include "gtest/gtest.h"
@@ -82,6 +85,93 @@ TEST(PolarBoxMinTest, TightForPointBoxes) {
     const double exact = std::norm(std::polar(ma, aa) - std::polar(mb, ab));
     EXPECT_NEAR(bound, exact, 1e-9);
   }
+}
+
+TEST(PolarBoxMinTest, NeverBelowMagnitudeGap) {
+  // Near-equal magnitudes at an angle so small that cos(gap) rounds to 1: the
+  // law-of-cosines form cancels to a few ulps and could land below the
+  // squared magnitude gap without the clamp.
+  Rng rng(3);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const double ma = rng.Uniform(0.5, 4.0);
+    const double mb = ma * (1.0 + rng.Uniform(1e-9, 1e-6));
+    const double angle = rng.Uniform(-kPi, kPi);
+    const double gap = rng.Uniform(1e-12, 1e-8);
+    const double mag_gap = mb - ma;
+    EXPECT_GE(PolarBoxMinSquaredDistance(ma, ma, angle, angle, mb, mb,
+                                         angle + gap, angle + gap),
+              mag_gap * mag_gap);
+    EXPECT_GE(PolarBoxMinSquaredDistance(mb, mb, angle + gap, angle + gap, ma,
+                                         ma, angle, angle),
+              mag_gap * mag_gap);
+  }
+}
+
+// A random rect under `layout`: magnitude intervals in [0, 4] (some of
+// them points), angle intervals up to 2.5 wide starting anywhere in
+// [-4, 4], so many cross +-pi and wrap.
+rstar::Rect RandomPolarRect(Rng& rng, const transform::FeatureLayout& layout) {
+  std::vector<double> lo(layout.dimensions()), hi(layout.dimensions());
+  for (std::size_t d = 0; d < layout.dimensions(); ++d) {
+    lo[d] = hi[d] = rng.Uniform(-1.0, 1.0);  // mean/std: not distance terms
+  }
+  for (std::size_t i = 0; i < layout.num_coefficients; ++i) {
+    const std::size_t md = layout.magnitude_dimension(i);
+    const std::size_t ad = layout.angle_dimension(i);
+    const bool mag_point = rng.Uniform(0.0, 1.0) < 0.3;
+    const bool angle_point = rng.Uniform(0.0, 1.0) < 0.3;
+    lo[md] = rng.Uniform(0.0, 3.0);
+    hi[md] = lo[md] + (mag_point ? 0.0 : rng.Uniform(0.0, 1.0));
+    lo[ad] = rng.Uniform(-4.0, 4.0);
+    hi[ad] = lo[ad] + (angle_point ? 0.0 : rng.Uniform(0.0, 2.5));
+  }
+  return rstar::Rect(std::move(lo), std::move(hi));
+}
+
+TEST(RectBoundsTest, WithinAgreesWithLowerBound) {
+  Rng rng(4);
+  transform::FeatureLayout layout;
+  layout.num_coefficients = 3;
+  const double inf = std::numeric_limits<double>::infinity();
+  int early = 0;  // pairs the magnitude sum alone rejects at bound = exact/2
+  for (int trial = 0; trial < 3000; ++trial) {
+    const rstar::Rect a = RandomPolarRect(rng, layout);
+    rstar::Rect b = RandomPolarRect(rng, layout);
+    if (trial % 4 == 0) {
+      // Just past a's corner in every coefficient, at an angle so small
+      // that cos rounds to 1: where rounding could push the full bound
+      // below the magnitude sum.
+      for (std::size_t i = 0; i < layout.num_coefficients; ++i) {
+        const std::size_t md = layout.magnitude_dimension(i);
+        const std::size_t ad = layout.angle_dimension(i);
+        const double mag = a.high(md) * (1.0 + rng.Uniform(1e-9, 1e-6));
+        const double angle = a.high(ad) + rng.Uniform(1e-12, 1e-8);
+        b.set_low(md, mag);
+        b.set_high(md, mag);
+        b.set_low(ad, angle);
+        b.set_high(ad, angle);
+      }
+    }
+    const double exact = RectPairSquaredDistanceLowerBound(a, b, layout);
+    double magnitudes = 0.0;
+    for (std::size_t i = 0; i < layout.num_coefficients; ++i) {
+      const std::size_t md = layout.magnitude_dimension(i);
+      const double gap =
+          std::max({0.0, a.low(md) - b.high(md), b.low(md) - a.high(md)});
+      magnitudes += layout.coefficient_weight() * (gap * gap);
+    }
+    EXPECT_LE(magnitudes, exact);
+    if (magnitudes > exact / 2) ++early;
+    for (const double bound :
+         {exact, std::nextafter(exact, -inf), std::nextafter(exact, inf),
+          magnitudes, std::nextafter(magnitudes, -inf), exact / 2, 2 * exact,
+          0.0, rng.Uniform(0.0, 2.0 * exact + 1.0)}) {
+      EXPECT_EQ(RectPairWithinSquaredDistance(a, b, layout, bound),
+                exact <= bound)
+          << "trial " << trial << " bound " << bound << " exact " << exact;
+    }
+  }
+  EXPECT_GT(early, 100);
 }
 
 TEST(RectBoundsTest, LayoutWeightingAndDimensions) {

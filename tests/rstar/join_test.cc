@@ -1,7 +1,10 @@
 #include "rstar/join.h"
 
-#include <cmath>
-#include <set>
+#include <algorithm>
+#include <cstring>
+#include <functional>
+#include <tuple>
+#include <vector>
 
 #include "common/rng.h"
 #include "gtest/gtest.h"
@@ -12,68 +15,134 @@ namespace {
 
 using Pair = std::pair<std::uint64_t, std::uint64_t>;
 
-Point RandomPoint(Rng& rng, double lo, double hi) {
-  return {rng.Uniform(lo, hi), rng.Uniform(lo, hi)};
-}
-
-TEST(SpatialJoinTest, EmptyInputsYieldNothing) {
-  storage::PageFile fa, fb;
-  RStarTree a(&fa, 2), b(&fb, 2);
-  int calls = 0;
-  ASSERT_TRUE(SpatialJoin(
-                  a, b, [](const Rect&, const Rect&) { return true; },
-                  [&calls](const Entry&, const Entry&) { ++calls; })
-                  .ok());
-  EXPECT_EQ(calls, 0);
-  ASSERT_TRUE(a.Insert(Rect::FromPoint({0.0, 0.0}), 1).ok());
-  ASSERT_TRUE(SpatialJoin(
-                  a, b, [](const Rect&, const Rect&) { return true; },
-                  [&calls](const Entry&, const Entry&) { ++calls; })
-                  .ok());
-  EXPECT_EQ(calls, 0);
-}
-
-TEST(SpatialJoinTest, MatchesBruteForceOnDistancePredicate) {
-  storage::PageFile fa, fb;
-  TreeOptions options;
-  options.capacity_override = 8;
-  RStarTree a(&fa, 2, options), b(&fb, 2, options);
-  Rng rng(1);
-  std::vector<Point> pa, pb;
-  for (std::size_t i = 0; i < 150; ++i) {
-    pa.push_back(RandomPoint(rng, -50.0, 50.0));
-    ASSERT_TRUE(a.Insert(Rect::FromPoint(pa.back()), i).ok());
-  }
-  for (std::size_t i = 0; i < 120; ++i) {
-    pb.push_back(RandomPoint(rng, -50.0, 50.0));
-    ASSERT_TRUE(b.Insert(Rect::FromPoint(pb.back()), i).ok());
-  }
-  const double radius2 = 25.0;
-  const auto predicate = [&](const Rect& ra, const Rect& rb) {
-    // Monotone proximity test between rects.
+// Monotone, symmetric proximity test: squared gap between two rects.
+JoinPredicate WithinSquared(double radius2) {
+  return [radius2](const Rect& a, const Rect& b) {
     double d2 = 0.0;
-    for (std::size_t d = 0; d < 2; ++d) {
+    for (std::size_t d = 0; d < a.dimensions(); ++d) {
       const double gap =
-          std::max({0.0, ra.low(d) - rb.high(d), rb.low(d) - ra.high(d)});
+          std::max({0.0, a.low(d) - b.high(d), b.low(d) - a.high(d)});
       d2 += gap * gap;
     }
     return d2 <= radius2;
   };
-  std::set<Pair> joined;
-  ASSERT_TRUE(SpatialJoin(a, b, predicate,
-                          [&](const Entry& ea, const Entry& eb) {
-                            joined.insert({ea.id, eb.id});
-                          })
-                  .ok());
-  std::set<Pair> expected;
-  for (std::size_t i = 0; i < pa.size(); ++i) {
-    for (std::size_t j = 0; j < pb.size(); ++j) {
-      const double dx = pa[i][0] - pb[j][0];
-      const double dy = pa[i][1] - pb[j][1];
-      if (dx * dx + dy * dy <= radius2) expected.insert({i, j});
+}
+
+bool AcceptAll(const Rect&, const Rect&) { return true; }
+
+// A non-identity, monotone map: dimension d is scaled by (d + 2) and shifted
+// by d. Rect containment survives it, so the join may prune with it.
+Rect Stretch(const RectView& r) {
+  std::vector<double> low(r.dimensions()), high(r.dimensions());
+  for (std::size_t d = 0; d < r.dimensions(); ++d) {
+    low[d] = r.low(d) * static_cast<double>(d + 2) + static_cast<double>(d);
+    high[d] = r.high(d) * static_cast<double>(d + 2) + static_cast<double>(d);
+  }
+  return Rect(std::move(low), std::move(high));
+}
+
+// Every reported pair, in report order.
+std::vector<Pair> Join(const RStarTree& tree, const RectMap& map,
+                       const JoinPredicate& predicate,
+                       SearchStats* stats = nullptr) {
+  std::vector<Pair> pairs;
+  const Status status = SelfJoin(
+      tree, map, predicate,
+      [&pairs](std::uint64_t a, std::uint64_t b) { pairs.emplace_back(a, b); },
+      stats);
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  return pairs;
+}
+
+// The nested loop the join must reproduce: each unordered pair of distinct
+// ids once, smaller id first, decided on the mapped rects in that order.
+std::vector<Pair> BruteForce(const std::vector<Point>& points,
+                             const RectMap& map,
+                             const JoinPredicate& predicate) {
+  std::vector<Rect> mapped;
+  for (const Point& p : points) {
+    const Rect r = Rect::FromPoint(p);
+    mapped.push_back(map ? map(r) : r);
+  }
+  std::vector<Pair> pairs;
+  for (std::size_t a = 0; a < points.size(); ++a) {
+    for (std::size_t b = a + 1; b < points.size(); ++b) {
+      if (predicate(mapped[a], mapped[b])) pairs.emplace_back(a, b);
     }
   }
-  EXPECT_EQ(joined, expected);
+  return pairs;
+}
+
+// Joins `tree` (holding `points`, id = index) and checks the result against
+// the nested loop: same pairs, each exactly once, a < b.
+void ExpectMatchesBruteForce(const RStarTree& tree,
+                             const std::vector<Point>& points,
+                             const RectMap& map,
+                             const JoinPredicate& predicate) {
+  std::vector<Pair> joined = Join(tree, map, predicate);
+  for (const auto& [a, b] : joined) EXPECT_LT(a, b);
+  std::sort(joined.begin(), joined.end());
+  EXPECT_EQ(std::adjacent_find(joined.begin(), joined.end()), joined.end())
+      << "a pair was reported twice";
+  EXPECT_EQ(joined, BruteForce(points, map, predicate));
+}
+
+std::vector<Point> InsertRandomPoints(RStarTree& tree, std::size_t count,
+                                      std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Point> points;
+  for (std::size_t i = 0; i < count; ++i) {
+    points.push_back({rng.Uniform(-50.0, 50.0), rng.Uniform(-50.0, 50.0)});
+    EXPECT_TRUE(tree.Insert(Rect::FromPoint(points.back()), i).ok());
+  }
+  return points;
+}
+
+struct TreeShape {
+  std::size_t nodes = 0;
+  std::size_t leaves = 0;
+  std::size_t entries = 0;  // over all nodes
+  std::vector<storage::PageId> leaf_pages;
+  std::vector<storage::PageId> level1_pages;
+};
+
+TreeShape ShapeOf(const RStarTree& tree) {
+  TreeShape shape;
+  EXPECT_TRUE(tree.VisitNodes([&shape](const RStarTree::NodeView& node) {
+                    ++shape.nodes;
+                    shape.entries += node.size();
+                    if (node.is_leaf) {
+                      ++shape.leaves;
+                      shape.leaf_pages.push_back(node.page);
+                    } else if (node.level == 1) {
+                      shape.level1_pages.push_back(node.page);
+                    }
+                  })
+                  .ok());
+  return shape;
+}
+
+TEST(SpatialJoinTest, EmptyInputsYieldNothing) {
+  storage::PageFile file;
+  RStarTree tree(&file, 2);
+  SearchStats stats;
+  EXPECT_TRUE(Join(tree, nullptr, AcceptAll, &stats).empty());
+  EXPECT_EQ(stats.nodes_accessed, 0u);
+  // One entry has no partner.
+  ASSERT_TRUE(tree.Insert(Rect::FromPoint({0.0, 0.0}), 1).ok());
+  EXPECT_TRUE(Join(tree, nullptr, AcceptAll, &stats).empty());
+  EXPECT_EQ(stats.nodes_accessed, 1u);
+}
+
+TEST(SpatialJoinTest, MatchesBruteForceOnDistancePredicate) {
+  storage::PageFile file;
+  TreeOptions options;
+  options.capacity_override = 8;
+  RStarTree tree(&file, 2, options);
+  const std::vector<Point> points = InsertRandomPoints(tree, 250, 1);
+  ASSERT_GE(tree.height(), 3u);
+  ExpectMatchesBruteForce(tree, points, Stretch, WithinSquared(49.0));
+  ExpectMatchesBruteForce(tree, points, nullptr, WithinSquared(25.0));
 }
 
 TEST(SpatialJoinTest, SelfJoinFindsClusters) {
@@ -82,176 +151,146 @@ TEST(SpatialJoinTest, SelfJoinFindsClusters) {
   options.capacity_override = 6;
   RStarTree tree(&file, 2, options);
   Rng rng(2);
-  std::vector<Point> points;
   // Two tight clusters of 10 points each, far apart.
   for (int c = 0; c < 2; ++c) {
     for (int i = 0; i < 10; ++i) {
-      points.push_back(
-          {c * 1000.0 + rng.Uniform(-1.0, 1.0), rng.Uniform(-1.0, 1.0)});
-      ASSERT_TRUE(
-          tree.Insert(Rect::FromPoint(points.back()), points.size() - 1).ok());
+      ASSERT_TRUE(tree.Insert(Rect::FromPoint({c * 1000.0 +
+                                                   rng.Uniform(-1.0, 1.0),
+                                               rng.Uniform(-1.0, 1.0)}),
+                              c * 10 + i)
+                      .ok());
     }
   }
-  const auto predicate = [](const Rect& ra, const Rect& rb) {
-    double d2 = 0.0;
-    for (std::size_t d = 0; d < 2; ++d) {
-      const double gap =
-          std::max({0.0, ra.low(d) - rb.high(d), rb.low(d) - ra.high(d)});
-      d2 += gap * gap;
-    }
-    return d2 <= 16.0;
-  };
-  std::set<Pair> joined;
-  ASSERT_TRUE(SpatialJoin(tree, tree, predicate,
-                          [&](const Entry& ea, const Entry& eb) {
-                            if (ea.id < eb.id) joined.insert({ea.id, eb.id});
-                          })
-                  .ok());
+  const std::vector<Pair> joined = Join(tree, nullptr, WithinSquared(16.0));
   // Only intra-cluster pairs: 2 * C(10,2) = 90.
   EXPECT_EQ(joined.size(), 90u);
+  for (const auto& [a, b] : joined) EXPECT_EQ(a / 10, b / 10);
 }
 
 TEST(SpatialJoinTest, DifferentHeightsHandled) {
-  storage::PageFile fa, fb;
-  TreeOptions options;
-  options.capacity_override = 4;
-  RStarTree big(&fa, 1, options), small(&fb, 1, options);
-  Rng rng(3);
-  std::vector<double> xs;
-  for (std::size_t i = 0; i < 200; ++i) {
-    xs.push_back(rng.Uniform(0.0, 100.0));
-    ASSERT_TRUE(big.Insert(Rect::FromPoint({xs.back()}), i).ok());
+  // Capacity 4: 3 points fit in the root leaf, 6 split it once, 150 need
+  // at least two internal levels.
+  for (const auto& [count, min_height, max_height] :
+       std::vector<std::tuple<std::size_t, std::size_t, std::size_t>>{
+           {3, 1, 1}, {6, 2, 2}, {150, 3, 10}}) {
+    storage::PageFile file;
+    TreeOptions options;
+    options.capacity_override = 4;
+    RStarTree tree(&file, 2, options);
+    const std::vector<Point> points = InsertRandomPoints(tree, count, count);
+    EXPECT_GE(tree.height(), min_height) << count;
+    EXPECT_LE(tree.height(), max_height) << count;
+    ExpectMatchesBruteForce(tree, points, Stretch, WithinSquared(400.0));
+    ExpectMatchesBruteForce(tree, points, nullptr, AcceptAll);
   }
-  ASSERT_TRUE(small.Insert(Rect::FromPoint({50.0}), 0).ok());
-  ASSERT_TRUE(small.Insert(Rect::FromPoint({10.0}), 1).ok());
-  EXPECT_GT(big.height(), small.height());
-
-  const auto predicate = [](const Rect& ra, const Rect& rb) {
-    const double gap =
-        std::max({0.0, ra.low(0) - rb.high(0), rb.low(0) - ra.high(0)});
-    return gap <= 1.0;
-  };
-  std::set<Pair> joined;
-  ASSERT_TRUE(SpatialJoin(big, small, predicate,
-                          [&](const Entry& ea, const Entry& eb) {
-                            joined.insert({ea.id, eb.id});
-                          })
-                  .ok());
-  std::set<Pair> expected;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    if (std::fabs(xs[i] - 50.0) <= 1.0) expected.insert({i, 0});
-    if (std::fabs(xs[i] - 10.0) <= 1.0) expected.insert({i, 1});
-  }
-  EXPECT_EQ(joined, expected);
-  // And the mirrored call works too.
-  std::set<Pair> mirrored;
-  ASSERT_TRUE(SpatialJoin(small, big, predicate,
-                          [&](const Entry& ea, const Entry& eb) {
-                            mirrored.insert({eb.id, ea.id});
-                          })
-                  .ok());
-  EXPECT_EQ(mirrored, expected);
 }
 
 TEST(SpatialJoinTest, RectMapsAppliedPerEntry) {
-  // JoinOptions maps shift each side's rects; with a +100 offset on the left
-  // side, the disjoint datasets below become joinable.
-  storage::PageFile fa, fb;
+  // Points 10 apart never join within 0.55; divided by 100 they join with
+  // their five nearest neighbours on each side.
+  storage::PageFile file;
   TreeOptions options;
   options.capacity_override = 6;
-  RStarTree a(&fa, 1, options), b(&fb, 1, options);
-  Rng rng(5);
-  std::vector<double> xa, xb;
+  RStarTree tree(&file, 1, options);
+  std::vector<Point> points;
   for (std::size_t i = 0; i < 100; ++i) {
-    xa.push_back(rng.Uniform(0.0, 50.0));
-    xb.push_back(rng.Uniform(100.0, 150.0));
-    ASSERT_TRUE(a.Insert(Rect::FromPoint({xa.back()}), i).ok());
-    ASSERT_TRUE(b.Insert(Rect::FromPoint({xb.back()}), i).ok());
+    points.push_back({10.0 * static_cast<double>((i * 37) % 100)});
+    ASSERT_TRUE(tree.Insert(Rect::FromPoint(points.back()), i).ok());
   }
-  const auto predicate = [](const Rect& ra, const Rect& rb) {
-    const double gap =
-        std::max({0.0, ra.low(0) - rb.high(0), rb.low(0) - ra.high(0)});
-    return gap <= 0.5;
+  const JoinPredicate predicate = WithinSquared(0.55 * 0.55);
+  EXPECT_TRUE(Join(tree, nullptr, predicate).empty());
+
+  std::size_t map_calls = 0;
+  const RectMap shrink = [&map_calls](const RectView& r) {
+    ++map_calls;
+    return Rect({r.low(0) / 100.0}, {r.high(0) / 100.0});
   };
-  // Without maps: nothing joins.
-  int plain_calls = 0;
-  ASSERT_TRUE(SpatialJoin(a, b, predicate,
-                          [&](const Entry&, const Entry&) { ++plain_calls; })
-                  .ok());
-  EXPECT_EQ(plain_calls, 0);
-  // With the left side lifted by +100, pairs within 0.5 appear.
-  JoinOptions join_options;
-  join_options.left_map = [](const Rect& r) {
-    return Rect({r.low(0) + 100.0}, {r.high(0) + 100.0});
-  };
-  std::set<Pair> joined;
-  ASSERT_TRUE(SpatialJoin(a, b, predicate,
-                          [&](const Entry& ea, const Entry& eb) {
-                            joined.insert({ea.id, eb.id});
-                          },
-                          nullptr, nullptr, join_options)
-                  .ok());
-  std::set<Pair> expected;
-  for (std::size_t i = 0; i < xa.size(); ++i) {
-    for (std::size_t j = 0; j < xb.size(); ++j) {
-      if (std::fabs(xa[i] + 100.0 - xb[j]) <= 0.5) expected.insert({i, j});
-    }
-  }
-  EXPECT_FALSE(expected.empty());
-  EXPECT_EQ(joined, expected);
+  ExpectMatchesBruteForce(tree, points, shrink, predicate);
+  EXPECT_EQ(BruteForce(points, shrink, predicate).size(), 100u * 5 - 15);
+  // Each entry of each node is mapped once per join, not once per pair.
+  map_calls = 0;
+  Join(tree, shrink, predicate);
+  EXPECT_EQ(map_calls, ShapeOf(tree).entries);
 }
 
 TEST(SpatialJoinTest, NodeCacheBoundsPhysicalReads) {
-  // Each page is fetched at most once per join, however many node pairs it
-  // participates in.
-  storage::PageFile fa;
+  // Each page is fetched once per join, however many node pairs it is in.
+  storage::PageFile file;
   TreeOptions options;
   options.capacity_override = 4;
-  RStarTree tree(&fa, 2, options);
-  Rng rng(6);
-  for (std::size_t i = 0; i < 200; ++i) {
-    ASSERT_TRUE(tree.Insert(Rect::FromPoint({rng.Uniform(0.0, 10.0),
-                                             rng.Uniform(0.0, 10.0)}),
-                            i)
-                    .ok());
-  }
-  SearchStats left, right;
-  int calls = 0;
-  ASSERT_TRUE(SpatialJoin(tree, tree,
-                          [](const Rect&, const Rect&) { return true; },
-                          [&](const Entry&, const Entry&) { ++calls; }, &left,
-                          &right)
-                  .ok());
-  EXPECT_EQ(calls, 200 * 200);
-  EXPECT_LE(left.nodes_accessed, fa.page_count());
-  EXPECT_LE(right.nodes_accessed, fa.page_count());
+  RStarTree tree(&file, 2, options);
+  InsertRandomPoints(tree, 200, 6);
+  const TreeShape shape = ShapeOf(tree);
+  SearchStats stats;
+  file.ResetStats();
+  EXPECT_EQ(Join(tree, nullptr, AcceptAll, &stats).size(), 200u * 199 / 2);
+  EXPECT_EQ(stats.nodes_accessed, shape.nodes);
+  EXPECT_EQ(stats.leaf_nodes_accessed, shape.leaves);
+  EXPECT_EQ(file.stats().reads, shape.nodes);
 }
 
-TEST(SpatialJoinTest, CountsAccessesPerSide) {
-  storage::PageFile fa, fb;
+TEST(SpatialJoinTest, CountsEveryNodeOnce) {
+  // A self-join pairs every node with itself, so a predicate that rejects
+  // everything still reads each node, once.
+  storage::PageFile file;
   TreeOptions options;
   options.capacity_override = 8;
-  RStarTree a(&fa, 2, options), b(&fb, 2, options);
-  Rng rng(4);
-  for (std::size_t i = 0; i < 300; ++i) {
-    ASSERT_TRUE(a.Insert(Rect::FromPoint(RandomPoint(rng, 0.0, 10.0)), i).ok());
-    ASSERT_TRUE(
-        b.Insert(Rect::FromPoint(RandomPoint(rng, 1000.0, 1010.0)), i).ok());
-  }
-  // Disjoint data: the root pair fails the predicate immediately.
-  SearchStats left, right;
-  int calls = 0;
-  ASSERT_TRUE(SpatialJoin(
-                  a, b,
-                  [](const Rect& ra, const Rect& rb) {
-                    return ra.Intersects(rb);
-                  },
-                  [&calls](const Entry&, const Entry&) { ++calls; }, &left,
-                  &right)
-                  .ok());
-  EXPECT_EQ(calls, 0);
-  EXPECT_EQ(left.nodes_accessed, 1u);
-  EXPECT_EQ(right.nodes_accessed, 1u);
+  RStarTree tree(&file, 2, options);
+  InsertRandomPoints(tree, 300, 4);
+  const TreeShape shape = ShapeOf(tree);
+  const JoinPredicate reject_all = [](const Rect&, const Rect&) {
+    return false;
+  };
+  SearchStats stats;
+  EXPECT_TRUE(Join(tree, nullptr, reject_all, &stats).empty());
+  EXPECT_EQ(stats.nodes_accessed, shape.nodes);
+  EXPECT_EQ(stats.leaf_nodes_accessed, shape.leaves);
+}
+
+// Rewrites `page` of the tree's own file with `edit` applied to its bytes.
+void TamperPage(storage::PageFile& file, storage::PageId page,
+                const std::function<void(std::uint8_t*)>& edit) {
+  storage::Page bytes;
+  ASSERT_TRUE(file.Read(page, &bytes).ok());
+  edit(bytes.bytes.data());
+  ASSERT_TRUE(file.Write(page, bytes).ok());
+}
+
+TEST(SpatialJoinTest, EmptyNodeIsCorruption) {
+  storage::PageFile file;
+  TreeOptions options;
+  options.capacity_override = 4;
+  RStarTree tree(&file, 2, options);
+  InsertRandomPoints(tree, 40, 7);
+  const TreeShape shape = ShapeOf(tree);
+  ASSERT_FALSE(shape.leaf_pages.empty());
+  // Node header: u16 magic, u16 level, u32 entry count.
+  TamperPage(file, shape.leaf_pages.back(), [](std::uint8_t* bytes) {
+    const std::uint32_t count = 0;
+    std::memcpy(bytes + 4, &count, sizeof count);
+  });
+  const Status status =
+      SelfJoin(tree, nullptr, AcceptAll, [](std::uint64_t, std::uint64_t) {});
+  EXPECT_EQ(status.code(), StatusCode::kCorruption) << status.ToString();
+}
+
+TEST(SpatialJoinTest, ChildPointingAtRootIsCorruption) {
+  storage::PageFile file;
+  TreeOptions options;
+  options.capacity_override = 4;
+  RStarTree tree(&file, 2, options);
+  InsertRandomPoints(tree, 150, 8);
+  ASSERT_GE(tree.height(), 3u);
+  const TreeShape shape = ShapeOf(tree);
+  ASSERT_FALSE(shape.level1_pages.empty());
+  // The first entry's id (its child page) follows the 8-byte header.
+  const std::uint64_t root = tree.root_page();
+  TamperPage(file, shape.level1_pages.front(), [root](std::uint8_t* bytes) {
+    std::memcpy(bytes + 8, &root, sizeof root);
+  });
+  const Status status =
+      SelfJoin(tree, nullptr, AcceptAll, [](std::uint64_t, std::uint64_t) {});
+  EXPECT_EQ(status.code(), StatusCode::kCorruption) << status.ToString();
 }
 
 }  // namespace
