@@ -142,13 +142,14 @@ std::uint64_t CalibrateSimulatedDisk(core::SimilarityEngine& engine,
   TSQ_CHECK(cmp_to_da_ratio > 0.0);
   TSQ_CHECK_GE(engine.size(), std::size_t{2});
   const auto t = transform::MovingAverageTransform(engine.length(), 10);
-  const auto& x = engine.dataset().spectrum(0);
-  const auto& y = engine.dataset().spectrum(1);
+  const Result<std::vector<dft::Complex>> x = engine.dataset().FetchSpectrum(0);
+  const Result<std::vector<dft::Complex>> y = engine.dataset().FetchSpectrum(1);
+  TSQ_CHECK(x.ok() && y.ok()) << "cannot fetch the probe records";
   const std::size_t reps = 200000;
   Stopwatch watch;
   double sink = 0.0;
   for (std::size_t i = 0; i < reps; ++i) {
-    sink += t.TransformedSquaredDistance(x, y);
+    sink += t.TransformedSquaredDistance(*x, *y);
   }
   const double cmp_nanos =
       watch.ElapsedSeconds() * 1e9 / static_cast<double>(reps);
@@ -180,7 +181,6 @@ QueryMeasurement MeasureRangeQuery(const core::SimilarityEngine& engine,
   const std::size_t reps = QueryReps();
   QueryMeasurement m;
   const double leaf_capacity = engine.index().AverageLeafCapacity();
-  options.collect_group_stats = true;
   for (std::size_t rep = 0; rep < reps; ++rep) {
     const std::size_t query_id = static_cast<std::size_t>(
         rng.UniformInt(0, static_cast<std::int64_t>(engine.size()) - 1));

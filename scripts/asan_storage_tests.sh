@@ -7,10 +7,12 @@
 # publishing into a freed in-flight slot, a follower reading a dead page
 # buffer), and out-of-bounds copies on the read path: record page-walks
 # into caller spans (record_store_test, dataset_test), R*-tree node
-# decoding straight from page bytes (rstar_tree_test), and the recursive
-# self-join with its tampered-node cases (rtree_join_test, join_query_test).
+# decoding straight from page bytes (rstar_tree_test), the recursive
+# self-join with its tampered-node cases (rtree_join_test, join_query_test),
+# and the one range executor that serves Execute() and ExecuteBatch() alike
+# (range_query_test, batch_determinism_test).
 # Run this alongside scripts/tsan_exec_tests.sh when touching src/storage,
-# src/rstar or src/exec.
+# src/rstar, src/exec or the range executor.
 #
 # Usage: scripts/asan_storage_tests.sh [build-dir]   (default: build-asan)
 set -euo pipefail
@@ -22,8 +24,9 @@ cmake -B "$BUILD_DIR" -S . -DTSQ_SANITIZE=address -DCMAKE_BUILD_TYPE=RelWithDebI
 cmake --build "$BUILD_DIR" -j --target \
   page_file_test atomic_file_test buffer_pool_test record_store_test \
   persistence_test checkpoint_robustness_test dataset_test rstar_tree_test \
-  rtree_join_test join_query_test parallel_test exec_determinism_test \
-  exec_concurrency_test batch_concurrency_test result_cache_test
+  rtree_join_test join_query_test range_query_test batch_determinism_test \
+  parallel_test exec_determinism_test exec_concurrency_test \
+  batch_concurrency_test result_cache_test
 
 cd "$BUILD_DIR"
-ctest --output-on-failure -R 'PageFile|AtomicFile|BufferPool|ShardedBufferPool|RecordStore|Persistence|CheckpointRobustness|Dataset|RStarTree|SpatialJoin|JoinQueryTest|TransformedCorrelation|DistanceJoinEquivalence|EffectiveThreads|ThreadPool|ParallelFor|Chunk|ExecutorDeterminism|ExecutorConcurrency|BatchConcurrency|ResultCache'
+ctest --output-on-failure -R 'PageFile|AtomicFile|BufferPool|ShardedBufferPool|RecordStore|Persistence|CheckpointRobustness|Dataset|RStarTree|SpatialJoin|JoinQueryTest|TransformedCorrelation|DistanceJoinEquivalence|EffectiveThreads|ThreadPool|ParallelFor|Chunk|ExecutorDeterminism|ExecutorConcurrency|BatchConcurrency|ResultCache|RangeQuery|BatchDeterminism'

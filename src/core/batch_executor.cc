@@ -1,45 +1,68 @@
-// SimilarityEngine::ExecuteBatch: one snapshot pin and one planner
-// consultation for a whole batch of queries, with work shared across the
-// batch — grouped index traversals, a batch-scoped record-fetch table, and
-// the snapshot-keyed result cache.
+// The one query executor behind SimilarityEngine::Execute (a one-query batch
+// with the result cache off) and SimilarityEngine::ExecuteBatch: one
+// snapshot pin and one planner consultation for the whole batch, then, for
+// range queries,
 //
-// The contract this file exists to keep: per-query *matches* are
-// byte-identical to issuing the specs sequentially via Execute() at the same
-// snapshot, for any thread count. Everything here is organized around that —
-// the batch path reuses the solo executor's task decomposition
-// (range_detail::kScanChunk / kVerifyChunk), its per-candidate evaluation
-// (range_detail::VerifyCandidate) and its merge order, and the shared
-// traversal is constructed so each member query's candidate list comes out
-// exactly as its solo traversal would have produced it:
+//   prepare → shared traversal → chunked verify → deterministic merge.
 //
-//  * the union predicate `any member: mbr.AppliedIntersects(rect, region_m)`
-//    visits a superset of every member's solo node set (the predicate is a
-//    disjunction containing the member's own test);
+// Range queries run the paper's Section 4 algorithms. kSequentialScan reads
+// every live record once and evaluates the whole transformation set on it
+// (log |T| comparisons under an ordering). kStIndex / kMtIndex run
+// Algorithm 1: one index traversal per transformation rectangle (singletons
+// for ST-index), then post-processing fetches each candidate's full record
+// and evaluates the rectangle's transformations on it. k-NN and join queries
+// run their own executors (knn_query.cc, join_query.cc) under the batch's pin
+// and plan.
+//
+// Determinism: the task decomposition is fixed — one traversal task per
+// rectangle, kVerifyChunk candidates per verify task, kScanChunk ids per scan
+// task — and each query merges its partial results in task order, so
+// matches, QueryStats, GroupRunStats and trace signatures never depend on
+// num_threads. Matches never depend on the batch composition either, which
+// rests on how shared traversals are built:
+//
+//  * indexed range queries with identical (transform set, effective
+//    partition) share one traversal per rectangle, driven by the union
+//    predicate `any member: mbr.AppliedIntersects(rect, region_m)`, which
+//    visits a superset of every member's own node set;
 //  * TransformMbr::Apply is monotone in rect containment, so a leaf entry
 //    passing member m's test implies every ancestor rect passes it too —
 //    re-filtering the union traversal's collected entries with m's own test
-//    therefore yields exactly m's solo candidate *set*;
+//    therefore yields exactly m's own candidate *set*;
 //  * the traversal is a deterministic stack DFS, and union-only subtrees are
 //    pushed/popped as contiguous blocks between m's subtrees, so the
-//    relative order of m's entries is m's solo *order*.
+//    relative order of m's entries is m's own *order*.
 //
-// I/O attribution is deterministic by construction: the fetch table
-// memoizes each record fetch (so a page is read once per batch) and records
-// the pages it cost via FetchSpectrumInto's per-call out-param — never by
-// diffing the shared PageFile counters, which is what makes the accounting
-// immune to a concurrent ResetIoStats(). A serial post-pass then charges
-// each fetched id's pages to the lowest-indexed successful query that
-// requested it (queries in input order, each query's candidates in
-// rect-major task order), which is thread-count independent because the
-// candidate lists themselves are.
+// A group of one member searches with that member's own predicate and skips
+// the re-filter.
+//
+// Where a candidate's spectrum comes from depends on the batch composition:
+//
+//  * one executing range query (every Execute() call): each (rectangle,
+//    candidate) fetch reads into per-task scratch and is charged the pages it
+//    read. Algorithm 1 post-processes each rectangle on its own, and the
+//    Eq. 20 cost model charges each rectangle its own record fetches.
+//  * two or more: a batch-scoped fetch table memoizes each record fetch (a
+//    page is read once per batch) and records the pages it cost via
+//    FetchSpectrumInto's per-call out-param — never by diffing the shared
+//    PageFile counters, which keeps the accounting immune to a concurrent
+//    ResetIoStats(). A serial post-pass charges each fetched id's pages to
+//    the lowest-indexed successful query that requested it (queries in input
+//    order, each query's candidates in rect-major task order), which is
+//    thread-count independent because the candidate lists are.
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <span>
+#include <string>
 #include <unordered_map>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "common/clock.h"
@@ -52,17 +75,16 @@
 #include "plan/planner.h"
 #include "transform/ordering.h"
 #include "transform/transform_mbr.h"
-#include "ts/normal_form.h"
 
 namespace tsq::core {
 
 namespace {
 
-using range_detail::kScanChunk;
-using range_detail::kVerifyChunk;
-using range_detail::OrderGroupByChain;
-using range_detail::ValidateRangeSpec;
-using range_detail::VerifyCandidate;
+// Task granularity. Part of the determinism contract only insofar as they
+// are constants: chunk boundaries, and hence the merge order, never depend
+// on num_threads or on the batch composition.
+constexpr std::size_t kScanChunk = 256;   // ids per seq-scan task
+constexpr std::size_t kVerifyChunk = 32;  // candidates per verify task
 
 struct BatchMetrics {
   obs::Counter* batches;
@@ -82,14 +104,150 @@ struct BatchMetrics {
   }
 };
 
-/// Memoized record fetches for one batch: slot i holds sequence i's fetched
-/// spectrum (or the error of the one attempted fetch) plus the physical
-/// pages that single fetch read. The slot vector is sized once from the
-/// pinned dataset and never resized, so concurrent Get() calls only race on
-/// the per-slot once_flag. The fetch lands straight in the slot's buffer
-/// (FetchSpectrumInto), and its page count comes from the out-param — a
-/// per-call delta, not a shared-counter diff — so a ResetIoStats() racing
-/// the batch cannot split or double the dedupe accounting.
+/// Full range-spec validation (lengths, thresholds, partition
+/// well-formedness).
+Status ValidateRangeSpec(const Dataset& dataset, const RangeQuerySpec& spec) {
+  if (spec.query.size() != dataset.length()) {
+    return Status::InvalidArgument("query length does not match dataset");
+  }
+  if (spec.transforms.empty()) {
+    return Status::InvalidArgument("no transformations in query");
+  }
+  // The negated form also rejects a NaN epsilon, which would otherwise
+  // silently match nothing.
+  if (!(spec.epsilon >= 0.0)) {
+    return Status::InvalidArgument("negative or NaN distance threshold");
+  }
+  if (spec.query_transform.has_value() &&
+      spec.query_transform->length() != dataset.length()) {
+    return Status::InvalidArgument(
+        "query transformation length does not match dataset");
+  }
+  if (spec.use_ordering && spec.target == TransformTarget::kDataOnly) {
+    return Status::InvalidArgument(
+        "ordering-based search requires same-transform distances "
+        "(TransformTarget::kBoth)");
+  }
+  for (const transform::SpectralTransform& t : spec.transforms) {
+    if (t.length() != dataset.length()) {
+      return Status::InvalidArgument(
+          "transformation length does not match dataset: " + t.label());
+    }
+    if (dataset.layout().use_symmetry && !t.PreservesRealSequences()) {
+      return Status::InvalidArgument(
+          "symmetry-based filtering requires real-preserving "
+          "transformations: " +
+          t.label());
+    }
+  }
+  if (!spec.partition.empty()) {
+    std::vector<bool> seen(spec.transforms.size(), false);
+    for (const auto& group : spec.partition) {
+      if (group.empty()) {
+        return Status::InvalidArgument("empty transformation group");
+      }
+      for (const std::size_t t : group) {
+        if (t >= spec.transforms.size() || seen[t]) {
+          return Status::InvalidArgument(
+              "partition is not a partition of the transformation set");
+        }
+        seen[t] = true;
+      }
+    }
+    if (std::find(seen.begin(), seen.end(), false) != seen.end()) {
+      return Status::InvalidArgument(
+          "partition does not cover the transformation set");
+    }
+  }
+  return Status::Ok();
+}
+
+/// Sorts the indices of one group into ascending dominance-chain order when
+/// the whole transformation set forms a chain; returns false when it does
+/// not (the caller falls back to the linear sweep).
+bool OrderGroupByChain(const std::vector<std::size_t>& chain,
+                       std::vector<std::size_t>* group) {
+  if (chain.empty()) return false;
+  std::vector<std::size_t> rank(chain.size());
+  for (std::size_t pos = 0; pos < chain.size(); ++pos) rank[chain[pos]] = pos;
+  std::sort(group->begin(), group->end(),
+            [&rank](std::size_t a, std::size_t b) { return rank[a] < rank[b]; });
+  return true;
+}
+
+/// The Eq. 12 distance the predicate evaluates for transformation `t`,
+/// honouring the spec's TransformTarget, abandoning early past `bound`: exact
+/// whenever the result is <= bound; any value > bound (exact or abandoned
+/// partial) means "no match". Since partial sums are monotone, the
+/// `d2 < eps2` predicate and every reported match distance are identical to
+/// the plain evaluation.
+double PredicateDistance2Within(const RangeQuerySpec& spec, std::size_t t,
+                                std::span<const dft::Complex> candidate_spectrum,
+                                std::span<const dft::Complex> query_spectrum,
+                                double bound) {
+  return spec.target == TransformTarget::kBoth
+             ? spec.transforms[t].TransformedSquaredDistanceWithin(
+                   candidate_spectrum, query_spectrum, bound)
+             : spec.transforms[t].TransformedToPlainSquaredDistanceWithin(
+                   candidate_spectrum, query_spectrum, bound);
+}
+
+/// Evaluates the distance predicate for one candidate against the (already
+/// chain-ordered, when `ordered`) transformation indices of a group,
+/// appending matches and counting comparisons.
+void VerifyCandidate(const RangeQuerySpec& spec,
+                     std::span<const dft::Complex> candidate_spectrum,
+                     std::span<const dft::Complex> query_spectrum,
+                     const std::vector<std::size_t>& group, bool ordered,
+                     std::size_t series_id, std::vector<Match>* matches,
+                     QueryStats* stats) {
+  const double eps2 = spec.epsilon * spec.epsilon;
+  if (ordered) {
+    // Distances are non-decreasing along the chain, so the qualifying
+    // transformations form a prefix: binary-search its end (Section 4.4).
+    // Probe results are cached so reporting the matches costs no extra
+    // comparisons beyond the O(log |group|) probes plus one evaluation per
+    // reported match that the search did not already touch.
+    std::vector<double> cached(group.size(),
+                               -std::numeric_limits<double>::infinity());
+    const auto distance2 = [&](std::size_t pos) {
+      if (cached[pos] < 0.0) {
+        ++stats->comparisons;
+        // Abandoned evaluations cache a partial sum > eps2: non-negative (so
+        // the sentinel stays unambiguous), correctly rejected by the
+        // predicate, and never reported (matches have d2 < eps2, hence are
+        // exact).
+        cached[pos] = PredicateDistance2Within(
+            spec, group[pos], candidate_spectrum, query_spectrum, eps2);
+      }
+      return cached[pos];
+    };
+    const std::size_t prefix = transform::MonotonePrefixLength(
+        group.size(), [&](std::size_t pos) { return distance2(pos) < eps2; });
+    for (std::size_t pos = 0; pos < prefix; ++pos) {
+      matches->push_back(Match{series_id, group[pos], std::sqrt(distance2(pos))});
+    }
+    return;
+  }
+  for (const std::size_t t : group) {
+    ++stats->comparisons;
+    const double d2 = PredicateDistance2Within(spec, t, candidate_spectrum,
+                                               query_spectrum, eps2);
+    if (d2 < eps2) {
+      matches->push_back(Match{series_id, t, std::sqrt(d2)});
+    }
+  }
+}
+
+/// Memoized record fetches for one batch of two or more range queries: slot
+/// i holds sequence i's fetched spectrum (or the error of the one attempted
+/// fetch) plus the physical pages that single fetch read. The slot vector is
+/// sized once from the pinned dataset and never resized, so concurrent Get()
+/// calls only race on the per-slot once_flag. The fetch lands straight in the
+/// slot's buffer (FetchSpectrumInto), and its page count comes from the
+/// out-param — a per-call delta, not a shared-counter diff — so a
+/// ResetIoStats() racing the batch cannot split or double the dedupe
+/// accounting.
 class BatchFetchTable {
  public:
   explicit BatchFetchTable(const Dataset& dataset)
@@ -98,6 +256,11 @@ class BatchFetchTable {
   /// The memoized fetch of sequence `id` (first caller pays the I/O). The
   /// span stays valid for the table's lifetime.
   Result<std::span<const dft::Complex>> Get(std::size_t id) {
+    // The id comes from a disk-resident index leaf: a corrupted one gets the
+    // Status FetchSpectrumInto gives it, not a read past the slots.
+    if (id >= slots_.size()) {
+      return Status::OutOfRange("no such sequence id: " + std::to_string(id));
+    }
     Slot& slot = slots_[id];
     std::call_once(slot.once, [&] {
       slot.spectrum.resize(dataset_.length());
@@ -124,19 +287,19 @@ class BatchFetchTable {
 
 /// One verification subtask of a range query: a fixed-size chunk of one
 /// rectangle's candidate list (indexed), or a fixed-size slice of the
-/// relation (scan). Subtask order is the solo executor's task order, which
-/// is what makes the per-query merge reproduce solo output byte-for-byte.
+/// relation (scan, whose one "rectangle" is the whole transformation set).
 struct VerifyRef {
-  std::size_t rect = 0;  // unused for scans
+  std::size_t rect = 0;
   exec::ChunkRange range;
 };
 
 struct VerifyPart {
   std::vector<Match> matches;
-  QueryStats stats;
+  QueryStats stats;  // comparisons only
+  std::uint64_t record_pages = 0;  // read into per-task scratch
   std::uint64_t fetch_nanos = 0;
   std::uint64_t verify_nanos = 0;
-  std::uint64_t fetched = 0;  // candidates fetched (indexed trace items)
+  std::uint64_t fetched = 0;  // candidates fetched
 };
 
 /// Everything one *executing* query carries through the batch (cache hits
@@ -146,20 +309,19 @@ struct QueryExec {
   Kind kind = Kind::kScan;
 
   ExecOptions resolved;  // options.exec with the planner's algorithm
-  std::shared_ptr<const plan::PlanDecision> decision;
-  bool plan_cache_hit = false;
-  const transform::Partition* partition_override = nullptr;
+  const transform::Partition* planner_partition = nullptr;
 
-  // Range-query state (solo executor's plan phase, precomputed up front).
+  // Range-query state, prepared up front.
   const RangeQuerySpec* range = nullptr;
-  transform::Partition partition;  // effective (indexed only)
-  std::vector<dft::Complex> query_spectrum;
-  rstar::Point query_features;
-  std::vector<transform::FeatureTransform> feature_transforms;
-  std::vector<std::vector<std::size_t>> rect_groups;  // chain-ordered copies
+  PreparedQuery query;
+  // The rectangles: the effective partition (indexed) or the whole
+  // transformation set as one group (scan).
+  transform::Partition partition;
+  std::vector<transform::FeatureTransform> feature_transforms;  // indexed
+  // Per rectangle, the transformations to verify, chain-ordered when
+  // rect_ordered says so.
+  std::vector<std::vector<std::size_t>> rect_groups;
   std::vector<bool> rect_ordered;
-  std::vector<std::size_t> scan_group;
-  bool scan_ordered = false;
   std::uint64_t plan_nanos = 0;
 
   // Shared-traversal membership (indexed only).
@@ -170,19 +332,16 @@ struct QueryExec {
   std::vector<VerifyRef> verify_tasks;
   std::vector<VerifyPart> parts;
 
-  // Deterministic I/O attribution.
-  std::uint64_t attributed_pages = 0;
+  // Record pages charged per rectangle; fetch-table requests and the first
+  // claims among them (their difference is the deduped fetches).
+  std::vector<std::uint64_t> rect_pages;
   std::uint64_t requests = 0;
   std::uint64_t claims = 0;
-  std::vector<std::uint64_t> rect_pages;  // per rect (indexed)
 };
 
-/// One rectangle of a shared traversal: the union search's hits (ids plus
-/// their flat leaf coordinates, which the re-filter tests) and the
-/// re-filtered per-member candidate id lists.
+/// One rectangle of a traversal: the status of its search and the candidate
+/// id list of every member.
 struct RectPass {
-  std::vector<std::uint64_t> ids;
-  std::vector<double> coords;
   rstar::SearchStats search;
   std::uint64_t nanos = 0;
   Status status = Status::Ok();
@@ -224,27 +383,41 @@ plan::PlanKey TraversalSignature(const RangeQuerySpec& spec,
   return key.key();
 }
 
-/// Stamps the fields every batched result carries, mirroring what
-/// SimilarityEngine::Execute stamps after running a query.
-void StampTrace(QueryResult* out, const SimilarityEngine& engine,
-                std::uint64_t snapshot_version, std::uint64_t checkpoint_epoch,
-                const plan::Planned* planned, std::size_t batch_size) {
-  obs::QueryTrace& trace = std::visit(
+obs::QueryTrace& MutableTrace(QueryResult* out) {
+  return std::visit(
       [](auto& result) -> obs::QueryTrace& { return result.trace; },
       out->value);
-  (void)engine;
+}
+
+/// Resets the five batch fields to what a plain Execute() reports.
+void ClearBatchFields(obs::QueryTrace* trace) {
+  trace->batch_size = 0;
+  trace->batch_group_queries = 0;
+  trace->shared_traversal = false;
+  trace->deduped_fetches = 0;
+  trace->result_cache_hit = false;
+}
+
+/// Stamps the fields every executed result carries.
+void StampTrace(QueryResult* out, std::uint64_t snapshot_version,
+                std::uint64_t checkpoint_epoch, const plan::Planned& planned,
+                std::size_t batch_size) {
+  obs::QueryTrace& trace = MutableTrace(out);
   trace.snapshot_version = snapshot_version;
   trace.checkpoint_epoch = checkpoint_epoch;
   trace.kernel_isa = kernels::IsaName(kernels::ActiveIsa());
   trace.batch_size = batch_size;
-  if (planned != nullptr && planned->decision->trace.planned) {
-    trace.planner = planned->decision->trace;
-    trace.planner.cache_hit = planned->cache_hit;
+  if (planned.decision->trace.planned) {
+    trace.planner = planned.decision->trace;
+    trace.planner.cache_hit = planned.cache_hit;
+    // Actual cost in the estimate's own currency: measured disk accesses
+    // plus weighted comparisons (what the planner's Eq. 18-20 pricing
+    // predicts, with real counters substituted for the analytic terms).
     const QueryStats& stats = out->stats();
     trace.planner.actual_cost =
-        planned->decision->constants.c_da *
+        planned.decision->constants.c_da *
             static_cast<double>(stats.disk_accesses()) +
-        planned->decision->constants.c_cmp *
+        planned.decision->constants.c_cmp *
             static_cast<double>(stats.comparisons);
   }
 }
@@ -254,13 +427,9 @@ void StampTrace(QueryResult* out, const SimilarityEngine& engine,
 /// and stale sharing data from the computing batch must not leak.
 QueryResult ServeCopy(const QueryResult& canonical, std::size_t batch_size) {
   QueryResult out = canonical;
-  obs::QueryTrace& trace = std::visit(
-      [](auto& result) -> obs::QueryTrace& { return result.trace; },
-      out.value);
+  obs::QueryTrace& trace = MutableTrace(&out);
+  ClearBatchFields(&trace);
   trace.batch_size = batch_size;
-  trace.batch_group_queries = 0;
-  trace.shared_traversal = false;
-  trace.deduped_fetches = 0;
   trace.result_cache_hit = true;
   return out;
 }
@@ -270,14 +439,7 @@ QueryResult ServeCopy(const QueryResult& canonical, std::size_t batch_size) {
 /// not the computing batch's.
 std::shared_ptr<const QueryResult> CanonicalForCache(const QueryResult& out) {
   auto canonical = std::make_shared<QueryResult>(out);
-  obs::QueryTrace& trace = std::visit(
-      [](auto& result) -> obs::QueryTrace& { return result.trace; },
-      canonical->value);
-  trace.batch_size = 0;
-  trace.batch_group_queries = 0;
-  trace.shared_traversal = false;
-  trace.deduped_fetches = 0;
-  trace.result_cache_hit = false;
+  ClearBatchFields(&MutableTrace(canonical.get()));
   return canonical;
 }
 
@@ -285,15 +447,26 @@ std::shared_ptr<const QueryResult> CanonicalForCache(const QueryResult& out) {
 
 std::vector<Result<QueryResult>> SimilarityEngine::ExecuteBatch(
     const std::vector<QuerySpec>& specs, const BatchOptions& options) const {
-  const BatchMetrics& metrics = BatchMetrics::Get();
-  const std::uint64_t batch_start = MonotonicNanos();
   if (specs.empty()) return {};
+  const BatchMetrics& metrics = BatchMetrics::Get();
   metrics.batches->Increment();
   metrics.queries->Increment(specs.size());
+  std::vector<const QuerySpec*> spec_ptrs;
+  spec_ptrs.reserve(specs.size());
+  for (const QuerySpec& spec : specs) spec_ptrs.push_back(&spec);
+  return Run(spec_ptrs, options, /*batched=*/true);
+}
+
+std::vector<Result<QueryResult>> SimilarityEngine::Run(
+    const std::vector<const QuerySpec*>& specs, const BatchOptions& options,
+    bool batched) const {
+  const BatchMetrics& metrics = BatchMetrics::Get();
+  const std::uint64_t batch_start = MonotonicNanos();
   const std::size_t n = specs.size();
 
-  // One snapshot pin for the whole batch: every query sees the same
-  // (dataset, index, plan epoch) triple, and its version keys the cache.
+  // One snapshot pin for the whole batch, planning included: every query
+  // sees the same (dataset, index, plan epoch) triple, and its version keys
+  // the cache and lands in every trace.
   const SnapshotManager::ReadPin pin = snapshots_.PinRead();
   const std::uint64_t snapshot_version = pin.version();
   const std::uint64_t checkpoint_epoch =
@@ -301,12 +474,11 @@ std::vector<Result<QueryResult>> SimilarityEngine::ExecuteBatch(
   const std::uint64_t config_epoch =
       config_epoch_.load(std::memory_order_acquire);
 
-  // One planner consultation (one mutex acquisition) for the whole batch.
-  std::vector<const QuerySpec*> spec_ptrs;
-  spec_ptrs.reserve(n);
-  for (const QuerySpec& spec : specs) spec_ptrs.push_back(&spec);
+  // One planner consultation (one mutex acquisition) for the whole batch. A
+  // forced algorithm passes through the planner too, short-circuiting into
+  // an unplanned decision.
   std::vector<Result<plan::Planned>> planned =
-      planner_->PlanBatch(spec_ptrs, options.exec.planner);
+      planner_->PlanBatch(specs, options.exec.planner);
 
   std::vector<std::optional<Result<QueryResult>>> staged(n);
 
@@ -328,7 +500,7 @@ std::vector<Result<QueryResult>> SimilarityEngine::ExecuteBatch(
     for (std::size_t i = 0; i < n; ++i) {
       if (!planned[i].ok()) continue;
       const ResultCacheKey key = ComputeResultCacheKey(
-          specs[i], options.exec, snapshot_version, config_epoch);
+          *specs[i], options.exec, snapshot_version, config_epoch);
       if (!key.cacheable) continue;
       cache_keys[i] = key.key;
       if (std::shared_ptr<const QueryResult> hit =
@@ -352,9 +524,10 @@ std::vector<Result<QueryResult>> SimilarityEngine::ExecuteBatch(
     return false;
   };
 
-  // --- Per-query preparation (the solo executor's plan phase) --------------
+  // --- Per-query preparation -----------------------------------------------
   const transform::FeatureLayout& layout = dataset_->layout();
   std::vector<std::unique_ptr<QueryExec>> execs(n);
+  std::size_t range_queries = 0;  // executing range queries
   for (std::size_t i = 0; i < n; ++i) {
     if (staged[i].has_value() || is_dup(i)) continue;
     if (!planned[i].ok()) {
@@ -362,87 +535,62 @@ std::vector<Result<QueryResult>> SimilarityEngine::ExecuteBatch(
       continue;
     }
     auto exec = std::make_unique<QueryExec>();
-    exec->decision = planned[i]->decision;
-    exec->plan_cache_hit = planned[i]->cache_hit;
+    const plan::PlanDecision& decision = *planned[i]->decision;
     exec->resolved = options.exec;
-    exec->resolved.planner.algorithm = exec->decision->algorithm;
-    exec->partition_override =
-        exec->decision->partition.empty() ? nullptr : &exec->decision->partition;
+    exec->resolved.planner.algorithm = decision.algorithm;
+    exec->planner_partition =
+        decision.partition.empty() ? nullptr : &decision.partition;
 
-    const auto* range = std::get_if<RangeQuerySpec>(&specs[i]);
+    const auto* range = std::get_if<RangeQuerySpec>(specs[i]);
     if (range == nullptr) {
-      exec->kind = std::holds_alternative<KnnQuerySpec>(specs[i])
+      exec->kind = std::holds_alternative<KnnQuerySpec>(*specs[i])
                        ? QueryExec::Kind::kKnn
                        : QueryExec::Kind::kJoin;
       execs[i] = std::move(exec);
       continue;
     }
 
-    // Range query: validate and precompute exactly what RunRangeQuery's
-    // plan phase computes, so the verification below is the solo executor's
-    // verbatim.
     const std::uint64_t plan_start = MonotonicNanos();
     if (const Status valid = ValidateRangeSpec(*dataset_, *range);
         !valid.ok()) {
       staged[i].emplace(valid);
       continue;
     }
+    ++range_queries;
     exec->range = range;
-    const ts::NormalForm query_normal = ts::Normalize(range->query);
-    exec->query_spectrum = dataset_->plan().Forward(query_normal.values);
-    if (range->query_transform.has_value()) {
-      exec->query_spectrum =
-          range->query_transform->ApplyToSpectrum(exec->query_spectrum);
+    exec->query = PrepareQuery(*dataset_, range->query, range->query_transform);
+    const std::size_t transforms = range->transforms.size();
+    if (decision.algorithm == Algorithm::kSequentialScan) {
+      exec->kind = QueryExec::Kind::kScan;
+      exec->partition = transform::PartitionAll(transforms);
+    } else {
+      exec->kind = QueryExec::Kind::kIndexed;
+      exec->partition =
+          EffectivePartition(decision.algorithm, exec->planner_partition,
+                             range->partition, transforms);
+      exec->feature_transforms.reserve(transforms);
+      for (const transform::SpectralTransform& t : range->transforms) {
+        exec->feature_transforms.push_back(t.ToFeatureTransform(layout));
+      }
     }
-    exec->query_features =
-        ExtractFeatures(query_normal, exec->query_spectrum, layout);
+    // Dominance-chain ordering for the binary-search post-processing.
     std::vector<std::size_t> chain;
     if (range->use_ordering) {
       chain = transform::DominanceChain(range->transforms);
     }
-
-    if (exec->resolved.planner.algorithm == Algorithm::kSequentialScan) {
-      exec->kind = QueryExec::Kind::kScan;
-      exec->scan_group.resize(range->transforms.size());
-      for (std::size_t t = 0; t < exec->scan_group.size(); ++t) {
-        exec->scan_group[t] = t;
-      }
-      exec->scan_ordered =
-          range->use_ordering && OrderGroupByChain(chain, &exec->scan_group);
-      exec->plan_nanos = MonotonicNanos() - plan_start;
-      execs[i] = std::move(exec);
-      continue;
-    }
-
-    exec->kind = QueryExec::Kind::kIndexed;
-    // Effective partition, replicating RunRangeQuery's precedence exactly.
-    if (exec->resolved.planner.algorithm == Algorithm::kStIndex) {
-      exec->partition =
-          transform::PartitionSingletons(range->transforms.size());
-    } else if (exec->partition_override != nullptr &&
-               !exec->partition_override->empty()) {
-      exec->partition = *exec->partition_override;
-    } else if (range->partition.empty()) {
-      exec->partition = transform::PartitionAll(range->transforms.size());
-    } else {
-      exec->partition = range->partition;
-    }
-    exec->feature_transforms.reserve(range->transforms.size());
-    for (const transform::SpectralTransform& t : range->transforms) {
-      exec->feature_transforms.push_back(t.ToFeatureTransform(layout));
-    }
-    exec->rect_groups.resize(exec->partition.size());
+    exec->rect_groups = exec->partition;
     exec->rect_ordered.resize(exec->partition.size());
     for (std::size_t g = 0; g < exec->partition.size(); ++g) {
-      exec->rect_groups[g] = exec->partition[g];
       exec->rect_ordered[g] =
           range->use_ordering && OrderGroupByChain(chain, &exec->rect_groups[g]);
     }
     exec->plan_nanos = MonotonicNanos() - plan_start;
     execs[i] = std::move(exec);
   }
+  // Work is shared across range queries only when there are two to share.
+  const bool share = range_queries >= 2;
 
-  // --- Shared-traversal grouping -------------------------------------------
+  // --- Traversal grouping --------------------------------------------------
   // Executing indexed range queries with identical (transform set, effective
   // partition) share one traversal per rectangle. Group ids are assigned in
   // input order, so the grouping — like everything else — is deterministic.
@@ -454,24 +602,28 @@ std::vector<Result<QueryResult>> SimilarityEngine::ExecuteBatch(
       if (execs[i] == nullptr || execs[i]->kind != QueryExec::Kind::kIndexed) {
         continue;
       }
-      const plan::PlanKey signature =
-          TraversalSignature(*execs[i]->range, execs[i]->partition);
-      const auto [it, inserted] =
-          group_for_signature.emplace(signature, groups.size());
-      if (inserted) {
+      std::size_t group = groups.size();
+      if (share) {
+        group = group_for_signature
+                    .emplace(TraversalSignature(*execs[i]->range,
+                                                execs[i]->partition),
+                             groups.size())
+                    .first->second;
+      }
+      if (group == groups.size()) {
         groups.emplace_back();
         groups.back().rects.resize(execs[i]->partition.size());
       }
-      execs[i]->group_id = it->second;
-      execs[i]->member_index = groups[it->second].members.size();
-      groups[it->second].members.push_back(i);
+      execs[i]->group_id = group;
+      execs[i]->member_index = groups[group].members.size();
+      groups[group].members.push_back(i);
     }
   }
 
-  // --- Phase A: shared index traversals ------------------------------------
+  // --- Phase A: index traversals -------------------------------------------
   // One task per (group, rectangle). The union of the member regions drives
   // the descent; each collected entry is then re-tested per member, which
-  // (by monotonicity, see the file comment) recovers each member's solo
+  // (by monotonicity, see the file comment) recovers each member's own
   // candidate list exactly.
   {
     struct TraversalTask {
@@ -499,6 +651,9 @@ std::vector<Result<QueryResult>> SimilarityEngine::ExecuteBatch(
             group_fts.push_back(leader.feature_transforms[t]);
           }
           const transform::TransformMbr mbr(group_fts, layout);
+          // kBoth: the query region covers every transformed query image
+          // t(q). kDataOnly: the query is compared untransformed, so the
+          // region is the paper's literal step 2 — a safe window around q.
           const std::vector<transform::FeatureTransform> identity = {
               transform::FeatureTransform::Identity(layout.dimensions())};
           // Per-member query regions (each member's own epsilon band and
@@ -508,29 +663,40 @@ std::vector<Result<QueryResult>> SimilarityEngine::ExecuteBatch(
           for (const std::size_t member : group.members) {
             const QueryExec& q = *execs[member];
             regions.push_back(BuildQueryRegion(
-                q.query_features,
+                q.query.features,
                 q.range->target == TransformTarget::kBoth
                     ? std::span<const transform::FeatureTransform>(group_fts)
                     : std::span<const transform::FeatureTransform>(identity),
                 q.range->epsilon, layout));
           }
-          pass.status = index_->tree().Search(
-              [&](const rstar::RectView& rect) {
-                for (const rstar::Rect& region : regions) {
-                  if (mbr.AppliedIntersects(rect, region)) return true;
-                }
-                return false;
-              },
-              &pass.ids, &pass.search, &pass.coords);
-          pass.member_candidates.resize(group.members.size());
-          if (pass.status.ok()) {
-            const std::size_t dims = index_->tree().dimensions();
-            for (std::size_t h = 0; h < pass.ids.size(); ++h) {
-              const rstar::RectView rect(pass.coords.data() + 2 * dims * h,
-                                         dims);
-              for (std::size_t m = 0; m < regions.size(); ++m) {
-                if (mbr.AppliedIntersects(rect, regions[m])) {
-                  pass.member_candidates[m].push_back(pass.ids[h]);
+          pass.member_candidates.resize(regions.size());
+          if (regions.size() == 1) {
+            // The union predicate is the one member's own: its hits are its
+            // candidates, no leaf coordinates or re-filter needed.
+            pass.status = index_->tree().Search(
+                [&](const rstar::RectView& rect) {
+                  return mbr.AppliedIntersects(rect, regions.front());
+                },
+                &pass.member_candidates.front(), &pass.search);
+          } else {
+            std::vector<std::uint64_t> ids;
+            std::vector<double> coords;
+            pass.status = index_->tree().Search(
+                [&](const rstar::RectView& rect) {
+                  for (const rstar::Rect& region : regions) {
+                    if (mbr.AppliedIntersects(rect, region)) return true;
+                  }
+                  return false;
+                },
+                &ids, &pass.search, &coords);
+            if (pass.status.ok()) {
+              const std::size_t dims = index_->tree().dimensions();
+              for (std::size_t h = 0; h < ids.size(); ++h) {
+                const rstar::RectView rect(coords.data() + 2 * dims * h, dims);
+                for (std::size_t m = 0; m < regions.size(); ++m) {
+                  if (mbr.AppliedIntersects(rect, regions[m])) {
+                    pass.member_candidates[m].push_back(ids[h]);
+                  }
                 }
               }
             }
@@ -541,7 +707,7 @@ std::vector<Result<QueryResult>> SimilarityEngine::ExecuteBatch(
     for (TraversalGroup& group : groups) {
       for (const RectPass& pass : group.rects) {
         if (!pass.status.ok()) {
-          group.status = pass.status;  // lowest rect index wins, like solo
+          group.status = pass.status;  // lowest rect index wins
           break;
         }
       }
@@ -551,13 +717,13 @@ std::vector<Result<QueryResult>> SimilarityEngine::ExecuteBatch(
     }
   }
 
-  // --- Phase B: verification through the batch fetch table -----------------
-  // Subtask decomposition per query is the solo executor's: rect-major
-  // kVerifyChunk chunks (indexed) or kScanChunk slices (scan). All queries'
-  // subtasks run through one ParallelForBatch, so slow queries borrow
-  // workers from fast ones; per-query statuses aggregate exactly as each
-  // query's solo ParallelFor would have.
-  BatchFetchTable fetch_table(*dataset_);
+  // --- Phase B: verification -----------------------------------------------
+  // Per query: rect-major kVerifyChunk chunks (indexed) or kScanChunk slices
+  // (scan). All queries' subtasks run through one ParallelForBatch, so slow
+  // queries borrow workers from fast ones; each query's status is its
+  // lowest-index failing subtask's.
+  std::optional<BatchFetchTable> fetch_table;
+  if (share) fetch_table.emplace(*dataset_);
   std::vector<std::size_t> verify_counts(n, 0);
   for (std::size_t i = 0; i < n; ++i) {
     if (execs[i] == nullptr) continue;
@@ -591,36 +757,30 @@ std::vector<Result<QueryResult>> SimilarityEngine::ExecuteBatch(
         QueryExec& q = *execs[i];
         const VerifyRef& ref = q.verify_tasks[ti];
         VerifyPart& part = q.parts[ti];
-        if (q.kind == QueryExec::Kind::kScan) {
-          for (std::size_t id = ref.range.first; id < ref.range.last; ++id) {
-            if (dataset_->removed(id)) continue;
-            const std::uint64_t fetch_start = MonotonicNanos();
-            const Result<std::span<const dft::Complex>> spectrum =
-                fetch_table.Get(id);
-            const std::uint64_t fetch_end = MonotonicNanos();
-            part.fetch_nanos += fetch_end - fetch_start;
-            if (!spectrum.ok()) return spectrum.status();
-            ++part.stats.candidates;
-            VerifyCandidate(*q.range, *spectrum, q.query_spectrum,
-                            q.scan_group, q.scan_ordered, id, &part.matches,
-                            &part.stats);
-            part.verify_nanos += MonotonicNanos() - fetch_end;
-          }
-          return Status::Ok();
-        }
-        const RectPass& pass = groups[q.group_id].rects[ref.rect];
-        const std::vector<std::uint64_t>& candidates =
-            pass.member_candidates[q.member_index];
+        const bool scan = q.kind == QueryExec::Kind::kScan;
+        const std::vector<std::uint64_t>* candidates =
+            scan ? nullptr
+                 : &groups[q.group_id]
+                        .rects[ref.rect]
+                        .member_candidates[q.member_index];
+        std::vector<dft::Complex> scratch(fetch_table ? 0 : dataset_->length());
+        const auto fetch =
+            [&](std::uint64_t id) -> Result<std::span<const dft::Complex>> {
+          if (fetch_table) return fetch_table->Get(id);
+          TSQ_RETURN_IF_ERROR(
+              dataset_->FetchSpectrumInto(id, scratch, &part.record_pages));
+          return std::span<const dft::Complex>(scratch);
+        };
         for (std::size_t c = ref.range.first; c < ref.range.last; ++c) {
-          const std::uint64_t id = candidates[c];
+          const std::uint64_t id = scan ? c : (*candidates)[c];
+          if (scan && dataset_->removed(id)) continue;
           const std::uint64_t fetch_start = MonotonicNanos();
-          const Result<std::span<const dft::Complex>> spectrum =
-              fetch_table.Get(id);
+          const Result<std::span<const dft::Complex>> spectrum = fetch(id);
           const std::uint64_t fetch_end = MonotonicNanos();
           part.fetch_nanos += fetch_end - fetch_start;
           if (!spectrum.ok()) return spectrum.status();
           ++part.fetched;
-          VerifyCandidate(*q.range, *spectrum, q.query_spectrum,
+          VerifyCandidate(*q.range, *spectrum, q.query.spectrum,
                           q.rect_groups[ref.rect], q.rect_ordered[ref.rect],
                           id, &part.matches, &part.stats);
           part.verify_nanos += MonotonicNanos() - fetch_end;
@@ -628,36 +788,36 @@ std::vector<Result<QueryResult>> SimilarityEngine::ExecuteBatch(
         return Status::Ok();
       });
 
-  // --- Deterministic I/O attribution ---------------------------------------
-  // Queries in input order; each query's fetched ids in its subtask order.
-  // The first successful query to request an id is charged the physical
-  // pages its one fetch read; later requests of the same id are the deduped
-  // fetches. Failed queries are skipped entirely (their solo runs surface no
-  // stats either), so every charge is backed by a completed fetch.
+  // --- Record-page attribution ---------------------------------------------
+  // Per-task scratch charges every fetch the pages it read. Through the
+  // fetch table, queries go in input order and each query's fetched ids in
+  // its subtask order: the first successful query to request an id is
+  // charged the physical pages its one fetch read, and later requests of the
+  // same id are the deduped fetches. Failed queries are skipped entirely
+  // (they surface no stats), so every charge is backed by a completed fetch.
   {
-    std::vector<bool> claimed(dataset_->size(), false);
+    std::vector<bool> claimed(fetch_table ? dataset_->size() : 0, false);
     for (std::size_t i = 0; i < n; ++i) {
-      if (execs[i] == nullptr) continue;
+      if (execs[i] == nullptr || execs[i]->range == nullptr) continue;
       QueryExec& q = *execs[i];
-      if (q.kind == QueryExec::Kind::kKnn || q.kind == QueryExec::Kind::kJoin) {
-        continue;
-      }
       if (q.kind == QueryExec::Kind::kIndexed &&
           !groups[q.group_id].status.ok()) {
         continue;
       }
       if (!verify_status[i].ok()) continue;
-      if (q.kind == QueryExec::Kind::kIndexed) {
-        q.rect_pages.assign(groups[q.group_id].rects.size(), 0);
+      q.rect_pages.assign(q.rect_groups.size(), 0);
+      if (!fetch_table) {
+        for (std::size_t ti = 0; ti < q.parts.size(); ++ti) {
+          q.rect_pages[q.verify_tasks[ti].rect] += q.parts[ti].record_pages;
+        }
+        continue;
       }
       const auto request = [&](std::size_t id, std::size_t rect) {
         ++q.requests;
         if (!claimed[id]) {
           claimed[id] = true;
           ++q.claims;
-          const std::uint64_t pages = fetch_table.pages(id);
-          q.attributed_pages += pages;
-          if (!q.rect_pages.empty()) q.rect_pages[rect] += pages;
+          q.rect_pages[rect] += fetch_table->pages(id);
         }
       };
       if (q.kind == QueryExec::Kind::kScan) {
@@ -679,11 +839,8 @@ std::vector<Result<QueryResult>> SimilarityEngine::ExecuteBatch(
 
   // --- Assembly: range queries ---------------------------------------------
   for (std::size_t i = 0; i < n; ++i) {
-    if (execs[i] == nullptr || staged[i].has_value()) continue;
+    if (execs[i] == nullptr || execs[i]->range == nullptr) continue;
     QueryExec& q = *execs[i];
-    if (q.kind == QueryExec::Kind::kKnn || q.kind == QueryExec::Kind::kJoin) {
-      continue;
-    }
     if (q.kind == QueryExec::Kind::kIndexed &&
         !groups[q.group_id].status.ok()) {
       staged[i].emplace(groups[q.group_id].status);
@@ -704,19 +861,20 @@ std::vector<Result<QueryResult>> SimilarityEngine::ExecuteBatch(
                                         q.range->transforms.size());
 
     const std::uint64_t merge_start = MonotonicNanos();
-    for (std::size_t ti = 0; ti < q.parts.size(); ++ti) {
-      VerifyPart& part = q.parts[ti];
+    for (VerifyPart& part : q.parts) {
       result.matches.insert(result.matches.end(), part.matches.begin(),
                             part.matches.end());
       stats += part.stats;
       trace.at(obs::Phase::kCandidateFetch)
-          .AddTask(part.fetch_nanos, q.kind == QueryExec::Kind::kScan
-                                         ? part.stats.candidates
-                                         : part.fetched);
+          .AddTask(part.fetch_nanos, part.fetched);
       trace.at(obs::Phase::kVerification)
           .AddTask(part.verify_nanos, part.stats.comparisons);
+      // A scan's candidates are the sequences it evaluated.
+      if (q.kind == QueryExec::Kind::kScan) stats.candidates += part.fetched;
     }
-    stats.record_pages_read = q.attributed_pages;
+    for (const std::uint64_t pages : q.rect_pages) {
+      stats.record_pages_read += pages;
+    }
 
     if (q.kind == QueryExec::Kind::kIndexed) {
       const TraversalGroup& group = groups[q.group_id];
@@ -737,12 +895,11 @@ std::vector<Result<QueryResult>> SimilarityEngine::ExecuteBatch(
           trace.at(obs::Phase::kIndexTraversal)
               .AddTask(pass.nanos, pass.search.nodes_accessed);
         }
-        if (q.resolved.collect_group_stats) {
-          out.group_stats.push_back(GroupRunStats{
-              (leader ? pass.search.nodes_accessed : 0) + q.rect_pages[g],
-              leader ? pass.search.leaf_nodes_accessed : 0,
-              q.rect_groups[g].size(), member_count});
-        }
+        // The inputs of the cost function Ck (Eq. 20) for this rectangle.
+        out.group_stats.push_back(GroupRunStats{
+            (leader ? pass.search.nodes_accessed : 0) + q.rect_pages[g],
+            leader ? pass.search.leaf_nodes_accessed : 0,
+            q.rect_groups[g].size(), member_count});
       }
     }
     stats.output_size = result.matches.size();
@@ -751,26 +908,21 @@ std::vector<Result<QueryResult>> SimilarityEngine::ExecuteBatch(
     trace.total_nanos = MonotonicNanos() - batch_start;
     trace.deduped_fetches = q.requests - q.claims;
     out.value = std::move(result);
-    StampTrace(&out, *this, snapshot_version, checkpoint_epoch,
-               planned[i].ok() ? &*planned[i] : nullptr, n);
+    StampTrace(&out, snapshot_version, checkpoint_epoch, *planned[i], n);
     staged[i].emplace(std::move(out));
   }
 
   // --- k-NN and join queries -----------------------------------------------
   // They run under the same pin with the batch's plan decisions (the point
-  // of batching them is the shared pin + planner pass + result cache); their
-  // executors keep their own solo internals.
+  // of batching them is the shared pin + planner pass + result cache).
   for (std::size_t i = 0; i < n; ++i) {
-    if (execs[i] == nullptr || staged[i].has_value()) continue;
-    QueryExec& q = *execs[i];
-    if (q.kind != QueryExec::Kind::kKnn && q.kind != QueryExec::Kind::kJoin) {
-      continue;
-    }
+    if (execs[i] == nullptr || execs[i]->range != nullptr) continue;
+    const QueryExec& q = *execs[i];
     QueryResult out;
     if (q.kind == QueryExec::Kind::kKnn) {
       Result<KnnQueryResult> result =
-          RunKnnQuery(*dataset_, *index_, std::get<KnnQuerySpec>(specs[i]),
-                      q.resolved, q.partition_override);
+          RunKnnQuery(*dataset_, *index_, std::get<KnnQuerySpec>(*specs[i]),
+                      q.resolved, q.planner_partition);
       if (!result.ok()) {
         staged[i].emplace(result.status());
         continue;
@@ -778,16 +930,15 @@ std::vector<Result<QueryResult>> SimilarityEngine::ExecuteBatch(
       out.value = std::move(*result);
     } else {
       Result<JoinQueryResult> result =
-          RunJoinQuery(*dataset_, *index_, std::get<JoinQuerySpec>(specs[i]),
-                       q.resolved, q.partition_override);
+          RunJoinQuery(*dataset_, *index_, std::get<JoinQuerySpec>(*specs[i]),
+                       q.resolved, q.planner_partition);
       if (!result.ok()) {
         staged[i].emplace(result.status());
         continue;
       }
       out.value = std::move(*result);
     }
-    StampTrace(&out, *this, snapshot_version, checkpoint_epoch,
-               planned[i].ok() ? &*planned[i] : nullptr, n);
+    StampTrace(&out, snapshot_version, checkpoint_epoch, *planned[i], n);
     staged[i].emplace(std::move(out));
   }
 
@@ -821,6 +972,9 @@ std::vector<Result<QueryResult>> SimilarityEngine::ExecuteBatch(
   std::vector<Result<QueryResult>> results;
   results.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
+    if (!batched && staged[i]->ok()) {
+      ClearBatchFields(&MutableTrace(&**staged[i]));
+    }
     results.push_back(std::move(*staged[i]));
   }
   return results;

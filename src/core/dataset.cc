@@ -14,7 +14,6 @@ Dataset::Dataset(std::vector<ts::Series> raw,
   records_ = std::make_unique<storage::RecordStore>(&record_file_);
 
   normals_.reserve(raw.size());
-  spectra_.reserve(raw.size());
   features_.reserve(raw.size());
   record_ids_.reserve(raw.size());
   for (const ts::Series& series : raw) {
@@ -49,7 +48,6 @@ Result<std::size_t> Dataset::Append(const ts::Series& series) {
   features_.push_back(ExtractFeatures(normal, spectrum, layout_));
   record_ids_.push_back(*id);
   normals_.push_back(std::move(normal));
-  spectra_.push_back(std::move(spectrum));
   removed_.push_back(false);
   ++active_count_;
   return normals_.size() - 1;
@@ -101,7 +99,6 @@ Result<std::unique_ptr<Dataset>> Dataset::LoadFrom(
                                     sequences.size());
 
   dataset->normals_.reserve(sequences.size());
-  dataset->spectra_.reserve(sequences.size());
   dataset->features_.reserve(sequences.size());
   dataset->record_ids_.reserve(sequences.size());
   for (const SequenceMeta& meta : sequences) {
@@ -118,7 +115,6 @@ Result<std::unique_ptr<Dataset>> Dataset::LoadFrom(
     dataset->features_.push_back(
         ExtractFeatures(normal, spectrum, dataset->layout_));
     dataset->normals_.push_back(std::move(normal));
-    dataset->spectra_.push_back(std::move(spectrum));
   }
   dataset->record_file_.ResetStats();
   return dataset;
@@ -150,6 +146,20 @@ Result<std::vector<dft::Complex>> Dataset::FetchSpectrum(
   std::vector<dft::Complex> spectrum(length_);
   TSQ_RETURN_IF_ERROR(FetchSpectrumInto(i, spectrum, pages_read));
   return spectrum;
+}
+
+PreparedQuery PrepareQuery(
+    const Dataset& dataset, const ts::Series& query,
+    const std::optional<transform::SpectralTransform>& query_transform) {
+  const ts::NormalForm normal = ts::Normalize(query);
+  PreparedQuery prepared;
+  prepared.spectrum = dataset.plan().Forward(normal.values);
+  if (query_transform.has_value()) {
+    prepared.spectrum = query_transform->ApplyToSpectrum(prepared.spectrum);
+  }
+  prepared.features =
+      ExtractFeatures(normal, prepared.spectrum, dataset.layout());
+  return prepared;
 }
 
 }  // namespace tsq::core

@@ -2,6 +2,7 @@
 #define TSQ_CORE_DATASET_H_
 
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -12,6 +13,7 @@
 #include "storage/page_file.h"
 #include "storage/record_store.h"
 #include "transform/feature_layout.h"
+#include "transform/spectral_transform.h"
 #include "ts/normal_form.h"
 #include "ts/series.h"
 
@@ -26,10 +28,10 @@ namespace tsq::core {
 ///    sequential scan reads and the post-processing step fetches candidates
 ///    from, with every touched page counted;
 ///  * per-sequence index feature vectors (mean, stddev, polar DFT
-///    coefficients of the normal form);
-///  * in-memory spectra, used by reference/brute-force evaluation in tests
-///    and by feature extraction (query executors never read them for data
-///    sequences — they fetch records and pay the I/O).
+///    coefficients of the normal form).
+///
+/// The record store is the one stored copy of each spectrum: executors and
+/// planner calibration fetch records and pay the I/O.
 class Dataset {
  public:
   /// Builds from raw series. All series must have the same length >= 2.
@@ -59,9 +61,6 @@ class Dataset {
   const dft::FftPlan& plan() const { return *plan_; }
 
   const ts::NormalForm& normal(std::size_t i) const { return normals_[i]; }
-  const std::vector<dft::Complex>& spectrum(std::size_t i) const {
-    return spectra_[i];
-  }
   const rstar::Point& features(std::size_t i) const { return features_[i]; }
 
   /// Fetches sequence i's normal-form spectrum from the record store
@@ -126,8 +125,8 @@ class Dataset {
   };
 
   /// Rebuilds a dataset from a record page file plus per-sequence metadata:
-  /// spectra come from the records, normal forms from the inverse DFT,
-  /// features from the spectra.
+  /// normal forms come from the inverse DFT of the stored spectra, features
+  /// from the spectra.
   static Result<std::unique_ptr<Dataset>> LoadFrom(
       const std::string& records_path, transform::FeatureLayout layout,
       std::size_t length, std::vector<SequenceMeta> sequences,
@@ -140,7 +139,6 @@ class Dataset {
   std::size_t length_ = 0;
   std::unique_ptr<dft::FftPlan> plan_;
   std::vector<ts::NormalForm> normals_;
-  std::vector<std::vector<dft::Complex>> spectra_;
   std::vector<rstar::Point> features_;
   std::vector<bool> removed_;
   std::size_t active_count_ = 0;
@@ -148,6 +146,23 @@ class Dataset {
   std::unique_ptr<storage::RecordStore> records_;
   std::vector<storage::RecordId> record_ids_;
 };
+
+/// A query sequence prepared against a dataset: the spectrum of its normal
+/// form (after the optional fixed query transformation) and its index
+/// feature vector.
+struct PreparedQuery {
+  std::vector<dft::Complex> spectrum;
+  rstar::Point features;
+};
+
+/// The one query preparation every executor runs: normalize `query`, take
+/// its DFT with the dataset's plan, apply `query_transform` when set, and
+/// extract features under the dataset's layout. Mean/stddev feature slots
+/// are never constrained by a query region, so the raw query statistics
+/// stand soundly beside a transformed spectrum.
+PreparedQuery PrepareQuery(
+    const Dataset& dataset, const ts::Series& query,
+    const std::optional<transform::SpectralTransform>& query_transform);
 
 }  // namespace tsq::core
 

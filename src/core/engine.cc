@@ -9,7 +9,6 @@
 #include "common/clock.h"
 #include "core/cost_model.h"
 #include "core/result_cache.h"
-#include "kernels/kernels.h"
 #include "obs/metrics.h"
 #include "plan/planner.h"
 #include "storage/atomic_file.h"
@@ -278,79 +277,15 @@ Result<QueryResult> SimilarityEngine::Execute(const QuerySpec& spec,
   const EngineMetrics& metrics = EngineMetrics::Get();
   const std::uint64_t start = MonotonicNanos();
   metrics.queries->Increment();
-
-  // Pin a read snapshot for the whole execution (planning included): writers
-  // are held off until every pin drains, so the (dataset, index, plan-cache
-  // epoch) triple cannot change under this query. The pinned version is
-  // stamped into the result trace below.
-  const SnapshotManager::ReadPin pin = snapshots_.PinRead();
-
-  // Resolve kAuto into a concrete plan. A forced algorithm passes through
-  // the planner too, but short-circuits into an unplanned decision there, so
-  // forced execution is byte-identical to the pre-planner behaviour.
-  Result<plan::Planned> planned = std::visit(
-      [&](const auto& s) { return planner_->Plan(s, options.planner); }, spec);
-  if (!planned.ok()) {
+  std::vector<Result<QueryResult>> results =
+      Run({&spec}, BatchOptions{.exec = options, .use_result_cache = false},
+          /*batched=*/false);
+  if (!results.front().ok()) {
     metrics.query_errors->Increment();
-    return planned.status();
+    return results.front().status();
   }
-  const std::shared_ptr<const plan::PlanDecision> decision =
-      planned->decision;
-  ExecOptions resolved = options;
-  resolved.planner.algorithm = decision->algorithm;
-  const transform::Partition* partition_override =
-      decision->partition.empty() ? nullptr : &decision->partition;
-
-  QueryResult out;
-  if (const auto* range = std::get_if<RangeQuerySpec>(&spec)) {
-    Result<RangeQueryResult> result = RunRangeQuery(
-        *dataset_, *index_, *range, resolved,
-        options.collect_group_stats ? &out.group_stats : nullptr,
-        partition_override);
-    if (!result.ok()) {
-      metrics.query_errors->Increment();
-      return result.status();
-    }
-    out.value = std::move(*result);
-  } else if (const auto* knn = std::get_if<KnnQuerySpec>(&spec)) {
-    Result<KnnQueryResult> result = RunKnnQuery(*dataset_, *index_, *knn,
-                                                resolved, partition_override);
-    if (!result.ok()) {
-      metrics.query_errors->Increment();
-      return result.status();
-    }
-    out.value = std::move(*result);
-  } else {
-    Result<JoinQueryResult> result =
-        RunJoinQuery(*dataset_, *index_, std::get<JoinQuerySpec>(spec),
-                     resolved, partition_override);
-    if (!result.ok()) {
-      metrics.query_errors->Increment();
-      return result.status();
-    }
-    out.value = std::move(*result);
-  }
-
-  obs::QueryTrace& trace = std::visit(
-      [](auto& result) -> obs::QueryTrace& { return result.trace; },
-      out.value);
-  trace.snapshot_version = pin.version();
-  trace.checkpoint_epoch = checkpoint_epoch_.load(std::memory_order_relaxed);
-  trace.kernel_isa = kernels::IsaName(kernels::ActiveIsa());
-  if (decision->trace.planned) {
-    trace.planner = decision->trace;
-    trace.planner.cache_hit = planned->cache_hit;
-    // Actual cost in the estimate's own currency: measured disk accesses
-    // plus weighted comparisons (what the planner's Eq. 18-20 pricing
-    // predicts, with real counters substituted for the analytic terms).
-    const QueryStats& stats = out.stats();
-    trace.planner.actual_cost =
-        decision->constants.c_da * static_cast<double>(stats.disk_accesses()) +
-        decision->constants.c_cmp * static_cast<double>(stats.comparisons);
-  }
-
   metrics.query_nanos->Observe(MonotonicNanos() - start);
-  return out;
+  return std::move(results.front());
 }
 
 void SimilarityEngine::ResetIoStats() {

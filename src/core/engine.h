@@ -26,8 +26,8 @@ namespace tsq::core {
 class ResultCache;
 
 /// Uniform result of SimilarityEngine::Execute: the per-type result plus,
-/// for range queries run with ExecOptions::collect_group_stats, the
-/// per-rectangle counters of the cost function Ck (Eq. 20).
+/// for indexed range queries, the per-rectangle counters of the cost
+/// function Ck (Eq. 20), one entry per index traversal.
 struct QueryResult {
   std::variant<RangeQueryResult, KnnQueryResult, JoinQueryResult> value;
   std::vector<GroupRunStats> group_stats;
@@ -145,8 +145,13 @@ class SimilarityEngine {
   /// decision (chosen plan, rejected candidates, estimated vs actual cost)
   /// lands in the result's trace and in Explain()/ExplainJson(). `options`
   /// also sets the worker-thread count (results and summed stats are
-  /// identical for every value) and whether per-rectangle group stats are
-  /// collected (range queries).
+  /// identical for every value).
+  ///
+  /// Execute(spec) is ExecuteBatch({spec}) with the result cache off: the
+  /// same pipeline, returning that one entry with the trace's five batch
+  /// fields at their defaults. A range query's record fetches are charged
+  /// per (rectangle, candidate), as Algorithm 1 post-processes each
+  /// rectangle on its own.
   /// Thread-safe: any number of concurrent Execute() calls, concurrently
   /// with Insert()/Remove(). The query runs against the snapshot pinned at
   /// entry (its version lands in the result trace); configuration calls
@@ -155,19 +160,23 @@ class SimilarityEngine {
                               const ExecOptions& options = ExecOptions()) const;
 
   /// Runs a batch of queries against ONE pinned snapshot with ONE planner
-  /// consultation, sharing work across the batch (see
-  /// docs/ARCHITECTURE.md, "Batched execution & result cache"):
+  /// consultation. When two or more range queries execute, the batch shares
+  /// work across them (see docs/ARCHITECTURE.md, "Batched execution & the
+  /// result cache"):
   ///
   ///  * indexed range queries with the same transformation set and effective
   ///    partition share a single index traversal per rectangle — the union
   ///    query region drives the descent and each visited entry is re-tested
   ///    against every member query's own epsilon band;
-  ///  * every candidate record fetch of the batch goes through a
-  ///    batch-scoped fetch table, so a page is read once however many
-  ///    queries (or rectangles) want it;
-  ///  * with `options.use_result_cache`, results are served from / published
-  ///    to the engine's bounded LRU ResultCache, keyed on (canonical spec,
-  ///    exec options, snapshot version, config epoch).
+  ///  * every candidate record fetch goes through a batch-scoped fetch
+  ///    table, so a page is read once however many queries (or rectangles)
+  ///    want it.
+  ///
+  /// With one executing range query there is nothing to share: it runs
+  /// exactly as Execute() runs it, with the same stats. With
+  /// `options.use_result_cache`, results are served from / published to the
+  /// engine's bounded LRU ResultCache, keyed on (canonical spec, exec
+  /// options, snapshot version, config epoch).
   ///
   /// Entry i of the returned vector is the result (or error Status) of
   /// specs[i]. Matches are byte-identical to issuing the specs sequentially
@@ -282,6 +291,13 @@ class SimilarityEngine {
 
  private:
   SimilarityEngine();  // for LoadFrom
+
+  /// The executor behind Execute() and ExecuteBatch() (batch_executor.cc).
+  /// With `batched` false — Execute()'s one-query call — every trace keeps
+  /// its batch fields at their defaults.
+  std::vector<Result<QueryResult>> Run(
+      const std::vector<const QuerySpec*>& specs, const BatchOptions& options,
+      bool batched) const;
 
   std::unique_ptr<Dataset> dataset_;
   std::unique_ptr<SequenceIndex> index_;

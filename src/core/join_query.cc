@@ -96,25 +96,6 @@ double TransformedCorrelation(const transform::SpectralTransform& t,
          (static_cast<double>(n) * std::sqrt(sums.energy_x * sums.energy_y));
 }
 
-std::vector<JoinMatch> BruteForceJoinQuery(const Dataset& dataset,
-                                           const JoinQuerySpec& spec) {
-  std::vector<JoinMatch> matches;
-  for (std::size_t a = 0; a < dataset.size(); ++a) {
-    if (dataset.removed(a)) continue;
-    for (std::size_t b = a + 1; b < dataset.size(); ++b) {
-      if (dataset.removed(b)) continue;
-      for (std::size_t t = 0; t < spec.transforms.size(); ++t) {
-        double value = 0.0;
-        if (EvaluatePair(spec, spec.transforms[t], dataset.spectrum(a),
-                         dataset.spectrum(b), &value)) {
-          matches.push_back(JoinMatch{a, b, t, value});
-        }
-      }
-    }
-  }
-  return matches;
-}
-
 Result<JoinQueryResult> RunJoinQuery(const Dataset& dataset,
                                      const SequenceIndex& index,
                                      const JoinQuerySpec& spec,
@@ -215,16 +196,9 @@ Result<JoinQueryResult> RunJoinQuery(const Dataset& dataset,
     return result;
   }
 
-  transform::Partition partition;
-  if (options.planner.algorithm == Algorithm::kStIndex) {
-    partition = transform::PartitionSingletons(spec.transforms.size());
-  } else if (partition_override != nullptr && !partition_override->empty()) {
-    partition = *partition_override;
-  } else if (spec.partition.empty()) {
-    partition = transform::PartitionAll(spec.transforms.size());
-  } else {
-    partition = spec.partition;
-  }
+  const transform::Partition partition =
+      EffectivePartition(options.planner.algorithm, partition_override,
+                         spec.partition, spec.transforms.size());
 
   std::vector<transform::FeatureTransform> feature_transforms;
   feature_transforms.reserve(spec.transforms.size());
@@ -367,16 +341,6 @@ Result<JoinQueryResult> RunJoinQuery(const Dataset& dataset,
       .AddTask(MonotonicNanos() - merge_start, result.matches.size());
   trace.total_nanos = MonotonicNanos() - query_start;
   return result;
-}
-
-Result<JoinQueryResult> RunJoinQuery(const Dataset& dataset,
-                                     const SequenceIndex& index,
-                                     const JoinQuerySpec& spec,
-                                     Algorithm algorithm) {
-  ExecOptions options;
-  options.planner.algorithm = algorithm;
-  options.num_threads = 1;
-  return RunJoinQuery(dataset, index, spec, options);
 }
 
 void SortJoinMatches(std::vector<JoinMatch>* matches) {

@@ -63,24 +63,15 @@ struct JoinQueryResult {
 /// task per transformation rectangle, then verifies candidate pairs in
 /// fixed-size chunks with per-chunk fetch caches. Matches and summed
 /// QueryStats are identical for every thread count.
-/// `partition_override` (planner-chosen MBR grouping) behaves as in
-/// RunRangeQuery; `options.planner.algorithm` must be concrete.
+/// `partition_override`, when non-null and non-empty, is the planner's MBR
+/// grouping (see EffectivePartition); `options.planner.algorithm` must be
+/// concrete.
 Result<JoinQueryResult> RunJoinQuery(const Dataset& dataset,
                                      const SequenceIndex& index,
                                      const JoinQuerySpec& spec,
                                      const ExecOptions& options,
                                      const transform::Partition*
                                          partition_override = nullptr);
-
-/// Legacy entry point: algorithm only, single-threaded.
-Result<JoinQueryResult> RunJoinQuery(const Dataset& dataset,
-                                     const SequenceIndex& index,
-                                     const JoinQuerySpec& spec,
-                                     Algorithm algorithm);
-
-/// Reference evaluation over in-memory spectra (ground truth for tests).
-std::vector<JoinMatch> BruteForceJoinQuery(const Dataset& dataset,
-                                           const JoinQuerySpec& spec);
 
 /// Cross-correlation of the transformed versions of two normal-form
 /// spectra, computed in the frequency domain in O(n):

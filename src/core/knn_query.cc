@@ -11,7 +11,6 @@
 #include "exec/parallel.h"
 #include "obs/trace.h"
 #include "transform/transform_mbr.h"
-#include "ts/normal_form.h"
 
 namespace tsq::core {
 
@@ -65,12 +64,11 @@ Status ValidateSpec(const Dataset& dataset, const KnnQuerySpec& spec) {
 // is safe because the caller discards such candidates entirely.
 std::pair<double, std::size_t> BestTransform(
     const KnnQuerySpec& spec, std::span<const dft::Complex> candidate,
-    std::span<const dft::Complex> query, QueryStats* stats,
-    double bound = std::numeric_limits<double>::infinity()) {
+    std::span<const dft::Complex> query, QueryStats* stats, double bound) {
   double best = std::numeric_limits<double>::infinity();
   std::size_t best_t = 0;
   for (std::size_t t = 0; t < spec.transforms.size(); ++t) {
-    if (stats != nullptr) ++stats->comparisons;
+    ++stats->comparisons;
     const double limit = std::min(best, bound);
     const double d2 =
         spec.target == TransformTarget::kBoth
@@ -88,27 +86,6 @@ std::pair<double, std::size_t> BestTransform(
 
 }  // namespace
 
-std::vector<KnnMatch> BruteForceKnnQuery(const Dataset& dataset,
-                                         const KnnQuerySpec& spec) {
-  const ts::NormalForm query_normal = ts::Normalize(spec.query);
-  std::vector<dft::Complex> query_spectrum =
-      dataset.plan().Forward(query_normal.values);
-  if (spec.query_transform.has_value()) {
-    query_spectrum = spec.query_transform->ApplyToSpectrum(query_spectrum);
-  }
-  std::vector<KnnMatch> all;
-  all.reserve(dataset.size());
-  for (std::size_t i = 0; i < dataset.size(); ++i) {
-    if (dataset.removed(i)) continue;
-    const auto [d2, t] =
-        BestTransform(spec, dataset.spectrum(i), query_spectrum, nullptr);
-    all.push_back(KnnMatch{i, t, std::sqrt(d2)});
-  }
-  std::sort(all.begin(), all.end(), KnnMatchOrder);
-  if (all.size() > spec.k) all.resize(spec.k);
-  return all;
-}
-
 Result<KnnQueryResult> RunKnnQuery(const Dataset& dataset,
                                    const SequenceIndex& index,
                                    const KnnQuerySpec& spec,
@@ -119,12 +96,8 @@ Result<KnnQueryResult> RunKnnQuery(const Dataset& dataset,
   TSQ_RETURN_IF_ERROR(RejectUnresolvedAuto(options));
   TSQ_RETURN_IF_ERROR(ValidateSpec(dataset, spec));
   const transform::FeatureLayout& layout = dataset.layout();
-  const ts::NormalForm query_normal = ts::Normalize(spec.query);
-  std::vector<dft::Complex> query_spectrum =
-      dataset.plan().Forward(query_normal.values);
-  if (spec.query_transform.has_value()) {
-    query_spectrum = spec.query_transform->ApplyToSpectrum(query_spectrum);
-  }
+  const PreparedQuery query =
+      PrepareQuery(dataset, spec.query, spec.query_transform);
 
   KnnQueryResult result;
   QueryStats& stats = result.stats;
@@ -172,7 +145,7 @@ Result<KnnQueryResult> RunKnnQuery(const Dataset& dataset,
                 spec.k > 0 && best_k.size() == spec.k
                     ? best_k.top()
                     : std::numeric_limits<double>::infinity();
-            const auto [d2, t] = BestTransform(spec, spectrum, query_spectrum,
+            const auto [d2, t] = BestTransform(spec, spectrum, query.spectrum,
                                                &part.stats, bound);
             if (!(d2 > bound)) {  // d2 <= bound is always exact
               part.matches.push_back(KnnMatch{i, t, std::sqrt(d2)});
@@ -212,19 +185,9 @@ Result<KnnQueryResult> RunKnnQuery(const Dataset& dataset,
   }
 
   // Indexed path (ST-index = singleton rectangles, MT-index = grouped).
-  const rstar::Point query_features =
-      ExtractFeatures(query_normal, query_spectrum, layout);
-
-  transform::Partition partition;
-  if (options.planner.algorithm == Algorithm::kStIndex) {
-    partition = transform::PartitionSingletons(spec.transforms.size());
-  } else if (partition_override != nullptr && !partition_override->empty()) {
-    partition = *partition_override;
-  } else if (spec.partition.empty()) {
-    partition = transform::PartitionAll(spec.transforms.size());
-  } else {
-    partition = spec.partition;
-  }
+  const transform::Partition partition =
+      EffectivePartition(options.planner.algorithm, partition_override,
+                         spec.partition, spec.transforms.size());
 
   // Per group: the transformation MBR and the rect bounding the transformed
   // query's retained features.
@@ -245,7 +208,7 @@ Result<KnnQueryResult> RunKnnQuery(const Dataset& dataset,
         transform::FeatureTransform::Identity(layout.dimensions())};
     groups.push_back(GroupBound{
         transform::TransformMbr(fts, layout),
-        BuildQueryRegion(query_features,
+        BuildQueryRegion(query.features,
                          spec.target == TransformTarget::kBoth
                              ? std::span<const transform::FeatureTransform>(fts)
                              : std::span<const transform::FeatureTransform>(
@@ -318,7 +281,7 @@ Result<KnnQueryResult> RunKnnQuery(const Dataset& dataset,
                 ? refined_k.top()
                 : std::numeric_limits<double>::infinity();
         const auto [d2, t] =
-            BestTransform(spec, spectrum, query_spectrum, &stats, bound);
+            BestTransform(spec, spectrum, query.spectrum, &stats, bound);
         if (!(d2 > bound)) {  // d2 <= bound is always exact
           queue.push(Item{d2, Kind::kExact, item.id, t});
           if (spec.k > 0) {
@@ -359,16 +322,6 @@ Result<KnnQueryResult> RunKnnQuery(const Dataset& dataset,
   trace.at(obs::Phase::kMerge).AddTask(merge_nanos, result.matches.size());
   trace.total_nanos = MonotonicNanos() - query_start;
   return result;
-}
-
-Result<KnnQueryResult> RunKnnQuery(const Dataset& dataset,
-                                   const SequenceIndex& index,
-                                   const KnnQuerySpec& spec,
-                                   Algorithm algorithm) {
-  ExecOptions options;
-  options.planner.algorithm = algorithm;
-  options.num_threads = 1;
-  return RunKnnQuery(dataset, index, spec, options);
 }
 
 }  // namespace tsq::core

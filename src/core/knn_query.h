@@ -50,24 +50,15 @@ struct KnnQueryResult {
 /// truncates — identical output for every thread count. The indexed
 /// best-first search is inherently serial (each refinement depends on the
 /// global queue order) and ignores num_threads.
-/// `partition_override` (planner-chosen MBR grouping) behaves as in
-/// RunRangeQuery; `options.planner.algorithm` must be concrete.
+/// `partition_override`, when non-null and non-empty, is the planner's MBR
+/// grouping (see EffectivePartition); `options.planner.algorithm` must be
+/// concrete.
 Result<KnnQueryResult> RunKnnQuery(const Dataset& dataset,
                                    const SequenceIndex& index,
                                    const KnnQuerySpec& spec,
                                    const ExecOptions& options,
                                    const transform::Partition*
                                        partition_override = nullptr);
-
-/// Legacy entry point: algorithm only, single-threaded.
-Result<KnnQueryResult> RunKnnQuery(const Dataset& dataset,
-                                   const SequenceIndex& index,
-                                   const KnnQuerySpec& spec,
-                                   Algorithm algorithm);
-
-/// Reference evaluation (ground truth for tests). Ties broken by series id.
-std::vector<KnnMatch> BruteForceKnnQuery(const Dataset& dataset,
-                                         const KnnQuerySpec& spec);
 
 }  // namespace tsq::core
 

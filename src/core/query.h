@@ -29,8 +29,8 @@ enum class Algorithm {
   /// Let the engine's planner pick: it enumerates scan, ST and MT plans with
   /// k in {1..max_rectangles} rectangles per partitioning strategy, costs
   /// each with Eq. 18-20 against a snapshot of the index, and runs the
-  /// cheapest. Only SimilarityEngine::Execute resolves this value; handing
-  /// it to a raw executor is an error.
+  /// cheapest. Only SimilarityEngine resolves this value; handing it to a
+  /// raw executor is an error.
   kAuto,
 };
 
@@ -81,15 +81,19 @@ struct ExecOptions {
   /// decomposition (one task per transformation rectangle / traversal /
   /// candidate chunk) is fixed, only the workers executing it vary.
   std::size_t num_threads = 1;
-  /// Collect per-rectangle GroupRunStats (range queries; empty otherwise).
-  bool collect_group_stats = false;
 };
 
-/// InvalidArgument when `options.planner.algorithm` is still kAuto — every
-/// raw executor (RunRangeQuery / RunKnnQuery / RunJoinQuery) calls this
-/// first; only SimilarityEngine::Execute resolves kAuto into a concrete
-/// plan.
+/// InvalidArgument when `options.planner.algorithm` is still kAuto — the
+/// raw executors (RunKnnQuery / RunJoinQuery) call this first; only
+/// SimilarityEngine resolves kAuto into a concrete plan.
 Status RejectUnresolvedAuto(const ExecOptions& options);
+
+/// The transformation rectangles an indexed plan traverses, in precedence
+/// order: singletons for ST-index; otherwise the planner's partition when it
+/// chose one; then the spec's; then one rectangle holding all `transforms`.
+transform::Partition EffectivePartition(
+    Algorithm algorithm, const transform::Partition* planner_partition,
+    const transform::Partition& spec_partition, std::size_t transforms);
 
 /// Which side(s) of the distance predicate a transformation applies to.
 enum class TransformTarget {
@@ -184,6 +188,8 @@ struct GroupRunStats {
   std::uint64_t da_leaf = 0;  // ... at the leaf level
   std::uint64_t transforms = 0;  // NT(r)
   std::uint64_t candidates = 0;
+
+  bool operator==(const GroupRunStats&) const = default;
 };
 
 }  // namespace tsq::core

@@ -1,116 +1,15 @@
 #ifndef TSQ_CORE_RANGE_QUERY_H_
 #define TSQ_CORE_RANGE_QUERY_H_
 
-#include <span>
 #include <vector>
 
-#include "common/status.h"
-#include "core/dataset.h"
-#include "core/index.h"
 #include "core/query.h"
 
 namespace tsq::core {
 
-/// Internals of the range executor shared with the batch executor
-/// (src/core/batch_executor.cc). The batch path must reproduce the solo
-/// executor's task decomposition and per-candidate evaluation *exactly* —
-/// matches are asserted byte-identical between the two — so the pieces that
-/// define them live here instead of being duplicated.
-namespace range_detail {
-
-/// Task granularity of the parallel executors. Part of the determinism
-/// contract only insofar as they are *constants*: chunk boundaries (and
-/// hence the merge order) never depend on num_threads — or on whether the
-/// query ran solo or in a batch.
-inline constexpr std::size_t kScanChunk = 256;   // ids per seq-scan task
-inline constexpr std::size_t kVerifyChunk = 32;  // candidates per verify task
-
-/// Sorts the indices of one group into ascending dominance-chain order when
-/// the whole transformation set forms a chain; returns false when it does
-/// not (the caller falls back to the linear sweep).
-bool OrderGroupByChain(const std::vector<std::size_t>& chain,
-                       std::vector<std::size_t>* group);
-
-/// The Eq. 12 distance the predicate evaluates for transformation `t`,
-/// honouring the spec's TransformTarget.
-double PredicateDistance2(const RangeQuerySpec& spec, std::size_t t,
-                          std::span<const dft::Complex> candidate_spectrum,
-                          std::span<const dft::Complex> query_spectrum);
-
-/// Early-abandoning PredicateDistance2: exact whenever the result is
-/// <= bound; any value > bound (exact or abandoned partial) means "no
-/// match". Since partial sums are monotone, the `d2 < eps2` predicate and
-/// every reported match distance are identical to the plain evaluation.
-double PredicateDistance2Within(const RangeQuerySpec& spec, std::size_t t,
-                                std::span<const dft::Complex> candidate_spectrum,
-                                std::span<const dft::Complex> query_spectrum,
-                                double bound);
-
-/// Evaluates the distance predicate for one candidate against the (already
-/// chain-ordered, when `ordered`) transformation indices of a group,
-/// appending matches and counting comparisons.
-void VerifyCandidate(const RangeQuerySpec& spec,
-                     std::span<const dft::Complex> candidate_spectrum,
-                     std::span<const dft::Complex> query_spectrum,
-                     const std::vector<std::size_t>& group, bool ordered,
-                     std::size_t series_id, std::vector<Match>* matches,
-                     QueryStats* stats);
-
-/// Full spec validation (lengths, thresholds, partition well-formedness);
-/// the exact Status a malformed spec gets from solo execution.
-Status ValidateRangeSpec(const Dataset& dataset, const RangeQuerySpec& spec);
-
-}  // namespace range_detail
-
-/// Executes Query 1 with the chosen algorithm (Section 4):
-///
-///  * kSequentialScan — reads the whole record store once and evaluates the
-///    distance predicate |T| times per sequence (log |T| under an ordering);
-///  * kStIndex — one index traversal per transformation, each with the
-///    (degenerate, single-point) transformation rectangle applied to every
-///    node rectangle;
-///  * kMtIndex — Algorithm 1: one traversal per transformation *rectangle*,
-///    grouping per `spec.partition` (all transformations in one rectangle
-///    when the partition is empty).
-///
-/// Parallelism (`options.num_threads`): index traversals fan out one task
-/// per transformation rectangle (so ST-index gets |T| tasks), candidate
-/// verification one task per fixed-size candidate chunk, and the sequential
-/// scan one task per fixed-size slice of the relation. Tasks merge in
-/// deterministic order, so matches and summed QueryStats are identical for
-/// every thread count.
-///
-/// When `group_stats` is non-null it receives one entry per index traversal
-/// (empty for the sequential scan), the inputs of the cost function Ck
-/// (Eq. 20).
-///
-/// `partition_override`, when non-null and non-empty, replaces the MT-index
-/// grouping that would otherwise come from `spec.partition` — this is how
-/// the planner hands its chosen partition to the executor without copying
-/// the spec. `options.planner.algorithm` must be concrete here; kAuto is
-/// resolved by SimilarityEngine::Execute and rejected by the executor.
-Result<RangeQueryResult> RunRangeQuery(const Dataset& dataset,
-                                       const SequenceIndex& index,
-                                       const RangeQuerySpec& spec,
-                                       const ExecOptions& options,
-                                       std::vector<GroupRunStats>* group_stats =
-                                           nullptr,
-                                       const transform::Partition*
-                                           partition_override = nullptr);
-
-/// Legacy entry point: algorithm only, single-threaded.
-Result<RangeQueryResult> RunRangeQuery(const Dataset& dataset,
-                                       const SequenceIndex& index,
-                                       const RangeQuerySpec& spec,
-                                       Algorithm algorithm,
-                                       std::vector<GroupRunStats>* group_stats =
-                                           nullptr);
-
-/// Reference evaluation of Query 1 against the in-memory spectra; no I/O, no
-/// filtering. Ground truth for correctness tests (Lemma 1: the indexed
-/// algorithms must return exactly this set).
-std::vector<Match> BruteForceRangeQuery(const Dataset& dataset,
-                                        const RangeQuerySpec& spec);
+// Range queries (the paper's Query 1) execute through SimilarityEngine:
+// Execute() runs one as a one-query batch, ExecuteBatch() runs many, and
+// both go through the one pipeline in batch_executor.cc.
 
 /// Sorts matches by (series_id, transform_index) for set comparison.
 void SortMatches(std::vector<Match>* matches);

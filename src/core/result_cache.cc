@@ -131,7 +131,6 @@ ResultCacheKey ComputeResultCacheKey(const QuerySpec& spec,
     digest.AddDouble(options.planner.cost_constants_override->c_cmp);
   }
   digest.Add(options.num_threads);
-  digest.Add(options.collect_group_stats ? 1 : 0);
 
   // The engine state the result was computed against.
   digest.Add(snapshot_version);

@@ -52,6 +52,45 @@ bool PartitionIndicesInRange(const transform::Partition& partition,
   return true;
 }
 
+// C_cmp / C_DA measured on this host: one transformed squared distance
+// over full spectra against one record-page fetch, simulated latency
+// included. The probe pair is read from the record store; nullopt (keep the
+// paper defaults) when the relation is too small or a fetch fails, e.g.
+// under an injected fault.
+std::optional<double> MeasureCmpToDaRatio(const core::Dataset& dataset) {
+  if (dataset.size() < 2 || dataset.length() < 4) return std::nullopt;
+  const Result<std::vector<dft::Complex>> x = dataset.FetchSpectrum(0);
+  const Result<std::vector<dft::Complex>> y = dataset.FetchSpectrum(1);
+  if (!x.ok() || !y.ok()) return std::nullopt;
+
+  const transform::SpectralTransform probe = transform::MovingAverageTransform(
+      dataset.length(), std::min<std::size_t>(10, dataset.length() - 1));
+  constexpr std::size_t kCmpReps = 2048;
+  double sink = 0.0;
+  const std::uint64_t cmp_start = MonotonicNanos();
+  for (std::size_t i = 0; i < kCmpReps; ++i) {
+    sink += probe.TransformedSquaredDistance(*x, *y);
+  }
+  const double cmp_nanos =
+      static_cast<double>(MonotonicNanos() - cmp_start) / kCmpReps;
+  volatile double keep_alive = sink;  // the timed loop must not fold away
+  (void)keep_alive;
+
+  constexpr std::size_t kReadReps = 8;
+  std::uint64_t pages = 0;
+  const std::uint64_t read_start = MonotonicNanos();
+  for (std::size_t i = 0; i < kReadReps; ++i) {
+    const Result<std::vector<dft::Complex>> fetched =
+        dataset.FetchSpectrum(0, &pages);
+    (void)fetched;  // errors (injected faults) only spoil the timing
+  }
+  const std::uint64_t read_elapsed = MonotonicNanos() - read_start;
+  if (pages == 0 || read_elapsed == 0 || cmp_nanos <= 0.0) return std::nullopt;
+  const double read_nanos =
+      static_cast<double>(read_elapsed) / static_cast<double>(pages);
+  return std::clamp(cmp_nanos / read_nanos, 0.01, 10.0);
+}
+
 Planned ForcedDecision(core::Algorithm algorithm) {
   auto decision = std::make_shared<PlanDecision>();
   decision->algorithm = algorithm;
@@ -186,40 +225,8 @@ Result<const core::TreeCostEstimator*> Planner::SnapshotLocked() {
 core::CostConstants Planner::CalibrateLocked() {
   if (calibrated_.has_value()) return *calibrated_;
   core::CostConstants constants;  // paper defaults: C_DA = 1, C_cmp = 0.4
-  if (dataset_.size() >= 2 && dataset_.length() >= 4) {
-    // One comparison = one transformed squared distance over full spectra.
-    const transform::SpectralTransform probe =
-        transform::MovingAverageTransform(
-            dataset_.length(),
-            std::min<std::size_t>(10, dataset_.length() - 1));
-    const std::vector<dft::Complex>& x = dataset_.spectrum(0);
-    const std::vector<dft::Complex>& y = dataset_.spectrum(1);
-    constexpr std::size_t kCmpReps = 2048;
-    double sink = 0.0;
-    const std::uint64_t cmp_start = MonotonicNanos();
-    for (std::size_t i = 0; i < kCmpReps; ++i) {
-      sink += probe.TransformedSquaredDistance(x, y);
-    }
-    const double cmp_nanos =
-        static_cast<double>(MonotonicNanos() - cmp_start) / kCmpReps;
-    volatile double keep_alive = sink;  // the timed loop must not fold away
-    (void)keep_alive;
-
-    // One disk access = one record-page fetch, simulated latency included.
-    constexpr std::size_t kReadReps = 8;
-    std::uint64_t pages = 0;
-    const std::uint64_t read_start = MonotonicNanos();
-    for (std::size_t i = 0; i < kReadReps; ++i) {
-      const Result<std::vector<dft::Complex>> fetched =
-          dataset_.FetchSpectrum(0, &pages);
-      (void)fetched;  // errors (injected faults) only spoil the timing
-    }
-    const std::uint64_t read_elapsed = MonotonicNanos() - read_start;
-    if (pages > 0 && read_elapsed > 0 && cmp_nanos > 0.0) {
-      const double read_nanos =
-          static_cast<double>(read_elapsed) / static_cast<double>(pages);
-      constants.c_cmp = std::clamp(cmp_nanos / read_nanos, 0.01, 10.0);
-    }
+  if (const std::optional<double> ratio = MeasureCmpToDaRatio(dataset_)) {
+    constants.c_cmp = *ratio;
   }
   calibrated_ = constants;
   PlannerMetrics::Get().calibrations->Increment();

@@ -78,8 +78,8 @@ class Oracle {
 
   const core::Dataset* dataset_;
   dft::FftPlan plan_;
-  /// Spectra recomputed here from the normal forms, independent of both the
-  /// dataset's cached spectra and the record store.
+  /// Spectra recomputed here from the normal forms, independent of the
+  /// record store the executors fetch from.
   std::vector<std::vector<dft::Complex>> spectra_;
 };
 

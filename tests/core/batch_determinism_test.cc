@@ -196,7 +196,53 @@ TEST_F(BatchDeterminismTest, BatchedEqualsSequentialAndOracleEverywhere) {
                   batch[0]->trace().snapshot_version);
       }
     }
+    // Execute(spec) is ExecuteBatch({spec}) with the cache off: every
+    // counter, per-rectangle stat and trace signature, not only the matches.
+    for (const std::size_t threads : {1, 4}) {
+      ExecOptions options;
+      options.planner.algorithm = algorithm;
+      options.num_threads = threads;
+      for (std::size_t i = 0; i < specs.size(); ++i) {
+        SCOPED_TRACE(::testing::Message()
+                     << AlgorithmName(algorithm) << "/" << threads
+                     << "t one-spec batch of entry " << i);
+        const auto solo = engine_.Execute(specs[i], options);
+        const auto one = engine_.ExecuteBatch(
+            {specs[i]}, {.exec = options, .use_result_cache = false});
+        ASSERT_TRUE(solo.ok()) << solo.status().ToString();
+        ASSERT_EQ(one.size(), 1u);
+        ASSERT_TRUE(one[0].ok()) << one[0].status().ToString();
+        ExpectExactlyEqual(*solo, *one[0]);
+        EXPECT_EQ(solo->stats(), one[0]->stats());
+        EXPECT_EQ(solo->group_stats, one[0]->group_stats);
+        EXPECT_EQ(solo->trace().DeterministicSignature(),
+                  one[0]->trace().DeterministicSignature());
+      }
+    }
   }
+
+  // An MT partition whose rectangles share candidates (the query itself is
+  // one in every rectangle): one query charges every (rectangle, candidate)
+  // fetch its own pages, as Algorithm 1 post-processes each rectangle alone.
+  ExecOptions mt;
+  mt.planner.algorithm = Algorithm::kMtIndex;
+  const QuerySpec& partitioned = specs[2];
+  engine_.ResetIoStats();
+  const auto solo = engine_.Execute(partitioned, mt);
+  ASSERT_TRUE(solo.ok()) << solo.status().ToString();
+  ASSERT_GE(solo->group_stats.size(), 2u);
+  EXPECT_EQ(solo->stats().record_pages_read,
+            engine_.dataset().record_io().reads);
+  EXPECT_EQ(solo->trace().deduped_fetches, 0u);
+  // Through the fetch table of a two-query batch the same query dedupes its
+  // own repeated candidates, so the overlap above is real.
+  const auto shared = engine_.ExecuteBatch(
+      {partitioned, partitioned}, {.exec = mt, .use_result_cache = false});
+  ASSERT_EQ(shared.size(), 2u);
+  ASSERT_TRUE(shared[0].ok()) << shared[0].status().ToString();
+  EXPECT_GT(shared[0]->trace().deduped_fetches, 0u);
+  EXPECT_LT(shared[0]->stats().record_pages_read,
+            solo->stats().record_pages_read);
 }
 
 TEST_F(BatchDeterminismTest, MatchesAreByteIdenticalAcrossThreadCounts) {

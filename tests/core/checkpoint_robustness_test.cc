@@ -349,6 +349,46 @@ TEST_F(CheckpointRobustnessTest, CrashDebrisIsSweptAndCountedOnLoad) {
   EXPECT_EQ(recoveries->value(), after);
 }
 
+// A meta file one row short of the index: the tree still holds a leaf entry
+// for the dropped id, so a query that reaches it must get the same
+// OutOfRange whether it runs alone or in a batch that shares record fetches.
+TEST_F(CheckpointRobustnessTest, LeafIdPastTheDatasetIsOutOfRange) {
+  const std::size_t dropped = engine_->dataset().size() - 1;
+  TamperMeta([](std::vector<std::string>& lines) {
+    lines.pop_back();  // the last sequence row
+    EditFields(lines, 3, [](std::vector<std::string>& f) {
+      ASSERT_EQ(f[0], "tree");
+      f[3] = std::to_string(std::stoull(f[3]) - 1);
+    });
+    EditFields(lines, 5, [](std::vector<std::string>& f) {
+      ASSERT_EQ(f[0], "sequences");
+      f[1] = std::to_string(std::stoull(f[1]) - 1);
+    });
+  });
+  const auto loaded = SimilarityEngine::LoadFrom(prefix_);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_EQ((*loaded)->dataset().size(), dropped);
+
+  RangeQuerySpec spec;
+  spec.query = ts::Denormalize(engine_->dataset().normal(dropped));
+  spec.transforms = {transform::SpectralTransform::Identity(64)};
+  spec.epsilon = 0.5;
+  const ExecOptions mt{.planner = {.algorithm = Algorithm::kMtIndex}};
+  const auto solo = (*loaded)->Execute(spec, mt);
+  ASSERT_FALSE(solo.ok());
+  EXPECT_EQ(solo.status().code(), StatusCode::kOutOfRange)
+      << solo.status().ToString();
+
+  const auto batch = (*loaded)->ExecuteBatch(
+      {spec, spec}, {.exec = mt, .use_result_cache = false});
+  ASSERT_EQ(batch.size(), 2u);
+  for (const auto& entry : batch) {
+    ASSERT_FALSE(entry.ok());
+    EXPECT_EQ(entry.status().code(), StatusCode::kOutOfRange)
+        << entry.status().ToString();
+  }
+}
+
 TEST_F(CheckpointRobustnessTest, CheckpointEpochStampedIntoTraces) {
   const auto loaded = SimilarityEngine::LoadFrom(prefix_);
   ASSERT_TRUE(loaded.ok());

@@ -1,8 +1,7 @@
 #include "core/cost_model.h"
 
 #include "common/rng.h"
-#include "core/knn_query.h"
-#include "core/range_query.h"
+#include "core/engine.h"
 #include "test_util.h"
 #include "gtest/gtest.h"
 #include "transform/builders.h"
@@ -35,13 +34,15 @@ TEST(CostEq20Test, PaperConstantsAreDefault) {
 class CostEstimatorTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dataset_ = std::make_unique<Dataset>(testutil::Stocks(300, 128, 21),
-                                         transform::FeatureLayout{});
-    index_ = std::make_unique<SequenceIndex>(*dataset_);
+    engine_ =
+        std::make_unique<SimilarityEngine>(testutil::Stocks(300, 128, 21));
+    dataset_ = &engine_->dataset();
+    index_ = &engine_->index();
     estimator_ = std::make_unique<TreeCostEstimator>(*index_);
   }
-  std::unique_ptr<Dataset> dataset_;
-  std::unique_ptr<SequenceIndex> index_;
+  std::unique_ptr<SimilarityEngine> engine_;
+  const Dataset* dataset_ = nullptr;
+  const SequenceIndex* index_ = nullptr;
   std::unique_ptr<TreeCostEstimator> estimator_;
 };
 
@@ -120,11 +121,10 @@ TEST_F(CostEstimatorTest, MeasuredCostTracksRuntimeOrdering) {
   auto cost_for = [&](std::size_t per_group) {
     spec.partition =
         transform::PartitionBySize(spec.transforms.size(), per_group);
-    std::vector<GroupRunStats> groups;
-    auto result =
-        RunRangeQuery(*dataset_, *index_, spec, Algorithm::kMtIndex, &groups);
+    auto result = engine_->Execute(
+        spec, {.planner = {.algorithm = Algorithm::kMtIndex}});
     EXPECT_TRUE(result.ok());
-    return CostEq20(groups, leaf_capacity);
+    return CostEq20(result->group_stats, leaf_capacity);
   };
   const double singletons = cost_for(1);
   const double grouped = cost_for(8);
@@ -229,15 +229,12 @@ TEST(CostModelScalingTest, MeasuredCostMonotoneInSequenceCount) {
   spec.epsilon = ts::CorrelationToDistanceThreshold(0.9, 64);
 
   auto measured_cost = [&](std::size_t num_series) {
-    Dataset dataset(testutil::Stocks(num_series, 64, 21),
-                    transform::FeatureLayout{});
-    SequenceIndex index(dataset);
-    spec.query = ts::Denormalize(dataset.normal(0));
-    std::vector<GroupRunStats> groups;
+    SimilarityEngine engine(testutil::Stocks(num_series, 64, 21));
+    spec.query = ts::Denormalize(engine.dataset().normal(0));
     auto result =
-        RunRangeQuery(dataset, index, spec, Algorithm::kMtIndex, &groups);
+        engine.Execute(spec, {.planner = {.algorithm = Algorithm::kMtIndex}});
     EXPECT_TRUE(result.ok());
-    return CostEq20(groups, index.AverageLeafCapacity());
+    return CostEq20(result->group_stats, engine.index().AverageLeafCapacity());
   };
   const double small = measured_cost(100);
   const double large = measured_cost(400);
@@ -261,7 +258,8 @@ TEST(CostModelScalingTest, KnnDiskCostMonotoneInK) {
     for (const std::size_t k : {1u, 4u, 16u, 64u}) {
       spec.k = k;
       const auto result =
-          RunKnnQuery(dataset, index, spec, Algorithm::kMtIndex);
+          RunKnnQuery(dataset, index, spec,
+                      {.planner = {.algorithm = Algorithm::kMtIndex}});
       ASSERT_TRUE(result.ok());
       EXPECT_GE(result->stats.disk_accesses(), last_da) << "k=" << k;
       EXPECT_GE(result->stats.comparisons, last_cmp) << "k=" << k;

@@ -14,7 +14,7 @@ TEST(DatasetTest, BuildsAllDerivedArtifacts) {
   EXPECT_EQ(dataset.length(), 128u);
   for (std::size_t i = 0; i < dataset.size(); ++i) {
     EXPECT_EQ(dataset.normal(i).values.size(), 128u);
-    EXPECT_EQ(dataset.spectrum(i).size(), 128u);
+    EXPECT_EQ(dataset.FetchSpectrum(i)->size(), 128u);
     EXPECT_EQ(dataset.features(i).size(), 6u);
     // Normal forms are zero mean / unit stddev.
     const ts::SeriesStats stats = ts::ComputeStats(dataset.normal(i).values);
@@ -28,7 +28,7 @@ TEST(DatasetTest, FeaturesMatchSpectra) {
   transform::FeatureLayout layout;
   Dataset dataset(series, layout);
   for (std::size_t i = 0; i < dataset.size(); ++i) {
-    const auto& spectrum = dataset.spectrum(i);
+    const auto spectrum = dataset.plan().Forward(dataset.normal(i).values);
     const auto& features = dataset.features(i);
     EXPECT_NEAR(features[layout.magnitude_dimension(0)],
                 std::abs(spectrum[1]), 1e-12);
@@ -43,9 +43,10 @@ TEST(DatasetTest, FetchSpectrumMatchesInMemorySpectrum) {
   for (std::size_t i = 0; i < dataset.size(); ++i) {
     const auto fetched = dataset.FetchSpectrum(i);
     ASSERT_TRUE(fetched.ok());
-    ASSERT_EQ(fetched->size(), dataset.spectrum(i).size());
+    const auto spectrum = dataset.plan().Forward(dataset.normal(i).values);
+    ASSERT_EQ(fetched->size(), spectrum.size());
     for (std::size_t f = 0; f < fetched->size(); ++f) {
-      EXPECT_LT(std::abs((*fetched)[f] - dataset.spectrum(i)[f]), 1e-9);
+      EXPECT_LT(std::abs((*fetched)[f] - spectrum[f]), 1e-9);
     }
   }
 }
@@ -57,7 +58,8 @@ TEST(DatasetTest, FetchSpectrumIntoFillsScratchBitExactly) {
   for (std::size_t i = 0; i < dataset.size(); ++i) {
     std::uint64_t pages = 0;
     ASSERT_TRUE(dataset.FetchSpectrumInto(i, scratch, &pages).ok());
-    EXPECT_EQ(scratch, dataset.spectrum(i));  // the stored bytes, unchanged
+    // The stored bytes, unchanged: the record is the normal form's DFT.
+    EXPECT_EQ(scratch, dataset.plan().Forward(dataset.normal(i).values));
     EXPECT_GE(pages, 1u);
   }
   std::vector<dft::Complex> wrong(dataset.length() - 1);

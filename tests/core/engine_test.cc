@@ -2,6 +2,7 @@
 
 #include "common/rng.h"
 #include "test_util.h"
+#include "testing/oracle.h"
 #include "gtest/gtest.h"
 #include "transform/builders.h"
 #include "ts/distance.h"
@@ -87,18 +88,14 @@ TEST(SimilarityEngineTest, GroupStatsExposedForCostAnalysis) {
   spec.transforms = transform::MovingAverageRange(128, 6, 17);
   spec.epsilon = 2.0;
   spec.partition = transform::PartitionBySize(spec.transforms.size(), 4);
-  const auto result = engine.Execute(
-      spec, {.planner = {.algorithm = Algorithm::kMtIndex}, .collect_group_stats = true});
+  const auto result =
+      engine.Execute(spec, {.planner = {.algorithm = Algorithm::kMtIndex}});
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->group_stats.size(), 3u);
   for (const GroupRunStats& g : result->group_stats) {
     EXPECT_EQ(g.transforms, 4u);
     EXPECT_GE(g.da_all, g.da_leaf);
   }
-  // Without the flag, no group stats are collected.
-  const auto bare = engine.Execute(spec);
-  ASSERT_TRUE(bare.ok());
-  EXPECT_TRUE(bare->group_stats.empty());
 }
 
 TEST(SimilarityEngineTest, DefaultOptionsPlanAndMatchForcedPlans) {
@@ -157,7 +154,7 @@ TEST(SimilarityEngineTest, InsertAndRemoveSequences) {
     }
   }
   // Brute force agrees after mutations (indexed vs scan still equivalent).
-  const auto expected = BruteForceRangeQuery(engine.dataset(), spec);
+  const auto expected = testing::Oracle(engine.dataset()).Range(spec);
   auto mt = engine.Execute(spec);
   ASSERT_TRUE(mt.ok());
   EXPECT_EQ(mt->range()->matches.size(), expected.size());
@@ -199,7 +196,7 @@ TEST(SimilarityEngineTest, ManyInsertionsAndRemovalsStaySound) {
   spec.query = ts::Denormalize(engine.dataset().normal(live.front()));
   spec.transforms = transform::MovingAverageRange(64, 1, 6);
   spec.epsilon = 2.0;
-  const auto expected = BruteForceRangeQuery(engine.dataset(), spec);
+  const auto expected = testing::Oracle(engine.dataset()).Range(spec);
   auto mt = engine.Execute(spec);
   auto seq = engine.Execute(spec, {.planner = {.algorithm = Algorithm::kSequentialScan}});
   ASSERT_TRUE(mt.ok());

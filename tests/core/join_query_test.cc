@@ -4,6 +4,7 @@
 
 #include "core/polar_bounds.h"
 #include "test_util.h"
+#include "testing/oracle.h"
 #include "gtest/gtest.h"
 #include "transform/builders.h"
 #include "transform/transform_mbr.h"
@@ -26,6 +27,12 @@ Workload MakeWorkload(std::vector<ts::Series> series) {
   return w;
 }
 
+ExecOptions Forced(Algorithm algorithm) {
+  ExecOptions options;
+  options.planner.algorithm = algorithm;
+  return options;
+}
+
 void ExpectSameJoinMatches(std::vector<JoinMatch> a,
                            std::vector<JoinMatch> b) {
   SortJoinMatches(&a);
@@ -45,8 +52,8 @@ TEST(TransformedCorrelationTest, MatchesTimeDomainComputation) {
   const auto t = transform::MovingAverageTransform(128, 9);
   for (std::size_t a = 0; a < 5; ++a) {
     for (std::size_t b = a + 1; b < 5; ++b) {
-      const double via_freq = TransformedCorrelation(t, dataset.spectrum(a),
-                                                     dataset.spectrum(b));
+      const double via_freq = TransformedCorrelation(
+          t, *dataset.FetchSpectrum(a), *dataset.FetchSpectrum(b));
       const double via_time = ts::CrossCorrelation(
           t.ApplyToSeries(dataset.normal(a).values),
           t.ApplyToSeries(dataset.normal(b).values));
@@ -59,8 +66,8 @@ TEST(TransformedCorrelationTest, IdentityMatchesPlainCorrelation) {
   const auto series = testutil::Stocks(10, 64, 2);
   Dataset dataset(series, transform::FeatureLayout{});
   const auto id = transform::SpectralTransform::Identity(64);
-  const double via_freq =
-      TransformedCorrelation(id, dataset.spectrum(0), dataset.spectrum(1));
+  const double via_freq = TransformedCorrelation(
+      id, *dataset.FetchSpectrum(0), *dataset.FetchSpectrum(1));
   const double direct = ts::CrossCorrelation(dataset.normal(0).values,
                                              dataset.normal(1).values);
   EXPECT_NEAR(via_freq, direct, 1e-9);
@@ -78,10 +85,10 @@ TEST_P(DistanceJoinEquivalenceTest, AllAlgorithmsMatchBruteForce) {
   spec.epsilon = ts::CorrelationToDistanceThreshold(0.97, 128);
   spec.transforms = transform::MovingAverageRange(128, 5, 14);
 
-  const auto expected = BruteForceJoinQuery(*w.dataset, spec);
+  const auto expected = testing::Oracle(*w.dataset).Join(spec);
   for (Algorithm algorithm : {Algorithm::kSequentialScan, Algorithm::kStIndex,
                               Algorithm::kMtIndex}) {
-    auto result = RunJoinQuery(*w.dataset, *w.index, spec, algorithm);
+    auto result = RunJoinQuery(*w.dataset, *w.index, spec, Forced(algorithm));
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     ExpectSameJoinMatches(result->matches, expected);
   }
@@ -100,11 +107,11 @@ TEST(JoinQueryTest, CorrelationModeSoundAndComplete) {
   spec.min_correlation = 0.985;
   spec.transforms = transform::MovingAverageRange(128, 5, 14);
 
-  const auto expected = BruteForceJoinQuery(*w.dataset, spec);
+  const auto expected = testing::Oracle(*w.dataset).Join(spec);
   EXPECT_FALSE(expected.empty());
   for (Algorithm algorithm : {Algorithm::kSequentialScan, Algorithm::kStIndex,
                               Algorithm::kMtIndex}) {
-    auto result = RunJoinQuery(*w.dataset, *w.index, spec, algorithm);
+    auto result = RunJoinQuery(*w.dataset, *w.index, spec, Forced(algorithm));
     ASSERT_TRUE(result.ok());
     ExpectSameJoinMatches(result->matches, expected);
   }
@@ -116,11 +123,12 @@ TEST(JoinQueryTest, PartitionedJoinStillExact) {
   spec.mode = JoinMode::kDistance;
   spec.epsilon = 1.0;
   spec.transforms = transform::MovingAverageRange(128, 6, 17);
-  const auto expected = BruteForceJoinQuery(*w.dataset, spec);
+  const auto expected = testing::Oracle(*w.dataset).Join(spec);
   for (std::size_t per_group : {1u, 3u, 12u}) {
     spec.partition =
         transform::PartitionBySize(spec.transforms.size(), per_group);
-    auto result = RunJoinQuery(*w.dataset, *w.index, spec, Algorithm::kMtIndex);
+    auto result = RunJoinQuery(*w.dataset, *w.index, spec,
+                               Forced(Algorithm::kMtIndex));
     ASSERT_TRUE(result.ok());
     ExpectSameJoinMatches(result->matches, expected);
     EXPECT_EQ(result->stats.traversals, spec.partition.size());
@@ -133,7 +141,8 @@ TEST(JoinQueryTest, PairsAreOrderedAndDistinct) {
   spec.mode = JoinMode::kDistance;
   spec.epsilon = 2.0;
   spec.transforms = transform::MovingAverageRange(128, 8, 10);
-  auto result = RunJoinQuery(*w.dataset, *w.index, spec, Algorithm::kMtIndex);
+  auto result = RunJoinQuery(*w.dataset, *w.index, spec,
+                             Forced(Algorithm::kMtIndex));
   ASSERT_TRUE(result.ok());
   std::set<std::tuple<std::size_t, std::size_t, std::size_t>> seen;
   for (const JoinMatch& m : result->matches) {
@@ -151,8 +160,10 @@ TEST(JoinQueryTest, IndexJoinBeatsScanOnIo) {
   spec.transforms = transform::MovingAverageRange(128, 5, 14);
 
   auto seq =
-      RunJoinQuery(*w.dataset, *w.index, spec, Algorithm::kSequentialScan);
-  auto mt = RunJoinQuery(*w.dataset, *w.index, spec, Algorithm::kMtIndex);
+      RunJoinQuery(*w.dataset, *w.index, spec,
+                   Forced(Algorithm::kSequentialScan));
+  auto mt = RunJoinQuery(*w.dataset, *w.index, spec,
+                         Forced(Algorithm::kMtIndex));
   ASSERT_TRUE(seq.ok());
   ASSERT_TRUE(mt.ok());
   // The filter prunes nearly all of the ~11k pairs.
@@ -170,7 +181,8 @@ TEST(JoinQueryTest, SingleRectangleCandidatesMatchMappedPointPairs) {
     spec.mode = JoinMode::kCorrelation;
     spec.min_correlation = 0.99;
     spec.transforms = transform::MovingAverageRange(128, 5, 14);
-    auto result = RunJoinQuery(*w.dataset, *w.index, spec, Algorithm::kMtIndex);
+    auto result = RunJoinQuery(*w.dataset, *w.index, spec,
+                               Forced(Algorithm::kMtIndex));
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     EXPECT_EQ(result->stats.traversals, 1u);
 
@@ -204,20 +216,23 @@ TEST(JoinQueryTest, SingleRectangleCandidatesMatchMappedPointPairs) {
 TEST(JoinQueryTest, InvalidSpecsRejected) {
   Workload w = MakeWorkload(testutil::Stocks(10, 64, 8));
   JoinQuerySpec spec;
-  EXPECT_EQ(RunJoinQuery(*w.dataset, *w.index, spec, Algorithm::kMtIndex)
+  EXPECT_EQ(RunJoinQuery(*w.dataset, *w.index, spec,
+                         Forced(Algorithm::kMtIndex))
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);  // no transforms
   spec.transforms = transform::MovingAverageRange(64, 1, 2);
   spec.mode = JoinMode::kDistance;
   spec.epsilon = -0.5;
-  EXPECT_EQ(RunJoinQuery(*w.dataset, *w.index, spec, Algorithm::kMtIndex)
+  EXPECT_EQ(RunJoinQuery(*w.dataset, *w.index, spec,
+                         Forced(Algorithm::kMtIndex))
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);
   spec.mode = JoinMode::kCorrelation;
   spec.slack = 0.0;
-  EXPECT_EQ(RunJoinQuery(*w.dataset, *w.index, spec, Algorithm::kMtIndex)
+  EXPECT_EQ(RunJoinQuery(*w.dataset, *w.index, spec,
+                         Forced(Algorithm::kMtIndex))
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);
@@ -227,20 +242,23 @@ TEST(JoinQueryTest, InvalidSpecsRejected) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   spec.mode = JoinMode::kDistance;
   spec.epsilon = nan;
-  EXPECT_EQ(RunJoinQuery(*w.dataset, *w.index, spec, Algorithm::kMtIndex)
+  EXPECT_EQ(RunJoinQuery(*w.dataset, *w.index, spec,
+                         Forced(Algorithm::kMtIndex))
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);
   spec.mode = JoinMode::kCorrelation;
   spec.slack = 1.0;
   spec.min_correlation = nan;
-  EXPECT_EQ(RunJoinQuery(*w.dataset, *w.index, spec, Algorithm::kMtIndex)
+  EXPECT_EQ(RunJoinQuery(*w.dataset, *w.index, spec,
+                         Forced(Algorithm::kMtIndex))
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);
   spec.min_correlation = 0.9;
   spec.slack = nan;
-  EXPECT_EQ(RunJoinQuery(*w.dataset, *w.index, spec, Algorithm::kMtIndex)
+  EXPECT_EQ(RunJoinQuery(*w.dataset, *w.index, spec,
+                         Forced(Algorithm::kMtIndex))
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);
@@ -254,7 +272,7 @@ TEST(JoinQueryTest, EmptyResultWhenThresholdImpossible) {
   spec.transforms = transform::MovingAverageRange(64, 1, 3);
   for (Algorithm algorithm : {Algorithm::kSequentialScan,
                               Algorithm::kMtIndex}) {
-    auto result = RunJoinQuery(*w.dataset, *w.index, spec, algorithm);
+    auto result = RunJoinQuery(*w.dataset, *w.index, spec, Forced(algorithm));
     ASSERT_TRUE(result.ok());
     EXPECT_TRUE(result->matches.empty());
   }

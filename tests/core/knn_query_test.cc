@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "test_util.h"
+#include "testing/oracle.h"
 #include "gtest/gtest.h"
 #include "transform/builders.h"
 
@@ -21,6 +22,12 @@ Workload MakeWorkload(std::vector<ts::Series> series) {
                                         transform::FeatureLayout{});
   w.index = std::make_unique<SequenceIndex>(*w.dataset);
   return w;
+}
+
+ExecOptions Forced(Algorithm algorithm) {
+  ExecOptions options;
+  options.planner.algorithm = algorithm;
+  return options;
 }
 
 void ExpectSameNeighbors(const std::vector<KnnMatch>& actual,
@@ -56,11 +63,11 @@ TEST_P(KnnEquivalenceTest, AllAlgorithmsMatchBruteForce) {
   spec.k = 1 + seed % 7;
   spec.transforms = transform::MovingAverageRange(128, 5, 15);
 
-  const auto expected = BruteForceKnnQuery(*w.dataset, spec);
+  const auto expected = testing::Oracle(*w.dataset).Knn(spec);
   ASSERT_EQ(expected.size(), spec.k);
   for (Algorithm algorithm : {Algorithm::kSequentialScan, Algorithm::kStIndex,
                               Algorithm::kMtIndex}) {
-    auto result = RunKnnQuery(*w.dataset, *w.index, spec, algorithm);
+    auto result = RunKnnQuery(*w.dataset, *w.index, spec, Forced(algorithm));
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     ExpectSameNeighbors(result->matches, expected);
   }
@@ -75,7 +82,8 @@ TEST(KnnQueryTest, NearestToDatasetMemberIsItself) {
   spec.query = ts::Denormalize(w.dataset->normal(17));
   spec.k = 1;
   spec.transforms = {transform::SpectralTransform::Identity(64)};
-  auto result = RunKnnQuery(*w.dataset, *w.index, spec, Algorithm::kMtIndex);
+  auto result = RunKnnQuery(*w.dataset, *w.index, spec,
+                            Forced(Algorithm::kMtIndex));
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->matches.size(), 1u);
   EXPECT_EQ(result->matches[0].series_id, 17u);
@@ -88,7 +96,8 @@ TEST(KnnQueryTest, ResultsSortedAscending) {
   spec.query = ts::Denormalize(w.dataset->normal(0));
   spec.k = 10;
   spec.transforms = transform::MovingAverageRange(128, 3, 9);
-  auto result = RunKnnQuery(*w.dataset, *w.index, spec, Algorithm::kMtIndex);
+  auto result = RunKnnQuery(*w.dataset, *w.index, spec,
+                            Forced(Algorithm::kMtIndex));
   ASSERT_TRUE(result.ok());
   for (std::size_t i = 1; i < result->matches.size(); ++i) {
     EXPECT_LE(result->matches[i - 1].distance, result->matches[i].distance);
@@ -101,7 +110,8 @@ TEST(KnnQueryTest, KLargerThanDataset) {
   spec.query = testutil::RandomWalks(1, 64, 99)[0];
   spec.k = 20;
   spec.transforms = transform::MovingAverageRange(64, 1, 3);
-  auto result = RunKnnQuery(*w.dataset, *w.index, spec, Algorithm::kMtIndex);
+  auto result = RunKnnQuery(*w.dataset, *w.index, spec,
+                            Forced(Algorithm::kMtIndex));
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->matches.size(), 7u);
 }
@@ -112,9 +122,11 @@ TEST(KnnQueryTest, IndexKnnPrunesCandidates) {
   spec.query = ts::Denormalize(w.dataset->normal(42));
   spec.k = 5;
   spec.transforms = transform::MovingAverageRange(128, 5, 10);
-  auto mt = RunKnnQuery(*w.dataset, *w.index, spec, Algorithm::kMtIndex);
+  auto mt = RunKnnQuery(*w.dataset, *w.index, spec,
+                        Forced(Algorithm::kMtIndex));
   auto seq =
-      RunKnnQuery(*w.dataset, *w.index, spec, Algorithm::kSequentialScan);
+      RunKnnQuery(*w.dataset, *w.index, spec,
+                  Forced(Algorithm::kSequentialScan));
   ASSERT_TRUE(mt.ok());
   ASSERT_TRUE(seq.ok());
   ExpectSameNeighbors(mt->matches, seq->matches);
@@ -128,14 +140,15 @@ TEST(KnnQueryTest, ReportsBestTransformPerNeighbor) {
   spec.query = ts::Denormalize(w.dataset->normal(1));
   spec.k = 3;
   spec.transforms = transform::MovingAverageRange(128, 1, 20);
-  auto result = RunKnnQuery(*w.dataset, *w.index, spec, Algorithm::kMtIndex);
+  auto result = RunKnnQuery(*w.dataset, *w.index, spec,
+                            Forced(Algorithm::kMtIndex));
   ASSERT_TRUE(result.ok());
   for (const KnnMatch& m : result->matches) {
     ASSERT_LT(m.transform_index, spec.transforms.size());
     // The reported transform actually achieves the reported distance.
     const double d2 =
         spec.transforms[m.transform_index].TransformedSquaredDistance(
-            w.dataset->spectrum(m.series_id),
+            *w.dataset->FetchSpectrum(m.series_id),
             w.dataset->plan().Forward(std::span<const double>(
                 ts::Normalize(spec.query).values)));
     EXPECT_NEAR(std::sqrt(d2), m.distance, 1e-6);
@@ -152,10 +165,10 @@ TEST(KnnQueryTest, DataOnlyTargetMatchesBruteForce) {
   for (std::size_t s : {1u, 127u}) {
     spec.transforms.push_back(transform::ShiftTransform(128, s));
   }
-  const auto expected = BruteForceKnnQuery(*w.dataset, spec);
+  const auto expected = testing::Oracle(*w.dataset).Knn(spec);
   for (Algorithm algorithm : {Algorithm::kSequentialScan, Algorithm::kStIndex,
                               Algorithm::kMtIndex}) {
-    auto result = RunKnnQuery(*w.dataset, *w.index, spec, algorithm);
+    auto result = RunKnnQuery(*w.dataset, *w.index, spec, Forced(algorithm));
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     ExpectSameNeighbors(result->matches, expected);
   }
@@ -172,8 +185,9 @@ TEST(KnnQueryTest, QueryTransformSupported) {
       transform::MomentumTransform(128)};
   spec.transforms = transform::ComposeSpectralSets(
       momentum, transform::ShiftRange(128, 0, 3));
-  const auto expected = BruteForceKnnQuery(*w.dataset, spec);
-  auto result = RunKnnQuery(*w.dataset, *w.index, spec, Algorithm::kMtIndex);
+  const auto expected = testing::Oracle(*w.dataset).Knn(spec);
+  auto result = RunKnnQuery(*w.dataset, *w.index, spec,
+                            Forced(Algorithm::kMtIndex));
   ASSERT_TRUE(result.ok());
   ExpectSameNeighbors(result->matches, expected);
   // The query itself (shift 0, momentum == momentum) is the top match.
@@ -187,13 +201,13 @@ TEST(KnnQueryTest, InvalidSpecsRejected) {
   spec.query = ts::Series(32, 0.0);
   spec.k = 1;
   spec.transforms = transform::MovingAverageRange(64, 1, 2);
-  EXPECT_EQ(RunKnnQuery(*w.dataset, *w.index, spec, Algorithm::kMtIndex)
+  EXPECT_EQ(RunKnnQuery(*w.dataset, *w.index, spec, Forced(Algorithm::kMtIndex))
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);
   spec.query = ts::Series(64, 0.0);
   spec.transforms.clear();
-  EXPECT_EQ(RunKnnQuery(*w.dataset, *w.index, spec, Algorithm::kMtIndex)
+  EXPECT_EQ(RunKnnQuery(*w.dataset, *w.index, spec, Forced(Algorithm::kMtIndex))
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);
@@ -216,7 +230,7 @@ TEST(KnnQueryTest, NonFiniteQueryRejected) {
     for (Algorithm algorithm :
          {Algorithm::kSequentialScan, Algorithm::kStIndex,
           Algorithm::kMtIndex}) {
-      EXPECT_EQ(RunKnnQuery(*w.dataset, *w.index, spec, algorithm)
+      EXPECT_EQ(RunKnnQuery(*w.dataset, *w.index, spec, Forced(algorithm))
                     .status()
                     .code(),
                 StatusCode::kInvalidArgument);
@@ -237,7 +251,8 @@ TEST(KnnQueryTest, TiesBreakByseriesId) {
   spec.k = 4;
   spec.transforms = transform::MovingAverageRange(64, 1, 3);
   auto result =
-      RunKnnQuery(*w.dataset, *w.index, spec, Algorithm::kSequentialScan);
+      RunKnnQuery(*w.dataset, *w.index, spec,
+                  Forced(Algorithm::kSequentialScan));
   ASSERT_TRUE(result.ok());
   for (std::size_t i = 1; i < result->matches.size(); ++i) {
     const KnnMatch& prev = result->matches[i - 1];

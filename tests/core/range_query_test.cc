@@ -2,7 +2,9 @@
 
 #include <limits>
 
+#include "core/engine.h"
 #include "test_util.h"
+#include "testing/oracle.h"
 #include "gtest/gtest.h"
 #include "transform/builders.h"
 #include "ts/distance.h"
@@ -11,15 +13,26 @@ namespace tsq::core {
 namespace {
 
 struct Workload {
-  std::unique_ptr<Dataset> dataset;
-  std::unique_ptr<SequenceIndex> index;
+  std::unique_ptr<SimilarityEngine> engine;
+  const Dataset* dataset = nullptr;
+
+  // Runs `spec` through the engine under a forced algorithm.
+  Result<RangeQueryResult> Run(const RangeQuerySpec& spec,
+                               Algorithm algorithm) const {
+    Result<QueryResult> result =
+        engine->Execute(spec, {.planner = {.algorithm = algorithm}});
+    if (!result.ok()) return result.status();
+    return *result->range();
+  }
 };
 
 Workload MakeWorkload(std::vector<ts::Series> series,
                       transform::FeatureLayout layout = {}) {
+  SimilarityEngine::Options options;
+  options.layout = layout;
   Workload w;
-  w.dataset = std::make_unique<Dataset>(std::move(series), layout);
-  w.index = std::make_unique<SequenceIndex>(*w.dataset);
+  w.engine = std::make_unique<SimilarityEngine>(std::move(series), options);
+  w.dataset = &w.engine->dataset();
   return w;
 }
 
@@ -63,12 +76,13 @@ TEST_P(RangeQueryEquivalenceTest, AllAlgorithmsMatchBruteForce) {
 
   for (std::size_t query_id : {std::size_t{0}, std::size_t{57}}) {
     const RangeQuerySpec spec = MovingAverageSpec(w, query_id, 5, 20);
-    const std::vector<Match> expected = BruteForceRangeQuery(*w.dataset, spec);
+    const std::vector<Match> expected =
+        testing::Oracle(*w.dataset).Range(spec);
 
     for (Algorithm algorithm :
          {Algorithm::kSequentialScan, Algorithm::kStIndex,
           Algorithm::kMtIndex}) {
-      auto result = RunRangeQuery(*w.dataset, *w.index, spec, algorithm);
+      auto result = w.Run(spec, algorithm);
       ASSERT_TRUE(result.ok()) << result.status().ToString();
       ExpectSameMatches(result->matches, expected);
       EXPECT_EQ(result->stats.output_size, expected.size());
@@ -82,12 +96,12 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RangeQueryEquivalenceTest,
 TEST(RangeQueryTest, PartitionedMtIndexStillExact) {
   Workload w = MakeWorkload(testutil::Stocks(150, 128, 42));
   RangeQuerySpec spec = MovingAverageSpec(w, 3, 6, 29);
-  const std::vector<Match> expected = BruteForceRangeQuery(*w.dataset, spec);
+  const std::vector<Match> expected =
+      testing::Oracle(*w.dataset).Range(spec);
   for (std::size_t per_group : {1u, 2u, 5u, 8u, 24u}) {
     spec.partition =
         transform::PartitionBySize(spec.transforms.size(), per_group);
-    auto result =
-        RunRangeQuery(*w.dataset, *w.index, spec, Algorithm::kMtIndex);
+    auto result = w.Run(spec, Algorithm::kMtIndex);
     ASSERT_TRUE(result.ok());
     ExpectSameMatches(result->matches, expected);
     EXPECT_EQ(result->stats.traversals, spec.partition.size());
@@ -100,10 +114,10 @@ TEST(RangeQueryTest, QueryFromOutsideTheDataset) {
   spec.query = testutil::RandomWalks(1, 128, 999)[0];
   spec.transforms = transform::MovingAverageRange(128, 1, 10);
   spec.epsilon = ts::CorrelationToDistanceThreshold(0.9, 128);
-  const auto expected = BruteForceRangeQuery(*w.dataset, spec);
+  const auto expected = testing::Oracle(*w.dataset).Range(spec);
   for (Algorithm algorithm : {Algorithm::kSequentialScan, Algorithm::kStIndex,
                               Algorithm::kMtIndex}) {
-    auto result = RunRangeQuery(*w.dataset, *w.index, spec, algorithm);
+    auto result = w.Run(spec, algorithm);
     ASSERT_TRUE(result.ok());
     ExpectSameMatches(result->matches, expected);
   }
@@ -114,7 +128,7 @@ TEST(RangeQueryTest, SelfQueryAlwaysMatchesWithIdentityWindow) {
   // distance 0.
   Workload w = MakeWorkload(testutil::RandomWalks(50, 64, 8));
   RangeQuerySpec spec = MovingAverageSpec(w, 11, 1, 1, 0.9);
-  auto result = RunRangeQuery(*w.dataset, *w.index, spec, Algorithm::kMtIndex);
+  auto result = w.Run(spec, Algorithm::kMtIndex);
   ASSERT_TRUE(result.ok());
   bool found_self = false;
   for (const Match& m : result->matches) {
@@ -133,10 +147,10 @@ TEST(RangeQueryTest, ShiftTransformsExact) {
   spec.query = ts::Denormalize(w.dataset->normal(5));
   spec.transforms = transform::ShiftRange(64, 0, 10);
   spec.epsilon = ts::CorrelationToDistanceThreshold(0.9, 64);
-  const auto expected = BruteForceRangeQuery(*w.dataset, spec);
+  const auto expected = testing::Oracle(*w.dataset).Range(spec);
   EXPECT_FALSE(expected.empty());  // shift 0 matches the query itself
   for (Algorithm algorithm : {Algorithm::kStIndex, Algorithm::kMtIndex}) {
-    auto result = RunRangeQuery(*w.dataset, *w.index, spec, algorithm);
+    auto result = w.Run(spec, algorithm);
     ASSERT_TRUE(result.ok());
     ExpectSameMatches(result->matches, expected);
   }
@@ -151,10 +165,10 @@ TEST(RangeQueryTest, MomentumAndMixedTransformSet) {
   spec.transforms.push_back(transform::ShiftTransform(128, 3));
   spec.transforms.push_back(transform::InvertTransform(128));
   spec.epsilon = 2.0;
-  const auto expected = BruteForceRangeQuery(*w.dataset, spec);
+  const auto expected = testing::Oracle(*w.dataset).Range(spec);
   for (Algorithm algorithm : {Algorithm::kSequentialScan, Algorithm::kStIndex,
                               Algorithm::kMtIndex}) {
-    auto result = RunRangeQuery(*w.dataset, *w.index, spec, algorithm);
+    auto result = w.Run(spec, algorithm);
     ASSERT_TRUE(result.ok());
     ExpectSameMatches(result->matches, expected);
   }
@@ -167,15 +181,15 @@ TEST(RangeQueryTest, OrderedScaleSetBinarySearch) {
   spec.transforms = transform::ScaleRange(64, 1.0, 50.0, 1.0);
   spec.epsilon = 20.0;
   spec.use_ordering = true;
-  const auto expected = BruteForceRangeQuery(*w.dataset, spec);
+  const auto expected = testing::Oracle(*w.dataset).Range(spec);
   EXPECT_FALSE(expected.empty());
 
   RangeQuerySpec linear = spec;
   linear.use_ordering = false;
   for (Algorithm algorithm : {Algorithm::kSequentialScan, Algorithm::kStIndex,
                               Algorithm::kMtIndex}) {
-    auto ordered = RunRangeQuery(*w.dataset, *w.index, spec, algorithm);
-    auto plain = RunRangeQuery(*w.dataset, *w.index, linear, algorithm);
+    auto ordered = w.Run(spec, algorithm);
+    auto plain = w.Run(linear, algorithm);
     ASSERT_TRUE(ordered.ok());
     ASSERT_TRUE(plain.ok());
     ExpectSameMatches(ordered->matches, expected);
@@ -197,9 +211,8 @@ TEST(RangeQueryTest, StatsAccounting) {
   Workload w = MakeWorkload(testutil::Stocks(200, 128, 12));
   const RangeQuerySpec spec = MovingAverageSpec(w, 0, 10, 25);
 
-  w.dataset->ResetRecordIo();
-  auto seq =
-      RunRangeQuery(*w.dataset, *w.index, spec, Algorithm::kSequentialScan);
+  w.engine->ResetIoStats();
+  auto seq = w.Run(spec, Algorithm::kSequentialScan);
   ASSERT_TRUE(seq.ok());
   EXPECT_EQ(seq->stats.index_nodes_accessed, 0u);
   // The scan's record_pages_read counts the pages its fetches actually
@@ -212,24 +225,24 @@ TEST(RangeQueryTest, StatsAccounting) {
   EXPECT_EQ(seq->stats.comparisons,
             w.dataset->size() * spec.transforms.size());
 
-  std::vector<GroupRunStats> groups;
-  auto mt =
-      RunRangeQuery(*w.dataset, *w.index, spec, Algorithm::kMtIndex, &groups);
+  auto mt = w.engine->Execute(
+      spec, {.planner = {.algorithm = Algorithm::kMtIndex}});
   ASSERT_TRUE(mt.ok());
-  EXPECT_EQ(mt->stats.traversals, 1u);
-  ASSERT_EQ(groups.size(), 1u);
-  EXPECT_EQ(groups[0].transforms, spec.transforms.size());
-  EXPECT_GE(mt->stats.index_nodes_accessed, 1u);
-  EXPECT_GE(mt->stats.index_nodes_accessed, mt->stats.index_leaves_accessed);
+  const QueryStats& mt_stats = mt->stats();
+  EXPECT_EQ(mt_stats.traversals, 1u);
+  ASSERT_EQ(mt->group_stats.size(), 1u);
+  EXPECT_EQ(mt->group_stats[0].transforms, spec.transforms.size());
+  EXPECT_GE(mt_stats.index_nodes_accessed, 1u);
+  EXPECT_GE(mt_stats.index_nodes_accessed, mt_stats.index_leaves_accessed);
   // MT-index reads fewer record pages than the scan (filtering works).
-  EXPECT_LT(mt->stats.record_pages_read, seq->stats.record_pages_read);
-  EXPECT_LT(mt->stats.comparisons, seq->stats.comparisons);
+  EXPECT_LT(mt_stats.record_pages_read, seq->stats.record_pages_read);
+  EXPECT_LT(mt_stats.comparisons, seq->stats.comparisons);
 
-  auto st = RunRangeQuery(*w.dataset, *w.index, spec, Algorithm::kStIndex);
+  auto st = w.Run(spec, Algorithm::kStIndex);
   ASSERT_TRUE(st.ok());
   EXPECT_EQ(st->stats.traversals, spec.transforms.size());
   // One traversal (MT) reads fewer index pages than |T| traversals (ST).
-  EXPECT_LT(mt->stats.index_nodes_accessed, st->stats.index_nodes_accessed);
+  EXPECT_LT(mt_stats.index_nodes_accessed, st->stats.index_nodes_accessed);
 }
 
 TEST(RangeQueryTest, InvalidSpecsRejected) {
@@ -238,43 +251,31 @@ TEST(RangeQueryTest, InvalidSpecsRejected) {
   spec.query = ts::Series(32, 1.0);  // wrong length
   spec.transforms = transform::MovingAverageRange(64, 1, 2);
   spec.epsilon = 1.0;
-  EXPECT_EQ(RunRangeQuery(*w.dataset, *w.index, spec, Algorithm::kMtIndex)
-                .status()
-                .code(),
+  EXPECT_EQ(w.Run(spec, Algorithm::kMtIndex).status().code(),
             StatusCode::kInvalidArgument);
 
   spec.query = ts::Series(64, 1.0);
   spec.transforms.clear();
-  EXPECT_EQ(RunRangeQuery(*w.dataset, *w.index, spec, Algorithm::kMtIndex)
-                .status()
-                .code(),
+  EXPECT_EQ(w.Run(spec, Algorithm::kMtIndex).status().code(),
             StatusCode::kInvalidArgument);
 
   spec.transforms = transform::MovingAverageRange(64, 1, 4);
   spec.epsilon = -1.0;
-  EXPECT_EQ(RunRangeQuery(*w.dataset, *w.index, spec, Algorithm::kMtIndex)
-                .status()
-                .code(),
+  EXPECT_EQ(w.Run(spec, Algorithm::kMtIndex).status().code(),
             StatusCode::kInvalidArgument);
 
   // A NaN threshold makes every comparison false; reject it like a negative.
   spec.epsilon = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_EQ(RunRangeQuery(*w.dataset, *w.index, spec, Algorithm::kMtIndex)
-                .status()
-                .code(),
+  EXPECT_EQ(w.Run(spec, Algorithm::kMtIndex).status().code(),
             StatusCode::kInvalidArgument);
 
   spec.epsilon = 1.0;
   spec.partition = {{0, 1}, {1, 2, 3}};  // overlapping groups
-  EXPECT_EQ(RunRangeQuery(*w.dataset, *w.index, spec, Algorithm::kMtIndex)
-                .status()
-                .code(),
+  EXPECT_EQ(w.Run(spec, Algorithm::kMtIndex).status().code(),
             StatusCode::kInvalidArgument);
 
   spec.partition = {{0, 1}};  // not covering
-  EXPECT_EQ(RunRangeQuery(*w.dataset, *w.index, spec, Algorithm::kMtIndex)
-                .status()
-                .code(),
+  EXPECT_EQ(w.Run(spec, Algorithm::kMtIndex).status().code(),
             StatusCode::kInvalidArgument);
 }
 
@@ -289,11 +290,11 @@ TEST(RangeQueryTest, DataOnlyTargetMatchesBruteForce) {
     spec.transforms.push_back(transform::ShiftTransform(128, s));
   }
   spec.epsilon = 2.5;
-  const auto expected = BruteForceRangeQuery(*w.dataset, spec);
+  const auto expected = testing::Oracle(*w.dataset).Range(spec);
   EXPECT_FALSE(expected.empty());
   for (Algorithm algorithm : {Algorithm::kSequentialScan, Algorithm::kStIndex,
                               Algorithm::kMtIndex}) {
-    auto result = RunRangeQuery(*w.dataset, *w.index, spec, algorithm);
+    auto result = w.Run(spec, algorithm);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     ExpectSameMatches(result->matches, expected);
   }
@@ -310,12 +311,12 @@ TEST(RangeQueryTest, DataOnlyShiftsAreMeaningful) {
   spec.epsilon = 1e-6;
 
   spec.target = TransformTarget::kBoth;
-  auto both = BruteForceRangeQuery(*w.dataset, spec);
+  auto both = testing::Oracle(*w.dataset).Range(spec);
   // Both shifts match the query itself (distance 0 either way).
   EXPECT_EQ(both.size(), 2u);
 
   spec.target = TransformTarget::kDataOnly;
-  auto data_only = BruteForceRangeQuery(*w.dataset, spec);
+  auto data_only = testing::Oracle(*w.dataset).Range(spec);
   // Only the unshifted version still matches.
   ASSERT_EQ(data_only.size(), 1u);
   EXPECT_EQ(data_only[0].transform_index, 0u);
@@ -358,10 +359,10 @@ TEST(RangeQueryTest, QueryTransformAlignment) {
   spec.transforms = transform::ComposeSpectralSets(momentum, shifts);
   spec.epsilon = 4.0;  // the aligned lag scores ~2, every other lag ~20
 
-  const auto expected = BruteForceRangeQuery(*w.dataset, spec);
+  const auto expected = testing::Oracle(*w.dataset).Range(spec);
   for (Algorithm algorithm : {Algorithm::kSequentialScan, Algorithm::kStIndex,
                               Algorithm::kMtIndex}) {
-    auto result = RunRangeQuery(*w.dataset, *w.index, spec, algorithm);
+    auto result = w.Run(spec, algorithm);
     ASSERT_TRUE(result.ok());
     ExpectSameMatches(result->matches, expected);
   }
@@ -381,9 +382,7 @@ TEST(RangeQueryTest, OrderingRejectedForDataOnlyTarget) {
   spec.epsilon = 1.0;
   spec.target = TransformTarget::kDataOnly;
   spec.use_ordering = true;
-  EXPECT_EQ(RunRangeQuery(*w.dataset, *w.index, spec, Algorithm::kMtIndex)
-                .status()
-                .code(),
+  EXPECT_EQ(w.Run(spec, Algorithm::kMtIndex).status().code(),
             StatusCode::kInvalidArgument);
 }
 
@@ -393,7 +392,7 @@ TEST(RangeQueryTest, ZeroEpsilonReturnsNothing) {
   spec.epsilon = 0.0;  // strict '<' comparison: even exact matches fail
   for (Algorithm algorithm : {Algorithm::kSequentialScan, Algorithm::kStIndex,
                               Algorithm::kMtIndex}) {
-    auto result = RunRangeQuery(*w.dataset, *w.index, spec, algorithm);
+    auto result = w.Run(spec, algorithm);
     ASSERT_TRUE(result.ok());
     EXPECT_TRUE(result->matches.empty());
   }
@@ -405,7 +404,7 @@ TEST(RangeQueryTest, LargeEpsilonReturnsEverything) {
   spec.epsilon = 1e6;
   for (Algorithm algorithm : {Algorithm::kSequentialScan, Algorithm::kStIndex,
                               Algorithm::kMtIndex}) {
-    auto result = RunRangeQuery(*w.dataset, *w.index, spec, algorithm);
+    auto result = w.Run(spec, algorithm);
     ASSERT_TRUE(result.ok());
     EXPECT_EQ(result->matches.size(),
               w.dataset->size() * spec.transforms.size());

@@ -48,7 +48,6 @@ TEST_F(ExecutorDeterminismTest, RangeQueryIdenticalAcrossThreadCounts) {
         Algorithm::kMtIndex}) {
     ExecOptions options;
     options.planner.algorithm = algorithm;
-    options.collect_group_stats = true;
     options.num_threads = 1;
     const auto baseline = engine_.Execute(spec, options);
     ASSERT_TRUE(baseline.ok()) << AlgorithmName(algorithm);

@@ -79,7 +79,6 @@ double MeasuredCost(const core::SimilarityEngine& engine,
   spec.partition = partition;
   core::ExecOptions options;
   options.planner.algorithm = core::Algorithm::kMtIndex;
-  options.collect_group_stats = true;
   const auto result = engine.Execute(spec, options);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
   return core::CostEq20(result->group_stats,
@@ -211,11 +210,21 @@ TEST(PlannerTest, ExplainRendersThePlan) {
 
 TEST(PlannerTest, RawExecutorsRejectUnresolvedAuto) {
   core::SimilarityEngine engine(core::testutil::Stocks(30, kLength, 96));
-  const core::RangeQuerySpec spec = TwoClusterSpec(engine);
+  const core::RangeQuerySpec range = TwoClusterSpec(engine);
+  core::KnnQuerySpec knn;
+  knn.query = range.query;
+  knn.transforms = range.transforms;
+  core::JoinQuerySpec join;
+  join.transforms = range.transforms;
   core::ExecOptions options;  // algorithm left at kAuto
-  const auto direct =
-      core::RunRangeQuery(engine.dataset(), engine.index(), spec, options);
-  EXPECT_EQ(direct.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(core::RunKnnQuery(engine.dataset(), engine.index(), knn, options)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(core::RunJoinQuery(engine.dataset(), engine.index(), join, options)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(PlannerTest, ForcedAlgorithmsBypassPlanningAndPartitioningKnobs) {
@@ -224,7 +233,6 @@ TEST(PlannerTest, ForcedAlgorithmsBypassPlanningAndPartitioningKnobs) {
   spec.partition = transform::PartitionIntoGroups(spec.transforms.size(), 3);
   core::ExecOptions options;
   options.planner.algorithm = core::Algorithm::kMtIndex;
-  options.collect_group_stats = true;
   const auto result = engine.Execute(spec, options);
   ASSERT_TRUE(result.ok());
   EXPECT_FALSE(result->trace().planner.planned);
