@@ -104,12 +104,10 @@ struct BatchMetrics {
   }
 };
 
-/// Full range-spec validation (lengths, thresholds, partition
+/// Full range-spec validation (query series, lengths, thresholds, partition
 /// well-formedness).
 Status ValidateRangeSpec(const Dataset& dataset, const RangeQuerySpec& spec) {
-  if (spec.query.size() != dataset.length()) {
-    return Status::InvalidArgument("query length does not match dataset");
-  }
+  TSQ_RETURN_IF_ERROR(ValidateQuerySeries(dataset, spec.query));
   if (spec.transforms.empty()) {
     return Status::InvalidArgument("no transformations in query");
   }

@@ -1,5 +1,8 @@
 #include "core/dataset.h"
 
+#include <algorithm>
+#include <cmath>
+
 #include "common/check.h"
 
 namespace tsq::core {
@@ -31,6 +34,13 @@ Result<std::size_t> Dataset::Append(const ts::Series& series) {
       << "all series in a dataset must have equal length";
   ts::NormalForm normal = ts::Normalize(series);
   std::vector<dft::Complex> spectrum = plan_->Forward(normal.values);
+  rstar::Point features = ExtractFeatures(normal, spectrum, layout_);
+  const auto finite = [](double v) { return std::isfinite(v); };
+  if (!finite(normal.mean) || !finite(normal.stddev) ||
+      !std::all_of(features.begin(), features.end(), finite)) {
+    return Status::InvalidArgument(
+        "series has a non-finite mean, stddev or feature");
+  }
   // The stored "full database record" is the normal form's spectrum
   // (real/imaginary interleaved). By Parseval (Eq. 8) it carries exactly
   // the information of the normal form itself, and the post-processing
@@ -38,14 +48,14 @@ Result<std::size_t> Dataset::Append(const ts::Series& series) {
   // FFT per candidate fetch. A std::complex<double> is exactly that pair of
   // doubles, so the spectrum's bytes are the record.
   //
-  // The store write is the one fallible step (it reads the current page, a
-  // read an injected fault can fail); everything is pushed only after it
+  // The store write is the one fallible I/O step (it reads the current page,
+  // a read an injected fault can fail); everything is pushed only after it
   // succeeded so a failure leaves no trace.
   Result<storage::RecordId> id = records_->Append(
       {reinterpret_cast<const std::uint8_t*>(spectrum.data()),
        spectrum.size() * sizeof(dft::Complex)});
   TSQ_RETURN_IF_ERROR(id.status());
-  features_.push_back(ExtractFeatures(normal, spectrum, layout_));
+  features_.push_back(std::move(features));
   record_ids_.push_back(*id);
   normals_.push_back(std::move(normal));
   removed_.push_back(false);
@@ -146,6 +156,18 @@ Result<std::vector<dft::Complex>> Dataset::FetchSpectrum(
   std::vector<dft::Complex> spectrum(length_);
   TSQ_RETURN_IF_ERROR(FetchSpectrumInto(i, spectrum, pages_read));
   return spectrum;
+}
+
+Status ValidateQuerySeries(const Dataset& dataset, const ts::Series& query) {
+  if (query.size() != dataset.length()) {
+    return Status::InvalidArgument("query length does not match dataset");
+  }
+  for (const double value : query) {
+    if (!std::isfinite(value)) {
+      return Status::InvalidArgument("query contains non-finite values");
+    }
+  }
+  return Status::Ok();
 }
 
 PreparedQuery PrepareQuery(

@@ -37,11 +37,15 @@ class Dataset {
   /// Builds from raw series. All series must have the same length >= 2.
   Dataset(std::vector<ts::Series> raw, transform::FeatureLayout layout);
 
-  /// Appends one more sequence (normalizes, stores the record, derives
-  /// features) and returns its id. Requires series.size() == length().
+  /// Appends one more sequence (normalizes, derives features, stores the
+  /// record) and returns its id. Requires series.size() == length().
+  /// InvalidArgument when the mean, the stddev or any feature is not finite
+  /// (a NaN or ±inf value, or finite values whose stddev overflows): such a
+  /// point cannot be indexed or checkpointed.
   /// Failure-atomic: storing the record reads the store's current page, so
-  /// it can fail (e.g. under an injected read fault) — in that case nothing
-  /// is appended and the dataset is exactly as before.
+  /// it can fail (e.g. under an injected read fault) — in that case, as on
+  /// InvalidArgument, nothing is appended and the dataset is exactly as
+  /// before.
   Result<std::size_t> Append(const ts::Series& series);
 
   /// Tombstones sequence `i`: it stays in the (append-only) record store but
@@ -154,6 +158,12 @@ struct PreparedQuery {
   std::vector<dft::Complex> spectrum;
   rstar::Point features;
 };
+
+/// The checks every query series passes before PrepareQuery: its length is
+/// the dataset's, and every value is finite. A NaN or ±inf value makes every
+/// distance NaN, so a range query would silently match nothing and a k-NN
+/// order would not exist. InvalidArgument otherwise.
+Status ValidateQuerySeries(const Dataset& dataset, const ts::Series& query);
 
 /// The one query preparation every executor runs: normalize `query`, take
 /// its DFT with the dataset's plan, apply `query_transform` when set, and

@@ -34,16 +34,7 @@ bool KnnMatchOrder(const KnnMatch& a, const KnnMatch& b) {
 }
 
 Status ValidateSpec(const Dataset& dataset, const KnnQuerySpec& spec) {
-  if (spec.query.size() != dataset.length()) {
-    return Status::InvalidArgument("query length does not match dataset");
-  }
-  // A non-finite query value makes every distance NaN (a "nearest" order no
-  // longer exists), so reject it up front rather than sort garbage.
-  for (const double value : spec.query) {
-    if (!std::isfinite(value)) {
-      return Status::InvalidArgument("query contains non-finite values");
-    }
-  }
+  TSQ_RETURN_IF_ERROR(ValidateQuerySeries(dataset, spec.query));
   if (spec.transforms.empty()) {
     return Status::InvalidArgument("no transformations in query");
   }

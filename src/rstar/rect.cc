@@ -113,51 +113,9 @@ double Rect::OverlapArea(const Rect& other) const {
   return area;
 }
 
-double Rect::MinSquaredDistance(const Point& point) const {
-  return RectView(*this).MinSquaredDistance(point);
-}
-
 Rect RectView::ToRect() const {
   return Rect(std::vector<double>(low_, low_ + dimensions_),
               std::vector<double>(high_, high_ + dimensions_));
-}
-
-double RectView::MinSquaredDistance(const Point& point) const {
-  TSQ_DCHECK(dimensions() == point.size());
-  double acc = 0.0;
-  for (std::size_t d = 0; d < dimensions(); ++d) {
-    double diff = 0.0;
-    if (point[d] < low_[d]) {
-      diff = low_[d] - point[d];
-    } else if (point[d] > high_[d]) {
-      diff = point[d] - high_[d];
-    }
-    acc += diff * diff;
-  }
-  return acc;
-}
-
-double Rect::MinMaxSquaredDistance(const Point& point) const {
-  TSQ_DCHECK(dimensions() == point.size());
-  const std::size_t dims = dimensions();
-  TSQ_DCHECK(dims > 0);
-  // Precompute per-dimension contributions.
-  // rm_k = distance to the nearer face along k; rM_k = to the farther face.
-  std::vector<double> rm2(dims), rM2(dims);
-  double total_rM2 = 0.0;
-  for (std::size_t d = 0; d < dims; ++d) {
-    const double mid = Center(d);
-    const double rm = point[d] <= mid ? low_[d] : high_[d];
-    const double rM = point[d] >= mid ? low_[d] : high_[d];
-    rm2[d] = (point[d] - rm) * (point[d] - rm);
-    rM2[d] = (point[d] - rM) * (point[d] - rM);
-    total_rM2 += rM2[d];
-  }
-  double best = std::numeric_limits<double>::infinity();
-  for (std::size_t d = 0; d < dims; ++d) {
-    best = std::min(best, total_rM2 - rM2[d] + rm2[d]);
-  }
-  return best;
 }
 
 std::string Rect::ToString() const {

@@ -74,16 +74,6 @@ class Rect {
   /// Area of the intersection with `other` (0 when disjoint).
   double OverlapArea(const Rect& other) const;
 
-  /// MINDIST of Roussopoulos et al.: squared distance from `point` to the
-  /// nearest face of the rect; 0 if the point is inside. Lower-bounds the
-  /// squared distance from `point` to anything inside the rect.
-  double MinSquaredDistance(const Point& point) const;
-
-  /// MINMAXDIST of Roussopoulos et al.: the smallest upper bound on the
-  /// squared distance from `point` to the nearest *object contained in* the
-  /// rect (every face of an R-tree MBR touches at least one object).
-  double MinMaxSquaredDistance(const Point& point) const;
-
   /// "(lo..hi)x(lo..hi)" rendering for diagnostics.
   std::string ToString() const;
 
@@ -114,9 +104,8 @@ class RectView {
   double low(std::size_t dim) const { return low_[dim]; }
   double high(std::size_t dim) const { return high_[dim]; }
 
-  /// Same semantics as the Rect methods of the same names.
+  /// Same semantics as Rect::Intersects.
   bool Intersects(const RectView& other) const;
-  double MinSquaredDistance(const Point& point) const;
 
   /// An owning copy.
   Rect ToRect() const;

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
-#include <queue>
 
 #include "common/check.h"
 
@@ -305,8 +304,6 @@ void RStarTree::ChooseSplit(const std::vector<Entry>& entries,
   // For every axis consider entries sorted by low and by high value; the
   // split axis is the one with the smallest margin sum over all candidate
   // distributions (R* "ChooseSplitAxis").
-  std::size_t best_axis = 0;
-  bool best_axis_by_low = true;
   double best_margin_sum = std::numeric_limits<double>::infinity();
   // Remember the winning axis' distributions to avoid re-sorting.
   std::vector<std::size_t> best_order;
@@ -345,14 +342,14 @@ void RStarTree::ChooseSplit(const std::vector<Entry>& entries,
       }
       if (margin_sum < best_margin_sum) {
         best_margin_sum = margin_sum;
-        best_axis = axis;
-        best_axis_by_low = by_low;
+        best_order = order;
+      } else if (best_order.empty()) {
+        // Margins of huge coordinates overflow to inf. Until some margin sum
+        // compares below +inf, keep the first candidate (axis 0 by low).
         best_order = order;
       }
     }
   }
-  (void)best_axis;
-  (void)best_axis_by_low;
 
   // On the chosen axis/order, pick the distribution with minimum overlap,
   // ties by minimum combined area (R* "ChooseSplitIndex").
@@ -777,77 +774,6 @@ Status RStarTree::WindowQuery(const Rect& window,
   return Search(
       [&window](const RectView& rect) { return rect.Intersects(window); },
       ids, stats);
-}
-
-Status RStarTree::NearestNeighbors(std::size_t k,
-                                   const RectDistance& node_distance,
-                                   const RectDistance& entry_distance,
-                                   std::vector<Neighbor>* results,
-                                   SearchStats* stats) const {
-  results->clear();
-  if (root_ == storage::kInvalidPageId || k == 0) return Status::Ok();
-
-  struct QueueItem {
-    double distance;
-    storage::PageId page;
-    bool operator>(const QueueItem& other) const {
-      return distance > other.distance;
-    }
-  };
-  std::priority_queue<QueueItem, std::vector<QueueItem>, std::greater<>>
-      frontier;
-  frontier.push({0.0, root_});
-
-  // Max-heap of the best k found so far, keyed by distance.
-  auto worse = [](const Neighbor& a, const Neighbor& b) {
-    return a.squared_distance < b.squared_distance;
-  };
-  std::priority_queue<Neighbor, std::vector<Neighbor>, decltype(worse)> best(
-      worse);
-
-  NodeView node;
-  while (!frontier.empty()) {
-    const QueueItem item = frontier.top();
-    frontier.pop();
-    if (best.size() == k && item.distance > best.top().squared_distance) {
-      break;  // Everything left is farther than the current k-th best.
-    }
-    TSQ_RETURN_IF_ERROR(ReadNodeView(item.page, &node, stats));
-    for (std::size_t i = 0; i < node.size(); ++i) {
-      if (node.is_leaf) {
-        const double d = entry_distance(node.rect(i));
-        if (best.size() < k) {
-          best.push(Neighbor{node.ids[i], d});
-        } else if (d < best.top().squared_distance) {
-          best.pop();
-          best.push(Neighbor{node.ids[i], d});
-        }
-      } else {
-        const double d = node_distance(node.rect(i));
-        if (best.size() < k || d <= best.top().squared_distance) {
-          frontier.push({d, static_cast<storage::PageId>(node.ids[i])});
-        }
-      }
-    }
-  }
-
-  results->reserve(best.size());
-  while (!best.empty()) {
-    results->push_back(best.top());
-    best.pop();
-  }
-  std::reverse(results->begin(), results->end());
-  if (stats != nullptr) stats->matches += results->size();
-  return Status::Ok();
-}
-
-Status RStarTree::NearestNeighbors(std::size_t k, const Point& query,
-                                   std::vector<Neighbor>* results,
-                                   SearchStats* stats) const {
-  const auto distance = [&query](const RectView& rect) {
-    return rect.MinSquaredDistance(query);
-  };
-  return NearestNeighbors(k, distance, distance, results, stats);
 }
 
 // --- introspection -----------------------------------------------------------

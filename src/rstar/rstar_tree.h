@@ -75,10 +75,6 @@ class RStarTree {
   /// is valid for the duration of the call only.
   using RectPredicate = std::function<bool(const RectView&)>;
 
-  /// A lower bound on the squared distance from the (implicit) query to
-  /// anything inside the rect; used by nearest-neighbour search.
-  using RectDistance = std::function<double(const RectView&)>;
-
   /// Creates an empty tree of the given dimensionality backed by `file`
   /// (not owned; must outlive the tree and be exclusive to it).
   RStarTree(storage::PageFile* file, std::size_t dimensions,
@@ -136,25 +132,6 @@ class RStarTree {
   Status WindowQuery(const Rect& window, std::vector<std::uint64_t>* ids,
                      SearchStats* stats = nullptr) const;
 
-  /// k-nearest-neighbour search by branch-and-bound on MINDIST (Roussopoulos
-  /// et al. 1995). `entry_distance` gives the squared distance of a leaf
-  /// entry rect, `node_distance` a lower bound for a subtree rect; passing
-  /// the same function for both is correct for point data. Results are
-  /// sorted by ascending distance.
-  struct Neighbor {
-    std::uint64_t id = 0;
-    double squared_distance = 0.0;
-  };
-  Status NearestNeighbors(std::size_t k, const RectDistance& node_distance,
-                          const RectDistance& entry_distance,
-                          std::vector<Neighbor>* results,
-                          SearchStats* stats = nullptr) const;
-
-  /// Euclidean k-NN around `query`.
-  Status NearestNeighbors(std::size_t k, const Point& query,
-                          std::vector<Neighbor>* results,
-                          SearchStats* stats = nullptr) const;
-
   std::size_t size() const { return size_; }
   std::size_t dimensions() const { return dimensions_; }
   /// Levels from root to leaf inclusive (0 for an empty tree).
@@ -200,9 +177,8 @@ class RStarTree {
   storage::PageId root_page() const { return root_; }
 
   /// Reads and decodes the node stored at `page` into `*out`, reusing its
-  /// buffers. Exposed for the spatial join, which traverses two trees in
-  /// lockstep, and for k-NN best-first search. Counts page reads in
-  /// `*stats`.
+  /// buffers. Exposed for the self-join's node cache and for the engine's
+  /// k-NN best-first search. Counts page reads in `*stats`.
   Status ReadNodeView(storage::PageId page, NodeView* out,
                       SearchStats* stats = nullptr) const;
 

@@ -68,27 +68,22 @@ Status RecordStore::Walk(RecordId id, std::uint64_t* pages_read,
   const Result<Target> target = place(total);
   if (!target.ok()) return target.status();
 
-  // Continuation pages are consecutive and carry payload from byte 0, so
-  // the first requested byte's page and in-page cursor follow from its
-  // position counted from the header page's first byte.
-  const std::size_t position =
-      std::size_t{id.offset} + kHeaderSize + target->first;
-  PageId page_id = id.page + static_cast<PageId>(position / kPageSize);
-  std::size_t cursor = position % kPageSize;
-  PageId loaded = id.page;
+  // The payload starts right after the header; continuation pages are
+  // consecutive and carry payload from byte 0.
+  PageId page_id = id.page;
+  std::size_t cursor = std::size_t{id.offset} + kHeaderSize;
   std::size_t copied = 0;
   while (copied < target->length) {
-    if (page_id != loaded) {
-      TSQ_RETURN_IF_ERROR(file_->Read(page_id, &page));
+    if (cursor == kPageSize) {
+      TSQ_RETURN_IF_ERROR(file_->Read(++page_id, &page));
       if (pages_read != nullptr) ++*pages_read;
-      loaded = page_id;
+      cursor = 0;
     }
     const std::size_t chunk =
         std::min(kPageSize - cursor, target->length - copied);
     std::memcpy(target->dest + copied, page.bytes.data() + cursor, chunk);
     copied += chunk;
-    ++page_id;
-    cursor = 0;
+    cursor += chunk;
   }
   return Status::Ok();
 }
@@ -99,7 +94,7 @@ Result<std::vector<std::uint8_t>> RecordStore::Get(
   TSQ_RETURN_IF_ERROR(
       Walk(id, pages_read, [&payload](std::uint32_t total) -> Result<Target> {
         payload.resize(total);
-        return Target{payload.data(), 0, total};
+        return Target{payload.data(), total};
       }));
   return payload;
 }
@@ -112,37 +107,8 @@ Status RecordStore::ReadInto(RecordId id, std::span<std::uint8_t> out,
                                 " bytes, expected " +
                                 std::to_string(out.size()));
     }
-    return Target{out.data(), 0, out.size()};
+    return Target{out.data(), out.size()};
   });
-}
-
-Result<std::vector<std::uint8_t>> RecordStore::GetRange(
-    RecordId id, std::size_t byte_offset, std::size_t length) const {
-  std::vector<std::uint8_t> out;
-  TSQ_RETURN_IF_ERROR(
-      Walk(id, nullptr, [&](std::uint32_t total) -> Result<Target> {
-        if (byte_offset > total || length > total - byte_offset) {
-          return Status::OutOfRange("range exceeds record payload");
-        }
-        out.resize(length);
-        return Target{out.data(), byte_offset, length};
-      }));
-  return out;
-}
-
-Result<ts::Series> RecordStore::GetSeriesRange(RecordId id, std::size_t first,
-                                               std::size_t count) const {
-  Result<std::vector<std::uint8_t>> bytes =
-      GetRange(id, first * sizeof(double), count * sizeof(double));
-  if (!bytes.ok()) return bytes.status();
-  ts::Series series(count);
-  std::memcpy(series.data(), bytes->data(), bytes->size());
-  return series;
-}
-
-Result<RecordId> RecordStore::AppendSeries(const ts::Series& series) {
-  return Append({reinterpret_cast<const std::uint8_t*>(series.data()),
-                 series.size() * sizeof(double)});
 }
 
 Result<ts::Series> RecordStore::GetSeries(RecordId id,
@@ -154,8 +120,7 @@ Result<ts::Series> RecordStore::GetSeries(RecordId id,
           return Status::Corruption("record size is not a multiple of 8");
         }
         series.resize(total / sizeof(double));
-        return Target{reinterpret_cast<std::uint8_t*>(series.data()), 0,
-                      total};
+        return Target{reinterpret_cast<std::uint8_t*>(series.data()), total};
       }));
   return series;
 }

@@ -37,9 +37,8 @@ struct RecordId {
 /// Every read goes through one page-walk: it reads (and counts) the header
 /// page, lets the calling method check the stored length and pick the
 /// destination (ReadInto rejects a length that differs from its span; Get
-/// sizes a fresh buffer), then copies the payload fragments straight from
-/// each page buffer to the destination, reading only the pages the
-/// requested bytes span.
+/// sizes a fresh buffer), then copies the whole payload, fragment by
+/// fragment, straight from each page buffer to the destination.
 class RecordStore {
  public:
   /// Bytes of the length header in front of every record.
@@ -72,20 +71,6 @@ class RecordStore {
   Status ReadInto(RecordId id, std::span<std::uint8_t> out,
                   std::uint64_t* pages_read = nullptr) const;
 
-  /// Fetches `length` payload bytes starting at `byte_offset` within the
-  /// record, reading (and counting) only the pages that range spans plus the
-  /// header page. OutOfRange when the range exceeds the record.
-  Result<std::vector<std::uint8_t>> GetRange(RecordId id,
-                                             std::size_t byte_offset,
-                                             std::size_t length) const;
-
-  /// Typed range fetch: `count` doubles starting at value index `first`.
-  Result<ts::Series> GetSeriesRange(RecordId id, std::size_t first,
-                                    std::size_t count) const;
-
-  /// Convenience: stores a time series as a record of doubles.
-  Result<RecordId> AppendSeries(const ts::Series& series);
-
   /// Convenience: fetches a record and decodes it as a series of doubles.
   /// `pages_read`, when non-null, is incremented per page read (see Get).
   Result<ts::Series> GetSeries(RecordId id,
@@ -105,11 +90,10 @@ class RecordStore {
   }
 
  private:
-  // Where a walk delivers payload bytes [first, first + length): decided by
-  // the caller from the stored length, after the header page is read.
+  // Where a walk delivers the payload's `length` bytes: decided by the
+  // caller from the stored length, after the header page is read.
   struct Target {
     std::uint8_t* dest = nullptr;
-    std::size_t first = 0;
     std::size_t length = 0;
   };
 

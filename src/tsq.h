@@ -25,7 +25,6 @@
 #include "obs/metrics.h"         // process-wide MetricsRegistry
 #include "obs/trace.h"           // QueryTrace, FormatTrace, TraceToJson
 #include "lang/compiler.h"       // textual query language -> QuerySpec
-#include "subseq/subsequence_index.h"  // Section 5 subsequence queries
 #include "transform/builders.h"  // MovingAverageRange, TimeShiftRange, ...
 #include "transform/cluster.h"   // transformation-set clustering (Sec. 4.3)
 #include "transform/ordering.h"  // dominance chains (Sec. 4.4)

@@ -1,6 +1,10 @@
 #include "core/engine.h"
 
+#include <filesystem>
+#include <limits>
+
 #include "common/rng.h"
+#include "core/range_query.h"
 #include "test_util.h"
 #include "testing/oracle.h"
 #include "gtest/gtest.h"
@@ -256,6 +260,64 @@ TEST(SimilarityEngineTest, ResetIoStats) {
   engine.ResetIoStats();
   EXPECT_EQ(engine.dataset().record_io().reads, 0u);
   EXPECT_EQ(engine.index().index_io().reads, 0u);
+}
+
+TEST(SimilarityEngineTest, InsertRejectsNonFiniteSeries) {
+  SimilarityEngine engine(testutil::Stocks(40, 64, 39));
+  const ts::Series base = ts::Denormalize(engine.dataset().normal(1));
+  const auto with = [&base](std::size_t at, double value) {
+    ts::Series series = base;
+    series[at] = value;
+    return series;
+  };
+  // Finite values whose stddev overflows to inf.
+  ts::Series huge(64);
+  for (std::size_t i = 0; i < huge.size(); ++i) {
+    huge[i] = i % 2 == 0 ? 1e300 : -1e300;
+  }
+  const std::vector<ts::Series> rejected = {
+      with(10, std::numeric_limits<double>::quiet_NaN()),
+      with(20, std::numeric_limits<double>::infinity()),
+      with(30, -std::numeric_limits<double>::infinity()), huge};
+  for (std::size_t i = 0; i < rejected.size(); ++i) {
+    const std::size_t size = engine.size();
+    const std::uint64_t version = engine.write_version();
+    EXPECT_EQ(engine.Insert(rejected[i]).status().code(),
+              StatusCode::kInvalidArgument)
+        << i;
+    EXPECT_EQ(engine.size(), size) << i;
+    EXPECT_EQ(engine.write_version(), version) << i;
+  }
+
+  RangeQuerySpec spec;
+  spec.query = base;
+  spec.transforms = transform::MovingAverageRange(64, 1, 8);
+  spec.epsilon = ts::CorrelationToDistanceThreshold(0.9, 64);
+  const auto result = engine.Execute(spec);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  std::vector<Match> got = result->range()->matches;
+  std::vector<Match> expected = testing::Oracle(engine.dataset()).Range(spec);
+  SortMatches(&got);
+  SortMatches(&expected);
+  ASSERT_EQ(got.size(), expected.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].series_id, expected[i].series_id) << i;
+    EXPECT_EQ(got[i].transform_index, expected[i].transform_index) << i;
+    EXPECT_NEAR(got[i].distance, expected[i].distance, 1e-6) << i;
+  }
+
+  // Nothing non-finite reached the checkpoint meta, so it loads back.
+  const std::string prefix = ::testing::TempDir() + "/tsq_engine_nonfinite";
+  ASSERT_TRUE(engine.SaveTo(prefix).ok());
+  const auto loaded = SimilarityEngine::LoadFrom(prefix);
+  EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
+  std::error_code ec;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           std::filesystem::path(prefix).parent_path(), ec)) {
+    if (entry.path().filename().string().starts_with("tsq_engine_nonfinite")) {
+      std::filesystem::remove(entry.path(), ec);
+    }
+  }
 }
 
 }  // namespace

@@ -411,5 +411,37 @@ TEST(RangeQueryTest, LargeEpsilonReturnsEverything) {
   }
 }
 
+TEST(RangeQueryTest, NonFiniteQueryRejectedUnderEveryAlgorithm) {
+  // A NaN or ±inf sample makes every distance NaN, so without the check the
+  // query would "succeed" with zero matches.
+  Workload w = MakeWorkload(testutil::RandomWalks(40, 64, 17));
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    RangeQuerySpec spec = MovingAverageSpec(w, 3, 1, 6);
+    spec.query[10] = bad;
+    for (Algorithm algorithm :
+         {Algorithm::kSequentialScan, Algorithm::kStIndex,
+          Algorithm::kMtIndex, Algorithm::kAuto}) {
+      EXPECT_EQ(w.Run(spec, algorithm).status().code(),
+                StatusCode::kInvalidArgument)
+          << bad << " under " << AlgorithmName(algorithm);
+    }
+  }
+}
+
+TEST(RangeQueryTest, NonFiniteQueryFailsOnlyItsBatchEntry) {
+  Workload w = MakeWorkload(testutil::RandomWalks(40, 64, 18));
+  const RangeQuerySpec good = MovingAverageSpec(w, 5, 1, 6);
+  RangeQuerySpec bad = good;
+  bad.query[0] = std::numeric_limits<double>::quiet_NaN();
+  const auto batch = w.engine->ExecuteBatch({QuerySpec(good), QuerySpec(bad)});
+  ASSERT_EQ(batch.size(), 2u);
+  ASSERT_TRUE(batch[0].ok()) << batch[0].status().ToString();
+  ExpectSameMatches(batch[0]->range()->matches,
+                    testing::Oracle(*w.dataset).Range(good));
+  EXPECT_EQ(batch[1].status().code(), StatusCode::kInvalidArgument);
+}
+
 }  // namespace
 }  // namespace tsq::core

@@ -1,8 +1,5 @@
 #include "rstar/rect.h"
 
-#include <cmath>
-
-#include "common/rng.h"
 #include "gtest/gtest.h"
 
 namespace tsq::rstar {
@@ -71,60 +68,6 @@ TEST(RectTest, OverlapArea) {
   EXPECT_NEAR(a.OverlapArea(MakeRect({1.0, 1.0}, {3.0, 3.0})), 1.0, 1e-12);
   EXPECT_EQ(a.OverlapArea(MakeRect({5.0, 5.0}, {6.0, 6.0})), 0.0);
   EXPECT_NEAR(a.OverlapArea(a), 4.0, 1e-12);
-}
-
-TEST(RectTest, MinSquaredDistance) {
-  const Rect r = MakeRect({0.0, 0.0}, {2.0, 2.0});
-  EXPECT_EQ(r.MinSquaredDistance({1.0, 1.0}), 0.0);  // inside
-  EXPECT_NEAR(r.MinSquaredDistance({3.0, 1.0}), 1.0, 1e-12);
-  EXPECT_NEAR(r.MinSquaredDistance({3.0, 3.0}), 2.0, 1e-12);
-  EXPECT_NEAR(r.MinSquaredDistance({-1.0, -1.0}), 2.0, 1e-12);
-}
-
-TEST(RectTest, MinDistLowerBoundsContainedPoints) {
-  Rng rng(1);
-  for (int trial = 0; trial < 200; ++trial) {
-    std::vector<double> low(3), high(3);
-    for (int d = 0; d < 3; ++d) {
-      const double a = rng.Uniform(-5.0, 5.0);
-      const double b = rng.Uniform(-5.0, 5.0);
-      low[d] = std::min(a, b);
-      high[d] = std::max(a, b);
-    }
-    const Rect rect(low, high);
-    Point q = {rng.Uniform(-8.0, 8.0), rng.Uniform(-8.0, 8.0),
-               rng.Uniform(-8.0, 8.0)};
-    Point inside(3);
-    for (int d = 0; d < 3; ++d) inside[d] = rng.Uniform(low[d], high[d]);
-    double d2 = 0.0;
-    for (int d = 0; d < 3; ++d) {
-      d2 += (inside[d] - q[d]) * (inside[d] - q[d]);
-    }
-    EXPECT_LE(rect.MinSquaredDistance(q), d2 + 1e-9);
-  }
-}
-
-TEST(RectTest, MinMaxDistAtLeastMinDist) {
-  Rng rng(2);
-  for (int trial = 0; trial < 200; ++trial) {
-    std::vector<double> low(2), high(2);
-    for (int d = 0; d < 2; ++d) {
-      const double a = rng.Uniform(-5.0, 5.0);
-      const double b = rng.Uniform(-5.0, 5.0);
-      low[d] = std::min(a, b);
-      high[d] = std::max(a, b);
-    }
-    const Rect rect(low, high);
-    const Point q = {rng.Uniform(-8.0, 8.0), rng.Uniform(-8.0, 8.0)};
-    EXPECT_GE(rect.MinMaxSquaredDistance(q),
-              rect.MinSquaredDistance(q) - 1e-9);
-  }
-}
-
-TEST(RectTest, MinMaxDistKnownCase) {
-  const Rect r = MakeRect({1.0, 0.0}, {2.0, 1.0});
-  const Point q = {0.0, 0.5};
-  EXPECT_NEAR(r.MinMaxSquaredDistance(q), 1.25, 1e-9);
 }
 
 TEST(RectTest, CenterSquaredDistance) {

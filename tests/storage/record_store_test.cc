@@ -6,6 +6,12 @@
 namespace tsq::storage {
 namespace {
 
+// Stores `series` as a record of doubles, the layout GetSeries decodes.
+Result<RecordId> StoreSeries(RecordStore& store, const ts::Series& series) {
+  return store.Append({reinterpret_cast<const std::uint8_t*>(series.data()),
+                       series.size() * sizeof(double)});
+}
+
 TEST(RecordStoreTest, SmallRecordRoundTrip) {
   PageFile file;
   RecordStore store(&file);
@@ -85,7 +91,7 @@ TEST(RecordStoreTest, SeriesHelpersRoundTrip) {
   PageFile file;
   RecordStore store(&file);
   const ts::Series series = {1.5, -2.25, 3.125, 0.0, 1e100};
-  const auto id = store.AppendSeries(series);
+  const auto id = StoreSeries(store, series);
   ASSERT_TRUE(id.ok());
   const auto read = store.GetSeries(*id);
   ASSERT_TRUE(read.ok());
@@ -95,9 +101,9 @@ TEST(RecordStoreTest, SeriesHelpersRoundTrip) {
 TEST(RecordStoreTest, GetCountsPageReads) {
   PageFile file;
   RecordStore store(&file);
-  const auto small = store.AppendSeries(ts::Series(100, 1.0));  // 800 B
+  const auto small = StoreSeries(store, ts::Series(100, 1.0));  // 800 B
   ASSERT_TRUE(small.ok());
-  const auto big = store.AppendSeries(ts::Series(1000, 2.0));  // ~8 KiB
+  const auto big = StoreSeries(store, ts::Series(1000, 2.0));  // ~8 KiB
   ASSERT_TRUE(big.ok());
   file.ResetStats();
   ASSERT_TRUE(store.GetSeries(*small).ok());
@@ -108,67 +114,10 @@ TEST(RecordStoreTest, GetCountsPageReads) {
   EXPECT_GE(big_reads, 2u);  // spans multiple pages
 }
 
-TEST(RecordStoreTest, GetRangeMatchesFullGet) {
-  PageFile file;
-  RecordStore store(&file);
-  Rng rng(17);
-  // Several records of varied sizes, then random range reads.
-  std::vector<std::pair<RecordId, std::vector<std::uint8_t>>> records;
-  for (int i = 0; i < 20; ++i) {
-    std::vector<std::uint8_t> payload(rng.UniformInt(1, 12000));
-    for (auto& b : payload) b = static_cast<std::uint8_t>(rng.Next64());
-    const auto id = store.Append(payload);
-    ASSERT_TRUE(id.ok());
-    records.emplace_back(*id, std::move(payload));
-  }
-  for (const auto& [id, payload] : records) {
-    for (int trial = 0; trial < 10; ++trial) {
-      const std::size_t offset = static_cast<std::size_t>(
-          rng.UniformInt(0, static_cast<std::int64_t>(payload.size()) - 1));
-      const std::size_t length = static_cast<std::size_t>(rng.UniformInt(
-          0, static_cast<std::int64_t>(payload.size() - offset)));
-      const auto range = store.GetRange(id, offset, length);
-      ASSERT_TRUE(range.ok()) << range.status().ToString();
-      ASSERT_EQ(range->size(), length);
-      for (std::size_t i = 0; i < length; ++i) {
-        ASSERT_EQ((*range)[i], payload[offset + i]);
-      }
-    }
-  }
-}
-
-TEST(RecordStoreTest, GetRangeRejectsOverrun) {
-  PageFile file;
-  RecordStore store(&file);
-  const auto id = store.Append(std::vector<std::uint8_t>(100, 1));
-  ASSERT_TRUE(id.ok());
-  EXPECT_EQ(store.GetRange(*id, 50, 51).status().code(),
-            StatusCode::kOutOfRange);
-  EXPECT_EQ(store.GetRange(*id, 101, 0).status().code(),
-            StatusCode::kOutOfRange);
-  EXPECT_TRUE(store.GetRange(*id, 100, 0).ok());
-}
-
-TEST(RecordStoreTest, GetRangeReadsFewerPagesThanFullGet) {
-  PageFile file;
-  RecordStore store(&file);
-  const auto id = store.AppendSeries(ts::Series(4000, 1.5));  // ~32 KiB
-  ASSERT_TRUE(id.ok());
-  file.ResetStats();
-  ASSERT_TRUE(store.GetSeries(*id).ok());
-  const std::uint64_t full_reads = file.stats().reads;
-  file.ResetStats();
-  const auto range = store.GetSeriesRange(*id, 2000, 64);
-  ASSERT_TRUE(range.ok());
-  EXPECT_EQ(range->size(), 64u);
-  for (double v : *range) EXPECT_EQ(v, 1.5);
-  EXPECT_LT(file.stats().reads, full_reads / 2);
-}
-
 TEST(RecordStoreTest, CorruptPageSurfacesOnGet) {
   PageFile file;
   RecordStore store(&file);
-  const auto id = store.AppendSeries(ts::Series(10, 3.0));
+  const auto id = StoreSeries(store, ts::Series(10, 3.0));
   ASSERT_TRUE(id.ok());
   ASSERT_TRUE(file.CorruptForTesting(id->page, 10).ok());
   EXPECT_EQ(store.GetSeries(*id).status().code(), StatusCode::kCorruption);
