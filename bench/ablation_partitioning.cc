@@ -40,7 +40,8 @@ int main(int argc, char** argv) {
   for (const auto& t : spec.transforms) {
     fts.push_back(t.ToFeatureTransform(engine.dataset().layout()));
   }
-  const core::TreeCostEstimator estimator(engine.index());
+  const core::TreeCostEstimator estimator =
+      core::TreeCostEstimator::Create(engine.index()).value();
 
   struct Strategy {
     const char* name;

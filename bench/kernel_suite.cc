@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -41,7 +42,7 @@ double NowSeconds() {
 
 std::vector<Isa> SupportedIsas() {
   std::vector<Isa> isas;
-  for (const Isa isa : {Isa::kScalar, Isa::kSse2, Isa::kAvx2}) {
+  for (const Isa isa : {Isa::kScalar, Isa::kAvx2}) {
     if (tsq::kernels::IsaSupported(isa)) isas.push_back(isa);
   }
   return isas;
@@ -70,6 +71,10 @@ struct KernelCase {
                 const double*, const double*, double*, std::size_t);
 };
 
+// The early-abandoning kernels run at bound +inf: the full sum, never
+// abandoned.
+constexpr double kNoBound = std::numeric_limits<double>::infinity();
+
 // Uniform adapter signature: (table, a, b, c, d, out, n) -> sink value.
 const KernelCase kCases[] = {
     {"squared_distance", 16,
@@ -77,15 +82,15 @@ const KernelCase kCases[] = {
         const double*, double*, std::size_t n) {
        return t.squared_distance(a, b, n);
      }},
-    {"weighted_squared_distance", 24,
+    {"weighted_squared_distance_within", 24,
      [](const KernelTable& t, const double* a, const double* b,
         const double* c, const double*, double*, std::size_t n) {
-       return t.weighted_squared_distance(a, b, c, n);
+       return t.weighted_squared_distance_within(a, b, c, n, kNoBound).value;
      }},
-    {"transformed_to_plain", 32,
+    {"transformed_to_plain_within", 32,
      [](const KernelTable& t, const double* a, const double* b,
         const double* c, const double* d, double*, std::size_t n) {
-       return t.transformed_to_plain(a, b, c, d, n);
+       return t.transformed_to_plain_within(a, b, c, d, n, kNoBound).value;
      }},
     {"complex_pointwise_multiply", 32,
      [](const KernelTable& t, const double* a, const double* b,

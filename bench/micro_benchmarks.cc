@@ -50,8 +50,8 @@ void BM_TransformedDistance(benchmark::State& state) {
 }
 BENCHMARK(BM_TransformedDistance);
 
-// Raw per-ISA kernel throughput. Arg(0..2) selects the variant (scalar,
-// sse2, avx2); unsupported variants skip. The standalone kernel_suite
+// Raw per-ISA kernel throughput. The first arg is the kernels::Isa value
+// (scalar, avx2); an unsupported variant skips. The standalone kernel_suite
 // binary runs the full sweep and writes BENCH_kernels.json.
 void BM_KernelSquaredDistance(benchmark::State& state) {
   const auto isa = static_cast<tsq::kernels::Isa>(state.range(0));
@@ -72,7 +72,9 @@ void BM_KernelSquaredDistance(benchmark::State& state) {
   state.SetLabel(tsq::kernels::IsaName(isa));
 }
 BENCHMARK(BM_KernelSquaredDistance)
-    ->ArgsProduct({{0, 1, 2}, {128, 4096}});
+    ->ArgsProduct({{static_cast<int>(tsq::kernels::Isa::kScalar),
+                    static_cast<int>(tsq::kernels::Isa::kAvx2)},
+                   {128, 4096}});
 
 void BM_RStarInsert(benchmark::State& state) {
   const std::size_t count = static_cast<std::size_t>(state.range(0));

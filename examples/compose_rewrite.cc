@@ -73,12 +73,17 @@ int main() {
   for (const auto& t : spec.transforms) {
     fts.push_back(t.ToFeatureTransform(engine.dataset().layout()));
   }
-  const tsq::core::TreeCostEstimator estimator(engine.index());
+  const auto estimator = tsq::core::TreeCostEstimator::Create(engine.index());
+  if (!estimator.ok()) {
+    std::printf("index snapshot failed: %s\n",
+                estimator.status().ToString().c_str());
+    return 1;
+  }
   const auto partition = tsq::transform::PartitionCostBased(
       spec.transforms.size(), [&](std::size_t first, std::size_t last) {
         const std::span<const tsq::transform::FeatureTransform> group(
             fts.data() + first, last - first + 1);
-        return tsq::core::EstimateGroupCost(estimator, group, spec.epsilon,
+        return tsq::core::EstimateGroupCost(*estimator, group, spec.epsilon,
                                             engine.dataset().layout());
       });
   report("cost-based DP", partition);

@@ -9,8 +9,12 @@
 # into caller spans (record_store_test, dataset_test), R*-tree node
 # decoding straight from page bytes (rstar_tree_test), the recursive
 # self-join with its tampered-node cases (rtree_join_test, join_query_test),
-# and the one range executor that serves Execute() and ExecuteBatch() alike
-# (range_query_test, batch_determinism_test).
+# the best-first k-NN search (knn_query_test), the engine's error paths
+# under injected read faults (engine_fault_test), and the one range executor
+# that serves Execute() and ExecuteBatch() alike (range_query_test,
+# batch_determinism_test). The k-NN and join suites include the malformed
+# partition cases whose out-of-range indices once read past the
+# transformation vector.
 # Run this alongside scripts/tsan_exec_tests.sh when touching src/storage,
 # src/rstar, src/exec or the range executor.
 #
@@ -24,9 +28,10 @@ cmake -B "$BUILD_DIR" -S . -DTSQ_SANITIZE=address -DCMAKE_BUILD_TYPE=RelWithDebI
 cmake --build "$BUILD_DIR" -j --target \
   page_file_test atomic_file_test buffer_pool_test record_store_test \
   persistence_test checkpoint_robustness_test dataset_test rstar_tree_test \
-  rtree_join_test join_query_test range_query_test batch_determinism_test \
+  rtree_join_test join_query_test knn_query_test engine_fault_test \
+  range_query_test batch_determinism_test \
   parallel_test exec_determinism_test exec_concurrency_test \
   batch_concurrency_test result_cache_test
 
 cd "$BUILD_DIR"
-ctest --output-on-failure -R 'PageFile|AtomicFile|BufferPool|ShardedBufferPool|RecordStore|Persistence|CheckpointRobustness|Dataset|RStarTree|SpatialJoin|JoinQueryTest|TransformedCorrelation|DistanceJoinEquivalence|EffectiveThreads|ThreadPool|ParallelFor|Chunk|ExecutorDeterminism|ExecutorConcurrency|BatchConcurrency|ResultCache|RangeQuery|BatchDeterminism'
+ctest --output-on-failure -R 'PageFile|AtomicFile|BufferPool|ShardedBufferPool|RecordStore|Persistence|CheckpointRobustness|Dataset|RStarTree|SpatialJoin|JoinQueryTest|TransformedCorrelation|DistanceJoinEquivalence|EffectiveThreads|ThreadPool|ParallelFor|Chunk|ExecutorDeterminism|ExecutorConcurrency|BatchConcurrency|ResultCache|RangeQuery|BatchDeterminism|KnnQuery|EngineFault'

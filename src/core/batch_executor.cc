@@ -104,60 +104,23 @@ struct BatchMetrics {
   }
 };
 
-/// Full range-spec validation (query series, lengths, thresholds, partition
-/// well-formedness).
+/// Full range-spec validation (query series, transformations, thresholds,
+/// partition well-formedness).
 Status ValidateRangeSpec(const Dataset& dataset, const RangeQuerySpec& spec) {
   TSQ_RETURN_IF_ERROR(ValidateQuerySeries(dataset, spec.query));
-  if (spec.transforms.empty()) {
-    return Status::InvalidArgument("no transformations in query");
-  }
+  TSQ_RETURN_IF_ERROR(ValidateTransforms(dataset, spec.transforms));
   // The negated form also rejects a NaN epsilon, which would otherwise
   // silently match nothing.
   if (!(spec.epsilon >= 0.0)) {
     return Status::InvalidArgument("negative or NaN distance threshold");
   }
-  if (spec.query_transform.has_value() &&
-      spec.query_transform->length() != dataset.length()) {
-    return Status::InvalidArgument(
-        "query transformation length does not match dataset");
-  }
+  TSQ_RETURN_IF_ERROR(ValidateQueryTransform(dataset, spec.query_transform));
   if (spec.use_ordering && spec.target == TransformTarget::kDataOnly) {
     return Status::InvalidArgument(
         "ordering-based search requires same-transform distances "
         "(TransformTarget::kBoth)");
   }
-  for (const transform::SpectralTransform& t : spec.transforms) {
-    if (t.length() != dataset.length()) {
-      return Status::InvalidArgument(
-          "transformation length does not match dataset: " + t.label());
-    }
-    if (dataset.layout().use_symmetry && !t.PreservesRealSequences()) {
-      return Status::InvalidArgument(
-          "symmetry-based filtering requires real-preserving "
-          "transformations: " +
-          t.label());
-    }
-  }
-  if (!spec.partition.empty()) {
-    std::vector<bool> seen(spec.transforms.size(), false);
-    for (const auto& group : spec.partition) {
-      if (group.empty()) {
-        return Status::InvalidArgument("empty transformation group");
-      }
-      for (const std::size_t t : group) {
-        if (t >= spec.transforms.size() || seen[t]) {
-          return Status::InvalidArgument(
-              "partition is not a partition of the transformation set");
-        }
-        seen[t] = true;
-      }
-    }
-    if (std::find(seen.begin(), seen.end(), false) != seen.end()) {
-      return Status::InvalidArgument(
-          "partition does not cover the transformation set");
-    }
-  }
-  return Status::Ok();
+  return ValidatePartition(spec.partition, spec.transforms.size());
 }
 
 /// Sorts the indices of one group into ascending dominance-chain order when
@@ -184,9 +147,9 @@ double PredicateDistance2Within(const RangeQuerySpec& spec, std::size_t t,
                                 std::span<const dft::Complex> query_spectrum,
                                 double bound) {
   return spec.target == TransformTarget::kBoth
-             ? spec.transforms[t].TransformedSquaredDistanceWithin(
+             ? spec.transforms[t].TransformedSquaredDistance(
                    candidate_spectrum, query_spectrum, bound)
-             : spec.transforms[t].TransformedToPlainSquaredDistanceWithin(
+             : spec.transforms[t].TransformedToPlainSquaredDistance(
                    candidate_spectrum, query_spectrum, bound);
 }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/check.h"
 #include "transform/transform_mbr.h"
 
 namespace tsq::core {
@@ -19,11 +18,6 @@ double CostEq20(std::span<const GroupRunStats> groups, double leaf_capacity,
   }
   return constants.c_da * da_term +
          leaf_capacity * constants.c_cmp * cmp_term;
-}
-
-TreeCostEstimator::TreeCostEstimator(const SequenceIndex& index) {
-  const Status status = Init(index);
-  TSQ_CHECK(status.ok()) << status.ToString();
 }
 
 Result<TreeCostEstimator> TreeCostEstimator::Create(
@@ -48,10 +42,12 @@ double TreeCostEstimator::total_nodes() const {
 
 Status TreeCostEstimator::Init(const SequenceIndex& index) {
   const std::size_t dims = index.tree().dimensions();
-  const auto root_rect = index.tree().RootRect();
-  domain_ = root_rect.has_value() ? *root_rect : rstar::Rect::Empty(dims);
-  leaf_capacity_ = index.AverageLeafCapacity();
-
+  domain_ = rstar::Rect::Empty(dims);
+  bool at_root = true;
+  std::size_t leaves = 0;
+  std::size_t leaf_entries = 0;
+  // One walk gathers everything: the root's rect (the walk visits the root
+  // first) is the domain, and the leaves give the average capacity.
   const Status status =
       index.tree().VisitNodes([&](const rstar::RStarTree::NodeView& view) {
         if (view.level >= levels_.size()) {
@@ -73,8 +69,20 @@ Status TreeCostEstimator::Init(const SequenceIndex& index) {
           level.avg_extent[d] += rect.Extent(d);
           level.avg_abs_center[d] += std::fabs(rect.Center(d));
         }
+        if (at_root) {
+          domain_ = rect;
+          at_root = false;
+        }
+        if (view.is_leaf) {
+          ++leaves;
+          leaf_entries += view.size();
+        }
       });
   TSQ_RETURN_IF_ERROR(status);
+  if (leaves > 0) {
+    leaf_capacity_ =
+        static_cast<double>(leaf_entries) / static_cast<double>(leaves);
+  }
   for (LevelStats& level : levels_) {
     if (level.node_count == 0) continue;
     for (std::size_t d = 0; d < level.avg_extent.size(); ++d) {

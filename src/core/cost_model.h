@@ -34,13 +34,8 @@ double CostEq20(std::span<const GroupRunStats> groups, double leaf_capacity,
 /// what the cost-based partitioner needs.
 class TreeCostEstimator {
  public:
-  /// Snapshots per-level statistics of the index (reads every node once).
-  /// CHECK-fails when a node read fails; the planner uses Create() instead
-  /// so injected storage faults surface as Status.
-  explicit TreeCostEstimator(const SequenceIndex& index);
-
-  /// Fallible snapshot: same statistics, but a node-read error is returned
-  /// instead of aborting.
+  /// Snapshots per-level statistics of the index in one walk that reads
+  /// every node once. A node-read error is returned, never aborts.
   static Result<TreeCostEstimator> Create(const SequenceIndex& index);
 
   /// Expected page accesses of one traversal with the given transformation

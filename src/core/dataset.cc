@@ -170,6 +170,61 @@ Status ValidateQuerySeries(const Dataset& dataset, const ts::Series& query) {
   return Status::Ok();
 }
 
+Status ValidateTransforms(
+    const Dataset& dataset,
+    std::span<const transform::SpectralTransform> transforms) {
+  if (transforms.empty()) {
+    return Status::InvalidArgument("no transformations in query");
+  }
+  for (const transform::SpectralTransform& t : transforms) {
+    if (t.length() != dataset.length()) {
+      return Status::InvalidArgument(
+          "transformation length does not match dataset: " + t.label());
+    }
+    if (dataset.layout().use_symmetry && !t.PreservesRealSequences()) {
+      return Status::InvalidArgument(
+          "symmetry-based filtering requires real-preserving "
+          "transformations: " +
+          t.label());
+    }
+  }
+  return Status::Ok();
+}
+
+Status ValidatePartition(const transform::Partition& partition,
+                         std::size_t transforms) {
+  if (partition.empty()) return Status::Ok();
+  std::vector<bool> seen(transforms, false);
+  for (const std::vector<std::size_t>& group : partition) {
+    if (group.empty()) {
+      return Status::InvalidArgument("empty transformation group");
+    }
+    for (const std::size_t t : group) {
+      if (t >= transforms || seen[t]) {
+        return Status::InvalidArgument(
+            "partition is not a partition of the transformation set");
+      }
+      seen[t] = true;
+    }
+  }
+  if (std::find(seen.begin(), seen.end(), false) != seen.end()) {
+    return Status::InvalidArgument(
+        "partition does not cover the transformation set");
+  }
+  return Status::Ok();
+}
+
+Status ValidateQueryTransform(
+    const Dataset& dataset,
+    const std::optional<transform::SpectralTransform>& query_transform) {
+  if (query_transform.has_value() &&
+      query_transform->length() != dataset.length()) {
+    return Status::InvalidArgument(
+        "query transformation length does not match dataset");
+  }
+  return Status::Ok();
+}
+
 PreparedQuery PrepareQuery(
     const Dataset& dataset, const ts::Series& query,
     const std::optional<transform::SpectralTransform>& query_transform) {

@@ -13,6 +13,7 @@
 #include "storage/page_file.h"
 #include "storage/record_store.h"
 #include "transform/feature_layout.h"
+#include "transform/partition.h"
 #include "transform/spectral_transform.h"
 #include "ts/normal_form.h"
 #include "ts/series.h"
@@ -164,6 +165,27 @@ struct PreparedQuery {
 /// distance NaN, so a range query would silently match nothing and a k-NN
 /// order would not exist. InvalidArgument otherwise.
 Status ValidateQuerySeries(const Dataset& dataset, const ts::Series& query);
+
+/// The checks every query's transformation set passes: it is non-empty, and
+/// each transformation has the dataset's length and, when the layout uses
+/// the symmetry property, maps real sequences to real sequences (doubling
+/// the coefficient weight bounds the distance only then). InvalidArgument
+/// otherwise.
+Status ValidateTransforms(
+    const Dataset& dataset,
+    std::span<const transform::SpectralTransform> transforms);
+
+/// A spec's MBR grouping is empty (one rectangle) or a partition of the
+/// indices [0, transforms): non-empty groups that name every index exactly
+/// once. InvalidArgument otherwise.
+Status ValidatePartition(const transform::Partition& partition,
+                         std::size_t transforms);
+
+/// The optional fixed query transformation, when set, has the dataset's
+/// length. InvalidArgument otherwise.
+Status ValidateQueryTransform(
+    const Dataset& dataset,
+    const std::optional<transform::SpectralTransform>& query_transform);
 
 /// The one query preparation every executor runs: normalize `query`, take
 /// its DFT with the dataset's plan, apply `query_transform` when set, and

@@ -24,15 +24,7 @@ constexpr std::size_t kScanChunk = 256;  // outer sequence ids per scan task
 constexpr std::size_t kPairChunk = 32;   // candidate pairs per verify task
 
 Status ValidateSpec(const Dataset& dataset, const JoinQuerySpec& spec) {
-  if (spec.transforms.empty()) {
-    return Status::InvalidArgument("no transformations in join");
-  }
-  for (const transform::SpectralTransform& t : spec.transforms) {
-    if (t.length() != dataset.length()) {
-      return Status::InvalidArgument(
-          "transformation length does not match dataset: " + t.label());
-    }
-  }
+  TSQ_RETURN_IF_ERROR(ValidateTransforms(dataset, spec.transforms));
   // Negated comparisons so NaN thresholds are rejected too: a NaN epsilon or
   // correlation would make every predicate false while silently reading the
   // whole relation.
@@ -46,7 +38,7 @@ Status ValidateSpec(const Dataset& dataset, const JoinQuerySpec& spec) {
   if (spec.mode == JoinMode::kCorrelation && !(spec.slack > 0.0)) {
     return Status::InvalidArgument("non-positive or NaN filter slack");
   }
-  return Status::Ok();
+  return ValidatePartition(spec.partition, spec.transforms.size());
 }
 
 // True when the pair qualifies under `t`; sets `*value` to the correlation
@@ -60,7 +52,7 @@ bool EvaluatePair(const JoinQuerySpec& spec,
     // Early-abandons against eps^2: qualifying pairs get the exact distance,
     // rejected ones may get an abandoned partial sum > eps^2, which the
     // strict predicate rejects identically (and *value is unused then).
-    const double d2 = t.TransformedSquaredDistanceWithin(x, y, eps2);
+    const double d2 = t.TransformedSquaredDistance(x, y, eps2);
     *value = std::sqrt(d2);
     return d2 < eps2;
   }

@@ -35,16 +35,9 @@ bool KnnMatchOrder(const KnnMatch& a, const KnnMatch& b) {
 
 Status ValidateSpec(const Dataset& dataset, const KnnQuerySpec& spec) {
   TSQ_RETURN_IF_ERROR(ValidateQuerySeries(dataset, spec.query));
-  if (spec.transforms.empty()) {
-    return Status::InvalidArgument("no transformations in query");
-  }
-  for (const transform::SpectralTransform& t : spec.transforms) {
-    if (t.length() != dataset.length()) {
-      return Status::InvalidArgument(
-          "transformation length does not match dataset: " + t.label());
-    }
-  }
-  return Status::Ok();
+  TSQ_RETURN_IF_ERROR(ValidateTransforms(dataset, spec.transforms));
+  TSQ_RETURN_IF_ERROR(ValidateQueryTransform(dataset, spec.query_transform));
+  return ValidatePartition(spec.partition, spec.transforms.size());
 }
 
 // Best transformation for one candidate: (distance^2, transform index).
@@ -63,9 +56,9 @@ std::pair<double, std::size_t> BestTransform(
     const double limit = std::min(best, bound);
     const double d2 =
         spec.target == TransformTarget::kBoth
-            ? spec.transforms[t].TransformedSquaredDistanceWithin(candidate,
-                                                                  query, limit)
-            : spec.transforms[t].TransformedToPlainSquaredDistanceWithin(
+            ? spec.transforms[t].TransformedSquaredDistance(candidate, query,
+                                                            limit)
+            : spec.transforms[t].TransformedToPlainSquaredDistance(
                   candidate, query, limit);
     if (d2 < best) {
       best = d2;

@@ -27,10 +27,10 @@ enum class Algorithm {
   /// Transformations at a time") — the paper's contribution.
   kMtIndex,
   /// Let the engine's planner pick: it enumerates scan, ST and MT plans with
-  /// k in {1..max_rectangles} rectangles per partitioning strategy, costs
-  /// each with Eq. 18-20 against a snapshot of the index, and runs the
-  /// cheapest. Only SimilarityEngine resolves this value; handing it to a
-  /// raw executor is an error.
+  /// k in {1..16} rectangles per partitioning family (packed, contiguous,
+  /// clustered), costs each with Eq. 18-20 against a snapshot of the index,
+  /// and runs the cheapest. Only SimilarityEngine resolves this value;
+  /// handing it to a raw executor is an error.
   kAuto,
 };
 
@@ -45,29 +45,11 @@ struct CostConstants {
   double c_cmp = 0.4;
 };
 
-/// Which MT partitionings the planner may enumerate for kAuto. Ignored when
-/// a concrete algorithm is forced (forced kMtIndex keeps its legacy
-/// behaviour: spec.partition, or one packed rectangle when empty).
-enum class PartitioningStrategy {
-  /// Enumerate everything below and take the cheapest.
-  kAuto,
-  /// Only the single packed rectangle (plain MT-index configuration).
-  kPacked,
-  /// Only contiguous equal splits into k groups (Section 5.2's sweep).
-  kContiguous,
-  /// Only cluster-aware partitions (the Fig. 9 fix).
-  kClustered,
-};
-
-/// The planner knobs, consolidated: which algorithm (or kAuto), how many
-/// rectangles the enumeration may try, which partitioning family, and an
-/// optional override of the calibrated cost constants (deterministic plans
-/// for tests and benches).
+/// The planner knobs: which algorithm (or kAuto), and an optional override
+/// of the calibrated cost constants (deterministic plans for tests and
+/// benches).
 struct PlannerOptions {
   Algorithm algorithm = Algorithm::kAuto;
-  /// Upper bound on the rectangle count k the enumeration sweeps.
-  std::size_t max_rectangles = 16;
-  PartitioningStrategy partitioning = PartitioningStrategy::kAuto;
   std::optional<CostConstants> cost_constants_override = std::nullopt;
 };
 

@@ -123,8 +123,6 @@ ResultCacheKey ComputeResultCacheKey(const QuerySpec& spec,
   // Execution knobs: everything that changes the bytes of the result —
   // num_threads included, because it lands verbatim in the trace.
   digest.Add(static_cast<std::uint64_t>(options.planner.algorithm));
-  digest.Add(options.planner.max_rectangles);
-  digest.Add(static_cast<std::uint64_t>(options.planner.partitioning));
   digest.Add(options.planner.cost_constants_override.has_value() ? 1 : 0);
   if (options.planner.cost_constants_override.has_value()) {
     digest.AddDouble(options.planner.cost_constants_override->c_da);

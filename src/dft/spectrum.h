@@ -42,13 +42,6 @@ std::vector<Complex> SpectrumFromPolar(std::span<const Polar> spectrum);
 /// by the law of cosines: |X|^2 + |Y|^2 - 2|X||Y|cos(angleX - angleY).
 double PolarSquaredDistance(const Polar& x, const Polar& y);
 
-/// Element-wise spectrum×multiplier application (Eq. 5): out_f = M_f * X_f,
-/// routed through the SIMD kernel layer. Callers that apply the same
-/// multipliers repeatedly should prefer transform::SpectralTransform, which
-/// caches the kernel-ready component arrays.
-std::vector<Complex> ApplySpectrumMultipliers(
-    std::span<const Complex> spectrum, std::span<const Complex> multipliers);
-
 /// Verifies the conjugate-symmetry property of the DFT of a real sequence
 /// (Eq. 6): |X_{n-f}| == |X_f| for f in [1, n). Returns the maximum absolute
 /// magnitude mismatch (0 for perfectly symmetric spectra).

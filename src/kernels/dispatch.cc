@@ -1,8 +1,8 @@
 // Runtime dispatch: the active ISA is resolved once (TSQ_KERNEL_ISA, then
 // CPUID) and cached in an atomic; every dispatched entry point routes through
 // the selected variant's table and maintains the engine.kernels.* metrics.
-// Because all variants are bitwise identical (see internal.h), the choice is
-// purely a speed decision and is excluded from deterministic signatures.
+// Because both variants are bitwise identical (see internal.h), the choice
+// is purely a speed decision and is excluded from deterministic signatures.
 
 #include <atomic>
 #include <cstdlib>
@@ -16,12 +16,6 @@
 namespace tsq::kernels {
 
 namespace {
-
-#if defined(__x86_64__) || defined(_M_X64)
-constexpr bool kX86Build = true;
-#else
-constexpr bool kX86Build = false;
-#endif
 
 struct KernelMetrics {
   obs::Counter* calls;
@@ -66,8 +60,6 @@ const char* IsaName(Isa isa) {
   switch (isa) {
     case Isa::kScalar:
       return "scalar";
-    case Isa::kSse2:
-      return "sse2";
     case Isa::kAvx2:
       return "avx2";
   }
@@ -78,8 +70,6 @@ bool IsaSupported(Isa isa) {
   switch (isa) {
     case Isa::kScalar:
       return true;
-    case Isa::kSse2:
-      return kX86Build;  // SSE2 is the x86-64 baseline.
     case Isa::kAvx2:
 #if defined(__x86_64__) || defined(_M_X64)
       return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
@@ -91,24 +81,17 @@ bool IsaSupported(Isa isa) {
 }
 
 Isa BestSupportedIsa() {
-  if (IsaSupported(Isa::kAvx2)) return Isa::kAvx2;
-  if (IsaSupported(Isa::kSse2)) return Isa::kSse2;
-  return Isa::kScalar;
+  return IsaSupported(Isa::kAvx2) ? Isa::kAvx2 : Isa::kScalar;
 }
 
 Isa ResolveIsa(const char* env_value, Isa best_supported) {
-  if (env_value == nullptr || *env_value == '\0' ||
-      std::strcmp(env_value, "auto") == 0) {
-    return best_supported;
-  }
-  for (const Isa isa : {Isa::kScalar, Isa::kSse2, Isa::kAvx2}) {
-    if (std::strcmp(env_value, IsaName(isa)) == 0) {
-      // Pure function of the arguments: variants are ordered, so a request
-      // is satisfiable exactly when it does not exceed best_supported.
-      return static_cast<int>(isa) <= static_cast<int>(best_supported)
-                 ? isa
-                 : best_supported;
-    }
+  // Pure function of the arguments. Scalar runs everywhere, and "avx2" is
+  // satisfiable exactly when AVX2 is the best supported variant, so every
+  // value but "scalar" (unset, empty, "auto", "avx2", unknown) resolves to
+  // best_supported.
+  if (env_value != nullptr &&
+      std::strcmp(env_value, IsaName(Isa::kScalar)) == 0) {
+    return Isa::kScalar;
   }
   return best_supported;
 }
@@ -141,8 +124,6 @@ const KernelTable& TableFor(Isa isa) {
     case Isa::kScalar:
       return ScalarKernelTable();
 #if defined(__x86_64__) || defined(_M_X64)
-    case Isa::kSse2:
-      return Sse2KernelTable();
     case Isa::kAvx2:
       return Avx2KernelTable();
 #else
@@ -159,27 +140,6 @@ double SquaredDistance(std::span<const double> x, std::span<const double> y) {
   return ActiveTable().squared_distance(x.data(), y.data(), x.size());
 }
 
-double SquaredDistanceWithin(std::span<const double> x,
-                             std::span<const double> y, double bound) {
-  TSQ_CHECK_EQ(x.size(), y.size());
-  const EarlyAbandonResult r =
-      ActiveTable().squared_distance_within(x.data(), y.data(), x.size(),
-                                            bound);
-  Count(r.consumed);
-  if (r.consumed < x.size()) Metrics().early_abandons->Increment();
-  return r.value;
-}
-
-double WeightedSquaredDistance(std::span<const double> x,
-                               std::span<const double> y,
-                               std::span<const double> w) {
-  TSQ_CHECK_EQ(x.size(), y.size());
-  TSQ_CHECK_EQ(x.size(), w.size());
-  Count(x.size());
-  return ActiveTable().weighted_squared_distance(x.data(), y.data(), w.data(),
-                                                 x.size());
-}
-
 double WeightedSquaredDistanceWithin(std::span<const double> x,
                                      std::span<const double> y,
                                      std::span<const double> w, double bound) {
@@ -190,18 +150,6 @@ double WeightedSquaredDistanceWithin(std::span<const double> x,
   Count(r.consumed);
   if (r.consumed < x.size()) Metrics().early_abandons->Increment();
   return r.value;
-}
-
-double TransformedToPlainSquaredDistance(std::span<const double> x,
-                                         std::span<const double> q,
-                                         std::span<const double> mul_re,
-                                         std::span<const double> mul_im) {
-  TSQ_CHECK_EQ(x.size(), q.size());
-  TSQ_CHECK_EQ(x.size(), mul_re.size());
-  TSQ_CHECK_EQ(x.size(), mul_im.size());
-  Count(x.size());
-  return ActiveTable().transformed_to_plain(x.data(), q.data(), mul_re.data(),
-                                            mul_im.data(), x.size());
 }
 
 double TransformedToPlainSquaredDistanceWithin(std::span<const double> x,

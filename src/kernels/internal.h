@@ -10,25 +10,25 @@
 // produces identical bit patterns whatever arch flags the enclosing TU uses
 // — plain IEEE-754 add/sub/mul are fully determined by their operands.
 //
-// The determinism contract, implemented identically by every variant:
+// The determinism contract, implemented identically by both variants:
 //   * element i accumulates into lane (i mod 4);
 //   * the final result is (L0 + L2) + (L1 + L3) — exactly the horizontal
-//     reduction a 4-wide vector (or a pair of 2-wide vectors) performs;
+//     reduction a 4-wide vector performs;
 //   * early-abandoning kernels test the partial reduction strictly
 //     (`partial > bound`) after every full 64-element chunk of the blocked
 //     region, never inside a chunk and never in the scalar tail;
 //   * no fused multiply-add anywhere (FMA rounds once where mul+add rounds
 //     twice, which would make results ISA-dependent).
 //
-// SIMD variants run the blocked region with vectors and then feed their
+// The AVX2 variant runs the blocked region with vectors and then feeds its
 // lanes through the same Tail* helpers for the last n mod 4 elements, so
-// scalar and SIMD results agree bitwise — including for NaN, infinity and
+// scalar and AVX2 results agree bitwise — including for NaN, infinity and
 // denormal inputs, which propagate through identical op sequences.
 
 namespace tsq::kernels::internal {
 
 /// Elements per early-abandon checkpoint. A multiple of 4 (the lane block)
-/// so checkpoints land on identical element positions in every variant.
+/// so checkpoints land on identical element positions in both variants.
 inline constexpr std::size_t kAbandonCheckElements = 64;
 
 inline double ReduceLanes(const double lanes[4]) {
@@ -118,10 +118,9 @@ inline void TailWeightedDotSums(double dot[4], double ex[4], double ey[4],
 
 namespace tsq::kernels {
 
-/// Raw variant tables, one per TU. Sse2/Avx2 are only compiled (and only
+/// Raw variant tables, one per TU. Avx2 is only compiled (and only
 /// referenced by dispatch.cc) on x86-64 builds.
 const KernelTable& ScalarKernelTable();
-const KernelTable& Sse2KernelTable();
 const KernelTable& Avx2KernelTable();
 
 }  // namespace tsq::kernels

@@ -6,35 +6,33 @@
 
 namespace tsq::kernels {
 
-/// The instruction sets the kernel layer can dispatch to. Every variant of
-/// every kernel — including the scalar reference — computes the same fixed
-/// 4-lane blocked reduction (element i accumulates into lane i mod 4, lanes
-/// folded as (L0+L2) + (L1+L3), no fused multiply-add anywhere), so results
-/// are **bitwise identical** across ISAs. Switching the active ISA can never
-/// change a query result, only its speed.
+/// The instruction sets the kernel layer can dispatch to. Both variants of
+/// every kernel compute the same fixed 4-lane blocked reduction (element i
+/// accumulates into lane i mod 4, lanes folded as (L0+L2) + (L1+L3), no fused
+/// multiply-add anywhere), so results are **bitwise identical** across ISAs.
+/// Switching the active ISA can never change a query result, only its speed.
+/// The enumerator values are what the `engine.kernels.isa` gauge reports.
 enum class Isa : int {
   kScalar = 0,  ///< portable reference, compiled without arch extensions
-  kSse2 = 1,    ///< 2×2-wide SSE2 (x86-64 baseline)
   kAvx2 = 2,    ///< 4-wide AVX2 (TU built with -mavx2 -mfma)
 };
-inline constexpr int kIsaCount = 3;
 
-/// Stable lowercase name ("scalar", "sse2", "avx2") used by traces, metrics
-/// and the TSQ_KERNEL_ISA environment variable.
+/// Stable lowercase name ("scalar", "avx2") used by traces, metrics and the
+/// TSQ_KERNEL_ISA environment variable.
 const char* IsaName(Isa isa);
 
 /// True when this build + this CPU can run the variant. kScalar is always
-/// supported; kSse2/kAvx2 require an x86-64 build and, for AVX2, CPUID
-/// confirmation of AVX2+FMA.
+/// supported; kAvx2 requires an x86-64 build and CPUID confirmation of
+/// AVX2+FMA.
 bool IsaSupported(Isa isa);
 
 /// The fastest supported variant on this machine.
 Isa BestSupportedIsa();
 
 /// Pure resolution rule used at startup (exposed for unit tests):
-/// env_value "scalar"/"sse2"/"avx2" selects that variant when supported;
-/// nullptr, "", "auto", unknown strings, and unsupported requests all fall
-/// back to `best_supported`.
+/// env_value "scalar"/"avx2" selects that variant when supported; nullptr,
+/// "", "auto", unknown strings, and unsupported requests all fall back to
+/// `best_supported`.
 Isa ResolveIsa(const char* env_value, Isa best_supported);
 
 /// The variant every dispatched entry point below uses. Resolved once, on
@@ -83,14 +81,6 @@ struct WeightedDotSums {
 /// ([re0, re0, re1, re1, ...]) cached by transform::SpectralTransform.
 struct KernelTable {
   double (*squared_distance)(const double* x, const double* y, std::size_t n);
-  double (*weighted_squared_distance)(const double* x, const double* y,
-                                      const double* w, std::size_t n);
-  double (*transformed_to_plain)(const double* x, const double* q,
-                                 const double* mul_re, const double* mul_im,
-                                 std::size_t n);
-  EarlyAbandonResult (*squared_distance_within)(const double* x,
-                                                const double* y,
-                                                std::size_t n, double bound);
   EarlyAbandonResult (*weighted_squared_distance_within)(const double* x,
                                                          const double* y,
                                                          const double* w,
@@ -125,30 +115,19 @@ const KernelTable& TableFor(Isa isa);
 /// sum_i (x_i - y_i)^2. Requires x.size() == y.size().
 double SquaredDistance(std::span<const double> x, std::span<const double> y);
 
-/// Early-abandoning SquaredDistance: returns the exact distance when it is
-/// <= bound (and often when slightly above); any return value > bound means
-/// "no match", whether exact or abandoned partial. See EarlyAbandonResult
-/// for the contract.
-double SquaredDistanceWithin(std::span<const double> x,
-                             std::span<const double> y, double bound);
-
 /// sum_i w_i * (x_i - y_i)^2 — Eq. 12 with precomputed |M_f|^2 weights when
 /// called on interleaved complex components with duplicated weights.
-double WeightedSquaredDistance(std::span<const double> x,
-                               std::span<const double> y,
-                               std::span<const double> w);
-
+/// Early-abandoning: returns the exact sum when it is <= bound (and often
+/// when slightly above); any return value > bound means "no match", whether
+/// exact or abandoned partial. At bound = +inf it never abandons and always
+/// returns the exact sum. See EarlyAbandonResult for the contract.
 double WeightedSquaredDistanceWithin(std::span<const double> x,
                                      std::span<const double> y,
                                      std::span<const double> w, double bound);
 
 /// sum_f |M_f * X_f - Q_f|^2 over interleaved complex doubles, with the
-/// multiplier passed as duplicated component arrays.
-double TransformedToPlainSquaredDistance(std::span<const double> x,
-                                         std::span<const double> q,
-                                         std::span<const double> mul_re,
-                                         std::span<const double> mul_im);
-
+/// multiplier passed as duplicated component arrays. Early-abandoning, with
+/// the contract of WeightedSquaredDistanceWithin.
 double TransformedToPlainSquaredDistanceWithin(std::span<const double> x,
                                                std::span<const double> q,
                                                std::span<const double> mul_re,

@@ -26,8 +26,7 @@ inline double Reduce(__m256d acc) {
 // One transformed complex pair per 128-bit half: re(M*X) = re*mr - im*mi in
 // even slots, im(M*X) = im*mr + re*mi in odd slots. _mm256_permute_pd with
 // control 0b0101 swaps (re, im) within each pair; addsub subtracts in even
-// slots and adds in odd ones — the same op sequence as the scalar reference
-// and the SSE2 xor/add emulation.
+// slots and adds in odd ones — the same op sequence as the scalar reference.
 inline __m256d TransformedQuad(__m256d x, __m256d mre, __m256d mim) {
   const __m256d a = _mm256_mul_pd(x, mre);
   const __m256d b = _mm256_mul_pd(_mm256_permute_pd(x, 0b0101), mim);
@@ -56,24 +55,6 @@ double SquaredDistanceAvx2(const double* x, const double* y, std::size_t n) {
   return ReduceLanes(lanes);
 }
 
-EarlyAbandonResult SquaredDistanceWithinAvx2(const double* x, const double* y,
-                                             std::size_t n, double bound) {
-  __m256d acc = _mm256_setzero_pd();
-  const std::size_t n4 = n & ~std::size_t{3};
-  std::size_t i = 0;
-  while (i + kAbandonCheckElements <= n) {
-    SquaredDistanceBlocks(acc, x, y, i, i + kAbandonCheckElements);
-    i += kAbandonCheckElements;
-    const double partial = Reduce(acc);
-    if (partial > bound) return {partial, i};
-  }
-  SquaredDistanceBlocks(acc, x, y, i, n4);
-  double lanes[4];
-  _mm256_storeu_pd(lanes, acc);
-  internal::TailSquaredDistance(lanes, x, y, n4 > i ? n4 : i, n);
-  return {ReduceLanes(lanes), n};
-}
-
 // --- weighted squared distance ---
 
 inline void WeightedBlocks(__m256d& acc, const double* x, const double* y,
@@ -85,17 +66,6 @@ inline void WeightedBlocks(__m256d& acc, const double* x, const double* y,
     acc = _mm256_add_pd(
         acc, _mm256_mul_pd(_mm256_loadu_pd(w + i), _mm256_mul_pd(d, d)));
   }
-}
-
-double WeightedSquaredDistanceAvx2(const double* x, const double* y,
-                                   const double* w, std::size_t n) {
-  __m256d acc = _mm256_setzero_pd();
-  const std::size_t n4 = n & ~std::size_t{3};
-  WeightedBlocks(acc, x, y, w, 0, n4);
-  double lanes[4];
-  _mm256_storeu_pd(lanes, acc);
-  internal::TailWeightedSquaredDistance(lanes, x, y, w, n4, n);
-  return ReduceLanes(lanes);
 }
 
 EarlyAbandonResult WeightedSquaredDistanceWithinAvx2(const double* x,
@@ -132,18 +102,6 @@ inline void TransformedToPlainBlocks(__m256d& acc, const double* x,
     const __m256d d = _mm256_sub_pd(p, _mm256_loadu_pd(q + i));
     acc = _mm256_add_pd(acc, _mm256_mul_pd(d, d));
   }
-}
-
-double TransformedToPlainAvx2(const double* x, const double* q,
-                              const double* mre, const double* mim,
-                              std::size_t n) {
-  __m256d acc = _mm256_setzero_pd();
-  const std::size_t n4 = n & ~std::size_t{3};
-  TransformedToPlainBlocks(acc, x, q, mre, mim, 0, n4);
-  double lanes[4];
-  _mm256_storeu_pd(lanes, acc);
-  internal::TailTransformedToPlain(lanes, x, q, mre, mim, n4, n);
-  return ReduceLanes(lanes);
 }
 
 EarlyAbandonResult TransformedToPlainWithinAvx2(const double* x,
@@ -246,9 +204,6 @@ WeightedDotSums WeightedDotSumsAvx2(const double* x, const double* y,
 const KernelTable& Avx2KernelTable() {
   static const KernelTable table = {
       SquaredDistanceAvx2,
-      WeightedSquaredDistanceAvx2,
-      TransformedToPlainAvx2,
-      SquaredDistanceWithinAvx2,
       WeightedSquaredDistanceWithinAvx2,
       TransformedToPlainWithinAvx2,
       ComplexPointwiseMultiplyAvx2,

@@ -1,6 +1,6 @@
 // Scalar reference variant. This TU is compiled with no arch extensions and
 // -ffp-contract=off; it *defines* the numeric contract (4-lane blocked
-// reduction, 64-element abandon checkpoints) the SIMD variants must match
+// reduction, 64-element abandon checkpoints) the AVX2 variant must match
 // bitwise — see internal.h for the contract and tests/kernels for the
 // property suite that enforces it.
 
@@ -19,36 +19,6 @@ double SquaredDistanceScalar(const double* x, const double* y,
   double lanes[4] = {0.0, 0.0, 0.0, 0.0};
   internal::TailSquaredDistance(lanes, x, y, 0, n);
   return ReduceLanes(lanes);
-}
-
-double WeightedSquaredDistanceScalar(const double* x, const double* y,
-                                     const double* w, std::size_t n) {
-  double lanes[4] = {0.0, 0.0, 0.0, 0.0};
-  internal::TailWeightedSquaredDistance(lanes, x, y, w, 0, n);
-  return ReduceLanes(lanes);
-}
-
-double TransformedToPlainScalar(const double* x, const double* q,
-                                const double* mul_re, const double* mul_im,
-                                std::size_t n) {
-  double lanes[4] = {0.0, 0.0, 0.0, 0.0};
-  internal::TailTransformedToPlain(lanes, x, q, mul_re, mul_im, 0, n);
-  return ReduceLanes(lanes);
-}
-
-EarlyAbandonResult SquaredDistanceWithinScalar(const double* x,
-                                               const double* y, std::size_t n,
-                                               double bound) {
-  double lanes[4] = {0.0, 0.0, 0.0, 0.0};
-  std::size_t i = 0;
-  while (i + kAbandonCheckElements <= n) {
-    internal::TailSquaredDistance(lanes, x, y, i, i + kAbandonCheckElements);
-    i += kAbandonCheckElements;
-    const double partial = ReduceLanes(lanes);
-    if (partial > bound) return {partial, i};
-  }
-  internal::TailSquaredDistance(lanes, x, y, i, n);
-  return {ReduceLanes(lanes), n};
 }
 
 EarlyAbandonResult WeightedSquaredDistanceWithinScalar(const double* x,
@@ -122,9 +92,6 @@ WeightedDotSums WeightedDotSumsScalar(const double* x, const double* y,
 const KernelTable& ScalarKernelTable() {
   static const KernelTable table = {
       SquaredDistanceScalar,
-      WeightedSquaredDistanceScalar,
-      TransformedToPlainScalar,
-      SquaredDistanceWithinScalar,
       WeightedSquaredDistanceWithinScalar,
       TransformedToPlainWithinScalar,
       ComplexPointwiseMultiplyScalar,

@@ -132,9 +132,9 @@ struct QueryTrace {
   /// Candidate record fetches this query requested that the batch-scoped
   /// fetch table had already read for another (or an earlier) request.
   std::uint64_t deduped_fetches = 0;
-  /// Active kernel ISA ("scalar", "sse2", "avx2") the distance kernels ran
-  /// with — kernels::IsaName(kernels::ActiveIsa()). Excluded from
-  /// DeterministicSignature(): every ISA produces bitwise-identical results,
+  /// Active kernel ISA ("scalar", "avx2") the distance kernels ran with —
+  /// kernels::IsaName(kernels::ActiveIsa()). Excluded from
+  /// DeterministicSignature(): both ISAs produce bitwise-identical results,
   /// so this is a speed annotation, not part of what the query computed.
   std::string kernel_isa;
 

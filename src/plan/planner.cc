@@ -15,6 +15,9 @@ namespace tsq::plan {
 
 namespace {
 
+// Upper bound on the rectangle count k the MT enumeration sweeps.
+constexpr std::size_t kMaxRectangles = 16;
+
 struct PlannerMetrics {
   obs::Counter* plans;         // fresh enumerations (cache misses that planned)
   obs::Counter* calibrations;  // cost-constant calibration runs
@@ -278,8 +281,6 @@ Result<Planned> Planner::PlanLocked(
     key.Add(group.size());
     for (const std::size_t t : group) key.Add(t);
   }
-  key.Add(options.max_rectangles);
-  key.Add(static_cast<std::uint64_t>(options.partitioning));
   key.AddDouble(constants.c_da);
   key.AddDouble(constants.c_cmp);
 
@@ -378,53 +379,44 @@ Result<Planned> Planner::PlanLocked(
                   GroupCountLabel("spec", spec_partition.size()),
                   price_partition(spec_partition)});
   } else {
-    const std::size_t k_max =
-        std::min(count, std::max<std::size_t>(1, options.max_rectangles));
-    const core::PartitioningStrategy strategy = options.partitioning;
-    const auto family_enabled = [&](core::PartitioningStrategy s) {
-      return strategy == core::PartitioningStrategy::kAuto || strategy == s;
-    };
+    const std::size_t k_max = std::min(count, kMaxRectangles);
 
-    if (family_enabled(core::PartitioningStrategy::kPacked)) {
-      transform::Partition packed = transform::PartitionAll(count);
-      const double cost = price_partition(packed);
+    // The single packed rectangle (plain MT-index configuration).
+    transform::Partition packed = transform::PartitionAll(count);
+    const double packed_cost = price_partition(packed);
+    candidates.push_back(Candidate{core::Algorithm::kMtIndex,
+                                   std::move(packed),
+                                   GroupCountLabel("packed", 1), packed_cost});
+
+    // Contiguous equal splits into k groups (Section 5.2's sweep); k = count
+    // would duplicate ST-index, so the sweep stops short of it.
+    for (std::size_t k = 2; k <= k_max && k < count; ++k) {
+      transform::Partition partition = transform::PartitionIntoGroups(count, k);
+      const double cost = price_partition(partition);
       candidates.push_back(Candidate{core::Algorithm::kMtIndex,
-                                     std::move(packed),
-                                     GroupCountLabel("packed", 1), cost});
+                                     std::move(partition),
+                                     GroupCountLabel("contiguous", k), cost});
     }
-    if (family_enabled(core::PartitioningStrategy::kContiguous)) {
-      // k = count would duplicate ST-index, so the sweep stops short of it.
-      for (std::size_t k = 2; k <= k_max && k < count; ++k) {
-        transform::Partition partition =
-            transform::PartitionIntoGroups(count, k);
-        const double cost = price_partition(partition);
-        candidates.push_back(Candidate{core::Algorithm::kMtIndex,
-                                       std::move(partition),
-                                       GroupCountLabel("contiguous", k),
-                                       cost});
+
+    // Cluster-aware partitions (the Fig. 9 fix): gap detection fixes the
+    // cluster boundaries; sweeping the per-group cap over powers of two
+    // varies how finely each cluster is split.
+    std::vector<std::size_t> seen_counts;
+    for (std::size_t target = 1; target <= k_max; target *= 2) {
+      const std::size_t per_group = (count + target - 1) / target;
+      transform::Partition partition =
+          transform::PartitionByClusters(feature_transforms, per_group);
+      const std::size_t k = partition.size();
+      if (k == 0 || k >= count) continue;  // empty or ST duplicate
+      if (std::find(seen_counts.begin(), seen_counts.end(), k) !=
+          seen_counts.end()) {
+        continue;
       }
-    }
-    if (family_enabled(core::PartitioningStrategy::kClustered)) {
-      // Gap detection fixes the cluster boundaries; sweeping the per-group
-      // cap over powers of two varies how finely each cluster is split.
-      std::vector<std::size_t> seen_counts;
-      for (std::size_t target = 1; target <= k_max; target *= 2) {
-        const std::size_t per_group = (count + target - 1) / target;
-        transform::Partition partition =
-            transform::PartitionByClusters(feature_transforms, per_group);
-        const std::size_t k = partition.size();
-        if (k == 0 || k >= count) continue;  // empty or ST duplicate
-        if (std::find(seen_counts.begin(), seen_counts.end(), k) !=
-            seen_counts.end()) {
-          continue;
-        }
-        seen_counts.push_back(k);
-        const double cost = price_partition(partition);
-        candidates.push_back(Candidate{core::Algorithm::kMtIndex,
-                                       std::move(partition),
-                                       GroupCountLabel("clustered", k),
-                                       cost});
-      }
+      seen_counts.push_back(k);
+      const double cost = price_partition(partition);
+      candidates.push_back(Candidate{core::Algorithm::kMtIndex,
+                                     std::move(partition),
+                                     GroupCountLabel("clustered", k), cost});
     }
   }
 

@@ -46,10 +46,10 @@ struct Planned {
 
 /// The cost-based query planner (the optimizer the paper's Section 5 argues
 /// for): given a query spec, it enumerates candidate plans — sequential
-/// scan, ST-index, and MT-index with k in {1..max_rectangles} rectangles
-/// from each partitioning strategy — prices each with the Eq. 18-20 cost
-/// model against a per-epoch snapshot of the index (TreeCostEstimator), and
-/// returns the cheapest.
+/// scan, ST-index, and MT-index with k in {1..16} rectangles from each
+/// partitioning family (packed, contiguous, clustered) — prices each with
+/// the Eq. 18-20 cost model against a per-epoch snapshot of the index
+/// (TreeCostEstimator), and returns the cheapest.
 ///
 /// State it maintains, all lazily and behind one mutex (Plan() is safe to
 /// call from concurrent Execute() calls):

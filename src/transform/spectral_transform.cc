@@ -80,14 +80,6 @@ ts::Series SpectralTransform::ApplyToSeries(std::span<const double> x) const {
 }
 
 double SpectralTransform::TransformedSquaredDistance(
-    std::span<const dft::Complex> x, std::span<const dft::Complex> y) const {
-  TSQ_CHECK_EQ(x.size(), multipliers_.size());
-  TSQ_CHECK_EQ(y.size(), multipliers_.size());
-  return kernels::WeightedSquaredDistance(AsDoubles(x), AsDoubles(y),
-                                          weights2_);
-}
-
-double SpectralTransform::TransformedSquaredDistanceWithin(
     std::span<const dft::Complex> x, std::span<const dft::Complex> y,
     double bound) const {
   TSQ_CHECK_EQ(x.size(), multipliers_.size());
@@ -97,14 +89,6 @@ double SpectralTransform::TransformedSquaredDistanceWithin(
 }
 
 double SpectralTransform::TransformedToPlainSquaredDistance(
-    std::span<const dft::Complex> x, std::span<const dft::Complex> q) const {
-  TSQ_CHECK_EQ(x.size(), multipliers_.size());
-  TSQ_CHECK_EQ(q.size(), multipliers_.size());
-  return kernels::TransformedToPlainSquaredDistance(AsDoubles(x), AsDoubles(q),
-                                                    mul_re2_, mul_im2_);
-}
-
-double SpectralTransform::TransformedToPlainSquaredDistanceWithin(
     std::span<const dft::Complex> x, std::span<const dft::Complex> q,
     double bound) const {
   TSQ_CHECK_EQ(x.size(), multipliers_.size());

@@ -2,6 +2,7 @@
 #define TSQ_TRANSFORM_SPECTRAL_TRANSFORM_H_
 
 #include <complex>
+#include <limits>
 #include <span>
 #include <string>
 #include <vector>
@@ -57,16 +58,13 @@ class SpectralTransform {
   /// spectra, computed directly in the frequency domain (Parseval):
   ///   D^2(t(x), t(y)) = sum_f |M_f|^2 * |X_f - Y_f|^2
   /// (Eq. 12), using the |M_f|^2 weight vector cached at construction.
-  double TransformedSquaredDistance(std::span<const dft::Complex> x,
-                                    std::span<const dft::Complex> y) const;
-
-  /// Early-abandoning TransformedSquaredDistance: exact whenever the result
-  /// is <= bound; any value > bound (exact or abandoned partial sum) means
-  /// "no match". See kernels::EarlyAbandonResult for the checkpoint
-  /// contract.
-  double TransformedSquaredDistanceWithin(std::span<const dft::Complex> x,
-                                          std::span<const dft::Complex> y,
-                                          double bound) const;
+  /// Early-abandoning past `bound`: exact whenever the result is <= bound;
+  /// any value > bound (exact or abandoned partial sum) means "no match".
+  /// The default bound never abandons. See kernels::EarlyAbandonResult for
+  /// the checkpoint contract.
+  double TransformedSquaredDistance(
+      std::span<const dft::Complex> x, std::span<const dft::Complex> y,
+      double bound = std::numeric_limits<double>::infinity()) const;
 
   /// Squared Euclidean distance between the transformed data sequence and a
   /// plain (untransformed) query:
@@ -74,15 +72,11 @@ class SpectralTransform {
   /// This is the SIGMOD'97-style semantics ("find sequences whose
   /// transformed version is similar to the query"), under which unitary
   /// transformations like time shifts are meaningful — applying a shift to
-  /// both sides would cancel out.
-  double TransformedToPlainSquaredDistance(std::span<const dft::Complex> x,
-                                           std::span<const dft::Complex> q) const;
-
-  /// Early-abandoning TransformedToPlainSquaredDistance (same contract as
-  /// TransformedSquaredDistanceWithin).
-  double TransformedToPlainSquaredDistanceWithin(
+  /// both sides would cancel out. Early-abandoning past `bound`, with the
+  /// contract of TransformedSquaredDistance.
+  double TransformedToPlainSquaredDistance(
       std::span<const dft::Complex> x, std::span<const dft::Complex> q,
-      double bound) const;
+      double bound = std::numeric_limits<double>::infinity()) const;
 
   /// |M_f|^2 per coefficient, precomputed at construction (Eq. 12 weights).
   std::span<const double> squared_magnitudes() const { return weights_; }

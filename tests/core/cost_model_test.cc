@@ -38,7 +38,9 @@ class CostEstimatorTest : public ::testing::Test {
         std::make_unique<SimilarityEngine>(testutil::Stocks(300, 128, 21));
     dataset_ = &engine_->dataset();
     index_ = &engine_->index();
-    estimator_ = std::make_unique<TreeCostEstimator>(*index_);
+    Result<TreeCostEstimator> estimator = TreeCostEstimator::Create(*index_);
+    ASSERT_TRUE(estimator.ok()) << estimator.status().ToString();
+    estimator_ = std::make_unique<TreeCostEstimator>(std::move(*estimator));
   }
   std::unique_ptr<SimilarityEngine> engine_;
   const Dataset* dataset_ = nullptr;

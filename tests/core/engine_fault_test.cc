@@ -9,6 +9,7 @@
 #include "gtest/gtest.h"
 #include "test_util.h"
 #include "testing/fault_policy.h"
+#include "testing/oracle.h"
 #include "transform/builders.h"
 
 namespace tsq::core {
@@ -228,6 +229,70 @@ TEST_F(EngineFaultTest, HookInstalledBeforePoolIsInheritedByPool) {
   EXPECT_FALSE(faulted.ok());
   engine_.SetReadFaultHook(nullptr);
   engine_.EnableIndexBufferPool(0);
+}
+
+// kAuto planning snapshots the index tree before it prices any plan. A
+// failed node read there is a Status like any other: the planned range,
+// k-NN and join queries each return it, and once the hook is gone the same
+// queries plan and answer exactly as the oracle does.
+TEST_F(EngineFaultTest, AutoPlanningSurfacesIndexReadFailure) {
+  JoinQuerySpec join = JoinSpec();
+  join.mode = JoinMode::kDistance;  // the oracle's pair set is exact here
+  const std::vector<QuerySpec> specs = {RangeSpec(), KnnSpec(), join};
+  ExecOptions options;
+  options.planner.algorithm = Algorithm::kAuto;
+
+  FaultPolicyConfig config;
+  config.fail_every_k = 1;
+  FaultPolicy policy(config);
+  engine_.SetReadFaultHook(&policy);
+  for (const QuerySpec& spec : specs) {
+    EXPECT_FALSE(engine_.Execute(spec, options).ok())
+        << "query kind " << spec.index();
+  }
+  engine_.SetReadFaultHook(nullptr);
+  EXPECT_GE(policy.faults_injected(), 1u);
+
+  const tsq::testing::Oracle oracle(engine_.dataset());
+  const auto range = engine_.Execute(specs[0], options);
+  ASSERT_TRUE(range.ok()) << range.status().ToString();
+  std::vector<Match> got = range->range()->matches;
+  std::vector<Match> want = oracle.Range(std::get<RangeQuerySpec>(specs[0]));
+  SortMatches(&got);
+  SortMatches(&want);
+  EXPECT_FALSE(want.empty());
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].series_id, want[i].series_id);
+    EXPECT_EQ(got[i].transform_index, want[i].transform_index);
+    EXPECT_NEAR(got[i].distance, want[i].distance, 1e-6);
+  }
+
+  const auto knn = engine_.Execute(specs[1], options);
+  ASSERT_TRUE(knn.ok()) << knn.status().ToString();
+  const std::vector<KnnMatch> neighbours =
+      oracle.Knn(std::get<KnnQuerySpec>(specs[1]));
+  ASSERT_EQ(knn->knn()->matches.size(), neighbours.size());
+  for (std::size_t i = 0; i < neighbours.size(); ++i) {
+    EXPECT_EQ(knn->knn()->matches[i].series_id, neighbours[i].series_id);
+    EXPECT_NEAR(knn->knn()->matches[i].distance, neighbours[i].distance,
+                1e-6);
+  }
+
+  const auto pairs = engine_.Execute(specs[2], options);
+  ASSERT_TRUE(pairs.ok()) << pairs.status().ToString();
+  std::vector<JoinMatch> got_pairs = pairs->join()->matches;
+  std::vector<JoinMatch> want_pairs = oracle.Join(join);
+  SortJoinMatches(&got_pairs);
+  SortJoinMatches(&want_pairs);
+  EXPECT_FALSE(want_pairs.empty());
+  ASSERT_EQ(got_pairs.size(), want_pairs.size());
+  for (std::size_t i = 0; i < got_pairs.size(); ++i) {
+    EXPECT_EQ(got_pairs[i].a, want_pairs[i].a);
+    EXPECT_EQ(got_pairs[i].b, want_pairs[i].b);
+    EXPECT_EQ(got_pairs[i].transform_index, want_pairs[i].transform_index);
+    EXPECT_NEAR(got_pairs[i].value, want_pairs[i].value, 1e-6);
+  }
 }
 
 TEST_F(EngineFaultTest, FetchSpectrumOutOfRangeIsStatusNotDeath) {

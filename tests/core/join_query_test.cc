@@ -264,6 +264,52 @@ TEST(JoinQueryTest, InvalidSpecsRejected) {
             StatusCode::kInvalidArgument);
 }
 
+// The transformation checks a range query makes hold for joins too, under
+// every algorithm: a partition must name each transformation exactly once,
+// and under the symmetry property (the default layout) every transformation
+// must map real sequences to real sequences. Unchecked, an out-of-range
+// partition index reads past the transformation vector, and a partial or
+// repeating partition or a non-real-preserving transformation yields fewer
+// pairs than the oracle.
+TEST(JoinQueryTest, MalformedTransformationSpecsRejected) {
+  Workload w = MakeWorkload(testutil::Stocks(40, 64, 10));
+  JoinQuerySpec valid;
+  valid.mode = JoinMode::kDistance;
+  valid.epsilon = 1.0;
+  valid.transforms = transform::MovingAverageRange(64, 1, 4);
+  ASSERT_EQ(valid.transforms.size(), 4u);
+
+  std::vector<JoinQuerySpec> malformed;
+  for (const transform::Partition& partition :
+       {transform::Partition{{0, 1}, {2, 7}},    // names transformation 7
+        transform::Partition{{0, 1}, {1}},       // repeats 1, leaves out 2, 3
+        transform::Partition{{0, 1, 2, 3}, {}}}) {  // empty group
+    malformed.push_back(valid);
+    malformed.back().partition = partition;
+  }
+  // Multiplies coefficient 1 by i but leaves its mirror n-1 alone, so
+  // M_{n-1} != conj(M_1).
+  std::vector<dft::Complex> lopsided(64, {1.0, 0.0});
+  lopsided[1] = {0.0, 1.0};
+  malformed.push_back(valid);
+  malformed.back().transforms.push_back(
+      transform::SpectralTransform("lopsided", lopsided));
+
+  for (Algorithm algorithm : {Algorithm::kSequentialScan, Algorithm::kStIndex,
+                              Algorithm::kMtIndex}) {
+    ASSERT_TRUE(
+        RunJoinQuery(*w.dataset, *w.index, valid, Forced(algorithm)).ok());
+    for (std::size_t i = 0; i < malformed.size(); ++i) {
+      EXPECT_EQ(
+          RunJoinQuery(*w.dataset, *w.index, malformed[i], Forced(algorithm))
+              .status()
+              .code(),
+          StatusCode::kInvalidArgument)
+          << AlgorithmName(algorithm) << " malformed spec " << i;
+    }
+  }
+}
+
 TEST(JoinQueryTest, EmptyResultWhenThresholdImpossible) {
   Workload w = MakeWorkload(testutil::RandomWalks(30, 64, 9));
   JoinQuerySpec spec;

@@ -213,6 +213,57 @@ TEST(KnnQueryTest, InvalidSpecsRejected) {
             StatusCode::kInvalidArgument);
 }
 
+// The transformation checks a range query makes hold for k-NN too, under
+// every algorithm: a partition must name each transformation exactly once,
+// the fixed query transformation must have the dataset's length, and under
+// the symmetry property (the default layout) every transformation must map
+// real sequences to real sequences. Unchecked, an out-of-range partition
+// index reads past the transformation vector, a partial or repeating
+// partition or a non-real-preserving transformation yields neighbours that
+// differ from the oracle's, and a short query transformation aborts the
+// process.
+TEST(KnnQueryTest, MalformedTransformationSpecsRejected) {
+  Workload w = MakeWorkload(testutil::RandomWalks(40, 64, 18));
+  KnnQuerySpec valid;
+  valid.query = ts::Denormalize(w.dataset->normal(5));
+  valid.k = 3;
+  valid.transforms = transform::MovingAverageRange(64, 1, 4);
+  ASSERT_EQ(valid.transforms.size(), 4u);
+
+  std::vector<KnnQuerySpec> malformed;
+  for (const transform::Partition& partition :
+       {transform::Partition{{0, 1}, {2, 7}},    // names transformation 7
+        transform::Partition{{0}},               // leaves out 1..3
+        transform::Partition{{0, 1}, {1, 2, 3}},  // repeats 1
+        transform::Partition{{0, 1, 2, 3}, {}}}) {  // empty group
+    malformed.push_back(valid);
+    malformed.back().partition = partition;
+  }
+  // Multiplies coefficient 1 by i but leaves its mirror n-1 alone, so
+  // M_{n-1} != conj(M_1).
+  std::vector<dft::Complex> lopsided(64, {1.0, 0.0});
+  lopsided[1] = {0.0, 1.0};
+  malformed.push_back(valid);
+  malformed.back().transforms.push_back(
+      transform::SpectralTransform("lopsided", lopsided));
+  malformed.push_back(valid);
+  malformed.back().query_transform = transform::MomentumTransform(32);
+
+  for (Algorithm algorithm : {Algorithm::kSequentialScan, Algorithm::kStIndex,
+                              Algorithm::kMtIndex}) {
+    ASSERT_TRUE(
+        RunKnnQuery(*w.dataset, *w.index, valid, Forced(algorithm)).ok());
+    for (std::size_t i = 0; i < malformed.size(); ++i) {
+      EXPECT_EQ(
+          RunKnnQuery(*w.dataset, *w.index, malformed[i], Forced(algorithm))
+              .status()
+              .code(),
+          StatusCode::kInvalidArgument)
+          << AlgorithmName(algorithm) << " malformed spec " << i;
+    }
+  }
+}
+
 // Regression: a NaN (or infinite) query value makes every distance NaN, and
 // sorting NaN distances with a naive `a < b` comparator is undefined
 // behaviour (no strict weak ordering). The spec must be rejected up front,

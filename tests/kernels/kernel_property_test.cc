@@ -1,14 +1,16 @@
 // Property suite for the SIMD kernel layer (ctest label `kernels`).
 //
-// The load-bearing property is *bitwise* cross-ISA identity: every variant
-// of every kernel must produce the exact same bit pattern as the scalar
-// reference for every input — random, unaligned, denormal, NaN, infinite.
-// Query results must never depend on which ISA the dispatcher picked.
+// The load-bearing property is *bitwise* cross-ISA identity: the AVX2
+// variant of every kernel must produce the exact same bit pattern as the
+// scalar reference for every input — random, unaligned, denormal, NaN,
+// infinite. Query results must never depend on which ISA the dispatcher
+// picked.
 //
 // The second property is the early-abandon contract: a Within kernel that
-// does not abandon returns the bitwise-exact full sum; when it abandons, the
-// returned partial exceeds the bound (hence so does the true sum), and it
-// stopped at a 64-element checkpoint.
+// does not abandon returns the bitwise-exact full sum (checked against the
+// test-local reference loops below); when it abandons, the returned partial
+// exceeds the bound (hence so does the true sum), and it stopped at a
+// 64-element checkpoint.
 
 #include "kernels/kernels.h"
 
@@ -43,10 +45,44 @@ std::uint64_t Bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
 std::vector<Isa> SupportedIsas() {
   std::vector<Isa> isas;
-  for (const Isa isa : {Isa::kScalar, Isa::kSse2, Isa::kAvx2}) {
+  for (const Isa isa : {Isa::kScalar, Isa::kAvx2}) {
     if (IsaSupported(isa)) isas.push_back(isa);
   }
   return isas;
+}
+
+// Full-sum references for the early-abandoning kernels: the 4-lane blocked
+// reduction of the determinism contract (element i accumulates into lane
+// i mod 4, lanes folded as (L0 + L2) + (L1 + L3)), written out as plain
+// loops so the contract checks do not lean on a kernel under test. This TU
+// is built with -ffp-contract=off, like the kernels.
+double FoldLanes(const double lanes[4]) {
+  return (lanes[0] + lanes[2]) + (lanes[1] + lanes[3]);
+}
+
+double ReferenceWeightedSquaredDistance(const double* x, const double* y,
+                                        const double* w, std::size_t n) {
+  double lanes[4] = {0.0, 0.0, 0.0, 0.0};
+  for (std::size_t i = 0; i < n; ++i) {
+    const double d = x[i] - y[i];
+    lanes[i % 4] += w[i] * (d * d);
+  }
+  return FoldLanes(lanes);
+}
+
+// x holds interleaved (re, im) doubles; mre/mim are component-duplicated
+// multipliers, so component i of M*X is x[i]*mre[i] -/+ x[i^1]*mim[i].
+double ReferenceTransformedToPlain(const double* x, const double* q,
+                                   const double* mre, const double* mim,
+                                   std::size_t n) {
+  double lanes[4] = {0.0, 0.0, 0.0, 0.0};
+  for (std::size_t i = 0; i < n; ++i) {
+    const double a = x[i] * mre[i];
+    const double b = x[i ^ 1] * mim[i];
+    const double d = (i % 2 == 0 ? a - b : a + b) - q[i];
+    lanes[i % 4] += d * d;
+  }
+  return FoldLanes(lanes);
 }
 
 // One buffer per operand, kMaxOffset doubles longer than the longest test
@@ -128,6 +164,22 @@ TEST(KernelBitwiseTest, SquaredDistanceMatchesScalarOnAllIsas) {
   });
 }
 
+// Bounds every Within kernel is checked at: +inf (never abandons) and
+// finite bounds relative to the full sum, from the first 64-element
+// checkpoint abandoning to no abandon at all.
+std::vector<double> BoundsFor(double full) {
+  return {kInf, 0.0, full * 0.25, full * 0.5, full, full * 2.0};
+}
+
+::testing::AssertionResult SameResult(const EarlyAbandonResult& a,
+                                      const EarlyAbandonResult& b) {
+  if (a.consumed != b.consumed) {
+    return ::testing::AssertionFailure()
+           << "consumed " << a.consumed << " vs " << b.consumed;
+  }
+  return SameBits(a.value, b.value);
+}
+
 TEST(KernelBitwiseTest, WeightedSquaredDistanceMatchesScalarOnAllIsas) {
   const std::vector<Isa> isas = SupportedIsas();
   const KernelTable& ref = TableFor(Isa::kScalar);
@@ -135,11 +187,17 @@ TEST(KernelBitwiseTest, WeightedSquaredDistanceMatchesScalarOnAllIsas) {
     const double* x = in.x.data() + off;
     const double* y = in.y.data() + off;
     const double* w = in.w.data() + off;
-    const double expected = ref.weighted_squared_distance(x, y, w, n);
-    for (const Isa isa : isas) {
-      EXPECT_TRUE(SameBits(
-          expected, TableFor(isa).weighted_squared_distance(x, y, w, n)))
-          << IsaName(isa) << " n=" << n << " off=" << off;
+    const double full = ReferenceWeightedSquaredDistance(x, y, w, n);
+    for (const double bound : BoundsFor(full)) {
+      const EarlyAbandonResult expected =
+          ref.weighted_squared_distance_within(x, y, w, n, bound);
+      for (const Isa isa : isas) {
+        EXPECT_TRUE(SameResult(expected,
+                               TableFor(isa).weighted_squared_distance_within(
+                                   x, y, w, n, bound)))
+            << IsaName(isa) << " n=" << n << " off=" << off
+            << " bound=" << bound;
+      }
     }
   });
 }
@@ -154,11 +212,17 @@ TEST(KernelBitwiseTest, TransformedToPlainMatchesScalarOnAllIsas) {
     const double* q = in.q.data() + off;
     const double* mre = in.y.data() + off;
     const double* mim = in.w.data() + off;
-    const double expected = ref.transformed_to_plain(x, q, mre, mim, n);
-    for (const Isa isa : isas) {
-      EXPECT_TRUE(SameBits(
-          expected, TableFor(isa).transformed_to_plain(x, q, mre, mim, n)))
-          << IsaName(isa) << " n=" << n << " off=" << off;
+    const double full = ReferenceTransformedToPlain(x, q, mre, mim, n);
+    for (const double bound : BoundsFor(full)) {
+      const EarlyAbandonResult expected =
+          ref.transformed_to_plain_within(x, q, mre, mim, n, bound);
+      for (const Isa isa : isas) {
+        EXPECT_TRUE(SameResult(expected,
+                               TableFor(isa).transformed_to_plain_within(
+                                   x, q, mre, mim, n, bound)))
+            << IsaName(isa) << " n=" << n << " off=" << off
+            << " bound=" << bound;
+      }
     }
   });
 }
@@ -226,12 +290,28 @@ TEST(KernelBitwiseTest, WeightedDotSumsMatchScalarOnAllIsas) {
   });
 }
 
-// The early-abandon contract, checked for every ISA against that ISA's own
-// full kernel (which the bitwise tests above tie to the scalar reference):
+// The early-abandon contract, checked for every ISA against the test-local
+// full-sum references:
 //  * consumed == n  =>  value is the bitwise-exact full sum;
 //  * consumed < n   =>  value > bound, the true sum > bound, and the kernel
 //    stopped at a 64-element checkpoint;
 //  * a bound at exactly the full sum is never abandoned (strict test).
+::testing::AssertionResult ExactOrAboveBound(const EarlyAbandonResult& r,
+                                             double full, std::size_t n,
+                                             double bound) {
+  if (r.consumed == n) return SameBits(full, r.value);
+  if (!(r.value > bound) || !(full > bound)) {
+    return ::testing::AssertionFailure()
+           << "abandoned at " << r.consumed << " with partial " << r.value
+           << ", full " << full << ", bound " << bound;
+  }
+  if (r.consumed == 0 || r.consumed % internal::kAbandonCheckElements != 0) {
+    return ::testing::AssertionFailure()
+           << "abandoned off a checkpoint at " << r.consumed;
+  }
+  return ::testing::AssertionSuccess();
+}
+
 TEST(EarlyAbandonTest, WithinIsExactOrProvablyAboveBound) {
   Rng rng(424242);
   const Inputs in = FillRandom(rng);
@@ -242,36 +322,18 @@ TEST(EarlyAbandonTest, WithinIsExactOrProvablyAboveBound) {
         const double* x = in.x.data() + off;
         const double* y = in.y.data() + off;
         const double* w = in.w.data() + off;
-        const double full = table.squared_distance(x, y, n);
-        const double wfull = table.weighted_squared_distance(x, y, w, n);
-        const double bounds[] = {0.0,        full * 0.25, full * 0.5,
-                                 full,       full * 2.0,  kInf};
-        for (const double bound : bounds) {
-          const EarlyAbandonResult r =
-              table.squared_distance_within(x, y, n, bound);
-          if (r.consumed == n) {
-            EXPECT_TRUE(SameBits(full, r.value))
-                << IsaName(isa) << " n=" << n << " bound=" << bound;
-          } else {
-            EXPECT_GT(r.value, bound) << IsaName(isa) << " n=" << n;
-            EXPECT_GT(full, bound) << IsaName(isa) << " n=" << n;
-            EXPECT_EQ(r.consumed % internal::kAbandonCheckElements, 0u);
-            EXPECT_GT(r.consumed, 0u);
-          }
-          const EarlyAbandonResult wr =
-              table.weighted_squared_distance_within(x, y, w, n, bound * 4.0);
-          if (wr.consumed == n) {
-            EXPECT_TRUE(SameBits(wfull, wr.value)) << IsaName(isa);
-          } else {
-            EXPECT_GT(wr.value, bound * 4.0) << IsaName(isa);
-            EXPECT_GT(wfull, bound * 4.0) << IsaName(isa);
-          }
+        const double full = ReferenceWeightedSquaredDistance(x, y, w, n);
+        for (const double bound : BoundsFor(full)) {
+          EXPECT_TRUE(ExactOrAboveBound(
+              table.weighted_squared_distance_within(x, y, w, n, bound), full,
+              n, bound))
+              << IsaName(isa) << " n=" << n << " off=" << off;
         }
         // Bound exactly at the full sum: strict abandon must not trigger.
         const EarlyAbandonResult exact =
-            table.squared_distance_within(x, y, n, full);
-        EXPECT_EQ(exact.consumed, n);
-        EXPECT_TRUE(SameBits(full, exact.value));
+            table.weighted_squared_distance_within(x, y, w, n, full);
+        EXPECT_EQ(exact.consumed, n) << IsaName(isa) << " n=" << n;
+        EXPECT_TRUE(SameBits(full, exact.value)) << IsaName(isa);
       }
     }
   }
@@ -286,13 +348,23 @@ TEST(EarlyAbandonTest, WithinResultsBitwiseIdenticalAcrossIsas) {
     for (std::size_t n : {64u, 128u, 257u}) {
       const double* x = in.x.data();
       const double* y = in.y.data();
-      const double full = ref.squared_distance(x, y, n);
-      for (const double bound : {full * 0.1, full * 0.9, full * 1.1}) {
-        const EarlyAbandonResult a = ref.squared_distance_within(x, y, n, bound);
-        const EarlyAbandonResult b =
-            table.squared_distance_within(x, y, n, bound);
-        EXPECT_EQ(a.consumed, b.consumed) << IsaName(isa) << " n=" << n;
-        EXPECT_TRUE(SameBits(a.value, b.value)) << IsaName(isa) << " n=" << n;
+      const double* w = in.w.data();
+      const double* q = in.q.data();
+      const double wfull = ReferenceWeightedSquaredDistance(x, y, w, n);
+      for (const double bound : {wfull * 0.1, wfull * 0.9, wfull * 1.1}) {
+        EXPECT_TRUE(SameResult(
+            ref.weighted_squared_distance_within(x, y, w, n, bound),
+            table.weighted_squared_distance_within(x, y, w, n, bound)))
+            << IsaName(isa) << " n=" << n;
+      }
+      // Complex data: whole (re, im) pairs only.
+      const std::size_t m = n & ~std::size_t{1};
+      const double tfull = ReferenceTransformedToPlain(x, q, y, w, m);
+      for (const double bound : {tfull * 0.1, tfull * 0.9, tfull * 1.1}) {
+        EXPECT_TRUE(SameResult(
+            ref.transformed_to_plain_within(x, q, y, w, m, bound),
+            table.transformed_to_plain_within(x, q, y, w, m, bound)))
+            << IsaName(isa) << " n=" << m;
       }
     }
   }
@@ -308,18 +380,17 @@ TEST(EarlyAbandonTest, TransformedToPlainWithinContract) {
       const double* q = in.q.data();
       const double* mre = in.y.data();
       const double* mim = in.w.data();
-      const double full = table.transformed_to_plain(x, q, mre, mim, n);
-      for (const double bound : {0.0, full * 0.5, full, full * 2.0}) {
-        const EarlyAbandonResult r =
-            table.transformed_to_plain_within(x, q, mre, mim, n, bound);
-        if (r.consumed == n) {
-          EXPECT_TRUE(SameBits(full, r.value)) << IsaName(isa) << " n=" << n;
-        } else {
-          EXPECT_GT(r.value, bound);
-          EXPECT_GT(full, bound);
-          EXPECT_EQ(r.consumed % internal::kAbandonCheckElements, 0u);
-        }
+      const double full = ReferenceTransformedToPlain(x, q, mre, mim, n);
+      for (const double bound : BoundsFor(full)) {
+        EXPECT_TRUE(ExactOrAboveBound(
+            table.transformed_to_plain_within(x, q, mre, mim, n, bound), full,
+            n, bound))
+            << IsaName(isa) << " n=" << n;
       }
+      const EarlyAbandonResult exact =
+          table.transformed_to_plain_within(x, q, mre, mim, n, full);
+      EXPECT_EQ(exact.consumed, n) << IsaName(isa) << " n=" << n;
+      EXPECT_TRUE(SameBits(full, exact.value)) << IsaName(isa);
     }
   }
 }
