@@ -90,21 +90,6 @@ std::size_t ParseThreadsFlag(int argc, char** argv) {
   return 1;
 }
 
-std::size_t ParsePoolShardsFlag(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--pool-shards=", 0) == 0) {
-      char* end = nullptr;
-      const long shards = std::strtol(arg.c_str() + 14, &end, 10);
-      if (end != nullptr && *end == '\0' && shards >= 0) {
-        return static_cast<std::size_t>(shards);
-      }
-      std::printf("ignoring malformed %s\n", arg.c_str());
-    }
-  }
-  return 0;
-}
-
 std::string ParseTraceJsonFlag(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -180,7 +165,8 @@ QueryMeasurement MeasureRangeQuery(const core::SimilarityEngine& engine,
                                    core::ExecOptions options, Rng& rng) {
   const std::size_t reps = QueryReps();
   QueryMeasurement m;
-  const double leaf_capacity = engine.index().AverageLeafCapacity();
+  const double leaf_capacity =
+      core::TreeCostEstimator::Create(engine.index())->leaf_capacity();
   for (std::size_t rep = 0; rep < reps; ++rep) {
     const std::size_t query_id = static_cast<std::size_t>(
         rng.UniformInt(0, static_cast<std::int64_t>(engine.size()) - 1));

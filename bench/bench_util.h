@@ -78,10 +78,6 @@ QueryMeasurement MeasureRangeQuery(const core::SimilarityEngine& engine,
 /// Returns 1 when the flag is absent or malformed.
 std::size_t ParseThreadsFlag(int argc, char** argv);
 
-/// Parses a `--pool-shards=N` argument selecting the buffer-pool shard
-/// count (0 = the pool's default). Returns 0 when absent or malformed.
-std::size_t ParsePoolShardsFlag(int argc, char** argv);
-
 /// Parses a `--trace-json=<path>` argument: the file the bench writes the
 /// ExplainJson document of its last measured query to. Empty when absent.
 std::string ParseTraceJsonFlag(int argc, char** argv);

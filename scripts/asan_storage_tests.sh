@@ -2,16 +2,14 @@
 # Builds the storage and executor tests under Address+UB sanitizers and runs
 # them.
 #
-# TSan finds the races; ASan/UBSan find the lifetime bugs the sharded
-# buffer pool's lock-dropping miss path could introduce (a leader
-# publishing into a freed in-flight slot, a follower reading a dead page
-# buffer), and out-of-bounds copies on the read path: record page-walks
-# into caller spans (record_store_test, dataset_test), R*-tree node
-# decoding straight from page bytes (rstar_tree_test), the recursive
-# self-join with its tampered-node cases (rtree_join_test, join_query_test),
-# the best-first k-NN search (knn_query_test), the engine's error paths
-# under injected read faults (engine_fault_test), and the one range executor
-# that serves Execute() and ExecuteBatch() alike (range_query_test,
+# TSan finds the races; ASan/UBSan find lifetime bugs and out-of-bounds
+# copies on the read path: record page-walks into caller spans
+# (record_store_test, dataset_test), R*-tree node decoding straight from
+# page bytes (rstar_tree_test), the recursive self-join with its
+# tampered-node cases (rtree_join_test, join_query_test), the best-first
+# k-NN search (knn_query_test), the engine's error paths under injected
+# read faults (engine_fault_test), and the one range executor that serves
+# Execute() and ExecuteBatch() alike (range_query_test,
 # batch_determinism_test). The k-NN and join suites include the malformed
 # partition cases whose out-of-range indices once read past the
 # transformation vector.
@@ -26,7 +24,7 @@ BUILD_DIR="${1:-build-asan}"
 
 cmake -B "$BUILD_DIR" -S . -DTSQ_SANITIZE=address -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$BUILD_DIR" -j --target \
-  page_file_test atomic_file_test buffer_pool_test record_store_test \
+  page_file_test atomic_file_test record_store_test \
   persistence_test checkpoint_robustness_test dataset_test rstar_tree_test \
   rtree_join_test join_query_test knn_query_test engine_fault_test \
   range_query_test batch_determinism_test \
@@ -34,4 +32,4 @@ cmake --build "$BUILD_DIR" -j --target \
   batch_concurrency_test result_cache_test
 
 cd "$BUILD_DIR"
-ctest --output-on-failure -R 'PageFile|AtomicFile|BufferPool|ShardedBufferPool|RecordStore|Persistence|CheckpointRobustness|Dataset|RStarTree|SpatialJoin|JoinQueryTest|TransformedCorrelation|DistanceJoinEquivalence|EffectiveThreads|ThreadPool|ParallelFor|Chunk|ExecutorDeterminism|ExecutorConcurrency|BatchConcurrency|ResultCache|RangeQuery|BatchDeterminism|KnnQuery|EngineFault'
+ctest --output-on-failure -R 'PageFile|AtomicFile|RecordStore|Persistence|CheckpointRobustness|Dataset|RStarTree|SpatialJoin|JoinQueryTest|TransformedCorrelation|DistanceJoinEquivalence|EffectiveThreads|ThreadPool|ParallelFor|Chunk|ExecutorDeterminism|ExecutorConcurrency|BatchConcurrency|ResultCache|RangeQuery|BatchDeterminism|KnnQuery|EngineFault'

@@ -21,7 +21,7 @@
 #      re-run with TSQ_KERNEL_ISA=scalar: every test must pass bit-for-bit
 #      on the scalar reference path too, proving SIMD is a pure speed knob;
 #   7. scripts/tsan_exec_tests.sh — data-race gate over the executor and
-#      the sharded buffer pool;
+#      the page file's concurrent read path;
 #   8. scripts/tsan_write_tests.sh — data-race gate over the write path:
 #      Execute() threads racing a continuous Insert/Remove writer through
 #      the engine's snapshot layer;

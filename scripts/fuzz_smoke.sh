@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Fixed-seed differential-fuzzer smoke: a ~30 s slice of the full acceptance
 # sweep (fuzz_queries --seed=1..50 --iters=200). Every generated query runs
-# under {scan, ST-index, MT-index} x {1,4,8} threads x {pool on/off} and is
-# checked against the brute-force oracle; the fault slice additionally
-# verifies that injected storage errors surface as Status, never as wrong
-# results. Deterministic: a failure here reproduces from the printed
+# under {scan, ST-index, MT-index, auto} x {1,4,8} threads and is checked
+# against the brute-force oracle; the fault slice additionally verifies
+# that injected storage errors surface as Status, never as wrong results.
+# Deterministic: a failure here reproduces from the printed
 # `fuzz_queries --seed=S --case=K` line.
 #
 # Usage: scripts/fuzz_smoke.sh [build-dir]   (default: build)

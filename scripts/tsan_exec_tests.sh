@@ -3,10 +3,9 @@
 #
 # The exec tests (parallel_test, exec_determinism_test,
 # exec_concurrency_test) exercise the concurrent query path; the storage
-# tests (page_file_test, buffer_pool_test, record_store_test) exercise the
-# sharded buffer pool's drop-the-lock miss path and in-flight read
-# coalescing, and PageFile::Read's copy-under-the-lock, verify-outside-it
-# read path racing a writer. Together they are the repo's data-race gate.
+# tests (page_file_test, record_store_test) exercise PageFile::Read's
+# copy-under-the-lock, verify-outside-it read path racing a writer.
+# Together they are the repo's data-race gate.
 #
 # Usage: scripts/tsan_exec_tests.sh [build-dir]   (default: build-tsan)
 set -euo pipefail
@@ -17,7 +16,7 @@ BUILD_DIR="${1:-build-tsan}"
 cmake -B "$BUILD_DIR" -S . -DTSQ_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$BUILD_DIR" -j --target \
   parallel_test exec_determinism_test exec_concurrency_test \
-  page_file_test buffer_pool_test record_store_test
+  page_file_test record_store_test
 
 cd "$BUILD_DIR"
-ctest --output-on-failure -R 'EffectiveThreads|ThreadPool|ParallelFor|Chunk|ExecutorDeterminism|ExecutorConcurrency|PageFile|BufferPool|ShardedBufferPool|RecordStore'
+ctest --output-on-failure -R 'EffectiveThreads|ThreadPool|ParallelFor|Chunk|ExecutorDeterminism|ExecutorConcurrency|PageFile|RecordStore'

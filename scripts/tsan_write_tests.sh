@@ -3,7 +3,7 @@
 #
 # engine_write_concurrency_test hammers the snapshot layer: eight Execute()
 # threads race a continuous Insert/Remove writer (plus SaveTo and
-# buffer-pool reconfiguration in a second test), so any missing
+# simulated-latency reconfiguration in a second test), so any missing
 # synchronization between the write lock, the read pins and the planner
 # epoch shows up as a TSAN report. engine_write_fault_test runs the
 # fault-injected commit/compensate paths under the same instrumentation.

@@ -296,9 +296,6 @@ void SimilarityEngine::ResetIoStats() {
   // interleaving (see engine.h and docs/ARCHITECTURE.md).
   dataset_->ResetRecordIo();
   index_->ResetIndexIo();
-  if (storage::BufferPool* pool = index_->buffer_pool()) {
-    pool->ResetStats();
-  }
 }
 
 void SimilarityEngine::SetSimulatedDiskLatency(std::uint64_t nanos) {
@@ -307,15 +304,6 @@ void SimilarityEngine::SetSimulatedDiskLatency(std::uint64_t nanos) {
   index_->set_io_delay_nanos(nanos);
   // C_cmp was measured against the old page-read latency.
   planner_->InvalidateCalibration();
-  config_epoch_.fetch_add(1, std::memory_order_acq_rel);
-}
-
-void SimilarityEngine::EnableIndexBufferPool(std::size_t pages,
-                                             std::size_t shards) {
-  // The write lock waits out in-flight queries: swapping the pool under a
-  // running traversal would hand it freed pages.
-  SnapshotManager::WriteLock write = snapshots_.LockWrite();
-  index_->EnableBufferPool(pages, shards);
   config_epoch_.fetch_add(1, std::memory_order_acq_rel);
 }
 
@@ -467,15 +455,28 @@ Result<std::unique_ptr<SimilarityEngine>> SimilarityEngine::LoadFrom(
       version != kMetaVersion) {
     return bad("header");
   }
+  // Each field is range-checked before anything is sized or indexed from
+  // it, in file order, so each check may rely on the ones before it.
   std::size_t length = 0;
   if (!(meta >> tag >> length) || tag != "length") return bad("length");
-  if (length < 2) return bad("length out of range");
+  // A record of `length` complex values must fit in the records file whose
+  // size the manifest check above verified.
+  if (length < 2 || length > manifest->records.size / sizeof(dft::Complex)) {
+    return bad("length out of range");
+  }
   transform::FeatureLayout layout;
   if (!(meta >> tag >> layout.include_mean_std >> layout.num_coefficients >>
         layout.first_coefficient >> layout.use_symmetry) ||
       tag != "layout") {
     return bad("layout");
   }
+  // Every retained coefficient index must be below `length`. The count is
+  // bounded first, so neither the subtraction nor dimensions() can wrap.
+  if (layout.num_coefficients > length ||
+      layout.first_coefficient > length - layout.num_coefficients) {
+    return bad("layout coefficient out of range");
+  }
+  if (layout.dimensions() == 0) return bad("layout has no dimensions");
   storage::PageId root = 0;
   std::size_t height = 0, size = 0;
   std::uint32_t capacity = 0, min_fill = 0;
@@ -483,10 +484,11 @@ Result<std::unique_ptr<SimilarityEngine>> SimilarityEngine::LoadFrom(
       tag != "tree") {
     return bad("tree");
   }
-  // Every derived quantity below divides by or indexes with these, so they
-  // are range-checked up front (a corrupted capacity of 0 used to reach the
-  // min_fill/capacity division).
-  if (capacity < 2 || min_fill == 0 || min_fill > capacity) {
+  // A node of `capacity` entries must fit one page, and the split algorithm
+  // needs at least kMinCapacity; min_fill/capacity is a divisor below.
+  if (capacity < rstar::RStarTree::kMinCapacity ||
+      capacity > rstar::RStarTree::MaxCapacity(layout.dimensions()) ||
+      min_fill == 0 || min_fill > capacity) {
     return bad("tree fill parameters out of range");
   }
   storage::PageId store_page = 0;
@@ -496,9 +498,12 @@ Result<std::unique_ptr<SimilarityEngine>> SimilarityEngine::LoadFrom(
   }
   std::size_t count = 0;
   if (!(meta >> tag >> count) || tag != "sequences") return bad("sequences");
-  std::vector<Dataset::SequenceMeta> sequences(count);
+  // Rows are appended as they parse, not pre-sized from `count`: a tampered
+  // count runs out of rows instead of allocating for them.
+  std::vector<Dataset::SequenceMeta> sequences;
   std::size_t live = 0;
-  for (Dataset::SequenceMeta& s : sequences) {
+  for (std::size_t i = 0; i < count; ++i) {
+    Dataset::SequenceMeta s;
     if (!(meta >> s.record.page >> s.record.offset >> s.removed >> s.mean >>
           s.stddev)) {
       return bad("sequence row");
@@ -508,6 +513,7 @@ Result<std::unique_ptr<SimilarityEngine>> SimilarityEngine::LoadFrom(
       return bad("sequence normal form out of range");
     }
     if (!s.removed) ++live;
+    sequences.push_back(s);
   }
   // The index persists one entry per live sequence; a mismatch means meta
   // and index are from different states and queries would silently drop or

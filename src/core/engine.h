@@ -15,7 +15,6 @@
 #include "core/query_spec.h"
 #include "core/range_query.h"
 #include "core/snapshot.h"
-#include "storage/buffer_pool.h"
 
 namespace tsq::plan {
 class Planner;
@@ -155,7 +154,7 @@ class SimilarityEngine {
   /// Thread-safe: any number of concurrent Execute() calls, concurrently
   /// with Insert()/Remove(). The query runs against the snapshot pinned at
   /// entry (its version lands in the result trace); configuration calls
-  /// (EnableIndexBufferPool, SetReadFaultHook, ...) remain excluded.
+  /// (SetSimulatedDiskLatency, SetReadFaultHook, ...) remain excluded.
   Result<QueryResult> Execute(const QuerySpec& spec,
                               const ExecOptions& options = ExecOptions()) const;
 
@@ -200,14 +199,14 @@ class SimilarityEngine {
   ResultCache& result_cache() const { return *result_cache_; }
 
   /// Bumped by every configuration change that alters what a query would
-  /// read (buffer pool, simulated latency, fault hooks); part of the
-  /// ResultCache key, so reconfiguration invalidates every cached result.
+  /// read (simulated latency, fault hooks); part of the ResultCache key, so
+  /// reconfiguration invalidates every cached result.
   std::uint64_t config_epoch() const {
     return config_epoch_.load(std::memory_order_acquire);
   }
 
-  /// Resets every I/O counter — record store, index page file and, when one
-  /// is attached, the index buffer pool — between benchmark queries.
+  /// Resets every I/O counter — record store and index page file — between
+  /// benchmark queries.
   ///
   /// Thread-safety: each counter is reset through the same atomics the read
   /// paths update, so calling this concurrently with Execute() is free of
@@ -222,32 +221,13 @@ class SimilarityEngine {
   /// ratio (the paper's hardware had C_cmp = 0.4 * C_DA). 0 disables.
   void SetSimulatedDiskLatency(std::uint64_t nanos);
 
-  /// Attaches a sharded LRU buffer pool of `pages` pages to the index
-  /// (0 detaches; `shards` = 0 uses the default shard count); see
-  /// SequenceIndex::EnableBufferPool. Runs under the engine write lock, so
-  /// it waits out in-flight queries rather than racing them — but queries
-  /// issued *after* it returns see the new pool, so benchmark setup should
-  /// still quiesce first for meaningful numbers.
-  void EnableIndexBufferPool(std::size_t pages, std::size_t shards = 0);
-
   /// Installs (nullptr removes) one fault-injection hook on every storage
-  /// layer a query reads through: the record page file, the index page file
-  /// and — now or whenever one is attached later — the index buffer pool.
-  /// With a hook installed, Execute() either returns the exact fault-free
+  /// layer a query reads through: the record page file and the index page
+  /// file. With a hook installed, Execute() either returns the exact fault-free
   /// result or a non-OK Status; it never crashes or silently drops matches,
   /// and Insert/Remove compensate so the engine stays consistent. Runs under
   /// the engine write lock; keep the hook alive until removed.
   void SetReadFaultHook(storage::FaultHook* hook);
-
-  /// The index buffer pool, nullptr when none is attached. This replaces the
-  /// old mutable_index() escape hatch, which let callers restructure the
-  /// index behind the engine's back — a data race once queries run on worker
-  /// threads. Benchmarks only need the pool (to clear it or reset its
-  /// counters between runs), so only the pool is exposed.
-  storage::BufferPool* index_buffer_pool() { return index_->buffer_pool(); }
-  const storage::BufferPool* index_buffer_pool() const {
-    return index_->buffer_pool();
-  }
 
   /// Persists the engine as one crash-safe checkpoint. Each SaveTo picks a
   /// fresh monotone epoch E and writes `<prefix>.<E>.records`,
@@ -310,8 +290,8 @@ class SimilarityEngine {
   // leaves the engine agreeing with the disk.
   mutable std::atomic<std::uint64_t> checkpoint_epoch_{0};
   // Configuration epoch: bumped (under the write lock) by every call that
-  // changes what a query would read — buffer pool attach/detach, simulated
-  // latency, fault hooks. Part of the ResultCache key.
+  // changes what a query would read — simulated latency, fault hooks. Part
+  // of the ResultCache key.
   mutable std::atomic<std::uint64_t> config_epoch_{0};
   // Snapshot-keyed result cache for ExecuteBatch; mutable because batches
   // run through const methods.

@@ -48,13 +48,9 @@ Status SequenceIndex::RemoveEntry(std::size_t i) {
 }
 
 Status SequenceIndex::Rebuild() {
-  // Page ids restart from 0 below, so a pool caching the old pages would
-  // serve stale bytes for reused ids — drop everything it holds first.
-  if (pool_) pool_->Clear();
   index_file_.Clear();
   tree_ = std::make_unique<rstar::RStarTree>(
       &index_file_, dataset_->layout().dimensions(), options_);
-  tree_->SetBufferPool(pool_.get());
   std::vector<rstar::Entry> entries;
   entries.reserve(dataset_->active_size());
   for (std::size_t i = 0; i < dataset_->size(); ++i) {
@@ -66,39 +62,6 @@ Status SequenceIndex::Rebuild() {
   // Like the constructor: rebuild I/O is not part of any query's cost.
   index_file_.ResetStats();
   return Status::Ok();
-}
-
-void SequenceIndex::EnableBufferPool(std::size_t pages, std::size_t shards) {
-  if (pages == 0) {
-    tree_->SetBufferPool(nullptr);
-    pool_.reset();
-    return;
-  }
-  pool_ = std::make_unique<storage::BufferPool>(&index_file_, pages, shards);
-  // A hook installed before the pool existed covers the new pool too.
-  pool_->SetFaultHook(fault_hook_);
-  tree_->SetBufferPool(pool_.get());
-}
-
-void SequenceIndex::SetReadFaultHook(storage::FaultHook* hook) {
-  fault_hook_ = hook;
-  index_file_.SetFaultHook(hook);
-  if (pool_) pool_->SetFaultHook(hook);
-}
-
-double SequenceIndex::AverageLeafCapacity() const {
-  std::size_t leaves = 0;
-  std::size_t entries = 0;
-  const Status status =
-      tree_->VisitNodes([&](const rstar::RStarTree::NodeView& view) {
-        if (view.is_leaf) {
-          ++leaves;
-          entries += view.size();
-        }
-      });
-  TSQ_CHECK(status.ok()) << status.ToString();
-  if (leaves == 0) return 0.0;
-  return static_cast<double>(entries) / static_cast<double>(leaves);
 }
 
 }  // namespace tsq::core

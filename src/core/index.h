@@ -6,7 +6,6 @@
 #include "common/status.h"
 #include "core/dataset.h"
 #include "rstar/rstar_tree.h"
-#include "storage/buffer_pool.h"
 #include "storage/page_file.h"
 
 namespace tsq::core {
@@ -50,9 +49,8 @@ class SequenceIndex {
   /// failed partway (a failed tree restructure can drop entries for
   /// unrelated live ids, which tombstones cannot repair). Bulk loading only
   /// writes pages, so Rebuild succeeds even while a read-fault hook is
-  /// injecting failures. Page ids restart from 0, so an attached buffer
-  /// pool is cleared. Requires external exclusion from queries (the engine
-  /// calls it under its write lock).
+  /// injecting failures. Requires external exclusion from queries (the
+  /// engine calls it under its write lock).
   Status Rebuild();
 
   storage::IoStats index_io() const { return index_file_.stats(); }
@@ -63,25 +61,12 @@ class SequenceIndex {
     index_file_.set_read_delay_nanos(nanos);
   }
 
-  /// Attaches a sharded LRU buffer pool of `pages` pages in front of the
-  /// index file (0 detaches). `shards` picks the lock-striping factor
-  /// (0 = BufferPool::kDefaultShards; clamped to `pages`). With a pool,
-  /// physical reads = pool misses; the tree's SearchStats keep counting
-  /// logical node accesses.
-  void EnableBufferPool(std::size_t pages, std::size_t shards = 0);
-  const storage::BufferPool* buffer_pool() const { return pool_.get(); }
-  storage::BufferPool* buffer_pool() { return pool_.get(); }
-
   /// Installs (nullptr removes) a fault-injection hook on the index page
-  /// file and, when one is attached, the index buffer pool. The hook is
-  /// remembered, so EnableBufferPool re-installs it on a newly created pool.
-  /// Not safe concurrently with Execute(); keep the hook alive until
+  /// file. Not safe concurrently with Execute(); keep the hook alive until
   /// removed.
-  void SetReadFaultHook(storage::FaultHook* hook);
-
-  /// Average number of entries per leaf node (CA_leaf in the cost model,
-  /// Eq. 18).
-  double AverageLeafCapacity() const;
+  void SetReadFaultHook(storage::FaultHook* hook) {
+    index_file_.SetFaultHook(hook);
+  }
 
  private:
   struct LoadTag {};
@@ -90,9 +75,7 @@ class SequenceIndex {
   const Dataset* dataset_;
   rstar::TreeOptions options_;
   mutable storage::PageFile index_file_;
-  std::unique_ptr<storage::BufferPool> pool_;
   std::unique_ptr<rstar::RStarTree> tree_;
-  storage::FaultHook* fault_hook_ = nullptr;
 };
 
 }  // namespace tsq::core

@@ -60,13 +60,13 @@ bool EvaluatePair(const JoinQuerySpec& spec,
   return *value >= spec.min_correlation;
 }
 
-double FilterEpsilon(const Dataset& dataset, const JoinQuerySpec& spec) {
-  if (spec.mode == JoinMode::kDistance) return spec.epsilon;
-  return spec.slack * ts::CorrelationToDistanceThreshold(spec.min_correlation,
-                                                         dataset.length());
-}
-
 }  // namespace
+
+double JoinFilterEpsilon(const JoinQuerySpec& spec, std::size_t length) {
+  if (spec.mode == JoinMode::kDistance) return spec.epsilon;
+  return spec.slack *
+         ts::CorrelationToDistanceThreshold(spec.min_correlation, length);
+}
 
 double TransformedCorrelation(const transform::SpectralTransform& t,
                               std::span<const dft::Complex> x,
@@ -198,7 +198,7 @@ Result<JoinQueryResult> RunJoinQuery(const Dataset& dataset,
     feature_transforms.push_back(t.ToFeatureTransform(layout));
   }
 
-  const double filter_eps = FilterEpsilon(dataset, spec);
+  const double filter_eps = JoinFilterEpsilon(spec, dataset.length());
   const double filter_eps2 = filter_eps * filter_eps;
 
   // Phase A — one self-join task per transformation rectangle, with the

@@ -73,6 +73,12 @@ Result<JoinQueryResult> RunJoinQuery(const Dataset& dataset,
                                      const transform::Partition*
                                          partition_override = nullptr);
 
+/// The distance threshold the indexed join filters with, for series of
+/// `length` values: `epsilon` in distance mode; in correlation mode, the
+/// Eq. 9 threshold for `min_correlation` scaled by `slack`. The planner
+/// prices the join with the same value.
+double JoinFilterEpsilon(const JoinQuerySpec& spec, std::size_t length);
+
 /// Cross-correlation of the transformed versions of two normal-form
 /// spectra, computed in the frequency domain in O(n):
 /// both transformed sequences have zero mean (normal forms have X_0 = 0 and

@@ -32,11 +32,10 @@ struct ResultCacheKey {
 
 /// Builds the cache key for one (spec, options) pair at one engine state.
 /// `snapshot_version` is the write version the batch pinned; `config_epoch`
-/// counts engine reconfigurations (buffer pool, simulated latency, fault
-/// hooks) — both enter the digest, which is the cache's whole invalidation
-/// story: any Insert/Remove bumps the version, any reconfiguration bumps the
-/// epoch, and stale entries simply stop being addressable and age out of the
-/// LRU.
+/// counts engine reconfigurations (simulated latency, fault hooks) — both
+/// enter the digest, which is the cache's whole invalidation story: any
+/// Insert/Remove bumps the version, any reconfiguration bumps the epoch, and
+/// stale entries simply stop being addressable and age out of the LRU.
 ResultCacheKey ComputeResultCacheKey(const QuerySpec& spec,
                                      const ExecOptions& options,
                                      std::uint64_t snapshot_version,

@@ -12,8 +12,7 @@
 namespace tsq::obs {
 
 /// Monotonically increasing event count. All methods are lock-free and safe
-/// from any thread; hot paths (page reads, pool hits) pay one relaxed
-/// fetch_add.
+/// from any thread; hot paths (page reads) pay one relaxed fetch_add.
 class Counter {
  public:
   void Increment(std::uint64_t delta = 1) {
@@ -91,7 +90,6 @@ class Histogram {
 ///   exec.pool.queue_depth                   submitted-not-yet-started tasks
 ///   exec.pool.queue_depth_on_submit         depth seen by Submit (histogram)
 ///   storage.page_file.{reads,writes,allocations}   successful physical I/Os
-///   storage.buffer_pool.{hits,misses,coalesced,evictions}
 class MetricsRegistry {
  public:
   /// The process-wide registry (never destroyed, safe during static

@@ -3,13 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <variant>
 #include <vector>
 
 #include "common/clock.h"
 #include "obs/metrics.h"
 #include "transform/builders.h"
 #include "transform/feature_transform.h"
-#include "ts/distance.h"
 
 namespace tsq::plan {
 
@@ -17,6 +17,9 @@ namespace {
 
 // Upper bound on the rectangle count k the MT enumeration sweeps.
 constexpr std::size_t kMaxRectangles = 16;
+
+// Plans the LRU plan cache holds.
+constexpr std::size_t kPlanCacheCapacity = 64;
 
 struct PlannerMetrics {
   obs::Counter* plans;         // fresh enumerations (cache misses that planned)
@@ -109,9 +112,8 @@ std::string GroupCountLabel(const char* family, std::size_t k) {
 
 }  // namespace
 
-Planner::Planner(const core::Dataset& dataset, const core::SequenceIndex& index,
-                 std::size_t cache_capacity)
-    : dataset_(dataset), index_(index), cache_(cache_capacity) {}
+Planner::Planner(const core::Dataset& dataset, const core::SequenceIndex& index)
+    : dataset_(dataset), index_(index), cache_(kPlanCacheCapacity) {}
 
 void Planner::BumpEpoch() {
   std::lock_guard<std::mutex> lock(mu_);
@@ -140,39 +142,19 @@ core::CostConstants Planner::CalibratedConstants() {
 Result<Planned> Planner::Plan(const core::RangeQuerySpec& spec,
                               const core::PlannerOptions& options) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (options.algorithm != core::Algorithm::kAuto) {
-    return ForcedDecision(options.algorithm);
-  }
-  return PlanLocked(QueryKind::kRange, spec.transforms, spec.partition,
-                    spec.epsilon, spec.use_ordering, options);
+  return PlanSpecLocked(spec, options);
 }
 
 Result<Planned> Planner::Plan(const core::KnnQuerySpec& spec,
                               const core::PlannerOptions& options) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (options.algorithm != core::Algorithm::kAuto) {
-    return ForcedDecision(options.algorithm);
-  }
-  // The best-first search expands from distance 0 outward; epsilon 0 prices
-  // the lower bound of its traversal, which is enough to rank partitions.
-  return PlanLocked(QueryKind::kKnn, spec.transforms, spec.partition,
-                    /*epsilon=*/0.0, /*use_ordering=*/false, options);
+  return PlanSpecLocked(spec, options);
 }
 
 Result<Planned> Planner::Plan(const core::JoinQuerySpec& spec,
                               const core::PlannerOptions& options) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (options.algorithm != core::Algorithm::kAuto) {
-    return ForcedDecision(options.algorithm);
-  }
-  const double epsilon =
-      spec.mode == core::JoinMode::kDistance
-          ? spec.epsilon
-          : ts::CorrelationToDistanceThreshold(spec.min_correlation,
-                                               dataset_.length()) *
-                spec.slack;
-  return PlanLocked(QueryKind::kJoin, spec.transforms, spec.partition,
-                    epsilon, /*use_ordering=*/false, options);
+  return PlanSpecLocked(spec, options);
 }
 
 std::vector<Result<Planned>> Planner::PlanBatch(
@@ -182,36 +164,32 @@ std::vector<Result<Planned>> Planner::PlanBatch(
   planned.reserve(specs.size());
   std::lock_guard<std::mutex> lock(mu_);
   for (const core::QuerySpec* spec : specs) {
-    planned.push_back(PlanOneLocked(*spec, options));
+    planned.push_back(std::visit(
+        [&](const auto& typed) { return PlanSpecLocked(typed, options); },
+        *spec));
   }
   return planned;
 }
 
-Result<Planned> Planner::PlanOneLocked(const core::QuerySpec& spec,
-                                       const core::PlannerOptions& options) {
-  if (options.algorithm != core::Algorithm::kAuto) {
-    return ForcedDecision(options.algorithm);
-  }
-  if (const auto* range = std::get_if<core::RangeQuerySpec>(&spec)) {
-    return PlanLocked(QueryKind::kRange, range->transforms, range->partition,
-                      range->epsilon, range->use_ordering, options);
-  }
-  if (const auto* knn = std::get_if<core::KnnQuerySpec>(&spec)) {
-    // The best-first search expands from distance 0 outward; epsilon 0
-    // prices the lower bound of its traversal, which is enough to rank
-    // partitions.
-    return PlanLocked(QueryKind::kKnn, knn->transforms, knn->partition,
-                      /*epsilon=*/0.0, /*use_ordering=*/false, options);
-  }
-  const auto& join = std::get<core::JoinQuerySpec>(spec);
-  const double epsilon =
-      join.mode == core::JoinMode::kDistance
-          ? join.epsilon
-          : ts::CorrelationToDistanceThreshold(join.min_correlation,
-                                               dataset_.length()) *
-                join.slack;
-  return PlanLocked(QueryKind::kJoin, join.transforms, join.partition,
-                    epsilon, /*use_ordering=*/false, options);
+Result<Planned> Planner::PlanSpecLocked(const core::RangeQuerySpec& spec,
+                                        const core::PlannerOptions& options) {
+  return PlanLocked(QueryKind::kRange, spec.transforms, spec.partition,
+                    spec.epsilon, spec.use_ordering, options);
+}
+
+Result<Planned> Planner::PlanSpecLocked(const core::KnnQuerySpec& spec,
+                                        const core::PlannerOptions& options) {
+  // The best-first search expands from distance 0 outward; epsilon 0 prices
+  // the lower bound of its traversal, which is enough to rank partitions.
+  return PlanLocked(QueryKind::kKnn, spec.transforms, spec.partition,
+                    /*epsilon=*/0.0, /*use_ordering=*/false, options);
+}
+
+Result<Planned> Planner::PlanSpecLocked(const core::JoinQuerySpec& spec,
+                                        const core::PlannerOptions& options) {
+  return PlanLocked(QueryKind::kJoin, spec.transforms, spec.partition,
+                    core::JoinFilterEpsilon(spec, dataset_.length()),
+                    /*use_ordering=*/false, options);
 }
 
 Result<const core::TreeCostEstimator*> Planner::SnapshotLocked() {
@@ -241,6 +219,9 @@ Result<Planned> Planner::PlanLocked(
     const std::vector<transform::SpectralTransform>& transforms,
     const transform::Partition& spec_partition, double epsilon,
     bool use_ordering, const core::PlannerOptions& options) {
+  if (options.algorithm != core::Algorithm::kAuto) {
+    return ForcedDecision(options.algorithm);
+  }
   const std::size_t count = transforms.size();
   // Malformed specs fall through to the executor, which owns the proper
   // validation diagnostics; planning them would dereference out of range.

@@ -57,16 +57,16 @@ struct Planned {
 ///  * calibrated CostConstants — C_cmp measured as the ratio of one full
 ///    sequence comparison to one record-page fetch, re-measured after
 ///    SetSimulatedDiskLatency;
-///  * a bounded LRU plan cache keyed on (transform-set signature, epsilon
-///    band, spec/planner knobs, index epoch), with engine.planner.* metrics.
+///  * a bounded LRU plan cache (64 plans) keyed on (transform-set
+///    signature, epsilon band, spec/planner knobs, index epoch), with
+///    engine.planner.* metrics.
 ///
 /// Planning I/O (snapshot + calibration page reads) goes through the normal
 /// counted read paths; benchmarks that meter I/O should warm the planner up
 /// (one kAuto query) before ResetIoStats().
 class Planner {
  public:
-  Planner(const core::Dataset& dataset, const core::SequenceIndex& index,
-          std::size_t cache_capacity = 64);
+  Planner(const core::Dataset& dataset, const core::SequenceIndex& index);
 
   /// Signals an index mutation (Insert/Remove): invalidates the snapshot and
   /// every cached plan. Guarded by the planner mutex, so it is safe
@@ -96,9 +96,8 @@ class Planner {
   /// Plans a whole batch under ONE mutex acquisition — one snapshot/
   /// calibration check amortized over every spec, and no plan-cache
   /// interleaving with concurrent planners mid-batch. Entry i is exactly
-  /// what Plan(*specs[i], options) would have returned at this epoch
-  /// (identical dispatch per kind, including the forced-algorithm
-  /// short-circuit and malformed-spec fallthrough).
+  /// what Plan(*specs[i], options) would have returned at this epoch: both
+  /// go through the same per-kind dispatch.
   std::vector<Result<Planned>> PlanBatch(
       const std::vector<const core::QuerySpec*>& specs,
       const core::PlannerOptions& options);
@@ -107,10 +106,18 @@ class Planner {
   enum class QueryKind { kRange = 0, kKnn = 1, kJoin = 2 };
 
   // All of these require mu_ held.
-  Result<Planned> PlanOneLocked(const core::QuerySpec& spec,
-                                const core::PlannerOptions& options);
+  // The per-kind dispatch behind Plan() and PlanBatch(): what the planner
+  // prices for a spec of each kind.
+  Result<Planned> PlanSpecLocked(const core::RangeQuerySpec& spec,
+                                 const core::PlannerOptions& options);
+  Result<Planned> PlanSpecLocked(const core::KnnQuerySpec& spec,
+                                 const core::PlannerOptions& options);
+  Result<Planned> PlanSpecLocked(const core::JoinQuerySpec& spec,
+                                 const core::PlannerOptions& options);
   Result<const core::TreeCostEstimator*> SnapshotLocked();
   core::CostConstants CalibrateLocked();
+  // A forced concrete algorithm short-circuits into a single-candidate
+  // decision; kAuto enumerates and prices the candidate plans.
   Result<Planned> PlanLocked(QueryKind kind,
                              const std::vector<transform::SpectralTransform>&
                                  transforms,

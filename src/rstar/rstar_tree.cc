@@ -20,25 +20,34 @@ constexpr std::size_t kHeaderSize = 8;
 // logarithmic, so 64 levels can never be reached.
 constexpr std::size_t kMaxLevels = 64;
 
+// Share of an overflowing node's entries that forced reinsertion removes
+// (p = 30%, the value Beckmann et al. found best).
+constexpr double kReinsertFraction = 0.3;
+
 }  // namespace
+
+std::uint32_t RStarTree::MaxCapacity(std::size_t dimensions) {
+  constexpr std::size_t kBodyBytes = storage::kPageSize - kHeaderSize;
+  constexpr std::size_t kRectBytesPerDimension = 2 * sizeof(double);
+  // Bounded before multiplying: the count may come from a checkpoint.
+  if (dimensions > kBodyBytes / kRectBytesPerDimension) return 0;
+  const std::size_t entry_bytes =
+      sizeof(std::uint64_t) + dimensions * kRectBytesPerDimension;
+  return static_cast<std::uint32_t>(kBodyBytes / entry_bytes);
+}
 
 RStarTree::RStarTree(storage::PageFile* file, std::size_t dimensions,
                      TreeOptions options)
-    : file_(file), dimensions_(dimensions), options_(options) {
+    : file_(file), dimensions_(dimensions) {
   TSQ_CHECK(file != nullptr);
   TSQ_CHECK_GE(dimensions, std::size_t{1});
-  const std::size_t entry_size = sizeof(std::uint64_t) +
-                                 2 * dimensions_ * sizeof(double);
-  const std::size_t fit = (storage::kPageSize - kHeaderSize) / entry_size;
-  capacity_ = options_.capacity_override > 0
-                  ? options_.capacity_override
-                  : static_cast<std::uint32_t>(fit);
-  TSQ_CHECK_GE(capacity_, 4u) << "page too small for dimension "
-                              << dimensions_;
-  TSQ_CHECK(options_.capacity_override == 0 || options_.capacity_override <= fit)
-      << "capacity override does not fit in a page";
+  const std::uint32_t fit = MaxCapacity(dimensions_);
+  capacity_ = options.capacity_override > 0 ? options.capacity_override : fit;
+  TSQ_CHECK_GE(capacity_, kMinCapacity) << "page too small for dimension "
+                                        << dimensions_;
+  TSQ_CHECK_LE(capacity_, fit) << "capacity override does not fit in a page";
   min_fill_ = std::max<std::uint32_t>(
-      1, static_cast<std::uint32_t>(options_.min_fill_fraction *
+      1, static_cast<std::uint32_t>(options.min_fill_fraction *
                                     static_cast<double>(capacity_)));
   // The split algorithm needs 2*min_fill <= capacity + 1.
   min_fill_ = std::min(min_fill_, (capacity_ + 1) / 2);
@@ -113,11 +122,7 @@ Status RStarTree::DecodeNode(storage::PageId id, const storage::Page& page,
 Status RStarTree::ReadNodeView(storage::PageId page, NodeView* out,
                                SearchStats* stats) const {
   storage::Page buffer;
-  if (pool_ != nullptr) {
-    TSQ_RETURN_IF_ERROR(pool_->Read(page, &buffer));
-  } else {
-    TSQ_RETURN_IF_ERROR(file_->Read(page, &buffer));
-  }
+  TSQ_RETURN_IF_ERROR(file_->Read(page, &buffer));
   TSQ_RETURN_IF_ERROR(DecodeNode(page, buffer, out));
   if (stats != nullptr) {
     ++stats->nodes_accessed;
@@ -142,7 +147,6 @@ Status RStarTree::ReadNode(storage::PageId id, Node* out) const {
 Status RStarTree::WriteNode(const Node& node) {
   storage::Page page;
   TSQ_RETURN_IF_ERROR(SerializeNode(node, &page));
-  if (pool_ != nullptr) return pool_->Write(node.self, page);
   return file_->Write(node.self, page);
 }
 
@@ -255,13 +259,12 @@ Status RStarTree::OverflowTreatment(Node node,
                                     std::vector<bool>& reinserted_levels) {
   TSQ_CHECK_LT(node.level, kMaxLevels);
   const bool is_root = node.self == root_;
-  if (!is_root && options_.forced_reinsert &&
-      !reinserted_levels[node.level]) {
+  if (!is_root && !reinserted_levels[node.level]) {
     reinserted_levels[node.level] = true;
     // Remove the p entries whose centers are farthest from the node center.
     const Rect node_rect = NodeRect(node);
     const std::size_t p = std::max<std::size_t>(
-        1, static_cast<std::size_t>(options_.reinsert_fraction *
+        1, static_cast<std::size_t>(kReinsertFraction *
                                     static_cast<double>(node.entries.size())));
     std::vector<std::pair<double, std::size_t>> by_distance;
     by_distance.reserve(node.entries.size());

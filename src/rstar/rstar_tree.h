@@ -8,7 +8,6 @@
 
 #include "common/status.h"
 #include "rstar/rect.h"
-#include "storage/buffer_pool.h"
 #include "storage/page_file.h"
 
 namespace tsq::rstar {
@@ -21,14 +20,12 @@ struct Entry {
 };
 
 /// Tuning knobs of the R*-tree (defaults follow Beckmann et al. 1990).
+/// Forced reinsertion is always on, with p = 30% (see OverflowTreatment).
 struct TreeOptions {
   /// Minimum node fill as a fraction of capacity (the paper's m = 40%).
   double min_fill_fraction = 0.4;
-  /// Fraction of entries removed during forced reinsertion (p = 30%).
-  double reinsert_fraction = 0.3;
-  /// Forced reinsertion on first overflow per level per insertion.
-  bool forced_reinsert = true;
-  /// Overrides the page-derived node capacity when > 0 (testing hook).
+  /// Overrides the page-derived node capacity when > 0 (testing hook); it
+  /// must lie in [RStarTree::kMinCapacity, RStarTree::MaxCapacity(dims)].
   std::uint32_t capacity_override = 0;
 };
 
@@ -75,16 +72,18 @@ class RStarTree {
   /// is valid for the duration of the call only.
   using RectPredicate = std::function<bool(const RectView&)>;
 
+  /// Smallest node capacity the split algorithm supports.
+  static constexpr std::uint32_t kMinCapacity = 4;
+
+  /// Entries with `dimensions`-dimensional rects that one node page holds:
+  /// the page-derived capacity, and the largest capacity_override accepted
+  /// (0 when not even one entry fits).
+  static std::uint32_t MaxCapacity(std::size_t dimensions);
+
   /// Creates an empty tree of the given dimensionality backed by `file`
   /// (not owned; must outlive the tree and be exclusive to it).
   RStarTree(storage::PageFile* file, std::size_t dimensions,
             TreeOptions options = TreeOptions());
-
-  /// Routes node I/O through `pool` (an LRU cache over the same file;
-  /// write-through). SearchStats keep counting *logical* node accesses —
-  /// without a pool those equal physical page reads; with one, physical
-  /// reads are the pool's misses. Pass nullptr to detach.
-  void SetBufferPool(storage::BufferPool* pool) { pool_ = pool; }
 
   RStarTree(const RStarTree&) = delete;
   RStarTree& operator=(const RStarTree&) = delete;
@@ -230,9 +229,7 @@ class RStarTree {
   Rect NodeRect(const Node& node) const;
 
   storage::PageFile* file_;
-  storage::BufferPool* pool_ = nullptr;
   std::size_t dimensions_;
-  TreeOptions options_;
   std::uint32_t capacity_ = 0;
   std::uint32_t min_fill_ = 0;
   storage::PageId root_ = storage::kInvalidPageId;

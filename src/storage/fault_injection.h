@@ -47,8 +47,8 @@ struct WriteFaultDecision {
   Status status;
 };
 
-/// Fault-injection hook consulted by PageFile::Read and BufferPool::Read,
-/// and — through OnWrite — by every step of the atomic checkpoint writer.
+/// Fault-injection hook consulted by PageFile::Read and — through OnWrite —
+/// by every step of the atomic checkpoint writer.
 ///
 /// The hook is installed with SetFaultHook (an atomic pointer swap) and is
 /// consulted once per read with the page id being served. Implementations

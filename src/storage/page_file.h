@@ -123,8 +123,7 @@ class PageFile {
   /// Drops every page (ids restart from 0). Counters are left alone — reset
   /// them separately if the rebuild's I/O should not be charged to anyone.
   /// Requires external exclusion from every concurrent reader and writer
-  /// (the engine calls this only under its write lock); any BufferPool
-  /// caching this file must be Clear()ed too, since page ids are reused.
+  /// (the engine calls this only under its write lock).
   void Clear();
 
   /// Test hook: flips a byte in the stored page without updating the

@@ -23,11 +23,9 @@ bool Close(double a, double b, double tol) {
          tol * (1.0 + std::max(std::fabs(a), std::fabs(b)));
 }
 
-std::string DescribeConfig(core::Algorithm algorithm, std::size_t threads,
-                           bool pool_on) {
+std::string DescribeConfig(core::Algorithm algorithm, std::size_t threads) {
   std::ostringstream out;
-  out << core::AlgorithmName(algorithm) << "/" << threads << "t/"
-      << (pool_on ? "pool" : "no-pool");
+  out << core::AlgorithmName(algorithm) << "/" << threads << "t";
   return out.str();
 }
 
@@ -309,51 +307,46 @@ CaseOutcome DifferentialRunner::RunCase(std::size_t index,
   // Fault-free sweep over the whole configuration cube. kAuto rides along as
   // a fourth algorithm: whatever plan the planner picks, the results must
   // match the oracle, and — because the plan depends only on the spec and
-  // the index, never on threads or pool state — every kAuto run of one case
-  // must carry the same deterministic signature (same chosen plan included).
+  // the index, never on threads — every kAuto run of one case must carry
+  // the same deterministic signature (same chosen plan included).
   std::string auto_signature;
-  for (const bool pool_on : {false, true}) {
-    engine_.EnableIndexBufferPool(pool_on ? config.pool_pages : 0,
-                                  config.pool_shards);
-    for (const core::Algorithm algorithm : kAlgorithms) {
-      for (const std::size_t threads : kThreadCounts) {
-        core::ExecOptions options;
-        options.planner.algorithm = algorithm;
-        options.num_threads = threads;
-        const Result<core::QueryResult> result =
-            engine_.Execute(work.spec, options);
-        ++outcome.runs;
-        if (!result.ok()) {
-          fail("unexpected error status under " +
-               DescribeConfig(algorithm, threads, pool_on) + ": " +
-               result.status().ToString());
-          continue;
-        }
-        const std::string diff = check(*result, algorithm);
-        if (!diff.empty()) {
-          fail("divergence under " +
-               DescribeConfig(algorithm, threads, pool_on) + ": " + diff);
-        }
-        if (algorithm == core::Algorithm::kAuto) {
-          const std::string signature =
-              result->trace().DeterministicSignature();
-          if (auto_signature.empty()) {
-            auto_signature = signature;
-          } else if (signature != auto_signature) {
-            fail("kAuto signature varies with " +
-                 DescribeConfig(algorithm, threads, pool_on) + ": got\n  " +
-                 signature + "\nexpected\n  " + auto_signature);
-          }
+  for (const core::Algorithm algorithm : kAlgorithms) {
+    for (const std::size_t threads : kThreadCounts) {
+      core::ExecOptions options;
+      options.planner.algorithm = algorithm;
+      options.num_threads = threads;
+      const Result<core::QueryResult> result =
+          engine_.Execute(work.spec, options);
+      ++outcome.runs;
+      if (!result.ok()) {
+        fail("unexpected error status under " +
+             DescribeConfig(algorithm, threads) + ": " +
+             result.status().ToString());
+        continue;
+      }
+      const std::string diff = check(*result, algorithm);
+      if (!diff.empty()) {
+        fail("divergence under " + DescribeConfig(algorithm, threads) + ": " +
+             diff);
+      }
+      if (algorithm == core::Algorithm::kAuto) {
+        const std::string signature =
+            result->trace().DeterministicSignature();
+        if (auto_signature.empty()) {
+          auto_signature = signature;
+        } else if (signature != auto_signature) {
+          fail("kAuto signature varies with " +
+               DescribeConfig(algorithm, threads) + ": got\n  " + signature +
+               "\nexpected\n  " + auto_signature);
         }
       }
     }
   }
-  engine_.EnableIndexBufferPool(0);
   if (!outcome.passed || !config.with_faults) return outcome;
 
   // Fault sweep: under every policy each run must either match the oracle
   // exactly or surface a non-OK Status — and a clean rerun right after must
-  // match, proving the fault left the pool/file state intact.
+  // match, proving the fault left the page-file state intact.
   const std::vector<FaultPolicyConfig> policies = [] {
     std::vector<FaultPolicyConfig> list;
     FaultPolicyConfig p;
@@ -385,17 +378,14 @@ CaseOutcome DifferentialRunner::RunCase(std::size_t index,
   struct FaultRunConfig {
     core::Algorithm algorithm;
     std::size_t threads;
-    bool pool_on;
   };
   static constexpr FaultRunConfig kFaultRuns[] = {
-      {core::Algorithm::kMtIndex, 4, true},
-      {core::Algorithm::kSequentialScan, 4, false},
+      {core::Algorithm::kMtIndex, 4},
+      {core::Algorithm::kSequentialScan, 4},
   };
 
   for (const FaultPolicyConfig& policy_config : policies) {
     for (const FaultRunConfig& run : kFaultRuns) {
-      engine_.EnableIndexBufferPool(run.pool_on ? config.pool_pages : 0,
-                                    config.pool_shards);
       core::ExecOptions options;
       options.planner.algorithm = run.algorithm;
       options.num_threads = run.threads;
@@ -407,8 +397,8 @@ CaseOutcome DifferentialRunner::RunCase(std::size_t index,
       engine_.SetReadFaultHook(nullptr);
       ++outcome.fault_runs;
       const std::string config_text =
-          DescribeConfig(run.algorithm, run.threads, run.pool_on) +
-          " under " + policy.Describe();
+          DescribeConfig(run.algorithm, run.threads) + " under " +
+          policy.Describe();
       if (!faulted.ok()) {
         ++outcome.fault_errors;
       } else {
@@ -419,7 +409,7 @@ CaseOutcome DifferentialRunner::RunCase(std::size_t index,
         }
       }
 
-      // Clean rerun: storage and pool state must have survived the fault.
+      // Clean rerun: storage state must have survived the fault.
       const Result<core::QueryResult> clean =
           engine_.Execute(work.spec, options);
       if (!clean.ok()) {
@@ -431,7 +421,6 @@ CaseOutcome DifferentialRunner::RunCase(std::size_t index,
           fail("clean rerun after " + config_text + " diverged: " + diff);
         }
       }
-      engine_.EnableIndexBufferPool(0);
       if (!outcome.passed) return outcome;
     }
   }
@@ -463,11 +452,6 @@ CaseOutcome DifferentialRunner::RunMutateCase(std::size_t index,
   for (std::size_t i = 0; i < base_live.size(); ++i) {
     base_live[i] = !engine_.dataset().removed(i);
   }
-
-  // Exercise the pool path on alternate cases; toggling it mid-case would
-  // only serialize the sweep behind extra write locks.
-  engine_.EnableIndexBufferPool(index % 2 == 1 ? config.pool_pages : 0,
-                                config.pool_shards);
 
   struct WriteOp {
     std::uint64_t version;  // engine write version after this op committed
@@ -549,7 +533,7 @@ CaseOutcome DifferentialRunner::RunMutateCase(std::size_t index,
         ++outcome.runs;
         if (!result.ok()) {
           fail("unexpected error status (no faults injected) under " +
-               DescribeConfig(algorithm, threads, index % 2 == 1) + ": " +
+               DescribeConfig(algorithm, threads) + ": " +
                result.status().ToString());
           continue;
         }
@@ -559,7 +543,6 @@ CaseOutcome DifferentialRunner::RunMutateCase(std::size_t index,
   }
 
   mutator.join();
-  engine_.EnableIndexBufferPool(0);
   outcome.writes = log.size();
   if (!mutator_failure.empty()) fail("mutator: " + mutator_failure);
 
@@ -614,8 +597,7 @@ CaseOutcome DifferentialRunner::RunMutateCase(std::size_t index,
     if (!diff.empty()) {
       std::ostringstream out;
       out << "divergence at snapshot v" << version << " under "
-          << DescribeConfig(run.algorithm, run.threads, index % 2 == 1)
-          << ": " << diff;
+          << DescribeConfig(run.algorithm, run.threads) << ": " << diff;
       fail(out.str());
     }
   }
@@ -670,10 +652,6 @@ CaseOutcome DifferentialRunner::RunBatchCase(std::size_t index,
     expected.push_back(ExpectedFor(oracle_, specs[j]));
   }
 
-  const bool pool_on = index % 2 == 1;
-  engine_.EnableIndexBufferPool(pool_on ? config.pool_pages : 0,
-                                config.pool_shards);
-
   static constexpr core::Algorithm kAlgorithms[] = {
       core::Algorithm::kSequentialScan, core::Algorithm::kStIndex,
       core::Algorithm::kMtIndex, core::Algorithm::kAuto};
@@ -693,16 +671,15 @@ CaseOutcome DifferentialRunner::RunBatchCase(std::size_t index,
       ++outcome.runs;
       if (!result.ok()) {
         fail("sequential baseline failed under " +
-             DescribeConfig(algorithm, 1, pool_on) + ": " +
+             DescribeConfig(algorithm, 1) + ": " +
              result.status().ToString());
-        engine_.EnableIndexBufferPool(0);
         return outcome;
       }
       const std::string diff = OracleDiff(expected[origin[i]], *result,
                                           algorithm, config.tolerance);
       if (!diff.empty()) {
         fail("sequential baseline diverged from oracle under " +
-             DescribeConfig(algorithm, 1, pool_on) + ": " + diff);
+             DescribeConfig(algorithm, 1) + ": " + diff);
       }
       baselines[a].push_back(std::move(*result));
     }
@@ -720,9 +697,8 @@ CaseOutcome DifferentialRunner::RunBatchCase(std::size_t index,
         options.exec.planner.algorithm = algorithm;
         options.exec.num_threads = threads;
         options.use_result_cache = use_cache;
-        const std::string config_text =
-            DescribeConfig(algorithm, threads, pool_on) +
-            (use_cache ? "/cache" : "/no-cache");
+        const std::string config_text = DescribeConfig(algorithm, threads) +
+                                        (use_cache ? "/cache" : "/no-cache");
 
         const auto check_batch = [&](const char* phase, bool expect_hits) {
           const std::vector<Result<core::QueryResult>> batch =
@@ -788,14 +764,13 @@ CaseOutcome DifferentialRunner::RunBatchCase(std::size_t index,
       if (!outcome.passed) break;
     }
   }
-  engine_.EnableIndexBufferPool(0);
   if (!outcome.passed || !config.with_faults) return outcome;
 
   // Fault sweep: under each policy every batch entry must either surface a
   // non-OK Status or carry the exact fault-free matches (a fault on a shared
   // traversal or a deduped fetch may fail several entries at once — each of
   // them must error, none may silently degrade). A clean rerun right after
-  // must fully match: the fault left storage, pool, and cache state intact.
+  // must fully match: the fault left storage and cache state intact.
   const std::vector<FaultPolicyConfig> policies = [] {
     std::vector<FaultPolicyConfig> list;
     FaultPolicyConfig p;
@@ -827,17 +802,14 @@ CaseOutcome DifferentialRunner::RunBatchCase(std::size_t index,
   struct FaultRunConfig {
     std::size_t algorithm_index;  // into kAlgorithms / baselines
     std::size_t threads;
-    bool pool_on;
   };
   static constexpr FaultRunConfig kFaultRuns[] = {
-      {2, 4, true},   // MT-index, the shared-traversal path
-      {0, 4, false},  // sequential scan, the shared-fetch path
+      {2, 4},  // MT-index, the shared-traversal path
+      {0, 4},  // sequential scan, the shared-fetch path
   };
 
   for (const FaultPolicyConfig& policy_config : policies) {
     for (const FaultRunConfig& run : kFaultRuns) {
-      engine_.EnableIndexBufferPool(run.pool_on ? config.pool_pages : 0,
-                                    config.pool_shards);
       const core::Algorithm algorithm = kAlgorithms[run.algorithm_index];
       core::BatchOptions options;
       options.exec.planner.algorithm = algorithm;
@@ -851,7 +823,7 @@ CaseOutcome DifferentialRunner::RunBatchCase(std::size_t index,
       engine_.SetReadFaultHook(nullptr);
       ++outcome.fault_runs;
       const std::string config_text =
-          DescribeConfig(algorithm, run.threads, run.pool_on) + " under " +
+          DescribeConfig(algorithm, run.threads) + " under " +
           policy.Describe();
       if (faulted.size() != specs.size()) {
         fail("faulted batch returned " + std::to_string(faulted.size()) +
@@ -887,7 +859,6 @@ CaseOutcome DifferentialRunner::RunBatchCase(std::size_t index,
                std::to_string(i) + ": " + diff);
         }
       }
-      engine_.EnableIndexBufferPool(0);
       if (!outcome.passed) return outcome;
     }
   }
@@ -940,9 +911,6 @@ CaseOutcome DifferentialRunner::RunBatchMutateCase(std::size_t index,
   for (std::size_t i = 0; i < base_live.size(); ++i) {
     base_live[i] = !engine_.dataset().removed(i);
   }
-
-  engine_.EnableIndexBufferPool(index % 2 == 1 ? config.pool_pages : 0,
-                                config.pool_shards);
 
   struct WriteOp {
     std::uint64_t version;
@@ -1025,8 +993,7 @@ CaseOutcome DifferentialRunner::RunBatchMutateCase(std::size_t index,
         std::vector<Result<core::QueryResult>> batch =
             engine_.ExecuteBatch(specs, options);
         ++outcome.runs;
-        const std::string config_text =
-            DescribeConfig(algorithm, threads, index % 2 == 1);
+        const std::string config_text = DescribeConfig(algorithm, threads);
         if (batch.size() != specs.size()) {
           fail("batch returned " + std::to_string(batch.size()) +
                " results for " + std::to_string(specs.size()) + " specs (" +
@@ -1082,7 +1049,6 @@ CaseOutcome DifferentialRunner::RunBatchMutateCase(std::size_t index,
   }
 
   mutator.join();
-  engine_.EnableIndexBufferPool(0);
   outcome.writes = log.size();
   if (!mutator_failure.empty()) fail("mutator: " + mutator_failure);
 
@@ -1124,9 +1090,8 @@ CaseOutcome DifferentialRunner::RunBatchMutateCase(std::size_t index,
       if (!diff.empty()) {
         std::ostringstream out;
         out << "entry " << i << " divergence at snapshot v" << run.version
-            << " under "
-            << DescribeConfig(run.algorithm, run.threads, index % 2 == 1)
-            << ": " << diff;
+            << " under " << DescribeConfig(run.algorithm, run.threads) << ": "
+            << diff;
         fail(out.str());
       }
     }
@@ -1224,7 +1189,7 @@ CaseOutcome DifferentialRunner::RunCheckpointCase(
       ++outcome.runs;
       if (!result.ok()) {
         fail(context + ": query on recovered engine failed under " +
-             DescribeConfig(algorithm, 1, false) + ": " +
+             DescribeConfig(algorithm, 1) + ": " +
              result.status().ToString());
         return;
       }
@@ -1246,7 +1211,7 @@ CaseOutcome DifferentialRunner::RunCheckpointCase(
       }
       if (!diff.empty()) {
         fail(context + ": recovered engine diverged under " +
-             DescribeConfig(algorithm, 1, false) + ": " + diff);
+             DescribeConfig(algorithm, 1) + ": " + diff);
         return;
       }
     }

@@ -20,10 +20,6 @@ struct DiffConfig {
   /// membership itself is exact (thresholds are boundary-free by
   /// construction).
   double tolerance = 1e-6;
-  /// Index buffer pool used for the pool-on half of the sweep. Deliberately
-  /// tiny so eviction and the coalescing miss path are exercised.
-  std::size_t pool_pages = 8;
-  std::size_t pool_shards = 2;
 };
 
 /// Knobs of one mutate-mode case (RunMutateCase): a seeded mutator thread
@@ -32,9 +28,6 @@ struct DiffConfig {
 /// at the snapshot version the query pinned.
 struct MutateConfig {
   double tolerance = 1e-6;
-  /// Pool used on odd-indexed cases (even cases run pool-less).
-  std::size_t pool_pages = 8;
-  std::size_t pool_shards = 2;
   /// Writes the mutator thread commits while the sweep runs.
   std::size_t inserts = 5;
   std::size_t removes = 4;
@@ -47,9 +40,6 @@ struct BatchConfig {
   /// only): every batch entry must either surface a non-OK Status or carry
   /// the exact fault-free matches, and a clean rerun must fully match.
   bool with_faults = true;
-  /// Pool used on odd-indexed cases (even cases run pool-less).
-  std::size_t pool_pages = 8;
-  std::size_t pool_shards = 2;
   /// Distinct generated specs per batch; the case RNG picks a count in
   /// [min_specs, max_specs].
   std::size_t min_specs = 3;
@@ -93,8 +83,8 @@ struct CaseOutcome {
 };
 
 /// Runs generated cases through the full configuration cube
-/// {scan, ST-index, MT-index, auto} x {1, 4, 8} threads x {pool off, pool on}
-/// and checks every result against the Oracle; optionally repeats a slice
+/// {scan, ST-index, MT-index, auto} x {1, 4, 8} threads and checks every
+/// result against the Oracle; optionally repeats a slice
 /// of the cube under each FaultPolicy. One runner per seed: it owns the
 /// seed's dataset, engine and oracle.
 class DifferentialRunner {

@@ -11,9 +11,10 @@
 namespace tsq::testing {
 
 /// Declarative description of a fault schedule over the stream of page
-/// reads. Read ordinals are 1-based and counted across every storage layer
-/// the policy is installed on (a query that goes pool -> file counts two
-/// reads for one logical fetch). A zero field disables that fault kind.
+/// reads. Read ordinals are 1-based and counted across every page file the
+/// policy is installed on (SimilarityEngine::SetReadFaultHook installs it on
+/// both the record and the index file). A zero field disables that fault
+/// kind.
 struct FaultPolicyConfig {
   /// Fail exactly the n-th read with `failure_code`.
   std::uint64_t fail_nth_read = 0;

@@ -12,6 +12,7 @@
 #include <functional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/engine.h"
@@ -141,6 +142,23 @@ class CheckpointRobustnessTest : public ::testing::Test {
     lines[index] = joined;
   }
 
+  // Overwrites fields of meta line `index` (field 0 is its tag, `tag`), then
+  // expects LoadFrom to reject the checkpoint as Corruption.
+  void ExpectMetaEditIsCorruption(
+      std::size_t index, const std::string& tag,
+      const std::vector<std::pair<std::size_t, std::string>>& edits) {
+    TamperMeta([&](std::vector<std::string>& lines) {
+      EditFields(lines, index, [&](std::vector<std::string>& f) {
+        ASSERT_EQ(f[0], tag);
+        for (const auto& [field, value] : edits) f.at(field) = value;
+      });
+    });
+    const auto loaded = SimilarityEngine::LoadFrom(prefix_);
+    ASSERT_FALSE(loaded.ok()) << tag << ": damaged checkpoint loaded";
+    EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption)
+        << tag << ": " << loaded.status().ToString();
+  }
+
   std::string prefix_;  // set in SetUp() — unique per test
   std::uint64_t epoch_ = 0;
   std::unique_ptr<SimilarityEngine> engine_;
@@ -234,6 +252,44 @@ TEST_F(CheckpointRobustnessTest, TreeSizeDisagreeingWithLiveRowsRejected) {
     });
   });
   ExpectRejected("tree size != live rows");
+}
+
+// Meta values that are each checked before anything is sized or indexed
+// from them. The fixture saves 20 walks of length 64 under the default
+// layout: "layout 1 2 1 1" (mean/stddev plus coefficients 1..2, 6
+// dimensions, 39 entries per node page).
+TEST_F(CheckpointRobustnessTest, HugeSequenceCountIsCorruption) {
+  ExpectMetaEditIsCorruption(5, "sequences", {{1, "1000000000000000000"}});
+}
+
+TEST_F(CheckpointRobustnessTest, LengthPastTheRecordsFileIsCorruption) {
+  ExpectMetaEditIsCorruption(1, "length", {{1, "100000000000000"}});
+}
+
+TEST_F(CheckpointRobustnessTest, CoefficientPastTheLengthIsCorruption) {
+  ExpectMetaEditIsCorruption(2, "layout", {{3, "70"}});  // first coefficient
+}
+
+TEST_F(CheckpointRobustnessTest, LayoutTooWideForANodePageIsCorruption) {
+  // 82 dimensions: 3 entries fit a page, fewer than the tree's capacity.
+  ExpectMetaEditIsCorruption(2, "layout", {{2, "40"}});
+}
+
+TEST_F(CheckpointRobustnessTest, LayoutWithNoDimensionsIsCorruption) {
+  ExpectMetaEditIsCorruption(2, "layout", {{1, "0"}, {2, "0"}});
+}
+
+TEST_F(CheckpointRobustnessTest, NegativeCoefficientCountIsCorruption) {
+  // Parses as SIZE_MAX, whose dimension count would wrap.
+  ExpectMetaEditIsCorruption(2, "layout", {{2, "-1"}});
+}
+
+TEST_F(CheckpointRobustnessTest, TreeCapacityBelowFourIsCorruption) {
+  ExpectMetaEditIsCorruption(3, "tree", {{4, "3"}, {5, "1"}});
+}
+
+TEST_F(CheckpointRobustnessTest, TreeCapacityPastAPageIsCorruption) {
+  ExpectMetaEditIsCorruption(3, "tree", {{4, "100000"}});
 }
 
 TEST_F(CheckpointRobustnessTest, OutOfRangeRecordLocationRejected) {

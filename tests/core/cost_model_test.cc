@@ -49,7 +49,19 @@ class CostEstimatorTest : public ::testing::Test {
 };
 
 TEST_F(CostEstimatorTest, LeafCapacityMatchesIndex) {
-  EXPECT_NEAR(estimator_->leaf_capacity(), index_->AverageLeafCapacity(),
+  std::size_t leaves = 0;
+  std::size_t entries = 0;
+  ASSERT_TRUE(index_->tree()
+                  .VisitNodes([&](const rstar::RStarTree::NodeView& node) {
+                    if (node.is_leaf) {
+                      ++leaves;
+                      entries += node.size();
+                    }
+                  })
+                  .ok());
+  ASSERT_GT(leaves, 0u);
+  EXPECT_NEAR(estimator_->leaf_capacity(),
+              static_cast<double>(entries) / static_cast<double>(leaves),
               1e-9);
   EXPECT_GT(estimator_->leaf_capacity(), 1.0);
 }
@@ -119,7 +131,7 @@ TEST_F(CostEstimatorTest, MeasuredCostTracksRuntimeOrdering) {
   spec.transforms = transform::MovingAverageRange(128, 10, 25);
   spec.epsilon = ts::CorrelationToDistanceThreshold(0.96, 128);
 
-  const double leaf_capacity = index_->AverageLeafCapacity();
+  const double leaf_capacity = estimator_->leaf_capacity();
   auto cost_for = [&](std::size_t per_group) {
     spec.partition =
         transform::PartitionBySize(spec.transforms.size(), per_group);
@@ -236,7 +248,8 @@ TEST(CostModelScalingTest, MeasuredCostMonotoneInSequenceCount) {
     auto result =
         engine.Execute(spec, {.planner = {.algorithm = Algorithm::kMtIndex}});
     EXPECT_TRUE(result.ok());
-    return CostEq20(result->group_stats, engine.index().AverageLeafCapacity());
+    return CostEq20(result->group_stats,
+                    TreeCostEstimator::Create(engine.index())->leaf_capacity());
   };
   const double small = measured_cost(100);
   const double large = measured_cost(400);

@@ -209,47 +209,6 @@ TEST(SimilarityEngineTest, ManyInsertionsAndRemovalsStaySound) {
   EXPECT_EQ(seq->range()->matches.size(), expected.size());
 }
 
-TEST(SimilarityEngineTest, BufferPoolPreservesAnswersAndCutsPhysicalReads) {
-  SimilarityEngine engine(testutil::Stocks(120, 128, 36));
-  RangeQuerySpec spec;
-  spec.query = ts::Denormalize(engine.dataset().normal(4));
-  spec.transforms = transform::MovingAverageRange(128, 5, 20);
-  spec.epsilon = ts::CorrelationToDistanceThreshold(0.96, 128);
-  const ExecOptions st{.planner = {.algorithm = Algorithm::kStIndex}};
-
-  // Cold baseline: physical reads over two ST queries.
-  engine.ResetIoStats();
-  const auto cold_a = engine.Execute(spec, st);
-  ASSERT_TRUE(cold_a.ok());
-  const std::uint64_t cold_reads = engine.index().index_io().reads;
-  EXPECT_EQ(engine.index_buffer_pool(), nullptr);
-
-  // Warm: a pool big enough for the whole tree.
-  engine.EnableIndexBufferPool(256);
-  ASSERT_NE(engine.index_buffer_pool(), nullptr);
-  engine.ResetIoStats();
-  const auto warm_a = engine.Execute(spec, st);
-  const auto warm_b = engine.Execute(spec, st);
-  ASSERT_TRUE(warm_a.ok());
-  ASSERT_TRUE(warm_b.ok());
-  const std::uint64_t warm_reads = engine.index().index_io().reads;
-
-  // Same answers, far fewer physical reads (two queries vs. one cold one).
-  EXPECT_EQ(warm_a->range()->matches.size(), cold_a->range()->matches.size());
-  EXPECT_EQ(warm_b->range()->matches.size(), cold_a->range()->matches.size());
-  EXPECT_LT(warm_reads, cold_reads);
-  // Logical accounting unchanged by the pool.
-  EXPECT_EQ(warm_a->stats().index_nodes_accessed,
-            cold_a->stats().index_nodes_accessed);
-
-  engine.EnableIndexBufferPool(0);
-  engine.ResetIoStats();
-  const auto detached = engine.Execute(spec, st);
-  ASSERT_TRUE(detached.ok());
-  EXPECT_EQ(engine.index().index_io().reads,
-            detached->stats().index_nodes_accessed);
-}
-
 TEST(SimilarityEngineTest, ResetIoStats) {
   SimilarityEngine engine(testutil::RandomWalks(40, 64, 35));
   RangeQuerySpec spec;

@@ -51,7 +51,6 @@ void ExpectFinalConsistency(SimilarityEngine& engine,
 TEST(EngineWriteConcurrencyTest, EightExecutorsRaceAContinuousWriter) {
   const std::vector<ts::Series> series = testutil::Stocks(24, 16, 3);
   SimilarityEngine engine(series);
-  engine.EnableIndexBufferPool(8, 2);
   const RangeQuerySpec spec = MakeSpec(series[0]);
 
   constexpr int kReaders = 8;
@@ -117,7 +116,6 @@ TEST(EngineWriteConcurrencyTest, EightExecutorsRaceAContinuousWriter) {
   EXPECT_GT(writes, 0u);
   EXPECT_EQ(engine.write_version(), writes);
   ExpectFinalConsistency(engine, spec);
-  engine.EnableIndexBufferPool(0);
 }
 
 TEST(EngineWriteConcurrencyTest, SaveToAndConfigRaceTheWriter) {
@@ -149,12 +147,12 @@ TEST(EngineWriteConcurrencyTest, SaveToAndConfigRaceTheWriter) {
   });
   for (int i = 0; i < 6; ++i) {
     EXPECT_TRUE(engine.SaveTo(prefix).ok());
-    engine.EnableIndexBufferPool(i % 2 == 0 ? 8 : 0, 2);
+    engine.SetSimulatedDiskLatency(i % 2 == 0 ? 1'000 : 0);
   }
   querier.join();
   stop.store(true, std::memory_order_relaxed);
   writer.join();
-  engine.EnableIndexBufferPool(0);
+  engine.SetSimulatedDiskLatency(0);
 
   // The last save is loadable and internally consistent (it captured some
   // committed prefix of the write history).

@@ -8,6 +8,7 @@
 #include "core/engine.h"
 #include "test_util.h"
 #include "gtest/gtest.h"
+#include "testing/fault_policy.h"
 #include "transform/builders.h"
 #include "ts/distance.h"
 #include "ts/generate.h"
@@ -244,12 +245,18 @@ TEST_F(ResultCacheEngineTest, ReconfigurationInvalidatesThroughConfigEpoch) {
   ASSERT_TRUE(after_latency[0].ok());
   EXPECT_FALSE(after_latency[0]->trace().result_cache_hit);
 
+  // Installing a fault hook and removing it each bump the epoch too (this
+  // policy injects nothing, so both batches succeed).
   ASSERT_TRUE(engine_.ExecuteBatch(specs)[0]->trace().result_cache_hit);
-  engine_.EnableIndexBufferPool(8, 2);
-  const auto after_pool = engine_.ExecuteBatch(specs);
-  ASSERT_TRUE(after_pool[0].ok());
-  EXPECT_FALSE(after_pool[0]->trace().result_cache_hit);
-  engine_.EnableIndexBufferPool(0);
+  testing::FaultPolicy policy;
+  engine_.SetReadFaultHook(&policy);
+  const auto with_hook = engine_.ExecuteBatch(specs);
+  ASSERT_TRUE(with_hook[0].ok());
+  EXPECT_FALSE(with_hook[0]->trace().result_cache_hit);
+  engine_.SetReadFaultHook(nullptr);
+  const auto after_hook = engine_.ExecuteBatch(specs);
+  ASSERT_TRUE(after_hook[0].ok());
+  EXPECT_FALSE(after_hook[0]->trace().result_cache_hit);
   engine_.SetSimulatedDiskLatency(0);
 }
 

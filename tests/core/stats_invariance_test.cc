@@ -142,32 +142,68 @@ TEST_F(StatsInvarianceTest, ScanRecordPagesMatchPageFileReads) {
   knn.k = 5;
   knn.transforms = transform::MovingAverageRange(128, 5, 12);
 
-  for (const bool with_pool : {false, true}) {
-    engine_.EnableIndexBufferPool(with_pool ? 128 : 0);
-    for (const QuerySpec& spec :
-         std::vector<QuerySpec>{QuerySpec(range), QuerySpec(knn)}) {
+  for (const QuerySpec& spec :
+       std::vector<QuerySpec>{QuerySpec(range), QuerySpec(knn)}) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
+      engine_.ResetIoStats();
+      ExecOptions options;
+      options.planner.algorithm = Algorithm::kSequentialScan;
+      options.num_threads = threads;
+      const auto result = engine_.Execute(spec, options);
+      ASSERT_TRUE(result.ok());
+      const storage::IoStats io = engine_.dataset().record_io();
+      // Every page touch the scan reported really happened, and nothing
+      // else read from the record file during the query.
+      EXPECT_EQ(result->stats().record_pages_read, io.reads)
+          << "threads=" << threads;
+      // A full scan visits every live record; records can straddle page
+      // boundaries, so the count is at least the file's page count.
+      EXPECT_GE(result->stats().record_pages_read,
+                engine_.dataset().record_pages());
+      EXPECT_EQ(result->stats().candidates, engine_.dataset().active_size());
+    }
+  }
+}
+
+// Eq. 18-20 count every R*-tree node visit as one disk access. Index nodes
+// are read straight from the index page file, so the node count a query
+// reports must equal the physical reads that file served during it.
+TEST_F(StatsInvarianceTest, IndexNodesMatchPageFileReads) {
+  RangeQuerySpec range;
+  range.query = ts::Denormalize(engine_.dataset().normal(1));
+  range.transforms = transform::MovingAverageRange(128, 5, 12);
+  range.epsilon = ts::CorrelationToDistanceThreshold(0.96, 128);
+
+  KnnQuerySpec knn;
+  knn.query = ts::Denormalize(engine_.dataset().normal(2));
+  knn.k = 5;
+  knn.transforms = transform::MovingAverageRange(128, 5, 12);
+
+  JoinQuerySpec join;
+  join.mode = JoinMode::kCorrelation;
+  join.min_correlation = 0.99;
+  join.transforms = transform::MovingAverageRange(128, 5, 12);
+
+  const std::vector<QuerySpec> specs{QuerySpec(range), QuerySpec(knn),
+                                     QuerySpec(join)};
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    for (const Algorithm algorithm :
+         {Algorithm::kStIndex, Algorithm::kMtIndex}) {
       for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
         engine_.ResetIoStats();
         ExecOptions options;
-        options.planner.algorithm = Algorithm::kSequentialScan;
+        options.planner.algorithm = algorithm;
         options.num_threads = threads;
-        const auto result = engine_.Execute(spec, options);
+        const auto result = engine_.Execute(specs[i], options);
         ASSERT_TRUE(result.ok());
-        const storage::IoStats io = engine_.dataset().record_io();
-        // Every page touch the scan reported really happened, and nothing
-        // else read from the record file during the query.
-        EXPECT_EQ(result->stats().record_pages_read, io.reads)
-            << "pool=" << with_pool << " threads=" << threads;
-        // A full scan visits every live record; records can straddle page
-        // boundaries, so the count is at least the file's page count.
-        EXPECT_GE(result->stats().record_pages_read,
-                  engine_.dataset().record_pages());
-        EXPECT_EQ(result->stats().candidates,
-                  engine_.dataset().active_size());
+        EXPECT_GT(result->stats().index_nodes_accessed, 0u);
+        EXPECT_EQ(engine_.index().index_io().reads,
+                  result->stats().index_nodes_accessed)
+            << "spec " << i << " " << AlgorithmName(algorithm)
+            << " threads=" << threads;
       }
     }
   }
-  engine_.EnableIndexBufferPool(0);
 }
 
 }  // namespace

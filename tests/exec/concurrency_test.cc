@@ -1,8 +1,8 @@
 // Hammer test for the thread-safety contract: any number of Execute() calls
 // may run concurrently on one engine as long as nothing mutates it. Eight
-// threads fire mixed queries against a shared engine with the index buffer
-// pool attached and a small simulated per-page latency (to widen race
-// windows); every thread must get exactly the single-threaded answer.
+// threads fire mixed queries against a shared engine with a small simulated
+// per-page latency (to widen race windows); every thread must get exactly
+// the single-threaded answer.
 
 #include <atomic>
 #include <cstddef>
@@ -20,8 +20,7 @@ namespace {
 
 TEST(ExecutorConcurrencyTest, EightConcurrentExecutesAgree) {
   SimilarityEngine engine(testutil::Stocks(200, 128, 202));
-  engine.EnableIndexBufferPool(32);         // shared, concurrently accessed
-  engine.SetSimulatedDiskLatency(2'000);    // 2us per page read
+  engine.SetSimulatedDiskLatency(2'000);  // 2us per page read
 
   RangeQuerySpec range;
   range.query = ts::Denormalize(engine.dataset().normal(9));
@@ -105,7 +104,6 @@ TEST(ExecutorConcurrencyTest, EightConcurrentExecutesAgree) {
   EXPECT_EQ(failures.load(), 0);
 
   // The engine is still sound and mutable once the storm has passed.
-  engine.EnableIndexBufferPool(0);
   engine.SetSimulatedDiskLatency(0);
   const auto after = engine.Execute(range);
   ASSERT_TRUE(after.ok());

@@ -140,38 +140,6 @@ TEST_F(ExecutorDeterminismTest, JoinQueryIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST_F(ExecutorDeterminismTest, ShardedPoolPreservesMatchesAndStats) {
-  // The sharded buffer pool only changes *physical* I/O (misses/coalescing);
-  // matches and the summed QueryStats must stay identical to the pool-less
-  // single-threaded run for every thread count and shard count.
-  RangeQuerySpec spec;
-  spec.query = ts::Denormalize(engine_.dataset().normal(11));
-  spec.transforms = transform::MovingAverageRange(128, 5, 24);
-  spec.epsilon = ts::CorrelationToDistanceThreshold(0.95, 128);
-  spec.partition = transform::PartitionBySize(spec.transforms.size(), 5);
-
-  ExecOptions options;
-  options.planner.algorithm = Algorithm::kMtIndex;
-  const auto baseline = engine_.Execute(spec, options);
-  ASSERT_TRUE(baseline.ok());
-  EXPECT_FALSE(baseline->range()->matches.empty());
-
-  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
-    engine_.EnableIndexBufferPool(64, shards);
-    ASSERT_EQ(engine_.index_buffer_pool()->shard_count(), shards);
-    for (const std::size_t threads : thread_counts_) {
-      engine_.index_buffer_pool()->Clear();
-      options.num_threads = threads;
-      const auto result = engine_.Execute(spec, options);
-      ASSERT_TRUE(result.ok()) << "shards=" << shards;
-      EXPECT_EQ(result->range()->matches, baseline->range()->matches)
-          << "shards=" << shards << " threads=" << threads;
-      ExpectSameStats(result->stats(), baseline->stats(), "sharded pool");
-    }
-  }
-  engine_.EnableIndexBufferPool(0);
-}
-
 TEST_F(ExecutorDeterminismTest, ZeroThreadsMeansHardwareAndStaysExact) {
   RangeQuerySpec spec;
   spec.query = ts::Denormalize(engine_.dataset().normal(0));

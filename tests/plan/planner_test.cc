@@ -81,8 +81,10 @@ double MeasuredCost(const core::SimilarityEngine& engine,
   options.planner.algorithm = core::Algorithm::kMtIndex;
   const auto result = engine.Execute(spec, options);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
-  return core::CostEq20(result->group_stats,
-                        engine.index().AverageLeafCapacity(), kPaperConstants);
+  return core::CostEq20(
+      result->group_stats,
+      core::TreeCostEstimator::Create(engine.index())->leaf_capacity(),
+      kPaperConstants);
 }
 
 TEST(PlannerTest, EstimatorRanksPartitionsLikeMeasuredCost) {

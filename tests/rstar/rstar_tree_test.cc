@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <set>
 
 #include "common/rng.h"
 #include "gtest/gtest.h"
-#include "storage/buffer_pool.h"
 #include "storage/page_file.h"
 
 namespace tsq::rstar {
@@ -78,8 +78,14 @@ TEST(RStarTreeTest, CapacityDerivedFromPageSize) {
   RStarTree tree(&file, 6);
   // Entry: 8 + 96 bytes; header 8 bytes -> (4096-8)/104 = 39.
   EXPECT_EQ(tree.capacity(), 39u);
+  EXPECT_EQ(RStarTree::MaxCapacity(6), 39u);
   EXPECT_GE(tree.min_fill(), 1u);
   EXPECT_LE(tree.min_fill(), tree.capacity() / 2 + 1);
+  // One 255-dimensional entry fills a page; wider ones (counts read from a
+  // checkpoint may be anything) fit none, without overflowing.
+  EXPECT_EQ(RStarTree::MaxCapacity(255), 1u);
+  EXPECT_EQ(RStarTree::MaxCapacity(256), 0u);
+  EXPECT_EQ(RStarTree::MaxCapacity(SIZE_MAX), 0u);
 }
 
 class RStarTreeParamTest
@@ -260,25 +266,6 @@ TEST(RStarTreeTest, DeleteMissingEntryIsNotFound) {
             StatusCode::kNotFound);
 }
 
-TEST(RStarTreeTest, ForcedReinsertOffStillCorrect) {
-  storage::PageFile file;
-  TreeOptions options;
-  options.capacity_override = 8;
-  options.forced_reinsert = false;
-  RStarTree tree(&file, 2, options);
-  Rng rng(10);
-  std::vector<Point> points;
-  for (std::size_t i = 0; i < 400; ++i) {
-    points.push_back(RandomPoint(2, rng));
-    ASSERT_TRUE(tree.Insert(Rect::FromPoint(points.back()), i).ok());
-  }
-  ASSERT_TRUE(tree.CheckInvariants().ok());
-  const Rect window({-20.0, -20.0}, {20.0, 20.0});
-  std::vector<std::uint64_t> results;
-  ASSERT_TRUE(tree.WindowQuery(window, &results).ok());
-  EXPECT_EQ(ResultIds(results), BruteWindow(points, window));
-}
-
 TEST(RStarTreeTest, HugeCoordinatesWhoseMarginsOverflowStillSplit) {
   // Every x is ±1e308, so each split candidate's margin sum overflows to
   // +inf and none compares below the initial best; the split must still
@@ -346,43 +333,6 @@ TEST(RStarTreeTest, CustomPredicateSearch) {
     }
   }
   EXPECT_EQ(ResultIds(results), expected);
-}
-
-TEST(RStarTreeTest, BufferPoolIntegration) {
-  storage::PageFile file;
-  TreeOptions options;
-  options.capacity_override = 8;
-  RStarTree tree(&file, 2, options);
-  Rng rng(21);
-  std::vector<Point> points;
-  for (std::size_t i = 0; i < 300; ++i) {
-    points.push_back(RandomPoint(2, rng));
-    ASSERT_TRUE(tree.Insert(Rect::FromPoint(points.back()), i).ok());
-  }
-  storage::BufferPool pool(&file, 256);
-  tree.SetBufferPool(&pool);
-
-  const Rect window({-30.0, -30.0}, {30.0, 30.0});
-  std::vector<std::uint64_t> warm1, warm2;
-  SearchStats s1, s2;
-  file.ResetStats();
-  ASSERT_TRUE(tree.WindowQuery(window, &warm1, &s1).ok());
-  const std::uint64_t cold_physical = file.stats().reads;
-  ASSERT_TRUE(tree.WindowQuery(window, &warm2, &s2).ok());
-  const std::uint64_t warm_physical = file.stats().reads - cold_physical;
-  // Same answers, same logical accesses, near-zero warm physical reads.
-  EXPECT_EQ(ResultIds(warm1), BruteWindow(points, window));
-  EXPECT_EQ(ResultIds(warm2), ResultIds(warm1));
-  EXPECT_EQ(s1.nodes_accessed, s2.nodes_accessed);
-  EXPECT_EQ(warm_physical, 0u);
-
-  // Updates through the pool keep the tree sound and the file coherent.
-  ASSERT_TRUE(tree.Insert(Rect::FromPoint({0.5, 0.5}), 999).ok());
-  tree.SetBufferPool(nullptr);  // read directly from the file again
-  std::vector<std::uint64_t> direct;
-  ASSERT_TRUE(tree.WindowQuery(Rect({0.0, 0.0}, {1.0, 1.0}), &direct).ok());
-  EXPECT_TRUE(ResultIds(direct).contains(999));
-  ASSERT_TRUE(tree.CheckInvariants().ok());
 }
 
 TEST(RStarTreeTest, CorruptedPageSurfacesAsError) {

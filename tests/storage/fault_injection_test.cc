@@ -3,7 +3,6 @@
 #include <cstdint>
 
 #include "gtest/gtest.h"
-#include "storage/buffer_pool.h"
 #include "storage/page_file.h"
 #include "testing/fault_policy.h"
 
@@ -123,75 +122,6 @@ TEST(FaultInjectionTest, RemovingHookRestoresNormalReads) {
   EXPECT_FALSE(file.Read(0, &page).ok());
   file.SetFaultHook(nullptr);
   EXPECT_TRUE(file.Read(0, &page).ok());
-}
-
-TEST(FaultInjectionTest, PoolHookErrorLeavesPoolStateIntact) {
-  PageFile file;
-  FillFile(&file, 4);
-  BufferPool pool(&file, 4, 2);
-  // Warm the cache.
-  Page page;
-  for (PageId id = 0; id < 4; ++id) ASSERT_TRUE(pool.Read(id, &page).ok());
-  ASSERT_EQ(pool.cached_pages(), 4u);
-  pool.ResetStats();
-
-  FaultPolicyConfig config;
-  config.fail_nth_read = 1;
-  FaultPolicy policy(config);
-  pool.SetFaultHook(&policy);
-  // The hook fires before the shard lock: even a would-be hit fails, and
-  // nothing about the cached state changes.
-  EXPECT_EQ(pool.Read(0, &page).code(), StatusCode::kIoError);
-  pool.SetFaultHook(nullptr);
-
-  EXPECT_EQ(pool.cached_pages(), 4u);
-  EXPECT_EQ(pool.stats().hits, 0u);
-  EXPECT_EQ(pool.stats().misses, 0u);
-  // Every page still reads back fine, all as hits.
-  for (PageId id = 0; id < 4; ++id) EXPECT_TRUE(pool.Read(id, &page).ok());
-  EXPECT_EQ(pool.stats().hits, 4u);
-}
-
-TEST(FaultInjectionTest, PoolCorruptAndShortFaultsSurfaceAsStatus) {
-  PageFile file;
-  FillFile(&file, 1);
-  BufferPool pool(&file, 1);
-  FaultPolicyConfig config;
-  config.corrupt_nth_read = 1;
-  config.short_nth_read = 2;
-  FaultPolicy policy(config);
-  pool.SetFaultHook(&policy);
-  Page page;
-  EXPECT_EQ(pool.Read(0, &page).code(), StatusCode::kCorruption);
-  EXPECT_EQ(pool.Read(0, &page).code(), StatusCode::kIoError);
-  pool.SetFaultHook(nullptr);
-  EXPECT_TRUE(pool.Read(0, &page).ok());
-}
-
-TEST(FaultInjectionTest, BackingFileFaultThroughPoolCleansUpInFlight) {
-  // Regression for the miss path: when the *backing file* read fails under
-  // the pool, the leader must erase its in-flight entry and not cache the
-  // failed page — a retry must succeed and actually populate the cache.
-  PageFile file;
-  FillFile(&file, 2);
-  BufferPool pool(&file, 2);
-  FaultPolicyConfig config;
-  config.fail_nth_read = 1;
-  FaultPolicy policy(config);
-  file.SetFaultHook(&policy);
-
-  Page page;
-  EXPECT_EQ(pool.Read(0, &page).code(), StatusCode::kIoError);
-  EXPECT_EQ(pool.cached_pages(), 0u);
-  // Same page again: must issue a fresh physical read (not hang on a stale
-  // in-flight entry, not serve a cached failure) and succeed.
-  EXPECT_TRUE(pool.Read(0, &page).ok());
-  EXPECT_EQ(pool.cached_pages(), 1u);
-  EXPECT_EQ(page.bytes[1], 1u);
-  file.SetFaultHook(nullptr);
-
-  const BufferPoolStats stats = pool.stats();
-  EXPECT_EQ(stats.misses, 2u);  // the failed read and the retry
 }
 
 TEST(FaultInjectionTest, InjectedDelayDoesNotChangeResults) {

@@ -121,7 +121,7 @@ TEST(DifferentialRunnerTest, CleanSweepPassesOnAFreshSeed) {
   for (std::size_t index = 0; index < 3; ++index) {
     const CaseOutcome outcome = runner.RunCase(index, config);
     EXPECT_TRUE(outcome.passed) << outcome.failure;
-    EXPECT_EQ(outcome.runs, 24u);  // 4 algorithms x 3 thread counts x 2 pools
+    EXPECT_EQ(outcome.runs, 12u);  // 4 algorithms x 3 thread counts
     EXPECT_EQ(outcome.fault_runs, 0u);
   }
 }

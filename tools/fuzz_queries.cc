@@ -48,8 +48,8 @@ void Usage(const char* argv0) {
       "          [--checkpoint] [--ckpt-dir=PATH] [--batch]\n"
       "\n"
       "Runs seeded query workloads through {scan, ST-index, MT-index,\n"
-      "auto} x {1,4,8} threads x {pool on/off} and compares every result\n"
-      "against a brute-force oracle; with faults enabled, also checks that\n"
+      "auto} x {1,4,8} threads and compares every result against a\n"
+      "brute-force oracle; with faults enabled, also checks that\n"
       "injected storage errors surface as Status, never as wrong results.\n"
       "Auto runs additionally assert one deterministic plan per case.\n"
       "\n"
