@@ -33,7 +33,8 @@ int main(int argc, char** argv) {
   bench::CalibrateSimulatedDisk(engine);
 
   bench::Table table({"|T|", "seq-scan(s)", "ST-index(s)", "MT-index(s)",
-                      "ST DA", "MT DA", "pairs out"});
+                      "ST DA", "MT DA", "scan pairs", "ST pairs",
+                      "MT pairs"});
   for (const std::size_t k : counts) {
     core::JoinQuerySpec spec;
     spec.mode = core::JoinMode::kCorrelation;
@@ -42,7 +43,9 @@ int main(int argc, char** argv) {
 
     double seconds[3] = {0, 0, 0};
     double disk[3] = {0, 0, 0};
-    double output = 0;
+    // Correlation mode filters with the Eq. 9 distance threshold, so an
+    // indexed join may miss a pair the scan finds: each output is shown.
+    double output[3] = {0, 0, 0};
     const core::Algorithm algorithms[3] = {core::Algorithm::kSequentialScan,
                                            core::Algorithm::kStIndex,
                                            core::Algorithm::kMtIndex};
@@ -57,7 +60,7 @@ int main(int argc, char** argv) {
         return 1;
       }
       disk[a] = static_cast<double>(result->stats().disk_accesses());
-      output = static_cast<double>(result->join()->matches.size());
+      output[a] = static_cast<double>(result->join()->matches.size());
       if (algorithms[a] == core::Algorithm::kMtIndex) {
         last_trace = core::ExplainJson(*result);
       }
@@ -67,7 +70,9 @@ int main(int argc, char** argv) {
                   bench::FormatDouble(seconds[2], 3),
                   bench::FormatDouble(disk[1], 0),
                   bench::FormatDouble(disk[2], 0),
-                  bench::FormatDouble(output, 0)});
+                  bench::FormatDouble(output[0], 0),
+                  bench::FormatDouble(output[1], 0),
+                  bench::FormatDouble(output[2], 0)});
   }
   table.Print();
   table.WriteCsv("fig7_join");

@@ -12,7 +12,10 @@
 # Execute() and ExecuteBatch() alike (range_query_test,
 # batch_determinism_test). The k-NN and join suites include the malformed
 # partition cases whose out-of-range indices once read past the
-# transformation vector.
+# transformation vector. The feature-level bound (polar_bounds_test) reads
+# the dataset's flat feature array by ids that come from disk; the
+# tampered-leaf cases of checkpoint_robustness_test check that an id past
+# the dataset never indexes it.
 # Run this alongside scripts/tsan_exec_tests.sh when touching src/storage,
 # src/rstar, src/exec or the range executor.
 #
@@ -27,9 +30,9 @@ cmake --build "$BUILD_DIR" -j --target \
   page_file_test atomic_file_test record_store_test \
   persistence_test checkpoint_robustness_test dataset_test rstar_tree_test \
   rtree_join_test join_query_test knn_query_test engine_fault_test \
-  range_query_test batch_determinism_test \
+  range_query_test batch_determinism_test polar_bounds_test \
   parallel_test exec_determinism_test exec_concurrency_test \
   batch_concurrency_test result_cache_test
 
 cd "$BUILD_DIR"
-ctest --output-on-failure -R 'PageFile|AtomicFile|RecordStore|Persistence|CheckpointRobustness|Dataset|RStarTree|SpatialJoin|JoinQueryTest|TransformedCorrelation|DistanceJoinEquivalence|EffectiveThreads|ThreadPool|ParallelFor|Chunk|ExecutorDeterminism|ExecutorConcurrency|BatchConcurrency|ResultCache|RangeQuery|BatchDeterminism|KnnQuery|EngineFault'
+ctest --output-on-failure -R 'PageFile|AtomicFile|RecordStore|Persistence|CheckpointRobustness|Dataset|RStarTree|SpatialJoin|JoinQueryTest|TransformedCorrelation|DistanceJoinEquivalence|EffectiveThreads|ThreadPool|ParallelFor|Chunk|ExecutorDeterminism|ExecutorConcurrency|BatchConcurrency|ResultCache|RangeQuery|BatchDeterminism|KnnQuery|EngineFault|PolarBound'

@@ -10,9 +10,16 @@
 // (log |T| comparisons under an ordering). kStIndex / kMtIndex run
 // Algorithm 1: one index traversal per transformation rectangle (singletons
 // for ST-index), then post-processing fetches each candidate's full record
-// and evaluates the rectangle's transformations on it. k-NN and join queries
-// run their own executors (knn_query.cc, join_query.cc) under the batch's pin
-// and plan.
+// and evaluates the rectangle's transformations on it. Between the two, the
+// feature-level bound (PolarBound) drops every candidate that no
+// transformation of its rectangle can bring within epsilon, so the index
+// filter's survivors go through
+//
+//   filter → bound → fetch → verify,
+//
+// and only the bound's survivors are fetched. k-NN and join queries run
+// their own executors (knn_query.cc, join_query.cc) under the batch's pin and
+// plan.
 //
 // Determinism: the task decomposition is fixed — one traversal task per
 // rectangle, kVerifyChunk candidates per verify task, kScanChunk ids per scan
@@ -67,6 +74,7 @@
 
 #include "common/clock.h"
 #include "core/engine.h"
+#include "core/polar_bounds.h"
 #include "core/result_cache.h"
 #include "exec/batch_schedule.h"
 #include "exec/parallel.h"
@@ -258,9 +266,11 @@ struct VerifyPart {
   std::vector<Match> matches;
   QueryStats stats;  // comparisons only
   std::uint64_t record_pages = 0;  // read into per-task scratch
-  std::uint64_t fetch_nanos = 0;
+  std::uint64_t fetch_nanos = 0;   // bound plus fetches
   std::uint64_t verify_nanos = 0;
-  std::uint64_t fetched = 0;  // candidates fetched
+  // The ids this task fetched and verified, in order: every live id of a
+  // scan slice, the bound's survivors of an indexed chunk.
+  std::vector<std::uint64_t> verified_ids;
 };
 
 /// Everything one *executing* query carries through the batch (cache hits
@@ -283,6 +293,8 @@ struct QueryExec {
   // rect_ordered says so.
   std::vector<std::vector<std::size_t>> rect_groups;
   std::vector<bool> rect_ordered;
+  // Per rectangle, the feature-level bound against this query (indexed).
+  std::vector<PolarBound> rect_bounds;
   std::uint64_t plan_nanos = 0;
 
   // Shared-traversal membership (indexed only).
@@ -544,6 +556,11 @@ std::vector<Result<QueryResult>> SimilarityEngine::Run(
     for (std::size_t g = 0; g < exec->partition.size(); ++g) {
       exec->rect_ordered[g] =
           range->use_ordering && OrderGroupByChain(chain, &exec->rect_groups[g]);
+      if (exec->kind == QueryExec::Kind::kIndexed) {
+        exec->rect_bounds.emplace_back(layout, range->transforms,
+                                       exec->rect_groups[g], range->target,
+                                       exec->query.features);
+      }
     }
     exec->plan_nanos = MonotonicNanos() - plan_start;
     execs[i] = std::move(exec);
@@ -732,15 +749,29 @@ std::vector<Result<QueryResult>> SimilarityEngine::Run(
               dataset_->FetchSpectrumInto(id, scratch, &part.record_pages));
           return std::span<const dft::Complex>(scratch);
         };
+        // The ids to fetch: a scan's live ids, or the chunk's candidates the
+        // rectangle's bound cannot rule out. An id past the dataset comes
+        // from a damaged leaf; it is never pruned (its features do not
+        // exist), so its fetch reports OutOfRange.
+        const std::uint64_t bound_start = MonotonicNanos();
+        const double eps2 = q.range->epsilon * q.range->epsilon;
         for (std::size_t c = ref.range.first; c < ref.range.last; ++c) {
           const std::uint64_t id = scan ? c : (*candidates)[c];
-          if (scan && dataset_->removed(id)) continue;
+          if (scan ? dataset_->removed(id)
+                   : id < dataset_->size() &&
+                         q.rect_bounds[ref.rect].Prunes(
+                             dataset_->features(id), eps2)) {
+            continue;
+          }
+          part.verified_ids.push_back(id);
+        }
+        part.fetch_nanos += MonotonicNanos() - bound_start;
+        for (const std::uint64_t id : part.verified_ids) {
           const std::uint64_t fetch_start = MonotonicNanos();
           const Result<std::span<const dft::Complex>> spectrum = fetch(id);
           const std::uint64_t fetch_end = MonotonicNanos();
           part.fetch_nanos += fetch_end - fetch_start;
           if (!spectrum.ok()) return spectrum.status();
-          ++part.fetched;
           VerifyCandidate(*q.range, *spectrum, q.query.spectrum,
                           q.rect_groups[ref.rect], q.rect_ordered[ref.rect],
                           id, &part.matches, &part.stats);
@@ -756,6 +787,8 @@ std::vector<Result<QueryResult>> SimilarityEngine::Run(
   // charged the physical pages its one fetch read, and later requests of the
   // same id are the deduped fetches. Failed queries are skipped entirely
   // (they surface no stats), so every charge is backed by a completed fetch.
+  // A candidate the bound pruned was never requested, so it is neither
+  // charged nor counted as deduped.
   {
     std::vector<bool> claimed(fetch_table ? dataset_->size() : 0, false);
     for (std::size_t i = 0; i < n; ++i) {
@@ -773,24 +806,13 @@ std::vector<Result<QueryResult>> SimilarityEngine::Run(
         }
         continue;
       }
-      const auto request = [&](std::size_t id, std::size_t rect) {
-        ++q.requests;
-        if (!claimed[id]) {
-          claimed[id] = true;
-          ++q.claims;
-          q.rect_pages[rect] += fetch_table->pages(id);
-        }
-      };
-      if (q.kind == QueryExec::Kind::kScan) {
-        for (std::size_t id = 0; id < dataset_->size(); ++id) {
-          if (!dataset_->removed(id)) request(id, 0);
-        }
-      } else {
-        const TraversalGroup& group = groups[q.group_id];
-        for (std::size_t g = 0; g < group.rects.size(); ++g) {
-          for (const std::uint64_t id :
-               group.rects[g].member_candidates[q.member_index]) {
-            request(id, g);
+      for (std::size_t ti = 0; ti < q.parts.size(); ++ti) {
+        for (const std::uint64_t id : q.parts[ti].verified_ids) {
+          ++q.requests;
+          if (!claimed[id]) {
+            claimed[id] = true;
+            ++q.claims;
+            q.rect_pages[q.verify_tasks[ti].rect] += fetch_table->pages(id);
           }
         }
       }
@@ -826,12 +848,15 @@ std::vector<Result<QueryResult>> SimilarityEngine::Run(
       result.matches.insert(result.matches.end(), part.matches.begin(),
                             part.matches.end());
       stats += part.stats;
+      stats.verified_candidates += part.verified_ids.size();
       trace.at(obs::Phase::kCandidateFetch)
-          .AddTask(part.fetch_nanos, part.fetched);
+          .AddTask(part.fetch_nanos, part.verified_ids.size());
       trace.at(obs::Phase::kVerification)
           .AddTask(part.verify_nanos, part.stats.comparisons);
       // A scan's candidates are the sequences it evaluated.
-      if (q.kind == QueryExec::Kind::kScan) stats.candidates += part.fetched;
+      if (q.kind == QueryExec::Kind::kScan) {
+        stats.candidates += part.verified_ids.size();
+      }
     }
     for (const std::uint64_t pages : q.rect_pages) {
       stats.record_pages_read += pages;

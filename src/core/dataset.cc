@@ -13,11 +13,14 @@ Dataset::Dataset(std::vector<ts::Series> raw,
   TSQ_CHECK(!raw.empty());
   length_ = raw.front().size();
   TSQ_CHECK_GE(length_, std::size_t{2});
+  TSQ_CHECK(layout_.SymmetrySoundFor(length_))
+      << "under the symmetry property every retained coefficient f needs "
+         "1 <= f and 2f < length";
   plan_ = std::make_unique<dft::FftPlan>(length_);
   records_ = std::make_unique<storage::RecordStore>(&record_file_);
 
   normals_.reserve(raw.size());
-  features_.reserve(raw.size());
+  features_.reserve(raw.size() * layout_.dimensions());
   record_ids_.reserve(raw.size());
   for (const ts::Series& series : raw) {
     // Construction happens before any fault hook can be installed, so the
@@ -55,7 +58,7 @@ Result<std::size_t> Dataset::Append(const ts::Series& series) {
       {reinterpret_cast<const std::uint8_t*>(spectrum.data()),
        spectrum.size() * sizeof(dft::Complex)});
   TSQ_RETURN_IF_ERROR(id.status());
-  features_.push_back(std::move(features));
+  features_.insert(features_.end(), features.begin(), features.end());
   record_ids_.push_back(*id);
   normals_.push_back(std::move(normal));
   removed_.push_back(false);
@@ -109,7 +112,7 @@ Result<std::unique_ptr<Dataset>> Dataset::LoadFrom(
                                     sequences.size());
 
   dataset->normals_.reserve(sequences.size());
-  dataset->features_.reserve(sequences.size());
+  dataset->features_.reserve(sequences.size() * layout.dimensions());
   dataset->record_ids_.reserve(sequences.size());
   for (const SequenceMeta& meta : sequences) {
     dataset->record_ids_.push_back(meta.record);
@@ -122,8 +125,10 @@ Result<std::unique_ptr<Dataset>> Dataset::LoadFrom(
     normal.values = dataset->plan_->InverseReal(spectrum);
     normal.mean = meta.mean;
     normal.stddev = meta.stddev;
-    dataset->features_.push_back(
-        ExtractFeatures(normal, spectrum, dataset->layout_));
+    const rstar::Point features =
+        ExtractFeatures(normal, spectrum, dataset->layout_);
+    dataset->features_.insert(dataset->features_.end(), features.begin(),
+                              features.end());
     dataset->normals_.push_back(std::move(normal));
   }
   dataset->record_file_.ResetStats();
@@ -217,10 +222,17 @@ Status ValidatePartition(const transform::Partition& partition,
 Status ValidateQueryTransform(
     const Dataset& dataset,
     const std::optional<transform::SpectralTransform>& query_transform) {
-  if (query_transform.has_value() &&
-      query_transform->length() != dataset.length()) {
+  if (!query_transform.has_value()) return Status::Ok();
+  if (query_transform->length() != dataset.length()) {
     return Status::InvalidArgument(
         "query transformation length does not match dataset");
+  }
+  if (dataset.layout().use_symmetry &&
+      !query_transform->PreservesRealSequences()) {
+    return Status::InvalidArgument(
+        "symmetry-based filtering requires a real-preserving query "
+        "transformation: " +
+        query_transform->label());
   }
   return Status::Ok();
 }

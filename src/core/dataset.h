@@ -20,6 +20,13 @@
 
 namespace tsq::core {
 
+/// One sequence's index features: a view into the dataset's flat feature
+/// array, convertible to an owning rstar::Point where a copy is wanted.
+struct FeatureView : std::span<const double> {
+  using std::span<const double>::span;
+  operator rstar::Point() const { return rstar::Point(begin(), end()); }
+};
+
 /// The "stocks relation" of the paper: a collection of equal-length
 /// sequences, each stored in normal form together with its mean and standard
 /// deviation (Section 3.2), plus the derived artifacts the query algorithms
@@ -29,13 +36,18 @@ namespace tsq::core {
 ///    sequential scan reads and the post-processing step fetches candidates
 ///    from, with every touched page counted;
 ///  * per-sequence index feature vectors (mean, stddev, polar DFT
-///    coefficients of the normal form).
+///    coefficients of the normal form), held in one flat array of
+///    layout().dimensions() values per sequence. They are derived from the
+///    stored record, never read from the index, so the executors' feature
+///    bound (core/polar_bounds.h) cannot be misled by a tampered leaf.
 ///
 /// The record store is the one stored copy of each spectrum: executors and
 /// planner calibration fetch records and pay the I/O.
 class Dataset {
  public:
-  /// Builds from raw series. All series must have the same length >= 2.
+  /// Builds from raw series. All series must have the same length >= 2,
+  /// and the layout must be sound for that length
+  /// (FeatureLayout::SymmetrySoundFor).
   Dataset(std::vector<ts::Series> raw, transform::FeatureLayout layout);
 
   /// Appends one more sequence (normalizes, derives features, stores the
@@ -66,7 +78,11 @@ class Dataset {
   const dft::FftPlan& plan() const { return *plan_; }
 
   const ts::NormalForm& normal(std::size_t i) const { return normals_[i]; }
-  const rstar::Point& features(std::size_t i) const { return features_[i]; }
+  /// Sequence i's index features (i < size()).
+  FeatureView features(std::size_t i) const {
+    const std::size_t dims = layout_.dimensions();
+    return FeatureView(features_.data() + i * dims, dims);
+  }
 
   /// Fetches sequence i's normal-form spectrum from the record store
   /// (counted page reads) straight into `out`, which must hold exactly
@@ -144,7 +160,7 @@ class Dataset {
   std::size_t length_ = 0;
   std::unique_ptr<dft::FftPlan> plan_;
   std::vector<ts::NormalForm> normals_;
-  std::vector<rstar::Point> features_;
+  std::vector<double> features_;  // dimensions() values per sequence
   std::vector<bool> removed_;
   std::size_t active_count_ = 0;
   mutable storage::PageFile record_file_;
@@ -182,7 +198,10 @@ Status ValidatePartition(const transform::Partition& partition,
                          std::size_t transforms);
 
 /// The optional fixed query transformation, when set, has the dataset's
-/// length. InvalidArgument otherwise.
+/// length and, when the layout uses the symmetry property, maps real
+/// sequences to real sequences: the transformed query spectrum must stay
+/// Hermitian for the doubled coefficient weight to bound its distance, in
+/// the index filter and the feature bound alike. InvalidArgument otherwise.
 Status ValidateQueryTransform(
     const Dataset& dataset,
     const std::optional<transform::SpectralTransform>& query_transform);

@@ -491,6 +491,12 @@ Result<std::unique_ptr<SimilarityEngine>> SimilarityEngine::LoadFrom(
       min_fill == 0 || min_fill > capacity) {
     return bad("tree fill parameters out of range");
   }
+  // Checked after the page fit, which bounds the layout more coarsely: a
+  // symmetry layout that keeps coefficient n/2, or a coefficient and its
+  // mirror, would count one coefficient twice and prune true matches.
+  if (!layout.SymmetrySoundFor(length)) {
+    return bad("layout keeps a coefficient the symmetry property doubles");
+  }
   storage::PageId store_page = 0;
   std::uint32_t store_cursor = 0;
   if (!(meta >> tag >> store_page >> store_cursor) || tag != "store") {

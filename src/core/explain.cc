@@ -18,6 +18,7 @@ std::string StatsToJson(const QueryStats& stats) {
      << ",\"index_leaves_accessed\":" << stats.index_leaves_accessed
      << ",\"record_pages_read\":" << stats.record_pages_read
      << ",\"candidates\":" << stats.candidates
+     << ",\"verified_candidates\":" << stats.verified_candidates
      << ",\"comparisons\":" << stats.comparisons
      << ",\"traversals\":" << stats.traversals
      << ",\"output_size\":" << stats.output_size
@@ -33,6 +34,7 @@ std::string Explain(const QueryResult& result) {
      << " (index=" << stats.index_nodes_accessed
      << ", records=" << stats.record_pages_read << ")"
      << " candidates=" << stats.candidates
+     << " verified=" << stats.verified_candidates
      << " comparisons=" << stats.comparisons
      << " traversals=" << stats.traversals
      << " output=" << stats.output_size << "\n";

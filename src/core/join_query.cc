@@ -160,6 +160,7 @@ Result<JoinQueryResult> RunJoinQuery(const Dataset& dataset,
             for (std::size_t b = a + 1; b < dataset.size(); ++b) {
               if (dataset.removed(b)) continue;
               ++part.stats.candidates;
+              ++part.stats.verified_candidates;
               for (std::size_t t = 0; t < spec.transforms.size(); ++t) {
                 ++part.stats.comparisons;
                 double value = 0.0;
@@ -204,9 +205,13 @@ Result<JoinQueryResult> RunJoinQuery(const Dataset& dataset,
   // Phase A — one self-join task per transformation rectangle, with the
   // rectangle applied to both node rectangles before the proximity test; the
   // rectangle application happens once per entry (the join's map), not
-  // once per candidate pair.
+  // once per candidate pair. Each candidate pair then meets the rectangle's
+  // feature-level bound, and only the pairs it cannot rule out go on to
+  // verification. An id past the dataset comes from a damaged leaf and has
+  // no features; its pair is never pruned, so its fetch reports OutOfRange.
   struct GroupPass {
-    std::vector<std::pair<std::size_t, std::size_t>> pairs;
+    std::uint64_t candidates = 0;  // pairs passing the rectangle test
+    std::vector<std::pair<std::size_t, std::size_t>> pairs;  // and the bound
     rstar::SearchStats index;
     std::uint64_t nanos = 0;
   };
@@ -221,6 +226,8 @@ Result<JoinQueryResult> RunJoinQuery(const Dataset& dataset,
           group_fts.push_back(feature_transforms[t]);
         }
         const transform::TransformMbr mbr(group_fts, layout);
+        const PolarBound bound(layout, spec.transforms, partition[g],
+                               TransformTarget::kBoth, {});
         const Status join_status = rstar::SelfJoin(
             index.tree(),
             [&](const rstar::RectView& r) { return mbr.Apply(r); },
@@ -228,6 +235,12 @@ Result<JoinQueryResult> RunJoinQuery(const Dataset& dataset,
               return RectPairWithinSquaredDistance(a, b, layout, filter_eps2);
             },
             [&](std::uint64_t a, std::uint64_t b) {
+              ++pass.candidates;
+              if (a < dataset.size() && b < dataset.size() &&
+                  bound.PrunesPair(dataset.features(a), dataset.features(b),
+                                   filter_eps2)) {
+                return;
+              }
               pass.pairs.emplace_back(a, b);
             },
             &pass.index);
@@ -324,7 +337,8 @@ Result<JoinQueryResult> RunJoinQuery(const Dataset& dataset,
     ++stats.traversals;
     stats.index_nodes_accessed += pass.index.nodes_accessed;
     stats.index_leaves_accessed += pass.index.leaf_nodes_accessed;
-    stats.candidates += pass.pairs.size();
+    stats.candidates += pass.candidates;
+    stats.verified_candidates += pass.pairs.size();
     trace.at(obs::Phase::kIndexTraversal)
         .AddTask(pass.nanos, pass.index.nodes_accessed);
   }

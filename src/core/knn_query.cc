@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <queue>
 
 #include "common/check.h"
@@ -161,6 +162,7 @@ Result<KnnQueryResult> RunKnnQuery(const Dataset& dataset,
     std::sort(all.begin(), all.end(), KnnMatchOrder);
     if (all.size() > spec.k) all.resize(spec.k);
     result.matches = std::move(all);
+    stats.verified_candidates = stats.candidates;
     stats.output_size = result.matches.size();
     trace.at(obs::Phase::kMerge)
         .AddTask(MonotonicNanos() - merge_start, result.matches.size());
@@ -200,13 +202,26 @@ Result<KnnQueryResult> RunKnnQuery(const Dataset& dataset,
                          /*epsilon=*/0.0, layout)});
   }
 
-  const auto lower_bound = [&](const rstar::RectView& rect) {
+  // Tree pages are keyed by the applied-rectangle bound, min over groups.
+  const auto page_bound = [&](const rstar::RectView& rect) {
     double best = std::numeric_limits<double>::infinity();
     for (const GroupBound& g : groups) {
       best = std::min(best, RectPairSquaredDistanceLowerBound(
                                 g.mbr.Apply(rect), g.query_rect, layout));
     }
     return best;
+  };
+  // Leaf entries are keyed by the feature-level bound, min over every
+  // transformation: each t is paired with itself and the indexed
+  // coefficients are summed, which the applied rectangle cannot do. An id
+  // past the dataset comes from a damaged leaf and has no features; it is
+  // keyed 0, so it surfaces first and its fetch reports OutOfRange.
+  std::vector<std::size_t> all_transforms(spec.transforms.size());
+  std::iota(all_transforms.begin(), all_transforms.end(), std::size_t{0});
+  const PolarBound entry_bound(layout, spec.transforms, all_transforms,
+                               spec.target, query.features);
+  const auto entry_key = [&](std::uint64_t id) {
+    return id < dataset.size() ? entry_bound.Min(dataset.features(id)) : 0.0;
   };
 
   // Best-first search (Hjaltason-Samet): tree pages and unrefined leaf
@@ -286,9 +301,11 @@ Result<KnnQueryResult> RunKnnQuery(const Dataset& dataset,
         TSQ_RETURN_IF_ERROR(index.tree().ReadNodeView(
             static_cast<storage::PageId>(item.id), &view, &search_stats));
         for (std::size_t i = 0; i < view.size(); ++i) {
-          queue.push(Item{lower_bound(view.rect(i)),
-                          view.is_leaf ? Kind::kEntry : Kind::kPage,
-                          view.ids[i], 0});
+          queue.push(view.is_leaf
+                         ? Item{entry_key(view.ids[i]), Kind::kEntry,
+                                view.ids[i], 0}
+                         : Item{page_bound(view.rect(i)), Kind::kPage,
+                                view.ids[i], 0});
         }
         traversal_nanos += MonotonicNanos() - start;
         break;
@@ -297,6 +314,7 @@ Result<KnnQueryResult> RunKnnQuery(const Dataset& dataset,
   }
   stats.index_nodes_accessed = search_stats.nodes_accessed;
   stats.index_leaves_accessed = search_stats.leaf_nodes_accessed;
+  stats.verified_candidates = stats.candidates;
   stats.traversals = 1;
   stats.output_size = result.matches.size();
   trace.at(obs::Phase::kIndexTraversal)

@@ -1,7 +1,10 @@
 #include "core/polar_bounds.h"
 
 #include <algorithm>
+#include <array>
+#include <cfloat>
 #include <cmath>
+#include <limits>
 #include <numbers>
 
 #include "common/check.h"
@@ -12,6 +15,9 @@ namespace tsq::core {
 namespace {
 
 constexpr double kTwoPi = 2.0 * std::numbers::pi;
+
+// PolarBound's rounding allowance per unit of its scale S_t.
+constexpr double kRoundingAllowance = PolarBound::kRoundingUlps * DBL_EPSILON;
 
 double Clamp(double v, double lo, double hi) {
   return std::max(lo, std::min(hi, v));
@@ -128,6 +134,112 @@ double PointPairSquaredDistanceLowerBound(
     const transform::FeatureLayout& layout) {
   return RectPairSquaredDistanceLowerBound(rstar::Rect::FromPoint(a),
                                            rstar::Rect::FromPoint(b), layout);
+}
+
+PolarBound::PolarBound(const transform::FeatureLayout& layout,
+                       std::span<const transform::SpectralTransform> transforms,
+                       std::span<const std::size_t> group,
+                       TransformTarget target,
+                       std::span<const double> query_features)
+    : layout_(layout),
+      coefficients_(layout.num_coefficients),
+      transforms_(group.size()),
+      data_only_(target == TransformTarget::kDataOnly),
+      query_features_(query_features.begin(), query_features.end()) {
+  TSQ_CHECK(query_features.empty() ||
+            query_features.size() == layout.dimensions());
+  const double w = layout.coefficient_weight();
+  for (const std::size_t t : group) {
+    for (std::size_t i = 0; i < coefficients_; ++i) {
+      const std::size_t f = layout.coefficient(i);
+      if (data_only_) {
+        multipliers_.push_back(transforms[t].multiplier(f));
+      } else {
+        weights_.push_back(w * transforms[t].squared_magnitudes()[f]);
+      }
+    }
+  }
+  if (data_only_ && !query_features.empty()) {
+    for (std::size_t i = 0; i < coefficients_; ++i) {
+      query_.push_back(std::polar(query_features[layout.magnitude_dimension(i)],
+                                  query_features[layout.angle_dimension(i)]));
+    }
+  }
+}
+
+double PolarBound::MinBoth(std::span<const double> x,
+                           std::span<const double> q) const {
+  // Per coefficient, |X_f - Q_f|^2 by the law of cosines (one cosine on the
+  // polar coordinates as stored) and |X_f|^2 + |Q_f|^2; neither depends on
+  // t, so each LB_t is a weighted sum of them.
+  std::array<double, 16> inline_terms{};
+  std::vector<double> heap_terms;
+  std::span<double> terms(inline_terms);
+  if (2 * coefficients_ > inline_terms.size()) {
+    heap_terms.resize(2 * coefficients_);
+    terms = heap_terms;
+  }
+  for (std::size_t i = 0; i < coefficients_; ++i) {
+    const std::size_t md = layout_.magnitude_dimension(i);
+    const std::size_t ad = layout_.angle_dimension(i);
+    const double sum = x[md] * x[md] + q[md] * q[md];
+    terms[2 * i] = sum - 2.0 * x[md] * q[md] * std::cos(x[ad] - q[ad]);
+    terms[2 * i + 1] = sum;
+  }
+  double best = std::numeric_limits<double>::infinity();
+  for (std::size_t t = 0; t < transforms_; ++t) {
+    const double* weights = weights_.data() + t * coefficients_;
+    double bound = 0.0;
+    double scale = 0.0;
+    for (std::size_t i = 0; i < coefficients_; ++i) {
+      bound += weights[i] * terms[2 * i];
+      scale += weights[i] * terms[2 * i + 1];
+    }
+    best = std::min(best, bound - kRoundingAllowance * scale);
+  }
+  return std::max(0.0, best);
+}
+
+double PolarBound::MinDataOnly(std::span<const double> x) const {
+  // X_f in cartesian form once, then per t the complex product M_f X_f:
+  // the angle offset arg M_f differs per t, the trigonometry does not.
+  std::array<dft::Complex, 8> inline_x;
+  std::vector<dft::Complex> heap_x;
+  std::span<dft::Complex> xs(inline_x);
+  if (coefficients_ > inline_x.size()) {
+    heap_x.resize(coefficients_);
+    xs = heap_x;
+  }
+  for (std::size_t i = 0; i < coefficients_; ++i) {
+    xs[i] = std::polar(x[layout_.magnitude_dimension(i)],
+                       x[layout_.angle_dimension(i)]);
+  }
+  const double w = layout_.coefficient_weight();
+  double best = std::numeric_limits<double>::infinity();
+  for (std::size_t t = 0; t < transforms_; ++t) {
+    const dft::Complex* multipliers = multipliers_.data() + t * coefficients_;
+    double bound = 0.0;
+    double scale = 0.0;
+    for (std::size_t i = 0; i < coefficients_; ++i) {
+      const dft::Complex mx = multipliers[i] * xs[i];
+      bound += w * std::norm(mx - query_[i]);
+      scale += w * (std::norm(mx) + std::norm(query_[i]));
+    }
+    best = std::min(best, bound - kRoundingAllowance * scale);
+  }
+  return std::max(0.0, best);
+}
+
+double PolarBound::Min(std::span<const double> features) const {
+  TSQ_DCHECK(query_features_.size() == layout_.dimensions());
+  return data_only_ ? MinDataOnly(features)
+                    : MinBoth(features, query_features_);
+}
+
+double PolarBound::MinPair(std::span<const double> a,
+                           std::span<const double> b) const {
+  TSQ_DCHECK(!data_only_);
+  return MinBoth(a, b);
 }
 
 }  // namespace tsq::core

@@ -135,8 +135,15 @@ struct QueryStats {
   std::uint64_t index_leaves_accessed = 0;
   /// Record-store pages read fetching full records.
   std::uint64_t record_pages_read = 0;
-  /// (candidate, rectangle) pairs surviving the index filter.
+  /// (candidate, rectangle) pairs surviving the index filter: the
+  /// rectangle-test survivors Eq. 19-20 price (candidate pairs for a join,
+  /// sequences read for a scan).
   std::uint64_t candidates = 0;
+  /// Of those, the ones the feature-level bound (core::PolarBound) could not
+  /// rule out: the candidates actually fetched and verified. Equal to
+  /// `candidates` for a scan, which has no bound, and for k-NN, which
+  /// orders its leaf entries by the bound and fetches every one it pops.
+  std::uint64_t verified_candidates = 0;
   /// Full-sequence distance evaluations performed (NT(r) per candidate, or
   /// O(log NT) under an ordering).
   std::uint64_t comparisons = 0;

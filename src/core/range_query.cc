@@ -32,6 +32,7 @@ QueryStats& QueryStats::operator+=(const QueryStats& other) {
   index_leaves_accessed += other.index_leaves_accessed;
   record_pages_read += other.record_pages_read;
   candidates += other.candidates;
+  verified_candidates += other.verified_candidates;
   comparisons += other.comparisons;
   traversals += other.traversals;
   output_size += other.output_size;

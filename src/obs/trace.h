@@ -20,10 +20,15 @@ enum class Phase : std::size_t {
   /// and transformation-MBR setup.
   kPlan = 0,
   /// R*-tree work: filter traversals, spatial-join passes, best-first page
-  /// reads.
+  /// reads. k-NN and join queries evaluate the feature-level bound
+  /// (core::PolarBound) inside their index walk, so its time lands here for
+  /// them.
   kIndexTraversal,
   /// Fetching candidate records from the record store (the paper's "read
-  /// the full database record").
+  /// the full database record"). For range queries this phase also holds the
+  /// feature-level bound that decides which index-filter survivors are
+  /// fetched; its items are the records fetched
+  /// (QueryStats::verified_candidates for a range query).
   kCandidateFetch,
   /// Exact distance/correlation evaluation of fetched candidates.
   kVerification,

@@ -244,7 +244,7 @@ Status PageFile::LoadFrom(const std::string& path) {
     in.read(reinterpret_cast<char*>(&digest), sizeof digest);
     if (!in) return Status::Corruption("truncated page file: " + path);
   }
-  std::vector<Page> pages(count);
+  std::deque<Page> pages(count);
   for (Page& page : pages) {
     in.read(reinterpret_cast<char*>(page.bytes.data()), kPageSize);
     if (!in) return Status::Corruption("truncated page file: " + path);

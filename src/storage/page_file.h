@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <mutex>
 #include <vector>
 
@@ -58,6 +59,11 @@ struct IoStats {
 /// concurrent readers pay their latencies in parallel (the model of N
 /// independent disks the parallel executor assumes). SaveTo/LoadFrom still
 /// require external exclusion from writers.
+///
+/// Pages live in a std::deque, whose blocks never move once allocated:
+/// growing the file allocates one more block instead of reallocating and
+/// copying every page, so the file's peak footprint is its size, not twice
+/// its size at each doubling.
 class PageFile {
  public:
   PageFile() = default;
@@ -166,7 +172,7 @@ class PageFile {
 
  private:
   mutable std::mutex mu_;  // guards pages_ and digests_
-  std::vector<Page> pages_;
+  std::deque<Page> pages_;
   std::vector<std::uint64_t> digests_;
   std::atomic<std::uint64_t> reads_{0};
   std::atomic<std::uint64_t> writes_{0};

@@ -259,7 +259,19 @@ DifferentialRunner::DifferentialRunner(std::uint64_t seed)
 
 CaseOutcome DifferentialRunner::RunCase(std::size_t index,
                                         const DiffConfig& config) {
-  const WorkloadCase work = generator_.MakeCase(index, engine_, oracle_);
+  return Sweep(generator_.MakeCase(index, engine_, oracle_), config);
+}
+
+CaseOutcome DifferentialRunner::RunQueryTransformCase(
+    std::size_t index, const DiffConfig& config) {
+  CaseOutcome outcome = Sweep(
+      generator_.MakeQueryTransformCase(index, engine_, oracle_), config);
+  outcome.description += " [query transform]";
+  return outcome;
+}
+
+CaseOutcome DifferentialRunner::Sweep(const WorkloadCase& work,
+                                      const DiffConfig& config) {
   CaseOutcome outcome;
   outcome.description = work.description;
 

@@ -93,6 +93,11 @@ class DifferentialRunner {
 
   CaseOutcome RunCase(std::size_t index, const DiffConfig& config = DiffConfig());
 
+  /// RunCase's sweep over WorkloadGenerator::MakeQueryTransformCase(index):
+  /// a range or k-NN query with a fixed query transformation.
+  CaseOutcome RunQueryTransformCase(std::size_t index,
+                                    const DiffConfig& config = DiffConfig());
+
   /// Concurrency-differential case: runs the case's query through
   /// {scan, ST, MT, auto} x {1, 4} threads on the main thread while a seeded
   /// mutator thread interleaves Insert/Remove commits. Each result is checked
@@ -151,6 +156,9 @@ class DifferentialRunner {
   const Oracle& oracle() const { return oracle_; }
 
  private:
+  // The configuration cube and fault sweep of one generated case.
+  CaseOutcome Sweep(const WorkloadCase& work, const DiffConfig& config);
+
   WorkloadGenerator generator_;
   core::SimilarityEngine engine_;
   Oracle oracle_;

@@ -137,6 +137,26 @@ double PickDescendingThreshold(const std::vector<double>& curve,
   return curve.back() - 1.0;
 }
 
+/// A boundary-free k for the ascending k-NN distance `curve`: a random rank
+/// in [1, 8], nudged to one whose distance gap is clean, so the cut between
+/// the k-th and (k+1)-th neighbour cannot flip on floating-point noise.
+std::size_t PickK(Rng& rng, const std::vector<double>& curve) {
+  const std::size_t kmax = std::min<std::size_t>(8, curve.size());
+  std::size_t k = 1 + static_cast<std::size_t>(rng.UniformInt(
+      0, static_cast<std::int64_t>(kmax) - 1));
+  for (std::size_t off = 0; off < kmax; ++off) {
+    for (const std::size_t cand : {k - off, k + off}) {
+      if (cand < 1 || cand > kmax) continue;
+      if (cand == curve.size() ||
+          curve[cand] - curve[cand - 1] >
+              1e-7 * (1.0 + std::fabs(curve[cand]))) {
+        return cand;
+      }
+    }
+  }
+  return k;
+}
+
 struct GroupingChoice {
   std::string text;  // "" for the default single-MBR grouping
   transform::Partition partition;
@@ -409,24 +429,7 @@ WorkloadCase WorkloadGenerator::MakeCase(std::size_t index,
       spec.partition = grouping.partition;
       spec.target = menu.target;
       spec.k = 1;
-      const std::vector<double> curve = oracle.KnnDistanceCurve(spec);
-      const std::size_t kmax = std::min<std::size_t>(8, curve.size());
-      std::size_t k = 1 + static_cast<std::size_t>(rng.UniformInt(
-          0, static_cast<std::int64_t>(kmax) - 1));
-      // Nudge k to a rank whose distance gap is clean, so the cut between
-      // the k-th and (k+1)-th neighbour cannot flip on floating-point noise.
-      for (std::size_t off = 0; off < kmax; ++off) {
-        for (const std::size_t cand : {k - off, k + off}) {
-          if (cand < 1 || cand > kmax) continue;
-          if (cand == curve.size() ||
-              curve[cand] - curve[cand - 1] >
-                  1e-7 * (1.0 + std::fabs(curve[cand]))) {
-            k = cand;
-            off = kmax;  // break both loops
-            break;
-          }
-        }
-      }
+      const std::size_t k = PickK(rng, oracle.KnnDistanceCurve(spec));
       spec.k = k;
       out.lang_text = "find " + Num(k) + " nearest to series " +
                       Num(series_id) + " under " + JoinPipelineTexts(menu) +
@@ -474,6 +477,76 @@ WorkloadCase WorkloadGenerator::MakeCase(std::size_t index,
 
   desc << " | " << out.lang_text;
   out.description = desc.str();
+  return out;
+}
+
+WorkloadCase WorkloadGenerator::MakeQueryTransformCase(
+    std::size_t index, const core::SimilarityEngine& engine,
+    const Oracle& oracle) const {
+  // A stream of its own, disjoint from MakeCase's seeds.
+  Rng rng(seed_ * 2654435761ull + index * 40503ull + 0x5157ull);
+  const std::size_t n = engine.length();
+  const std::vector<std::size_t> live = LiveIds(engine.dataset());
+  TSQ_CHECK(!live.empty());
+  const std::size_t series_id =
+      live[static_cast<std::size_t>(rng.UniformInt(
+          0, static_cast<std::int64_t>(live.size()) - 1))];
+  const ts::Series query = ts::Denormalize(engine.dataset().normal(series_id));
+
+  std::ostringstream desc;
+  std::vector<SpectralTransform> transforms;
+  SpectralTransform query_transform = SpectralTransform::Identity(n);
+  core::TransformTarget target = core::TransformTarget::kBoth;
+  if (rng.Bernoulli(0.5)) {
+    // Example 1.2: D(shift_s(momentum(x)), momentum(q)).
+    const std::size_t max_shift = static_cast<std::size_t>(rng.UniformInt(
+        2, static_cast<std::int64_t>(std::min<std::size_t>(8, n - 1))));
+    transforms = MakeMomentumShiftPiece(n, max_shift).transforms;
+    query_transform = transform::MomentumTransform(n);
+    target = core::TransformTarget::kDataOnly;
+    desc << "momentum(q) vs momentum then shift(0.." << max_shift << ")";
+  } else {
+    const std::size_t w = 2 + static_cast<std::size_t>(rng.UniformInt(0, 6));
+    const std::size_t lo = 1 + static_cast<std::size_t>(rng.UniformInt(0, 3));
+    const std::size_t hi =
+        std::min(lo + 2 + static_cast<std::size_t>(rng.UniformInt(0, 8)), n);
+    transforms = MvRange(n, lo, hi);
+    query_transform = transform::MovingAverageTransform(n, std::min(w, n));
+    desc << "mv(" << std::min(w, n) << ")(q) vs mv(" << lo << ".." << hi
+         << ")";
+  }
+  const GroupingChoice grouping = PickGrouping(rng, engine, transforms);
+
+  WorkloadCase out;
+  if (index % 2 == 0) {
+    core::RangeQuerySpec spec;
+    spec.query = query;
+    spec.transforms = std::move(transforms);
+    spec.partition = grouping.partition;
+    spec.target = target;
+    spec.query_transform = std::move(query_transform);
+    const std::size_t want =
+        1 + static_cast<std::size_t>(rng.UniformInt(0, 39));
+    spec.epsilon = PickAscendingThreshold(oracle.RangeDistances(spec), want);
+    out.description = "range series=" + Num(series_id) + " eps=" +
+                      Num(spec.epsilon) + " T=" +
+                      Num(spec.transforms.size()) + grouping.text + " | " +
+                      desc.str();
+    out.spec = std::move(spec);
+  } else {
+    core::KnnQuerySpec spec;
+    spec.query = query;
+    spec.transforms = std::move(transforms);
+    spec.partition = grouping.partition;
+    spec.target = target;
+    spec.query_transform = std::move(query_transform);
+    spec.k = 1;
+    spec.k = PickK(rng, oracle.KnnDistanceCurve(spec));
+    out.description = "knn series=" + Num(series_id) + " k=" + Num(spec.k) +
+                      " T=" + Num(spec.transforms.size()) + grouping.text +
+                      " | " + desc.str();
+    out.spec = std::move(spec);
+  }
   return out;
 }
 

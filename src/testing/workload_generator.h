@@ -59,6 +59,18 @@ class WorkloadGenerator {
                         const core::SimilarityEngine& engine,
                         const Oracle& oracle) const;
 
+  /// Builds query-transformation case `index`: a range (even `index`) or
+  /// k-NN (odd) query whose query series carries a fixed, real-preserving
+  /// query_transform — momentum against a data-side shift set (Example 1.2,
+  /// TransformTarget::kDataOnly) or a moving average against a set of
+  /// moving averages (kBoth). Thresholds and k are boundary-free as in
+  /// MakeCase. The case is drawn from its own seeded stream, so MakeCase's
+  /// cases do not change. The query language has no query transformation,
+  /// so `lang_text` is empty. Deterministic in (seed, index).
+  WorkloadCase MakeQueryTransformCase(std::size_t index,
+                                      const core::SimilarityEngine& engine,
+                                      const Oracle& oracle) const;
+
  private:
   std::uint64_t seed_;
 };

@@ -75,6 +75,18 @@ struct FeatureLayout {
   /// Weight of dimension pair (magnitude, angle) in squared-distance lower
   /// bounds: 2 when the symmetry property is exploited, else 1.
   double coefficient_weight() const { return use_symmetry ? 2.0 : 1.0; }
+
+  /// Whether the layout's bounds are sound for sequences of length `n`.
+  /// Under the symmetry property each retained coefficient f also counts
+  /// its mirror n - f. That is sound only when f and n - f are two distinct
+  /// coefficients that no other retained coefficient stands for:
+  /// 1 <= f and 2f < n for every retained f. Without symmetry every layout
+  /// whose coefficients exist is sound.
+  bool SymmetrySoundFor(std::size_t n) const {
+    if (!use_symmetry || num_coefficients == 0) return true;
+    return first_coefficient >= 1 &&
+           2 * (first_coefficient + num_coefficients - 1) < n;
+  }
 };
 
 }  // namespace tsq::transform

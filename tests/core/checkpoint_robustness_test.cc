@@ -284,6 +284,16 @@ TEST_F(CheckpointRobustnessTest, NegativeCoefficientCountIsCorruption) {
   ExpectMetaEditIsCorruption(2, "layout", {{2, "-1"}});
 }
 
+TEST_F(CheckpointRobustnessTest, SymmetryLayoutKeepingAMirrorIsCorruption) {
+  // Coefficients 32..33 of a length-64 series: 32 = n/2 is its own mirror
+  // and 33 is 31's, so the symmetry weight would count them twice.
+  ExpectMetaEditIsCorruption(2, "layout", {{3, "32"}});
+}
+
+TEST_F(CheckpointRobustnessTest, SymmetryLayoutKeepingTheDcTermIsCorruption) {
+  ExpectMetaEditIsCorruption(2, "layout", {{3, "0"}});  // first coefficient
+}
+
 TEST_F(CheckpointRobustnessTest, TreeCapacityBelowFourIsCorruption) {
   ExpectMetaEditIsCorruption(3, "tree", {{4, "3"}, {5, "1"}});
 }
@@ -442,6 +452,69 @@ TEST_F(CheckpointRobustnessTest, LeafIdPastTheDatasetIsOutOfRange) {
     ASSERT_FALSE(entry.ok());
     EXPECT_EQ(entry.status().code(), StatusCode::kOutOfRange)
         << entry.status().ToString();
+  }
+}
+
+// The same damage where the dropped row was a twin of a live sequence, so
+// the damaged leaf passes every rectangle test beside its twin while every
+// other candidate is far away. Its id has no features, so the feature bound
+// must neither read them nor prune it: range, k-NN and join queries all
+// fetch it and report OutOfRange. Pruning it instead would silently answer
+// OK.
+TEST_F(CheckpointRobustnessTest, LeafIdPastTheDatasetIsNeverPruned) {
+  const ts::Series twin = ts::Denormalize(engine_->dataset().normal(3));
+  ASSERT_TRUE(engine_->Insert(twin).ok());
+  ASSERT_TRUE(engine_->SaveTo(prefix_).ok());
+  epoch_ = engine_->checkpoint_epoch();
+  const std::size_t dropped = engine_->dataset().size() - 1;
+  TamperMeta([](std::vector<std::string>& lines) {
+    lines.pop_back();  // the twin's row
+    EditFields(lines, 3, [](std::vector<std::string>& f) {
+      ASSERT_EQ(f[0], "tree");
+      f[3] = std::to_string(std::stoull(f[3]) - 1);
+    });
+    EditFields(lines, 5, [](std::vector<std::string>& f) {
+      ASSERT_EQ(f[0], "sequences");
+      f[1] = std::to_string(std::stoull(f[1]) - 1);
+    });
+  });
+  const auto loaded = SimilarityEngine::LoadFrom(prefix_);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_EQ((*loaded)->dataset().size(), dropped);
+
+  const std::vector<transform::SpectralTransform> transforms = {
+      transform::SpectralTransform::Identity(64),
+      transform::SpectralTransform::Identity(64)};
+  RangeQuerySpec range;
+  range.query = twin;
+  range.transforms = transforms;
+  range.epsilon = 1e-6;
+  KnnQuerySpec knn;
+  knn.query = twin;
+  knn.transforms = transforms;
+  knn.k = 2;  // the live twin alone cannot end the search
+  JoinQuerySpec join;
+  join.mode = JoinMode::kDistance;
+  join.epsilon = 1e-6;
+  join.transforms = transforms;
+  for (const Algorithm algorithm : {Algorithm::kStIndex,
+                                    Algorithm::kMtIndex}) {
+    const ExecOptions options{.planner = {.algorithm = algorithm}};
+    for (const QuerySpec& spec :
+         {QuerySpec(range), QuerySpec(knn), QuerySpec(join)}) {
+      const auto result = (*loaded)->Execute(spec, options);
+      ASSERT_FALSE(result.ok()) << AlgorithmName(algorithm) << " spec "
+                                << spec.index();
+      EXPECT_EQ(result.status().code(), StatusCode::kOutOfRange)
+          << AlgorithmName(algorithm) << " spec " << spec.index() << ": "
+          << result.status().ToString();
+    }
+    const auto batch = (*loaded)->ExecuteBatch(
+        {range, range}, {.exec = options, .use_result_cache = false});
+    for (const auto& entry : batch) {
+      EXPECT_EQ(entry.status().code(), StatusCode::kOutOfRange)
+          << AlgorithmName(algorithm) << ": " << entry.status().ToString();
+    }
   }
 }
 

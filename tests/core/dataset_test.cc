@@ -104,5 +104,22 @@ TEST(DatasetDeathTest, MismatchedLengthsRejected) {
   EXPECT_DEATH(Dataset(series, transform::FeatureLayout{}), "equal length");
 }
 
+TEST(DatasetDeathTest, SymmetryLayoutMustNotDoubleACoefficient) {
+  // Length 4 under the default layout keeps f = 2 = n/2, its own mirror.
+  const auto short_walks = testutil::RandomWalks(3, 4, 5);
+  EXPECT_DEATH(Dataset(short_walks, transform::FeatureLayout{}), "2f < length");
+  // The DC term has no distinct mirror either.
+  transform::FeatureLayout dc;
+  dc.first_coefficient = 0;
+  EXPECT_DEATH(Dataset(testutil::RandomWalks(3, 16, 5), dc), "1 <= f");
+  // Without symmetry nothing is doubled, and length 5 keeps f = 1, 2 < 5/2.
+  transform::FeatureLayout plain;
+  plain.use_symmetry = false;
+  EXPECT_EQ(Dataset(short_walks, plain).size(), 3u);
+  EXPECT_EQ(Dataset(testutil::RandomWalks(3, 5, 5), transform::FeatureLayout{})
+                .size(),
+            3u);
+}
+
 }  // namespace
 }  // namespace tsq::core

@@ -264,6 +264,40 @@ TEST(KnnQueryTest, MalformedTransformationSpecsRejected) {
   }
 }
 
+// The k-NN twin of the range case: a query transformation that zeroes
+// coefficient 1 but keeps its mirror is rejected under the symmetry layout,
+// and without symmetry every algorithm returns the oracle's neighbours.
+TEST(KnnQueryTest, NonRealPreservingQueryTransformRejectedUnderSymmetry) {
+  const std::size_t n = 32;
+  std::vector<dft::Complex> multipliers(n, {1.0, 0.0});
+  multipliers[1] = {0.0, 0.0};
+  const auto series = testutil::RandomWalks(200, n, 33);
+  for (const bool symmetry : {true, false}) {
+    transform::FeatureLayout layout;
+    layout.use_symmetry = symmetry;
+    const Dataset dataset(series, layout);
+    const SequenceIndex index(dataset);
+    KnnQuerySpec spec;
+    spec.query = ts::Denormalize(dataset.normal(9));
+    spec.k = 5;
+    spec.transforms = {transform::SpectralTransform::Identity(n)};
+    spec.query_transform = transform::SpectralTransform("drop-f1", multipliers);
+    const auto expected = testing::Oracle(dataset).Knn(spec);
+    for (Algorithm algorithm : {Algorithm::kSequentialScan,
+                                Algorithm::kStIndex, Algorithm::kMtIndex}) {
+      const auto result =
+          RunKnnQuery(dataset, index, spec, Forced(algorithm));
+      if (symmetry) {
+        EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+            << AlgorithmName(algorithm);
+      } else {
+        ASSERT_TRUE(result.ok()) << AlgorithmName(algorithm);
+        ExpectSameNeighbors(result->matches, expected);
+      }
+    }
+  }
+}
+
 // Regression: a NaN (or infinite) query value makes every distance NaN, and
 // sorting NaN distances with a naive `a < b` comparator is undefined
 // behaviour (no strict weak ordering). The spec must be rejected up front,

@@ -8,7 +8,10 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "core/feature.h"
 #include "gtest/gtest.h"
+#include "transform/builders.h"
+#include "ts/normal_form.h"
 
 namespace tsq::core {
 namespace {
@@ -205,6 +208,242 @@ TEST(RectBoundsTest, PointHelpersConsistent) {
       rstar::Rect::FromPoint(a), b, layout);
   EXPECT_NEAR(via_points, via_rect, 1e-12);
   EXPECT_GT(via_points, 0.0);
+}
+
+// --- PolarBound: the feature-level bound between filter and fetch --------
+
+using transform::SpectralTransform;
+
+// A random spectrum of a real, zero-mean sequence of length n: X_0 = 0,
+// X_{n-f} = conj(X_f), X_{n/2} real.
+std::vector<dft::Complex> RandomHermitian(Rng& rng, std::size_t n) {
+  std::vector<dft::Complex> x(n);
+  for (std::size_t f = 1; 2 * f <= n; ++f) {
+    x[f] = {rng.Uniform(-3.0, 3.0), 2 * f == n ? 0.0 : rng.Uniform(-3.0, 3.0)};
+    x[n - f] = std::conj(x[f]);
+  }
+  return x;
+}
+
+// Sets coefficient f (and its mirror) of a Hermitian spectrum.
+void SetCoefficient(std::vector<dft::Complex>& x, std::size_t f,
+                    dft::Complex value) {
+  x[f] = value;
+  x[x.size() - f] = std::conj(value);
+}
+
+rstar::Point FeaturesOf(const std::vector<dft::Complex>& spectrum,
+                        const transform::FeatureLayout& layout) {
+  ts::NormalForm normal;
+  normal.values.assign(spectrum.size(), 0.0);
+  return ExtractFeatures(normal, spectrum, layout);
+}
+
+double KernelDistance(const SpectralTransform& t, TransformTarget target,
+                      const std::vector<dft::Complex>& x,
+                      const std::vector<dft::Complex>& q) {
+  return target == TransformTarget::kBoth
+             ? t.TransformedSquaredDistance(x, q)
+             : t.TransformedToPlainSquaredDistance(x, q);
+}
+
+// The real-preserving transformations a group is drawn from: the moving
+// averages and momentum/shift pipelines of the paper's examples, plus
+// scaling, inversion and smoothing filters.
+std::vector<SpectralTransform> TransformMenu(std::size_t n) {
+  std::vector<SpectralTransform> menu;
+  for (std::size_t w = 1; w <= std::min<std::size_t>(n, 9); w += 2) {
+    menu.push_back(transform::MovingAverageTransform(n, w));
+  }
+  for (std::size_t s = 0; s < std::min<std::size_t>(n, 6); ++s) {
+    menu.push_back(transform::MomentumTransform(n).Compose(
+        transform::ShiftTransform(n, s)));
+    menu.push_back(transform::ShiftTransform(n, 2 * s + 1));
+  }
+  menu.push_back(transform::ScaleTransform(n, 2.5));
+  menu.push_back(transform::InvertTransform(n));
+  menu.push_back(transform::ExponentialMovingAverageTransform(n, 0.25));
+  menu.push_back(transform::SecondDifferenceTransform(n));
+  return menu;
+}
+
+// The property over >= 3000 random (candidate, query, group) triples: for
+// every transformation t of the group, the single-t bound never exceeds the
+// kernel's exact Eq. 12 distance, the group bound never exceeds the best t,
+// and no eps2 that admits a kernel match prunes the candidate. Triples mix
+// both targets, queries with and without a query transformation, layouts
+// with and without symmetry, angles on either side of +-pi and
+// near-duplicates whose whole distance sits in the indexed coefficients,
+// where the bound is tight and only its margin keeps rounding from pruning
+// a match.
+TEST(PolarBoundTest, NeverExceedsTheKernelAndNeverPrunesAMatch) {
+  Rng rng(2024);
+  constexpr double kPi = std::numbers::pi;
+  const double inf = std::numeric_limits<double>::infinity();
+  int triples = 0, pruned = 0, near_duplicates = 0, wrapped = 0;
+  for (int trial = 0; trial < 3200; ++trial) {
+    const std::size_t n = std::size_t{16} << rng.UniformInt(0, 2);
+    transform::FeatureLayout layout;
+    layout.num_coefficients = static_cast<std::size_t>(rng.UniformInt(1, 3));
+    layout.include_mean_std = rng.Bernoulli(0.7);
+    layout.use_symmetry = rng.Bernoulli(0.8);
+    const std::vector<SpectralTransform> menu = TransformMenu(n);
+    std::vector<std::size_t> group;
+    const std::size_t group_size =
+        static_cast<std::size_t>(rng.UniformInt(1, 6));
+    for (std::size_t g = 0; g < group_size; ++g) {
+      group.push_back(static_cast<std::size_t>(
+          rng.UniformInt(0, static_cast<std::int64_t>(menu.size()) - 1)));
+    }
+    const TransformTarget target = rng.Bernoulli(0.5)
+                                       ? TransformTarget::kBoth
+                                       : TransformTarget::kDataOnly;
+
+    std::vector<dft::Complex> q = RandomHermitian(rng, n);
+    if (rng.Bernoulli(0.4)) {
+      // A query transformation, applied as PrepareQuery applies it.
+      q = menu[static_cast<std::size_t>(rng.UniformInt(
+                   0, static_cast<std::int64_t>(menu.size()) - 1))]
+              .ApplyToSpectrum(q);
+    }
+    std::vector<dft::Complex> x = RandomHermitian(rng, n);
+    const int shape = static_cast<int>(rng.UniformInt(0, 2));
+    if (shape == 1) {
+      // Near-duplicate: x equals the query's image under one t of the group
+      // except for a tiny change in the indexed coefficients.
+      ++near_duplicates;
+      const SpectralTransform& t = menu[group.front()];
+      for (std::size_t f = 1; 2 * f <= n; ++f) {
+        const dft::Complex m = t.multiplier(f);
+        SetCoefficient(x, f,
+                       target == TransformTarget::kDataOnly &&
+                               std::abs(m) > 1e-3
+                           ? q[f] / m
+                           : q[f]);
+      }
+      const double scale = std::pow(10.0, rng.Uniform(-12.0, -3.0));
+      for (std::size_t i = 0; i < layout.num_coefficients; ++i) {
+        const std::size_t f = layout.coefficient(i);
+        SetCoefficient(x, f,
+                       x[f] + dft::Complex(rng.Uniform(-scale, scale),
+                                           rng.Uniform(-scale, scale)));
+      }
+    } else if (shape == 2) {
+      // Angles straddling +-pi, as close as a few ulps.
+      ++wrapped;
+      for (std::size_t i = 0; i < layout.num_coefficients; ++i) {
+        const std::size_t f = layout.coefficient(i);
+        const double gap = std::pow(10.0, rng.Uniform(-15.0, -1.0));
+        const double mag = rng.Uniform(0.1, 3.0);
+        SetCoefficient(x, f, std::polar(mag, kPi - gap));
+        SetCoefficient(q, f,
+                       std::polar(mag * (1.0 + rng.Uniform(-gap, gap)),
+                                  -kPi + rng.Uniform(0.0, gap)));
+      }
+    }
+    const rstar::Point fx = FeaturesOf(x, layout);
+    const rstar::Point fq = FeaturesOf(q, layout);
+    const PolarBound bound(layout, menu, group, target, fq);
+
+    double best = inf;
+    for (const std::size_t t : group) {
+      const double kernel = KernelDistance(menu[t], target, x, q);
+      best = std::min(best, kernel);
+      const std::vector<std::size_t> single = {t};
+      EXPECT_LE(PolarBound(layout, menu, single, target, fq).Min(fx), kernel)
+          << "trial " << trial << " transform " << menu[t].label();
+      if (target == TransformTarget::kBoth) {
+        EXPECT_LE(PolarBound(layout, menu, single, target, {}).MinPair(fx, fq),
+                  kernel)
+            << "trial " << trial << " transform " << menu[t].label();
+      }
+    }
+    EXPECT_LE(bound.Min(fx), best) << "trial " << trial;
+    // Every eps2 that admits the best transformation's kernel distance
+    // keeps the candidate, down to the smallest such eps2.
+    for (const double eps2 : {std::nextafter(best, inf), best * (1.0 + 1e-12),
+                              best * 2.0 + 1e-300}) {
+      EXPECT_FALSE(bound.Prunes(fx, eps2))
+          << "trial " << trial << " kernel " << best << " eps2 " << eps2
+          << " bound " << bound.Min(fx);
+      if (target == TransformTarget::kBoth) {
+        EXPECT_FALSE(PolarBound(layout, menu, group, target, {})
+                         .PrunesPair(fx, fq, eps2))
+            << "trial " << trial;
+      }
+    }
+    if (bound.Prunes(fx, best / 4)) ++pruned;
+    ++triples;
+  }
+  EXPECT_GE(triples, 3000);
+  EXPECT_GT(near_duplicates, 800);
+  EXPECT_GT(wrapped, 800);
+  // Not vacuous, though random spectra spread their distance over every
+  // coefficient and leave the indexed few a small share of it.
+  EXPECT_GT(pruned, triples / 20);
+}
+
+TEST(PolarBoundTest, WeightsMultipliersAndTargetsExactly) {
+  // Length 16, default layout (f = 1, 2, weight 2). x and q differ only in
+  // coefficient 1, so each LB_t is exactly twice that coefficient's term.
+  const std::size_t n = 16;
+  transform::FeatureLayout layout;
+  std::vector<dft::Complex> x(n), q(n);
+  SetCoefficient(x, 1, {3.0, 0.0});
+  SetCoefficient(q, 1, {0.0, 4.0});
+  SetCoefficient(x, 2, {1.0, 1.0});
+  SetCoefficient(q, 2, {1.0, 1.0});
+  const std::vector<SpectralTransform> transforms = {
+      SpectralTransform::Identity(n), transform::ScaleTransform(n, 2.0),
+      transform::ShiftTransform(n, 4)};
+  const rstar::Point fx = FeaturesOf(x, layout);
+  const auto min_of = [&](std::vector<std::size_t> group,
+                          TransformTarget target) {
+    return PolarBound(layout, transforms, group, target, FeaturesOf(q, layout))
+        .Min(fx);
+  };
+  // kBoth: 2 * |M_1|^2 * |3 - 4i|^2 = 50 |M_1|^2.
+  EXPECT_NEAR(min_of({0}, TransformTarget::kBoth), 50.0, 1e-9);
+  EXPECT_NEAR(min_of({1}, TransformTarget::kBoth), 200.0, 1e-9);
+  EXPECT_NEAR(min_of({1, 0}, TransformTarget::kBoth), 50.0, 1e-9);
+  // kDataOnly: a shift by 4 of 16 turns X_1 by a quarter and X_2 by half a
+  // turn before they meet Q_1 and Q_2.
+  const dft::Complex m1 = transforms[2].multiplier(1);
+  const dft::Complex m2 = transforms[2].multiplier(2);
+  EXPECT_NEAR(std::abs(m1.real()), 0.0, 1e-12);
+  EXPECT_NEAR(m2.real(), -1.0, 1e-12);
+  EXPECT_NEAR(min_of({2}, TransformTarget::kDataOnly),
+              2.0 * (std::norm(m1 * x[1] - q[1]) + std::norm(m2 * x[2] - q[2])),
+              1e-9);
+  // Both match the kernel, whose other coefficients are all zero.
+  EXPECT_NEAR(min_of({2}, TransformTarget::kDataOnly),
+              transforms[2].TransformedToPlainSquaredDistance(x, q), 1e-9);
+  EXPECT_NEAR(min_of({0}, TransformTarget::kBoth),
+              transforms[0].TransformedSquaredDistance(x, q), 1e-9);
+  // Without symmetry each indexed coefficient counts once.
+  transform::FeatureLayout plain = layout;
+  plain.use_symmetry = false;
+  EXPECT_NEAR(PolarBound(plain, transforms, std::vector<std::size_t>{0},
+                         TransformTarget::kBoth, FeaturesOf(q, plain))
+                  .Min(FeaturesOf(x, plain)),
+              25.0, 1e-9);
+}
+
+TEST(PolarBoundTest, PrunesOnlyAboveTheMargin) {
+  const std::size_t n = 16;
+  transform::FeatureLayout layout;
+  std::vector<dft::Complex> x(n), q(n);
+  SetCoefficient(x, 1, {1.0, 0.0});  // LB = 2 * |1 - 0|^2 = 2 (identity)
+  const std::vector<SpectralTransform> transforms = {
+      SpectralTransform::Identity(n)};
+  const PolarBound bound(layout, transforms, std::vector<std::size_t>{0},
+                         TransformTarget::kBoth, FeaturesOf(q, layout));
+  const rstar::Point fx = FeaturesOf(x, layout);
+  EXPECT_TRUE(bound.Prunes(fx, 1.9));
+  EXPECT_FALSE(bound.Prunes(fx, 2.0));
+  // Within the relative margin of eps^2 the candidate is kept.
+  EXPECT_FALSE(bound.Prunes(fx, 2.0 * (1.0 - 1e-10)));
+  EXPECT_TRUE(bound.Prunes(fx, 2.0 * (1.0 - 1e-6)));
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include "core/range_query.h"
 
+#include <cmath>
 #include <limits>
 
 #include "core/engine.h"
@@ -372,6 +373,45 @@ TEST(RangeQueryTest, QueryTransformAlignment) {
     if (m.series_id == 0 && m.transform_index == 3) found = true;
   }
   EXPECT_TRUE(found);
+}
+
+// A query transformation that zeroes coefficient 1 but keeps its mirror
+// n - 1 leaves the query spectrum non-Hermitian, so the symmetry weight
+// overstates the indexed coefficients' share of the distance: the index
+// lost matches the scan found. Under the symmetry layout it is rejected on
+// every algorithm; without symmetry nothing is doubled and every algorithm
+// agrees with the oracle.
+TEST(RangeQueryTest, NonRealPreservingQueryTransformRejectedUnderSymmetry) {
+  const std::size_t n = 32;
+  std::vector<dft::Complex> multipliers(n, {1.0, 0.0});
+  multipliers[1] = {0.0, 0.0};
+  const transform::SpectralTransform lopsided("drop-f1", multipliers);
+  ASSERT_FALSE(lopsided.PreservesRealSequences());
+  const auto series = testutil::RandomWalks(200, n, 32);
+  for (const bool symmetry : {true, false}) {
+    transform::FeatureLayout layout;
+    layout.use_symmetry = symmetry;
+    Workload w = MakeWorkload(series, layout);
+    RangeQuerySpec spec;
+    spec.query = ts::Denormalize(w.dataset->normal(9));
+    spec.transforms = {transform::SpectralTransform::Identity(n)};
+    spec.query_transform = lopsided;
+    const auto spectrum = w.dataset->FetchSpectrum(9);
+    ASSERT_TRUE(spectrum.ok());
+    spec.epsilon = std::sqrt(1.5 * std::norm((*spectrum)[1]));
+    const auto expected = testing::Oracle(*w.dataset).Range(spec);
+    for (Algorithm algorithm : {Algorithm::kSequentialScan,
+                                Algorithm::kStIndex, Algorithm::kMtIndex}) {
+      const auto result = w.Run(spec, algorithm);
+      if (symmetry) {
+        EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+            << AlgorithmName(algorithm);
+      } else {
+        ASSERT_TRUE(result.ok()) << AlgorithmName(algorithm);
+        ExpectSameMatches(result->matches, expected);
+      }
+    }
+  }
 }
 
 TEST(RangeQueryTest, OrderingRejectedForDataOnlyTarget) {

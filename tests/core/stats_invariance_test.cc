@@ -120,8 +120,11 @@ TEST_F(StatsInvarianceTest, TracePhasesMatchAlgorithmShape) {
   EXPECT_FALSE(mt_trace.at(obs::Phase::kIndexTraversal).empty());
   EXPECT_EQ(mt_trace.at(obs::Phase::kIndexTraversal).items,
             mt->stats().index_nodes_accessed);
+  // The fetch phase fetches the candidates the feature bound keeps, a
+  // subset of the index filter's.
   EXPECT_EQ(mt_trace.at(obs::Phase::kCandidateFetch).items,
-            mt->stats().candidates);
+            mt->stats().verified_candidates);
+  EXPECT_LT(mt->stats().verified_candidates, mt->stats().candidates);
   EXPECT_EQ(mt_trace.at(obs::Phase::kVerification).items,
             mt->stats().comparisons);
   EXPECT_GT(mt->trace().total_nanos, 0u);

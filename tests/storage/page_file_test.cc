@@ -146,6 +146,55 @@ TEST_F(PageFilePersistenceTest, SaveLoadRoundTrip) {
   EXPECT_EQ(loaded.stats().reads, 0u);
 }
 
+// Pages live in fixed blocks that never move, so growing the file across
+// many block boundaries (and past two 256-page save chunks) must keep every
+// earlier page's bytes and digest, and the grown file must round-trip
+// through SaveTo/LoadFrom.
+TEST_F(PageFilePersistenceTest, GrowthAcrossBlockBoundariesKeepsEveryPage) {
+  constexpr std::size_t kPages = 600;
+  const auto pattern = [](std::size_t id, std::uint8_t salt) {
+    Page page;
+    for (std::size_t b = 0; b < kPageSize; ++b) {
+      page.bytes[b] = static_cast<std::uint8_t>(id * 7 + b * 13 + salt);
+    }
+    return page;
+  };
+  PageFile file;
+  Page read;
+  for (std::size_t i = 0; i < kPages; ++i) {
+    ASSERT_EQ(file.Allocate(), i);
+    ASSERT_TRUE(file.Write(static_cast<PageId>(i), pattern(i, 0)).ok());
+    // The first page survives every allocation that grew the file.
+    ASSERT_TRUE(file.Read(0, &read).ok());
+    ASSERT_EQ(read.bytes, pattern(0, 0).bytes) << "after page " << i;
+  }
+  // Rewrites after the growth land in place.
+  for (std::size_t i = 0; i < kPages; i += 37) {
+    ASSERT_TRUE(file.Write(static_cast<PageId>(i), pattern(i, 1)).ok());
+  }
+  const auto expected = [&](std::size_t i) {
+    return pattern(i, i % 37 == 0 ? 1 : 0);
+  };
+  for (std::size_t i = 0; i < kPages; ++i) {
+    ASSERT_TRUE(file.Read(static_cast<PageId>(i), &read).ok()) << i;
+    EXPECT_EQ(read.bytes, expected(i).bytes) << i;
+  }
+  ASSERT_TRUE(file.SaveTo(path_).ok());
+
+  PageFile loaded;
+  ASSERT_TRUE(loaded.LoadFrom(path_).ok());
+  ASSERT_EQ(loaded.page_count(), kPages);
+  for (std::size_t i = 0; i < kPages; ++i) {
+    ASSERT_TRUE(loaded.Read(static_cast<PageId>(i), &read).ok()) << i;
+    EXPECT_EQ(read.bytes, expected(i).bytes) << i;
+    EXPECT_EQ(PageFile::Digest(read), PageFile::Digest(expected(i))) << i;
+  }
+  // Each page's digest still guards that page alone, in the last block too.
+  ASSERT_TRUE(loaded.CorruptForTesting(kPages - 1, 5).ok());
+  EXPECT_EQ(loaded.Read(kPages - 1, &read).code(), StatusCode::kCorruption);
+  EXPECT_TRUE(loaded.Read(kPages - 2, &read).ok());
+}
+
 TEST_F(PageFilePersistenceTest, EmptyFileRoundTrip) {
   PageFile file;
   ASSERT_TRUE(file.SaveTo(path_).ok());

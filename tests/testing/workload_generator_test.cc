@@ -1,6 +1,7 @@
 #include "testing/workload_generator.h"
 
 #include <cmath>
+#include <optional>
 #include <set>
 #include <variant>
 
@@ -114,6 +115,40 @@ TEST_F(WorkloadGeneratorTest, OracleAgreesWithSequentialScan) {
   }
 }
 
+TEST_F(WorkloadGeneratorTest, QueryTransformCasesAreRealPreservingAndNonTrivial) {
+  std::size_t matches = 0;
+  for (std::size_t index = 0; index < 12; ++index) {
+    const WorkloadCase work =
+        generator_.MakeQueryTransformCase(index, engine_, oracle_);
+    EXPECT_EQ(work.description,
+              generator_.MakeQueryTransformCase(index, engine_, oracle_)
+                  .description);
+    EXPECT_TRUE(work.lang_text.empty());
+    const std::optional<transform::SpectralTransform>* query_transform =
+        nullptr;
+    if (const auto* range = std::get_if<core::RangeQuerySpec>(&work.spec)) {
+      EXPECT_EQ(index % 2, 0u);
+      query_transform = &range->query_transform;
+      const std::vector<core::Match> expected = oracle_.Range(*range);
+      matches += expected.size();
+      for (const double d : oracle_.RangeDistances(*range)) {
+        EXPECT_GT(std::fabs(d - range->epsilon),
+                  1e-9 * (1.0 + range->epsilon))
+            << work.description;
+      }
+    } else {
+      const auto& knn = std::get<core::KnnQuerySpec>(work.spec);
+      EXPECT_EQ(index % 2, 1u);
+      query_transform = &knn.query_transform;
+      EXPECT_GE(knn.k, 1u);
+    }
+    ASSERT_TRUE(query_transform->has_value()) << work.description;
+    EXPECT_TRUE((*query_transform)->PreservesRealSequences())
+        << work.description;
+  }
+  EXPECT_GT(matches, 0u);  // the range thresholds admit some matches
+}
+
 TEST(DifferentialRunnerTest, CleanSweepPassesOnAFreshSeed) {
   DifferentialRunner runner(42);
   DiffConfig config;
@@ -123,6 +158,17 @@ TEST(DifferentialRunnerTest, CleanSweepPassesOnAFreshSeed) {
     EXPECT_TRUE(outcome.passed) << outcome.failure;
     EXPECT_EQ(outcome.runs, 12u);  // 4 algorithms x 3 thread counts
     EXPECT_EQ(outcome.fault_runs, 0u);
+  }
+}
+
+TEST(DifferentialRunnerTest, QueryTransformSweepPassesOnAFreshSeed) {
+  DifferentialRunner runner(44);
+  DiffConfig config;
+  config.with_faults = false;
+  for (std::size_t index = 0; index < 4; ++index) {
+    const CaseOutcome outcome = runner.RunQueryTransformCase(index, config);
+    EXPECT_TRUE(outcome.passed) << outcome.failure;
+    EXPECT_EQ(outcome.runs, 12u);  // 4 algorithms x 3 thread counts
   }
 }
 

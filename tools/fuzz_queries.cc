@@ -18,6 +18,7 @@
 #include <cstring>
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include <unistd.h>
 
@@ -52,6 +53,8 @@ void Usage(const char* argv0) {
       "brute-force oracle; with faults enabled, also checks that\n"
       "injected storage errors surface as Status, never as wrong results.\n"
       "Auto runs additionally assert one deterministic plan per case.\n"
+      "Each index also sweeps a query-transformation case: a range or\n"
+      "k-NN query whose query series carries a fixed transformation.\n"
       "\n"
       "--mutate switches to the concurrent-write sweep: a seeded mutator\n"
       "thread commits Insert/Remove while the queries run, and each result\n"
@@ -204,47 +207,52 @@ int main(int argc, char** argv) {
     const std::size_t end =
         options.have_case ? options.case_index + 1 : options.iters;
     for (std::size_t index = begin; index < end; ++index) {
-      const tsq::testing::CaseOutcome outcome =
-          options.checkpoint
-              ? runner.RunCheckpointCase(index, checkpoint_config)
-              : options.batch
-                    ? (options.mutate
-                           ? runner.RunBatchMutateCase(index,
-                                                       options.batch_config)
-                           : runner.RunBatchCase(index, options.batch_config))
-                    : options.mutate
-                          ? runner.RunMutateCase(index, options.mutate_config)
-                          : runner.RunCase(index, options.diff);
-      ++cases;
-      runs += outcome.runs;
-      fault_runs += outcome.fault_runs;
-      fault_errors += outcome.fault_errors;
-      writes += outcome.writes;
-      if (!outcome.passed) {
-        ++failures;
-        std::fprintf(stderr, "FAIL seed=%llu case=%zu: %s\n",
-                     static_cast<unsigned long long>(seed), index,
-                     outcome.failure.c_str());
-        std::fprintf(stderr, "  query: %s\n", outcome.description.c_str());
-        if (options.checkpoint) {
-          // Checkpoint cases also mutate the dataset case over case.
-          std::fprintf(stderr,
-                       "  repro: fuzz_queries --checkpoint --seed=%llu "
-                       "--iters=%zu\n",
-                       static_cast<unsigned long long>(seed), index + 1);
-        } else if (options.mutate) {
-          // Mutate cases change the dataset, so case K only reproduces
-          // after replaying cases 0..K-1 against the same runner.
-          std::fprintf(stderr,
-                       "  repro: fuzz_queries %s--mutate --seed=%llu "
-                       "--iters=%zu\n",
-                       options.batch ? "--batch " : "",
-                       static_cast<unsigned long long>(seed), index + 1);
-        } else {
-          std::fprintf(stderr,
-                       "  repro: fuzz_queries %s--seed=%llu --case=%zu\n",
-                       options.batch ? "--batch " : "",
-                       static_cast<unsigned long long>(seed), index);
+      std::vector<tsq::testing::CaseOutcome> outcomes;
+      if (options.checkpoint) {
+        outcomes.push_back(runner.RunCheckpointCase(index, checkpoint_config));
+      } else if (options.batch) {
+        outcomes.push_back(
+            options.mutate
+                ? runner.RunBatchMutateCase(index, options.batch_config)
+                : runner.RunBatchCase(index, options.batch_config));
+      } else if (options.mutate) {
+        outcomes.push_back(runner.RunMutateCase(index, options.mutate_config));
+      } else {
+        outcomes.push_back(runner.RunCase(index, options.diff));
+        outcomes.push_back(runner.RunQueryTransformCase(index, options.diff));
+      }
+      for (const tsq::testing::CaseOutcome& outcome : outcomes) {
+        ++cases;
+        runs += outcome.runs;
+        fault_runs += outcome.fault_runs;
+        fault_errors += outcome.fault_errors;
+        writes += outcome.writes;
+        if (!outcome.passed) {
+          ++failures;
+          std::fprintf(stderr, "FAIL seed=%llu case=%zu: %s\n",
+                       static_cast<unsigned long long>(seed), index,
+                       outcome.failure.c_str());
+          std::fprintf(stderr, "  query: %s\n", outcome.description.c_str());
+          if (options.checkpoint) {
+            // Checkpoint cases also mutate the dataset case over case.
+            std::fprintf(stderr,
+                         "  repro: fuzz_queries --checkpoint --seed=%llu "
+                         "--iters=%zu\n",
+                         static_cast<unsigned long long>(seed), index + 1);
+          } else if (options.mutate) {
+            // Mutate cases change the dataset, so case K only reproduces
+            // after replaying cases 0..K-1 against the same runner.
+            std::fprintf(stderr,
+                         "  repro: fuzz_queries %s--mutate --seed=%llu "
+                         "--iters=%zu\n",
+                         options.batch ? "--batch " : "",
+                         static_cast<unsigned long long>(seed), index + 1);
+          } else {
+            std::fprintf(stderr,
+                         "  repro: fuzz_queries %s--seed=%llu --case=%zu\n",
+                         options.batch ? "--batch " : "",
+                         static_cast<unsigned long long>(seed), index);
+          }
         }
       }
     }
