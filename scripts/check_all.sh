@@ -6,7 +6,11 @@
 #      everything including the bench drivers, run the whole ctest suite;
 #   2. the planner gate — the "-L planner" ctest label re-runs the
 #      cost-model/planner regressions on their own, so an estimator
-#      drift shows up as its own stage, not a needle in stage 1;
+#      drift shows up as its own stage, not a needle in stage 1; then a
+#      fast bench/planner_quality run (from inside the build dir, where it
+#      writes its CSV) fails when kAuto's measured cost is more than 10 %
+#      above the best fixed plan on Fig. 5, 6 or 9, or does not beat the
+#      worst fixed plan on Fig. 9;
 #   3. scripts/fuzz_smoke.sh — fixed-seed differential fuzz against the
 #      brute-force oracle, fault injection included;
 #   4. scripts/persist_tests.sh — crash-safety gate: the "-L persist"
@@ -46,8 +50,9 @@ cmake -B "$BUILD_DIR" -S . -DTSQ_WERROR=ON
 cmake --build "$BUILD_DIR" -j
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j
 
-echo "==> [2/10] planner regressions (ctest -L planner)"
+echo "==> [2/10] planner regressions (ctest -L planner + planner_quality)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -L planner
+(cd "$BUILD_DIR" && TSQ_BENCH_FAST=1 ./bench/planner_quality)
 
 echo "==> [3/10] differential fuzz smoke (fixed seeds, oracle-checked)"
 scripts/fuzz_smoke.sh "$BUILD_DIR"

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/check.h"
 #include "transform/transform_mbr.h"
 
 namespace tsq::core {
@@ -40,14 +41,32 @@ double TreeCostEstimator::total_nodes() const {
   return nodes;
 }
 
+std::size_t TreeCostEstimator::sample_size() const {
+  const std::size_t dims = domain_.dimensions();
+  return dims == 0 ? 0 : sample_.size() / dims;
+}
+
+std::span<const double> TreeCostEstimator::sample_point(std::size_t i) const {
+  TSQ_DCHECK(i < sample_size());
+  const std::size_t dims = domain_.dimensions();
+  return std::span<const double>(sample_).subspan(i * dims, dims);
+}
+
 Status TreeCostEstimator::Init(const SequenceIndex& index) {
   const std::size_t dims = index.tree().dimensions();
   domain_ = rstar::Rect::Empty(dims);
   bool at_root = true;
   std::size_t leaves = 0;
   std::size_t leaf_entries = 0;
+  // The s-th sample point is leaf entry s * entries / wanted in walk order.
+  const std::size_t entries = index.tree().size();
+  const std::size_t wanted = std::min(kSamplePoints, entries);
+  std::size_t sampled = 0;
+  std::size_t next_pick = 0;  // leaf entry that becomes point `sampled`
+  sample_.reserve(wanted * dims);
   // One walk gathers everything: the root's rect (the walk visits the root
-  // first) is the domain, and the leaves give the average capacity.
+  // first) is the domain, the leaves give the average capacity and the
+  // sample.
   const Status status =
       index.tree().VisitNodes([&](const rstar::RStarTree::NodeView& view) {
         if (view.level >= levels_.size()) {
@@ -74,6 +93,16 @@ Status TreeCostEstimator::Init(const SequenceIndex& index) {
           at_root = false;
         }
         if (view.is_leaf) {
+          for (std::size_t i = 0; i < view.size(); ++i) {
+            if (sampled < wanted && leaf_entries + i == next_pick) {
+              const rstar::RectView point = view.rect(i);
+              for (std::size_t d = 0; d < dims; ++d) {
+                sample_.push_back(point.low(d));
+              }
+              ++sampled;
+              next_pick = sampled * entries / wanted;
+            }
+          }
           ++leaves;
           leaf_entries += view.size();
         }

@@ -69,6 +69,15 @@ class TreeCostEstimator {
   /// population `hit_fraction` applies to.
   double indexed_points() const;
 
+  /// A fixed sample of indexed feature points: min(kSamplePoints, entries)
+  /// leaf entries at an even stride over the order in which Create's walk
+  /// visits them. Deterministic for a given tree and drawn by the same walk,
+  /// so it costs no extra page read; the planner prices what the
+  /// feature-level bound lets through on it.
+  static constexpr std::size_t kSamplePoints = 256;
+  std::size_t sample_size() const;
+  std::span<const double> sample_point(std::size_t i) const;
+
  private:
   TreeCostEstimator() = default;  // for Create
   Status Init(const SequenceIndex& index);
@@ -81,6 +90,7 @@ class TreeCostEstimator {
   std::vector<LevelStats> levels_;  // levels_[0] = leaf level
   rstar::Rect domain_;
   double leaf_capacity_ = 0.0;
+  std::vector<double> sample_;  // sample_size() points, dimensions() each
 };
 
 /// Group-cost function for transform::PartitionCostBased: estimated Eq. 19

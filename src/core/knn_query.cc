@@ -202,12 +202,15 @@ Result<KnnQueryResult> RunKnnQuery(const Dataset& dataset,
                          /*epsilon=*/0.0, layout)});
   }
 
-  // Tree pages are keyed by the applied-rectangle bound, min over groups.
+  // Tree pages are keyed by the applied-rectangle bound, min over groups;
+  // every group applies into one scratch rectangle.
+  rstar::Rect applied;
   const auto page_bound = [&](const rstar::RectView& rect) {
     double best = std::numeric_limits<double>::infinity();
     for (const GroupBound& g : groups) {
+      g.mbr.ApplyInto(rect, &applied);
       best = std::min(best, RectPairSquaredDistanceLowerBound(
-                                g.mbr.Apply(rect), g.query_rect, layout));
+                                applied, g.query_rect, layout));
     }
     return best;
   };

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <limits>
 #include <numbers>
+#include <vector>
 
 #include "common/check.h"
 #include "transform/transform_mbr.h"
@@ -54,6 +55,53 @@ double MagnitudeGap(double a_lo, double a_hi, double b_lo, double b_hi) {
   a_hi = std::max(a_lo, a_hi);
   b_hi = std::max(b_lo, b_hi);
   return std::max({0.0, a_lo - b_hi, b_lo - a_hi});
+}
+
+// A scratch array of `size` elements, inline up to N.
+template <typename T, std::size_t N>
+class Scratch {
+ public:
+  explicit Scratch(std::size_t size) : size_(size) {
+    if (size > N) heap_.resize(size);
+  }
+  T* data() { return size_ > N ? heap_.data() : inline_.data(); }
+  std::span<T> span() { return {data(), size_}; }
+  T& operator[](std::size_t i) { return data()[i]; }
+
+ private:
+  std::size_t size_;
+  std::array<T, N> inline_;
+  std::vector<T> heap_;
+};
+
+// LB_t less its rounding allowance under kBoth, from the interleaved
+// per-coefficient terms (|X_f - Q_f|^2, |X_f|^2 + |Q_f|^2): the bound sums
+// them with `bound_weights`, the allowance's scale S_t with `scale_weights`
+// (both are t's own weights, except in AppendAdmitSets' screen).
+double WeightedValue(const double* bound_weights, const double* scale_weights,
+                     const double* terms, std::size_t coefficients) {
+  double bound = 0.0;
+  double scale = 0.0;
+  for (std::size_t i = 0; i < coefficients; ++i) {
+    bound += bound_weights[i] * terms[2 * i];
+    scale += scale_weights[i] * terms[2 * i + 1];
+  }
+  return bound - kRoundingAllowance * scale;
+}
+
+// LB_t less its rounding allowance under kDataOnly, for t's multipliers and
+// the candidate's and query's coefficients in cartesian form.
+double DataOnlyValue(const dft::Complex* multipliers, const dft::Complex* x,
+                     const dft::Complex* q, std::size_t coefficients,
+                     double w) {
+  double bound = 0.0;
+  double scale = 0.0;
+  for (std::size_t i = 0; i < coefficients; ++i) {
+    const dft::Complex mx = multipliers[i] * x[i];
+    bound += w * std::norm(mx - q[i]);
+    scale += w * (std::norm(mx) + std::norm(q[i]));
+  }
+  return bound - kRoundingAllowance * scale;
 }
 
 }  // namespace
@@ -122,20 +170,6 @@ bool RectPairWithinSquaredDistance(const rstar::Rect& a, const rstar::Rect& b,
   return RectPairSquaredDistanceLowerBound(a, b, layout) <= bound;
 }
 
-double RectPointSquaredDistanceLowerBound(
-    const rstar::Rect& a, const rstar::Point& b,
-    const transform::FeatureLayout& layout) {
-  return RectPairSquaredDistanceLowerBound(a, rstar::Rect::FromPoint(b),
-                                           layout);
-}
-
-double PointPairSquaredDistanceLowerBound(
-    const rstar::Point& a, const rstar::Point& b,
-    const transform::FeatureLayout& layout) {
-  return RectPairSquaredDistanceLowerBound(rstar::Rect::FromPoint(a),
-                                           rstar::Rect::FromPoint(b), layout);
-}
-
 PolarBound::PolarBound(const transform::FeatureLayout& layout,
                        std::span<const transform::SpectralTransform> transforms,
                        std::span<const std::size_t> group,
@@ -160,10 +194,18 @@ PolarBound::PolarBound(const transform::FeatureLayout& layout,
     }
   }
   if (data_only_ && !query_features.empty()) {
-    for (std::size_t i = 0; i < coefficients_; ++i) {
-      query_.push_back(std::polar(query_features[layout.magnitude_dimension(i)],
-                                  query_features[layout.angle_dimension(i)]));
-    }
+    query_.resize(coefficients_);
+    ToCartesian(layout, query_features, query_);
+  }
+}
+
+void PolarBound::ToCartesian(const transform::FeatureLayout& layout,
+                             std::span<const double> features,
+                             std::span<dft::Complex> out) {
+  TSQ_DCHECK(out.size() == layout.num_coefficients);
+  for (std::size_t i = 0; i < layout.num_coefficients; ++i) {
+    out[i] = std::polar(features[layout.magnitude_dimension(i)],
+                        features[layout.angle_dimension(i)]);
   }
 }
 
@@ -172,13 +214,7 @@ double PolarBound::MinBoth(std::span<const double> x,
   // Per coefficient, |X_f - Q_f|^2 by the law of cosines (one cosine on the
   // polar coordinates as stored) and |X_f|^2 + |Q_f|^2; neither depends on
   // t, so each LB_t is a weighted sum of them.
-  std::array<double, 16> inline_terms{};
-  std::vector<double> heap_terms;
-  std::span<double> terms(inline_terms);
-  if (2 * coefficients_ > inline_terms.size()) {
-    heap_terms.resize(2 * coefficients_);
-    terms = heap_terms;
-  }
+  Scratch<double, 16> terms(2 * coefficients_);
   for (std::size_t i = 0; i < coefficients_; ++i) {
     const std::size_t md = layout_.magnitude_dimension(i);
     const std::size_t ad = layout_.angle_dimension(i);
@@ -189,13 +225,8 @@ double PolarBound::MinBoth(std::span<const double> x,
   double best = std::numeric_limits<double>::infinity();
   for (std::size_t t = 0; t < transforms_; ++t) {
     const double* weights = weights_.data() + t * coefficients_;
-    double bound = 0.0;
-    double scale = 0.0;
-    for (std::size_t i = 0; i < coefficients_; ++i) {
-      bound += weights[i] * terms[2 * i];
-      scale += weights[i] * terms[2 * i + 1];
-    }
-    best = std::min(best, bound - kRoundingAllowance * scale);
+    best = std::min(best, WeightedValue(weights, weights, terms.data(),
+                                        coefficients_));
   }
   return std::max(0.0, best);
 }
@@ -203,29 +234,14 @@ double PolarBound::MinBoth(std::span<const double> x,
 double PolarBound::MinDataOnly(std::span<const double> x) const {
   // X_f in cartesian form once, then per t the complex product M_f X_f:
   // the angle offset arg M_f differs per t, the trigonometry does not.
-  std::array<dft::Complex, 8> inline_x;
-  std::vector<dft::Complex> heap_x;
-  std::span<dft::Complex> xs(inline_x);
-  if (coefficients_ > inline_x.size()) {
-    heap_x.resize(coefficients_);
-    xs = heap_x;
-  }
-  for (std::size_t i = 0; i < coefficients_; ++i) {
-    xs[i] = std::polar(x[layout_.magnitude_dimension(i)],
-                       x[layout_.angle_dimension(i)]);
-  }
+  Scratch<dft::Complex, 8> xs(coefficients_);
+  ToCartesian(layout_, x, xs.span());
   const double w = layout_.coefficient_weight();
   double best = std::numeric_limits<double>::infinity();
   for (std::size_t t = 0; t < transforms_; ++t) {
-    const dft::Complex* multipliers = multipliers_.data() + t * coefficients_;
-    double bound = 0.0;
-    double scale = 0.0;
-    for (std::size_t i = 0; i < coefficients_; ++i) {
-      const dft::Complex mx = multipliers[i] * xs[i];
-      bound += w * std::norm(mx - query_[i]);
-      scale += w * (std::norm(mx) + std::norm(query_[i]));
-    }
-    best = std::min(best, bound - kRoundingAllowance * scale);
+    best = std::min(best, DataOnlyValue(multipliers_.data() + t * coefficients_,
+                                        xs.data(), query_.data(),
+                                        coefficients_, w));
   }
   return std::max(0.0, best);
 }
@@ -240,6 +256,74 @@ double PolarBound::MinPair(std::span<const double> a,
                            std::span<const double> b) const {
   TSQ_DCHECK(!data_only_);
   return MinBoth(a, b);
+}
+
+std::size_t PolarBound::AppendAdmitSets(
+    std::span<const dft::Complex> xs, std::size_t count, double eps2,
+    std::vector<std::uint64_t>* out) const {
+  TSQ_CHECK_EQ(xs.size(), count * coefficients_);
+  TSQ_DCHECK(query_features_.size() == layout_.dimensions());
+  const std::size_t words = (transforms_ + 63) / 64;
+  const double threshold = eps2 * (1.0 + kRelativeMargin);
+  const double w = layout_.coefficient_weight();
+  Scratch<dft::Complex, 8> q(coefficients_);
+  ToCartesian(layout_, query_features_, q.span());
+  // kBoth screen weights, per coefficient over the rectangle's
+  // transformations: the least on the bound, the greatest on its allowance.
+  Scratch<double, 8> least(coefficients_);
+  Scratch<double, 8> greatest(coefficients_);
+  for (std::size_t i = 0; i < coefficients_; ++i) {
+    least[i] = std::numeric_limits<double>::infinity();
+    greatest[i] = 0.0;
+    for (std::size_t t = 0; t < transforms_ && !data_only_; ++t) {
+      least[i] = std::min(least[i], weights_[t * coefficients_ + i]);
+      greatest[i] = std::max(greatest[i], weights_[t * coefficients_ + i]);
+    }
+  }
+  // Squared moduli spelled out: std::norm goes through std::abs.
+  const auto squared = [](dft::Complex z) {
+    return z.real() * z.real() + z.imag() * z.imag();
+  };
+  Scratch<double, 16> terms(2 * coefficients_);
+  std::size_t appended = 0;
+  for (std::size_t c = 0; c < count; ++c) {
+    const dft::Complex* x = xs.data() + c * coefficients_;
+    if (!data_only_) {
+      for (std::size_t i = 0; i < coefficients_; ++i) {
+        terms[2 * i] = squared(x[i] - q[i]);
+        terms[2 * i + 1] = squared(x[i]) + squared(q[i]);
+      }
+      // Every term is non-negative and rounding is monotone, so the
+      // screened value, summed in the same order, never exceeds any t's:
+      // when it fails the threshold, every t does.
+      if (WeightedValue(least.data(), greatest.data(), terms.data(),
+                        coefficients_) > threshold) {
+        continue;
+      }
+    }
+    const std::size_t at = out->size();
+    out->resize(at + words);
+    std::uint64_t any = 0;
+    for (std::size_t t = 0; t < transforms_; ++t) {
+      const double value =
+          data_only_
+              ? DataOnlyValue(multipliers_.data() + t * coefficients_, x,
+                              q.data(), coefficients_, w)
+              : WeightedValue(weights_.data() + t * coefficients_,
+                              weights_.data() + t * coefficients_,
+                              terms.data(), coefficients_);
+      if (!(value > threshold)) {  // Prunes' test, per t
+        (*out)[at + t / 64] |= std::uint64_t{1} << (t % 64);
+        any = 1;
+      }
+    }
+    if (any != 0) {
+      ++appended;
+    } else {
+      out->resize(at);
+    }
+  }
+  return appended;
 }
 
 }  // namespace tsq::core

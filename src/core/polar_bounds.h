@@ -2,6 +2,7 @@
 #define TSQ_CORE_POLAR_BOUNDS_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -46,17 +47,6 @@ bool RectPairWithinSquaredDistance(const rstar::Rect& a, const rstar::Rect& b,
                                    const transform::FeatureLayout& layout,
                                    double bound);
 
-/// Same bound with `b` degenerate (a feature point).
-double RectPointSquaredDistanceLowerBound(
-    const rstar::Rect& a, const rstar::Point& b,
-    const transform::FeatureLayout& layout);
-
-/// Lower bound between two feature *points* (both degenerate): the exact
-/// retained-subspace distance, weighted by the symmetry factor.
-double PointPairSquaredDistanceLowerBound(
-    const rstar::Point& a, const rstar::Point& b,
-    const transform::FeatureLayout& layout);
-
 /// The exact feature-level lower bound that sits between the index filter
 /// and the record fetch (GEMINI lower bounding, Faloutsos et al. 1994). For
 /// one transformation rectangle and one query it evaluates, per
@@ -85,6 +75,11 @@ double PointPairSquaredDistanceLowerBound(
 /// kRelativeMargin, so a candidate whose kernel distance is below eps^2 is
 /// never pruned. The arithmetic is plain scalar C++ with no kernel dispatch:
 /// a prune decision never depends on TSQ_KERNEL_ISA.
+///
+/// AppendAdmitSets answers, per transformation, the question Prunes answers
+/// for the minimum, for candidates given in cartesian form (ToCartesian):
+/// the planner bounds a fixed sample of feature points against a few of
+/// them standing in for the query, converting each point once.
 class PolarBound {
  public:
   static constexpr double kRelativeMargin = 1e-9;
@@ -119,6 +114,25 @@ class PolarBound {
                   double eps2) const {
     return MinPair(a, b) > eps2 * (1.0 + kRelativeMargin);
   }
+
+  /// The indexed coefficients of a feature point in cartesian form:
+  /// `out[i]` is X_f for the layout's i-th indexed coefficient f.
+  static void ToCartesian(const transform::FeatureLayout& layout,
+                          std::span<const double> features,
+                          std::span<dft::Complex> out);
+
+  /// Which transformations of the rectangle let each of `count` candidates
+  /// through under `eps2`. `xs` holds the candidates' ToCartesian
+  /// coefficients back to back. For each candidate that some transformation
+  /// admits, in order, appends ceil(transforms / 64) words to `out`: bit i
+  /// (64 per word) is set exactly when the i-th transformation's LB_t, less
+  /// its rounding allowance, is at most eps2 * (1 + kRelativeMargin).
+  /// Returns the number of candidates appended. The terms come from
+  /// cartesian coordinates instead of the law of cosines, so a value may
+  /// differ from Min's by a few ulps of S_t.
+  std::size_t AppendAdmitSets(std::span<const dft::Complex> xs,
+                              std::size_t count, double eps2,
+                              std::vector<std::uint64_t>* out) const;
 
  private:
   double MinBoth(std::span<const double> x, std::span<const double> q) const;

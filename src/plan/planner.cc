@@ -3,10 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
+#include <span>
 #include <variant>
 #include <vector>
 
 #include "common/clock.h"
+#include "core/polar_bounds.h"
 #include "obs/metrics.h"
 #include "transform/builders.h"
 #include "transform/feature_transform.h"
@@ -20,6 +23,10 @@ constexpr std::size_t kMaxRectangles = 16;
 
 // Plans the LRU plan cache holds.
 constexpr std::size_t kPlanCacheCapacity = 64;
+
+// Points of the snapshot's sample that also stand in for the query when a
+// range plan is priced.
+constexpr std::size_t kQueryProxies = 16;
 
 struct PlannerMetrics {
   obs::Counter* plans;         // fresh enumerations (cache misses that planned)
@@ -96,6 +103,69 @@ std::optional<double> MeasureCmpToDaRatio(const core::Dataset& dataset) {
       static_cast<double>(read_elapsed) / static_cast<double>(pages);
   return std::clamp(cmp_nanos / read_nanos, 0.01, 10.0);
 }
+
+// What a range plan fetches, estimated on data. Each of kQueryProxies
+// points of the snapshot's sample stands in for the query against every
+// sample point. The executor fetches exactly the candidates that the
+// feature-level bound (core::PolarBound) admits under some transformation of
+// their rectangle, so a rectangle G fetches the pairs admitted by some t in
+// G. Only pairs some t admits are kept, each with the set of
+// transformations that admit it (a bitset, any |T|), so pricing a
+// rectangle costs O(admitted pairs).
+class SurvivorSample {
+ public:
+  SurvivorSample(const core::TreeCostEstimator& estimator,
+                 const transform::FeatureLayout& layout,
+                 std::span<const transform::SpectralTransform> transforms,
+                 core::TransformTarget target, double epsilon)
+      : words_((transforms.size() + 63) / 64) {
+    const std::size_t points = estimator.sample_size();
+    const std::size_t proxies = std::min(kQueryProxies, points);
+    const std::size_t coefficients = layout.num_coefficients;
+    pairs_ = proxies * points;
+    // Each point in cartesian form once, for every proxy.
+    std::vector<dft::Complex> cartesian(points * coefficients);
+    for (std::size_t i = 0; i < points; ++i) {
+      core::PolarBound::ToCartesian(
+          layout, estimator.sample_point(i),
+          std::span(cartesian).subspan(i * coefficients, coefficients));
+    }
+    std::vector<std::size_t> all(transforms.size());
+    std::iota(all.begin(), all.end(), std::size_t{0});
+    const double eps2 = epsilon * epsilon;
+    for (std::size_t p = 0; p < proxies; ++p) {
+      // The proxies sit at an even stride over the sample.
+      const std::span<const double> proxy =
+          estimator.sample_point(p * points / proxies);
+      const core::PolarBound bound(layout, transforms, all, target, proxy);
+      bound.AppendAdmitSets(cartesian, points, eps2, &admits_);
+    }
+  }
+
+  // Fraction of the sampled pairs that rectangle `group` fetches.
+  double FetchedFraction(const std::vector<std::size_t>& group) const {
+    if (pairs_ == 0) return 0.0;
+    std::vector<std::uint64_t> mask(words_, 0);
+    for (const std::size_t t : group) {
+      mask[t / 64] |= std::uint64_t{1} << (t % 64);
+    }
+    std::size_t fetched = 0;
+    for (std::size_t at = 0; at < admits_.size(); at += words_) {
+      for (std::size_t w = 0; w < words_; ++w) {
+        if ((admits_[at + w] & mask[w]) != 0) {
+          ++fetched;
+          break;
+        }
+      }
+    }
+    return static_cast<double>(fetched) / static_cast<double>(pairs_);
+  }
+
+ private:
+  std::size_t words_;  // 64-bit words per admit set
+  std::size_t pairs_ = 0;
+  std::vector<std::uint64_t> admits_;  // words_ per admitted pair
+};
 
 Planned ForcedDecision(core::Algorithm algorithm) {
   auto decision = std::make_shared<PlanDecision>();
@@ -174,22 +244,25 @@ std::vector<Result<Planned>> Planner::PlanBatch(
 Result<Planned> Planner::PlanSpecLocked(const core::RangeQuerySpec& spec,
                                         const core::PlannerOptions& options) {
   return PlanLocked(QueryKind::kRange, spec.transforms, spec.partition,
-                    spec.epsilon, spec.use_ordering, options);
+                    spec.epsilon, spec.use_ordering, spec.target, options);
 }
 
 Result<Planned> Planner::PlanSpecLocked(const core::KnnQuerySpec& spec,
                                         const core::PlannerOptions& options) {
   // The best-first search expands from distance 0 outward; epsilon 0 prices
   // the lower bound of its traversal, which is enough to rank partitions.
+  // Its price does not sample the feature bound, so the target is moot.
   return PlanLocked(QueryKind::kKnn, spec.transforms, spec.partition,
-                    /*epsilon=*/0.0, /*use_ordering=*/false, options);
+                    /*epsilon=*/0.0, /*use_ordering=*/false,
+                    core::TransformTarget::kBoth, options);
 }
 
 Result<Planned> Planner::PlanSpecLocked(const core::JoinQuerySpec& spec,
                                         const core::PlannerOptions& options) {
   return PlanLocked(QueryKind::kJoin, spec.transforms, spec.partition,
                     core::JoinFilterEpsilon(spec, dataset_.length()),
-                    /*use_ordering=*/false, options);
+                    /*use_ordering=*/false, core::TransformTarget::kBoth,
+                    options);
 }
 
 Result<const core::TreeCostEstimator*> Planner::SnapshotLocked() {
@@ -218,7 +291,8 @@ Result<Planned> Planner::PlanLocked(
     QueryKind kind,
     const std::vector<transform::SpectralTransform>& transforms,
     const transform::Partition& spec_partition, double epsilon,
-    bool use_ordering, const core::PlannerOptions& options) {
+    bool use_ordering, core::TransformTarget target,
+    const core::PlannerOptions& options) {
   if (options.algorithm != core::Algorithm::kAuto) {
     return ForcedDecision(options.algorithm);
   }
@@ -257,6 +331,7 @@ Result<Planned> Planner::PlanLocked(
           : static_cast<std::int64_t>(std::llround(std::log2(epsilon) * 4.0));
   key.Add(static_cast<std::uint64_t>(band));
   key.Add(use_ordering ? 1 : 0);
+  key.Add(static_cast<std::uint64_t>(target));
   key.Add(spec_partition.size());
   for (const std::vector<std::size_t>& group : spec_partition) {
     key.Add(group.size());
@@ -283,17 +358,29 @@ Result<Planned> Planner::PlanLocked(
   const double active = static_cast<double>(dataset_.active_size());
   const double total_nodes = estimator.total_nodes();
   const double record_pages = static_cast<double>(dataset_.record_pages());
-  // Record pages one candidate fetch touches, on average.
+  // Record pages one candidate fetch touches, on average: a record of L
+  // pages at an arbitrary offset touches 1 + L of them.
   const double pages_per_record =
-      active > 0.0 ? record_pages / active : 1.0;
+      1.0 + (active > 0.0 ? record_pages / active : 0.0);
+
+  // A range rectangle fetches and verifies only what the feature-level
+  // bound admits, estimated on the snapshot's sample. The proxies stand in
+  // for the query as it is: the estimate ignores the spec's
+  // query_transform, as the analytic traversal estimate does.
+  std::optional<SurvivorSample> survivors;
+  if (kind == QueryKind::kRange) {
+    survivors.emplace(estimator, layout, transforms, target, epsilon);
+  }
 
   // Eq. 19 per-rectangle cost, summed over the partition (Eq. 20), plus the
   // candidate-fetch pages (every rectangle fetches its own candidates, so
   // over-splitting re-reads overlapping candidate sets — the term that
-  // balances the tighter-rectangles-vs-more-traversals trade-off). For
-  // self-joins the traversal is a spatial join, priced with a coarse
-  // node-pair model (clamped by the tree size); its job is ranking scan
-  // vs index and packed vs split partitions, not absolute accuracy.
+  // balances the tighter-rectangles-vs-more-traversals trade-off). A range
+  // rectangle pays its traversal plus a fetch and nt comparisons per
+  // sampled bound survivor; k-NN keeps the rectangle-test estimate at
+  // epsilon 0. For self-joins the traversal is a spatial join, priced with
+  // a coarse node-pair model (clamped by the tree size); its job is ranking
+  // scan vs index and packed vs split partitions, not absolute accuracy.
   const auto price_partition =
       [&](const transform::Partition& partition) -> double {
     double total = 0.0;
@@ -317,9 +404,12 @@ Result<Planned> Planner::PlanLocked(
         total += constants.c_da * da_pairs +
                  constants.c_cmp * candidate_pairs * nt;
       } else {
-        const double fetch_pages = candidates * pages_per_record;
-        total += constants.c_da * (estimate.da_all + fetch_pages) +
-                 constants.c_cmp * candidates * nt;
+        const double fetched =
+            survivors.has_value() ? active * survivors->FetchedFraction(group)
+                                  : candidates;
+        total += constants.c_da *
+                     (estimate.da_all + fetched * pages_per_record) +
+                 constants.c_cmp * fetched * nt;
       }
     }
     return total;
@@ -394,6 +484,15 @@ Result<Planned> Planner::PlanLocked(
         continue;
       }
       seen_counts.push_back(k);
+      // A partition already priced (the packed one, or a contiguous split
+      // the gaps reproduce) would only tie with it, and ties keep the
+      // earlier candidate.
+      if (std::any_of(candidates.begin(), candidates.end(),
+                      [&](const Candidate& c) {
+                        return c.partition == partition;
+                      })) {
+        continue;
+      }
       const double cost = price_partition(partition);
       candidates.push_back(Candidate{core::Algorithm::kMtIndex,
                                      std::move(partition),

@@ -47,19 +47,23 @@ struct Planned {
 /// The cost-based query planner (the optimizer the paper's Section 5 argues
 /// for): given a query spec, it enumerates candidate plans — sequential
 /// scan, ST-index, and MT-index with k in {1..16} rectangles from each
-/// partitioning family (packed, contiguous, clustered) — prices each with
-/// the Eq. 18-20 cost model against a per-epoch snapshot of the index
-/// (TreeCostEstimator), and returns the cheapest.
+/// partitioning family (packed, contiguous, clustered; a partition equal to
+/// one already priced is skipped) — prices each with the Eq. 18-20 cost
+/// model against a per-epoch snapshot of the index (TreeCostEstimator), and
+/// returns the cheapest. A range rectangle's fetches and comparisons are
+/// priced by what the feature-level bound admits on the snapshot's feature
+/// sample; k-NN and join plans keep the analytic rectangle-test estimate.
 ///
 /// State it maintains, all lazily and behind one mutex (Plan() is safe to
 /// call from concurrent Execute() calls):
-///  * the index snapshot, rebuilt when the epoch changes (Insert/Remove);
+///  * the index snapshot with its feature sample, rebuilt when the epoch
+///    changes (Insert/Remove);
 ///  * calibrated CostConstants — C_cmp measured as the ratio of one full
 ///    sequence comparison to one record-page fetch, re-measured after
 ///    SetSimulatedDiskLatency;
 ///  * a bounded LRU plan cache (64 plans) keyed on (transform-set
-///    signature, epsilon band, spec/planner knobs, index epoch), with
-///    engine.planner.* metrics.
+///    signature, epsilon band, transform target, spec/planner knobs, index
+///    epoch), with engine.planner.* metrics.
 ///
 /// Planning I/O (snapshot + calibration page reads) goes through the normal
 /// counted read paths; benchmarks that meter I/O should warm the planner up
@@ -123,6 +127,7 @@ class Planner {
                                  transforms,
                              const transform::Partition& spec_partition,
                              double epsilon, bool use_ordering,
+                             core::TransformTarget target,
                              const core::PlannerOptions& options);
 
   const core::Dataset& dataset_;

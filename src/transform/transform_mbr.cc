@@ -104,18 +104,24 @@ TransformMbr::TransformMbr(std::span<const FeatureTransform> transforms,
 }
 
 rstar::Rect TransformMbr::Apply(const rstar::RectView& data) const {
+  rstar::Rect out;
+  ApplyInto(data, &out);
+  return out;
+}
+
+void TransformMbr::ApplyInto(const rstar::RectView& data,
+                             rstar::Rect* out) const {
   TSQ_CHECK_EQ(data.dimensions(), dimensions());
   const std::size_t dims = dimensions();
-  std::vector<double> low(dims), high(dims);
+  if (out->dimensions() != dims) *out = rstar::Rect::Empty(dims);
   for (std::size_t d = 0; d < dims; ++d) {
     const double products[4] = {
         mult_low_[d] * data.low(d), mult_low_[d] * data.high(d),
         mult_high_[d] * data.low(d), mult_high_[d] * data.high(d)};
     const auto [pmin, pmax] = std::minmax_element(products, products + 4);
-    low[d] = add_low_[d] + *pmin;
-    high[d] = add_high_[d] + *pmax;
+    out->set_low(d, add_low_[d] + *pmin);
+    out->set_high(d, add_high_[d] + *pmax);
   }
-  return rstar::Rect(std::move(low), std::move(high));
 }
 
 bool TransformMbr::AppliedIntersects(const rstar::RectView& data,

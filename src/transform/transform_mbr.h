@@ -47,6 +47,11 @@ class TransformMbr {
   /// tests against query regions.
   rstar::Rect Apply(const rstar::RectView& data) const;
 
+  /// Apply, written into `*out`: its storage is reused when it already has
+  /// this MBR's dimensions, so a loop applying into one scratch rectangle
+  /// allocates nothing.
+  void ApplyInto(const rstar::RectView& data, rstar::Rect* out) const;
+
   /// True when `t` lies inside this MBR (for angle-offset dimensions,
   /// membership modulo 2*pi).
   bool Covers(const FeatureTransform& t, double tolerance = 1e-9) const;

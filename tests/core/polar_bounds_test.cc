@@ -198,18 +198,6 @@ TEST(RectBoundsTest, MeanStdDimensionsDoNotContribute) {
   EXPECT_EQ(RectPairSquaredDistanceLowerBound(a, b, layout), 0.0);
 }
 
-TEST(RectBoundsTest, PointHelpersConsistent) {
-  transform::FeatureLayout layout;
-  layout.include_mean_std = false;
-  const rstar::Point a = {1.0, 0.5, 2.0, -1.0};
-  const rstar::Point b = {1.5, 0.7, 2.0, -1.0};
-  const double via_points = PointPairSquaredDistanceLowerBound(a, b, layout);
-  const double via_rect = RectPointSquaredDistanceLowerBound(
-      rstar::Rect::FromPoint(a), b, layout);
-  EXPECT_NEAR(via_points, via_rect, 1e-12);
-  EXPECT_GT(via_points, 0.0);
-}
-
 // --- PolarBound: the feature-level bound between filter and fetch --------
 
 using transform::SpectralTransform;
@@ -444,6 +432,116 @@ TEST(PolarBoundTest, PrunesOnlyAboveTheMargin) {
   // Within the relative margin of eps^2 the candidate is kept.
   EXPECT_FALSE(bound.Prunes(fx, 2.0 * (1.0 - 1e-10)));
   EXPECT_TRUE(bound.Prunes(fx, 2.0 * (1.0 - 1e-6)));
+}
+
+// AppendAdmitSets against the single-transformation bounds: over random
+// (candidate, query) pairs, both targets, layouts with and without symmetry,
+// and groups of up to 70 transformations (two admit words), bit i is set
+// exactly when the i-th transformation's own bound admits the candidate.
+// Thresholds sit between distinct per-t values: the cartesian terms may
+// differ from Min's polar ones in the last ulps. Candidates go in batches
+// of three (x, the query itself, x again), so every batch has at least one
+// admitted candidate and the words of each land in order.
+TEST(PolarBoundTest, AppendAdmitSetsMatchesEachTransformationsBound) {
+  Rng rng(77);
+  constexpr std::uint64_t kSentinel = 0xdeadbeefull;
+  int admitted = 0, rejected = 0, rejected_both = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    const std::size_t n = 32;
+    transform::FeatureLayout layout;
+    layout.num_coefficients = static_cast<std::size_t>(rng.UniformInt(1, 3));
+    layout.include_mean_std = rng.Bernoulli(0.5);
+    layout.use_symmetry = rng.Bernoulli(0.7);
+    const std::vector<SpectralTransform> menu = TransformMenu(n);
+    const std::size_t group_size =
+        trial % 5 == 0 ? 70 : static_cast<std::size_t>(rng.UniformInt(1, 8));
+    std::vector<std::size_t> group;
+    for (std::size_t g = 0; g < group_size; ++g) {
+      group.push_back(static_cast<std::size_t>(
+          rng.UniformInt(0, static_cast<std::int64_t>(menu.size()) - 1)));
+    }
+    const TransformTarget target = rng.Bernoulli(0.5)
+                                       ? TransformTarget::kBoth
+                                       : TransformTarget::kDataOnly;
+    const std::vector<dft::Complex> q = RandomHermitian(rng, n);
+    std::vector<dft::Complex> x = RandomHermitian(rng, n);
+    if (rng.Bernoulli(0.5)) {
+      // Near the query, so that some transformations admit it.
+      for (std::size_t f = 1; 2 * f < n; ++f) {
+        SetCoefficient(x, f, q[f] + dft::Complex(rng.Uniform(-0.3, 0.3),
+                                                 rng.Uniform(-0.3, 0.3)));
+      }
+    }
+    const rstar::Point fq = FeaturesOf(q, layout);
+    const rstar::Point fx = FeaturesOf(x, layout);
+
+    std::vector<double> values;
+    for (const std::size_t t : group) {
+      values.push_back(PolarBound(layout, menu, std::vector<std::size_t>{t},
+                                  target, fq)
+                           .Min(fx));
+    }
+    std::vector<double> sorted = values;
+    std::sort(sorted.begin(), sorted.end());
+    const std::size_t cut = static_cast<std::size_t>(
+        rng.UniformInt(0, static_cast<std::int64_t>(sorted.size())));
+    double eps2 = 0.0;
+    if (cut == 0) {
+      eps2 = 0.5 * sorted.front();
+      if (sorted.front() < 1e-6) continue;
+    } else if (cut == sorted.size()) {
+      eps2 = 2.0 * sorted.back() + 1.0;
+    } else {
+      if (sorted[cut] - sorted[cut - 1] < 1e-6 * (1.0 + sorted[cut])) continue;
+      eps2 = 0.5 * (sorted[cut - 1] + sorted[cut]);
+    }
+    // The query against itself: LB_t = 0 for every t under kBoth; under
+    // kDataOnly only for the transformations that fix its coefficients.
+    std::vector<double> self_values;
+    for (const std::size_t t : group) {
+      self_values.push_back(PolarBound(layout, menu,
+                                       std::vector<std::size_t>{t}, target,
+                                       fq)
+                                .Min(fq));
+    }
+
+    const PolarBound bound(layout, menu, group, target, fq);
+    const std::size_t c = layout.num_coefficients;
+    std::vector<dft::Complex> xs(3 * c);
+    PolarBound::ToCartesian(layout, fx, std::span(xs).first(c));
+    PolarBound::ToCartesian(layout, fq, std::span(xs).subspan(c, c));
+    PolarBound::ToCartesian(layout, fx, std::span(xs).subspan(2 * c, c));
+    std::vector<std::uint64_t> out = {kSentinel};
+    const std::size_t appended = bound.AppendAdmitSets(xs, 3, eps2, &out);
+
+    const std::size_t words = (group.size() + 63) / 64;
+    const double threshold = eps2 * (1.0 + PolarBound::kRelativeMargin);
+    std::vector<std::uint64_t> want = {kSentinel};
+    for (const std::vector<double>* v : {&values, &self_values, &values}) {
+      std::vector<std::uint64_t> set(words, 0);
+      for (std::size_t i = 0; i < v->size(); ++i) {
+        if ((*v)[i] <= threshold) set[i / 64] |= std::uint64_t{1} << (i % 64);
+      }
+      if (std::any_of(set.begin(), set.end(),
+                      [](std::uint64_t w) { return w != 0; })) {
+        want.insert(want.end(), set.begin(), set.end());
+      }
+    }
+    if (target == TransformTarget::kDataOnly &&
+        std::any_of(self_values.begin(), self_values.end(),
+                    [&](double v) { return std::fabs(v - eps2) < 1e-6; })) {
+      continue;  // the self pair sits on the threshold
+    }
+    EXPECT_EQ(out, want) << "trial " << trial;
+    EXPECT_EQ(appended, (want.size() - 1) / words) << "trial " << trial;
+    const bool x_admitted = std::any_of(
+        values.begin(), values.end(), [&](double v) { return v <= threshold; });
+    ++(x_admitted ? admitted : rejected);
+    rejected_both += !x_admitted && target == TransformTarget::kBoth ? 1 : 0;
+  }
+  EXPECT_GT(admitted, 100);
+  EXPECT_GT(rejected, 100);
+  EXPECT_GT(rejected_both, 30);
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 #include "plan/planner.h"
 
+#include <algorithm>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "../core/test_util.h"
@@ -8,6 +10,7 @@
 #include "core/engine.h"
 #include "core/explain.h"
 #include "gtest/gtest.h"
+#include "testing/oracle.h"
 #include "transform/builders.h"
 #include "transform/partition.h"
 #include "ts/distance.h"
@@ -115,7 +118,54 @@ TEST(PlannerTest, EstimatorRanksPartitionsLikeMeasuredCost) {
   EXPECT_GT(run_packed, run_clustered);
 }
 
-TEST(PlannerTest, AutoNeverPicksPackedMbrOnTwoClusters) {
+// Measured cost of running `spec` under one forced plan, in the currency of
+// the planner trace's actual_cost with the paper's constants: index nodes
+// plus record pages plus 0.4 per comparison.
+double ForcedCost(const core::SimilarityEngine& engine,
+                  core::RangeQuerySpec spec, core::Algorithm algorithm,
+                  const transform::Partition& partition) {
+  spec.partition = partition;
+  core::ExecOptions options;
+  options.planner.algorithm = algorithm;
+  const auto result = engine.Execute(spec, options);
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
+  if (!result.ok()) return 0.0;
+  const core::QueryStats& stats = result->stats();
+  return kPaperConstants.c_da * static_cast<double>(stats.disk_accesses()) +
+         kPaperConstants.c_cmp * static_cast<double>(stats.comparisons);
+}
+
+// The cheapest measured cost among the fixed plans planner_quality compares
+// against: scan, ST, one packed rectangle, contiguous k = 2 and 4, and the
+// cluster-aware split.
+double CheapestFixedCost(const core::SimilarityEngine& engine,
+                         const core::RangeQuerySpec& spec) {
+  const std::size_t count = spec.transforms.size();
+  std::vector<transform::FeatureTransform> fts;
+  for (const auto& t : spec.transforms) {
+    fts.push_back(t.ToFeatureTransform(engine.dataset().layout()));
+  }
+  double cheapest =
+      std::min(ForcedCost(engine, spec, core::Algorithm::kSequentialScan, {}),
+               ForcedCost(engine, spec, core::Algorithm::kStIndex, {}));
+  for (const transform::Partition& partition :
+       {transform::PartitionAll(count),
+        transform::PartitionIntoGroups(count, 2),
+        transform::PartitionIntoGroups(count, 4),
+        transform::PartitionByClusters(fts, count / 2)}) {
+    cheapest = std::min(cheapest, ForcedCost(engine, spec,
+                                             core::Algorithm::kMtIndex,
+                                             partition));
+  }
+  return cheapest;
+}
+
+// Once the feature-level bound fetches only what some transformation
+// admits, the packed rectangle across the two clusters is no longer the
+// worst plan here: its one traversal costs less than the split plans'
+// several. The planner has to follow the measured costs, not a fixed
+// ranking.
+TEST(PlannerTest, AutoMatchesTheCheapestMeasuredPlanOnTwoClusters) {
   core::SimilarityEngine engine(core::testutil::Stocks(400, kLength, 92));
   const core::RangeQuerySpec spec = TwoClusterSpec(engine);
 
@@ -125,10 +175,10 @@ TEST(PlannerTest, AutoNeverPicksPackedMbrOnTwoClusters) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   const obs::PlannerTrace& trace = result->trace().planner;
   ASSERT_TRUE(trace.planned);
-  const obs::PlanCandidateTrace* chosen = trace.chosen_candidate();
-  ASSERT_NE(chosen, nullptr);
-  EXPECT_NE(chosen->label, "MT k=1 packed");
+  ASSERT_NE(trace.chosen_candidate(), nullptr);
   EXPECT_GT(trace.candidates.size(), 2u);  // scan, ST and MT variants priced
+  EXPECT_LE(trace.actual_cost, 1.1 * CheapestFixedCost(engine, spec))
+      << trace.chosen_candidate()->label;
 
   // Whatever it picked answers exactly like a forced MT run.
   core::ExecOptions forced;
@@ -137,6 +187,84 @@ TEST(PlannerTest, AutoNeverPicksPackedMbrOnTwoClusters) {
   ASSERT_TRUE(reference.ok());
   EXPECT_EQ(result->range()->matches.size(),
             reference->range()->matches.size());
+}
+
+// The Fig. 5 shape: random walks under 16 moving averages at rho = 0.96.
+// The transformations are so alike that a candidate one admits, the others
+// mostly admit too, so every extra rectangle re-fetches the same
+// candidates and adds a traversal: one packed rectangle is cheapest.
+TEST(PlannerTest, AutoPicksOnePackedRectangleOnFig5Walks) {
+  core::SimilarityEngine engine(core::testutil::RandomWalks(500, kLength, 51));
+  core::RangeQuerySpec spec;
+  spec.transforms = transform::MovingAverageRange(kLength, 10, 25);
+  spec.epsilon = ts::CorrelationToDistanceThreshold(0.96, kLength);
+
+  core::ExecOptions options;
+  options.planner = DeterministicPlannerOptions();
+  for (const std::size_t query_id : {3u, 170u, 333u, 499u}) {
+    spec.query = ts::Denormalize(engine.dataset().normal(query_id));
+    const auto result = engine.Execute(spec, options);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    const obs::PlannerTrace& trace = result->trace().planner;
+    ASSERT_TRUE(trace.planned);
+    ASSERT_NE(trace.chosen_candidate(), nullptr);
+    EXPECT_EQ(trace.chosen_candidate()->label, "MT k=1 packed") << query_id;
+    EXPECT_LE(trace.actual_cost, 1.1 * CheapestFixedCost(engine, spec))
+        << query_id;
+  }
+}
+
+// Admit sets are bitsets of any width: 80 scale factors need two words.
+TEST(PlannerTest, PlansMoreThanSixtyFourTransformationsExactly) {
+  core::SimilarityEngine engine(core::testutil::RandomWalks(200, kLength, 98));
+  core::RangeQuerySpec spec;
+  spec.query = ts::Denormalize(engine.dataset().normal(7));
+  spec.transforms = transform::ScaleRange(kLength, 1.0, 80.0);
+  ASSERT_EQ(spec.transforms.size(), 80u);
+  spec.epsilon = 20.0;
+
+  core::ExecOptions options;
+  options.planner = DeterministicPlannerOptions();
+  const auto result = engine.Execute(spec, options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_TRUE(result->trace().planner.planned);
+
+  std::vector<core::Match> got = result->range()->matches;
+  std::vector<core::Match> want = testing::Oracle(engine.dataset()).Range(spec);
+  EXPECT_FALSE(want.empty());
+  const auto by_id = [](const core::Match& a, const core::Match& b) {
+    return std::tie(a.series_id, a.transform_index) <
+           std::tie(b.series_id, b.transform_index);
+  };
+  std::sort(got.begin(), got.end(), by_id);
+  std::sort(want.begin(), want.end(), by_id);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].series_id, want[i].series_id) << i;
+    EXPECT_EQ(got[i].transform_index, want[i].transform_index) << i;
+    EXPECT_NEAR(got[i].distance, want[i].distance, 1e-6) << i;
+  }
+}
+
+// The sampled estimate depends on the target (the bound pairs t(x) with
+// t(q) under kBoth, with q under kDataOnly), so the target is part of the
+// plan-cache key.
+TEST(PlannerTest, TargetsDoNotShareACachedPlan) {
+  core::SimilarityEngine engine(core::testutil::Stocks(60, kLength, 99));
+  core::RangeQuerySpec both = TwoClusterSpec(engine);
+  core::RangeQuerySpec data_only = both;
+  data_only.target = core::TransformTarget::kDataOnly;
+  core::ExecOptions options;
+  options.planner = DeterministicPlannerOptions();
+
+  for (const core::RangeQuerySpec* spec : {&both, &data_only}) {
+    const auto fresh = engine.Execute(*spec, options);
+    ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+    EXPECT_FALSE(fresh->trace().planner.cache_hit);
+    const auto again = engine.Execute(*spec, options);
+    ASSERT_TRUE(again.ok());
+    EXPECT_TRUE(again->trace().planner.cache_hit);
+  }
 }
 
 TEST(PlannerTest, AutoEstimateIsNearMeasuredCostForChosenPlan) {
