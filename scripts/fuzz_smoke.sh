@@ -4,8 +4,11 @@
 # under {scan, ST-index, MT-index, auto} x {1,4,8} threads and is checked
 # against the brute-force oracle; the fault slice additionally verifies
 # that injected storage errors surface as Status, never as wrong results.
+# Then 160 batched cases (fuzz_queries --batch): every ExecuteBatch entry
+# must equal its solo Execute in matches, stats, per-rectangle stats and
+# trace signature, and one faulted read may fail at most one entry.
 # Deterministic: a failure here reproduces from the printed
-# `fuzz_queries --seed=S --case=K` line.
+# `fuzz_queries [--batch] --seed=S --case=K` line.
 #
 # Usage: scripts/fuzz_smoke.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -19,3 +22,4 @@ if [[ ! -x "$BUILD_DIR/tools/fuzz_queries" ]]; then
 fi
 
 "$BUILD_DIR/tools/fuzz_queries" --seed=1..8 --iters=60
+"$BUILD_DIR/tools/fuzz_queries" --batch --seed=1..8 --iters=20

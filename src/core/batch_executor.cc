@@ -3,7 +3,7 @@
 // snapshot pin and one planner consultation for the whole batch, then, for
 // range queries,
 //
-//   prepare → shared traversal → chunked verify → deterministic merge.
+//   prepare → traversal → chunked verify → deterministic merge.
 //
 // Range queries run the paper's Section 4 algorithms. kSequentialScan reads
 // every live record once and evaluates the whole transformation set on it
@@ -25,48 +25,24 @@
 // rectangle, kVerifyChunk candidates per verify task, kScanChunk ids per scan
 // task — and each query merges its partial results in task order, so
 // matches, QueryStats, GroupRunStats and trace signatures never depend on
-// num_threads. Matches never depend on the batch composition either, which
-// rests on how shared traversals are built:
+// num_threads.
 //
-//  * indexed range queries with identical (transform set, effective
-//    partition) share one traversal per rectangle, driven by the union
-//    predicate `any member: mbr.AppliedIntersects(rect, region_m)`, which
-//    visits a superset of every member's own node set;
-//  * TransformMbr::Apply is monotone in rect containment, so a leaf entry
-//    passing member m's test implies every ancestor rect passes it too —
-//    re-filtering the union traversal's collected entries with m's own test
-//    therefore yields exactly m's own candidate *set*;
-//  * the traversal is a deterministic stack DFS, and union-only subtrees are
-//    pushed/popped as contiguous blocks between m's subtrees, so the
-//    relative order of m's entries is m's own *order*.
-//
-// A group of one member searches with that member's own predicate and skips
-// the re-filter.
-//
-// Where a candidate's spectrum comes from depends on the batch composition:
-//
-//  * one executing range query (every Execute() call): each (rectangle,
-//    candidate) fetch reads into per-task scratch and is charged the pages it
-//    read. Algorithm 1 post-processes each rectangle on its own, and the
-//    Eq. 20 cost model charges each rectangle its own record fetches.
-//  * two or more: a batch-scoped fetch table memoizes each record fetch (a
-//    page is read once per batch) and records the pages it cost via
-//    FetchSpectrumInto's per-call out-param — never by diffing the shared
-//    PageFile counters, which keeps the accounting immune to a concurrent
-//    ResetIoStats(). A serial post-pass charges each fetched id's pages to
-//    the lowest-indexed successful query that requested it (queries in input
-//    order, each query's candidates in rect-major task order), which is
-//    thread-count independent because the candidate lists are.
+// A batch shares the pin, the planner pass, the result cache and one
+// ParallelForBatch over every query's tasks, and no query work: each range
+// query traverses with its own predicate, and each verify task fetches into
+// its own scratch, charged the pages that fetch read. Algorithm 1
+// post-processes each rectangle on its own, and Eq. 18-20 charge each query
+// its own index pages and record fetches. Hence the batch contract: entry i
+// equals Execute(specs[i]) in matches, QueryStats, group_stats and
+// DeterministicSignature(), at every thread count and batch composition.
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <span>
-#include <string>
 #include <unordered_map>
 #include <utility>
 #include <variant>
@@ -97,16 +73,12 @@ constexpr std::size_t kVerifyChunk = 32;  // candidates per verify task
 struct BatchMetrics {
   obs::Counter* batches;
   obs::Counter* queries;
-  obs::Counter* shared_traversals;
-  obs::Counter* deduped_fetches;
 
   static const BatchMetrics& Get() {
     static const BatchMetrics metrics = [] {
       obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
       return BatchMetrics{registry.counter("engine.batch.batches"),
-                          registry.counter("engine.batch.queries"),
-                          registry.counter("engine.batch.shared_traversals"),
-                          registry.counter("engine.batch.deduped_fetches")};
+                          registry.counter("engine.batch.queries")};
     }();
     return metrics;
   }
@@ -208,52 +180,6 @@ void VerifyCandidate(const RangeQuerySpec& spec,
   }
 }
 
-/// Memoized record fetches for one batch of two or more range queries: slot
-/// i holds sequence i's fetched spectrum (or the error of the one attempted
-/// fetch) plus the physical pages that single fetch read. The slot vector is
-/// sized once from the pinned dataset and never resized, so concurrent Get()
-/// calls only race on the per-slot once_flag. The fetch lands straight in the
-/// slot's buffer (FetchSpectrumInto), and its page count comes from the
-/// out-param — a per-call delta, not a shared-counter diff — so a
-/// ResetIoStats() racing the batch cannot split or double the dedupe
-/// accounting.
-class BatchFetchTable {
- public:
-  explicit BatchFetchTable(const Dataset& dataset)
-      : dataset_(dataset), slots_(dataset.size()) {}
-
-  /// The memoized fetch of sequence `id` (first caller pays the I/O). The
-  /// span stays valid for the table's lifetime.
-  Result<std::span<const dft::Complex>> Get(std::size_t id) {
-    // The id comes from a disk-resident index leaf: a corrupted one gets the
-    // Status FetchSpectrumInto gives it, not a read past the slots.
-    if (id >= slots_.size()) {
-      return Status::OutOfRange("no such sequence id: " + std::to_string(id));
-    }
-    Slot& slot = slots_[id];
-    std::call_once(slot.once, [&] {
-      slot.spectrum.resize(dataset_.length());
-      slot.status = dataset_.FetchSpectrumInto(id, slot.spectrum, &slot.pages);
-    });
-    if (!slot.status.ok()) return slot.status;
-    return std::span<const dft::Complex>(slot.spectrum);
-  }
-
-  /// Physical pages the one fetch of `id` read (0 if never fetched).
-  std::uint64_t pages(std::size_t id) const { return slots_[id].pages; }
-
- private:
-  struct Slot {
-    std::once_flag once;
-    Status status;
-    std::vector<dft::Complex> spectrum;
-    std::uint64_t pages = 0;
-  };
-
-  const Dataset& dataset_;
-  std::vector<Slot> slots_;
-};
-
 /// One verification subtask of a range query: a fixed-size chunk of one
 /// rectangle's candidate list (indexed), or a fixed-size slice of the
 /// relation (scan, whose one "rectangle" is the whole transformation set).
@@ -271,6 +197,14 @@ struct VerifyPart {
   // The ids this task fetched and verified, in order: every live id of a
   // scan slice, the bound's survivors of an indexed chunk.
   std::vector<std::uint64_t> verified_ids;
+};
+
+/// One rectangle's index traversal: its search counters and the candidate
+/// ids it collected, in traversal order.
+struct RectPass {
+  rstar::SearchStats search;
+  std::uint64_t nanos = 0;
+  std::vector<std::uint64_t> candidates;
 };
 
 /// Everything one *executing* query carries through the batch (cache hits
@@ -297,64 +231,13 @@ struct QueryExec {
   std::vector<PolarBound> rect_bounds;
   std::uint64_t plan_nanos = 0;
 
-  // Shared-traversal membership (indexed only).
-  std::size_t group_id = 0;
-  std::size_t member_index = 0;
+  // Per rectangle, its traversal (indexed).
+  std::vector<RectPass> rects;
 
   // Verification decomposition + per-subtask partial results.
   std::vector<VerifyRef> verify_tasks;
   std::vector<VerifyPart> parts;
-
-  // Record pages charged per rectangle; fetch-table requests and the first
-  // claims among them (their difference is the deduped fetches).
-  std::vector<std::uint64_t> rect_pages;
-  std::uint64_t requests = 0;
-  std::uint64_t claims = 0;
 };
-
-/// One rectangle of a traversal: the status of its search and the candidate
-/// id list of every member.
-struct RectPass {
-  rstar::SearchStats search;
-  std::uint64_t nanos = 0;
-  Status status = Status::Ok();
-  std::vector<std::vector<std::uint64_t>> member_candidates;
-};
-
-/// Executing indexed range queries with identical (transform set, effective
-/// partition) — one index traversal per rectangle serves all of them. The
-/// lowest-indexed member is the leader: union traversal counters are
-/// attributed to it (every other member reports 0 for those fields).
-struct TraversalGroup {
-  std::vector<std::size_t> members;  // spec indices, input order
-  std::vector<RectPass> rects;
-  Status status = Status::Ok();  // lowest-rect-index traversal failure
-};
-
-/// Grouping signature: the parts of a range query that must coincide for
-/// two queries to share a traversal. Epsilon, target, ordering, the query
-/// itself and its query_transform may all differ — they only shape each
-/// member's own region and verification.
-plan::PlanKey TraversalSignature(const RangeQuerySpec& spec,
-                                 const transform::Partition& partition) {
-  plan::PlanKeyBuilder key;
-  key.Add(spec.transforms.size());
-  for (const transform::SpectralTransform& t : spec.transforms) {
-    key.AddString(t.label());
-    key.Add(t.length());
-    for (std::size_t f = 0; f < t.length(); ++f) {
-      const dft::Complex m = t.multiplier(f);
-      key.AddDouble(m.real());
-      key.AddDouble(m.imag());
-    }
-  }
-  key.Add(partition.size());
-  for (const std::vector<std::size_t>& group : partition) {
-    key.Add(group.size());
-    for (const std::size_t t : group) key.Add(t);
-  }
-  return key.key();
-}
 
 obs::QueryTrace& MutableTrace(QueryResult* out) {
   return std::visit(
@@ -362,12 +245,9 @@ obs::QueryTrace& MutableTrace(QueryResult* out) {
       out->value);
 }
 
-/// Resets the five batch fields to what a plain Execute() reports.
+/// Resets the two batch fields to what a plain Execute() reports.
 void ClearBatchFields(obs::QueryTrace* trace) {
   trace->batch_size = 0;
-  trace->batch_group_queries = 0;
-  trace->shared_traversal = false;
-  trace->deduped_fetches = 0;
   trace->result_cache_hit = false;
 }
 
@@ -397,7 +277,7 @@ void StampTrace(QueryResult* out, std::uint64_t snapshot_version,
 
 /// Copies a cached (or leader's) result for serving, rewriting the batch
 /// fields for the serving batch: the cached canonical copy has them zeroed,
-/// and stale sharing data from the computing batch must not leak.
+/// and the computing batch's size must not leak.
 QueryResult ServeCopy(const QueryResult& canonical, std::size_t batch_size) {
   QueryResult out = canonical;
   obs::QueryTrace& trace = MutableTrace(&out);
@@ -408,8 +288,8 @@ QueryResult ServeCopy(const QueryResult& canonical, std::size_t batch_size) {
 }
 
 /// The canonical form a result is cached under: batch fields zeroed, so a
-/// hit served into a later batch carries that batch's sharing data (none),
-/// not the computing batch's.
+/// hit served into a later batch carries that batch's fields, not the
+/// computing batch's.
 std::shared_ptr<const QueryResult> CanonicalForCache(const QueryResult& out) {
   auto canonical = std::make_shared<QueryResult>(out);
   ClearBatchFields(&MutableTrace(canonical.get()));
@@ -433,7 +313,6 @@ std::vector<Result<QueryResult>> SimilarityEngine::ExecuteBatch(
 std::vector<Result<QueryResult>> SimilarityEngine::Run(
     const std::vector<const QuerySpec*>& specs, const BatchOptions& options,
     bool batched) const {
-  const BatchMetrics& metrics = BatchMetrics::Get();
   const std::uint64_t batch_start = MonotonicNanos();
   const std::size_t n = specs.size();
 
@@ -500,7 +379,6 @@ std::vector<Result<QueryResult>> SimilarityEngine::Run(
   // --- Per-query preparation -----------------------------------------------
   const transform::FeatureLayout& layout = dataset_->layout();
   std::vector<std::unique_ptr<QueryExec>> execs(n);
-  std::size_t range_queries = 0;  // executing range queries
   for (std::size_t i = 0; i < n; ++i) {
     if (staged[i].has_value() || is_dup(i)) continue;
     if (!planned[i].ok()) {
@@ -529,7 +407,6 @@ std::vector<Result<QueryResult>> SimilarityEngine::Run(
       staged[i].emplace(valid);
       continue;
     }
-    ++range_queries;
     exec->range = range;
     exec->query = PrepareQuery(*dataset_, range->query, range->query_transform);
     const std::size_t transforms = range->transforms.size();
@@ -565,143 +442,54 @@ std::vector<Result<QueryResult>> SimilarityEngine::Run(
     exec->plan_nanos = MonotonicNanos() - plan_start;
     execs[i] = std::move(exec);
   }
-  // Work is shared across range queries only when there are two to share.
-  const bool share = range_queries >= 2;
-
-  // --- Traversal grouping --------------------------------------------------
-  // Executing indexed range queries with identical (transform set, effective
-  // partition) share one traversal per rectangle. Group ids are assigned in
-  // input order, so the grouping — like everything else — is deterministic.
-  std::vector<TraversalGroup> groups;
-  {
-    std::unordered_map<plan::PlanKey, std::size_t, plan::PlanKeyHash>
-        group_for_signature;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (execs[i] == nullptr || execs[i]->kind != QueryExec::Kind::kIndexed) {
-        continue;
-      }
-      std::size_t group = groups.size();
-      if (share) {
-        group = group_for_signature
-                    .emplace(TraversalSignature(*execs[i]->range,
-                                                execs[i]->partition),
-                             groups.size())
-                    .first->second;
-      }
-      if (group == groups.size()) {
-        groups.emplace_back();
-        groups.back().rects.resize(execs[i]->partition.size());
-      }
-      execs[i]->group_id = group;
-      execs[i]->member_index = groups[group].members.size();
-      groups[group].members.push_back(i);
-    }
-  }
 
   // --- Phase A: index traversals -------------------------------------------
-  // One task per (group, rectangle). The union of the member regions drives
-  // the descent; each collected entry is then re-tested per member, which
-  // (by monotonicity, see the file comment) recovers each member's own
-  // candidate list exactly.
-  {
-    struct TraversalTask {
-      std::size_t group = 0;
-      std::size_t rect = 0;
-    };
-    std::vector<TraversalTask> tasks;
-    for (std::size_t g = 0; g < groups.size(); ++g) {
-      for (std::size_t r = 0; r < groups[g].rects.size(); ++r) {
-        tasks.push_back(TraversalTask{g, r});
-      }
-    }
-    (void)exec::ParallelFor(
-        options.exec.num_threads, tasks.size(), [&](std::size_t ti) -> Status {
-          const TraversalTask& task = tasks[ti];
-          TraversalGroup& group = groups[task.group];
-          RectPass& pass = group.rects[task.rect];
-          const std::uint64_t task_start = MonotonicNanos();
-          const QueryExec& leader = *execs[group.members.front()];
-          const std::vector<std::size_t>& rect_transforms =
-              leader.partition[task.rect];
-          std::vector<transform::FeatureTransform> group_fts;
-          group_fts.reserve(rect_transforms.size());
-          for (const std::size_t t : rect_transforms) {
-            group_fts.push_back(leader.feature_transforms[t]);
-          }
-          const transform::TransformMbr mbr(group_fts, layout);
-          // kBoth: the query region covers every transformed query image
-          // t(q). kDataOnly: the query is compared untransformed, so the
-          // region is the paper's literal step 2 — a safe window around q.
-          const std::vector<transform::FeatureTransform> identity = {
-              transform::FeatureTransform::Identity(layout.dimensions())};
-          // Per-member query regions (each member's own epsilon band and
-          // target semantics; the MBR is common to the group).
-          std::vector<rstar::Rect> regions;
-          regions.reserve(group.members.size());
-          for (const std::size_t member : group.members) {
-            const QueryExec& q = *execs[member];
-            regions.push_back(BuildQueryRegion(
-                q.query.features,
-                q.range->target == TransformTarget::kBoth
-                    ? std::span<const transform::FeatureTransform>(group_fts)
-                    : std::span<const transform::FeatureTransform>(identity),
-                q.range->epsilon, layout));
-          }
-          pass.member_candidates.resize(regions.size());
-          if (regions.size() == 1) {
-            // The union predicate is the one member's own: its hits are its
-            // candidates, no leaf coordinates or re-filter needed.
-            pass.status = index_->tree().Search(
-                [&](const rstar::RectView& rect) {
-                  return mbr.AppliedIntersects(rect, regions.front());
-                },
-                &pass.member_candidates.front(), &pass.search);
-          } else {
-            std::vector<std::uint64_t> ids;
-            std::vector<double> coords;
-            pass.status = index_->tree().Search(
-                [&](const rstar::RectView& rect) {
-                  for (const rstar::Rect& region : regions) {
-                    if (mbr.AppliedIntersects(rect, region)) return true;
-                  }
-                  return false;
-                },
-                &ids, &pass.search, &coords);
-            if (pass.status.ok()) {
-              const std::size_t dims = index_->tree().dimensions();
-              for (std::size_t h = 0; h < ids.size(); ++h) {
-                const rstar::RectView rect(coords.data() + 2 * dims * h, dims);
-                for (std::size_t m = 0; m < regions.size(); ++m) {
-                  if (mbr.AppliedIntersects(rect, regions[m])) {
-                    pass.member_candidates[m].push_back(ids[h]);
-                  }
-                }
-              }
-            }
-          }
-          pass.nanos = MonotonicNanos() - task_start;
-          return Status::Ok();  // per-rect status captured in the pass
-        });
-    for (TraversalGroup& group : groups) {
-      for (const RectPass& pass : group.rects) {
-        if (!pass.status.ok()) {
-          group.status = pass.status;  // lowest rect index wins
-          break;
-        }
-      }
-      if (group.members.size() >= 2) {
-        metrics.shared_traversals->Increment(group.rects.size());
-      }
+  // One task per (indexed query, rectangle), searching with the query's own
+  // predicate. A query's traversal status is its lowest-rectangle failure.
+  std::vector<std::size_t> traversal_counts(n, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (execs[i] != nullptr && execs[i]->kind == QueryExec::Kind::kIndexed) {
+      execs[i]->rects.resize(execs[i]->partition.size());
+      traversal_counts[i] = execs[i]->rects.size();
     }
   }
+  const std::vector<Status> traversal_status = exec::ParallelForBatch(
+      options.exec.num_threads, traversal_counts,
+      [&](std::size_t i, std::size_t r) -> Status {
+        QueryExec& q = *execs[i];
+        RectPass& pass = q.rects[r];
+        const std::uint64_t task_start = MonotonicNanos();
+        std::vector<transform::FeatureTransform> rect_fts;
+        rect_fts.reserve(q.partition[r].size());
+        for (const std::size_t t : q.partition[r]) {
+          rect_fts.push_back(q.feature_transforms[t]);
+        }
+        const transform::TransformMbr mbr(rect_fts, layout);
+        // kBoth: the query region covers every transformed query image
+        // t(q). kDataOnly: the query is compared untransformed, so the
+        // region is the paper's literal step 2 — a safe window around q.
+        const std::vector<transform::FeatureTransform> identity = {
+            transform::FeatureTransform::Identity(layout.dimensions())};
+        const rstar::Rect region = BuildQueryRegion(
+            q.query.features,
+            q.range->target == TransformTarget::kBoth
+                ? std::span<const transform::FeatureTransform>(rect_fts)
+                : std::span<const transform::FeatureTransform>(identity),
+            q.range->epsilon, layout);
+        const Status status = index_->tree().Search(
+            [&](const rstar::RectView& rect) {
+              return mbr.AppliedIntersects(rect, region);
+            },
+            &pass.candidates, &pass.search);
+        pass.nanos = MonotonicNanos() - task_start;
+        return status;
+      });
 
   // --- Phase B: verification -----------------------------------------------
   // Per query: rect-major kVerifyChunk chunks (indexed) or kScanChunk slices
   // (scan). All queries' subtasks run through one ParallelForBatch, so slow
   // queries borrow workers from fast ones; each query's status is its
   // lowest-index failing subtask's.
-  std::optional<BatchFetchTable> fetch_table;
-  if (share) fetch_table.emplace(*dataset_);
   std::vector<std::size_t> verify_counts(n, 0);
   for (std::size_t i = 0; i < n; ++i) {
     if (execs[i] == nullptr) continue;
@@ -714,11 +502,9 @@ std::vector<Result<QueryResult>> SimilarityEngine::Run(
             VerifyRef{0, exec::ChunkBounds(dataset_->size(), kScanChunk, c)});
       }
     } else if (q.kind == QueryExec::Kind::kIndexed &&
-               groups[q.group_id].status.ok()) {
-      const TraversalGroup& group = groups[q.group_id];
-      for (std::size_t g = 0; g < group.rects.size(); ++g) {
-        const std::size_t count =
-            group.rects[g].member_candidates[q.member_index].size();
+               traversal_status[i].ok()) {
+      for (std::size_t g = 0; g < q.rects.size(); ++g) {
+        const std::size_t count = q.rects[g].candidates.size();
         const std::size_t chunks = exec::ChunkCount(count, kVerifyChunk);
         for (std::size_t c = 0; c < chunks; ++c) {
           q.verify_tasks.push_back(
@@ -737,18 +523,7 @@ std::vector<Result<QueryResult>> SimilarityEngine::Run(
         VerifyPart& part = q.parts[ti];
         const bool scan = q.kind == QueryExec::Kind::kScan;
         const std::vector<std::uint64_t>* candidates =
-            scan ? nullptr
-                 : &groups[q.group_id]
-                        .rects[ref.rect]
-                        .member_candidates[q.member_index];
-        std::vector<dft::Complex> scratch(fetch_table ? 0 : dataset_->length());
-        const auto fetch =
-            [&](std::uint64_t id) -> Result<std::span<const dft::Complex>> {
-          if (fetch_table) return fetch_table->Get(id);
-          TSQ_RETURN_IF_ERROR(
-              dataset_->FetchSpectrumInto(id, scratch, &part.record_pages));
-          return std::span<const dft::Complex>(scratch);
-        };
+            scan ? nullptr : &q.rects[ref.rect].candidates;
         // The ids to fetch: a scan's live ids, or the chunk's candidates the
         // rectangle's bound cannot rule out. An id past the dataset comes
         // from a damaged leaf; it is never pruned (its features do not
@@ -766,13 +541,15 @@ std::vector<Result<QueryResult>> SimilarityEngine::Run(
           part.verified_ids.push_back(id);
         }
         part.fetch_nanos += MonotonicNanos() - bound_start;
+        std::vector<dft::Complex> scratch(dataset_->length());
         for (const std::uint64_t id : part.verified_ids) {
           const std::uint64_t fetch_start = MonotonicNanos();
-          const Result<std::span<const dft::Complex>> spectrum = fetch(id);
+          const Status fetched =
+              dataset_->FetchSpectrumInto(id, scratch, &part.record_pages);
           const std::uint64_t fetch_end = MonotonicNanos();
           part.fetch_nanos += fetch_end - fetch_start;
-          if (!spectrum.ok()) return spectrum.status();
-          VerifyCandidate(*q.range, *spectrum, q.query.spectrum,
+          if (!fetched.ok()) return fetched;
+          VerifyCandidate(*q.range, scratch, q.query.spectrum,
                           q.rect_groups[ref.rect], q.rect_ordered[ref.rect],
                           id, &part.matches, &part.stats);
           part.verify_nanos += MonotonicNanos() - fetch_end;
@@ -780,53 +557,12 @@ std::vector<Result<QueryResult>> SimilarityEngine::Run(
         return Status::Ok();
       });
 
-  // --- Record-page attribution ---------------------------------------------
-  // Per-task scratch charges every fetch the pages it read. Through the
-  // fetch table, queries go in input order and each query's fetched ids in
-  // its subtask order: the first successful query to request an id is
-  // charged the physical pages its one fetch read, and later requests of the
-  // same id are the deduped fetches. Failed queries are skipped entirely
-  // (they surface no stats), so every charge is backed by a completed fetch.
-  // A candidate the bound pruned was never requested, so it is neither
-  // charged nor counted as deduped.
-  {
-    std::vector<bool> claimed(fetch_table ? dataset_->size() : 0, false);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (execs[i] == nullptr || execs[i]->range == nullptr) continue;
-      QueryExec& q = *execs[i];
-      if (q.kind == QueryExec::Kind::kIndexed &&
-          !groups[q.group_id].status.ok()) {
-        continue;
-      }
-      if (!verify_status[i].ok()) continue;
-      q.rect_pages.assign(q.rect_groups.size(), 0);
-      if (!fetch_table) {
-        for (std::size_t ti = 0; ti < q.parts.size(); ++ti) {
-          q.rect_pages[q.verify_tasks[ti].rect] += q.parts[ti].record_pages;
-        }
-        continue;
-      }
-      for (std::size_t ti = 0; ti < q.parts.size(); ++ti) {
-        for (const std::uint64_t id : q.parts[ti].verified_ids) {
-          ++q.requests;
-          if (!claimed[id]) {
-            claimed[id] = true;
-            ++q.claims;
-            q.rect_pages[q.verify_tasks[ti].rect] += fetch_table->pages(id);
-          }
-        }
-      }
-      metrics.deduped_fetches->Increment(q.requests - q.claims);
-    }
-  }
-
   // --- Assembly: range queries ---------------------------------------------
   for (std::size_t i = 0; i < n; ++i) {
     if (execs[i] == nullptr || execs[i]->range == nullptr) continue;
     QueryExec& q = *execs[i];
-    if (q.kind == QueryExec::Kind::kIndexed &&
-        !groups[q.group_id].status.ok()) {
-      staged[i].emplace(groups[q.group_id].status);
+    if (!traversal_status[i].ok()) {
+      staged[i].emplace(traversal_status[i]);
       continue;
     }
     if (!verify_status[i].ok()) {
@@ -844,11 +580,15 @@ std::vector<Result<QueryResult>> SimilarityEngine::Run(
                                         q.range->transforms.size());
 
     const std::uint64_t merge_start = MonotonicNanos();
-    for (VerifyPart& part : q.parts) {
+    std::vector<std::uint64_t> rect_pages(q.rect_groups.size(), 0);
+    for (std::size_t ti = 0; ti < q.parts.size(); ++ti) {
+      const VerifyPart& part = q.parts[ti];
       result.matches.insert(result.matches.end(), part.matches.begin(),
                             part.matches.end());
       stats += part.stats;
       stats.verified_candidates += part.verified_ids.size();
+      stats.record_pages_read += part.record_pages;
+      rect_pages[q.verify_tasks[ti].rect] += part.record_pages;
       trace.at(obs::Phase::kCandidateFetch)
           .AddTask(part.fetch_nanos, part.verified_ids.size());
       trace.at(obs::Phase::kVerification)
@@ -858,41 +598,25 @@ std::vector<Result<QueryResult>> SimilarityEngine::Run(
         stats.candidates += part.verified_ids.size();
       }
     }
-    for (const std::uint64_t pages : q.rect_pages) {
-      stats.record_pages_read += pages;
-    }
 
-    if (q.kind == QueryExec::Kind::kIndexed) {
-      const TraversalGroup& group = groups[q.group_id];
-      const bool leader = q.member_index == 0;
-      trace.batch_group_queries = group.members.size();
-      trace.shared_traversal = group.members.size() >= 2;
-      for (std::size_t g = 0; g < group.rects.size(); ++g) {
-        const RectPass& pass = group.rects[g];
-        const std::size_t member_count =
-            pass.member_candidates[q.member_index].size();
-        stats.candidates += member_count;
-        if (leader) {
-          // Shared traversal counters go to the group leader; every other
-          // member reports 0 so the batch total equals the physical work.
-          ++stats.traversals;
-          stats.index_nodes_accessed += pass.search.nodes_accessed;
-          stats.index_leaves_accessed += pass.search.leaf_nodes_accessed;
-          trace.at(obs::Phase::kIndexTraversal)
-              .AddTask(pass.nanos, pass.search.nodes_accessed);
-        }
-        // The inputs of the cost function Ck (Eq. 20) for this rectangle.
-        out.group_stats.push_back(GroupRunStats{
-            (leader ? pass.search.nodes_accessed : 0) + q.rect_pages[g],
-            leader ? pass.search.leaf_nodes_accessed : 0,
-            q.rect_groups[g].size(), member_count});
-      }
+    for (std::size_t g = 0; g < q.rects.size(); ++g) {
+      const RectPass& pass = q.rects[g];
+      stats.candidates += pass.candidates.size();
+      ++stats.traversals;
+      stats.index_nodes_accessed += pass.search.nodes_accessed;
+      stats.index_leaves_accessed += pass.search.leaf_nodes_accessed;
+      trace.at(obs::Phase::kIndexTraversal)
+          .AddTask(pass.nanos, pass.search.nodes_accessed);
+      // The inputs of the cost function Ck (Eq. 20) for this rectangle.
+      out.group_stats.push_back(GroupRunStats{
+          pass.search.nodes_accessed + rect_pages[g],
+          pass.search.leaf_nodes_accessed, q.rect_groups[g].size(),
+          pass.candidates.size()});
     }
     stats.output_size = result.matches.size();
     trace.at(obs::Phase::kMerge)
         .AddTask(MonotonicNanos() - merge_start, result.matches.size());
     trace.total_nanos = MonotonicNanos() - batch_start;
-    trace.deduped_fetches = q.requests - q.claims;
     out.value = std::move(result);
     StampTrace(&out, snapshot_version, checkpoint_epoch, *planned[i], n);
     staged[i].emplace(std::move(out));

@@ -147,10 +147,10 @@ class SimilarityEngine {
   /// identical for every value).
   ///
   /// Execute(spec) is ExecuteBatch({spec}) with the result cache off: the
-  /// same pipeline, returning that one entry with the trace's five batch
-  /// fields at their defaults. A range query's record fetches are charged
-  /// per (rectangle, candidate), as Algorithm 1 post-processes each
-  /// rectangle on its own.
+  /// same pipeline, returning that one entry with the trace's two batch
+  /// fields (batch_size, result_cache_hit) at their defaults. A range
+  /// query's record fetches are charged per (rectangle, candidate), as
+  /// Algorithm 1 post-processes each rectangle on its own.
   /// Thread-safe: any number of concurrent Execute() calls, concurrently
   /// with Insert()/Remove(). The query runs against the snapshot pinned at
   /// entry (its version lands in the result trace); configuration calls
@@ -159,31 +159,21 @@ class SimilarityEngine {
                               const ExecOptions& options = ExecOptions()) const;
 
   /// Runs a batch of queries against ONE pinned snapshot with ONE planner
-  /// consultation. When two or more range queries execute, the batch shares
-  /// work across them (see docs/ARCHITECTURE.md, "Batched execution & the
-  /// result cache"):
-  ///
-  ///  * indexed range queries with the same transformation set and effective
-  ///    partition share a single index traversal per rectangle — the union
-  ///    query region drives the descent and each visited entry is re-tested
-  ///    against every member query's own epsilon band;
-  ///  * every candidate record fetch goes through a batch-scoped fetch
-  ///    table, so a page is read once however many queries (or rectangles)
-  ///    want it.
-  ///
-  /// With one executing range query there is nothing to share: it runs
-  /// exactly as Execute() runs it, with the same stats. With
+  /// consultation, and every executing query's tasks through one pass over
+  /// the worker threads (see docs/ARCHITECTURE.md, "Batched execution & the
+  /// result cache"). Each query still does its own work: its own index
+  /// traversals and its own record fetches, as Execute() runs them. With
   /// `options.use_result_cache`, results are served from / published to the
   /// engine's bounded LRU ResultCache, keyed on (canonical spec, exec
-  /// options, snapshot version, config epoch).
+  /// options, snapshot version, config epoch), and an in-batch duplicate is
+  /// served from its first occurrence.
   ///
   /// Entry i of the returned vector is the result (or error Status) of
-  /// specs[i]. Matches are byte-identical to issuing the specs sequentially
-  /// via Execute() at the same snapshot, for any num_threads; stats follow
-  /// the deterministic attribution rules documented in ARCHITECTURE.md
-  /// (shared traversal counters go to the group leader, deduped fetch pages
-  /// to the lowest-indexed query that planned the fetch). A fault injected
-  /// into one query's I/O fails that entry only.
+  /// specs[i], and equals Execute(specs[i]) at the same snapshot in matches,
+  /// QueryStats, group_stats and trace DeterministicSignature(), for any
+  /// num_threads and batch composition. A fault injected into one query's
+  /// I/O fails that entry only (and, with the cache on, its in-batch
+  /// duplicates, which are served its result).
   ///
   /// Thread-safe like Execute(): any number of concurrent batches,
   /// concurrently with Insert()/Remove().

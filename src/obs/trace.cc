@@ -66,13 +66,9 @@ std::string FormatTrace(const QueryTrace& trace) {
                 trace.kernel_isa.c_str());
   os << line;
   if (trace.batch_size > 0) {
-    std::snprintf(line, sizeof line,
-                  "  batch: %zu queries, group of %zu%s%s, deduped fetches "
-                  "%llu\n",
-                  trace.batch_size, trace.batch_group_queries,
-                  trace.shared_traversal ? ", shared traversal" : "",
-                  trace.result_cache_hit ? ", result-cache hit" : "",
-                  static_cast<unsigned long long>(trace.deduped_fetches));
+    std::snprintf(line, sizeof line, "  batch: %zu queries%s\n",
+                  trace.batch_size,
+                  trace.result_cache_hit ? ", result-cache hit" : "");
     os << line;
   }
   for (std::size_t p = 0; p < kPhaseCount; ++p) {
@@ -123,12 +119,8 @@ std::string TraceToJson(const QueryTrace& trace) {
   }
   if (trace.batch_size > 0) {
     os << ",\"batch\":{\"size\":" << trace.batch_size
-       << ",\"group_queries\":" << trace.batch_group_queries
-       << ",\"shared_traversal\":"
-       << (trace.shared_traversal ? "true" : "false")
        << ",\"result_cache_hit\":"
-       << (trace.result_cache_hit ? "true" : "false")
-       << ",\"deduped_fetches\":" << trace.deduped_fetches << '}';
+       << (trace.result_cache_hit ? "true" : "false") << '}';
   }
   os << ",\"phases\":[";
   bool first = true;

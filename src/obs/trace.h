@@ -120,23 +120,14 @@ struct QueryTrace {
   /// Excluded from DeterministicSignature() like snapshot_version: it
   /// depends on persistence history, not on the query.
   std::uint64_t checkpoint_epoch = 0;
-  /// Batched execution (SimilarityEngine::ExecuteBatch). All five fields
-  /// stay at their defaults for a plain Execute() and are excluded from
-  /// DeterministicSignature(): they describe how the work was *shared*
-  /// across co-batched queries, not what this query computed.
+  /// Batched execution (SimilarityEngine::ExecuteBatch). Both fields stay
+  /// at their defaults for a plain Execute() and are excluded from
+  /// DeterministicSignature(): they describe how the result was served, not
+  /// what this query computed.
   std::size_t batch_size = 0;  // queries in the batch; 0 = not batched
-  /// Queries whose index traversals this query's traversal group served
-  /// (1 = this query traversed alone; 0 = no traversal group, e.g. scan).
-  std::size_t batch_group_queries = 0;
-  /// True when at least one index traversal of this query was shared with
-  /// another query of the batch.
-  bool shared_traversal = false;
   /// True when this result was served from the snapshot-keyed ResultCache
   /// (or copied from an identical co-batched query) instead of executed.
   bool result_cache_hit = false;
-  /// Candidate record fetches this query requested that the batch-scoped
-  /// fetch table had already read for another (or an earlier) request.
-  std::uint64_t deduped_fetches = 0;
   /// Active kernel ISA ("scalar", "avx2") the distance kernels ran with —
   /// kernels::IsaName(kernels::ActiveIsa()). Excluded from
   /// DeterministicSignature(): both ISAs produce bitwise-identical results,

@@ -744,10 +744,9 @@ Status RStarTree::Delete(const Rect& rect, std::uint64_t id) {
 // --- search ------------------------------------------------------------------
 
 Status RStarTree::Search(const RectPredicate& predicate,
-                         std::vector<std::uint64_t>* ids, SearchStats* stats,
-                         std::vector<double>* coords) const {
+                         std::vector<std::uint64_t>* ids,
+                         SearchStats* stats) const {
   if (root_ == storage::kInvalidPageId) return Status::Ok();
-  const std::size_t width = 2 * dimensions_;
   std::vector<storage::PageId> stack{root_};
   NodeView node;
   while (!stack.empty()) {
@@ -758,10 +757,6 @@ Status RStarTree::Search(const RectPredicate& predicate,
       if (!predicate(node.rect(i))) continue;
       if (node.is_leaf) {
         ids->push_back(node.ids[i]);
-        if (coords != nullptr) {
-          const double* rect = node.coords.data() + width * i;
-          coords->insert(coords->end(), rect, rect + width);
-        }
         if (stats != nullptr) ++stats->matches;
       } else {
         stack.push_back(static_cast<storage::PageId>(node.ids[i]));

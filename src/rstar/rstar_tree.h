@@ -118,14 +118,10 @@ class RStarTree {
 
   /// Range search: appends to `*ids` the id of every leaf entry whose rect
   /// satisfies `predicate`, in depth-first traversal order, pruning subtrees
-  /// whose bounding rect fails it. With `coords` non-null, each hit's rect
-  /// is appended there too as 2·dimensions() doubles (its lows, then its
-  /// highs) — for callers that re-test hits, such as the batch executor's
-  /// per-query re-filter. Stats for this one search are added to `*stats`
-  /// when non-null.
+  /// whose bounding rect fails it. Stats for this one search are added to
+  /// `*stats` when non-null.
   Status Search(const RectPredicate& predicate, std::vector<std::uint64_t>* ids,
-                SearchStats* stats = nullptr,
-                std::vector<double>* coords = nullptr) const;
+                SearchStats* stats = nullptr) const;
 
   /// Convenience window query: ids of the entries intersecting `window`.
   Status WindowQuery(const Rect& window, std::vector<std::uint64_t>* ids,

@@ -133,14 +133,9 @@ std::string CompareJoin(const std::vector<core::JoinMatch>& expected,
   return "";
 }
 
-// Byte-for-byte equality between a batch entry and its per-spec sequential
-// baseline. No tolerance and no sorting: both ran at the same snapshot
-// through the same deterministic executors, and ExecuteBatch's contract is
-// that matches come back in the identical order with identical bits. Stats
-// and traces are deliberately NOT compared — attribution legitimately
-// differs under shared traversals and deduped fetches.
-std::string ExactDiff(const core::QueryResult& expected,
-                      const core::QueryResult& got) {
+// Bitwise equality of two results' matches, in order.
+std::string ExactMatchDiff(const core::QueryResult& expected,
+                           const core::QueryResult& got) {
   const auto mismatch = [](const char* kind, std::size_t i,
                            const std::string& detail) {
     std::ostringstream out;
@@ -207,6 +202,61 @@ std::string ExactDiff(const core::QueryResult& expected,
           << ") vs (" << g->matches[i].a << "," << g->matches[i].b << ")";
       return mismatch("join", i, out.str());
     }
+  }
+  return "";
+}
+
+std::string DescribeStats(const core::QueryStats& stats) {
+  std::ostringstream out;
+  out << "{nodes " << stats.index_nodes_accessed << ", leaves "
+      << stats.index_leaves_accessed << ", record pages "
+      << stats.record_pages_read << ", candidates " << stats.candidates
+      << ", verified " << stats.verified_candidates << ", comparisons "
+      << stats.comparisons << ", traversals " << stats.traversals
+      << ", output " << stats.output_size << "}";
+  return out.str();
+}
+
+std::string DescribeGroup(const core::GroupRunStats& group) {
+  std::ostringstream out;
+  out << "{da_all " << group.da_all << ", da_leaf " << group.da_leaf
+      << ", transforms " << group.transforms << ", candidates "
+      << group.candidates << "}";
+  return out.str();
+}
+
+// Byte-for-byte equality between a batch entry and its per-spec sequential
+// baseline. No tolerance and no sorting: both ran at the same snapshot
+// through the same deterministic executors, and ExecuteBatch's contract is
+// that the entry equals Execute() in its matches (identical order, identical
+// bits) and in its work: QueryStats, per-rectangle group_stats and the
+// trace's DeterministicSignature().
+std::string ExactDiff(const core::QueryResult& expected,
+                      const core::QueryResult& got) {
+  if (std::string diff = ExactMatchDiff(expected, got); !diff.empty()) {
+    return diff;
+  }
+  if (!(expected.stats() == got.stats())) {
+    return "stats: sequential " + DescribeStats(expected.stats()) +
+           ", batch " + DescribeStats(got.stats());
+  }
+  if (expected.group_stats.size() != got.group_stats.size()) {
+    return "group_stats size: sequential " +
+           std::to_string(expected.group_stats.size()) + ", batch " +
+           std::to_string(got.group_stats.size());
+  }
+  for (std::size_t g = 0; g < expected.group_stats.size(); ++g) {
+    if (!(expected.group_stats[g] == got.group_stats[g])) {
+      return "group_stats rect " + std::to_string(g) + ": sequential " +
+             DescribeGroup(expected.group_stats[g]) + ", batch " +
+             DescribeGroup(got.group_stats[g]);
+    }
+  }
+  const std::string want = expected.trace().DeterministicSignature();
+  const std::string have = got.trace().DeterministicSignature();
+  if (want != have) {
+    return "trace signature: sequential \"" + want + "\", batch \"" + have +
+           "\"";
   }
   return "";
 }
@@ -779,10 +829,11 @@ CaseOutcome DifferentialRunner::RunBatchCase(std::size_t index,
   if (!outcome.passed || !config.with_faults) return outcome;
 
   // Fault sweep: under each policy every batch entry must either surface a
-  // non-OK Status or carry the exact fault-free matches (a fault on a shared
-  // traversal or a deduped fetch may fail several entries at once — each of
-  // them must error, none may silently degrade). A clean rerun right after
-  // must fully match: the fault left storage and cache state intact.
+  // non-OK Status or carry the exact fault-free result. Every entry does its
+  // own reads, so a faulted read fails the one entry that made it: a policy
+  // faulting m single reads (fail-nth, corrupt-nth, short-nth) may fail at
+  // most m entries, and a latency-only policy none. A clean rerun right
+  // after must fully match: the fault left storage and cache state intact.
   const std::vector<FaultPolicyConfig> policies = [] {
     std::vector<FaultPolicyConfig> list;
     FaultPolicyConfig p;
@@ -816,11 +867,16 @@ CaseOutcome DifferentialRunner::RunBatchCase(std::size_t index,
     std::size_t threads;
   };
   static constexpr FaultRunConfig kFaultRuns[] = {
-      {2, 4},  // MT-index, the shared-traversal path
-      {0, 4},  // sequential scan, the shared-fetch path
+      {2, 4},  // MT-index: index pages, then the bound's fetches
+      {0, 4},  // sequential scan: every record page
   };
 
   for (const FaultPolicyConfig& policy_config : policies) {
+    // fail-every-k faults without limit; the others fault one read each.
+    const bool periodic = policy_config.fail_every_k != 0;
+    const std::size_t faulted_reads = (policy_config.fail_nth_read != 0) +
+                                      (policy_config.corrupt_nth_read != 0) +
+                                      (policy_config.short_nth_read != 0);
     for (const FaultRunConfig& run : kFaultRuns) {
       const core::Algorithm algorithm = kAlgorithms[run.algorithm_index];
       core::BatchOptions options;
@@ -842,9 +898,10 @@ CaseOutcome DifferentialRunner::RunBatchCase(std::size_t index,
              " results for " + std::to_string(specs.size()) + " specs (" +
              config_text + ")");
       }
+      std::size_t errored = 0;
       for (std::size_t i = 0; i < faulted.size() && outcome.passed; ++i) {
         if (!faulted[i].ok()) {
-          ++outcome.fault_errors;
+          ++errored;
           continue;
         }
         const std::string diff =
@@ -853,6 +910,12 @@ CaseOutcome DifferentialRunner::RunBatchCase(std::size_t index,
           fail("fault batch entry " + std::to_string(i) +
                " neither matched nor errored (" + config_text + "): " + diff);
         }
+      }
+      outcome.fault_errors += errored;
+      if (!periodic && errored > faulted_reads) {
+        fail(std::to_string(errored) + " batch entries errored (" +
+             config_text + "), but the policy faults " +
+             std::to_string(faulted_reads) + " read(s)");
       }
 
       // Clean rerun: the whole batch must come back exact.

@@ -38,7 +38,9 @@ struct BatchConfig {
   double tolerance = 1e-6;
   /// Also repeat a slice of the sweep under each FaultPolicy (RunBatchCase
   /// only): every batch entry must either surface a non-OK Status or carry
-  /// the exact fault-free matches, and a clean rerun must fully match.
+  /// the exact fault-free result, no more entries may error than the policy
+  /// faults single reads (unless it faults every k-th read), and a clean
+  /// rerun must fully match.
   bool with_faults = true;
   /// Distinct generated specs per batch; the case RNG picks a count in
   /// [min_specs, max_specs].
@@ -117,12 +119,13 @@ class DifferentialRunner {
   /// sweeps ExecuteBatch over {scan, ST, MT, auto} x {1, 4, 8} threads with
   /// the result cache both off and on, diffing every entry three ways:
   /// byte-for-byte against the per-spec sequential Execute() at the same
-  /// configuration (the batch executor's exactness contract), against the
-  /// Oracle, and — for duplicates — against their in-batch original. Every
-  /// batch entry must report the same pinned snapshot version, and a
-  /// repeated cache-on batch must serve hits with identical matches.
-  /// Optionally repeats a slice under each FaultPolicy (error-or-exact per
-  /// entry, clean rerun must match).
+  /// configuration — matches, QueryStats, group_stats and trace signature,
+  /// the batch executor's exactness contract — against the Oracle, and —
+  /// for duplicates — against their in-batch original. Every batch entry
+  /// must report the same pinned snapshot version, and a repeated cache-on
+  /// batch must serve hits with identical results. Optionally repeats a
+  /// slice under each FaultPolicy (error-or-exact per entry, one faulted
+  /// read fails at most one entry, clean rerun must match).
   CaseOutcome RunBatchCase(std::size_t index,
                            const BatchConfig& config = BatchConfig());
 

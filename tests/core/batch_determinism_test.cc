@@ -1,10 +1,10 @@
 // Determinism and accounting properties of SimilarityEngine::ExecuteBatch:
-// batched results must be byte-identical to per-spec sequential Execute()
-// and to the brute-force oracle across every algorithm and thread count,
-// shared-work optimization must not perturb per-query statistics, and the
-// per-entry record-page attribution must reconcile exactly with the
-// PageFile's physical read counter — even when ResetIoStats() fires in the
-// middle of the batch.
+// every batched entry must equal its per-spec sequential Execute() — in
+// matches, QueryStats, group_stats and trace signature — and match the
+// brute-force oracle across every algorithm and thread count, and the
+// per-entry record-page counts must reconcile exactly with the PageFile's
+// physical read counter — even when ResetIoStats() fires in the middle of
+// the batch.
 
 #include <atomic>
 #include <cmath>
@@ -133,9 +133,9 @@ class BatchDeterminismTest : public ::testing::Test {
     return spec;
   }
 
-  // A mixed batch: three range queries sharing one transform set (one with
-  // its own partition, so it lands in a different traversal group), a k-NN,
-  // a correlation join, and a verbatim duplicate of entry 0.
+  // A mixed batch: three range queries over one transform set (one with its
+  // own partition), a k-NN, a correlation join, and a verbatim duplicate of
+  // entry 0.
   std::vector<QuerySpec> MixedBatch() const {
     std::vector<QuerySpec> specs;
     specs.push_back(RangeSpec(0, 0.96));
@@ -190,6 +190,11 @@ TEST_F(BatchDeterminismTest, BatchedEqualsSequentialAndOracleEverywhere) {
                      << "t entry " << i);
         ASSERT_TRUE(batch[i].ok()) << batch[i].status().ToString();
         ExpectExactlyEqual(sequential[i], *batch[i]);
+        // Not only the answers: every entry does exactly its solo work.
+        EXPECT_EQ(sequential[i].stats(), batch[i]->stats());
+        EXPECT_EQ(sequential[i].group_stats, batch[i]->group_stats);
+        EXPECT_EQ(sequential[i].trace().DeterministicSignature(),
+                  batch[i]->trace().DeterministicSignature());
         ExpectMatchesOracle(oracle_, specs[i], *batch[i], algorithm);
         EXPECT_EQ(batch[i]->trace().batch_size, specs.size());
         EXPECT_EQ(batch[i]->trace().snapshot_version,
@@ -233,16 +238,6 @@ TEST_F(BatchDeterminismTest, BatchedEqualsSequentialAndOracleEverywhere) {
   ASSERT_GE(solo->group_stats.size(), 2u);
   EXPECT_EQ(solo->stats().record_pages_read,
             engine_.dataset().record_io().reads);
-  EXPECT_EQ(solo->trace().deduped_fetches, 0u);
-  // Through the fetch table of a two-query batch the same query dedupes its
-  // own repeated candidates, so the overlap above is real.
-  const auto shared = engine_.ExecuteBatch(
-      {partitioned, partitioned}, {.exec = mt, .use_result_cache = false});
-  ASSERT_EQ(shared.size(), 2u);
-  ASSERT_TRUE(shared[0].ok()) << shared[0].status().ToString();
-  EXPECT_GT(shared[0]->trace().deduped_fetches, 0u);
-  EXPECT_LT(shared[0]->stats().record_pages_read,
-            solo->stats().record_pages_read);
 }
 
 TEST_F(BatchDeterminismTest, MatchesAreByteIdenticalAcrossThreadCounts) {
@@ -272,57 +267,6 @@ TEST_F(BatchDeterminismTest, MatchesAreByteIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST_F(BatchDeterminismTest, SharedTraversalPreservesPerQueryStats) {
-  // Entries 0 and 1 share (transform set, effective partition) and must be
-  // grouped into one traversal; entry 0's duplicate at index 2 joins them.
-  std::vector<QuerySpec> specs;
-  specs.push_back(RangeSpec(0, 0.96));
-  specs.push_back(RangeSpec(7, 0.97));
-  specs.push_back(specs[0]);
-
-  std::vector<QueryResult> solo;
-  for (const QuerySpec& spec : specs) {
-    ExecOptions options;
-    options.planner.algorithm = Algorithm::kMtIndex;
-    auto result = engine_.Execute(spec, options);
-    ASSERT_TRUE(result.ok());
-    solo.push_back(std::move(*result));
-  }
-
-  BatchOptions options;
-  options.exec.planner.algorithm = Algorithm::kMtIndex;
-  options.exec.num_threads = 4;
-  options.use_result_cache = false;
-  const auto batch = engine_.ExecuteBatch(specs, options);
-  ASSERT_EQ(batch.size(), 3u);
-  std::uint64_t traversal_reporters = 0;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    ASSERT_TRUE(batch[i].ok());
-    const QueryStats& stats = batch[i]->stats();
-    // The verification-side counters are the query's own work and must be
-    // exactly the sequential numbers; only the traversal-side counters are
-    // attributed to the group leader.
-    EXPECT_EQ(stats.candidates, solo[i].stats().candidates) << i;
-    EXPECT_EQ(stats.comparisons, solo[i].stats().comparisons) << i;
-    EXPECT_EQ(stats.output_size, solo[i].stats().output_size) << i;
-    EXPECT_TRUE(batch[i]->trace().shared_traversal) << i;
-    EXPECT_EQ(batch[i]->trace().batch_group_queries, 3u) << i;
-    if (stats.traversals > 0) ++traversal_reporters;
-  }
-  // One leader carries the union traversal's index I/O; a shared traversal
-  // must not multiply it per member.
-  EXPECT_EQ(traversal_reporters, 1u);
-  const std::uint64_t batch_index_pages =
-      (*batch[0]).stats().index_nodes_accessed +
-      (*batch[1]).stats().index_nodes_accessed +
-      (*batch[2]).stats().index_nodes_accessed;
-  const std::uint64_t solo_index_pages =
-      solo[0].stats().index_nodes_accessed +
-      solo[1].stats().index_nodes_accessed +
-      solo[2].stats().index_nodes_accessed;
-  EXPECT_LE(batch_index_pages, solo_index_pages);
-}
-
 TEST_F(BatchDeterminismTest, RecordPageAttributionReconcilesWithPageFile) {
   std::vector<QuerySpec> specs;
   specs.push_back(RangeSpec(0, 0.96));
@@ -345,32 +289,15 @@ TEST_F(BatchDeterminismTest, RecordPageAttributionReconcilesWithPageFile) {
       ASSERT_TRUE(entry.ok());
       attributed += entry->stats().record_pages_read;
     }
-    // Deduped fetches are charged to exactly one query: the per-entry
-    // attribution sums to the physical page reads, no more, no less.
+    // Every page read is charged to the one entry whose fetch read it: the
+    // per-entry counts sum to the physical page reads, no more, no less.
     EXPECT_EQ(attributed, physical) << AlgorithmName(algorithm);
   }
-
-  // Four sequential scans in one batch touch each record exactly once: the
-  // whole batch costs the same physical I/O as ONE solo scan.
-  engine_.ResetIoStats();
-  ExecOptions solo_options;
-  solo_options.planner.algorithm = Algorithm::kSequentialScan;
-  ASSERT_TRUE(engine_.Execute(specs[0], solo_options).ok());
-  const std::uint64_t one_scan = engine_.dataset().record_io().reads;
-
-  BatchOptions options;
-  options.exec.planner.algorithm = Algorithm::kSequentialScan;
-  options.exec.num_threads = 4;
-  options.use_result_cache = false;
-  engine_.ResetIoStats();
-  const auto batch = engine_.ExecuteBatch(specs, options);
-  for (const auto& entry : batch) ASSERT_TRUE(entry.ok());
-  EXPECT_EQ(engine_.dataset().record_io().reads, one_scan);
 }
 
-// ResetIoStats() firing mid-batch must not corrupt the fetch-table's dedupe
-// accounting: attribution is computed from per-call page counts, never by
-// diffing the shared counters the reset zeroes.
+// ResetIoStats() firing mid-batch must not corrupt the per-entry page
+// accounting: each verify task counts its pages through the fetch's own
+// out-parameter, never by diffing the shared counters the reset zeroes.
 class MidBatchResetHook : public storage::FaultHook {
  public:
   explicit MidBatchResetHook(SimilarityEngine* engine) : engine_(engine) {}
@@ -386,7 +313,7 @@ class MidBatchResetHook : public storage::FaultHook {
   std::atomic<std::uint64_t> reads_{0};
 };
 
-TEST_F(BatchDeterminismTest, MidBatchResetDoesNotSplitDedupeAccounting) {
+TEST_F(BatchDeterminismTest, MidBatchResetDoesNotSplitPageAccounting) {
   std::vector<QuerySpec> specs;
   specs.push_back(RangeSpec(0, 0.96));
   specs.push_back(RangeSpec(7, 0.97));
@@ -397,7 +324,7 @@ TEST_F(BatchDeterminismTest, MidBatchResetDoesNotSplitDedupeAccounting) {
   options.exec.num_threads = 4;
   options.use_result_cache = false;
 
-  // Undisturbed baseline: matches and per-entry attribution.
+  // Undisturbed baseline: matches and per-entry page counts.
   const auto baseline = engine_.ExecuteBatch(specs, options);
   for (const auto& entry : baseline) ASSERT_TRUE(entry.ok());
 
@@ -411,7 +338,7 @@ TEST_F(BatchDeterminismTest, MidBatchResetDoesNotSplitDedupeAccounting) {
     SCOPED_TRACE(::testing::Message() << "entry " << i);
     ASSERT_TRUE(disturbed[i].ok()) << disturbed[i].status().ToString();
     ExpectExactlyEqual(*baseline[i], *disturbed[i]);
-    // The regression this guards: attribution derived from counter diffs
+    // The regression this guards: page counts derived from counter diffs
     // would tear across the reset and report garbage here.
     EXPECT_EQ(disturbed[i]->stats().record_pages_read,
               baseline[i]->stats().record_pages_read);

@@ -70,11 +70,13 @@ void Usage(const char* argv0) {
       "\n"
       "--batch switches to the batched-execution sweep: each case groups\n"
       "several generated specs (plus seeded duplicates) into one\n"
-      "ExecuteBatch call and diffs every entry byte-for-byte against the\n"
-      "per-spec sequential Execute, against the oracle, and — cache on —\n"
-      "against a repeated all-hits batch; faults apply per entry\n"
-      "(error-or-exact). Combine with --mutate for concurrent-write batches\n"
-      "checked at each batch's single pinned snapshot.\n",
+      "ExecuteBatch call and diffs every entry byte-for-byte (matches,\n"
+      "stats, per-rectangle stats, trace signature) against the per-spec\n"
+      "sequential Execute, against the oracle, and — cache on — against a\n"
+      "repeated all-hits batch; faults apply per entry (error-or-exact,\n"
+      "and one faulted read fails at most one entry). Combine with --mutate\n"
+      "for concurrent-write batches checked at each batch's single pinned\n"
+      "snapshot.\n",
       argv0);
 }
 
