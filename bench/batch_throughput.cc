@@ -3,13 +3,13 @@
 // averages 10..25, rho = 0.96).
 //
 // One fixed list of random query sequences is executed three ways — as
-// single-query batches, batches of 8, and batches of 64 — with the result
-// cache OFF, so the speedup isolates what a batch shares: one snapshot pin
-// and one planner consultation per batch, and one pass over the worker
-// threads for every query's tasks. Each query still runs its own index
-// traversal and record fetches, so the record pages are the same at every
-// batch size. The match sets are verified identical across batch sizes
-// before any number is reported.
+// single-query batches, batches of 8, and batches of 64 — so the speedup
+// isolates what a batch shares: one snapshot pin and one planner
+// consultation per batch, and one pass over the worker threads for every
+// query's tasks. Each query still runs its own index traversal and record
+// fetches, so the record pages are the same at every batch size. The match
+// sets are verified identical across batch sizes before any number is
+// reported.
 //
 // --threads=N sets the executor workers per batch (0 = one per hardware
 // thread); --trace-json=<path> dumps the ExplainJson document of the last
@@ -44,8 +44,7 @@ int main(int argc, char** argv) {
 
   std::printf("Batched execution: queries/sec vs. batch size\n");
   std::printf("(%zu random walks, |T| = 16 moving averages 10..25, "
-              "rho = 0.96, %zu queries, %zu worker thread(s), result cache "
-              "off)\n\n",
+              "rho = 0.96, %zu queries, %zu worker thread(s))\n\n",
               num_series, num_queries, exec::EffectiveThreads(threads));
 
   // The fixed query list every batch size executes.
@@ -63,10 +62,8 @@ int main(int argc, char** argv) {
 
   // Warm the planner once so its calibration I/O is not on the clock.
   {
-    core::BatchOptions warm;
-    warm.use_result_cache = false;
-    const auto warmup = engine.ExecuteBatch(
-        {all_specs.begin(), all_specs.begin() + 1}, warm);
+    const auto warmup =
+        engine.ExecuteBatch({all_specs.begin(), all_specs.begin() + 1});
     if (warmup.empty() || !warmup[0].ok()) {
       std::fprintf(stderr, "warmup failed\n");
       return 1;
@@ -86,7 +83,6 @@ int main(int argc, char** argv) {
     core::BatchOptions options;
     options.exec.planner.algorithm = core::Algorithm::kMtIndex;
     options.exec.num_threads = threads;
-    options.use_result_cache = false;
 
     engine.ResetIoStats();
     std::vector<std::vector<core::Match>> matches(num_queries);

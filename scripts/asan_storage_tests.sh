@@ -32,7 +32,7 @@ cmake --build "$BUILD_DIR" -j --target \
   rtree_join_test join_query_test knn_query_test engine_fault_test \
   range_query_test batch_determinism_test polar_bounds_test \
   parallel_test exec_determinism_test exec_concurrency_test \
-  batch_concurrency_test result_cache_test
+  batch_concurrency_test
 
 cd "$BUILD_DIR"
-ctest --output-on-failure -R 'PageFile|AtomicFile|RecordStore|Persistence|CheckpointRobustness|Dataset|RStarTree|SpatialJoin|JoinQueryTest|TransformedCorrelation|DistanceJoinEquivalence|EffectiveThreads|ThreadPool|ParallelFor|Chunk|ExecutorDeterminism|ExecutorConcurrency|BatchConcurrency|ResultCache|RangeQuery|BatchDeterminism|KnnQuery|EngineFault|PolarBound'
+ctest --output-on-failure -R 'PageFile|AtomicFile|RecordStore|Persistence|CheckpointRobustness|Dataset|RStarTree|SpatialJoin|JoinQueryTest|TransformedCorrelation|DistanceJoinEquivalence|EffectiveThreads|ThreadPool|ParallelFor|Chunk|ExecutorDeterminism|ExecutorConcurrency|BatchConcurrency|RangeQuery|BatchDeterminism|KnnQuery|EngineFault|PolarBound'

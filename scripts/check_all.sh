@@ -16,10 +16,10 @@
 #   4. scripts/persist_tests.sh — crash-safety gate: the "-L persist"
 #      checkpoint robustness suite plus a crash-recovery sweep that aborts
 #      SaveTo at every write step and re-loads;
-#   5. the batch gate — "-L batch" runs the ExecuteBatch determinism,
-#      result-cache and concurrency suites plus the batched differential
-#      fuzz slices, then a fast batch-throughput bench run re-verifies
-#      that batched and single-query match sets are identical;
+#   5. the batch gate — "-L batch" runs the ExecuteBatch determinism and
+#      concurrency suites plus the batched differential fuzz slices, then a
+#      fast batch-throughput bench run re-verifies that batched and
+#      single-query match sets are identical;
 #   6. the kernel gate — "-L kernels" runs the cross-ISA bitwise identity
 #      and early-abandon property suites, then the whole tier-1 suite is
 #      re-run with TSQ_KERNEL_ISA=scalar: every test must pass bit-for-bit

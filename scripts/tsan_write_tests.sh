@@ -8,8 +8,7 @@
 # epoch shows up as a TSAN report. engine_write_fault_test runs the
 # fault-injected commit/compensate paths under the same instrumentation.
 # batch_concurrency_test adds the batched path: concurrent ExecuteBatch
-# calls (shared result cache, one pin per batch)
-# racing the same continuous writer.
+# calls (one pin per batch) racing the same continuous writer.
 #
 # Usage: scripts/tsan_write_tests.sh [build-dir]   (default: build-tsan)
 set -euo pipefail

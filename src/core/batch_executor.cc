@@ -1,7 +1,6 @@
-// The one query executor behind SimilarityEngine::Execute (a one-query batch
-// with the result cache off) and SimilarityEngine::ExecuteBatch: one
-// snapshot pin and one planner consultation for the whole batch, then, for
-// range queries,
+// The one query executor behind SimilarityEngine::Execute (a one-query batch)
+// and SimilarityEngine::ExecuteBatch: one snapshot pin and one planner
+// consultation for the whole batch, then, for range queries,
 //
 //   prepare → traversal → chunked verify → deterministic merge.
 //
@@ -27,14 +26,15 @@
 // matches, QueryStats, GroupRunStats and trace signatures never depend on
 // num_threads.
 //
-// A batch shares the pin, the planner pass, the result cache and one
-// ParallelForBatch over every query's tasks, and no query work: each range
-// query traverses with its own predicate, and each verify task fetches into
-// its own scratch, charged the pages that fetch read. Algorithm 1
-// post-processes each rectangle on its own, and Eq. 18-20 charge each query
-// its own index pages and record fetches. Hence the batch contract: entry i
-// equals Execute(specs[i]) in matches, QueryStats, group_stats and
-// DeterministicSignature(), at every thread count and batch composition.
+// A batch shares the pin, the planner pass and one ParallelForBatch over
+// every query's tasks, and no query work: each range query traverses with
+// its own predicate, each verify task fetches into its own scratch, charged
+// the pages that fetch read, and an identical spec repeated in a batch
+// executes again. Algorithm 1 post-processes each rectangle on its own, and
+// Eq. 18-20 charge each query its own index pages and record fetches. Hence
+// the batch contract: entry i equals Execute(specs[i]) in matches,
+// QueryStats, group_stats and DeterministicSignature(), at every thread
+// count and batch composition.
 
 #include <algorithm>
 #include <cmath>
@@ -43,7 +43,6 @@
 #include <memory>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -51,7 +50,6 @@
 #include "common/clock.h"
 #include "core/engine.h"
 #include "core/polar_bounds.h"
-#include "core/result_cache.h"
 #include "exec/batch_schedule.h"
 #include "exec/parallel.h"
 #include "kernels/kernels.h"
@@ -207,13 +205,13 @@ struct RectPass {
   std::vector<std::uint64_t> candidates;
 };
 
-/// Everything one *executing* query carries through the batch (cache hits
-/// and in-batch duplicates never build one of these).
+/// Everything one query carries through the batch (none is kept for a
+/// query that fails planning or validation).
 struct QueryExec {
   enum class Kind { kScan, kIndexed, kKnn, kJoin };
   Kind kind = Kind::kScan;
 
-  ExecOptions resolved;  // options.exec with the planner's algorithm
+  ExecOptions resolved;  // the batch's options with the planner's algorithm
   const transform::Partition* planner_partition = nullptr;
 
   // Range-query state, prepared up front.
@@ -239,23 +237,13 @@ struct QueryExec {
   std::vector<VerifyPart> parts;
 };
 
-obs::QueryTrace& MutableTrace(QueryResult* out) {
-  return std::visit(
-      [](auto& result) -> obs::QueryTrace& { return result.trace; },
-      out->value);
-}
-
-/// Resets the two batch fields to what a plain Execute() reports.
-void ClearBatchFields(obs::QueryTrace* trace) {
-  trace->batch_size = 0;
-  trace->result_cache_hit = false;
-}
-
 /// Stamps the fields every executed result carries.
 void StampTrace(QueryResult* out, std::uint64_t snapshot_version,
                 std::uint64_t checkpoint_epoch, const plan::Planned& planned,
                 std::size_t batch_size) {
-  obs::QueryTrace& trace = MutableTrace(out);
+  obs::QueryTrace& trace = std::visit(
+      [](auto& result) -> obs::QueryTrace& { return result.trace; },
+      out->value);
   trace.snapshot_version = snapshot_version;
   trace.checkpoint_epoch = checkpoint_epoch;
   trace.kernel_isa = kernels::IsaName(kernels::ActiveIsa());
@@ -275,119 +263,59 @@ void StampTrace(QueryResult* out, std::uint64_t snapshot_version,
   }
 }
 
-/// Copies a cached (or leader's) result for serving, rewriting the batch
-/// fields for the serving batch: the cached canonical copy has them zeroed,
-/// and the computing batch's size must not leak.
-QueryResult ServeCopy(const QueryResult& canonical, std::size_t batch_size) {
-  QueryResult out = canonical;
-  obs::QueryTrace& trace = MutableTrace(&out);
-  ClearBatchFields(&trace);
-  trace.batch_size = batch_size;
-  trace.result_cache_hit = true;
-  return out;
-}
-
-/// The canonical form a result is cached under: batch fields zeroed, so a
-/// hit served into a later batch carries that batch's fields, not the
-/// computing batch's.
-std::shared_ptr<const QueryResult> CanonicalForCache(const QueryResult& out) {
-  auto canonical = std::make_shared<QueryResult>(out);
-  ClearBatchFields(&MutableTrace(canonical.get()));
-  return canonical;
-}
-
 }  // namespace
 
 std::vector<Result<QueryResult>> SimilarityEngine::ExecuteBatch(
     const std::vector<QuerySpec>& specs, const BatchOptions& options) const {
   if (specs.empty()) return {};
+  if (options.use_result_cache) {
+    return std::vector<Result<QueryResult>>(
+        specs.size(),
+        Status::InvalidArgument("ExecuteBatch has no result cache; every "
+                                "entry executes (use_result_cache = false)"));
+  }
   const BatchMetrics& metrics = BatchMetrics::Get();
   metrics.batches->Increment();
   metrics.queries->Increment(specs.size());
   std::vector<const QuerySpec*> spec_ptrs;
   spec_ptrs.reserve(specs.size());
   for (const QuerySpec& spec : specs) spec_ptrs.push_back(&spec);
-  return Run(spec_ptrs, options, /*batched=*/true);
+  return Run(spec_ptrs, options.exec, specs.size());
 }
 
 std::vector<Result<QueryResult>> SimilarityEngine::Run(
-    const std::vector<const QuerySpec*>& specs, const BatchOptions& options,
-    bool batched) const {
+    const std::vector<const QuerySpec*>& specs, const ExecOptions& options,
+    std::size_t batch_size) const {
   const std::uint64_t batch_start = MonotonicNanos();
   const std::size_t n = specs.size();
 
   // One snapshot pin for the whole batch, planning included: every query
-  // sees the same (dataset, index, plan epoch) triple, and its version keys
-  // the cache and lands in every trace.
+  // sees the same (dataset, index, plan epoch) triple, and its version lands
+  // in every trace.
   const SnapshotManager::ReadPin pin = snapshots_.PinRead();
   const std::uint64_t snapshot_version = pin.version();
   const std::uint64_t checkpoint_epoch =
       checkpoint_epoch_.load(std::memory_order_relaxed);
-  const std::uint64_t config_epoch =
-      config_epoch_.load(std::memory_order_acquire);
 
   // One planner consultation (one mutex acquisition) for the whole batch. A
   // forced algorithm passes through the planner too, short-circuiting into
   // an unplanned decision.
   std::vector<Result<plan::Planned>> planned =
-      planner_->PlanBatch(specs, options.exec.planner);
+      planner_->PlanBatch(specs, options.planner);
 
   std::vector<std::optional<Result<QueryResult>>> staged(n);
-
-  // --- Result cache pre-pass -----------------------------------------------
-  // Per query: serve a hit, defer to an identical earlier spec of this batch
-  // (dup), claim ownership of the key (pinned — this query publishes), or
-  // bypass (another batch is computing the same key right now; execute
-  // without publishing).
-  std::vector<std::optional<plan::PlanKey>> cache_keys(n);
-  std::vector<bool> pinned(n, false);
-  struct Dup {
-    std::size_t index;
-    std::size_t leader;
-  };
-  std::vector<Dup> dups;
-  if (options.use_result_cache) {
-    std::unordered_map<plan::PlanKey, std::size_t, plan::PlanKeyHash>
-        leader_for_key;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!planned[i].ok()) continue;
-      const ResultCacheKey key = ComputeResultCacheKey(
-          *specs[i], options.exec, snapshot_version, config_epoch);
-      if (!key.cacheable) continue;
-      cache_keys[i] = key.key;
-      if (std::shared_ptr<const QueryResult> hit =
-              result_cache_->Lookup(key.key)) {
-        staged[i].emplace(ServeCopy(*hit, n));
-        continue;
-      }
-      if (const auto it = leader_for_key.find(key.key);
-          it != leader_for_key.end()) {
-        dups.push_back(Dup{i, it->second});
-        continue;
-      }
-      leader_for_key.emplace(key.key, i);
-      pinned[i] = result_cache_->Pin(key.key);
-    }
-  }
-  const auto is_dup = [&dups](std::size_t i) {
-    for (const Dup& dup : dups) {
-      if (dup.index == i) return true;
-    }
-    return false;
-  };
 
   // --- Per-query preparation -----------------------------------------------
   const transform::FeatureLayout& layout = dataset_->layout();
   std::vector<std::unique_ptr<QueryExec>> execs(n);
   for (std::size_t i = 0; i < n; ++i) {
-    if (staged[i].has_value() || is_dup(i)) continue;
     if (!planned[i].ok()) {
       staged[i].emplace(planned[i].status());
       continue;
     }
     auto exec = std::make_unique<QueryExec>();
     const plan::PlanDecision& decision = *planned[i]->decision;
-    exec->resolved = options.exec;
+    exec->resolved = options;
     exec->resolved.planner.algorithm = decision.algorithm;
     exec->planner_partition =
         decision.partition.empty() ? nullptr : &decision.partition;
@@ -454,7 +382,7 @@ std::vector<Result<QueryResult>> SimilarityEngine::Run(
     }
   }
   const std::vector<Status> traversal_status = exec::ParallelForBatch(
-      options.exec.num_threads, traversal_counts,
+      options.num_threads, traversal_counts,
       [&](std::size_t i, std::size_t r) -> Status {
         QueryExec& q = *execs[i];
         RectPass& pass = q.rects[r];
@@ -516,7 +444,7 @@ std::vector<Result<QueryResult>> SimilarityEngine::Run(
     verify_counts[i] = q.verify_tasks.size();
   }
   const std::vector<Status> verify_status = exec::ParallelForBatch(
-      options.exec.num_threads, verify_counts,
+      options.num_threads, verify_counts,
       [&](std::size_t i, std::size_t ti) -> Status {
         QueryExec& q = *execs[i];
         const VerifyRef& ref = q.verify_tasks[ti];
@@ -618,13 +546,14 @@ std::vector<Result<QueryResult>> SimilarityEngine::Run(
         .AddTask(MonotonicNanos() - merge_start, result.matches.size());
     trace.total_nanos = MonotonicNanos() - batch_start;
     out.value = std::move(result);
-    StampTrace(&out, snapshot_version, checkpoint_epoch, *planned[i], n);
+    StampTrace(&out, snapshot_version, checkpoint_epoch, *planned[i],
+               batch_size);
     staged[i].emplace(std::move(out));
   }
 
   // --- k-NN and join queries -----------------------------------------------
   // They run under the same pin with the batch's plan decisions (the point
-  // of batching them is the shared pin + planner pass + result cache).
+  // of batching them is the shared pin and planner pass).
   for (std::size_t i = 0; i < n; ++i) {
     if (execs[i] == nullptr || execs[i]->range != nullptr) continue;
     const QueryExec& q = *execs[i];
@@ -648,45 +577,14 @@ std::vector<Result<QueryResult>> SimilarityEngine::Run(
       }
       out.value = std::move(*result);
     }
-    StampTrace(&out, snapshot_version, checkpoint_epoch, *planned[i], n);
+    StampTrace(&out, snapshot_version, checkpoint_epoch, *planned[i],
+               batch_size);
     staged[i].emplace(std::move(out));
-  }
-
-  // --- Cache publish + in-batch duplicates ---------------------------------
-  if (options.use_result_cache) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!pinned[i]) continue;
-      if (staged[i].has_value() && staged[i]->ok()) {
-        result_cache_->Insert(*cache_keys[i], CanonicalForCache(**staged[i]));
-      }
-      result_cache_->Unpin(*cache_keys[i]);
-    }
-    for (const Dup& dup : dups) {
-      // Prefer a real cache lookup (counts the hit and refreshes the LRU);
-      // fall back to the leader's staged entry when nothing was published —
-      // the leader failed, or another batch owned the key.
-      if (std::shared_ptr<const QueryResult> hit =
-              result_cache_->Lookup(*cache_keys[dup.index])) {
-        staged[dup.index].emplace(ServeCopy(*hit, n));
-        continue;
-      }
-      const Result<QueryResult>& leader = *staged[dup.leader];
-      if (!leader.ok()) {
-        staged[dup.index].emplace(leader.status());
-      } else {
-        staged[dup.index].emplace(ServeCopy(*leader, n));
-      }
-    }
   }
 
   std::vector<Result<QueryResult>> results;
   results.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!batched && staged[i]->ok()) {
-      ClearBatchFields(&MutableTrace(&**staged[i]));
-    }
-    results.push_back(std::move(*staged[i]));
-  }
+  for (std::size_t i = 0; i < n; ++i) results.push_back(std::move(*staged[i]));
   return results;
 }
 

@@ -8,7 +8,6 @@
 #include "common/check.h"
 #include "common/clock.h"
 #include "core/cost_model.h"
-#include "core/result_cache.h"
 #include "obs/metrics.h"
 #include "plan/planner.h"
 #include "storage/atomic_file.h"
@@ -187,11 +186,9 @@ SimilarityEngine::SimilarityEngine(std::vector<ts::Series> series,
   dataset_ = std::make_unique<Dataset>(std::move(series), options.layout);
   index_ = std::make_unique<SequenceIndex>(*dataset_, options.tree);
   planner_ = std::make_unique<plan::Planner>(*dataset_, *index_);
-  result_cache_ = std::make_unique<ResultCache>();
 }
 
-SimilarityEngine::SimilarityEngine()
-    : result_cache_(std::make_unique<ResultCache>()) {}
+SimilarityEngine::SimilarityEngine() = default;
 
 SimilarityEngine::~SimilarityEngine() = default;
 
@@ -278,8 +275,7 @@ Result<QueryResult> SimilarityEngine::Execute(const QuerySpec& spec,
   const std::uint64_t start = MonotonicNanos();
   metrics.queries->Increment();
   std::vector<Result<QueryResult>> results =
-      Run({&spec}, BatchOptions{.exec = options, .use_result_cache = false},
-          /*batched=*/false);
+      Run({&spec}, options, /*batch_size=*/0);
   if (!results.front().ok()) {
     metrics.query_errors->Increment();
     return results.front().status();
@@ -304,14 +300,12 @@ void SimilarityEngine::SetSimulatedDiskLatency(std::uint64_t nanos) {
   index_->set_io_delay_nanos(nanos);
   // C_cmp was measured against the old page-read latency.
   planner_->InvalidateCalibration();
-  config_epoch_.fetch_add(1, std::memory_order_acq_rel);
 }
 
 void SimilarityEngine::SetReadFaultHook(storage::FaultHook* hook) {
   SnapshotManager::WriteLock write = snapshots_.LockWrite();
   dataset_->SetReadFaultHook(hook);
   index_->SetReadFaultHook(hook);
-  config_epoch_.fetch_add(1, std::memory_order_acq_rel);
 }
 
 void SimilarityEngine::SetCheckpointFaultHook(storage::FaultHook* hook) {

@@ -22,8 +22,6 @@ class Planner;
 
 namespace tsq::core {
 
-class ResultCache;
-
 /// Uniform result of SimilarityEngine::Execute: the per-type result plus,
 /// for indexed range queries, the per-rectangle counters of the cost
 /// function Ck (Eq. 20), one entry per index traversal.
@@ -50,14 +48,13 @@ struct QueryResult {
 };
 
 /// How SimilarityEngine::ExecuteBatch runs a batch: one ExecOptions applied
-/// to every query of the batch, plus the result-cache switch.
+/// to every query of the batch.
 struct BatchOptions {
   ExecOptions exec;
-  /// Consult (and fill) the engine's snapshot-keyed ResultCache: cache hits
-  /// are served without executing, and identical specs within one batch
-  /// execute once. Off, every spec executes — the configuration whose
-  /// results the differential fuzzer diffs against sequential Execute().
-  bool use_result_cache = true;
+  /// Must stay false: the engine keeps no result cache, and every batch
+  /// entry executes. ExecuteBatch answers true with InvalidArgument on every
+  /// entry. Kept only while perfbench still assigns it.
+  bool use_result_cache = false;
 };
 
 /// Facade over the whole system: owns the sequence relation, its record
@@ -146,11 +143,10 @@ class SimilarityEngine {
   /// also sets the worker-thread count (results and summed stats are
   /// identical for every value).
   ///
-  /// Execute(spec) is ExecuteBatch({spec}) with the result cache off: the
-  /// same pipeline, returning that one entry with the trace's two batch
-  /// fields (batch_size, result_cache_hit) at their defaults. A range
-  /// query's record fetches are charged per (rectangle, candidate), as
-  /// Algorithm 1 post-processes each rectangle on its own.
+  /// Execute(spec) is ExecuteBatch({spec}): the same pipeline, returning
+  /// that one entry with the trace's batch_size at 0. A range query's record
+  /// fetches are charged per (rectangle, candidate), as Algorithm 1
+  /// post-processes each rectangle on its own.
   /// Thread-safe: any number of concurrent Execute() calls, concurrently
   /// with Insert()/Remove(). The query runs against the snapshot pinned at
   /// entry (its version lands in the result trace); configuration calls
@@ -159,21 +155,18 @@ class SimilarityEngine {
                               const ExecOptions& options = ExecOptions()) const;
 
   /// Runs a batch of queries against ONE pinned snapshot with ONE planner
-  /// consultation, and every executing query's tasks through one pass over
-  /// the worker threads (see docs/ARCHITECTURE.md, "Batched execution & the
-  /// result cache"). Each query still does its own work: its own index
-  /// traversals and its own record fetches, as Execute() runs them. With
-  /// `options.use_result_cache`, results are served from / published to the
-  /// engine's bounded LRU ResultCache, keyed on (canonical spec, exec
-  /// options, snapshot version, config epoch), and an in-batch duplicate is
-  /// served from its first occurrence.
+  /// consultation, and every query's tasks through one pass over the worker
+  /// threads (see docs/ARCHITECTURE.md, "Batched execution"). Each query
+  /// still does its own work: its own index traversals and its own record
+  /// fetches, as Execute() runs them; an identical spec repeated in the
+  /// batch executes again. Every trace reports batch_size = specs.size().
+  /// `options.use_result_cache` set is InvalidArgument on every entry.
   ///
   /// Entry i of the returned vector is the result (or error Status) of
   /// specs[i], and equals Execute(specs[i]) at the same snapshot in matches,
   /// QueryStats, group_stats and trace DeterministicSignature(), for any
   /// num_threads and batch composition. A fault injected into one query's
-  /// I/O fails that entry only (and, with the cache on, its in-batch
-  /// duplicates, which are served its result).
+  /// I/O fails that entry only.
   ///
   /// Thread-safe like Execute(): any number of concurrent batches,
   /// concurrently with Insert()/Remove().
@@ -184,16 +177,6 @@ class SimilarityEngine {
   /// The cost-based planner (plan cache, calibrated constants, epoch).
   /// Mostly for tests and benches; Execute() consults it automatically.
   plan::Planner& planner() const { return *planner_; }
-
-  /// The snapshot-keyed result cache ExecuteBatch serves hits from.
-  ResultCache& result_cache() const { return *result_cache_; }
-
-  /// Bumped by every configuration change that alters what a query would
-  /// read (simulated latency, fault hooks); part of the ResultCache key, so
-  /// reconfiguration invalidates every cached result.
-  std::uint64_t config_epoch() const {
-    return config_epoch_.load(std::memory_order_acquire);
-  }
 
   /// Resets every I/O counter — record store and index page file — between
   /// benchmark queries.
@@ -263,11 +246,11 @@ class SimilarityEngine {
   SimilarityEngine();  // for LoadFrom
 
   /// The executor behind Execute() and ExecuteBatch() (batch_executor.cc).
-  /// With `batched` false — Execute()'s one-query call — every trace keeps
-  /// its batch fields at their defaults.
+  /// Every trace reports `batch_size`: 0 from Execute(), the batch's size
+  /// from ExecuteBatch().
   std::vector<Result<QueryResult>> Run(
-      const std::vector<const QuerySpec*>& specs, const BatchOptions& options,
-      bool batched) const;
+      const std::vector<const QuerySpec*>& specs, const ExecOptions& options,
+      std::size_t batch_size) const;
 
   std::unique_ptr<Dataset> dataset_;
   std::unique_ptr<SequenceIndex> index_;
@@ -279,13 +262,6 @@ class SimilarityEngine {
   // after the manifest commit (before GC) so a post-commit failure still
   // leaves the engine agreeing with the disk.
   mutable std::atomic<std::uint64_t> checkpoint_epoch_{0};
-  // Configuration epoch: bumped (under the write lock) by every call that
-  // changes what a query would read — simulated latency, fault hooks. Part
-  // of the ResultCache key.
-  mutable std::atomic<std::uint64_t> config_epoch_{0};
-  // Snapshot-keyed result cache for ExecuteBatch; mutable because batches
-  // run through const methods.
-  mutable std::unique_ptr<ResultCache> result_cache_;
   // Crash-injection schedule for SaveTo; written under the write lock, read
   // under SaveTo's read pin.
   storage::FaultHook* checkpoint_hook_ = nullptr;

@@ -280,18 +280,14 @@ std::size_t PolarBound::AppendAdmitSets(
       greatest[i] = std::max(greatest[i], weights_[t * coefficients_ + i]);
     }
   }
-  // Squared moduli spelled out: std::norm goes through std::abs.
-  const auto squared = [](dft::Complex z) {
-    return z.real() * z.real() + z.imag() * z.imag();
-  };
   Scratch<double, 16> terms(2 * coefficients_);
   std::size_t appended = 0;
   for (std::size_t c = 0; c < count; ++c) {
     const dft::Complex* x = xs.data() + c * coefficients_;
     if (!data_only_) {
       for (std::size_t i = 0; i < coefficients_; ++i) {
-        terms[2 * i] = squared(x[i] - q[i]);
-        terms[2 * i + 1] = squared(x[i]) + squared(q[i]);
+        terms[2 * i] = std::norm(x[i] - q[i]);
+        terms[2 * i + 1] = std::norm(x[i]) + std::norm(q[i]);
       }
       // Every term is non-negative and rounding is monotone, so the
       // screened value, summed in the same order, never exceeds any t's:

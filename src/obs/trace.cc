@@ -29,13 +29,6 @@ void PhaseStats::AddTask(std::uint64_t task_nanos, std::uint64_t item_count) {
   items += item_count;
 }
 
-void PhaseStats::Merge(const PhaseStats& other) {
-  nanos += other.nanos;
-  max_task_nanos = std::max(max_task_nanos, other.max_task_nanos);
-  tasks += other.tasks;
-  items += other.items;
-}
-
 std::string QueryTrace::DeterministicSignature() const {
   std::ostringstream os;
   os << algorithm;
@@ -66,9 +59,8 @@ std::string FormatTrace(const QueryTrace& trace) {
                 trace.kernel_isa.c_str());
   os << line;
   if (trace.batch_size > 0) {
-    std::snprintf(line, sizeof line, "  batch: %zu queries%s\n",
-                  trace.batch_size,
-                  trace.result_cache_hit ? ", result-cache hit" : "");
+    std::snprintf(line, sizeof line, "  batch: %zu queries\n",
+                  trace.batch_size);
     os << line;
   }
   for (std::size_t p = 0; p < kPhaseCount; ++p) {
@@ -118,9 +110,7 @@ std::string TraceToJson(const QueryTrace& trace) {
     os << ",\"kernel_isa\":\"" << trace.kernel_isa << "\"";
   }
   if (trace.batch_size > 0) {
-    os << ",\"batch\":{\"size\":" << trace.batch_size
-       << ",\"result_cache_hit\":"
-       << (trace.result_cache_hit ? "true" : "false") << '}';
+    os << ",\"batch\":{\"size\":" << trace.batch_size << '}';
   }
   os << ",\"phases\":[";
   bool first = true;

@@ -7,8 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "common/clock.h"
-
 namespace tsq::obs {
 
 /// The phases a query passes through, in execution order. Every executor
@@ -60,9 +58,6 @@ struct PhaseStats {
 
   /// Records one task's span over `item_count` work units.
   void AddTask(std::uint64_t task_nanos, std::uint64_t item_count);
-
-  /// Folds another aggregate in (sum/sum/sum + max).
-  void Merge(const PhaseStats& other);
 
   bool empty() const { return tasks == 0; }
 };
@@ -120,14 +115,10 @@ struct QueryTrace {
   /// Excluded from DeterministicSignature() like snapshot_version: it
   /// depends on persistence history, not on the query.
   std::uint64_t checkpoint_epoch = 0;
-  /// Batched execution (SimilarityEngine::ExecuteBatch). Both fields stay
-  /// at their defaults for a plain Execute() and are excluded from
-  /// DeterministicSignature(): they describe how the result was served, not
-  /// what this query computed.
-  std::size_t batch_size = 0;  // queries in the batch; 0 = not batched
-  /// True when this result was served from the snapshot-keyed ResultCache
-  /// (or copied from an identical co-batched query) instead of executed.
-  bool result_cache_hit = false;
+  /// Queries in the SimilarityEngine::ExecuteBatch call that ran this one;
+  /// 0 for a plain Execute(). Excluded from DeterministicSignature(): it
+  /// describes how the query was issued, not what it computed.
+  std::size_t batch_size = 0;
   /// Active kernel ISA ("scalar", "avx2") the distance kernels ran with —
   /// kernels::IsaName(kernels::ActiveIsa()). Excluded from
   /// DeterministicSignature(): both ISAs produce bitwise-identical results,
@@ -154,30 +145,6 @@ std::string FormatTrace(const QueryTrace& trace);
 /// JSON object rendering:
 /// {"algorithm":...,"num_threads":...,"total_nanos":...,"phases":[...]}.
 std::string TraceToJson(const QueryTrace& trace);
-
-/// Times a serial section into `trace.at(phase)` as a single task span.
-/// Not for use inside parallel tasks — those record raw nanos into their
-/// per-task partials and the merge step calls AddTask in task order.
-class ScopedPhase {
- public:
-  ScopedPhase(QueryTrace* trace, Phase phase, std::uint64_t items = 0)
-      : trace_(trace), phase_(phase), items_(items),
-        start_(MonotonicNanos()) {}
-  ~ScopedPhase() {
-    trace_->at(phase_).AddTask(MonotonicNanos() - start_, items_);
-  }
-
-  ScopedPhase(const ScopedPhase&) = delete;
-  ScopedPhase& operator=(const ScopedPhase&) = delete;
-
-  void AddItems(std::uint64_t count) { items_ += count; }
-
- private:
-  QueryTrace* trace_;
-  Phase phase_;
-  std::uint64_t items_;
-  std::uint64_t start_;
-};
 
 }  // namespace tsq::obs
 

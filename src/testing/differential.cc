@@ -747,81 +747,50 @@ CaseOutcome DifferentialRunner::RunBatchCase(std::size_t index,
     }
   }
 
-  // The batched sweep: every entry must match its sequential baseline
-  // byte-for-byte, every entry of one batch must pin the same snapshot
-  // version and report the batch size, and a repeated cache-on batch must
-  // serve every entry from the cache with identical matches.
+  // The batched sweep: every entry — duplicates included, which execute
+  // again — must match its sequential baseline byte-for-byte, and every
+  // entry of one batch must pin the same snapshot version and report the
+  // batch size.
   for (std::size_t a = 0; a < std::size(kAlgorithms) && outcome.passed; ++a) {
     const core::Algorithm algorithm = kAlgorithms[a];
     for (const std::size_t threads : kThreadCounts) {
-      for (const bool use_cache : {false, true}) {
-        core::BatchOptions options;
-        options.exec.planner.algorithm = algorithm;
-        options.exec.num_threads = threads;
-        options.use_result_cache = use_cache;
-        const std::string config_text = DescribeConfig(algorithm, threads) +
-                                        (use_cache ? "/cache" : "/no-cache");
-
-        const auto check_batch = [&](const char* phase, bool expect_hits) {
-          const std::vector<Result<core::QueryResult>> batch =
-              engine_.ExecuteBatch(specs, options);
-          ++outcome.runs;
-          if (batch.size() != specs.size()) {
-            fail(std::string(phase) + " returned " +
-                 std::to_string(batch.size()) + " results for " +
-                 std::to_string(specs.size()) + " specs (" + config_text +
-                 ")");
-            return;
-          }
-          std::uint64_t version = 0;
-          bool have_version = false;
-          for (std::size_t i = 0; i < batch.size(); ++i) {
-            if (!batch[i].ok()) {
-              fail(std::string(phase) + " entry " + std::to_string(i) +
-                   " errored (" + config_text +
-                   "): " + batch[i].status().ToString());
-              return;
-            }
-            const core::QueryResult& result = *batch[i];
-            const std::string diff = ExactDiff(baselines[a][i], result);
-            if (!diff.empty()) {
-              fail(std::string(phase) + " entry " + std::to_string(i) +
-                   " (" + config_text + "): " + diff);
-              return;
-            }
-            if (result.trace().batch_size != specs.size()) {
-              fail(std::string(phase) + " entry " + std::to_string(i) +
-                   " reports batch_size " +
-                   std::to_string(result.trace().batch_size) + " for a " +
-                   std::to_string(specs.size()) + "-spec batch (" +
-                   config_text + ")");
-              return;
-            }
-            if (!have_version) {
-              version = result.trace().snapshot_version;
-              have_version = true;
-            } else if (result.trace().snapshot_version != version) {
-              fail(std::string(phase) + " pinned two snapshot versions (" +
-                   config_text + "): v" + std::to_string(version) + " and v" +
-                   std::to_string(result.trace().snapshot_version));
-              return;
-            }
-            if (expect_hits && !result.trace().result_cache_hit) {
-              fail(std::string(phase) + " entry " + std::to_string(i) +
-                   " was not served from the result cache (" + config_text +
-                   ")");
-              return;
-            }
-          }
-        };
-
-        check_batch("batch", false);
-        if (use_cache && outcome.passed) {
-          // Identical batch, same snapshot, same config epoch: every entry
-          // must now be a cache hit and still carry identical matches.
-          check_batch("cached rerun", true);
+      core::BatchOptions options;
+      options.exec.planner.algorithm = algorithm;
+      options.exec.num_threads = threads;
+      const std::string config_text = DescribeConfig(algorithm, threads);
+      const std::vector<Result<core::QueryResult>> batch =
+          engine_.ExecuteBatch(specs, options);
+      ++outcome.runs;
+      if (batch.size() != specs.size()) {
+        fail("batch returned " + std::to_string(batch.size()) +
+             " results for " + std::to_string(specs.size()) + " specs (" +
+             config_text + ")");
+        break;
+      }
+      std::uint64_t version = 0;
+      for (std::size_t i = 0; i < batch.size() && outcome.passed; ++i) {
+        if (!batch[i].ok()) {
+          fail("batch entry " + std::to_string(i) + " errored (" +
+               config_text + "): " + batch[i].status().ToString());
+          break;
         }
-        if (!outcome.passed) break;
+        const core::QueryResult& result = *batch[i];
+        const std::string diff = ExactDiff(baselines[a][i], result);
+        if (!diff.empty()) {
+          fail("batch entry " + std::to_string(i) + " (" + config_text +
+               "): " + diff);
+        } else if (result.trace().batch_size != specs.size()) {
+          fail("batch entry " + std::to_string(i) + " reports batch_size " +
+               std::to_string(result.trace().batch_size) + " for a " +
+               std::to_string(specs.size()) + "-spec batch (" + config_text +
+               ")");
+        } else if (i == 0) {
+          version = result.trace().snapshot_version;
+        } else if (result.trace().snapshot_version != version) {
+          fail("batch pinned two snapshot versions (" + config_text +
+               "): v" + std::to_string(version) + " and v" +
+               std::to_string(result.trace().snapshot_version));
+        }
       }
       if (!outcome.passed) break;
     }
@@ -833,7 +802,7 @@ CaseOutcome DifferentialRunner::RunBatchCase(std::size_t index,
   // own reads, so a faulted read fails the one entry that made it: a policy
   // faulting m single reads (fail-nth, corrupt-nth, short-nth) may fail at
   // most m entries, and a latency-only policy none. A clean rerun right
-  // after must fully match: the fault left storage and cache state intact.
+  // after must fully match: the fault left storage state intact.
   const std::vector<FaultPolicyConfig> policies = [] {
     std::vector<FaultPolicyConfig> list;
     FaultPolicyConfig p;
@@ -882,7 +851,6 @@ CaseOutcome DifferentialRunner::RunBatchCase(std::size_t index,
       core::BatchOptions options;
       options.exec.planner.algorithm = algorithm;
       options.exec.num_threads = run.threads;
-      options.use_result_cache = false;
 
       FaultPolicy policy(policy_config);
       engine_.SetReadFaultHook(&policy);
@@ -1041,11 +1009,9 @@ CaseOutcome DifferentialRunner::RunBatchMutateCase(std::size_t index,
     }
   });
 
-  // The concurrent batch sweep: cache off on pass 0, on for pass 1 (hits can
-  // only come from in-batch duplicates or an identical snapshot+epoch, so
-  // a concurrent writer naturally tests invalidation-by-version). Each batch
-  // must pin exactly ONE snapshot for all of its entries, and — since this
-  // thread is the only issuer — pinned versions must never go backwards.
+  // The concurrent batch sweep. Each batch must pin exactly ONE snapshot for
+  // all of its entries, and — since this thread is the only issuer — pinned
+  // versions must never go backwards.
   static constexpr core::Algorithm kAlgorithms[] = {
       core::Algorithm::kSequentialScan, core::Algorithm::kStIndex,
       core::Algorithm::kMtIndex, core::Algorithm::kAuto};
@@ -1058,68 +1024,65 @@ CaseOutcome DifferentialRunner::RunBatchMutateCase(std::size_t index,
   };
   std::vector<RecordedBatch> recorded;
   std::uint64_t last_version = 0;
-  for (int pass = 0; pass < 2; ++pass) {
-    for (const core::Algorithm algorithm : kAlgorithms) {
-      for (const std::size_t threads : kThreadCounts) {
-        core::BatchOptions options;
-        options.exec.planner.algorithm = algorithm;
-        options.exec.num_threads = threads;
-        options.use_result_cache = pass == 1;
-        std::vector<Result<core::QueryResult>> batch =
-            engine_.ExecuteBatch(specs, options);
-        ++outcome.runs;
-        const std::string config_text = DescribeConfig(algorithm, threads);
-        if (batch.size() != specs.size()) {
-          fail("batch returned " + std::to_string(batch.size()) +
-               " results for " + std::to_string(specs.size()) + " specs (" +
-               config_text + ")");
-          continue;
-        }
-        RecordedBatch rec;
-        rec.algorithm = algorithm;
-        rec.threads = threads;
-        bool usable = true;
-        for (std::size_t i = 0; i < batch.size(); ++i) {
-          if (!batch[i].ok()) {
-            fail("unexpected error status (no faults injected) entry " +
-                 std::to_string(i) + " under " + config_text + ": " +
-                 batch[i].status().ToString());
-            usable = false;
-            break;
-          }
-          const std::uint64_t version = batch[i]->trace().snapshot_version;
-          if (i == 0) {
-            rec.version = version;
-          } else if (version != rec.version) {
-            fail("batch pinned two snapshot versions under " + config_text +
-                 ": v" + std::to_string(rec.version) + " and v" +
-                 std::to_string(version));
-            usable = false;
-            break;
-          }
-          rec.results.push_back(std::move(*batch[i]));
-        }
-        if (!usable) continue;
-        if (rec.version < last_version) {
-          fail("batch snapshot went backwards under " + config_text + ": v" +
-               std::to_string(rec.version) + " after v" +
-               std::to_string(last_version));
-        }
-        last_version = rec.version;
-        // Duplicates ran at the same pinned snapshot as their original, so
-        // their matches must be bitwise identical.
-        for (std::size_t i = 0; i < rec.results.size(); ++i) {
-          if (origin[i] == i) continue;
-          const std::string diff =
-              ExactDiff(rec.results[origin[i]], rec.results[i]);
-          if (!diff.empty()) {
-            fail("duplicate entry " + std::to_string(i) +
-                 " diverged from its original under " + config_text + ": " +
-                 diff);
-          }
-        }
-        recorded.push_back(std::move(rec));
+  for (const core::Algorithm algorithm : kAlgorithms) {
+    for (const std::size_t threads : kThreadCounts) {
+      core::BatchOptions options;
+      options.exec.planner.algorithm = algorithm;
+      options.exec.num_threads = threads;
+      std::vector<Result<core::QueryResult>> batch =
+          engine_.ExecuteBatch(specs, options);
+      ++outcome.runs;
+      const std::string config_text = DescribeConfig(algorithm, threads);
+      if (batch.size() != specs.size()) {
+        fail("batch returned " + std::to_string(batch.size()) +
+             " results for " + std::to_string(specs.size()) + " specs (" +
+             config_text + ")");
+        continue;
       }
+      RecordedBatch rec;
+      rec.algorithm = algorithm;
+      rec.threads = threads;
+      bool usable = true;
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        if (!batch[i].ok()) {
+          fail("unexpected error status (no faults injected) entry " +
+               std::to_string(i) + " under " + config_text + ": " +
+               batch[i].status().ToString());
+          usable = false;
+          break;
+        }
+        const std::uint64_t version = batch[i]->trace().snapshot_version;
+        if (i == 0) {
+          rec.version = version;
+        } else if (version != rec.version) {
+          fail("batch pinned two snapshot versions under " + config_text +
+               ": v" + std::to_string(rec.version) + " and v" +
+               std::to_string(version));
+          usable = false;
+          break;
+        }
+        rec.results.push_back(std::move(*batch[i]));
+      }
+      if (!usable) continue;
+      if (rec.version < last_version) {
+        fail("batch snapshot went backwards under " + config_text + ": v" +
+             std::to_string(rec.version) + " after v" +
+             std::to_string(last_version));
+      }
+      last_version = rec.version;
+      // Duplicates execute again at the same pinned snapshot as their
+      // original, so they must be identical to it.
+      for (std::size_t i = 0; i < rec.results.size(); ++i) {
+        if (origin[i] == i) continue;
+        const std::string diff =
+            ExactDiff(rec.results[origin[i]], rec.results[i]);
+        if (!diff.empty()) {
+          fail("duplicate entry " + std::to_string(i) +
+               " diverged from its original under " + config_text + ": " +
+               diff);
+        }
+      }
+      recorded.push_back(std::move(rec));
     }
   }
 

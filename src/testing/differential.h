@@ -46,8 +46,8 @@ struct BatchConfig {
   /// [min_specs, max_specs].
   std::size_t min_specs = 3;
   std::size_t max_specs = 5;
-  /// Per-base-spec chance of re-enqueueing it verbatim later in the batch,
-  /// so in-batch duplicate coalescing and cache serving are exercised.
+  /// Per-base-spec chance of re-enqueueing it verbatim later in the batch;
+  /// a duplicate executes again and must equal its original.
   double duplicate_probability = 0.4;
   /// Writes the mutator thread commits (RunBatchMutateCase only).
   std::size_t inserts = 4;
@@ -116,26 +116,26 @@ class DifferentialRunner {
 
   /// Batched-execution differential case. Builds a batch of generated specs
   /// (mixed range / k-NN / join kinds, plus seeded verbatim duplicates) and
-  /// sweeps ExecuteBatch over {scan, ST, MT, auto} x {1, 4, 8} threads with
-  /// the result cache both off and on, diffing every entry three ways:
-  /// byte-for-byte against the per-spec sequential Execute() at the same
-  /// configuration — matches, QueryStats, group_stats and trace signature,
-  /// the batch executor's exactness contract — against the Oracle, and —
-  /// for duplicates — against their in-batch original. Every batch entry
-  /// must report the same pinned snapshot version, and a repeated cache-on
-  /// batch must serve hits with identical results. Optionally repeats a
-  /// slice under each FaultPolicy (error-or-exact per entry, one faulted
-  /// read fails at most one entry, clean rerun must match).
+  /// sweeps ExecuteBatch over {scan, ST, MT, auto} x {1, 4, 8} threads,
+  /// diffing every entry — duplicates included — byte-for-byte against the
+  /// per-spec sequential Execute() at the same configuration (matches,
+  /// QueryStats, group_stats and trace signature, the batch executor's
+  /// exactness contract), whose results are themselves checked against the
+  /// Oracle. Every batch entry must report the batch size and the same
+  /// pinned snapshot version. Optionally repeats a slice under each
+  /// FaultPolicy (error-or-exact per entry, one faulted read fails at most
+  /// one entry, clean rerun must match).
   CaseOutcome RunBatchCase(std::size_t index,
                            const BatchConfig& config = BatchConfig());
 
   /// Concurrency variant of RunBatchCase: a seeded mutator thread commits
-  /// Insert/Remove operations while the main thread issues batches across
-  /// {scan, ST, MT, auto} x {1, 4} threads (cache off on the first pass, on
-  /// for the second). All entries of one batch must pin ONE snapshot
-  /// version, successive batches must pin non-decreasing versions, and every
-  /// entry is checked against the Oracle replayed at the batch's pinned
-  /// version via the mutation log. Mutations persist into later cases.
+  /// Insert/Remove operations while the main thread issues one batch per
+  /// configuration of {scan, ST, MT, auto} x {1, 4} threads. All entries of
+  /// one batch must pin ONE snapshot version, successive batches must pin
+  /// non-decreasing versions, duplicates must equal their in-batch
+  /// original, and every entry is checked against the Oracle replayed at
+  /// the batch's pinned version via the mutation log. Mutations persist
+  /// into later cases.
   CaseOutcome RunBatchMutateCase(std::size_t index,
                                  const BatchConfig& config = BatchConfig());
 

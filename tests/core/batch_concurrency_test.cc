@@ -1,9 +1,9 @@
 // Thread-safety of SimilarityEngine::ExecuteBatch (run under TSAN by
-// scripts/tsan_write_tests.sh): several threads issue batches — result cache
-// on and off — while a writer commits Insert/Remove continuously. Every
-// batch must pin exactly ONE snapshot for all of its entries, versions must
-// be monotone per issuing thread, no entry may error, and duplicate specs
-// within one batch must come back bitwise identical.
+// scripts/tsan_write_tests.sh): several threads issue batches while a writer
+// commits Insert/Remove continuously. Every batch must pin exactly ONE
+// snapshot for all of its entries, versions must be monotone per issuing
+// thread, no entry may error, and duplicate specs within one batch must come
+// back bitwise identical.
 
 #include <atomic>
 #include <cstdint>
@@ -130,7 +130,6 @@ TEST(BatchConcurrencyTest, ConcurrentBatchesUnderContinuousWrites) {
         options.exec.planner.algorithm =
             round % 2 == 0 ? Algorithm::kAuto : Algorithm::kMtIndex;
         options.exec.num_threads = 2;
-        options.use_result_cache = round % 2 == 1;
         const auto batch = engine.ExecuteBatch(batches[t], options);
         if (batch.size() != batches[t].size()) {
           fail("wrong batch size");
@@ -177,10 +176,10 @@ TEST(BatchConcurrencyTest, ConcurrentBatchesUnderContinuousWrites) {
   }
 }
 
-TEST(BatchConcurrencyTest, ConcurrentIdenticalBatchesShareTheCache) {
-  // Many threads race the SAME cacheable batch: the pin protocol must ensure
-  // each spec is computed by someone and every served hit is identical —
-  // no torn entries, no deadlocks, no double-publish corruption.
+TEST(BatchConcurrencyTest, ConcurrentIdenticalBatchesAgree) {
+  // Many threads race the SAME two-spec batch: every entry of every batch
+  // executes, and all of them must come back identical — no torn entries,
+  // no deadlocks.
   SimilarityEngine engine(testutil::Stocks(40, 128, 107));
   RangeQuerySpec spec;
   spec.query = ts::Denormalize(engine.dataset().normal(3));

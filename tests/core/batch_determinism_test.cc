@@ -181,7 +181,6 @@ TEST_F(BatchDeterminismTest, BatchedEqualsSequentialAndOracleEverywhere) {
       BatchOptions options;
       options.exec.planner.algorithm = algorithm;
       options.exec.num_threads = threads;
-      options.use_result_cache = false;
       const auto batch = engine_.ExecuteBatch(specs, options);
       ASSERT_EQ(batch.size(), specs.size());
       for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -201,8 +200,9 @@ TEST_F(BatchDeterminismTest, BatchedEqualsSequentialAndOracleEverywhere) {
                   batch[0]->trace().snapshot_version);
       }
     }
-    // Execute(spec) is ExecuteBatch({spec}) with the cache off: every
-    // counter, per-rectangle stat and trace signature, not only the matches.
+    // Execute(spec) is ExecuteBatch({spec}): every counter, per-rectangle
+    // stat and trace signature, not only the matches; only batch_size tells
+    // them apart.
     for (const std::size_t threads : {1, 4}) {
       ExecOptions options;
       options.planner.algorithm = algorithm;
@@ -212,8 +212,7 @@ TEST_F(BatchDeterminismTest, BatchedEqualsSequentialAndOracleEverywhere) {
                      << AlgorithmName(algorithm) << "/" << threads
                      << "t one-spec batch of entry " << i);
         const auto solo = engine_.Execute(specs[i], options);
-        const auto one = engine_.ExecuteBatch(
-            {specs[i]}, {.exec = options, .use_result_cache = false});
+        const auto one = engine_.ExecuteBatch({specs[i]}, {.exec = options});
         ASSERT_TRUE(solo.ok()) << solo.status().ToString();
         ASSERT_EQ(one.size(), 1u);
         ASSERT_TRUE(one[0].ok()) << one[0].status().ToString();
@@ -222,6 +221,8 @@ TEST_F(BatchDeterminismTest, BatchedEqualsSequentialAndOracleEverywhere) {
         EXPECT_EQ(solo->group_stats, one[0]->group_stats);
         EXPECT_EQ(solo->trace().DeterministicSignature(),
                   one[0]->trace().DeterministicSignature());
+        EXPECT_EQ(solo->trace().batch_size, 0u);
+        EXPECT_EQ(one[0]->trace().batch_size, 1u);
       }
     }
   }
@@ -248,7 +249,6 @@ TEST_F(BatchDeterminismTest, MatchesAreByteIdenticalAcrossThreadCounts) {
       BatchOptions options;
       options.exec.planner.algorithm = algorithm;
       options.exec.num_threads = threads;
-      options.use_result_cache = false;
       auto batch = engine_.ExecuteBatch(specs, options);
       ASSERT_EQ(batch.size(), specs.size());
       std::vector<QueryResult> results;
@@ -279,7 +279,6 @@ TEST_F(BatchDeterminismTest, RecordPageAttributionReconcilesWithPageFile) {
     BatchOptions options;
     options.exec.planner.algorithm = algorithm;
     options.exec.num_threads = 4;
-    options.use_result_cache = false;
 
     engine_.ResetIoStats();
     const auto batch = engine_.ExecuteBatch(specs, options);
@@ -293,6 +292,23 @@ TEST_F(BatchDeterminismTest, RecordPageAttributionReconcilesWithPageFile) {
     // per-entry counts sum to the physical page reads, no more, no less.
     EXPECT_EQ(attributed, physical) << AlgorithmName(algorithm);
   }
+}
+
+// The engine keeps no result cache: a batch that asks for one is
+// InvalidArgument on every entry, and no entry reads a page.
+TEST_F(BatchDeterminismTest, CacheRequestIsInvalidOnEveryEntry) {
+  const std::vector<QuerySpec> specs = MixedBatch();
+  BatchOptions options;
+  options.use_result_cache = true;
+  engine_.ResetIoStats();
+  const auto batch = engine_.ExecuteBatch(specs, options);
+  ASSERT_EQ(batch.size(), specs.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    SCOPED_TRACE(::testing::Message() << "entry " << i);
+    ASSERT_FALSE(batch[i].ok());
+    EXPECT_EQ(batch[i].status().code(), StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(engine_.dataset().record_io().reads, 0u);
 }
 
 // ResetIoStats() firing mid-batch must not corrupt the per-entry page
@@ -322,7 +338,6 @@ TEST_F(BatchDeterminismTest, MidBatchResetDoesNotSplitPageAccounting) {
   BatchOptions options;
   options.exec.planner.algorithm = Algorithm::kSequentialScan;
   options.exec.num_threads = 4;
-  options.use_result_cache = false;
 
   // Undisturbed baseline: matches and per-entry page counts.
   const auto baseline = engine_.ExecuteBatch(specs, options);

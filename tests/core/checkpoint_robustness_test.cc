@@ -445,8 +445,7 @@ TEST_F(CheckpointRobustnessTest, LeafIdPastTheDatasetIsOutOfRange) {
   EXPECT_EQ(solo.status().code(), StatusCode::kOutOfRange)
       << solo.status().ToString();
 
-  const auto batch = (*loaded)->ExecuteBatch(
-      {spec, spec}, {.exec = mt, .use_result_cache = false});
+  const auto batch = (*loaded)->ExecuteBatch({spec, spec}, {.exec = mt});
   ASSERT_EQ(batch.size(), 2u);
   for (const auto& entry : batch) {
     ASSERT_FALSE(entry.ok());
@@ -509,8 +508,8 @@ TEST_F(CheckpointRobustnessTest, LeafIdPastTheDatasetIsNeverPruned) {
           << AlgorithmName(algorithm) << " spec " << spec.index() << ": "
           << result.status().ToString();
     }
-    const auto batch = (*loaded)->ExecuteBatch(
-        {range, range}, {.exec = options, .use_result_cache = false});
+    const auto batch =
+        (*loaded)->ExecuteBatch({range, range}, {.exec = options});
     for (const auto& entry : batch) {
       EXPECT_EQ(entry.status().code(), StatusCode::kOutOfRange)
           << AlgorithmName(algorithm) << ": " << entry.status().ToString();

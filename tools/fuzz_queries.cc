@@ -69,13 +69,13 @@ void Usage(const char* argv0) {
       "under the system temp dir, removed on success).\n"
       "\n"
       "--batch switches to the batched-execution sweep: each case groups\n"
-      "several generated specs (plus seeded duplicates) into one\n"
-      "ExecuteBatch call and diffs every entry byte-for-byte (matches,\n"
-      "stats, per-rectangle stats, trace signature) against the per-spec\n"
-      "sequential Execute, against the oracle, and — cache on — against a\n"
-      "repeated all-hits batch; faults apply per entry (error-or-exact,\n"
-      "and one faulted read fails at most one entry). Combine with --mutate\n"
-      "for concurrent-write batches checked at each batch's single pinned\n"
+      "several generated specs (plus seeded duplicates, which execute\n"
+      "again) into one ExecuteBatch call and diffs every entry\n"
+      "byte-for-byte (matches, stats, per-rectangle stats, trace\n"
+      "signature) against the per-spec sequential Execute, itself checked\n"
+      "against the oracle; faults apply per entry (error-or-exact, and one\n"
+      "faulted read fails at most one entry). Combine with --mutate for\n"
+      "concurrent-write batches checked at each batch's single pinned\n"
       "snapshot.\n",
       argv0);
 }
