@@ -21,7 +21,7 @@
 
 #include "bench_util.h"
 #include "core/explain.h"
-#include "exec/thread_pool.h"
+#include "exec/parallel.h"
 #include "transform/builders.h"
 #include "ts/distance.h"
 #include "ts/generate.h"

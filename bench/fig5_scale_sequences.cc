@@ -16,7 +16,7 @@
 #include <cstdio>
 
 #include "bench_util.h"
-#include "exec/thread_pool.h"
+#include "exec/parallel.h"
 #include "transform/builders.h"
 #include "ts/distance.h"
 #include "ts/generate.h"

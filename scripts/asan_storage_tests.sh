@@ -15,7 +15,11 @@
 # transformation vector. The feature-level bound (polar_bounds_test) reads
 # the dataset's flat feature array by ids that come from disk; the
 # tampered-leaf cases of checkpoint_robustness_test check that an id past
-# the dataset never indexes it.
+# the dataset never indexes it. stats_invariance_test, engine_test,
+# parser_test, compiler_test and workload_generator_test hold cases whose
+# names the filter also matches; every binary with a case the filter names
+# is built here, so a fresh build directory runs the same cases as the
+# tier-1 one.
 # Run this alongside scripts/tsan_exec_tests.sh when touching src/storage,
 # src/rstar, src/exec or the range executor.
 #
@@ -32,7 +36,8 @@ cmake --build "$BUILD_DIR" -j --target \
   rtree_join_test join_query_test knn_query_test engine_fault_test \
   range_query_test batch_determinism_test polar_bounds_test \
   parallel_test exec_determinism_test exec_concurrency_test \
-  batch_concurrency_test
+  batch_concurrency_test stats_invariance_test engine_test parser_test \
+  compiler_test workload_generator_test
 
 cd "$BUILD_DIR"
-ctest --output-on-failure -R 'PageFile|AtomicFile|RecordStore|Persistence|CheckpointRobustness|Dataset|RStarTree|SpatialJoin|JoinQueryTest|TransformedCorrelation|DistanceJoinEquivalence|EffectiveThreads|ThreadPool|ParallelFor|Chunk|ExecutorDeterminism|ExecutorConcurrency|BatchConcurrency|RangeQuery|BatchDeterminism|KnnQuery|EngineFault|PolarBound'
+ctest --output-on-failure -R 'PageFile|AtomicFile|RecordStore|Persistence|CheckpointRobustness|Dataset|RStarTree|SpatialJoin|JoinQueryTest|TransformedCorrelation|DistanceJoinEquivalence|EffectiveThreads|ParallelFor|Chunk|ExecutorDeterminism|ExecutorConcurrency|BatchConcurrency|RangeQuery|BatchDeterminism|KnnQuery|EngineFault|PolarBound'

@@ -50,10 +50,8 @@
 #include "common/clock.h"
 #include "core/engine.h"
 #include "core/polar_bounds.h"
-#include "exec/batch_schedule.h"
 #include "exec/parallel.h"
 #include "kernels/kernels.h"
-#include "obs/metrics.h"
 #include "plan/planner.h"
 #include "transform/ordering.h"
 #include "transform/transform_mbr.h"
@@ -67,20 +65,6 @@ namespace {
 // on num_threads or on the batch composition.
 constexpr std::size_t kScanChunk = 256;   // ids per seq-scan task
 constexpr std::size_t kVerifyChunk = 32;  // candidates per verify task
-
-struct BatchMetrics {
-  obs::Counter* batches;
-  obs::Counter* queries;
-
-  static const BatchMetrics& Get() {
-    static const BatchMetrics metrics = [] {
-      obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-      return BatchMetrics{registry.counter("engine.batch.batches"),
-                          registry.counter("engine.batch.queries")};
-    }();
-    return metrics;
-  }
-};
 
 /// Full range-spec validation (query series, transformations, thresholds,
 /// partition well-formedness).
@@ -274,9 +258,6 @@ std::vector<Result<QueryResult>> SimilarityEngine::ExecuteBatch(
         Status::InvalidArgument("ExecuteBatch has no result cache; every "
                                 "entry executes (use_result_cache = false)"));
   }
-  const BatchMetrics& metrics = BatchMetrics::Get();
-  metrics.batches->Increment();
-  metrics.queries->Increment(specs.size());
   std::vector<const QuerySpec*> spec_ptrs;
   spec_ptrs.reserve(specs.size());
   for (const QuerySpec& spec : specs) spec_ptrs.push_back(&spec);

@@ -6,9 +6,7 @@
 #include <sstream>
 
 #include "common/check.h"
-#include "common/clock.h"
 #include "core/cost_model.h"
-#include "obs/metrics.h"
 #include "plan/planner.h"
 #include "storage/atomic_file.h"
 
@@ -20,46 +18,6 @@ namespace {
 // manifest and no atomicity; they are no longer produced or accepted.
 constexpr int kMetaVersion = 2;
 constexpr int kManifestVersion = 1;
-
-// Engine-level instruments, resolved once (registry pointers are stable for
-// the life of the process). The write counters count *commits*: a
-// compensated write (insert rolled back, remove that needed a rebuild)
-// increments `rollbacks`; `removes` counts every remove that returned Ok,
-// compensated or not, while a rolled-back insert counts only as a rollback
-// (the caller got an error and no id).
-struct EngineMetrics {
-  obs::Counter* queries;
-  obs::Counter* query_errors;
-  obs::Histogram* query_nanos;
-  obs::Counter* inserts;
-  obs::Counter* removes;
-  obs::Counter* rollbacks;
-  // Checkpoint lifecycle: committed SaveTo / successful LoadFrom calls,
-  // loads that found (and cleaned) debris of a torn save, and loads
-  // rejected because a file did not match its manifest digest.
-  obs::Counter* checkpoint_saves;
-  obs::Counter* checkpoint_loads;
-  obs::Counter* checkpoint_crash_recoveries;
-  obs::Counter* checkpoint_manifest_mismatches;
-
-  static const EngineMetrics& Get() {
-    static const EngineMetrics metrics = [] {
-      obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-      return EngineMetrics{
-          registry.counter("engine.queries"),
-          registry.counter("engine.query_errors"),
-          registry.histogram("engine.query_nanos"),
-          registry.counter("engine.writes.inserts"),
-          registry.counter("engine.writes.removes"),
-          registry.counter("engine.writes.rollbacks"),
-          registry.counter("engine.checkpoint.saves"),
-          registry.counter("engine.checkpoint.loads"),
-          registry.counter("engine.checkpoint.crash_recoveries"),
-          registry.counter("engine.checkpoint.manifest_mismatches")};
-    }();
-    return metrics;
-  }
-};
 
 // --- checkpoint manifest -----------------------------------------------------
 
@@ -196,7 +154,6 @@ Result<std::size_t> SimilarityEngine::Insert(const ts::Series& series) {
   if (series.size() != dataset_->length()) {
     return Status::InvalidArgument("series length does not match dataset");
   }
-  const EngineMetrics& metrics = EngineMetrics::Get();
   SnapshotManager::WriteLock write = snapshots_.LockWrite();
   const Result<std::size_t> appended = dataset_->Append(series);
   // A failed append is failure-atomic on its own: nothing was recorded, no
@@ -217,17 +174,14 @@ Result<std::size_t> SimilarityEngine::Insert(const ts::Series& series) {
     TSQ_CHECK(rebuilt.ok()) << rebuilt.ToString();
     planner_->BumpEpoch();     // the rebuilt tree prices differently
     snapshots_.BumpVersion();  // the tombstone is visible state
-    metrics.rollbacks->Increment();
     return inserted;
   }
   planner_->BumpEpoch();  // cached plans priced the old tree
   snapshots_.BumpVersion();
-  metrics.inserts->Increment();
   return id;
 }
 
 Status SimilarityEngine::Remove(std::size_t id) {
-  const EngineMetrics& metrics = EngineMetrics::Get();
   SnapshotManager::WriteLock write = snapshots_.LockWrite();
   // The liveness check runs under the same lock as the commit below, so two
   // racing Remove(id) calls resolve deterministically: one Ok, one NotFound.
@@ -247,11 +201,9 @@ Status SimilarityEngine::Remove(std::size_t id) {
     // dropped live entries. Rebuilding covers both without distinguishing.
     const Status rebuilt = index_->Rebuild();
     TSQ_CHECK(rebuilt.ok()) << rebuilt.ToString();
-    metrics.rollbacks->Increment();
   }
   planner_->BumpEpoch();
   snapshots_.BumpVersion();
-  metrics.removes->Increment();
   return Status::Ok();
 }
 
@@ -271,17 +223,7 @@ const obs::QueryTrace& QueryResult::trace() const {
 
 Result<QueryResult> SimilarityEngine::Execute(const QuerySpec& spec,
                                               const ExecOptions& options) const {
-  const EngineMetrics& metrics = EngineMetrics::Get();
-  const std::uint64_t start = MonotonicNanos();
-  metrics.queries->Increment();
-  std::vector<Result<QueryResult>> results =
-      Run({&spec}, options, /*batch_size=*/0);
-  if (!results.front().ok()) {
-    metrics.query_errors->Increment();
-    return results.front().status();
-  }
-  metrics.query_nanos->Observe(MonotonicNanos() - start);
-  return std::move(results.front());
+  return std::move(Run({&spec}, options, /*batch_size=*/0).front());
 }
 
 void SimilarityEngine::ResetIoStats() {
@@ -314,7 +256,6 @@ void SimilarityEngine::SetCheckpointFaultHook(storage::FaultHook* hook) {
 }
 
 Status SimilarityEngine::SaveTo(const std::string& prefix) const {
-  const EngineMetrics& metrics = EngineMetrics::Get();
   // Pin a snapshot so the whole trio describes one committed state even
   // while writers are active.
   const SnapshotManager::ReadPin pin = snapshots_.PinRead();
@@ -378,7 +319,6 @@ Status SimilarityEngine::SaveTo(const std::string& prefix) const {
     TSQ_RETURN_IF_ERROR(out.Commit());
   }
   checkpoint_epoch_.store(epoch, std::memory_order_relaxed);
-  metrics.checkpoint_saves->Increment();
 
   // Garbage-collect superseded epochs. A crash in here costs only orphan
   // files, which the next SaveTo or LoadFrom sweeps up.
@@ -400,7 +340,6 @@ Status SimilarityEngine::SaveTo(const std::string& prefix) const {
 
 Result<std::unique_ptr<SimilarityEngine>> SimilarityEngine::LoadFrom(
     const std::string& prefix) {
-  const EngineMetrics& metrics = EngineMetrics::Get();
   const Result<Manifest> manifest = ReadManifest(prefix);
   if (!manifest.ok()) return manifest.status();
   const std::uint64_t epoch = manifest->epoch;
@@ -418,7 +357,6 @@ Result<std::unique_ptr<SimilarityEngine>> SimilarityEngine::LoadFrom(
     const Result<storage::FileDigest> got = storage::DigestFile(path);
     if (!got.ok()) return got.status();
     if (*got != *want) {
-      metrics.checkpoint_manifest_mismatches->Increment();
       return Status::Corruption("checkpoint file does not match manifest (" +
                                 path + ")");
     }
@@ -427,12 +365,10 @@ Result<std::unique_ptr<SimilarityEngine>> SimilarityEngine::LoadFrom(
   // Debris of a torn save — stale epochs, `.tmp` orphans — means a crash
   // happened between commits; the committed checkpoint just verified, so
   // recovery is simply sweeping the debris.
-  if (const auto stale = StaleCheckpointFiles(prefix, epoch); !stale.empty()) {
-    metrics.checkpoint_crash_recoveries->Increment();
-    std::error_code ec;
-    for (const std::filesystem::path& path : stale) {
-      std::filesystem::remove(path, ec);  // best-effort
-    }
+  std::error_code ec;
+  for (const std::filesystem::path& path :
+       StaleCheckpointFiles(prefix, epoch)) {
+    std::filesystem::remove(path, ec);  // best-effort
   }
 
   std::ifstream meta(EpochFilePath(prefix, epoch, ".meta"));
@@ -539,7 +475,6 @@ Result<std::unique_ptr<SimilarityEngine>> SimilarityEngine::LoadFrom(
   engine->planner_ =
       std::make_unique<plan::Planner>(*engine->dataset_, *engine->index_);
   engine->checkpoint_epoch_.store(epoch, std::memory_order_relaxed);
-  metrics.checkpoint_loads->Increment();
   return engine;
 }
 

@@ -221,9 +221,9 @@ class SimilarityEngine {
   /// setting of an R*-tree that lives on disk between sessions. The
   /// manifest is read first and every referenced file is verified against
   /// its recorded size and checksum *before* anything is parsed; leftovers
-  /// of a torn save (stale epochs, `.tmp` orphans) are detected, counted in
-  /// `engine.checkpoint.crash_recoveries` and removed. Returns Corruption
-  /// for any mismatch and IoError when the manifest is missing.
+  /// of a torn save (stale epochs, `.tmp` orphans) are then removed.
+  /// Returns Corruption for any mismatch and IoError when the manifest is
+  /// missing.
   static Result<std::unique_ptr<SimilarityEngine>> LoadFrom(
       const std::string& prefix);
 

@@ -6,12 +6,9 @@
 
 namespace tsq::core {
 
-const obs::QueryTrace& ResultTrace(const QueryResult& result) {
-  return std::visit(
-      [](const auto& r) -> const obs::QueryTrace& { return r.trace; },
-      result.value);
-}
+namespace {
 
+// The stats counters alone, as one JSON object with fixed keys.
 std::string StatsToJson(const QueryStats& stats) {
   std::ostringstream os;
   os << "{\"index_nodes_accessed\":" << stats.index_nodes_accessed
@@ -26,10 +23,12 @@ std::string StatsToJson(const QueryStats& stats) {
   return os.str();
 }
 
+}  // namespace
+
 std::string Explain(const QueryResult& result) {
   const QueryStats& stats = result.stats();
   std::ostringstream os;
-  os << obs::FormatTrace(ResultTrace(result));
+  os << obs::FormatTrace(result.trace());
   os << "  stats: disk_accesses=" << stats.disk_accesses()
      << " (index=" << stats.index_nodes_accessed
      << ", records=" << stats.record_pages_read << ")"
@@ -43,7 +42,7 @@ std::string Explain(const QueryResult& result) {
 
 std::string ExplainJson(const QueryResult& result) {
   std::ostringstream os;
-  os << "{\"trace\":" << obs::TraceToJson(ResultTrace(result))
+  os << "{\"trace\":" << obs::TraceToJson(result.trace())
      << ",\"stats\":" << StatsToJson(result.stats()) << '}';
   return os.str();
 }

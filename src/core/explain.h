@@ -18,12 +18,6 @@ std::string Explain(const QueryResult& result);
 /// This is the document benchmarks write for --trace-json=<path>.
 std::string ExplainJson(const QueryResult& result);
 
-/// The trace of the executed query, whatever the query type.
-const obs::QueryTrace& ResultTrace(const QueryResult& result);
-
-/// JSON rendering of the stats counters alone (an object, keys fixed).
-std::string StatsToJson(const QueryStats& stats);
-
 }  // namespace tsq::core
 
 #endif  // TSQ_CORE_EXPLAIN_H_

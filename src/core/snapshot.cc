@@ -1,12 +1,6 @@
 #include "core/snapshot.h"
 
-#include "obs/metrics.h"
-
 namespace tsq::core {
-
-SnapshotManager::SnapshotManager()
-    : pins_gauge_(
-          obs::MetricsRegistry::Global().gauge("engine.writes.snapshot_pins")) {}
 
 SnapshotManager::ReadPin SnapshotManager::PinRead() const {
   std::unique_lock<std::mutex> lock(mu_);
@@ -14,10 +8,7 @@ SnapshotManager::ReadPin SnapshotManager::PinRead() const {
   // query stream cannot starve Insert/Remove.
   cv_.wait(lock, [this] { return !writer_active_ && waiting_writers_ == 0; });
   ++active_readers_;
-  const std::uint64_t version = version_.load(std::memory_order_relaxed);
-  lock.unlock();
-  pins_gauge_->Add(1);
-  return ReadPin(this, version);
+  return ReadPin(this, version_.load(std::memory_order_relaxed));
 }
 
 void SnapshotManager::UnpinRead() const {
@@ -27,7 +18,6 @@ void SnapshotManager::UnpinRead() const {
     --active_readers_;
     last = active_readers_ == 0;
   }
-  pins_gauge_->Add(-1);
   if (last) cv_.notify_all();  // writers wait for the *last* reader
 }
 

@@ -6,10 +6,6 @@
 #include <cstdint>
 #include <mutex>
 
-namespace tsq::obs {
-class Gauge;
-}  // namespace tsq::obs
-
 namespace tsq::core {
 
 /// Engine-level snapshot isolation for the write path.
@@ -33,12 +29,9 @@ namespace tsq::core {
 /// identity carried into QueryTrace::snapshot_version, and what lets the
 /// differential fuzzer's --mutate mode evaluate its oracle at exactly the
 /// state a concurrent query saw.
-///
-/// Observability: the `engine.writes.snapshot_pins` gauge tracks the number
-/// of currently-held read pins.
 class SnapshotManager {
  public:
-  SnapshotManager();
+  SnapshotManager() = default;
 
   SnapshotManager(const SnapshotManager&) = delete;
   SnapshotManager& operator=(const SnapshotManager&) = delete;
@@ -118,7 +111,6 @@ class SnapshotManager {
   mutable int waiting_writers_ = 0;
   mutable bool writer_active_ = false;
   std::atomic<std::uint64_t> version_{0};
-  obs::Gauge* pins_gauge_;  // engine.writes.snapshot_pins
 };
 
 }  // namespace tsq::core

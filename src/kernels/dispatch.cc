@@ -21,7 +21,6 @@ struct KernelMetrics {
   obs::Counter* calls;
   obs::Counter* elements;
   obs::Counter* early_abandons;
-  obs::Gauge* isa;
 };
 
 KernelMetrics& Metrics() {
@@ -29,8 +28,7 @@ KernelMetrics& Metrics() {
     auto& reg = obs::MetricsRegistry::Global();
     return KernelMetrics{reg.counter("engine.kernels.calls"),
                          reg.counter("engine.kernels.elements"),
-                         reg.counter("engine.kernels.early_abandons"),
-                         reg.gauge("engine.kernels.isa")};
+                         reg.counter("engine.kernels.early_abandons")};
   }();
   return m;
 }
@@ -43,12 +41,6 @@ inline void Count(std::size_t elements) {
 
 // kScalar + 1 etc.; 0 means "not yet resolved".
 std::atomic<int> g_active{0};
-
-Isa ResolveActiveIsa() {
-  const Isa isa = ResolveIsa(std::getenv("TSQ_KERNEL_ISA"), BestSupportedIsa());
-  Metrics().isa->Set(static_cast<std::int64_t>(isa));
-  return isa;
-}
 
 inline const KernelTable& ActiveTable() {
   return TableFor(ActiveIsa());
@@ -99,7 +91,8 @@ Isa ResolveIsa(const char* env_value, Isa best_supported) {
 Isa ActiveIsa() {
   int packed = g_active.load(std::memory_order_acquire);
   if (packed == 0) {
-    const Isa resolved = ResolveActiveIsa();
+    const Isa resolved =
+        ResolveIsa(std::getenv("TSQ_KERNEL_ISA"), BestSupportedIsa());
     packed = static_cast<int>(resolved) + 1;
     int expected = 0;
     // Racing first callers resolve identically (pure function of env+CPU),
@@ -114,7 +107,6 @@ void ForceIsaForTesting(Isa isa) {
   TSQ_CHECK(IsaSupported(isa))
       << "cannot force unsupported kernel ISA " << IsaName(isa);
   g_active.store(static_cast<int>(isa) + 1, std::memory_order_release);
-  Metrics().isa->Set(static_cast<std::int64_t>(isa));
 }
 
 const KernelTable& TableFor(Isa isa) {

@@ -11,13 +11,12 @@ namespace tsq::kernels {
 /// accumulates into lane i mod 4, lanes folded as (L0+L2) + (L1+L3), no fused
 /// multiply-add anywhere), so results are **bitwise identical** across ISAs.
 /// Switching the active ISA can never change a query result, only its speed.
-/// The enumerator values are what the `engine.kernels.isa` gauge reports.
 enum class Isa : int {
   kScalar = 0,  ///< portable reference, compiled without arch extensions
   kAvx2 = 2,    ///< 4-wide AVX2 (TU built with -mavx2 -mfma)
 };
 
-/// Stable lowercase name ("scalar", "avx2") used by traces, metrics and the
+/// Stable lowercase name ("scalar", "avx2") used by traces, benchmarks and the
 /// TSQ_KERNEL_ISA environment variable.
 const char* IsaName(Isa isa);
 
@@ -36,8 +35,7 @@ Isa BestSupportedIsa();
 Isa ResolveIsa(const char* env_value, Isa best_supported);
 
 /// The variant every dispatched entry point below uses. Resolved once, on
-/// first use, from TSQ_KERNEL_ISA and CPUID; stamped into the
-/// `engine.kernels.isa` gauge and every QueryTrace.
+/// first use, from TSQ_KERNEL_ISA and CPUID; stamped into every QueryTrace.
 Isa ActiveIsa();
 
 /// Overrides the active variant (tests and benchmarks only — e.g. measuring

@@ -1,138 +1,17 @@
 #include "obs/metrics.h"
 
-#include <bit>
-#include <sstream>
-
-#include "common/check.h"
-
 namespace tsq::obs {
-
-void Histogram::Observe(std::uint64_t value) {
-  const std::size_t bucket = std::bit_width(value);  // 0 -> 0, else 1+log2
-  buckets_[bucket < kBuckets ? bucket : kBuckets - 1].fetch_add(
-      1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  sum_.fetch_add(value, std::memory_order_relaxed);
-}
-
-double Histogram::mean() const {
-  const std::uint64_t n = count();
-  return n == 0 ? 0.0 : static_cast<double>(sum()) / static_cast<double>(n);
-}
-
-void Histogram::Reset() {
-  for (auto& bucket : buckets_) bucket.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0, std::memory_order_relaxed);
-}
 
 MetricsRegistry& MetricsRegistry::Global() {
   static MetricsRegistry* const registry = new MetricsRegistry();
   return *registry;
 }
 
-MetricsRegistry::Instrument& MetricsRegistry::FindOrCreate(
-    const std::string& name, Kind kind) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = instruments_.find(name);
-  if (it == instruments_.end()) {
-    Instrument instrument;
-    instrument.kind = kind;
-    switch (kind) {
-      case Kind::kCounter:
-        instrument.counter = std::make_unique<Counter>();
-        break;
-      case Kind::kGauge:
-        instrument.gauge = std::make_unique<Gauge>();
-        break;
-      case Kind::kHistogram:
-        instrument.histogram = std::make_unique<Histogram>();
-        break;
-    }
-    it = instruments_.emplace(name, std::move(instrument)).first;
-  }
-  TSQ_CHECK(it->second.kind == kind)
-      << "metric '" << name << "' already registered with another kind";
-  return it->second;
-}
-
 Counter* MetricsRegistry::counter(const std::string& name) {
-  return FindOrCreate(name, Kind::kCounter).counter.get();
-}
-
-Gauge* MetricsRegistry::gauge(const std::string& name) {
-  return FindOrCreate(name, Kind::kGauge).gauge.get();
-}
-
-Histogram* MetricsRegistry::histogram(const std::string& name) {
-  return FindOrCreate(name, Kind::kHistogram).histogram.get();
-}
-
-std::string MetricsRegistry::RenderText() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::ostringstream os;
-  for (const auto& [name, instrument] : instruments_) {
-    switch (instrument.kind) {
-      case Kind::kCounter:
-        os << name << " counter " << instrument.counter->value() << '\n';
-        break;
-      case Kind::kGauge:
-        os << name << " gauge " << instrument.gauge->value() << '\n';
-        break;
-      case Kind::kHistogram:
-        os << name << " histogram count=" << instrument.histogram->count()
-           << " sum=" << instrument.histogram->sum()
-           << " mean=" << instrument.histogram->mean() << '\n';
-        break;
-    }
-  }
-  return os.str();
-}
-
-std::string MetricsRegistry::RenderJson() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::ostringstream counters, gauges, histograms;
-  bool first_counter = true, first_gauge = true, first_histogram = true;
-  for (const auto& [name, instrument] : instruments_) {
-    switch (instrument.kind) {
-      case Kind::kCounter:
-        if (!first_counter) counters << ',';
-        first_counter = false;
-        counters << '"' << name << "\":" << instrument.counter->value();
-        break;
-      case Kind::kGauge:
-        if (!first_gauge) gauges << ',';
-        first_gauge = false;
-        gauges << '"' << name << "\":" << instrument.gauge->value();
-        break;
-      case Kind::kHistogram:
-        if (!first_histogram) histograms << ',';
-        first_histogram = false;
-        histograms << '"' << name
-                   << "\":{\"count\":" << instrument.histogram->count()
-                   << ",\"sum\":" << instrument.histogram->sum() << '}';
-        break;
-    }
-  }
-  return "{\"counters\":{" + counters.str() + "},\"gauges\":{" +
-         gauges.str() + "},\"histograms\":{" + histograms.str() + "}}";
-}
-
-void MetricsRegistry::Reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [name, instrument] : instruments_) {
-    switch (instrument.kind) {
-      case Kind::kCounter:
-        instrument.counter->Reset();
-        break;
-      case Kind::kGauge:
-        instrument.gauge->Reset();
-        break;
-      case Kind::kHistogram:
-        instrument.histogram->Reset();
-        break;
-    }
-  }
+  std::unique_ptr<Counter>& slot = counters_[name];
+  if (slot == nullptr) slot = std::make_unique<Counter>();
+  return slot.get();
 }
 
 }  // namespace tsq::obs

@@ -13,16 +13,12 @@ namespace {
 struct CacheMetrics {
   obs::Counter* hits;
   obs::Counter* misses;
-  obs::Counter* evictions;
-  obs::Gauge* cached_plans;
 
   static const CacheMetrics& Get() {
     static const CacheMetrics metrics = [] {
       obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
       return CacheMetrics{registry.counter("engine.planner.cache_hits"),
-                          registry.counter("engine.planner.cache_misses"),
-                          registry.counter("engine.planner.cache_evictions"),
-                          registry.gauge("engine.planner.cached_plans")};
+                          registry.counter("engine.planner.cache_misses")};
     }();
     return metrics;
   }
@@ -80,7 +76,6 @@ std::shared_ptr<const PlanDecision> PlanCache::Lookup(const PlanKey& key) {
 
 void PlanCache::Insert(const PlanKey& key,
                        std::shared_ptr<const PlanDecision> decision) {
-  const CacheMetrics& metrics = CacheMetrics::Get();
   const auto it = map_.find(key);
   if (it != map_.end()) {
     it->second->second = std::move(decision);
@@ -92,15 +87,12 @@ void PlanCache::Insert(const PlanKey& key,
   while (map_.size() > capacity_) {
     map_.erase(lru_.back().first);
     lru_.pop_back();
-    metrics.evictions->Increment();
   }
-  metrics.cached_plans->Set(static_cast<std::int64_t>(map_.size()));
 }
 
 void PlanCache::Clear() {
   map_.clear();
   lru_.clear();
-  CacheMetrics::Get().cached_plans->Set(0);
 }
 
 }  // namespace tsq::plan

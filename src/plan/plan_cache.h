@@ -47,8 +47,9 @@ class PlanKeyBuilder {
 
 /// Bounded LRU map from PlanKey to an immutable PlanDecision. Not
 /// internally synchronized — the Planner's mutex guards every call — but
-/// the `engine.planner.*` cache metrics it maintains are process-global
-/// atomics (obs::MetricsRegistry), so observers can read them concurrently.
+/// the engine.planner.cache_{hits,misses} counters it bumps are
+/// process-global atomics (obs::MetricsRegistry), so observers can read
+/// them concurrently.
 class PlanCache {
  public:
   explicit PlanCache(std::size_t capacity);
@@ -58,8 +59,7 @@ class PlanCache {
   std::shared_ptr<const PlanDecision> Lookup(const PlanKey& key);
 
   /// Inserts (or replaces) a decision, evicting the least recently used
-  /// entry beyond capacity. Counts engine.planner.cache_evictions and keeps
-  /// the engine.planner.cached_plans gauge current.
+  /// entry beyond capacity.
   void Insert(const PlanKey& key, std::shared_ptr<const PlanDecision> decision);
 
   /// Drops everything (the Planner calls this on epoch bumps; stale epochs

@@ -10,7 +10,6 @@
 
 #include "common/clock.h"
 #include "core/polar_bounds.h"
-#include "obs/metrics.h"
 #include "transform/builders.h"
 #include "transform/feature_transform.h"
 
@@ -27,20 +26,6 @@ constexpr std::size_t kPlanCacheCapacity = 64;
 // Points of the snapshot's sample that also stand in for the query when a
 // range plan is priced.
 constexpr std::size_t kQueryProxies = 16;
-
-struct PlannerMetrics {
-  obs::Counter* plans;         // fresh enumerations (cache misses that planned)
-  obs::Counter* calibrations;  // cost-constant calibration runs
-
-  static const PlannerMetrics& Get() {
-    static const PlannerMetrics metrics = [] {
-      obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-      return PlannerMetrics{registry.counter("engine.planner.plans"),
-                            registry.counter("engine.planner.calibrations")};
-    }();
-    return metrics;
-  }
-};
 
 // Comparisons one verified candidate costs against a group of `count`
 // transformations: count, or ~log2(count) probes under the dominance-chain
@@ -204,11 +189,6 @@ void Planner::InvalidateCalibration() {
   cache_.Clear();
 }
 
-core::CostConstants Planner::CalibratedConstants() {
-  std::lock_guard<std::mutex> lock(mu_);
-  return CalibrateLocked();
-}
-
 Result<Planned> Planner::Plan(const core::RangeQuerySpec& spec,
                               const core::PlannerOptions& options) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -283,7 +263,6 @@ core::CostConstants Planner::CalibrateLocked() {
     constants.c_cmp = *ratio;
   }
   calibrated_ = constants;
-  PlannerMetrics::Get().calibrations->Increment();
   return constants;
 }
 
@@ -521,7 +500,6 @@ Result<Planned> Planner::PlanLocked(
         candidates[i].label, candidates[i].cost, i == best});
   }
 
-  PlannerMetrics::Get().plans->Increment();
   cache_.Insert(key.key(), decision);
   return Planned{std::move(decision), false};
 }

@@ -63,7 +63,7 @@ struct Planned {
 ///    SetSimulatedDiskLatency;
 ///  * a bounded LRU plan cache (64 plans) keyed on (transform-set
 ///    signature, epsilon band, transform target, spec/planner knobs, index
-///    epoch), with engine.planner.* metrics.
+///    epoch), whose lookups count engine.planner.cache_{hits,misses}.
 ///
 /// Planning I/O (snapshot + calibration page reads) goes through the normal
 /// counted read paths; benchmarks that meter I/O should warm the planner up
@@ -82,10 +82,6 @@ class Planner {
 
   /// Drops the calibrated constants (simulated disk latency changed).
   void InvalidateCalibration();
-
-  /// The constants Plan() would use absent an override: calibrated on first
-  /// use, then cached.
-  core::CostConstants CalibratedConstants();
 
   /// Resolves `options` (typically algorithm == kAuto) into a concrete plan
   /// for the given spec. A forced concrete algorithm short-circuits into a

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <optional>
 
 #include "common/check.h"
 
@@ -775,15 +776,6 @@ Status RStarTree::WindowQuery(const Rect& window,
 }
 
 // --- introspection -----------------------------------------------------------
-
-std::optional<Rect> RStarTree::RootRect() const {
-  if (root_ == storage::kInvalidPageId) return std::nullopt;
-  Node root;
-  if (!ReadNode(root_, &root).ok() || root.entries.empty()) {
-    return std::nullopt;
-  }
-  return NodeRect(root);
-}
 
 Status RStarTree::VisitNodes(
     const std::function<void(const NodeView&)>& fn) const {

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <vector>
 
 #include "common/status.h"
@@ -133,9 +132,6 @@ class RStarTree {
   std::size_t height() const { return height_; }
   std::uint32_t capacity() const { return capacity_; }
   std::uint32_t min_fill() const { return min_fill_; }
-
-  /// Bounding rect of all data, or nullopt when empty.
-  std::optional<Rect> RootRect() const;
 
   /// Exhaustively checks structural invariants (parent MBRs tight and
   /// containing, fill factors, uniform leaf depth, size bookkeeping).

@@ -19,25 +19,13 @@ std::string PageIdMessage(const char* what, PageId id, std::size_t count) {
   return msg.str();
 }
 
-// Process-wide counters summed over every PageFile; the per-instance atomics
-// remain the benchmark-facing numbers (they are resettable per epoch), the
-// global ones feed MetricsRegistry::RenderText/Json. Only successful I/Os
-// count, matching the per-instance counters.
-struct PageFileMetrics {
-  obs::Counter* reads;
-  obs::Counter* writes;
-  obs::Counter* allocations;
-
-  static const PageFileMetrics& Get() {
-    static const PageFileMetrics metrics = [] {
-      obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-      return PageFileMetrics{registry.counter("storage.page_file.reads"),
-                             registry.counter("storage.page_file.writes"),
-                             registry.counter("storage.page_file.allocations")};
-    }();
-    return metrics;
-  }
-};
+// Process-wide total of successful page writes over every PageFile (the
+// per-instance atomics are the resettable, benchmark-facing numbers).
+obs::Counter* PageWritesCounter() {
+  static obs::Counter* const counter =
+      obs::MetricsRegistry::Global().counter("storage.page_file.writes");
+  return counter;
+}
 
 }  // namespace
 
@@ -77,7 +65,6 @@ PageId PageFile::Allocate() {
   pages_.emplace_back();
   digests_.push_back(Digest(pages_.back()));
   allocations_.fetch_add(1, std::memory_order_relaxed);
-  PageFileMetrics::Get().allocations->Increment();
   return static_cast<PageId>(pages_.size() - 1);
 }
 
@@ -132,7 +119,6 @@ Status PageFile::Read(PageId id, Page* out) {
     return Status::Corruption(PageIdMessage("checksum mismatch", id, count));
   }
   reads_.fetch_add(1, std::memory_order_relaxed);
-  PageFileMetrics::Get().reads->Increment();
   return Status::Ok();
 }
 
@@ -146,7 +132,7 @@ Status PageFile::Write(PageId id, const Page& page) {
   pages_[id] = page;
   digests_[id] = digest;
   writes_.fetch_add(1, std::memory_order_relaxed);
-  PageFileMetrics::Get().writes->Increment();
+  PageWritesCounter()->Increment();
   return Status::Ok();
 }
 

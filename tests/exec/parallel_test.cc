@@ -1,11 +1,11 @@
 #include "exec/parallel.h"
 
 #include <atomic>
-#include <set>
+#include <chrono>
+#include <string>
 #include <thread>
 #include <vector>
 
-#include "exec/thread_pool.h"
 #include "gtest/gtest.h"
 
 namespace tsq::exec {
@@ -15,30 +15,6 @@ TEST(EffectiveThreadsTest, ZeroMeansHardware) {
   EXPECT_GE(EffectiveThreads(0), 1u);
   EXPECT_EQ(EffectiveThreads(1), 1u);
   EXPECT_EQ(EffectiveThreads(7), 7u);
-}
-
-TEST(ThreadPoolTest, RunsEverySubmittedTask) {
-  std::atomic<int> counter{0};
-  {
-    ThreadPool pool(4);
-    EXPECT_EQ(pool.num_threads(), 4u);
-    for (int i = 0; i < 200; ++i) {
-      pool.Submit([&counter] { counter.fetch_add(1); });
-    }
-  }  // destructor drains the queue
-  EXPECT_EQ(counter.load(), 200);
-}
-
-TEST(ThreadPoolTest, DestructorWaitsForInFlightTasks) {
-  std::atomic<bool> done{false};
-  {
-    ThreadPool pool(2);
-    pool.Submit([&done] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-      done.store(true);
-    });
-  }
-  EXPECT_TRUE(done.load());
 }
 
 TEST(ParallelForTest, EveryTaskRunsExactlyOnce) {
@@ -102,6 +78,55 @@ TEST(ParallelForTest, LargeFanOutReportsLowestFailure) {
   EXPECT_EQ(ran.load(), kCount);
   ASSERT_FALSE(status.ok());
   EXPECT_NE(status.message().find("task 123456"), std::string::npos);
+}
+
+TEST(ParallelForBatchTest, LowestFailingSubtaskPerItemAndEverySubtaskRuns) {
+  // Item 1 has no subtasks; item 2 never fails; the others fail at several
+  // subtasks, the lowest of which is slowed down so that a higher one fails
+  // first in wall-clock order when workers run in parallel.
+  const std::vector<std::size_t> counts = {5, 0, 7, 3, 9};
+  const std::vector<std::vector<std::size_t>> failing = {
+      {3, 1}, {}, {}, {2}, {8, 4, 6}};
+  const std::vector<std::size_t> lowest = {1, 0, 0, 2, 4};
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    std::vector<std::vector<std::atomic<int>>> runs;
+    for (const std::size_t count : counts) {
+      runs.emplace_back(count);
+      for (auto& r : runs.back()) r.store(0);
+    }
+    const std::vector<Status> statuses = ParallelForBatch(
+        threads, counts,
+        [&](std::size_t item, std::size_t subtask) -> Status {
+          runs[item][subtask].fetch_add(1);
+          for (const std::size_t bad : failing[item]) {
+            if (subtask != bad) continue;
+            if (bad == lowest[item]) {
+              std::this_thread::sleep_for(std::chrono::milliseconds(5));
+            }
+            return Status::Internal("item " + std::to_string(item) +
+                                    " subtask " + std::to_string(subtask));
+          }
+          return Status::Ok();
+        });
+    ASSERT_EQ(statuses.size(), counts.size());
+    for (std::size_t item = 0; item < counts.size(); ++item) {
+      for (std::size_t subtask = 0; subtask < counts[item]; ++subtask) {
+        EXPECT_EQ(runs[item][subtask].load(), 1)
+            << threads << " threads, item " << item << " subtask " << subtask;
+      }
+      if (failing[item].empty()) {
+        EXPECT_TRUE(statuses[item].ok()) << threads << " threads, item "
+                                         << item;
+        continue;
+      }
+      ASSERT_FALSE(statuses[item].ok()) << threads << " threads, item "
+                                        << item;
+      EXPECT_EQ(statuses[item].message(),
+                "item " + std::to_string(item) + " subtask " +
+                    std::to_string(lowest[item]))
+          << threads << " threads";
+    }
+  }
 }
 
 TEST(ChunkTest, BoundsPartitionTheRange) {

@@ -10,6 +10,7 @@
 #include "core/engine.h"
 #include "core/explain.h"
 #include "gtest/gtest.h"
+#include "obs/metrics.h"
 #include "testing/oracle.h"
 #include "transform/builders.h"
 #include "transform/partition.h"
@@ -290,13 +291,24 @@ TEST(PlannerTest, PlanCacheHitsAndMutationInvalidation) {
   const core::RangeQuerySpec spec = TwoClusterSpec(engine);
   core::ExecOptions options;
   options.planner = DeterministicPlannerOptions();
+  // perfbench's plan.cache_hit_ratio reads these process-wide counters: a
+  // fresh kAuto plan is one miss, and each repeat of it one hit.
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  const obs::Counter* hits = registry.counter("engine.planner.cache_hits");
+  const obs::Counter* misses = registry.counter("engine.planner.cache_misses");
+  const std::uint64_t hits_before = hits->value();
+  const std::uint64_t misses_before = misses->value();
 
   const auto first = engine.Execute(spec, options);
   ASSERT_TRUE(first.ok());
   EXPECT_FALSE(first->trace().planner.cache_hit);
+  EXPECT_EQ(misses->value(), misses_before + 1);
+  EXPECT_EQ(hits->value(), hits_before);
   const auto second = engine.Execute(spec, options);
   ASSERT_TRUE(second.ok());
   EXPECT_TRUE(second->trace().planner.cache_hit);
+  EXPECT_EQ(misses->value(), misses_before + 1);
+  EXPECT_EQ(hits->value(), hits_before + 1);
   // Same decision either way.
   EXPECT_EQ(first->trace().planner.chosen_candidate()->label,
             second->trace().planner.chosen_candidate()->label);

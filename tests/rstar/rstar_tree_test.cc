@@ -51,7 +51,6 @@ TEST(RStarTreeTest, EmptyTreeBehaviour) {
   RStarTree tree(&file, 2);
   EXPECT_EQ(tree.size(), 0u);
   EXPECT_EQ(tree.height(), 0u);
-  EXPECT_FALSE(tree.RootRect().has_value());
   std::vector<std::uint64_t> results;
   ASSERT_TRUE(tree.WindowQuery(Rect({-1.0, -1.0}, {1.0, 1.0}), &results).ok());
   EXPECT_TRUE(results.empty());

@@ -11,6 +11,7 @@
 
 #include "common/rng.h"
 #include "gtest/gtest.h"
+#include "obs/metrics.h"
 #include "testing/fault_policy.h"
 
 namespace tsq::storage {
@@ -228,17 +229,23 @@ TEST_F(PageFilePersistenceTest, RejectsGarbageAndTruncation) {
 TEST(PageFileTest, FailedIosLeaveCountersUntouched) {
   // Convention: only successful I/Os count. Neither a failed Read
   // (OutOfRange, Corruption) nor a failed Write (OutOfRange) moves the
-  // counters.
+  // counters, per file or the process-wide storage.page_file.writes.
+  const obs::Counter* process_writes =
+      obs::MetricsRegistry::Global().counter("storage.page_file.writes");
   PageFile file;
   const PageId id = file.Allocate();
   Page page;
+  std::uint64_t writes_before = process_writes->value();
   ASSERT_TRUE(file.Write(id, page).ok());
+  EXPECT_EQ(process_writes->value(), writes_before + 1);
   file.ResetStats();
 
+  writes_before = process_writes->value();
   EXPECT_EQ(file.Read(99, &page).code(), StatusCode::kOutOfRange);
   EXPECT_EQ(file.Write(99, page).code(), StatusCode::kOutOfRange);
   EXPECT_EQ(file.stats().reads, 0u);
   EXPECT_EQ(file.stats().writes, 0u);
+  EXPECT_EQ(process_writes->value(), writes_before);
 
   ASSERT_TRUE(file.CorruptForTesting(id, 5).ok());
   EXPECT_EQ(file.Read(id, &page).code(), StatusCode::kCorruption);
@@ -249,6 +256,7 @@ TEST(PageFileTest, FailedIosLeaveCountersUntouched) {
   ASSERT_TRUE(file.Read(id, &page).ok());
   EXPECT_EQ(file.stats().reads, 1u);
   EXPECT_EQ(file.stats().writes, 1u);
+  EXPECT_EQ(process_writes->value(), writes_before + 1);
 }
 
 TEST_F(PageFilePersistenceTest, CorruptionSurvivesSaveAndIsReportedOnLoad) {
