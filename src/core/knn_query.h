@@ -30,6 +30,8 @@ struct KnnMatch {
   std::size_t series_id = 0;
   std::size_t transform_index = 0;
   double distance = 0.0;
+
+  bool operator==(const KnnMatch&) const = default;
 };
 
 struct KnnQueryResult {

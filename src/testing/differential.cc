@@ -2,11 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <exception>
+#include <functional>
 #include <map>
 #include <sstream>
 #include <thread>
-#include <unordered_map>
+#include <tuple>
+#include <type_traits>
 #include <utility>
+#include <variant>
 
 #include "common/rng.h"
 #include "core/join_query.h"
@@ -18,195 +22,103 @@ namespace tsq::testing {
 
 namespace {
 
+// Writes per case of each mode that commits any.
+constexpr std::size_t kMutateInserts = 5;
+constexpr std::size_t kMutateRemoves = 4;
+constexpr std::size_t kBatchMutateInserts = 4;
+constexpr std::size_t kBatchMutateRemoves = 3;
+constexpr std::size_t kCheckpointInserts = 3;
+constexpr std::size_t kCheckpointRemoves = 2;
+// A generated batch holds 3–5 base specs, and each base spec is re-enqueued
+// verbatim later in the batch with this probability; a duplicate executes
+// again and must equal its original.
+constexpr std::size_t kMinBatchSpecs = 3;
+constexpr std::size_t kMaxBatchSpecs = 5;
+constexpr double kDuplicateProbability = 0.4;
+
+constexpr core::Algorithm kAlgorithms[] = {
+    core::Algorithm::kSequentialScan, core::Algorithm::kStIndex,
+    core::Algorithm::kMtIndex, core::Algorithm::kAuto};
+constexpr std::size_t kThreadCounts[] = {1, 4, 8};
+constexpr std::size_t kMutateThreadCounts[] = {1, 4};
+// The fault sweep's slice of the cube, at 4 threads: MT-index reads index
+// pages and then the bound's fetches, the sequential scan every record page.
+constexpr core::Algorithm kFaultAlgorithms[] = {
+    core::Algorithm::kMtIndex, core::Algorithm::kSequentialScan};
+constexpr std::size_t kFaultThreads = 4;
+
+// The fault sweep's schedules, for single queries and batches alike.
+constexpr FaultPolicyConfig kFaultPolicies[] = {
+    {.fail_nth_read = 1},
+    {.fail_nth_read = 5, .failure_code = StatusCode::kCorruption},
+    {.fail_nth_read = 33},
+    {.fail_every_k = 7},
+    {.corrupt_nth_read = 3},
+    {.short_nth_read = 2, .short_read_bytes = 512},
+    {.delay_nanos = 2000},  // latency only: every run must match
+};
+
 bool Close(double a, double b, double tol) {
   return std::fabs(a - b) <=
          tol * (1.0 + std::max(std::fabs(a), std::fabs(b)));
 }
 
 std::string DescribeConfig(core::Algorithm algorithm, std::size_t threads) {
+  return std::string(core::AlgorithmName(algorithm)) + "/" +
+         std::to_string(threads) + "t";
+}
+
+core::ExecOptions Options(core::Algorithm algorithm, std::size_t threads) {
+  core::ExecOptions options;
+  options.planner.algorithm = algorithm;
+  options.num_threads = threads;
+  return options;
+}
+
+std::vector<bool> LiveMask(const core::Dataset& dataset) {
+  std::vector<bool> live(dataset.size());
+  for (std::size_t i = 0; i < live.size(); ++i) live[i] = !dataset.removed(i);
+  return live;
+}
+
+// What a match must share with the oracle's exactly, and the value that need
+// only be close. k-NN compares the series alone: unitary transformations
+// (e.g. time shifts under kBoth) produce mathematically equal distances, so
+// the argmin transformation is floating-point noise.
+auto Key(const core::Match& m) {
+  return std::tuple(m.series_id, m.transform_index);
+}
+auto Key(const core::KnnMatch& m) { return std::tuple(m.series_id); }
+auto Key(const core::JoinMatch& m) {
+  return std::tuple(m.a, m.b, m.transform_index);
+}
+double Value(const core::Match& m) { return m.distance; }
+double Value(const core::KnnMatch& m) { return m.distance; }
+double Value(const core::JoinMatch& m) { return m.value; }
+
+template <typename M>
+std::string Describe(const M& m) {
   std::ostringstream out;
-  out << core::AlgorithmName(algorithm) << "/" << threads << "t";
+  out.precision(17);
+  if constexpr (std::is_same_v<M, core::JoinMatch>) {
+    out << "(" << m.a << ", " << m.b << ", t" << m.transform_index
+        << ", v=" << m.value << ")";
+  } else {
+    out << "(series " << m.series_id << ", t" << m.transform_index
+        << ", D=" << m.distance << ")";
+  }
   return out.str();
 }
 
-std::string CompareRange(const std::vector<core::Match>& expected,
-                         std::vector<core::Match> got, double tol) {
-  core::SortMatches(&got);
-  if (expected.size() != got.size()) {
-    std::ostringstream out;
-    out << "range match count: oracle " << expected.size() << ", engine "
-        << got.size();
-    return out.str();
-  }
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    const core::Match& e = expected[i];
-    const core::Match& g = got[i];
-    if (e.series_id != g.series_id || e.transform_index != g.transform_index ||
-        !Close(e.distance, g.distance, tol)) {
-      std::ostringstream out;
-      out << "range match " << i << ": oracle (series " << e.series_id
-          << ", t" << e.transform_index << ", D=" << e.distance
-          << ") vs engine (series " << g.series_id << ", t"
-          << g.transform_index << ", D=" << g.distance << ")";
-      return out.str();
-    }
-  }
-  return "";
+std::string Describe(const core::GroupRunStats& group) {
+  std::ostringstream out;
+  out << "{da_all " << group.da_all << ", da_leaf " << group.da_leaf
+      << ", transforms " << group.transforms << ", candidates "
+      << group.candidates << "}";
+  return out.str();
 }
 
-std::string CompareKnn(const std::vector<core::KnnMatch>& expected,
-                       const std::vector<core::KnnMatch>& got, double tol) {
-  if (expected.size() != got.size()) {
-    std::ostringstream out;
-    out << "knn result count: oracle " << expected.size() << ", engine "
-        << got.size();
-    return out.str();
-  }
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    // transform_index is deliberately not compared: unitary transformations
-    // (e.g. time shifts under kBoth) produce mathematically equal distances,
-    // so the argmin transformation is floating-point noise.
-    if (expected[i].series_id != got[i].series_id ||
-        !Close(expected[i].distance, got[i].distance, tol)) {
-      std::ostringstream out;
-      out << "knn rank " << i << ": oracle (series " << expected[i].series_id
-          << ", D=" << expected[i].distance << ") vs engine (series "
-          << got[i].series_id << ", D=" << got[i].distance << ")";
-      return out.str();
-    }
-  }
-  return "";
-}
-
-std::string CompareJoin(const std::vector<core::JoinMatch>& expected,
-                        std::vector<core::JoinMatch> got, double tol,
-                        bool subset_ok) {
-  core::SortJoinMatches(&got);
-  if (subset_ok) {
-    // Indexed correlation joins may miss pairs (documented filter property);
-    // every pair they do report must be a correct oracle pair.
-    std::unordered_map<std::uint64_t, double> oracle_pairs;
-    oracle_pairs.reserve(expected.size() * 2);
-    const auto key = [](const core::JoinMatch& m) {
-      return (static_cast<std::uint64_t>(m.a) << 40) ^
-             (static_cast<std::uint64_t>(m.b) << 16) ^
-             static_cast<std::uint64_t>(m.transform_index);
-    };
-    for (const core::JoinMatch& m : expected) oracle_pairs[key(m)] = m.value;
-    for (const core::JoinMatch& m : got) {
-      auto it = oracle_pairs.find(key(m));
-      if (it == oracle_pairs.end()) {
-        std::ostringstream out;
-        out << "join pair (" << m.a << ", " << m.b << ", t"
-            << m.transform_index << ") reported but not an oracle match";
-        return out.str();
-      }
-      if (!Close(it->second, m.value, tol)) {
-        std::ostringstream out;
-        out << "join pair (" << m.a << ", " << m.b << ", t"
-            << m.transform_index << ") value: oracle " << it->second
-            << ", engine " << m.value;
-        return out.str();
-      }
-    }
-    return "";
-  }
-  if (expected.size() != got.size()) {
-    std::ostringstream out;
-    out << "join match count: oracle " << expected.size() << ", engine "
-        << got.size();
-    return out.str();
-  }
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    const core::JoinMatch& e = expected[i];
-    const core::JoinMatch& g = got[i];
-    if (e.a != g.a || e.b != g.b || e.transform_index != g.transform_index ||
-        !Close(e.value, g.value, tol)) {
-      std::ostringstream out;
-      out << "join match " << i << ": oracle (" << e.a << ", " << e.b << ", t"
-          << e.transform_index << ", v=" << e.value << ") vs engine (" << g.a
-          << ", " << g.b << ", t" << g.transform_index << ", v=" << g.value
-          << ")";
-      return out.str();
-    }
-  }
-  return "";
-}
-
-// Bitwise equality of two results' matches, in order.
-std::string ExactMatchDiff(const core::QueryResult& expected,
-                           const core::QueryResult& got) {
-  const auto mismatch = [](const char* kind, std::size_t i,
-                           const std::string& detail) {
-    std::ostringstream out;
-    out << kind << " match " << i << " differs from sequential baseline ("
-        << detail << ")";
-    return out.str();
-  };
-  if (const auto* range = expected.range()) {
-    const auto* g = got.range();
-    if (g == nullptr) return "result kind differs from sequential baseline";
-    if (range->matches.size() != g->matches.size()) {
-      std::ostringstream out;
-      out << "range match count: sequential " << range->matches.size()
-          << ", batch " << g->matches.size();
-      return out.str();
-    }
-    for (std::size_t i = 0; i < range->matches.size(); ++i) {
-      if (!(range->matches[i] == g->matches[i])) {
-        std::ostringstream out;
-        out << "series " << range->matches[i].series_id << " vs "
-            << g->matches[i].series_id;
-        return mismatch("range", i, out.str());
-      }
-    }
-    return "";
-  }
-  if (const auto* knn = expected.knn()) {
-    const auto* g = got.knn();
-    if (g == nullptr) return "result kind differs from sequential baseline";
-    if (knn->matches.size() != g->matches.size()) {
-      std::ostringstream out;
-      out << "knn match count: sequential " << knn->matches.size()
-          << ", batch " << g->matches.size();
-      return out.str();
-    }
-    for (std::size_t i = 0; i < knn->matches.size(); ++i) {
-      const core::KnnMatch& e = knn->matches[i];
-      const core::KnnMatch& b = g->matches[i];
-      if (e.series_id != b.series_id ||
-          e.transform_index != b.transform_index ||
-          e.distance != b.distance) {
-        std::ostringstream out;
-        out << "series " << e.series_id << " vs " << b.series_id;
-        return mismatch("knn", i, out.str());
-      }
-    }
-    return "";
-  }
-  const auto* join = expected.join();
-  const auto* g = got.join();
-  if (join == nullptr || g == nullptr) {
-    return "result kind differs from sequential baseline";
-  }
-  if (join->matches.size() != g->matches.size()) {
-    std::ostringstream out;
-    out << "join match count: sequential " << join->matches.size()
-        << ", batch " << g->matches.size();
-    return out.str();
-  }
-  for (std::size_t i = 0; i < join->matches.size(); ++i) {
-    if (!(join->matches[i] == g->matches[i])) {
-      std::ostringstream out;
-      out << "(" << join->matches[i].a << "," << join->matches[i].b
-          << ") vs (" << g->matches[i].a << "," << g->matches[i].b << ")";
-      return mismatch("join", i, out.str());
-    }
-  }
-  return "";
-}
-
-std::string DescribeStats(const core::QueryStats& stats) {
+std::string Describe(const core::QueryStats& stats) {
   std::ostringstream out;
   out << "{nodes " << stats.index_nodes_accessed << ", leaves "
       << stats.index_leaves_accessed << ", record pages "
@@ -217,62 +129,274 @@ std::string DescribeStats(const core::QueryStats& stats) {
   return out.str();
 }
 
-std::string DescribeGroup(const core::GroupRunStats& group) {
-  std::ostringstream out;
-  out << "{da_all " << group.da_all << ", da_leaf " << group.da_leaf
-      << ", transforms " << group.transforms << ", candidates "
-      << group.candidates << "}";
-  return out.str();
-}
-
-// Byte-for-byte equality between a batch entry and its per-spec sequential
-// baseline. No tolerance and no sorting: both ran at the same snapshot
-// through the same deterministic executors, and ExecuteBatch's contract is
-// that the entry equals Execute() in its matches (identical order, identical
-// bits) and in its work: QueryStats, per-rectangle group_stats and the
-// trace's DeterministicSignature().
-std::string ExactDiff(const core::QueryResult& expected,
-                      const core::QueryResult& got) {
-  if (std::string diff = ExactMatchDiff(expected, got); !diff.empty()) {
-    return diff;
+// The first element where `same` fails, or "".
+template <typename T, typename Same>
+std::string ListDiff(const char* what, const std::vector<T>& expected,
+                     const std::vector<T>& got, const Same& same) {
+  if (expected.size() != got.size()) {
+    return std::string(what) + " count: expected " +
+           std::to_string(expected.size()) + ", got " +
+           std::to_string(got.size());
   }
-  if (!(expected.stats() == got.stats())) {
-    return "stats: sequential " + DescribeStats(expected.stats()) +
-           ", batch " + DescribeStats(got.stats());
-  }
-  if (expected.group_stats.size() != got.group_stats.size()) {
-    return "group_stats size: sequential " +
-           std::to_string(expected.group_stats.size()) + ", batch " +
-           std::to_string(got.group_stats.size());
-  }
-  for (std::size_t g = 0; g < expected.group_stats.size(); ++g) {
-    if (!(expected.group_stats[g] == got.group_stats[g])) {
-      return "group_stats rect " + std::to_string(g) + ": sequential " +
-             DescribeGroup(expected.group_stats[g]) + ", batch " +
-             DescribeGroup(got.group_stats[g]);
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    if (!same(expected[i], got[i])) {
+      return std::string(what) + " " + std::to_string(i) + ": expected " +
+             Describe(expected[i]) + ", got " + Describe(got[i]);
     }
-  }
-  const std::string want = expected.trace().DeterministicSignature();
-  const std::string have = got.trace().DeterministicSignature();
-  if (want != have) {
-    return "trace signature: sequential \"" + want + "\", batch \"" + have +
-           "\"";
   }
   return "";
 }
 
-// The oracle's verdict for one spec, evaluated once and diffed against many
-// batch entries.
-struct OracleExpectation {
-  std::vector<core::Match> range;
-  std::vector<core::KnnMatch> knn;
-  std::vector<core::JoinMatch> join;
-  bool correlation_join = false;
+// The oracle verdict on one run that must not error.
+std::string RunDiff(const Result<core::QueryResult>& result,
+                    const OracleExpectation& expected,
+                    core::Algorithm algorithm, double tolerance) {
+  if (!result.ok()) {
+    return "unexpected error status: " + result.status().ToString();
+  }
+  return OracleDiff(expected, *result, algorithm, tolerance);
+}
+
+// A generated batch: the base specs, then seeded verbatim duplicates.
+struct Batch {
+  std::vector<core::QuerySpec> specs;
+  std::vector<std::size_t> origin;  // the base entry specs[i] copies
+  std::string description;
 };
 
-OracleExpectation ExpectedFor(const Oracle& oracle,
-                              const core::QuerySpec& spec,
-                              const std::vector<bool>* live = nullptr) {
+Batch MakeBatch(const WorkloadGenerator& generator,
+                const core::SimilarityEngine& engine, const Oracle& oracle,
+                std::size_t index, std::uint64_t seed) {
+  Rng rng(seed);
+  const std::size_t base_count =
+      kMinBatchSpecs + static_cast<std::size_t>(rng.UniformInt(
+                           0, static_cast<std::int64_t>(kMaxBatchSpecs -
+                                                        kMinBatchSpecs)));
+  Batch batch;
+  std::ostringstream description;
+  description << "batch{";
+  for (std::size_t j = 0; j < base_count; ++j) {
+    WorkloadCase work = generator.MakeCase(index * 8 + j, engine, oracle);
+    description << (j > 0 ? "; " : "") << work.description;
+    batch.origin.push_back(j);
+    batch.specs.push_back(std::move(work.spec));
+  }
+  for (std::size_t j = 0; j < base_count; ++j) {
+    if (rng.Bernoulli(kDuplicateProbability)) {
+      batch.origin.push_back(j);
+      batch.specs.push_back(batch.specs[j]);
+    }
+  }
+  description << "} +" << (batch.specs.size() - base_count) << " dup";
+  batch.description = description.str();
+  return batch;
+}
+
+// Holds one ExecuteBatch call to the per-spec baselines: every entry equals
+// its baseline (ExactDiff), reports the batch size and pins the batch's one
+// snapshot version. An errored entry fails the case, or, when `errored` is
+// non-null (a fault run), is counted there instead.
+void CheckBatch(const std::vector<Result<core::QueryResult>>& batch,
+                const std::vector<core::QueryResult>& baselines,
+                const std::string& context, std::size_t* errored,
+                CaseOutcome& outcome) {
+  if (batch.size() != baselines.size()) {
+    outcome.Fail("batch returned " + std::to_string(batch.size()) +
+                 " results for " + std::to_string(baselines.size()) +
+                 " specs (" + context + ")");
+    return;
+  }
+  std::uint64_t version = 0;
+  bool pinned = false;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const std::string entry =
+        "batch entry " + std::to_string(i) + " (" + context + ")";
+    if (!batch[i].ok()) {
+      if (errored == nullptr) {
+        outcome.Fail(entry + " errored: " + batch[i].status().ToString());
+      } else {
+        ++*errored;
+      }
+      continue;
+    }
+    const obs::QueryTrace& trace = batch[i]->trace();
+    if (const std::string diff = ExactDiff(baselines[i], *batch[i]);
+        !diff.empty()) {
+      outcome.Fail(entry + (errored ? " neither matched nor errored: " : ": ") +
+                   diff);
+    } else if (trace.batch_size != batch.size()) {
+      outcome.Fail(entry + " reports batch_size " +
+                   std::to_string(trace.batch_size) + " for a " +
+                   std::to_string(batch.size()) + "-spec batch");
+    } else if (pinned && trace.snapshot_version != version) {
+      outcome.Fail("batch pinned two snapshot versions (" + context +
+                   "): v" + std::to_string(version) + " and v" +
+                   std::to_string(trace.snapshot_version));
+    }
+    version = trace.snapshot_version;
+    pinned = true;
+  }
+}
+
+// One sweep configuration of a mutate mode and the results it returned, all
+// at one pinned snapshot version; results[i] answers the batch's specs[i].
+struct PinnedRun {
+  core::Algorithm algorithm = core::Algorithm::kAuto;
+  std::size_t threads = 0;
+  std::uint64_t version = 0;
+  std::vector<core::QueryResult> results;
+};
+
+// The writer thread of the mutate modes: seeded random-walk inserts
+// interleaved with removes of ids it knows to be live (it is the only
+// writer, so its view is exact), each logged with the write version it
+// committed. After Finish(), the log replays the liveness at any version a
+// query pinned.
+class Writer {
+ public:
+  Writer(core::SimilarityEngine& engine, std::uint64_t seed,
+         std::size_t inserts, std::size_t removes)
+      : engine_(engine),
+        base_version_(engine.write_version()),
+        base_live_(LiveMask(engine.dataset())) {
+    log_.reserve(inserts + removes);
+    thread_ = std::thread([=, this] {
+      try {
+        Run(seed, inserts, removes);
+      } catch (const std::exception& e) {
+        failure_ = std::string("exception: ") + e.what();
+      }
+    });
+  }
+  ~Writer() {
+    if (thread_.joinable()) thread_.join();
+  }
+  Writer(const Writer&) = delete;
+  Writer& operator=(const Writer&) = delete;
+
+  // Waits for the writes; records their count and any failure on `outcome`.
+  void Finish(CaseOutcome& outcome) {
+    thread_.join();
+    outcome.writes = log_.size();
+    if (!failure_.empty()) outcome.Fail("writer: " + failure_);
+  }
+
+  // After Finish(): checks every run, in the order it was issued, against the
+  // oracle replayed at the version it pinned. A version must lie within the
+  // case's writes and, as runs are issued one after another, never fall
+  // below the previous run's. The expectation of one (base spec, version)
+  // pair is evaluated once: duplicates share it, and every run issued after
+  // the writes finished pins the same final version.
+  void CheckRuns(const Batch& batch, const std::vector<PinnedRun>& runs,
+                 double tolerance, CaseOutcome& outcome) const {
+    // Spectra exist for every id ever appended, tombstoned or not.
+    const Oracle oracle(engine_.dataset());
+    const std::uint64_t last_version = base_version_ + log_.size();
+    std::uint64_t previous = base_version_;
+    std::map<std::pair<std::size_t, std::uint64_t>, OracleExpectation> memo;
+    for (const PinnedRun& run : runs) {
+      const std::string config = DescribeConfig(run.algorithm, run.threads);
+      std::ostringstream bad;
+      if (run.version < base_version_ || run.version > last_version) {
+        bad << "pinned snapshot v" << run.version << " outside ["
+            << base_version_ << ", " << last_version << "] under " << config;
+      } else if (run.version < previous) {
+        bad << "pinned snapshot went backwards under " << config << ": v"
+            << run.version << " after v" << previous;
+      }
+      previous = std::max(previous, run.version);
+      if (!bad.str().empty()) {
+        outcome.Fail(bad.str());
+        continue;
+      }
+      for (std::size_t i = 0; i < run.results.size(); ++i) {
+        const std::pair key(batch.origin[i], run.version);
+        auto it = memo.find(key);
+        if (it == memo.end()) {
+          const std::vector<bool> live = LiveAt(run.version);
+          it = memo.emplace(key, ExpectedFor(oracle, batch.specs[key.first],
+                                             &live))
+                   .first;
+        }
+        const std::string diff = OracleDiff(it->second, run.results[i],
+                                            run.algorithm, tolerance);
+        if (!diff.empty()) {
+          outcome.Fail("entry " + std::to_string(i) +
+                       " diverged at snapshot v" +
+                       std::to_string(run.version) + " under " + config +
+                       ": " + diff);
+        }
+      }
+    }
+  }
+
+ private:
+  struct WriteOp {
+    std::uint64_t version;  // engine write version after this op committed
+    bool insert;
+    std::size_t id;
+  };
+
+  void Run(std::uint64_t seed, std::size_t inserts, std::size_t removes) {
+    Rng rng(seed);
+    std::vector<std::size_t> live;
+    for (std::size_t i = 0; i < base_live_.size(); ++i) {
+      if (base_live_[i]) live.push_back(i);
+    }
+    while (inserts + removes > 0) {
+      if (removes == 0 || live.empty() ||
+          (inserts > 0 && rng.Bernoulli(0.5))) {
+        --inserts;
+        const Result<std::size_t> id = engine_.Insert(
+            ts::GenerateRandomWalk(engine_.length(), 500.0, rng));
+        if (!id.ok()) {
+          failure_ = "insert failed: " + id.status().ToString();
+          return;
+        }
+        live.push_back(*id);
+        log_.push_back(WriteOp{engine_.write_version(), true, *id});
+      } else {
+        --removes;
+        const std::size_t pick = static_cast<std::size_t>(rng.UniformInt(
+            0, static_cast<std::int64_t>(live.size()) - 1));
+        const std::size_t id = live[pick];
+        live.erase(live.begin() + pick);
+        if (const Status removed = engine_.Remove(id); !removed.ok()) {
+          failure_ = "remove failed: " + removed.ToString();
+          return;
+        }
+        log_.push_back(WriteOp{engine_.write_version(), false, id});
+      }
+      if (log_.back().version != base_version_ + log_.size()) {
+        failure_ = "unexpected write version (another writer?)";
+        return;
+      }
+      std::this_thread::yield();  // give queries a chance between commits
+    }
+  }
+
+  std::vector<bool> LiveAt(std::uint64_t version) const {
+    std::vector<bool> live = base_live_;
+    live.resize(engine_.dataset().size(), false);
+    for (const WriteOp& op : log_) {
+      if (op.version > version) break;
+      live[op.id] = op.insert;
+    }
+    return live;
+  }
+
+  core::SimilarityEngine& engine_;
+  const std::uint64_t base_version_;
+  const std::vector<bool> base_live_;
+  std::vector<WriteOp> log_;  // the thread's until Finish(), then the caller's
+  std::string failure_;
+  std::thread thread_;
+};
+
+}  // namespace
+
+OracleExpectation ExpectedFor(const Oracle& oracle, const core::QuerySpec& spec,
+                              const std::vector<bool>* live) {
   OracleExpectation expected;
   if (const auto* range = std::get_if<core::RangeQuerySpec>(&spec)) {
     expected.range = oracle.Range(*range, live);
@@ -288,83 +412,103 @@ OracleExpectation ExpectedFor(const Oracle& oracle,
 
 std::string OracleDiff(const OracleExpectation& expected,
                        const core::QueryResult& got,
-                       core::Algorithm algorithm, double tol) {
+                       core::Algorithm algorithm, double tolerance) {
+  const auto close = [tolerance](const auto& e, const auto& g) {
+    return Key(e) == Key(g) && Close(Value(e), Value(g), tolerance);
+  };
   if (const auto* range = got.range()) {
-    return CompareRange(expected.range, range->matches, tol);
+    std::vector<core::Match> sorted = range->matches;
+    core::SortMatches(&sorted);
+    return ListDiff("range match", expected.range, sorted, close);
   }
   if (const auto* knn = got.knn()) {
-    return CompareKnn(expected.knn, knn->matches, tol);
+    return ListDiff("knn match", expected.knn, knn->matches, close);
   }
-  const bool subset_ok = expected.correlation_join &&
-                         algorithm != core::Algorithm::kSequentialScan;
-  return CompareJoin(expected.join, got.join()->matches, tol, subset_ok);
+  std::vector<core::JoinMatch> sorted = got.join()->matches;
+  core::SortJoinMatches(&sorted);
+  if (!expected.correlation_join ||
+      algorithm == core::Algorithm::kSequentialScan) {
+    return ListDiff("join match", expected.join, sorted, close);
+  }
+  // An indexed correlation join may miss pairs; every pair it does report
+  // must be an oracle pair with the oracle's value.
+  std::map<decltype(Key(core::JoinMatch())), double> oracle_pairs;
+  for (const core::JoinMatch& m : expected.join) oracle_pairs[Key(m)] = m.value;
+  for (const core::JoinMatch& m : sorted) {
+    const auto it = oracle_pairs.find(Key(m));
+    if (it == oracle_pairs.end()) {
+      return "join pair " + Describe(m) + " is not an oracle match";
+    }
+    if (!Close(it->second, m.value, tolerance)) {
+      core::JoinMatch want = m;
+      want.value = it->second;
+      return "join pair: expected " + Describe(want) + ", got " + Describe(m);
+    }
+  }
+  return "";
 }
 
-}  // namespace
+std::string ExactDiff(const core::QueryResult& expected,
+                      const core::QueryResult& got) {
+  if (expected.value.index() != got.value.index()) {
+    return "result kinds differ";
+  }
+  const std::string diff = std::visit(
+      [&](const auto& want) {
+        using Kind = std::decay_t<decltype(want)>;
+        return ListDiff("match", want.matches,
+                        std::get<Kind>(got.value).matches, std::equal_to<>());
+      },
+      expected.value);
+  if (!diff.empty()) return diff;
+  if (!(expected.stats() == got.stats())) {
+    return "stats: expected " + Describe(expected.stats()) + ", got " +
+           Describe(got.stats());
+  }
+  if (std::string groups = ListDiff("group_stats rect", expected.group_stats,
+                                    got.group_stats, std::equal_to<>());
+      !groups.empty()) {
+    return groups;
+  }
+  const std::string want = expected.trace().DeterministicSignature();
+  const std::string have = got.trace().DeterministicSignature();
+  if (want != have) {
+    return "trace signature: expected \"" + want + "\", got \"" + have + "\"";
+  }
+  return "";
+}
+
+void CaseOutcome::Fail(const std::string& what) {
+  if (!passed) return;
+  passed = false;
+  failure = what;
+}
 
 DifferentialRunner::DifferentialRunner(std::uint64_t seed)
-    : generator_(seed),
-      engine_(WorkloadGenerator(seed).MakeSeries()),
-      oracle_(engine_.dataset()) {}
+    : generator_(seed), engine_(WorkloadGenerator(seed).MakeSeries()) {}
 
 CaseOutcome DifferentialRunner::RunCase(std::size_t index,
                                         const DiffConfig& config) {
-  return Sweep(generator_.MakeCase(index, engine_, oracle_), config);
+  const Oracle oracle(engine_.dataset());
+  return Sweep(generator_.MakeCase(index, engine_, oracle), oracle, config);
 }
 
 CaseOutcome DifferentialRunner::RunQueryTransformCase(
     std::size_t index, const DiffConfig& config) {
-  CaseOutcome outcome = Sweep(
-      generator_.MakeQueryTransformCase(index, engine_, oracle_), config);
+  const Oracle oracle(engine_.dataset());
+  CaseOutcome outcome =
+      Sweep(generator_.MakeQueryTransformCase(index, engine_, oracle), oracle,
+            config);
   outcome.description += " [query transform]";
   return outcome;
 }
 
 CaseOutcome DifferentialRunner::Sweep(const WorkloadCase& work,
+                                      const Oracle& oracle,
                                       const DiffConfig& config) {
   CaseOutcome outcome;
   outcome.description = work.description;
-
-  // The oracle's verdict, computed once per case.
-  std::vector<core::Match> expected_range;
-  std::vector<core::KnnMatch> expected_knn;
-  std::vector<core::JoinMatch> expected_join;
-  bool correlation_join = false;
-  if (const auto* range = std::get_if<core::RangeQuerySpec>(&work.spec)) {
-    expected_range = oracle_.Range(*range);
-  } else if (const auto* knn = std::get_if<core::KnnQuerySpec>(&work.spec)) {
-    expected_knn = oracle_.Knn(*knn);
-  } else {
-    const auto& join = std::get<core::JoinQuerySpec>(work.spec);
-    expected_join = oracle_.Join(join);
-    correlation_join = join.mode == core::JoinMode::kCorrelation;
-  }
-
-  const auto check = [&](const core::QueryResult& result,
-                         core::Algorithm algorithm) -> std::string {
-    if (const auto* range = result.range()) {
-      return CompareRange(expected_range, range->matches, config.tolerance);
-    }
-    if (const auto* knn = result.knn()) {
-      return CompareKnn(expected_knn, knn->matches, config.tolerance);
-    }
-    const bool subset_ok =
-        correlation_join && algorithm != core::Algorithm::kSequentialScan;
-    return CompareJoin(expected_join, result.join()->matches,
-                       config.tolerance, subset_ok);
-  };
-
-  const auto fail = [&](const std::string& what) {
-    if (outcome.passed) {
-      outcome.passed = false;
-      outcome.failure = what;
-    }
-  };
-
-  static constexpr core::Algorithm kAlgorithms[] = {
-      core::Algorithm::kSequentialScan, core::Algorithm::kStIndex,
-      core::Algorithm::kMtIndex, core::Algorithm::kAuto};
-  static constexpr std::size_t kThreadCounts[] = {1, 4, 8};
+  const OracleExpectation expected = ExpectedFor(oracle, work.spec);
 
   // Fault-free sweep over the whole configuration cube. kAuto rides along as
   // a fourth algorithm: whatever plan the planner picks, the results must
@@ -374,33 +518,24 @@ CaseOutcome DifferentialRunner::Sweep(const WorkloadCase& work,
   std::string auto_signature;
   for (const core::Algorithm algorithm : kAlgorithms) {
     for (const std::size_t threads : kThreadCounts) {
-      core::ExecOptions options;
-      options.planner.algorithm = algorithm;
-      options.num_threads = threads;
       const Result<core::QueryResult> result =
-          engine_.Execute(work.spec, options);
+          engine_.Execute(work.spec, Options(algorithm, threads));
       ++outcome.runs;
-      if (!result.ok()) {
-        fail("unexpected error status under " +
-             DescribeConfig(algorithm, threads) + ": " +
-             result.status().ToString());
+      const std::string config_text = DescribeConfig(algorithm, threads);
+      if (const std::string diff =
+              RunDiff(result, expected, algorithm, config.tolerance);
+          !diff.empty()) {
+        outcome.Fail("divergence under " + config_text + ": " + diff);
         continue;
       }
-      const std::string diff = check(*result, algorithm);
-      if (!diff.empty()) {
-        fail("divergence under " + DescribeConfig(algorithm, threads) + ": " +
-             diff);
-      }
-      if (algorithm == core::Algorithm::kAuto) {
-        const std::string signature =
-            result->trace().DeterministicSignature();
-        if (auto_signature.empty()) {
-          auto_signature = signature;
-        } else if (signature != auto_signature) {
-          fail("kAuto signature varies with " +
-               DescribeConfig(algorithm, threads) + ": got\n  " + signature +
-               "\nexpected\n  " + auto_signature);
-        }
+      if (algorithm != core::Algorithm::kAuto) continue;
+      const std::string signature = result->trace().DeterministicSignature();
+      if (auto_signature.empty()) {
+        auto_signature = signature;
+      } else if (signature != auto_signature) {
+        outcome.Fail("kAuto signature varies with " + config_text +
+                     ": got\n  " + signature + "\nexpected\n  " +
+                     auto_signature);
       }
     }
   }
@@ -409,79 +544,31 @@ CaseOutcome DifferentialRunner::Sweep(const WorkloadCase& work,
   // Fault sweep: under every policy each run must either match the oracle
   // exactly or surface a non-OK Status — and a clean rerun right after must
   // match, proving the fault left the page-file state intact.
-  const std::vector<FaultPolicyConfig> policies = [] {
-    std::vector<FaultPolicyConfig> list;
-    FaultPolicyConfig p;
-    p.fail_nth_read = 1;
-    list.push_back(p);
-    p = FaultPolicyConfig();
-    p.fail_nth_read = 5;
-    p.failure_code = StatusCode::kCorruption;
-    list.push_back(p);
-    p = FaultPolicyConfig();
-    p.fail_nth_read = 33;
-    list.push_back(p);
-    p = FaultPolicyConfig();
-    p.fail_every_k = 7;
-    list.push_back(p);
-    p = FaultPolicyConfig();
-    p.corrupt_nth_read = 3;
-    list.push_back(p);
-    p = FaultPolicyConfig();
-    p.short_nth_read = 2;
-    p.short_read_bytes = 512;
-    list.push_back(p);
-    p = FaultPolicyConfig();
-    p.delay_nanos = 2000;  // latency only: the run must *match*
-    list.push_back(p);
-    return list;
-  }();
-
-  struct FaultRunConfig {
-    core::Algorithm algorithm;
-    std::size_t threads;
-  };
-  static constexpr FaultRunConfig kFaultRuns[] = {
-      {core::Algorithm::kMtIndex, 4},
-      {core::Algorithm::kSequentialScan, 4},
-  };
-
-  for (const FaultPolicyConfig& policy_config : policies) {
-    for (const FaultRunConfig& run : kFaultRuns) {
-      core::ExecOptions options;
-      options.planner.algorithm = run.algorithm;
-      options.num_threads = run.threads;
-
+  for (const FaultPolicyConfig& policy_config : kFaultPolicies) {
+    for (const core::Algorithm algorithm : kFaultAlgorithms) {
+      const core::ExecOptions options = Options(algorithm, kFaultThreads);
       FaultPolicy policy(policy_config);
       engine_.SetReadFaultHook(&policy);
       const Result<core::QueryResult> faulted =
           engine_.Execute(work.spec, options);
       engine_.SetReadFaultHook(nullptr);
       ++outcome.fault_runs;
-      const std::string config_text =
-          DescribeConfig(run.algorithm, run.threads) + " under " +
+      const std::string context =
+          DescribeConfig(algorithm, kFaultThreads) + " under " +
           policy.Describe();
       if (!faulted.ok()) {
         ++outcome.fault_errors;
-      } else {
-        const std::string diff = check(*faulted, run.algorithm);
-        if (!diff.empty()) {
-          fail("fault run neither matched nor errored (" + config_text +
-               "): " + diff);
-        }
+      } else if (const std::string diff = OracleDiff(
+                     expected, *faulted, algorithm, config.tolerance);
+                 !diff.empty()) {
+        outcome.Fail("fault run neither matched nor errored (" + context +
+                     "): " + diff);
       }
-
-      // Clean rerun: storage state must have survived the fault.
-      const Result<core::QueryResult> clean =
-          engine_.Execute(work.spec, options);
-      if (!clean.ok()) {
-        fail("clean rerun after " + config_text + " failed: " +
-             clean.status().ToString());
-      } else {
-        const std::string diff = check(*clean, run.algorithm);
-        if (!diff.empty()) {
-          fail("clean rerun after " + config_text + " diverged: " + diff);
-        }
+      if (const std::string diff =
+              RunDiff(engine_.Execute(work.spec, options), expected,
+                      algorithm, config.tolerance);
+          !diff.empty()) {
+        outcome.Fail("clean rerun after " + context + ": " + diff);
       }
       if (!outcome.passed) return outcome;
     }
@@ -490,312 +577,92 @@ CaseOutcome DifferentialRunner::Sweep(const WorkloadCase& work,
 }
 
 CaseOutcome DifferentialRunner::RunMutateCase(std::size_t index,
-                                              const MutateConfig& config) {
-  // The dataset grows across mutate cases, so both the case's boundary-free
-  // thresholds and the final check need oracles built against the *current*
-  // state — the runner's construction-time oracle has stale spectra.
-  const WorkloadCase work = [&] {
-    const Oracle pre_oracle(engine_.dataset());
-    return generator_.MakeCase(index, engine_, pre_oracle);
-  }();
+                                              const DiffConfig& config) {
+  WorkloadCase work =
+      generator_.MakeCase(index, engine_, Oracle(engine_.dataset()));
+  const Batch single{
+      {std::move(work.spec)}, {0}, work.description + " [mutate]"};
   CaseOutcome outcome;
-  outcome.description = work.description + " [mutate]";
-  const auto fail = [&](const std::string& what) {
-    if (outcome.passed) {
-      outcome.passed = false;
-      outcome.failure = what;
-    }
-  };
+  outcome.description = single.description;
 
-  // Liveness at the starting version; the mutation log extends it to any
-  // later version a query may pin.
-  const std::uint64_t base_version = engine_.write_version();
-  std::vector<bool> base_live(engine_.dataset().size());
-  for (std::size_t i = 0; i < base_live.size(); ++i) {
-    base_live[i] = !engine_.dataset().removed(i);
-  }
-
-  struct WriteOp {
-    std::uint64_t version;  // engine write version after this op committed
-    bool insert;
-    std::size_t id;
-  };
-  std::vector<WriteOp> log;  // mutator-only until join(), then main-only
-  log.reserve(config.inserts + config.removes);
-  std::string mutator_failure;
-
-  // The mutator: seeded random-walk inserts interleaved with removes of ids
-  // it knows to be live (it is the only writer, so its view is exact). It
-  // reads write_version() right after each commit — still exact, same
-  // reason.
-  std::thread mutator([&] {
-    Rng rng(generator_.seed() * 0x9E3779B97F4A7C15ull + index);
-    std::vector<std::size_t> live;
-    for (std::size_t i = 0; i < base_live.size(); ++i) {
-      if (base_live[i]) live.push_back(i);
-    }
-    std::size_t inserts_left = config.inserts;
-    std::size_t removes_left = config.removes;
-    while (inserts_left + removes_left > 0) {
-      const bool do_insert =
-          removes_left == 0 || live.empty() ||
-          (inserts_left > 0 && rng.Bernoulli(0.5));
-      if (do_insert) {
-        --inserts_left;
-        const ts::Series series =
-            ts::GenerateRandomWalk(engine_.length(), 500.0, rng);
-        const Result<std::size_t> id = engine_.Insert(series);
-        if (!id.ok()) {
-          mutator_failure = "insert failed: " + id.status().ToString();
-          return;
-        }
-        live.push_back(*id);
-        log.push_back(WriteOp{engine_.write_version(), true, *id});
-      } else {
-        --removes_left;
-        const std::size_t pick = static_cast<std::size_t>(rng.UniformInt(
-            0, static_cast<std::int64_t>(live.size()) - 1));
-        const std::size_t id = live[pick];
-        live.erase(live.begin() + pick);
-        const Status removed = engine_.Remove(id);
-        if (!removed.ok()) {
-          mutator_failure = "remove failed: " + removed.ToString();
-          return;
-        }
-        log.push_back(WriteOp{engine_.write_version(), false, id});
-      }
-      const std::uint64_t version = log.back().version;
-      if (version != base_version + log.size()) {
-        mutator_failure = "unexpected write version (another writer?)";
-        return;
-      }
-      std::this_thread::yield();  // give queries a chance between commits
-    }
-  });
-
-  // The concurrent query sweep. Two passes widen the window in which commits
-  // can land between (and during) executions.
-  static constexpr core::Algorithm kAlgorithms[] = {
-      core::Algorithm::kSequentialScan, core::Algorithm::kStIndex,
-      core::Algorithm::kMtIndex, core::Algorithm::kAuto};
-  static constexpr std::size_t kThreadCounts[] = {1, 4};
-  struct Recorded {
-    core::Algorithm algorithm;
-    std::size_t threads;
-    core::QueryResult result;
-  };
-  std::vector<Recorded> recorded;
+  Writer writer(engine_, generator_.seed() * 0x9E3779B97F4A7C15ull + index,
+                kMutateInserts, kMutateRemoves);
+  // Two passes widen the window in which commits can land between (and
+  // during) executions.
+  std::vector<PinnedRun> runs;
   for (int pass = 0; pass < 2; ++pass) {
     for (const core::Algorithm algorithm : kAlgorithms) {
-      for (const std::size_t threads : kThreadCounts) {
-        core::ExecOptions options;
-        options.planner.algorithm = algorithm;
-        options.num_threads = threads;
-        Result<core::QueryResult> result = engine_.Execute(work.spec, options);
+      for (const std::size_t threads : kMutateThreadCounts) {
+        Result<core::QueryResult> result =
+            engine_.Execute(single.specs[0], Options(algorithm, threads));
         ++outcome.runs;
         if (!result.ok()) {
-          fail("unexpected error status (no faults injected) under " +
-               DescribeConfig(algorithm, threads) + ": " +
-               result.status().ToString());
+          outcome.Fail("unexpected error status (no faults injected) under " +
+                       DescribeConfig(algorithm, threads) + ": " +
+                       result.status().ToString());
           continue;
         }
-        recorded.push_back(Recorded{algorithm, threads, std::move(*result)});
+        const std::uint64_t version = result->trace().snapshot_version;
+        runs.push_back(PinnedRun{algorithm, threads, version, {}});
+        runs.back().results.push_back(std::move(*result));
       }
     }
   }
-
-  mutator.join();
-  outcome.writes = log.size();
-  if (!mutator_failure.empty()) fail("mutator: " + mutator_failure);
-
-  // Replay each recorded result at the snapshot it pinned: the oracle is
-  // built over the final dataset (spectra exist for every id ever appended,
-  // tombstoned or not) and the liveness mask comes from the version-ordered
-  // mutation log.
-  const Oracle post_oracle(engine_.dataset());
-  const auto live_at = [&](std::uint64_t version) {
-    std::vector<bool> live = base_live;
-    live.resize(engine_.dataset().size(), false);
-    for (const WriteOp& op : log) {
-      if (op.version > version) break;
-      live[op.id] = op.insert;
-    }
-    return live;
-  };
-  const auto* correlation_join = [&]() -> const core::JoinQuerySpec* {
-    const auto* join = std::get_if<core::JoinQuerySpec>(&work.spec);
-    return join != nullptr && join->mode == core::JoinMode::kCorrelation
-               ? join
-               : nullptr;
-  }();
-  for (const Recorded& run : recorded) {
-    const std::uint64_t version = run.result.trace().snapshot_version;
-    if (version < base_version || version > base_version + log.size()) {
-      std::ostringstream out;
-      out << "pinned snapshot v" << version << " outside [" << base_version
-          << ", " << base_version + log.size() << "]";
-      fail(out.str());
-      continue;
-    }
-    const std::vector<bool> live = live_at(version);
-    std::string diff;
-    if (const auto* range = std::get_if<core::RangeQuerySpec>(&work.spec)) {
-      diff = CompareRange(post_oracle.Range(*range, &live),
-                          run.result.range()->matches, config.tolerance);
-    } else if (const auto* knn = std::get_if<core::KnnQuerySpec>(&work.spec)) {
-      diff = CompareKnn(post_oracle.Knn(*knn, &live),
-                        run.result.knn()->matches, config.tolerance);
-    } else {
-      const auto& join = std::get<core::JoinQuerySpec>(work.spec);
-      // Same subset rule as RunCase; kAuto counts as indexed because the
-      // planner may have picked an index plan.
-      const bool subset_ok =
-          correlation_join != nullptr &&
-          run.algorithm != core::Algorithm::kSequentialScan;
-      diff = CompareJoin(post_oracle.Join(join, &live),
-                         run.result.join()->matches, config.tolerance,
-                         subset_ok);
-    }
-    if (!diff.empty()) {
-      std::ostringstream out;
-      out << "divergence at snapshot v" << version << " under "
-          << DescribeConfig(run.algorithm, run.threads) << ": " << diff;
-      fail(out.str());
-    }
-  }
+  writer.Finish(outcome);
+  writer.CheckRuns(single, runs, config.tolerance, outcome);
   return outcome;
 }
 
 CaseOutcome DifferentialRunner::RunBatchCase(std::size_t index,
-                                             const BatchConfig& config) {
+                                             const DiffConfig& config) {
+  const Oracle oracle(engine_.dataset());
+  const Batch batch =
+      MakeBatch(generator_, engine_, oracle, index,
+                generator_.seed() * 0x94D049BB133111EBull + index);
   CaseOutcome outcome;
-  const auto fail = [&](const std::string& what) {
-    if (outcome.passed) {
-      outcome.passed = false;
-      outcome.failure = what;
-    }
-  };
-
-  // Assemble the batch: a few generated base specs (MakeCase cycles the
-  // query kinds, so batches mix range / k-NN / join) plus seeded verbatim
-  // duplicates of earlier entries. origin[i] names the base entry specs[i]
-  // copies (origin[i] == i for base specs).
-  Rng rng(generator_.seed() * 0x94D049BB133111EBull + index);
-  const std::size_t base_count =
-      config.min_specs +
-      (config.max_specs > config.min_specs
-           ? static_cast<std::size_t>(rng.UniformInt(
-                 0, static_cast<std::int64_t>(config.max_specs -
-                                              config.min_specs)))
-           : 0);
-  std::vector<core::QuerySpec> specs;
-  std::vector<std::size_t> origin;
-  std::ostringstream description;
-  description << "batch{";
-  for (std::size_t j = 0; j < base_count; ++j) {
-    WorkloadCase work = generator_.MakeCase(index * 8 + j, engine_, oracle_);
-    if (j > 0) description << "; ";
-    description << work.description;
-    origin.push_back(specs.size());
-    specs.push_back(std::move(work.spec));
-  }
-  for (std::size_t j = 0; j < base_count; ++j) {
-    if (rng.Bernoulli(config.duplicate_probability)) {
-      origin.push_back(j);
-      specs.push_back(specs[j]);
-    }
-  }
-  description << "} +" << (specs.size() - base_count) << " dup";
-  outcome.description = description.str();
+  outcome.description = batch.description;
 
   std::vector<OracleExpectation> expected;
-  expected.reserve(base_count);
-  for (std::size_t j = 0; j < base_count; ++j) {
-    expected.push_back(ExpectedFor(oracle_, specs[j]));
+  expected.reserve(batch.specs.size());
+  for (std::size_t i = 0; i < batch.specs.size(); ++i) {
+    expected.push_back(batch.origin[i] == i
+                           ? ExpectedFor(oracle, batch.specs[i])
+                           : expected[batch.origin[i]]);
   }
-
-  static constexpr core::Algorithm kAlgorithms[] = {
-      core::Algorithm::kSequentialScan, core::Algorithm::kStIndex,
-      core::Algorithm::kMtIndex, core::Algorithm::kAuto};
-  static constexpr std::size_t kThreadCounts[] = {1, 4, 8};
 
   // Per-algorithm sequential baselines: Execute() one spec at a time, check
   // each against the oracle, then hold the results as the exactness
   // reference for every batched configuration of that algorithm.
-  std::vector<std::vector<core::QueryResult>> baselines(std::size(kAlgorithms));
-  for (std::size_t a = 0; a < std::size(kAlgorithms); ++a) {
-    const core::Algorithm algorithm = kAlgorithms[a];
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-      core::ExecOptions options;
-      options.planner.algorithm = algorithm;
-      options.num_threads = 1;
-      Result<core::QueryResult> result = engine_.Execute(specs[i], options);
+  std::map<core::Algorithm, std::vector<core::QueryResult>> baselines;
+  for (const core::Algorithm algorithm : kAlgorithms) {
+    for (std::size_t i = 0; i < batch.specs.size(); ++i) {
+      Result<core::QueryResult> result =
+          engine_.Execute(batch.specs[i], Options(algorithm, 1));
       ++outcome.runs;
-      if (!result.ok()) {
-        fail("sequential baseline failed under " +
-             DescribeConfig(algorithm, 1) + ": " +
-             result.status().ToString());
+      if (const std::string diff =
+              RunDiff(result, expected[i], algorithm, config.tolerance);
+          !diff.empty()) {
+        outcome.Fail("sequential baseline " + std::to_string(i) + " under " +
+                     DescribeConfig(algorithm, 1) + ": " + diff);
         return outcome;
       }
-      const std::string diff = OracleDiff(expected[origin[i]], *result,
-                                          algorithm, config.tolerance);
-      if (!diff.empty()) {
-        fail("sequential baseline diverged from oracle under " +
-             DescribeConfig(algorithm, 1) + ": " + diff);
-      }
-      baselines[a].push_back(std::move(*result));
+      baselines[algorithm].push_back(std::move(*result));
     }
   }
 
   // The batched sweep: every entry — duplicates included, which execute
-  // again — must match its sequential baseline byte-for-byte, and every
-  // entry of one batch must pin the same snapshot version and report the
-  // batch size.
-  for (std::size_t a = 0; a < std::size(kAlgorithms) && outcome.passed; ++a) {
-    const core::Algorithm algorithm = kAlgorithms[a];
+  // again — must match its sequential baseline byte-for-byte.
+  for (const core::Algorithm algorithm : kAlgorithms) {
     for (const std::size_t threads : kThreadCounts) {
-      core::BatchOptions options;
-      options.exec.planner.algorithm = algorithm;
-      options.exec.num_threads = threads;
-      const std::string config_text = DescribeConfig(algorithm, threads);
-      const std::vector<Result<core::QueryResult>> batch =
-          engine_.ExecuteBatch(specs, options);
+      CheckBatch(engine_.ExecuteBatch(batch.specs,
+                                      {.exec = Options(algorithm, threads)}),
+                 baselines[algorithm], DescribeConfig(algorithm, threads),
+                 nullptr, outcome);
       ++outcome.runs;
-      if (batch.size() != specs.size()) {
-        fail("batch returned " + std::to_string(batch.size()) +
-             " results for " + std::to_string(specs.size()) + " specs (" +
-             config_text + ")");
-        break;
-      }
-      std::uint64_t version = 0;
-      for (std::size_t i = 0; i < batch.size() && outcome.passed; ++i) {
-        if (!batch[i].ok()) {
-          fail("batch entry " + std::to_string(i) + " errored (" +
-               config_text + "): " + batch[i].status().ToString());
-          break;
-        }
-        const core::QueryResult& result = *batch[i];
-        const std::string diff = ExactDiff(baselines[a][i], result);
-        if (!diff.empty()) {
-          fail("batch entry " + std::to_string(i) + " (" + config_text +
-               "): " + diff);
-        } else if (result.trace().batch_size != specs.size()) {
-          fail("batch entry " + std::to_string(i) + " reports batch_size " +
-               std::to_string(result.trace().batch_size) + " for a " +
-               std::to_string(specs.size()) + "-spec batch (" + config_text +
-               ")");
-        } else if (i == 0) {
-          version = result.trace().snapshot_version;
-        } else if (result.trace().snapshot_version != version) {
-          fail("batch pinned two snapshot versions (" + config_text +
-               "): v" + std::to_string(version) + " and v" +
-               std::to_string(result.trace().snapshot_version));
-        }
-      }
-      if (!outcome.passed) break;
+      if (!outcome.passed) return outcome;
     }
   }
-  if (!outcome.passed || !config.with_faults) return outcome;
+  if (!config.with_faults) return outcome;
 
   // Fault sweep: under each policy every batch entry must either surface a
   // non-OK Status or carry the exact fault-free result. Every entry does its
@@ -803,105 +670,35 @@ CaseOutcome DifferentialRunner::RunBatchCase(std::size_t index,
   // faulting m single reads (fail-nth, corrupt-nth, short-nth) may fail at
   // most m entries, and a latency-only policy none. A clean rerun right
   // after must fully match: the fault left storage state intact.
-  const std::vector<FaultPolicyConfig> policies = [] {
-    std::vector<FaultPolicyConfig> list;
-    FaultPolicyConfig p;
-    p.fail_nth_read = 1;
-    list.push_back(p);
-    p = FaultPolicyConfig();
-    p.fail_nth_read = 5;
-    p.failure_code = StatusCode::kCorruption;
-    list.push_back(p);
-    p = FaultPolicyConfig();
-    p.fail_nth_read = 33;
-    list.push_back(p);
-    p = FaultPolicyConfig();
-    p.fail_every_k = 7;
-    list.push_back(p);
-    p = FaultPolicyConfig();
-    p.corrupt_nth_read = 3;
-    list.push_back(p);
-    p = FaultPolicyConfig();
-    p.short_nth_read = 2;
-    p.short_read_bytes = 512;
-    list.push_back(p);
-    p = FaultPolicyConfig();
-    p.delay_nanos = 2000;  // latency only: every entry must *match*
-    list.push_back(p);
-    return list;
-  }();
-
-  struct FaultRunConfig {
-    std::size_t algorithm_index;  // into kAlgorithms / baselines
-    std::size_t threads;
-  };
-  static constexpr FaultRunConfig kFaultRuns[] = {
-      {2, 4},  // MT-index: index pages, then the bound's fetches
-      {0, 4},  // sequential scan: every record page
-  };
-
-  for (const FaultPolicyConfig& policy_config : policies) {
+  for (const FaultPolicyConfig& policy_config : kFaultPolicies) {
     // fail-every-k faults without limit; the others fault one read each.
     const bool periodic = policy_config.fail_every_k != 0;
     const std::size_t faulted_reads = (policy_config.fail_nth_read != 0) +
                                       (policy_config.corrupt_nth_read != 0) +
                                       (policy_config.short_nth_read != 0);
-    for (const FaultRunConfig& run : kFaultRuns) {
-      const core::Algorithm algorithm = kAlgorithms[run.algorithm_index];
-      core::BatchOptions options;
-      options.exec.planner.algorithm = algorithm;
-      options.exec.num_threads = run.threads;
-
+    for (const core::Algorithm algorithm : kFaultAlgorithms) {
+      const core::BatchOptions options{.exec =
+                                           Options(algorithm, kFaultThreads)};
       FaultPolicy policy(policy_config);
       engine_.SetReadFaultHook(&policy);
       const std::vector<Result<core::QueryResult>> faulted =
-          engine_.ExecuteBatch(specs, options);
+          engine_.ExecuteBatch(batch.specs, options);
       engine_.SetReadFaultHook(nullptr);
       ++outcome.fault_runs;
-      const std::string config_text =
-          DescribeConfig(algorithm, run.threads) + " under " +
+      const std::string context =
+          DescribeConfig(algorithm, kFaultThreads) + " under " +
           policy.Describe();
-      if (faulted.size() != specs.size()) {
-        fail("faulted batch returned " + std::to_string(faulted.size()) +
-             " results for " + std::to_string(specs.size()) + " specs (" +
-             config_text + ")");
-      }
       std::size_t errored = 0;
-      for (std::size_t i = 0; i < faulted.size() && outcome.passed; ++i) {
-        if (!faulted[i].ok()) {
-          ++errored;
-          continue;
-        }
-        const std::string diff =
-            ExactDiff(baselines[run.algorithm_index][i], *faulted[i]);
-        if (!diff.empty()) {
-          fail("fault batch entry " + std::to_string(i) +
-               " neither matched nor errored (" + config_text + "): " + diff);
-        }
-      }
+      CheckBatch(faulted, baselines[algorithm], context, &errored, outcome);
       outcome.fault_errors += errored;
       if (!periodic && errored > faulted_reads) {
-        fail(std::to_string(errored) + " batch entries errored (" +
-             config_text + "), but the policy faults " +
-             std::to_string(faulted_reads) + " read(s)");
+        outcome.Fail(std::to_string(errored) + " batch entries errored (" +
+                     context + "), but the policy faults " +
+                     std::to_string(faulted_reads) + " read(s)");
       }
-
-      // Clean rerun: the whole batch must come back exact.
-      const std::vector<Result<core::QueryResult>> clean =
-          engine_.ExecuteBatch(specs, options);
-      for (std::size_t i = 0; i < clean.size() && outcome.passed; ++i) {
-        if (!clean[i].ok()) {
-          fail("clean batch rerun after " + config_text + " entry " +
-               std::to_string(i) + " failed: " + clean[i].status().ToString());
-          break;
-        }
-        const std::string diff =
-            ExactDiff(baselines[run.algorithm_index][i], *clean[i]);
-        if (!diff.empty()) {
-          fail("clean batch rerun after " + config_text + " diverged at entry " +
-               std::to_string(i) + ": " + diff);
-        }
-      }
+      CheckBatch(engine_.ExecuteBatch(batch.specs, options),
+                 baselines[algorithm], "clean rerun after " + context,
+                 nullptr, outcome);
       if (!outcome.passed) return outcome;
     }
   }
@@ -909,347 +706,137 @@ CaseOutcome DifferentialRunner::RunBatchCase(std::size_t index,
 }
 
 CaseOutcome DifferentialRunner::RunBatchMutateCase(std::size_t index,
-                                                   const BatchConfig& config) {
-  // Batch assembly against the *current* dataset state (the runner's
-  // construction-time oracle has stale spectra once mutate cases ran).
-  const Oracle pre_oracle(engine_.dataset());
-  Rng rng(generator_.seed() * 0xBF58476D1CE4E5B9ull + index);
-  const std::size_t base_count =
-      config.min_specs +
-      (config.max_specs > config.min_specs
-           ? static_cast<std::size_t>(rng.UniformInt(
-                 0, static_cast<std::int64_t>(config.max_specs -
-                                              config.min_specs)))
-           : 0);
-  std::vector<core::QuerySpec> specs;
-  std::vector<std::size_t> origin;
-  std::ostringstream description;
-  description << "batch{";
-  for (std::size_t j = 0; j < base_count; ++j) {
-    WorkloadCase work = generator_.MakeCase(index * 8 + j, engine_, pre_oracle);
-    if (j > 0) description << "; ";
-    description << work.description;
-    origin.push_back(specs.size());
-    specs.push_back(std::move(work.spec));
-  }
-  for (std::size_t j = 0; j < base_count; ++j) {
-    if (rng.Bernoulli(config.duplicate_probability)) {
-      origin.push_back(j);
-      specs.push_back(specs[j]);
-    }
-  }
-  description << "} +" << (specs.size() - base_count) << " dup [mutate]";
-
+                                                   const DiffConfig& config) {
+  const Batch batch =
+      MakeBatch(generator_, engine_, Oracle(engine_.dataset()), index,
+                generator_.seed() * 0xBF58476D1CE4E5B9ull + index);
   CaseOutcome outcome;
-  outcome.description = description.str();
-  const auto fail = [&](const std::string& what) {
-    if (outcome.passed) {
-      outcome.passed = false;
-      outcome.failure = what;
-    }
-  };
+  outcome.description = batch.description + " [mutate]";
 
-  const std::uint64_t base_version = engine_.write_version();
-  std::vector<bool> base_live(engine_.dataset().size());
-  for (std::size_t i = 0; i < base_live.size(); ++i) {
-    base_live[i] = !engine_.dataset().removed(i);
-  }
-
-  struct WriteOp {
-    std::uint64_t version;
-    bool insert;
-    std::size_t id;
-  };
-  std::vector<WriteOp> log;  // mutator-only until join(), then main-only
-  log.reserve(config.inserts + config.removes);
-  std::string mutator_failure;
-
-  std::thread mutator([&] {
-    Rng mutator_rng(generator_.seed() * 0x2545F4914F6CDD1Dull + index);
-    std::vector<std::size_t> live;
-    for (std::size_t i = 0; i < base_live.size(); ++i) {
-      if (base_live[i]) live.push_back(i);
-    }
-    std::size_t inserts_left = config.inserts;
-    std::size_t removes_left = config.removes;
-    while (inserts_left + removes_left > 0) {
-      const bool do_insert =
-          removes_left == 0 || live.empty() ||
-          (inserts_left > 0 && mutator_rng.Bernoulli(0.5));
-      if (do_insert) {
-        --inserts_left;
-        const ts::Series series =
-            ts::GenerateRandomWalk(engine_.length(), 500.0, mutator_rng);
-        const Result<std::size_t> id = engine_.Insert(series);
-        if (!id.ok()) {
-          mutator_failure = "insert failed: " + id.status().ToString();
-          return;
-        }
-        live.push_back(*id);
-        log.push_back(WriteOp{engine_.write_version(), true, *id});
-      } else {
-        --removes_left;
-        const std::size_t pick =
-            static_cast<std::size_t>(mutator_rng.UniformInt(
-                0, static_cast<std::int64_t>(live.size()) - 1));
-        const std::size_t id = live[pick];
-        live.erase(live.begin() + pick);
-        const Status removed = engine_.Remove(id);
-        if (!removed.ok()) {
-          mutator_failure = "remove failed: " + removed.ToString();
-          return;
-        }
-        log.push_back(WriteOp{engine_.write_version(), false, id});
-      }
-      if (log.back().version != base_version + log.size()) {
-        mutator_failure = "unexpected write version (another writer?)";
-        return;
-      }
-      std::this_thread::yield();
-    }
-  });
-
-  // The concurrent batch sweep. Each batch must pin exactly ONE snapshot for
-  // all of its entries, and — since this thread is the only issuer — pinned
-  // versions must never go backwards.
-  static constexpr core::Algorithm kAlgorithms[] = {
-      core::Algorithm::kSequentialScan, core::Algorithm::kStIndex,
-      core::Algorithm::kMtIndex, core::Algorithm::kAuto};
-  static constexpr std::size_t kThreadCounts[] = {1, 4};
-  struct RecordedBatch {
-    core::Algorithm algorithm = core::Algorithm::kAuto;
-    std::size_t threads = 0;
-    std::uint64_t version = 0;
-    std::vector<core::QueryResult> results;
-  };
-  std::vector<RecordedBatch> recorded;
-  std::uint64_t last_version = 0;
+  Writer writer(engine_, generator_.seed() * 0x2545F4914F6CDD1Dull + index,
+                kBatchMutateInserts, kBatchMutateRemoves);
+  // The concurrent batch sweep: each batch must pin exactly ONE snapshot for
+  // all of its entries, and a duplicate, which executes again at that
+  // snapshot, must be identical to its original.
+  std::vector<PinnedRun> runs;
   for (const core::Algorithm algorithm : kAlgorithms) {
-    for (const std::size_t threads : kThreadCounts) {
-      core::BatchOptions options;
-      options.exec.planner.algorithm = algorithm;
-      options.exec.num_threads = threads;
-      std::vector<Result<core::QueryResult>> batch =
-          engine_.ExecuteBatch(specs, options);
+    for (const std::size_t threads : kMutateThreadCounts) {
+      std::vector<Result<core::QueryResult>> results = engine_.ExecuteBatch(
+          batch.specs, {.exec = Options(algorithm, threads)});
       ++outcome.runs;
       const std::string config_text = DescribeConfig(algorithm, threads);
-      if (batch.size() != specs.size()) {
-        fail("batch returned " + std::to_string(batch.size()) +
-             " results for " + std::to_string(specs.size()) + " specs (" +
-             config_text + ")");
+      if (results.size() != batch.specs.size()) {
+        outcome.Fail("batch returned " + std::to_string(results.size()) +
+                     " results for " + std::to_string(batch.specs.size()) +
+                     " specs (" + config_text + ")");
         continue;
       }
-      RecordedBatch rec;
-      rec.algorithm = algorithm;
-      rec.threads = threads;
-      bool usable = true;
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        if (!batch[i].ok()) {
-          fail("unexpected error status (no faults injected) entry " +
-               std::to_string(i) + " under " + config_text + ": " +
-               batch[i].status().ToString());
-          usable = false;
+      PinnedRun run{algorithm, threads, 0, {}};
+      for (std::size_t i = 0; i < results.size() && outcome.passed; ++i) {
+        if (!results[i].ok()) {
+          outcome.Fail("unexpected error status (no faults injected) entry " +
+                       std::to_string(i) + " under " + config_text + ": " +
+                       results[i].status().ToString());
           break;
         }
-        const std::uint64_t version = batch[i]->trace().snapshot_version;
-        if (i == 0) {
-          rec.version = version;
-        } else if (version != rec.version) {
-          fail("batch pinned two snapshot versions under " + config_text +
-               ": v" + std::to_string(rec.version) + " and v" +
-               std::to_string(version));
-          usable = false;
-          break;
+        const std::uint64_t version = results[i]->trace().snapshot_version;
+        if (i > 0 && version != run.version) {
+          outcome.Fail("batch pinned two snapshot versions under " +
+                       config_text + ": v" + std::to_string(run.version) +
+                       " and v" + std::to_string(version));
         }
-        rec.results.push_back(std::move(*batch[i]));
+        run.version = version;
+        run.results.push_back(std::move(*results[i]));
       }
-      if (!usable) continue;
-      if (rec.version < last_version) {
-        fail("batch snapshot went backwards under " + config_text + ": v" +
-             std::to_string(rec.version) + " after v" +
-             std::to_string(last_version));
-      }
-      last_version = rec.version;
-      // Duplicates execute again at the same pinned snapshot as their
-      // original, so they must be identical to it.
-      for (std::size_t i = 0; i < rec.results.size(); ++i) {
-        if (origin[i] == i) continue;
-        const std::string diff =
-            ExactDiff(rec.results[origin[i]], rec.results[i]);
-        if (!diff.empty()) {
-          fail("duplicate entry " + std::to_string(i) +
-               " diverged from its original under " + config_text + ": " +
-               diff);
+      if (!outcome.passed) continue;
+      for (std::size_t i = 0; i < run.results.size(); ++i) {
+        if (const std::string diff =
+                ExactDiff(run.results[batch.origin[i]], run.results[i]);
+            !diff.empty()) {
+          outcome.Fail("duplicate entry " + std::to_string(i) +
+                       " diverged from its original under " + config_text +
+                       ": " + diff);
         }
       }
-      recorded.push_back(std::move(rec));
+      runs.push_back(std::move(run));
     }
   }
-
-  mutator.join();
-  outcome.writes = log.size();
-  if (!mutator_failure.empty()) fail("mutator: " + mutator_failure);
-
-  // Replay each batch against the oracle at the snapshot it pinned. The
-  // expectation for one (base spec, version) pair is memoized: duplicates
-  // share it, and every batch issued after the mutator drained pins the
-  // same final version.
-  const Oracle post_oracle(engine_.dataset());
-  const auto live_at = [&](std::uint64_t version) {
-    std::vector<bool> live = base_live;
-    live.resize(engine_.dataset().size(), false);
-    for (const WriteOp& op : log) {
-      if (op.version > version) break;
-      live[op.id] = op.insert;
-    }
-    return live;
-  };
-  std::map<std::pair<std::size_t, std::uint64_t>, OracleExpectation> memo;
-  for (const RecordedBatch& run : recorded) {
-    if (run.version < base_version ||
-        run.version > base_version + log.size()) {
-      std::ostringstream out;
-      out << "pinned snapshot v" << run.version << " outside ["
-          << base_version << ", " << base_version + log.size() << "]";
-      fail(out.str());
-      continue;
-    }
-    for (std::size_t i = 0; i < run.results.size(); ++i) {
-      const std::pair<std::size_t, std::uint64_t> key(origin[i], run.version);
-      auto it = memo.find(key);
-      if (it == memo.end()) {
-        const std::vector<bool> live = live_at(run.version);
-        it = memo.emplace(key, ExpectedFor(post_oracle, specs[origin[i]],
-                                           &live))
-                 .first;
-      }
-      const std::string diff = OracleDiff(it->second, run.results[i],
-                                          run.algorithm, config.tolerance);
-      if (!diff.empty()) {
-        std::ostringstream out;
-        out << "entry " << i << " divergence at snapshot v" << run.version
-            << " under " << DescribeConfig(run.algorithm, run.threads) << ": "
-            << diff;
-        fail(out.str());
-      }
-    }
-  }
+  writer.Finish(outcome);
+  writer.CheckRuns(batch, runs, config.tolerance, outcome);
   return outcome;
 }
 
-CaseOutcome DifferentialRunner::RunCheckpointCase(
-    std::size_t index, const CheckpointConfig& config) {
-  const WorkloadCase work = [&] {
-    const Oracle pre_oracle(engine_.dataset());
-    return generator_.MakeCase(index, engine_, pre_oracle);
-  }();
+CaseOutcome DifferentialRunner::RunCheckpointCase(std::size_t index,
+                                                  const std::string& prefix,
+                                                  const DiffConfig& config) {
+  const WorkloadCase work =
+      generator_.MakeCase(index, engine_, Oracle(engine_.dataset()));
   CaseOutcome outcome;
   outcome.description = work.description + " [checkpoint]";
-  const auto fail = [&](const std::string& what) {
-    if (outcome.passed) {
-      outcome.passed = false;
-      outcome.failure = what;
-    }
-  };
-  const std::string prefix = config.prefix + "." + std::to_string(index);
+  const std::string path = prefix + "." + std::to_string(index);
 
   // Baseline checkpoint: the "old" durable state every pre-commit crash
   // must fall back to.
-  if (const Status saved = engine_.SaveTo(prefix); !saved.ok()) {
-    fail("baseline SaveTo failed: " + saved.ToString());
+  if (const Status saved = engine_.SaveTo(path); !saved.ok()) {
+    outcome.Fail("baseline SaveTo failed: " + saved.ToString());
     return outcome;
   }
   const std::uint64_t old_epoch = engine_.checkpoint_epoch();
-  std::vector<bool> old_live(engine_.dataset().size());
-  for (std::size_t i = 0; i < old_live.size(); ++i) {
-    old_live[i] = !engine_.dataset().removed(i);
-  }
+  const std::vector<bool> old_live = LiveMask(engine_.dataset());
 
   // Advance the engine past the baseline so old and new answers differ —
   // a recovery that silently serves the wrong state must show up as a
   // divergence, not a coincidence.
-  {
-    Rng rng(generator_.seed() * 0xD1B54A32D192ED03ull + index);
-    std::vector<std::size_t> live_ids;
-    for (std::size_t i = 0; i < old_live.size(); ++i) {
-      if (old_live[i]) live_ids.push_back(i);
-    }
-    for (std::size_t n = 0; n < config.inserts; ++n) {
-      const ts::Series series =
-          ts::GenerateRandomWalk(engine_.length(), 500.0, rng);
-      const Result<std::size_t> id = engine_.Insert(series);
-      if (!id.ok()) {
-        fail("insert failed: " + id.status().ToString());
-        return outcome;
-      }
-      live_ids.push_back(*id);
-      ++outcome.writes;
-    }
-    for (std::size_t n = 0; n < config.removes && !live_ids.empty(); ++n) {
-      const std::size_t pick = static_cast<std::size_t>(rng.UniformInt(
-          0, static_cast<std::int64_t>(live_ids.size()) - 1));
-      const std::size_t id = live_ids[pick];
-      live_ids.erase(live_ids.begin() + pick);
-      if (const Status removed = engine_.Remove(id); !removed.ok()) {
-        fail("remove failed: " + removed.ToString());
-        return outcome;
-      }
-      ++outcome.writes;
-    }
+  Rng rng(generator_.seed() * 0xD1B54A32D192ED03ull + index);
+  std::vector<std::size_t> live_ids;
+  for (std::size_t i = 0; i < old_live.size(); ++i) {
+    if (old_live[i]) live_ids.push_back(i);
   }
-  std::vector<bool> new_live(engine_.dataset().size());
-  for (std::size_t i = 0; i < new_live.size(); ++i) {
-    new_live[i] = !engine_.dataset().removed(i);
+  for (std::size_t n = 0; n < kCheckpointInserts; ++n) {
+    const Result<std::size_t> id =
+        engine_.Insert(ts::GenerateRandomWalk(engine_.length(), 500.0, rng));
+    if (!id.ok()) {
+      outcome.Fail("insert failed: " + id.status().ToString());
+      return outcome;
+    }
+    live_ids.push_back(*id);
+    ++outcome.writes;
+  }
+  for (std::size_t n = 0; n < kCheckpointRemoves && !live_ids.empty(); ++n) {
+    const std::size_t pick = static_cast<std::size_t>(rng.UniformInt(
+        0, static_cast<std::int64_t>(live_ids.size()) - 1));
+    const std::size_t id = live_ids[pick];
+    live_ids.erase(live_ids.begin() + pick);
+    if (const Status removed = engine_.Remove(id); !removed.ok()) {
+      outcome.Fail("remove failed: " + removed.ToString());
+      return outcome;
+    }
+    ++outcome.writes;
   }
 
   // One oracle over the final dataset serves both states: the liveness mask
   // replays either snapshot (ids past the mask count as dead, so the old
   // mask works against the grown dataset).
-  const Oracle post_oracle(engine_.dataset());
-  const auto* correlation_join = [&]() -> const core::JoinQuerySpec* {
-    const auto* join = std::get_if<core::JoinQuerySpec>(&work.spec);
-    return join != nullptr && join->mode == core::JoinMode::kCorrelation
-               ? join
-               : nullptr;
-  }();
+  const Oracle oracle(engine_.dataset());
+  const std::vector<bool> new_live = LiveMask(engine_.dataset());
+  const OracleExpectation expected_old =
+      ExpectedFor(oracle, work.spec, &old_live);
+  const OracleExpectation expected_new =
+      ExpectedFor(oracle, work.spec, &new_live);
 
-  // Queries the recovered engine and diffs it against the oracle at `live`.
-  const auto check_loaded = [&](core::SimilarityEngine& loaded,
-                                const std::vector<bool>& live,
+  // Queries the recovered engine and diffs it against `expected`.
+  const auto check_loaded = [&](const core::SimilarityEngine& loaded,
+                                const OracleExpectation& expected,
                                 const std::string& context) {
-    static constexpr core::Algorithm kLoadedAlgorithms[] = {
-        core::Algorithm::kSequentialScan, core::Algorithm::kAuto};
-    for (const core::Algorithm algorithm : kLoadedAlgorithms) {
-      core::ExecOptions options;
-      options.planner.algorithm = algorithm;
-      const Result<core::QueryResult> result =
-          loaded.Execute(work.spec, options);
+    for (const core::Algorithm algorithm :
+         {core::Algorithm::kSequentialScan, core::Algorithm::kAuto}) {
       ++outcome.runs;
-      if (!result.ok()) {
-        fail(context + ": query on recovered engine failed under " +
-             DescribeConfig(algorithm, 1) + ": " +
-             result.status().ToString());
-        return;
-      }
-      std::string diff;
-      if (const auto* range = std::get_if<core::RangeQuerySpec>(&work.spec)) {
-        diff = CompareRange(post_oracle.Range(*range, &live),
-                            result->range()->matches, config.tolerance);
-      } else if (const auto* knn =
-                     std::get_if<core::KnnQuerySpec>(&work.spec)) {
-        diff = CompareKnn(post_oracle.Knn(*knn, &live),
-                          result->knn()->matches, config.tolerance);
-      } else {
-        const auto& join = std::get<core::JoinQuerySpec>(work.spec);
-        const bool subset_ok = correlation_join != nullptr &&
-                               algorithm != core::Algorithm::kSequentialScan;
-        diff = CompareJoin(post_oracle.Join(join, &live),
-                           result->join()->matches, config.tolerance,
-                           subset_ok);
-      }
-      if (!diff.empty()) {
-        fail(context + ": recovered engine diverged under " +
-             DescribeConfig(algorithm, 1) + ": " + diff);
+      if (const std::string diff =
+              RunDiff(loaded.Execute(work.spec, Options(algorithm, 1)),
+                      expected, algorithm, config.tolerance);
+          !diff.empty()) {
+        outcome.Fail(context + ": recovered engine diverged under " +
+                     DescribeConfig(algorithm, 1) + ": " + diff);
         return;
       }
     }
@@ -1261,18 +848,18 @@ CaseOutcome DifferentialRunner::RunCheckpointCase(
   for (std::uint64_t k = 1;; ++k) {
     CrashPolicy policy(k);
     engine_.SetCheckpointFaultHook(&policy);
-    const Status saved = engine_.SaveTo(prefix);
+    const Status saved = engine_.SaveTo(path);
     engine_.SetCheckpointFaultHook(nullptr);
     if (saved.ok()) {
       // k exceeded the save's step count: the save committed normally and
       // recovery must see exactly the new state.
       Result<std::unique_ptr<core::SimilarityEngine>> loaded =
-          core::SimilarityEngine::LoadFrom(prefix);
+          core::SimilarityEngine::LoadFrom(path);
       if (!loaded.ok()) {
-        fail("load after completed save failed: " +
-             loaded.status().ToString());
+        outcome.Fail("load after completed save failed: " +
+                     loaded.status().ToString());
       } else {
-        check_loaded(**loaded, new_live, "after completed save");
+        check_loaded(**loaded, expected_new, "after completed save");
       }
       break;
     }
@@ -1281,26 +868,27 @@ CaseOutcome DifferentialRunner::RunCheckpointCase(
     const std::string context = "crash at step " + std::to_string(k) + " (" +
                                 policy.crashed_step() + ")";
     Result<std::unique_ptr<core::SimilarityEngine>> loaded =
-        core::SimilarityEngine::LoadFrom(prefix);
+        core::SimilarityEngine::LoadFrom(path);
     if (!loaded.ok()) {
-      fail(context +
-           ": recovery load failed: " + loaded.status().ToString());
+      outcome.Fail(context +
+                   ": recovery load failed: " + loaded.status().ToString());
       return outcome;
     }
     // The manifest epoch decides which committed state recovery landed on;
     // anything but "the baseline" or "the new checkpoint" is data loss.
     const std::uint64_t epoch = (*loaded)->checkpoint_epoch();
     if (epoch == old_epoch) {
-      check_loaded(**loaded, old_live, context + ", recovered old epoch");
+      check_loaded(**loaded, expected_old, context + ", recovered old epoch");
     } else if (epoch > old_epoch) {
-      check_loaded(**loaded, new_live, context + ", recovered new epoch");
+      check_loaded(**loaded, expected_new, context + ", recovered new epoch");
     } else {
-      fail(context + ": recovered epoch " + std::to_string(epoch) +
-           " older than baseline " + std::to_string(old_epoch));
+      outcome.Fail(context + ": recovered epoch " + std::to_string(epoch) +
+                   " older than baseline " + std::to_string(old_epoch));
     }
     if (!outcome.passed) return outcome;
     if (k > 10000) {
-      fail("crash sweep did not terminate: SaveTo never ran out of steps");
+      outcome.Fail(
+          "crash sweep did not terminate: SaveTo never ran out of steps");
       return outcome;
     }
   }

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "core/engine.h"
 #include "testing/oracle.h"
@@ -10,85 +11,83 @@
 
 namespace tsq::testing {
 
-/// Knobs of one differential sweep.
+/// The knobs of every DifferentialRunner mode. Everything else a mode does
+/// (writes per case, batch sizes, fault schedules) is fixed, so a seed and a
+/// case index name one case.
 struct DiffConfig {
-  /// Also run the fault sweep: under every FaultPolicy the engine must
-  /// either return the exact fault-free result or a non-OK Status, and a
-  /// clean rerun afterwards must still match (storage state intact).
+  /// Also run the fault sweep of RunCase, RunQueryTransformCase and
+  /// RunBatchCase: under every FaultPolicy each run must either return the
+  /// exact fault-free result or a non-OK Status, and a clean rerun
+  /// afterwards must still match (storage state intact). The mutate and
+  /// checkpoint modes inject no read faults and ignore it.
   bool with_faults = true;
-  /// Relative tolerance for comparing distances / correlations; match
-  /// membership itself is exact (thresholds are boundary-free by
-  /// construction).
+  /// Relative tolerance for comparing distances / correlations against the
+  /// oracle; match membership itself is exact (thresholds are boundary-free
+  /// by construction).
   double tolerance = 1e-6;
 };
 
-/// Knobs of one mutate-mode case (RunMutateCase): a seeded mutator thread
-/// commits Insert/Remove operations while the main thread sweeps the query
-/// configurations, and every result is checked against an oracle evaluated
-/// at the snapshot version the query pinned.
-struct MutateConfig {
-  double tolerance = 1e-6;
-  /// Writes the mutator thread commits while the sweep runs.
-  std::size_t inserts = 5;
-  std::size_t removes = 4;
+/// The oracle's answer to one spec, evaluated once and diffed against any
+/// number of engine results. Only the vector of the spec's kind is filled.
+struct OracleExpectation {
+  std::vector<core::Match> range;
+  std::vector<core::KnnMatch> knn;
+  std::vector<core::JoinMatch> join;
+  bool correlation_join = false;
 };
 
-/// Knobs of one batched-execution case (RunBatchCase / RunBatchMutateCase).
-struct BatchConfig {
-  double tolerance = 1e-6;
-  /// Also repeat a slice of the sweep under each FaultPolicy (RunBatchCase
-  /// only): every batch entry must either surface a non-OK Status or carry
-  /// the exact fault-free result, no more entries may error than the policy
-  /// faults single reads (unless it faults every k-th read), and a clean
-  /// rerun must fully match.
-  bool with_faults = true;
-  /// Distinct generated specs per batch; the case RNG picks a count in
-  /// [min_specs, max_specs].
-  std::size_t min_specs = 3;
-  std::size_t max_specs = 5;
-  /// Per-base-spec chance of re-enqueueing it verbatim later in the batch;
-  /// a duplicate executes again and must equal its original.
-  double duplicate_probability = 0.4;
-  /// Writes the mutator thread commits (RunBatchMutateCase only).
-  std::size_t inserts = 4;
-  std::size_t removes = 3;
-};
+/// Evaluates `spec` with `oracle`. `live`, when non-null, is the liveness
+/// mask of the snapshot to evaluate at (see Oracle::Range).
+OracleExpectation ExpectedFor(const Oracle& oracle, const core::QuerySpec& spec,
+                              const std::vector<bool>* live = nullptr);
 
-/// Knobs of one checkpoint crash-recovery case (RunCheckpointCase).
-struct CheckpointConfig {
-  double tolerance = 1e-6;
-  /// Filesystem prefix for the case's checkpoint files (e.g.
-  /// "/tmp/tsq_fuzz/ckpt"); the case index is appended so successive cases
-  /// never share a manifest. Required.
-  std::string prefix;
-  /// Writes committed between the baseline checkpoint and the crashing
-  /// saves, so the old and new durable states genuinely differ.
-  std::size_t inserts = 3;
-  std::size_t removes = 2;
-};
+/// The first difference between `got` and the oracle's answer, or "" when
+/// they agree: the same range (series, transformation) set, the same k-NN
+/// series in rank order, the same join pairs, with distances and
+/// correlations within `tolerance`. An indexed correlation join (any
+/// `algorithm` but the sequential scan; kAuto counts as indexed) may return
+/// a subset of the oracle's pairs, the documented filter property, but
+/// every pair it returns must be an oracle pair.
+std::string OracleDiff(const OracleExpectation& expected,
+                       const core::QueryResult& got,
+                       core::Algorithm algorithm, double tolerance);
+
+/// The first difference between two results of one spec at one snapshot, or
+/// "" when they are byte-identical: the matches in order and bit for bit,
+/// the QueryStats, the per-rectangle group_stats and the trace's
+/// DeterministicSignature(). This is the contract between a batch entry and
+/// its solo Execute(), and between any two thread counts.
+std::string ExactDiff(const core::QueryResult& expected,
+                      const core::QueryResult& got);
 
 /// Outcome of one case's sweep.
 struct CaseOutcome {
   bool passed = true;
   /// Engine executions compared against the oracle.
   std::size_t runs = 0;
-  /// Executions performed with a fault policy installed.
+  /// Executions performed with a fault policy installed (checkpoint mode:
+  /// crash points swept).
   std::size_t fault_runs = 0;
   /// Of those, how many surfaced a non-OK Status (the rest matched).
   std::size_t fault_errors = 0;
-  /// Writes the mutator thread committed (mutate mode only).
+  /// Writes the case committed (mutate and checkpoint modes).
   std::size_t writes = 0;
   /// First divergence, self-contained enough to debug from ("config=...,
   /// expected N matches, got M, first diff ...").
   std::string failure;
   std::string description;  // the generated case
+
+  /// Fails the case with `what`, unless it already failed.
+  void Fail(const std::string& what);
 };
 
 /// Runs generated cases through the full configuration cube
 /// {scan, ST-index, MT-index, auto} x {1, 4, 8} threads and checks every
-/// result against the Oracle; optionally repeats a slice
-/// of the cube under each FaultPolicy. One runner per seed: it owns the
-/// seed's dataset, engine and oracle.
+/// result against the Oracle; optionally repeats a slice of the cube under
+/// each FaultPolicy. One runner per seed: it owns the seed's engine, whose
+/// dataset the mutate and checkpoint modes grow case over case. Every case
+/// builds its Oracle over the dataset as it stands, so the modes may follow
+/// one another on one runner. Every mode takes the same DiffConfig.
 class DifferentialRunner {
  public:
   explicit DifferentialRunner(std::uint64_t seed);
@@ -100,71 +99,67 @@ class DifferentialRunner {
   CaseOutcome RunQueryTransformCase(std::size_t index,
                                     const DiffConfig& config = DiffConfig());
 
-  /// Concurrency-differential case: runs the case's query through
+  /// Concurrency-differential case: runs the case's query twice through
   /// {scan, ST, MT, auto} x {1, 4} threads on the main thread while a seeded
-  /// mutator thread interleaves Insert/Remove commits. Each result is checked
+  /// writer thread commits 5 inserts and 4 removes. Each result is checked
   /// against the Oracle evaluated at the snapshot version the query pinned
-  /// (reconstructed from the mutation log), so any torn read — a query seeing
+  /// (reconstructed from the write log), so any torn read — a query seeing
   /// an appended record without its index entry, a half-condensed tree, a
-  /// stale cached plan — shows up as a divergence. The kAuto
-  /// signature-stability check of RunCase does not apply here: plans
-  /// legitimately change across write epochs. Mutations persist into later
-  /// cases (the dataset grows), which is deliberate — successive cases run
-  /// against successively mutated states.
+  /// stale cached plan — shows up as a divergence. Pinned versions must lie
+  /// within the case's writes and, as the queries run one after another,
+  /// never go backwards. The kAuto signature-stability check of RunCase does
+  /// not apply here: plans legitimately change across write epochs.
+  /// Mutations persist into later cases (the dataset grows), which is
+  /// deliberate — successive cases run against successively mutated states.
   CaseOutcome RunMutateCase(std::size_t index,
-                            const MutateConfig& config = MutateConfig());
+                            const DiffConfig& config = DiffConfig());
 
-  /// Batched-execution differential case. Builds a batch of generated specs
-  /// (mixed range / k-NN / join kinds, plus seeded verbatim duplicates) and
-  /// sweeps ExecuteBatch over {scan, ST, MT, auto} x {1, 4, 8} threads,
-  /// diffing every entry — duplicates included — byte-for-byte against the
-  /// per-spec sequential Execute() at the same configuration (matches,
-  /// QueryStats, group_stats and trace signature, the batch executor's
-  /// exactness contract), whose results are themselves checked against the
-  /// Oracle. Every batch entry must report the batch size and the same
-  /// pinned snapshot version. Optionally repeats a slice under each
-  /// FaultPolicy (error-or-exact per entry, one faulted read fails at most
-  /// one entry, clean rerun must match).
+  /// Batched-execution differential case. Builds a batch of 3–5 generated
+  /// specs (mixed range / k-NN / join kinds) plus seeded verbatim duplicates
+  /// and sweeps ExecuteBatch over {scan, ST, MT, auto} x {1, 4, 8} threads,
+  /// holding every entry — duplicates included — to ExactDiff against the
+  /// per-spec sequential Execute() at the same algorithm, whose results are
+  /// themselves checked against the Oracle. Every batch entry must report
+  /// the batch size and the same pinned snapshot version. With faults,
+  /// repeats a slice under each FaultPolicy: every entry errors or is
+  /// exact, a policy that faults m single reads fails at most m entries, and
+  /// a clean rerun must match.
   CaseOutcome RunBatchCase(std::size_t index,
-                           const BatchConfig& config = BatchConfig());
+                           const DiffConfig& config = DiffConfig());
 
-  /// Concurrency variant of RunBatchCase: a seeded mutator thread commits
-  /// Insert/Remove operations while the main thread issues one batch per
+  /// Concurrency variant of RunBatchCase: a seeded writer thread commits 4
+  /// inserts and 3 removes while the main thread issues one batch per
   /// configuration of {scan, ST, MT, auto} x {1, 4} threads. All entries of
   /// one batch must pin ONE snapshot version, successive batches must pin
-  /// non-decreasing versions, duplicates must equal their in-batch
-  /// original, and every entry is checked against the Oracle replayed at
-  /// the batch's pinned version via the mutation log. Mutations persist
-  /// into later cases.
+  /// non-decreasing versions, duplicates must equal their in-batch original
+  /// (ExactDiff), and every entry is checked against the Oracle replayed at
+  /// the batch's pinned version via the write log. Mutations persist into
+  /// later cases.
   CaseOutcome RunBatchMutateCase(std::size_t index,
-                                 const BatchConfig& config = BatchConfig());
+                                 const DiffConfig& config = DiffConfig());
 
-  /// Crash-recovery differential case. Writes a baseline checkpoint, commits
-  /// a few Insert/Remove operations, then for k = 1, 2, ... reruns SaveTo
-  /// with a CrashPolicy that aborts the save at its k-th write step — every
-  /// torn on-disk state a crash could leave. After each aborted save,
-  /// SimilarityEngine::LoadFrom must succeed, and the loaded engine must
-  /// answer the case's query exactly as the oracle evaluated at the state
-  /// the recovered checkpoint claims (its manifest epoch decides: the
-  /// pre-write baseline or the post-write state — never a mix, never a
-  /// third answer). The sweep ends at the first k past the save's step
-  /// count, where SaveTo completes and the final load must see the new
-  /// state. In the outcome, fault_runs counts crash points swept and
+  /// Crash-recovery differential case. Writes a baseline checkpoint under
+  /// `prefix` + "." + index, commits 3 inserts and 2 removes, then for
+  /// k = 1, 2, ... reruns SaveTo with a CrashPolicy that aborts the save at
+  /// its k-th write step — every torn on-disk state a crash could leave.
+  /// After each aborted save, SimilarityEngine::LoadFrom must succeed, and
+  /// the loaded engine must answer the case's query exactly as the oracle
+  /// evaluated at the state the recovered checkpoint claims (its manifest
+  /// epoch decides: the pre-write baseline or the post-write state — never
+  /// a mix, never a third answer). The sweep ends at the first k past the
+  /// save's step count, where SaveTo completes and the final load must see
+  /// the new state. In the outcome, fault_runs counts crash points swept and
   /// fault_errors the aborted saves (they are equal when all crashes fired).
-  CaseOutcome RunCheckpointCase(std::size_t index,
-                                const CheckpointConfig& config);
-
-  const WorkloadGenerator& generator() const { return generator_; }
-  core::SimilarityEngine& engine() { return engine_; }
-  const Oracle& oracle() const { return oracle_; }
+  CaseOutcome RunCheckpointCase(std::size_t index, const std::string& prefix,
+                                const DiffConfig& config = DiffConfig());
 
  private:
   // The configuration cube and fault sweep of one generated case.
-  CaseOutcome Sweep(const WorkloadCase& work, const DiffConfig& config);
+  CaseOutcome Sweep(const WorkloadCase& work, const Oracle& oracle,
+                    const DiffConfig& config);
 
   WorkloadGenerator generator_;
   core::SimilarityEngine engine_;
-  Oracle oracle_;
 };
 
 }  // namespace tsq::testing

@@ -7,7 +7,6 @@
 // the batch.
 
 #include <atomic>
-#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -16,7 +15,7 @@
 #include "core/range_query.h"
 #include "storage/fault_injection.h"
 #include "test_util.h"
-#include "testing/oracle.h"
+#include "testing/differential.h"
 #include "gtest/gtest.h"
 #include "transform/builders.h"
 #include "transform/partition.h"
@@ -27,98 +26,6 @@ namespace tsq::core {
 namespace {
 
 constexpr double kTol = 1e-6;
-
-bool Near(double a, double b) {
-  return std::fabs(a - b) <=
-         kTol * (1.0 + std::max(std::fabs(a), std::fabs(b)));
-}
-
-// Bitwise equality of the match lists, in order — the batch executor's
-// exactness contract against sequential execution at the same snapshot.
-void ExpectExactlyEqual(const QueryResult& expected, const QueryResult& got) {
-  if (const auto* range = expected.range()) {
-    ASSERT_NE(got.range(), nullptr);
-    ASSERT_EQ(range->matches.size(), got.range()->matches.size());
-    for (std::size_t i = 0; i < range->matches.size(); ++i) {
-      EXPECT_TRUE(range->matches[i] == got.range()->matches[i]) << "match " << i;
-    }
-    return;
-  }
-  if (const auto* knn = expected.knn()) {
-    ASSERT_NE(got.knn(), nullptr);
-    ASSERT_EQ(knn->matches.size(), got.knn()->matches.size());
-    for (std::size_t i = 0; i < knn->matches.size(); ++i) {
-      EXPECT_EQ(knn->matches[i].series_id, got.knn()->matches[i].series_id);
-      EXPECT_EQ(knn->matches[i].distance, got.knn()->matches[i].distance);
-    }
-    return;
-  }
-  ASSERT_NE(expected.join(), nullptr);
-  ASSERT_NE(got.join(), nullptr);
-  ASSERT_EQ(expected.join()->matches.size(), got.join()->matches.size());
-  for (std::size_t i = 0; i < expected.join()->matches.size(); ++i) {
-    EXPECT_TRUE(expected.join()->matches[i] == got.join()->matches[i])
-        << "pair " << i;
-  }
-}
-
-// Tolerant comparison against the oracle (membership exact, values near).
-void ExpectMatchesOracle(const testing::Oracle& oracle, const QuerySpec& spec,
-                         const QueryResult& got, Algorithm algorithm) {
-  if (const auto* range = std::get_if<RangeQuerySpec>(&spec)) {
-    const std::vector<Match> expected = oracle.Range(*range);
-    ASSERT_NE(got.range(), nullptr);
-    std::vector<Match> sorted = got.range()->matches;
-    SortMatches(&sorted);
-    ASSERT_EQ(expected.size(), sorted.size());
-    for (std::size_t i = 0; i < expected.size(); ++i) {
-      EXPECT_EQ(expected[i].series_id, sorted[i].series_id) << i;
-      EXPECT_EQ(expected[i].transform_index, sorted[i].transform_index) << i;
-      EXPECT_TRUE(Near(expected[i].distance, sorted[i].distance)) << i;
-    }
-    return;
-  }
-  if (const auto* knn = std::get_if<KnnQuerySpec>(&spec)) {
-    const std::vector<KnnMatch> expected = oracle.Knn(*knn);
-    ASSERT_NE(got.knn(), nullptr);
-    ASSERT_EQ(expected.size(), got.knn()->matches.size());
-    for (std::size_t i = 0; i < expected.size(); ++i) {
-      EXPECT_EQ(expected[i].series_id, got.knn()->matches[i].series_id) << i;
-      EXPECT_TRUE(Near(expected[i].distance, got.knn()->matches[i].distance))
-          << i;
-    }
-    return;
-  }
-  const auto& join = std::get<JoinQuerySpec>(spec);
-  const std::vector<JoinMatch> expected = oracle.Join(join);
-  ASSERT_NE(got.join(), nullptr);
-  std::vector<JoinMatch> sorted = got.join()->matches;
-  SortJoinMatches(&sorted);
-  if (join.mode == JoinMode::kCorrelation &&
-      algorithm != Algorithm::kSequentialScan) {
-    // Indexed correlation joins may return a subset (documented filter
-    // property); every reported pair must still be an oracle pair.
-    for (const JoinMatch& m : sorted) {
-      bool found = false;
-      for (const JoinMatch& e : expected) {
-        if (e.a == m.a && e.b == m.b &&
-            e.transform_index == m.transform_index) {
-          EXPECT_TRUE(Near(e.value, m.value));
-          found = true;
-          break;
-        }
-      }
-      EXPECT_TRUE(found) << "pair (" << m.a << "," << m.b << ") not in oracle";
-    }
-    return;
-  }
-  ASSERT_EQ(expected.size(), sorted.size());
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(expected[i].a, sorted[i].a) << i;
-    EXPECT_EQ(expected[i].b, sorted[i].b) << i;
-    EXPECT_TRUE(Near(expected[i].value, sorted[i].value)) << i;
-  }
-}
 
 class BatchDeterminismTest : public ::testing::Test {
  protected:
@@ -188,13 +95,11 @@ TEST_F(BatchDeterminismTest, BatchedEqualsSequentialAndOracleEverywhere) {
                      << AlgorithmName(algorithm) << "/" << threads
                      << "t entry " << i);
         ASSERT_TRUE(batch[i].ok()) << batch[i].status().ToString();
-        ExpectExactlyEqual(sequential[i], *batch[i]);
         // Not only the answers: every entry does exactly its solo work.
-        EXPECT_EQ(sequential[i].stats(), batch[i]->stats());
-        EXPECT_EQ(sequential[i].group_stats, batch[i]->group_stats);
-        EXPECT_EQ(sequential[i].trace().DeterministicSignature(),
-                  batch[i]->trace().DeterministicSignature());
-        ExpectMatchesOracle(oracle_, specs[i], *batch[i], algorithm);
+        EXPECT_EQ(testing::ExactDiff(sequential[i], *batch[i]), "");
+        EXPECT_EQ(testing::OracleDiff(testing::ExpectedFor(oracle_, specs[i]),
+                                      *batch[i], algorithm, kTol),
+                  "");
         EXPECT_EQ(batch[i]->trace().batch_size, specs.size());
         EXPECT_EQ(batch[i]->trace().snapshot_version,
                   batch[0]->trace().snapshot_version);
@@ -216,11 +121,7 @@ TEST_F(BatchDeterminismTest, BatchedEqualsSequentialAndOracleEverywhere) {
         ASSERT_TRUE(solo.ok()) << solo.status().ToString();
         ASSERT_EQ(one.size(), 1u);
         ASSERT_TRUE(one[0].ok()) << one[0].status().ToString();
-        ExpectExactlyEqual(*solo, *one[0]);
-        EXPECT_EQ(solo->stats(), one[0]->stats());
-        EXPECT_EQ(solo->group_stats, one[0]->group_stats);
-        EXPECT_EQ(solo->trace().DeterministicSignature(),
-                  one[0]->trace().DeterministicSignature());
+        EXPECT_EQ(testing::ExactDiff(*solo, *one[0]), "");
         EXPECT_EQ(solo->trace().batch_size, 0u);
         EXPECT_EQ(one[0]->trace().batch_size, 1u);
       }
@@ -261,7 +162,7 @@ TEST_F(BatchDeterminismTest, MatchesAreByteIdenticalAcrossThreadCounts) {
     for (std::size_t r = 1; r < runs.size(); ++r) {
       for (std::size_t i = 0; i < specs.size(); ++i) {
         SCOPED_TRACE(::testing::Message() << "run " << r << " entry " << i);
-        ExpectExactlyEqual(runs[0][i], runs[r][i]);
+        EXPECT_EQ(testing::ExactDiff(runs[0][i], runs[r][i]), "");
       }
     }
   }
@@ -352,11 +253,9 @@ TEST_F(BatchDeterminismTest, MidBatchResetDoesNotSplitPageAccounting) {
   for (std::size_t i = 0; i < disturbed.size(); ++i) {
     SCOPED_TRACE(::testing::Message() << "entry " << i);
     ASSERT_TRUE(disturbed[i].ok()) << disturbed[i].status().ToString();
-    ExpectExactlyEqual(*baseline[i], *disturbed[i]);
     // The regression this guards: page counts derived from counter diffs
     // would tear across the reset and report garbage here.
-    EXPECT_EQ(disturbed[i]->stats().record_pages_read,
-              baseline[i]->stats().record_pages_read);
+    EXPECT_EQ(testing::ExactDiff(*baseline[i], *disturbed[i]), "");
   }
 }
 

@@ -1,6 +1,7 @@
 #include "testing/workload_generator.h"
 
 #include <cmath>
+#include <filesystem>
 #include <optional>
 #include <set>
 #include <variant>
@@ -182,6 +183,58 @@ TEST(DifferentialRunnerTest, FaultSweepInjectsAndSurvives) {
   // policy never errors.
   EXPECT_GE(outcome.fault_errors, 2u);
   EXPECT_LT(outcome.fault_errors, outcome.fault_runs);
+}
+
+// One case per concurrent-write, batch and checkpoint mode, with the counts
+// that pin what ran: each mode's configurations, fault runs, crash points
+// and writes are fixed by the seed and the case index.
+TEST(DifferentialRunnerTest, MutateCaseChecksEveryRunAtItsPinnedVersion) {
+  DifferentialRunner runner(42);
+  const CaseOutcome outcome = runner.RunMutateCase(0);
+  EXPECT_TRUE(outcome.passed) << outcome.failure;
+  EXPECT_EQ(outcome.runs, 16u);  // 2 passes x 4 algorithms x 2 thread counts
+  EXPECT_EQ(outcome.writes, 9u);  // 5 inserts + 4 removes
+  EXPECT_EQ(outcome.fault_runs, 0u);
+  // The writes grew the dataset; a plain case on the same runner evaluates
+  // its oracle over the grown dataset, ids appended by the writer included.
+  const CaseOutcome after = runner.RunCase(0, {.with_faults = false});
+  EXPECT_TRUE(after.passed) << after.failure;
+  EXPECT_EQ(after.runs, 12u);
+}
+
+TEST(DifferentialRunnerTest, BatchCaseMatchesSequentialAndSurvivesFaults) {
+  DifferentialRunner runner(42);
+  const CaseOutcome outcome = runner.RunBatchCase(0);
+  EXPECT_TRUE(outcome.passed) << outcome.failure;
+  // 4 algorithms x 7 specs of sequential baselines, then 4 x 3 batches.
+  EXPECT_EQ(outcome.runs, 40u);
+  EXPECT_EQ(outcome.fault_runs, 14u);  // 7 policies x 2 configurations
+  EXPECT_EQ(outcome.writes, 0u);
+}
+
+TEST(DifferentialRunnerTest, BatchMutateCasePinsOneVersionPerBatch) {
+  DifferentialRunner runner(42);
+  const CaseOutcome outcome = runner.RunBatchMutateCase(0);
+  EXPECT_TRUE(outcome.passed) << outcome.failure;
+  EXPECT_EQ(outcome.runs, 8u);    // 4 algorithms x 2 thread counts
+  EXPECT_EQ(outcome.writes, 7u);  // 4 inserts + 3 removes
+}
+
+TEST(DifferentialRunnerTest, CheckpointCaseRecoversAtEveryCrashPoint) {
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "tsq_differential_ckpt";
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(std::filesystem::create_directories(dir));
+  DifferentialRunner runner(42);
+  const CaseOutcome outcome =
+      runner.RunCheckpointCase(0, (dir / "ckpt").string());
+  std::filesystem::remove_all(dir);
+  EXPECT_TRUE(outcome.passed) << outcome.failure;
+  EXPECT_EQ(outcome.fault_runs, 27u);  // crash points swept
+  EXPECT_EQ(outcome.fault_errors, 27u);
+  // Two algorithms per recovered engine: 27 crashes plus the completed save.
+  EXPECT_EQ(outcome.runs, 56u);
+  EXPECT_EQ(outcome.writes, 5u);  // 3 inserts + 2 removes
 }
 
 }  // namespace

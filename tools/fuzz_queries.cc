@@ -12,6 +12,7 @@
 // Every divergence prints a self-contained repro line and the tool exits
 // non-zero.
 
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -35,10 +36,8 @@ struct FuzzOptions {
   bool mutate = false;
   bool checkpoint = false;
   bool batch = false;
-  tsq::testing::DiffConfig diff;
-  tsq::testing::MutateConfig mutate_config;
-  tsq::testing::CheckpointConfig checkpoint_config;
-  tsq::testing::BatchConfig batch_config;
+  std::string ckpt_dir;
+  tsq::testing::DiffConfig config;
 };
 
 void Usage(const char* argv0) {
@@ -56,10 +55,16 @@ void Usage(const char* argv0) {
       "Each index also sweeps a query-transformation case: a range or\n"
       "k-NN query whose query series carries a fixed transformation.\n"
       "\n"
-      "--mutate switches to the concurrent-write sweep: a seeded mutator\n"
+      "Every mode takes the same two knobs: --tol=X, the relative tolerance\n"
+      "on distances and correlations (default 1e-6; match membership is\n"
+      "always exact), and --no-faults, which skips the fault sweep of the\n"
+      "plain and --batch modes (the other modes inject no read faults).\n"
+      "A failure's repro line repeats both when they were given.\n"
+      "\n"
+      "--mutate switches to the concurrent-write sweep: a seeded writer\n"
       "thread commits Insert/Remove while the queries run, and each result\n"
       "is checked against the oracle evaluated at the snapshot version the\n"
-      "query pinned (fault injection does not apply in this mode).\n"
+      "query pinned; pinned versions must never go backwards.\n"
       "\n"
       "--checkpoint switches to the crash-recovery sweep: each case saves a\n"
       "baseline checkpoint, commits a few writes, then aborts SaveTo at\n"
@@ -119,21 +124,16 @@ bool ParseArgs(int argc, char** argv, FuzzOptions* options) {
     } else if (arg == "--checkpoint") {
       options->checkpoint = true;
     } else if (arg.rfind("--ckpt-dir=", 0) == 0) {
-      options->checkpoint_config.prefix = arg.substr(11);
-      if (options->checkpoint_config.prefix.empty()) return false;
+      options->ckpt_dir = arg.substr(11);
+      if (options->ckpt_dir.empty()) return false;
     } else if (arg == "--with-faults") {
-      options->diff.with_faults = true;
-      options->batch_config.with_faults = true;
+      options->config.with_faults = true;
     } else if (arg == "--no-faults") {
-      options->diff.with_faults = false;
-      options->batch_config.with_faults = false;
+      options->config.with_faults = false;
     } else if (arg.rfind("--tol=", 0) == 0) {
       char* end = nullptr;
-      options->diff.tolerance = std::strtod(arg.c_str() + 6, &end);
+      options->config.tolerance = std::strtod(arg.c_str() + 6, &end);
       if (end == arg.c_str() + 6 || *end != '\0') return false;
-      options->mutate_config.tolerance = options->diff.tolerance;
-      options->checkpoint_config.tolerance = options->diff.tolerance;
-      options->batch_config.tolerance = options->diff.tolerance;
     } else if (arg == "--help" || arg == "-h") {
       Usage(argv[0]);
       std::exit(0);
@@ -172,14 +172,14 @@ int main(int argc, char** argv) {
   bool cleanup_ckpt_dir = false;
   std::filesystem::path ckpt_dir;
   if (options.checkpoint) {
-    if (options.checkpoint_config.prefix.empty()) {
+    if (options.ckpt_dir.empty()) {
       std::error_code ec;
       ckpt_dir = std::filesystem::temp_directory_path(ec);
       if (ec) ckpt_dir = ".";
       ckpt_dir /= "tsq_fuzz_ckpt_" + std::to_string(::getpid());
       cleanup_ckpt_dir = true;
     } else {
-      ckpt_dir = options.checkpoint_config.prefix;
+      ckpt_dir = options.ckpt_dir;
     }
     std::error_code ec;
     std::filesystem::create_directories(ckpt_dir, ec);
@@ -188,6 +188,21 @@ int main(int argc, char** argv) {
                    ckpt_dir.c_str(), ec.message().c_str());
       return 2;
     }
+  }
+
+  // The flags a repro line repeats: the mode, then (after the seed and case)
+  // whatever changes the verdict.
+  std::string mode_flags;
+  if (options.batch) mode_flags += " --batch";
+  if (options.mutate) mode_flags += " --mutate";
+  if (options.checkpoint) mode_flags += " --checkpoint";
+  std::string verdict_flags;
+  if (!options.config.with_faults) verdict_flags += " --no-faults";
+  if (options.config.tolerance != tsq::testing::DiffConfig().tolerance) {
+    char tol[32];
+    const auto printed =
+        std::to_chars(tol, tol + sizeof tol, options.config.tolerance);
+    verdict_flags += " --tol=" + std::string(tol, printed.ptr);
   }
 
   std::size_t cases = 0;
@@ -199,29 +214,25 @@ int main(int argc, char** argv) {
 
   for (std::uint64_t seed = options.seed_lo; seed <= options.seed_hi; ++seed) {
     tsq::testing::DifferentialRunner runner(seed);
-    tsq::testing::CheckpointConfig checkpoint_config =
-        options.checkpoint_config;
-    if (options.checkpoint) {
-      checkpoint_config.prefix =
-          (ckpt_dir / ("seed" + std::to_string(seed))).string();
-    }
+    const std::string ckpt_prefix =
+        (ckpt_dir / ("seed" + std::to_string(seed))).string();
     const std::size_t begin = options.have_case ? options.case_index : 0;
     const std::size_t end =
         options.have_case ? options.case_index + 1 : options.iters;
     for (std::size_t index = begin; index < end; ++index) {
       std::vector<tsq::testing::CaseOutcome> outcomes;
       if (options.checkpoint) {
-        outcomes.push_back(runner.RunCheckpointCase(index, checkpoint_config));
+        outcomes.push_back(
+            runner.RunCheckpointCase(index, ckpt_prefix, options.config));
       } else if (options.batch) {
         outcomes.push_back(
-            options.mutate
-                ? runner.RunBatchMutateCase(index, options.batch_config)
-                : runner.RunBatchCase(index, options.batch_config));
+            options.mutate ? runner.RunBatchMutateCase(index, options.config)
+                           : runner.RunBatchCase(index, options.config));
       } else if (options.mutate) {
-        outcomes.push_back(runner.RunMutateCase(index, options.mutate_config));
+        outcomes.push_back(runner.RunMutateCase(index, options.config));
       } else {
-        outcomes.push_back(runner.RunCase(index, options.diff));
-        outcomes.push_back(runner.RunQueryTransformCase(index, options.diff));
+        outcomes.push_back(runner.RunCase(index, options.config));
+        outcomes.push_back(runner.RunQueryTransformCase(index, options.config));
       }
       for (const tsq::testing::CaseOutcome& outcome : outcomes) {
         ++cases;
@@ -229,33 +240,21 @@ int main(int argc, char** argv) {
         fault_runs += outcome.fault_runs;
         fault_errors += outcome.fault_errors;
         writes += outcome.writes;
-        if (!outcome.passed) {
-          ++failures;
-          std::fprintf(stderr, "FAIL seed=%llu case=%zu: %s\n",
-                       static_cast<unsigned long long>(seed), index,
-                       outcome.failure.c_str());
-          std::fprintf(stderr, "  query: %s\n", outcome.description.c_str());
-          if (options.checkpoint) {
-            // Checkpoint cases also mutate the dataset case over case.
-            std::fprintf(stderr,
-                         "  repro: fuzz_queries --checkpoint --seed=%llu "
-                         "--iters=%zu\n",
-                         static_cast<unsigned long long>(seed), index + 1);
-          } else if (options.mutate) {
-            // Mutate cases change the dataset, so case K only reproduces
-            // after replaying cases 0..K-1 against the same runner.
-            std::fprintf(stderr,
-                         "  repro: fuzz_queries %s--mutate --seed=%llu "
-                         "--iters=%zu\n",
-                         options.batch ? "--batch " : "",
-                         static_cast<unsigned long long>(seed), index + 1);
-          } else {
-            std::fprintf(stderr,
-                         "  repro: fuzz_queries %s--seed=%llu --case=%zu\n",
-                         options.batch ? "--batch " : "",
-                         static_cast<unsigned long long>(seed), index);
-          }
-        }
+        if (outcome.passed) continue;
+        ++failures;
+        std::fprintf(stderr, "FAIL seed=%llu case=%zu: %s\n",
+                     static_cast<unsigned long long>(seed), index,
+                     outcome.failure.c_str());
+        std::fprintf(stderr, "  query: %s\n", outcome.description.c_str());
+        // Mutate and checkpoint cases change the dataset, so case K only
+        // reproduces after replaying cases 0..K-1 against the same runner.
+        const std::string which =
+            options.mutate || options.checkpoint
+                ? " --iters=" + std::to_string(index + 1)
+                : " --case=" + std::to_string(index);
+        std::fprintf(stderr, "  repro: fuzz_queries%s --seed=%llu%s%s\n",
+                     mode_flags.c_str(), static_cast<unsigned long long>(seed),
+                     which.c_str(), verdict_flags.c_str());
       }
     }
   }
