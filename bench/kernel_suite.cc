@@ -66,46 +66,30 @@ double TimePerCall(double budget, Body&& body) {
 
 struct KernelCase {
   const char* name;
-  std::size_t bytes_per_element;  // input+output traffic per double element
+  std::size_t bytes_per_element;  // input traffic per double element
   double (*run)(const KernelTable&, const double*, const double*,
-                const double*, const double*, double*, std::size_t);
+                const double*, const double*, std::size_t);
 };
 
 // The early-abandoning kernels run at bound +inf: the full sum, never
 // abandoned.
 constexpr double kNoBound = std::numeric_limits<double>::infinity();
 
-// Uniform adapter signature: (table, a, b, c, d, out, n) -> sink value.
+// Uniform adapter signature: (table, a, b, c, d, n) -> sink value.
 const KernelCase kCases[] = {
-    {"squared_distance", 16,
-     [](const KernelTable& t, const double* a, const double* b, const double*,
-        const double*, double*, std::size_t n) {
-       return t.squared_distance(a, b, n);
-     }},
     {"weighted_squared_distance_within", 24,
      [](const KernelTable& t, const double* a, const double* b,
-        const double* c, const double*, double*, std::size_t n) {
+        const double* c, const double*, std::size_t n) {
        return t.weighted_squared_distance_within(a, b, c, n, kNoBound).value;
      }},
     {"transformed_to_plain_within", 32,
      [](const KernelTable& t, const double* a, const double* b,
-        const double* c, const double* d, double*, std::size_t n) {
+        const double* c, const double* d, std::size_t n) {
        return t.transformed_to_plain_within(a, b, c, d, n, kNoBound).value;
-     }},
-    {"complex_pointwise_multiply", 32,
-     [](const KernelTable& t, const double* a, const double* b,
-        const double* c, const double*, double* out, std::size_t n) {
-       t.complex_pointwise_multiply(a, b, c, out, n);
-       return out[n - 1];
-     }},
-    {"correlation_sums", 16,
-     [](const KernelTable& t, const double* a, const double* b, const double*,
-        const double*, double*, std::size_t n) {
-       return t.correlation_sums(a, b, n, a[0], b[0]).dxy;
      }},
     {"weighted_dot_sums", 24,
      [](const KernelTable& t, const double* a, const double* b,
-        const double* c, const double*, double*, std::size_t n) {
+        const double* c, const double*, std::size_t n) {
        return t.weighted_dot_sums(a, b, c, n).dot;
      }},
 };
@@ -136,7 +120,7 @@ int main(int argc, char** argv) {
 
   for (const std::size_t n : {std::size_t{256}, std::size_t{4096}}) {
     Rng rng(n);
-    std::vector<double> a(n), b(n), c(n), d(n), out(n);
+    std::vector<double> a(n), b(n), c(n), d(n);
     for (std::size_t i = 0; i < n; ++i) {
       a[i] = rng.Uniform(-1.0, 1.0);
       b[i] = rng.Uniform(-1.0, 1.0);
@@ -148,8 +132,7 @@ int main(int argc, char** argv) {
       for (const Isa isa : isas) {
         const KernelTable& t = TableFor(isa);
         const double per_call = TimePerCall(budget, [&] {
-          sink = sink + kc.run(t, a.data(), b.data(), c.data(), d.data(),
-                               out.data(), n);
+          sink = sink + kc.run(t, a.data(), b.data(), c.data(), d.data(), n);
         });
         if (isa == Isa::kScalar) scalar_time = per_call;
         const double gbps = static_cast<double>(n * kc.bytes_per_element) /

@@ -4,6 +4,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <limits>
+#include <vector>
+
 #include "common/rng.h"
 #include "core/polar_bounds.h"
 #include "dft/fft.h"
@@ -53,7 +56,7 @@ BENCHMARK(BM_TransformedDistance);
 // Raw per-ISA kernel throughput. The first arg is the kernels::Isa value
 // (scalar, avx2); an unsupported variant skips. The standalone kernel_suite
 // binary runs the full sweep and writes BENCH_kernels.json.
-void BM_KernelSquaredDistance(benchmark::State& state) {
+void BM_KernelWeightedSquaredDistance(benchmark::State& state) {
   const auto isa = static_cast<tsq::kernels::Isa>(state.range(0));
   if (!tsq::kernels::IsaSupported(isa)) {
     state.SkipWithError("ISA not supported on this machine");
@@ -63,15 +66,19 @@ void BM_KernelSquaredDistance(benchmark::State& state) {
   Rng rng(n);
   const auto x = RandomSignal(n, rng);
   const auto y = RandomSignal(n, rng);
+  const std::vector<double> w(n, 1.0);
   const auto& table = tsq::kernels::TableFor(isa);
+  // At bound +inf the kernel never abandons: the full sum.
+  const double bound = std::numeric_limits<double>::infinity();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(table.squared_distance(x.data(), y.data(), n));
+    benchmark::DoNotOptimize(table.weighted_squared_distance_within(
+        x.data(), y.data(), w.data(), n, bound));
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n) * 16);
+                          static_cast<std::int64_t>(n) * 24);
   state.SetLabel(tsq::kernels::IsaName(isa));
 }
-BENCHMARK(BM_KernelSquaredDistance)
+BENCHMARK(BM_KernelWeightedSquaredDistance)
     ->ArgsProduct({{static_cast<int>(tsq::kernels::Isa::kScalar),
                     static_cast<int>(tsq::kernels::Isa::kAvx2)},
                    {128, 4096}});

@@ -11,14 +11,18 @@
 // scriptable:   echo "find pairs under mv(5) within correlation 0.99" |
 //               ./build/examples/tsq_cli --stocks 200
 
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <iostream>
 #include <string>
+#include <system_error>
+#include <vector>
 
 #include "common/stopwatch.h"
 #include "core/engine.h"
 #include "lang/compiler.h"
+#include "transform/feature_layout.h"
 #include "ts/generate.h"
 #include "ts/io.h"
 
@@ -39,6 +43,36 @@ void PrintHelp() {
       "commands:    help, stats, quit\n");
 }
 
+// A whole decimal count, nothing before or after it.
+bool ParseCount(const char* text, std::size_t* out) {
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, *out);
+  return ec == std::errc() && ptr == end;
+}
+
+// Why the engine cannot index sequences of `length` values, or "": under
+// the symmetry property every retained DFT coefficient f needs 2f < length.
+std::string LengthProblem(std::size_t length) {
+  if (tsq::transform::FeatureLayout{}.SymmetrySoundFor(length)) return "";
+  return "sequences of " + std::to_string(length) +
+         " values are too short for the index's DFT features";
+}
+
+// Why the engine cannot index `data`, or "" when it can. The engine checks
+// the same conditions by aborting, so they are checked here first.
+std::string DataProblem(const std::vector<tsq::ts::Series>& data) {
+  if (data.empty()) return "no sequences";
+  const std::size_t length = data.front().size();
+  for (std::size_t i = 1; i < data.size(); ++i) {
+    if (data[i].size() != length) {
+      return "sequence " + std::to_string(i) + " has " +
+             std::to_string(data[i].size()) + " values, sequence 0 has " +
+             std::to_string(length);
+    }
+  }
+  return LengthProblem(length);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -53,18 +87,29 @@ int main(int argc, char** argv) {
     };
     if (arg == "--csv") {
       csv = next();
-    } else if (arg == "--stocks") {
-      stocks = static_cast<std::size_t>(std::atol(next()));
-    } else if (arg == "--walks") {
-      walks = static_cast<std::size_t>(std::atol(next()));
-    } else if (arg == "--len") {
-      length = static_cast<std::size_t>(std::atol(next()));
+    } else if (arg == "--stocks" || arg == "--walks" || arg == "--len") {
+      std::size_t* count = arg == "--stocks" ? &stocks
+                           : arg == "--walks" ? &walks
+                                              : &length;
+      const char* text = next();
+      if (!ParseCount(text, count)) {
+        std::fprintf(stderr, "%s takes a whole number, got '%s'\n",
+                     arg.c_str(), text);
+        return 1;
+      }
     } else {
       std::fprintf(stderr,
                    "usage: %s [--csv FILE | --stocks N | --walks N] "
                    "[--len L]\n",
                    argv[0]);
       return 2;
+    }
+  }
+  // Synthetic data is checked by its length before it is generated.
+  if (csv.empty()) {
+    if (const std::string why = LengthProblem(length); !why.empty()) {
+      std::fprintf(stderr, "cannot index: %s\n", why.c_str());
+      return 1;
     }
   }
 
@@ -91,6 +136,11 @@ int main(int argc, char** argv) {
     data = tsq::ts::GenerateStockMarket(config);
     std::printf("generated %zu synthetic stocks of length %zu\n",
                 config.num_series, length);
+  }
+
+  if (const std::string why = DataProblem(data); !why.empty()) {
+    std::fprintf(stderr, "cannot index: %s\n", why.c_str());
+    return 1;
   }
 
   tsq::Stopwatch build_watch;

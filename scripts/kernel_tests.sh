@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Builds the kernel-layer test suites under Address+UB sanitizers and runs
-# them.
+# Builds the kernel-layer test suites and the differential fuzzer under
+# Address+UB sanitizers and runs them.
 #
 # The kernel TUs do exactly the kind of work sanitizers are good at
 # auditing: reinterpret_cast from std::complex to interleaved doubles,
@@ -10,6 +10,11 @@
 # out-of-bounds lane read into a hard failure instead of a silently
 # correct-looking sum.
 #
+# The fuzz_smoke ctest slice (label `fuzz`) then runs whole queries: every
+# plain case repeats each algorithm's 1-thread run under the other kernel
+# ISA, so both variants' kernels read real record spectra and query
+# spectra under the sanitizers, not only the property suite's buffers.
+#
 # Usage: scripts/kernel_tests.sh [build-dir]   (default: build-asan)
 set -euo pipefail
 
@@ -17,6 +22,8 @@ cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build-asan}"
 
 cmake -B "$BUILD_DIR" -S . -DTSQ_SANITIZE=address -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build "$BUILD_DIR" -j --target kernel_property_test kernel_dispatch_test
+cmake --build "$BUILD_DIR" -j --target kernel_property_test kernel_dispatch_test \
+  fuzz_queries
 
 ctest --test-dir "$BUILD_DIR" --output-on-failure -L kernels
+ctest --test-dir "$BUILD_DIR" --output-on-failure -L fuzz

@@ -7,19 +7,8 @@ namespace tsq::core {
 SequenceIndex::SequenceIndex(const Dataset& dataset,
                              rstar::TreeOptions options)
     : dataset_(&dataset), options_(options) {
-  tree_ = std::make_unique<rstar::RStarTree>(
-      &index_file_, dataset.layout().dimensions(), options);
-  // STR bulk load: near-full, well-clustered nodes, built in O(n log n).
-  std::vector<rstar::Entry> entries;
-  entries.reserve(dataset.size());
-  for (std::size_t i = 0; i < dataset.size(); ++i) {
-    entries.push_back(
-        rstar::Entry{rstar::Rect::FromPoint(dataset.features(i)), i});
-  }
-  const Status status = tree_->BulkLoad(std::move(entries));
+  const Status status = Rebuild();
   TSQ_CHECK(status.ok()) << status.ToString();
-  // Build I/O is not part of any query's cost.
-  index_file_.ResetStats();
 }
 
 Result<std::unique_ptr<SequenceIndex>> SequenceIndex::LoadFrom(
@@ -58,8 +47,9 @@ Status SequenceIndex::Rebuild() {
     entries.push_back(
         rstar::Entry{rstar::Rect::FromPoint(dataset_->features(i)), i});
   }
+  // STR bulk load: near-full, well-clustered nodes, built in O(n log n).
   TSQ_RETURN_IF_ERROR(tree_->BulkLoad(std::move(entries)));
-  // Like the constructor: rebuild I/O is not part of any query's cost.
+  // Build I/O is not part of any query's cost.
   index_file_.ResetStats();
   return Status::Ok();
 }

@@ -35,9 +35,6 @@ Status ValidateSpec(const Dataset& dataset, const JoinQuerySpec& spec) {
       !std::isfinite(spec.min_correlation)) {
     return Status::InvalidArgument("non-finite correlation threshold");
   }
-  if (spec.mode == JoinMode::kCorrelation && !(spec.slack > 0.0)) {
-    return Status::InvalidArgument("non-positive or NaN filter slack");
-  }
   return ValidatePartition(spec.partition, spec.transforms.size());
 }
 
@@ -64,8 +61,7 @@ bool EvaluatePair(const JoinQuerySpec& spec,
 
 double JoinFilterEpsilon(const JoinQuerySpec& spec, std::size_t length) {
   if (spec.mode == JoinMode::kDistance) return spec.epsilon;
-  return spec.slack *
-         ts::CorrelationToDistanceThreshold(spec.min_correlation, length);
+  return ts::CorrelationToDistanceThreshold(spec.min_correlation, length);
 }
 
 double TransformedCorrelation(const transform::SpectralTransform& t,

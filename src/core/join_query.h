@@ -17,11 +17,10 @@ enum class JoinMode {
   /// guaranteed complete (same argument as Lemma 1).
   kDistance,
   /// rho(t(s1), t(s2)) >= min_correlation — the paper's Query 2. The index
-  /// filter prunes with the Eq. 9 distance threshold scaled by `slack`;
-  /// because transformed sequences are no longer unit-variance, a pair whose
-  /// transformed variances differ wildly can in principle be missed (the
-  /// paper's filter shares this property). Every reported pair is exactly
-  /// verified. Increase `slack` to trade disk accesses for recall.
+  /// filter prunes with the Eq. 9 distance threshold; because transformed
+  /// sequences are no longer unit-variance, a pair whose transformed
+  /// variances differ wildly can in principle be missed (the paper's filter
+  /// shares this property). Every reported pair is exactly verified.
   kCorrelation,
 };
 
@@ -30,7 +29,6 @@ struct JoinQuerySpec {
   JoinMode mode = JoinMode::kCorrelation;
   double min_correlation = 0.99;  // kCorrelation
   double epsilon = 0.0;           // kDistance
-  double slack = 1.0;             // kCorrelation index-filter widening
   std::vector<transform::SpectralTransform> transforms;
   transform::Partition partition;  // MT-index grouping; empty = one MBR
 };
@@ -75,8 +73,8 @@ Result<JoinQueryResult> RunJoinQuery(const Dataset& dataset,
 
 /// The distance threshold the indexed join filters with, for series of
 /// `length` values: `epsilon` in distance mode; in correlation mode, the
-/// Eq. 9 threshold for `min_correlation` scaled by `slack`. The planner
-/// prices the join with the same value.
+/// Eq. 9 threshold for `min_correlation`. The planner prices the join with
+/// the same value.
 double JoinFilterEpsilon(const JoinQuerySpec& spec, std::size_t length);
 
 /// Cross-correlation of the transformed versions of two normal-form

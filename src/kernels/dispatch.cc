@@ -126,12 +126,6 @@ const KernelTable& TableFor(Isa isa) {
   return ScalarKernelTable();
 }
 
-double SquaredDistance(std::span<const double> x, std::span<const double> y) {
-  TSQ_CHECK_EQ(x.size(), y.size());
-  Count(x.size());
-  return ActiveTable().squared_distance(x.data(), y.data(), x.size());
-}
-
 double WeightedSquaredDistanceWithin(std::span<const double> x,
                                      std::span<const double> y,
                                      std::span<const double> w, double bound) {
@@ -157,28 +151,6 @@ double TransformedToPlainSquaredDistanceWithin(std::span<const double> x,
   Count(r.consumed);
   if (r.consumed < x.size()) Metrics().early_abandons->Increment();
   return r.value;
-}
-
-void ComplexPointwiseMultiply(std::span<const double> x,
-                              std::span<const double> mul_re,
-                              std::span<const double> mul_im,
-                              std::span<double> out) {
-  TSQ_CHECK_EQ(x.size(), mul_re.size());
-  TSQ_CHECK_EQ(x.size(), mul_im.size());
-  TSQ_CHECK_EQ(x.size(), out.size());
-  Count(x.size());
-  ActiveTable().complex_pointwise_multiply(x.data(), mul_re.data(),
-                                           mul_im.data(), out.data(),
-                                           x.size());
-}
-
-CorrelationSums ShiftedCorrelationSums(std::span<const double> x,
-                                       std::span<const double> y,
-                                       double x_shift, double y_shift) {
-  TSQ_CHECK_EQ(x.size(), y.size());
-  Count(x.size());
-  return ActiveTable().correlation_sums(x.data(), y.data(), x.size(), x_shift,
-                                        y_shift);
 }
 
 WeightedDotSums WeightedDotEnergies(std::span<const double> x,

@@ -5,10 +5,11 @@
 
 #include "kernels/kernels.h"
 
-// Shared building blocks of the kernel variants. Every TU that includes this
-// header is compiled with -ffp-contract=off, so the scalar arithmetic below
-// produces identical bit patterns whatever arch flags the enclosing TU uses
-// — plain IEEE-754 add/sub/mul are fully determined by their operands.
+// Shared building blocks of the two variants of the three kernels (see
+// KernelTable). Every TU that includes this header is compiled with
+// -ffp-contract=off, so the scalar arithmetic below produces identical bit
+// patterns whatever arch flags the enclosing TU uses — plain IEEE-754
+// add/sub/mul are fully determined by their operands.
 //
 // The determinism contract, implemented identically by both variants:
 //   * element i accumulates into lane (i mod 4);
@@ -37,15 +38,6 @@ inline double ReduceLanes(const double lanes[4]) {
 
 // --- per-kernel element loops over [first, last), lane = index mod 4 ---
 
-inline void TailSquaredDistance(double lanes[4], const double* x,
-                                const double* y, std::size_t first,
-                                std::size_t last) {
-  for (std::size_t i = first; i < last; ++i) {
-    const double d = x[i] - y[i];
-    lanes[i & 3] += d * d;
-  }
-}
-
 inline void TailWeightedSquaredDistance(double lanes[4], const double* x,
                                         const double* y, const double* w,
                                         std::size_t first, std::size_t last) {
@@ -55,50 +47,20 @@ inline void TailWeightedSquaredDistance(double lanes[4], const double* x,
   }
 }
 
-// One transformed-minus-query component: x holds interleaved (re, im)
-// doubles, mul_re/mul_im are component-duplicated multiplier arrays. Even
-// components compute re(M*X) = re*mr - im*mi, odd ones im(M*X) = im*mr +
-// re*mi; the partner component is x[i ^ 1]. This is exactly the
-// multiply/swap-multiply/addsub sequence the vector variants execute.
-inline double TransformedComponent(const double* x, const double* mul_re,
-                                   const double* mul_im, std::size_t i) {
-  const double a = x[i] * mul_re[i];
-  const double b = x[i ^ 1] * mul_im[i];
-  return (i & 1) == 0 ? a - b : a + b;
-}
-
+// x holds interleaved (re, im) doubles, mul_re/mul_im are component-
+// duplicated multiplier arrays. Even components compute re(M*X) = re*mr -
+// im*mi, odd ones im(M*X) = im*mr + re*mi; the partner component is
+// x[i ^ 1]. This is exactly the multiply/swap-multiply/addsub sequence the
+// vector variant executes.
 inline void TailTransformedToPlain(double lanes[4], const double* x,
                                    const double* q, const double* mul_re,
                                    const double* mul_im, std::size_t first,
                                    std::size_t last) {
   for (std::size_t i = first; i < last; ++i) {
-    const double d = TransformedComponent(x, mul_re, mul_im, i) - q[i];
+    const double a = x[i] * mul_re[i];
+    const double b = x[i ^ 1] * mul_im[i];
+    const double d = ((i & 1) == 0 ? a - b : a + b) - q[i];
     lanes[i & 3] += d * d;
-  }
-}
-
-inline void TailComplexMultiply(const double* x, const double* mul_re,
-                                const double* mul_im, double* out,
-                                std::size_t first, std::size_t last) {
-  for (std::size_t i = first; i < last; ++i) {
-    out[i] = TransformedComponent(x, mul_re, mul_im, i);
-  }
-}
-
-inline void TailCorrelationSums(double dx[4], double dy[4], double dxx[4],
-                                double dyy[4], double dxy[4], const double* x,
-                                const double* y, double x_shift,
-                                double y_shift, std::size_t first,
-                                std::size_t last) {
-  for (std::size_t i = first; i < last; ++i) {
-    const double d = x[i] - x_shift;
-    const double e = y[i] - y_shift;
-    const std::size_t lane = i & 3;
-    dx[lane] += d;
-    dy[lane] += e;
-    dxx[lane] += d * d;
-    dyy[lane] += e * e;
-    dxy[lane] += d * e;
   }
 }
 

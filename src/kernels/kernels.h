@@ -54,16 +54,6 @@ struct EarlyAbandonResult {
   std::size_t consumed = 0;
 };
 
-/// Accumulated sums of the fused correlation pass over shifted values
-/// d_i = x_i - x_shift, e_i = y_i - y_shift.
-struct CorrelationSums {
-  double dx = 0.0;   ///< sum d_i
-  double dy = 0.0;   ///< sum e_i
-  double dxx = 0.0;  ///< sum d_i^2
-  double dyy = 0.0;  ///< sum e_i^2
-  double dxy = 0.0;  ///< sum d_i * e_i
-};
-
 /// Accumulated sums of the fused weighted dot/energy pass:
 /// dot = sum w_i x_i y_i, energy_x = sum w_i x_i^2, energy_y = sum w_i y_i^2.
 struct WeightedDotSums {
@@ -72,13 +62,14 @@ struct WeightedDotSums {
   double energy_y = 0.0;
 };
 
-/// One ISA variant's raw kernel implementations. All pointers take raw
-/// double arrays (complex data is passed as its interleaved re,im doubles —
+/// One ISA variant's raw kernel implementations: the three reductions a
+/// query runs per candidate — Eq. 12 verification of range and k-NN queries,
+/// its transformed-to-plain form for the data-only target, and the join's
+/// frequency-domain correlation. All pointers take raw double arrays (complex data is passed as its interleaved re,im doubles —
 /// `n` always counts doubles, so a length-m complex vector passes n = 2m).
 /// `mul_re`/`mul_im` are the *component-duplicated* multiplier arrays
 /// ([re0, re0, re1, re1, ...]) cached by transform::SpectralTransform.
 struct KernelTable {
-  double (*squared_distance)(const double* x, const double* y, std::size_t n);
   EarlyAbandonResult (*weighted_squared_distance_within)(const double* x,
                                                          const double* y,
                                                          const double* w,
@@ -90,12 +81,6 @@ struct KernelTable {
                                                     const double* mul_im,
                                                     std::size_t n,
                                                     double bound);
-  void (*complex_pointwise_multiply)(const double* x, const double* mul_re,
-                                     const double* mul_im, double* out,
-                                     std::size_t n);
-  CorrelationSums (*correlation_sums)(const double* x, const double* y,
-                                      std::size_t n, double x_shift,
-                                      double y_shift);
   WeightedDotSums (*weighted_dot_sums)(const double* x, const double* y,
                                        const double* w, std::size_t n);
 };
@@ -110,11 +95,9 @@ const KernelTable& TableFor(Isa isa);
 // (calls, elements processed, early abandons).
 // ---------------------------------------------------------------------------
 
-/// sum_i (x_i - y_i)^2. Requires x.size() == y.size().
-double SquaredDistance(std::span<const double> x, std::span<const double> y);
-
 /// sum_i w_i * (x_i - y_i)^2 — Eq. 12 with precomputed |M_f|^2 weights when
-/// called on interleaved complex components with duplicated weights.
+/// called on interleaved complex components with duplicated weights (range
+/// and k-NN verification, the distance join).
 /// Early-abandoning: returns the exact sum when it is <= bound (and often
 /// when slightly above); any return value > bound means "no match", whether
 /// exact or abandoned partial. At bound = +inf it never abandons and always
@@ -124,30 +107,17 @@ double WeightedSquaredDistanceWithin(std::span<const double> x,
                                      std::span<const double> w, double bound);
 
 /// sum_f |M_f * X_f - Q_f|^2 over interleaved complex doubles, with the
-/// multiplier passed as duplicated component arrays. Early-abandoning, with
-/// the contract of WeightedSquaredDistanceWithin.
+/// multiplier passed as duplicated component arrays (verification when only
+/// the data side is transformed). Early-abandoning, with the contract of
+/// WeightedSquaredDistanceWithin.
 double TransformedToPlainSquaredDistanceWithin(std::span<const double> x,
                                                std::span<const double> q,
                                                std::span<const double> mul_re,
                                                std::span<const double> mul_im,
                                                double bound);
 
-/// out_f = M_f * X_f over interleaved complex doubles (spectrum×multiplier
-/// application, Eq. 5). `out` may not alias `x`.
-void ComplexPointwiseMultiply(std::span<const double> x,
-                              std::span<const double> mul_re,
-                              std::span<const double> mul_im,
-                              std::span<double> out);
-
-/// Fused single-pass statistics for time-domain cross-correlation: sums of
-/// shifted values, their squares and cross products (see CorrelationSums).
-/// Shifting by a data value (typically x[0], y[0]) keeps the sums
-/// well-conditioned for large-mean/tiny-variance inputs.
-CorrelationSums ShiftedCorrelationSums(std::span<const double> x,
-                                       std::span<const double> y,
-                                       double x_shift, double y_shift);
-
-/// Fused weighted dot + energies in one pass (frequency-domain correlation).
+/// Fused weighted dot + energies in one pass (the correlation join's
+/// frequency-domain correlation).
 WeightedDotSums WeightedDotEnergies(std::span<const double> x,
                                     std::span<const double> y,
                                     std::span<const double> w);

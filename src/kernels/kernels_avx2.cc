@@ -33,28 +33,6 @@ inline __m256d TransformedQuad(__m256d x, __m256d mre, __m256d mim) {
   return _mm256_addsub_pd(a, b);
 }
 
-// --- squared distance ---
-
-inline void SquaredDistanceBlocks(__m256d& acc, const double* x,
-                                  const double* y, std::size_t first,
-                                  std::size_t last) {
-  for (std::size_t i = first; i < last; i += 4) {
-    const __m256d d =
-        _mm256_sub_pd(_mm256_loadu_pd(x + i), _mm256_loadu_pd(y + i));
-    acc = _mm256_add_pd(acc, _mm256_mul_pd(d, d));
-  }
-}
-
-double SquaredDistanceAvx2(const double* x, const double* y, std::size_t n) {
-  __m256d acc = _mm256_setzero_pd();
-  const std::size_t n4 = n & ~std::size_t{3};
-  SquaredDistanceBlocks(acc, x, y, 0, n4);
-  double lanes[4];
-  _mm256_storeu_pd(lanes, acc);
-  internal::TailSquaredDistance(lanes, x, y, n4, n);
-  return ReduceLanes(lanes);
-}
-
 // --- weighted squared distance ---
 
 inline void WeightedBlocks(__m256d& acc, const double* x, const double* y,
@@ -126,55 +104,6 @@ EarlyAbandonResult TransformedToPlainWithinAvx2(const double* x,
   return {ReduceLanes(lanes), n};
 }
 
-// --- complex pointwise multiply ---
-
-void ComplexPointwiseMultiplyAvx2(const double* x, const double* mre,
-                                  const double* mim, double* out,
-                                  std::size_t n) {
-  const std::size_t n4 = n & ~std::size_t{3};
-  for (std::size_t i = 0; i < n4; i += 4) {
-    _mm256_storeu_pd(out + i,
-                     TransformedQuad(_mm256_loadu_pd(x + i),
-                                     _mm256_loadu_pd(mre + i),
-                                     _mm256_loadu_pd(mim + i)));
-  }
-  internal::TailComplexMultiply(x, mre, mim, out, n4, n);
-}
-
-// --- fused correlation sums ---
-
-CorrelationSums CorrelationSumsAvx2(const double* x, const double* y,
-                                    std::size_t n, double x_shift,
-                                    double y_shift) {
-  const __m256d xs = _mm256_set1_pd(x_shift);
-  const __m256d ys = _mm256_set1_pd(y_shift);
-  __m256d dx_v = _mm256_setzero_pd();
-  __m256d dy_v = _mm256_setzero_pd();
-  __m256d dxx_v = _mm256_setzero_pd();
-  __m256d dyy_v = _mm256_setzero_pd();
-  __m256d dxy_v = _mm256_setzero_pd();
-  const std::size_t n4 = n & ~std::size_t{3};
-  for (std::size_t i = 0; i < n4; i += 4) {
-    const __m256d d = _mm256_sub_pd(_mm256_loadu_pd(x + i), xs);
-    const __m256d e = _mm256_sub_pd(_mm256_loadu_pd(y + i), ys);
-    dx_v = _mm256_add_pd(dx_v, d);
-    dy_v = _mm256_add_pd(dy_v, e);
-    dxx_v = _mm256_add_pd(dxx_v, _mm256_mul_pd(d, d));
-    dyy_v = _mm256_add_pd(dyy_v, _mm256_mul_pd(e, e));
-    dxy_v = _mm256_add_pd(dxy_v, _mm256_mul_pd(d, e));
-  }
-  double dx[4], dy[4], dxx[4], dyy[4], dxy[4];
-  _mm256_storeu_pd(dx, dx_v);
-  _mm256_storeu_pd(dy, dy_v);
-  _mm256_storeu_pd(dxx, dxx_v);
-  _mm256_storeu_pd(dyy, dyy_v);
-  _mm256_storeu_pd(dxy, dxy_v);
-  internal::TailCorrelationSums(dx, dy, dxx, dyy, dxy, x, y, x_shift, y_shift,
-                                n4, n);
-  return {ReduceLanes(dx), ReduceLanes(dy), ReduceLanes(dxx),
-          ReduceLanes(dyy), ReduceLanes(dxy)};
-}
-
 // --- fused weighted dot/energies ---
 
 WeightedDotSums WeightedDotSumsAvx2(const double* x, const double* y,
@@ -203,11 +132,8 @@ WeightedDotSums WeightedDotSumsAvx2(const double* x, const double* y,
 
 const KernelTable& Avx2KernelTable() {
   static const KernelTable table = {
-      SquaredDistanceAvx2,
       WeightedSquaredDistanceWithinAvx2,
       TransformedToPlainWithinAvx2,
-      ComplexPointwiseMultiplyAvx2,
-      CorrelationSumsAvx2,
       WeightedDotSumsAvx2,
   };
   return table;

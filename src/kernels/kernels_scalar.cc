@@ -14,13 +14,6 @@ namespace {
 using internal::kAbandonCheckElements;
 using internal::ReduceLanes;
 
-double SquaredDistanceScalar(const double* x, const double* y,
-                             std::size_t n) {
-  double lanes[4] = {0.0, 0.0, 0.0, 0.0};
-  internal::TailSquaredDistance(lanes, x, y, 0, n);
-  return ReduceLanes(lanes);
-}
-
 EarlyAbandonResult WeightedSquaredDistanceWithinScalar(const double* x,
                                                        const double* y,
                                                        const double* w,
@@ -58,26 +51,6 @@ EarlyAbandonResult TransformedToPlainWithinScalar(const double* x,
   return {ReduceLanes(lanes), n};
 }
 
-void ComplexPointwiseMultiplyScalar(const double* x, const double* mul_re,
-                                    const double* mul_im, double* out,
-                                    std::size_t n) {
-  internal::TailComplexMultiply(x, mul_re, mul_im, out, 0, n);
-}
-
-CorrelationSums CorrelationSumsScalar(const double* x, const double* y,
-                                      std::size_t n, double x_shift,
-                                      double y_shift) {
-  double dx[4] = {0.0, 0.0, 0.0, 0.0};
-  double dy[4] = {0.0, 0.0, 0.0, 0.0};
-  double dxx[4] = {0.0, 0.0, 0.0, 0.0};
-  double dyy[4] = {0.0, 0.0, 0.0, 0.0};
-  double dxy[4] = {0.0, 0.0, 0.0, 0.0};
-  internal::TailCorrelationSums(dx, dy, dxx, dyy, dxy, x, y, x_shift, y_shift,
-                                0, n);
-  return {ReduceLanes(dx), ReduceLanes(dy), ReduceLanes(dxx),
-          ReduceLanes(dyy), ReduceLanes(dxy)};
-}
-
 WeightedDotSums WeightedDotSumsScalar(const double* x, const double* y,
                                       const double* w, std::size_t n) {
   double dot[4] = {0.0, 0.0, 0.0, 0.0};
@@ -91,11 +64,8 @@ WeightedDotSums WeightedDotSumsScalar(const double* x, const double* y,
 
 const KernelTable& ScalarKernelTable() {
   static const KernelTable table = {
-      SquaredDistanceScalar,
       WeightedSquaredDistanceWithinScalar,
       TransformedToPlainWithinScalar,
-      ComplexPointwiseMultiplyScalar,
-      CorrelationSumsScalar,
       WeightedDotSumsScalar,
   };
   return table;

@@ -5,6 +5,7 @@
 #include <exception>
 #include <functional>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <thread>
 #include <tuple>
@@ -15,6 +16,7 @@
 #include "common/rng.h"
 #include "core/join_query.h"
 #include "core/range_query.h"
+#include "kernels/kernels.h"
 #include "testing/fault_policy.h"
 #include "ts/generate.h"
 
@@ -39,6 +41,7 @@ constexpr double kDuplicateProbability = 0.4;
 constexpr core::Algorithm kAlgorithms[] = {
     core::Algorithm::kSequentialScan, core::Algorithm::kStIndex,
     core::Algorithm::kMtIndex, core::Algorithm::kAuto};
+// Sweep holds each algorithm's runs to its run at the first count.
 constexpr std::size_t kThreadCounts[] = {1, 4, 8};
 constexpr std::size_t kMutateThreadCounts[] = {1, 4};
 // The fault sweep's slice of the cube, at 4 threads: MT-index reads index
@@ -510,34 +513,41 @@ CaseOutcome DifferentialRunner::Sweep(const WorkloadCase& work,
   outcome.description = work.description;
   const OracleExpectation expected = ExpectedFor(oracle, work.spec);
 
-  // Fault-free sweep over the whole configuration cube. kAuto rides along as
-  // a fourth algorithm: whatever plan the planner picks, the results must
-  // match the oracle, and — because the plan depends only on the spec and
-  // the index, never on threads — every kAuto run of one case must carry
-  // the same deterministic signature (same chosen plan included).
-  std::string auto_signature;
+  // Fault-free sweep over the configuration cube plus one run per algorithm
+  // under the other kernel ISA (see RunCase). Every run must match the
+  // oracle, and each algorithm's first run is the reference its others must
+  // equal byte for byte. kAuto rides along as a fourth algorithm; its plan is
+  // part of the trace signature, so it must not vary either. Without AVX2
+  // the other ISA is scalar too.
+  const kernels::Isa active = kernels::ActiveIsa();
+  const kernels::Isa other = active == kernels::Isa::kAvx2
+                                 ? kernels::Isa::kScalar
+                                 : kernels::BestSupportedIsa();
   for (const core::Algorithm algorithm : kAlgorithms) {
-    for (const std::size_t threads : kThreadCounts) {
-      const Result<core::QueryResult> result =
+    std::optional<core::QueryResult> reference;
+    const auto run = [&](std::size_t threads, kernels::Isa isa) {
+      kernels::ForceIsaForTesting(isa);
+      Result<core::QueryResult> result =
           engine_.Execute(work.spec, Options(algorithm, threads));
+      kernels::ForceIsaForTesting(active);
       ++outcome.runs;
-      const std::string config_text = DescribeConfig(algorithm, threads);
+      const std::string config_text = DescribeConfig(algorithm, threads) +
+                                      "/" + kernels::IsaName(isa);
       if (const std::string diff =
               RunDiff(result, expected, algorithm, config.tolerance);
           !diff.empty()) {
         outcome.Fail("divergence under " + config_text + ": " + diff);
-        continue;
+      } else if (!reference.has_value()) {
+        reference = std::move(*result);
+      } else if (const std::string exact = ExactDiff(*reference, *result);
+                 !exact.empty()) {
+        outcome.Fail(config_text + " differs from " +
+                     DescribeConfig(algorithm, kThreadCounts[0]) + "/" +
+                     kernels::IsaName(active) + ": " + exact);
       }
-      if (algorithm != core::Algorithm::kAuto) continue;
-      const std::string signature = result->trace().DeterministicSignature();
-      if (auto_signature.empty()) {
-        auto_signature = signature;
-      } else if (signature != auto_signature) {
-        outcome.Fail("kAuto signature varies with " + config_text +
-                     ": got\n  " + signature + "\nexpected\n  " +
-                     auto_signature);
-      }
-    }
+    };
+    for (const std::size_t threads : kThreadCounts) run(threads, active);
+    run(kThreadCounts[0], other);
   }
   if (!outcome.passed || !config.with_faults) return outcome;
 

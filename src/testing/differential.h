@@ -83,15 +83,24 @@ struct CaseOutcome {
 
 /// Runs generated cases through the full configuration cube
 /// {scan, ST-index, MT-index, auto} x {1, 4, 8} threads and checks every
-/// result against the Oracle; optionally repeats a slice of the cube under
-/// each FaultPolicy. One runner per seed: it owns the seed's engine, whose
-/// dataset the mutate and checkpoint modes grow case over case. Every case
-/// builds its Oracle over the dataset as it stands, so the modes may follow
-/// one another on one runner. Every mode takes the same DiffConfig.
+/// result against the Oracle and against the other runs of its algorithm;
+/// optionally repeats a slice of the cube under each FaultPolicy. One runner
+/// per seed: it owns the seed's engine, whose dataset the mutate and
+/// checkpoint modes grow case over case. Every case builds its Oracle over
+/// the dataset as it stands, so the modes may follow one another on one
+/// runner. Every mode takes the same DiffConfig.
 class DifferentialRunner {
  public:
   explicit DifferentialRunner(std::uint64_t seed);
 
+  /// Sweeps WorkloadGenerator::MakeCase(index), 16 engine runs: each
+  /// algorithm at 1, 4 and 8 threads, then at 1 thread again under the other
+  /// kernel ISA (scalar when AVX2 is active, else the best supported one;
+  /// the active ISA is restored afterwards). Every run must match the
+  /// Oracle, and each algorithm's runs must be ExactDiff-identical to its
+  /// first 1-thread run: the determinism contract across thread counts and
+  /// kernel ISAs. With faults, then repeats a slice of the cube under each
+  /// FaultPolicy: every run errors or matches, and a clean rerun matches.
   CaseOutcome RunCase(std::size_t index, const DiffConfig& config = DiffConfig());
 
   /// RunCase's sweep over WorkloadGenerator::MakeQueryTransformCase(index):
@@ -107,8 +116,8 @@ class DifferentialRunner {
   /// an appended record without its index entry, a half-condensed tree, a
   /// stale cached plan — shows up as a divergence. Pinned versions must lie
   /// within the case's writes and, as the queries run one after another,
-  /// never go backwards. The kAuto signature-stability check of RunCase does
-  /// not apply here: plans legitimately change across write epochs.
+  /// never go backwards. RunCase's exact checks between runs do not apply
+  /// here: plans and counts legitimately change across write epochs.
   /// Mutations persist into later cases (the dataset grows), which is
   /// deliberate — successive cases run against successively mutated states.
   CaseOutcome RunMutateCase(std::size_t index,

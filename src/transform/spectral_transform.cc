@@ -18,10 +18,6 @@ inline std::span<const double> AsDoubles(std::span<const dft::Complex> x) {
   return {reinterpret_cast<const double*>(x.data()), 2 * x.size()};
 }
 
-inline std::span<double> AsDoubles(std::span<dft::Complex> x) {
-  return {reinterpret_cast<double*>(x.data()), 2 * x.size()};
-}
-
 }  // namespace
 
 SpectralTransform::SpectralTransform(std::string label,
@@ -67,8 +63,9 @@ std::vector<dft::Complex> SpectralTransform::ApplyToSpectrum(
     std::span<const dft::Complex> spectrum) const {
   TSQ_CHECK_EQ(spectrum.size(), multipliers_.size());
   std::vector<dft::Complex> out(spectrum.size());
-  kernels::ComplexPointwiseMultiply(AsDoubles(spectrum), mul_re2_, mul_im2_,
-                                    AsDoubles(std::span<dft::Complex>(out)));
+  for (std::size_t f = 0; f < out.size(); ++f) {
+    out[f] = multipliers_[f] * spectrum[f];
+  }
   return out;
 }
 

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "common/check.h"
-#include "kernels/kernels.h"
 #include "ts/series.h"
 
 namespace tsq::ts {
@@ -11,7 +10,12 @@ namespace tsq::ts {
 double SquaredEuclideanDistance(std::span<const double> x,
                                 std::span<const double> y) {
   TSQ_CHECK_EQ(x.size(), y.size());
-  return kernels::SquaredDistance(x, y);
+  double acc = 0.0;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    const double d = x[i] - y[i];
+    acc += d * d;
+  }
+  return acc;
 }
 
 double EuclideanDistance(std::span<const double> x, std::span<const double> y) {
@@ -33,12 +37,20 @@ double CrossCorrelation(std::span<const double> x, std::span<const double> y) {
   // sums-of-squares subtraction below well-conditioned even for series with
   // a huge mean and tiny variance, where the old three-pass
   // mean/stddev/dot formulation lost all significant digits.
-  const kernels::CorrelationSums s =
-      kernels::ShiftedCorrelationSums(x, y, x[0], y[0]);
-  const double ss_x = s.dxx - s.dx * s.dx / n;
-  const double ss_y = s.dyy - s.dy * s.dy / n;
+  double dx = 0.0, dy = 0.0, dxx = 0.0, dyy = 0.0, dxy = 0.0;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    const double d = x[i] - x[0];
+    const double e = y[i] - y[0];
+    dx += d;
+    dy += e;
+    dxx += d * d;
+    dyy += e * e;
+    dxy += d * e;
+  }
+  const double ss_x = dxx - dx * dx / n;
+  const double ss_y = dyy - dy * dy / n;
   if (ss_x <= 0.0 || ss_y <= 0.0) return 0.0;
-  const double ss_xy = s.dxy - s.dx * s.dy / n;
+  const double ss_xy = dxy - dx * dy / n;
   // Matches the historical convention: covariance over n, stddevs over n-1,
   // so |rho| peaks at (n-1)/n rather than 1.
   return (n - 1.0) / n * ss_xy / std::sqrt(ss_x * ss_y);

@@ -1,6 +1,8 @@
 #include "ts/io.h"
 
+#include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -35,7 +37,8 @@ Result<std::vector<Series>> ReadCsv(const std::string& path) {
   std::size_t line_number = 0;
   while (std::getline(in, line)) {
     ++line_number;
-    if (line.empty()) continue;
+    // Blank, also when a CRLF file leaves its '\r' on an empty line.
+    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
     Series row;
     std::stringstream fields(line);
     std::string field;
@@ -43,10 +46,14 @@ Result<std::vector<Series>> ReadCsv(const std::string& path) {
       char* end = nullptr;
       errno = 0;
       const double value = std::strtod(field.c_str(), &end);
-      if (end == field.c_str() || errno == ERANGE) {
+      // Trailing whitespace is allowed, so a CRLF line's '\r' is too.
+      const char* rest = end;
+      while (std::isspace(static_cast<unsigned char>(*rest))) ++rest;
+      if (end == field.c_str() || *rest != '\0' || errno == ERANGE ||
+          !std::isfinite(value)) {
         std::ostringstream msg;
-        msg << path << ":" << line_number << ": not a number: '" << field
-            << "'";
+        msg << path << ":" << line_number << ": not a finite number: '"
+            << field << "'";
         return Status::Corruption(msg.str());
       }
       row.push_back(value);

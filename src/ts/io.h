@@ -14,7 +14,9 @@ namespace tsq::ts {
 Status WriteCsv(const std::string& path, const std::vector<Series>& data);
 
 /// Reads a CSV written by WriteCsv (or any numeric CSV, one series per row).
-/// Blank lines are skipped; a non-numeric field yields an error.
+/// Lines holding only whitespace are skipped. A field that is not one finite
+/// number, optionally surrounded by whitespace, yields Corruption naming
+/// `path:line`.
 Result<std::vector<Series>> ReadCsv(const std::string& path);
 
 }  // namespace tsq::ts

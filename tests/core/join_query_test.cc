@@ -192,8 +192,8 @@ TEST(JoinQueryTest, SingleRectangleCandidatesMatchMappedPointPairs) {
       fts.push_back(t.ToFeatureTransform(layout));
     }
     const transform::TransformMbr mbr(fts, layout);
-    const double eps = spec.slack * ts::CorrelationToDistanceThreshold(
-                                        spec.min_correlation, 128);
+    const double eps =
+        ts::CorrelationToDistanceThreshold(spec.min_correlation, 128);
     std::vector<rstar::Rect> mapped;
     for (std::size_t i = 0; i < w.dataset->size(); ++i) {
       mapped.push_back(
@@ -229,13 +229,6 @@ TEST(JoinQueryTest, InvalidSpecsRejected) {
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);
-  spec.mode = JoinMode::kCorrelation;
-  spec.slack = 0.0;
-  EXPECT_EQ(RunJoinQuery(*w.dataset, *w.index, spec,
-                         Forced(Algorithm::kMtIndex))
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
 
   // NaN thresholds must be rejected, not silently evaluate to "no pair
   // qualifies" after reading the whole relation.
@@ -248,15 +241,7 @@ TEST(JoinQueryTest, InvalidSpecsRejected) {
                 .code(),
             StatusCode::kInvalidArgument);
   spec.mode = JoinMode::kCorrelation;
-  spec.slack = 1.0;
   spec.min_correlation = nan;
-  EXPECT_EQ(RunJoinQuery(*w.dataset, *w.index, spec,
-                         Forced(Algorithm::kMtIndex))
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
-  spec.min_correlation = 0.9;
-  spec.slack = nan;
   EXPECT_EQ(RunJoinQuery(*w.dataset, *w.index, spec,
                          Forced(Algorithm::kMtIndex))
                 .status()

@@ -1,17 +1,20 @@
 // Dispatch-layer tests (ctest label `kernels`): TSQ_KERNEL_ISA resolution,
 // CPUID gating, metrics accounting, and the end-to-end guarantee that
-// forcing the scalar variant leaves engine-visible distances bitwise
-// unchanged.
+// forcing the scalar variant leaves the library's distances and
+// correlations bitwise unchanged.
 
 #include <bit>
 #include <cstdint>
 #include <vector>
 
 #include "common/rng.h"
+#include "core/join_query.h"
+#include "dft/fft.h"
 #include "gtest/gtest.h"
 #include "kernels/kernels.h"
 #include "obs/metrics.h"
-#include "ts/distance.h"
+#include "transform/builders.h"
+#include "transform/spectral_transform.h"
 
 namespace tsq::kernels {
 namespace {
@@ -57,7 +60,7 @@ TEST(DispatchTest, MetricsCountCallsElementsAndAbandons) {
 
   const std::uint64_t calls0 = calls->value();
   const std::uint64_t elements0 = elements->value();
-  ASSERT_DOUBLE_EQ(SquaredDistance(x, y), 4.0 * 256);
+  ASSERT_DOUBLE_EQ(WeightedDotEnergies(x, y, unit).dot, 3.0 * 256);
   EXPECT_EQ(calls->value(), calls0 + 1);
   EXPECT_EQ(elements->value(), elements0 + 256);
 
@@ -76,46 +79,51 @@ TEST(DispatchTest, MetricsCountCallsElementsAndAbandons) {
   EXPECT_EQ(abandons->value(), abandons0 + 1);
 }
 
-// The tentpole's user-facing promise: switching ISAs never changes results.
-// Compute library-level distances under the best variant and under forced
-// scalar; every value must be bitwise identical.
+// The user-facing promise: switching ISAs never changes results. Evaluate
+// the library entry points that dispatch to a kernel under the best variant
+// and under forced scalar; every value must be bitwise identical.
 TEST(DispatchTest, ForcedScalarMatchesBestIsaBitwise) {
+  constexpr std::size_t kLength = 128;
   Rng rng(1999);
-  std::vector<std::vector<double>> series(8);
-  for (auto& s : series) {
-    s.resize(128);
-    for (double& v : s) v = rng.Uniform(-5.0, 5.0);
+  const dft::FftPlan plan(kLength);
+  std::vector<std::vector<dft::Complex>> spectra(8);
+  for (auto& spectrum : spectra) {
+    std::vector<double> series(kLength);
+    for (double& v : series) v = rng.Uniform(-5.0, 5.0);
+    spectrum = plan.Forward(series);
   }
+  const transform::SpectralTransform t =
+      transform::MovingAverageTransform(kLength, 10);
+  // Per pair: the Eq. 12 distance, the transformed-to-plain distance and the
+  // join's correlation.
+  const auto evaluate = [&] {
+    std::vector<std::uint64_t> bits;
+    for (std::size_t i = 0; i < spectra.size(); ++i) {
+      for (std::size_t j = i + 1; j < spectra.size(); ++j) {
+        bits.push_back(std::bit_cast<std::uint64_t>(
+            t.TransformedSquaredDistance(spectra[i], spectra[j])));
+        bits.push_back(std::bit_cast<std::uint64_t>(
+            t.TransformedToPlainSquaredDistance(spectra[i], spectra[j])));
+        bits.push_back(std::bit_cast<std::uint64_t>(
+            core::TransformedCorrelation(t, spectra[i], spectra[j])));
+      }
+    }
+    return bits;
+  };
 
   const Isa best = BestSupportedIsa();
-  std::vector<std::uint64_t> best_bits;
   ForceIsaForTesting(best);
   ASSERT_EQ(ActiveIsa(), best);
-  for (std::size_t i = 0; i < series.size(); ++i) {
-    for (std::size_t j = i + 1; j < series.size(); ++j) {
-      best_bits.push_back(std::bit_cast<std::uint64_t>(
-          ts::SquaredEuclideanDistance(series[i], series[j])));
-      best_bits.push_back(std::bit_cast<std::uint64_t>(
-          ts::CrossCorrelation(series[i], series[j])));
-    }
-  }
-
+  const std::vector<std::uint64_t> best_bits = evaluate();
   ForceIsaForTesting(Isa::kScalar);
   ASSERT_EQ(ActiveIsa(), Isa::kScalar);
-  std::size_t at = 0;
-  for (std::size_t i = 0; i < series.size(); ++i) {
-    for (std::size_t j = i + 1; j < series.size(); ++j) {
-      EXPECT_EQ(best_bits[at++],
-                std::bit_cast<std::uint64_t>(
-                    ts::SquaredEuclideanDistance(series[i], series[j])))
-          << "distance(" << i << "," << j << ")";
-      EXPECT_EQ(best_bits[at++],
-                std::bit_cast<std::uint64_t>(
-                    ts::CrossCorrelation(series[i], series[j])))
-          << "correlation(" << i << "," << j << ")";
-    }
-  }
+  const std::vector<std::uint64_t> scalar_bits = evaluate();
   ForceIsaForTesting(best);
+  ASSERT_EQ(best_bits.size(), scalar_bits.size());
+  for (std::size_t k = 0; k < best_bits.size(); ++k) {
+    EXPECT_EQ(best_bits[k], scalar_bits[k])
+        << "pair " << k / 3 << ", entry point " << k % 3;
+  }
 }
 
 }  // namespace

@@ -150,20 +150,6 @@ void ForEachCase(Fn&& fn) {
   }
 }
 
-TEST(KernelBitwiseTest, SquaredDistanceMatchesScalarOnAllIsas) {
-  const std::vector<Isa> isas = SupportedIsas();
-  const KernelTable& ref = TableFor(Isa::kScalar);
-  ForEachCase([&](const Inputs& in, std::size_t n, std::size_t off) {
-    const double* x = in.x.data() + off;
-    const double* y = in.y.data() + off;
-    const double expected = ref.squared_distance(x, y, n);
-    for (const Isa isa : isas) {
-      EXPECT_TRUE(SameBits(expected, TableFor(isa).squared_distance(x, y, n)))
-          << IsaName(isa) << " n=" << n << " off=" << off;
-    }
-  });
-}
-
 // Bounds every Within kernel is checked at: +inf (never abandons) and
 // finite bounds relative to the full sum, from the first 64-element
 // checkpoint abandoning to no abandon at all.
@@ -223,49 +209,6 @@ TEST(KernelBitwiseTest, TransformedToPlainMatchesScalarOnAllIsas) {
             << IsaName(isa) << " n=" << n << " off=" << off
             << " bound=" << bound;
       }
-    }
-  });
-}
-
-TEST(KernelBitwiseTest, ComplexPointwiseMultiplyMatchesScalarOnAllIsas) {
-  const std::vector<Isa> isas = SupportedIsas();
-  const KernelTable& ref = TableFor(Isa::kScalar);
-  ForEachCase([&](const Inputs& in, std::size_t n, std::size_t off) {
-    if (n % 2 != 0 || off % 2 != 0) return;
-    const double* x = in.x.data() + off;
-    const double* mre = in.y.data() + off;
-    const double* mim = in.w.data() + off;
-    std::vector<double> expected(n), got(n);
-    ref.complex_pointwise_multiply(x, mre, mim, expected.data(), n);
-    for (const Isa isa : isas) {
-      TableFor(isa).complex_pointwise_multiply(x, mre, mim, got.data(), n);
-      for (std::size_t i = 0; i < n; ++i) {
-        ASSERT_TRUE(SameBits(expected[i], got[i]))
-            << IsaName(isa) << " n=" << n << " off=" << off << " i=" << i;
-      }
-    }
-  });
-}
-
-TEST(KernelBitwiseTest, CorrelationSumsMatchScalarOnAllIsas) {
-  const std::vector<Isa> isas = SupportedIsas();
-  const KernelTable& ref = TableFor(Isa::kScalar);
-  ForEachCase([&](const Inputs& in, std::size_t n, std::size_t off) {
-    const double* x = in.x.data() + off;
-    const double* y = in.y.data() + off;
-    const CorrelationSums expected =
-        ref.correlation_sums(x, y, n, x[0], y[0]);
-    for (const Isa isa : isas) {
-      const CorrelationSums got =
-          TableFor(isa).correlation_sums(x, y, n, x[0], y[0]);
-      EXPECT_TRUE(SameBits(expected.dx, got.dx)) << IsaName(isa) << " n=" << n;
-      EXPECT_TRUE(SameBits(expected.dy, got.dy)) << IsaName(isa) << " n=" << n;
-      EXPECT_TRUE(SameBits(expected.dxx, got.dxx))
-          << IsaName(isa) << " n=" << n;
-      EXPECT_TRUE(SameBits(expected.dyy, got.dyy))
-          << IsaName(isa) << " n=" << n;
-      EXPECT_TRUE(SameBits(expected.dxy, got.dxy))
-          << IsaName(isa) << " n=" << n;
     }
   });
 }

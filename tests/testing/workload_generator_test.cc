@@ -157,7 +157,8 @@ TEST(DifferentialRunnerTest, CleanSweepPassesOnAFreshSeed) {
   for (std::size_t index = 0; index < 3; ++index) {
     const CaseOutcome outcome = runner.RunCase(index, config);
     EXPECT_TRUE(outcome.passed) << outcome.failure;
-    EXPECT_EQ(outcome.runs, 12u);  // 4 algorithms x 3 thread counts
+    // 4 algorithms x (3 thread counts + 1 run under the other kernel ISA)
+    EXPECT_EQ(outcome.runs, 16u);
     EXPECT_EQ(outcome.fault_runs, 0u);
   }
 }
@@ -169,7 +170,8 @@ TEST(DifferentialRunnerTest, QueryTransformSweepPassesOnAFreshSeed) {
   for (std::size_t index = 0; index < 4; ++index) {
     const CaseOutcome outcome = runner.RunQueryTransformCase(index, config);
     EXPECT_TRUE(outcome.passed) << outcome.failure;
-    EXPECT_EQ(outcome.runs, 12u);  // 4 algorithms x 3 thread counts
+    // 4 algorithms x (3 thread counts + 1 run under the other kernel ISA)
+    EXPECT_EQ(outcome.runs, 16u);
   }
 }
 
@@ -199,7 +201,7 @@ TEST(DifferentialRunnerTest, MutateCaseChecksEveryRunAtItsPinnedVersion) {
   // its oracle over the grown dataset, ids appended by the writer included.
   const CaseOutcome after = runner.RunCase(0, {.with_faults = false});
   EXPECT_TRUE(after.passed) << after.failure;
-  EXPECT_EQ(after.runs, 12u);
+  EXPECT_EQ(after.runs, 16u);
 }
 
 TEST(DifferentialRunnerTest, BatchCaseMatchesSequentialAndSurvivesFaults) {

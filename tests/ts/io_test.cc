@@ -55,6 +55,48 @@ TEST_F(IoTest, RejectsNonNumericField) {
   EXPECT_NE(read.status().message().find("potato"), std::string::npos);
 }
 
+// strtod reads the leading "2" of "2x"; the rest of the field must not be
+// silently dropped.
+TEST_F(IoTest, RejectsTrailingCharacters) {
+  std::ofstream out(path_);
+  out << "1,2\n3,2x\n";
+  out.close();
+  const auto read = ReadCsv(path_);
+  ASSERT_FALSE(read.ok());
+  EXPECT_EQ(read.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(read.status().message().find(path_ + ":2"), std::string::npos)
+      << read.status().ToString();
+  EXPECT_NE(read.status().message().find("2x"), std::string::npos);
+}
+
+// Trailing whitespace, a CRLF line's '\r' included, is not garbage, and a
+// CRLF file's empty line is as blank as an LF file's.
+TEST_F(IoTest, AcceptsTrailingWhitespaceAndCrlf) {
+  std::ofstream out(path_);
+  out << "1, 2 \r\n\r\n3,4\r\n";
+  out.close();
+  const auto read = ReadCsv(path_);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  ASSERT_EQ(read->size(), 2u);
+  EXPECT_EQ((*read)[0], (Series{1.0, 2.0}));
+  EXPECT_EQ((*read)[1], (Series{3.0, 4.0}));
+}
+
+// strtod parses "nan" and "inf", but no series can hold them: the engine
+// would reject the row only by aborting.
+TEST_F(IoTest, RejectsNonFiniteValues) {
+  for (const char* field : {"nan", "inf", "-Infinity"}) {
+    std::ofstream out(path_);
+    out << "1,2\n3," << field << "\n";
+    out.close();
+    const auto read = ReadCsv(path_);
+    ASSERT_FALSE(read.ok()) << field;
+    EXPECT_EQ(read.status().code(), StatusCode::kCorruption) << field;
+    EXPECT_NE(read.status().message().find(path_ + ":2"), std::string::npos)
+        << read.status().ToString();
+  }
+}
+
 TEST_F(IoTest, MissingFileIsIoError) {
   const auto read = ReadCsv("/nonexistent/nowhere.csv");
   ASSERT_FALSE(read.ok());

@@ -51,7 +51,10 @@ void Usage(const char* argv0) {
       "auto} x {1,4,8} threads and compares every result against a\n"
       "brute-force oracle; with faults enabled, also checks that\n"
       "injected storage errors surface as Status, never as wrong results.\n"
-      "Auto runs additionally assert one deterministic plan per case.\n"
+      "Each algorithm's 4- and 8-thread runs, and its 1-thread run repeated\n"
+      "under the other kernel ISA (scalar when AVX2 is active), must equal\n"
+      "its 1-thread run byte for byte: matches, stats, per-rectangle stats\n"
+      "and trace signature, so auto also picks one plan per case.\n"
       "Each index also sweeps a query-transformation case: a range or\n"
       "k-NN query whose query series carries a fixed transformation.\n"
       "\n"
