@@ -20,11 +20,13 @@
 #include <vector>
 
 #include "common/stopwatch.h"
+#include "core/dataset.h"
 #include "core/engine.h"
 #include "lang/compiler.h"
 #include "transform/feature_layout.h"
 #include "ts/generate.h"
 #include "ts/io.h"
+#include "ts/normal_form.h"
 
 namespace {
 
@@ -70,7 +72,15 @@ std::string DataProblem(const std::vector<tsq::ts::Series>& data) {
              std::to_string(length);
     }
   }
-  return LengthProblem(length);
+  if (const std::string why = LengthProblem(length); !why.empty()) return why;
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    const tsq::Status status =
+        tsq::core::ValidateNormalForm(tsq::ts::Normalize(data[i]));
+    if (!status.ok()) {
+      return "sequence " + std::to_string(i) + ": " + status.message();
+    }
+  }
+  return "";
 }
 
 }  // namespace

@@ -13,7 +13,10 @@
 # batch_determinism_test). The k-NN and join suites include the malformed
 # partition cases whose out-of-range indices once read past the
 # transformation vector. The feature-level bound (polar_bounds_test) reads
-# the dataset's flat feature array by ids that come from disk; the
+# the dataset's flat feature array by ids that come from disk, and the
+# join's predicate (RectBoundsTest) and the polar box bound (PolarBoxMin)
+# index raw prepared-box buffers, as the circular interval tests and the
+# angle reduction (transform_mbr_test) do through their callers; the
 # tampered-leaf cases of checkpoint_robustness_test check that an id past
 # the dataset never indexes it. stats_invariance_test, engine_test,
 # parser_test, compiler_test and workload_generator_test hold cases whose
@@ -35,9 +38,9 @@ cmake --build "$BUILD_DIR" -j --target \
   persistence_test checkpoint_robustness_test dataset_test rstar_tree_test \
   rtree_join_test join_query_test knn_query_test engine_fault_test \
   range_query_test batch_determinism_test polar_bounds_test \
-  parallel_test exec_determinism_test exec_concurrency_test \
+  transform_mbr_test parallel_test exec_determinism_test exec_concurrency_test \
   batch_concurrency_test stats_invariance_test engine_test parser_test \
   compiler_test workload_generator_test
 
 cd "$BUILD_DIR"
-ctest --output-on-failure -R 'PageFile|AtomicFile|RecordStore|Persistence|CheckpointRobustness|Dataset|RStarTree|SpatialJoin|JoinQueryTest|TransformedCorrelation|DistanceJoinEquivalence|EffectiveThreads|ParallelFor|Chunk|ExecutorDeterminism|ExecutorConcurrency|BatchConcurrency|RangeQuery|BatchDeterminism|KnnQuery|EngineFault|PolarBound'
+ctest --output-on-failure -R 'PageFile|AtomicFile|RecordStore|Persistence|CheckpointRobustness|Dataset|RStarTree|SpatialJoin|JoinQueryTest|TransformedCorrelation|DistanceJoinEquivalence|EffectiveThreads|ParallelFor|Chunk|ExecutorDeterminism|ExecutorConcurrency|BatchConcurrency|RangeQuery|BatchDeterminism|KnnQuery|EngineFault|PolarBound|PolarBoxMin|RectBounds|CircularIntervals|CircularSeparation'

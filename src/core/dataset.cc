@@ -36,14 +36,9 @@ Result<std::size_t> Dataset::Append(const ts::Series& series) {
   TSQ_CHECK_EQ(series.size(), length_)
       << "all series in a dataset must have equal length";
   ts::NormalForm normal = ts::Normalize(series);
+  TSQ_RETURN_IF_ERROR(ValidateNormalForm(normal));
   std::vector<dft::Complex> spectrum = plan_->Forward(normal.values);
   rstar::Point features = ExtractFeatures(normal, spectrum, layout_);
-  const auto finite = [](double v) { return std::isfinite(v); };
-  if (!finite(normal.mean) || !finite(normal.stddev) ||
-      !std::all_of(features.begin(), features.end(), finite)) {
-    return Status::InvalidArgument(
-        "series has a non-finite mean, stddev or feature");
-  }
   // The stored "full database record" is the normal form's spectrum
   // (real/imaginary interleaved). By Parseval (Eq. 8) it carries exactly
   // the information of the normal form itself, and the post-processing
@@ -161,6 +156,13 @@ Result<std::vector<dft::Complex>> Dataset::FetchSpectrum(
   std::vector<dft::Complex> spectrum(length_);
   TSQ_RETURN_IF_ERROR(FetchSpectrumInto(i, spectrum, pages_read));
   return spectrum;
+}
+
+Status ValidateNormalForm(const ts::NormalForm& normal) {
+  if (!std::isfinite(normal.mean) || !std::isfinite(normal.stddev)) {
+    return Status::InvalidArgument("series has a non-finite mean or stddev");
+  }
+  return Status::Ok();
 }
 
 Status ValidateQuerySeries(const Dataset& dataset, const ts::Series& query) {

@@ -52,9 +52,7 @@ class Dataset {
 
   /// Appends one more sequence (normalizes, derives features, stores the
   /// record) and returns its id. Requires series.size() == length().
-  /// InvalidArgument when the mean, the stddev or any feature is not finite
-  /// (a NaN or ±inf value, or finite values whose stddev overflows): such a
-  /// point cannot be indexed or checkpointed.
+  /// InvalidArgument when ValidateNormalForm rejects its normal form.
   /// Failure-atomic: storing the record reads the store's current page, so
   /// it can fail (e.g. under an injected read fault) — in that case, as on
   /// InvalidArgument, nothing is appended and the dataset is exactly as
@@ -167,6 +165,17 @@ class Dataset {
   std::unique_ptr<storage::RecordStore> records_;
   std::vector<storage::RecordId> record_ids_;
 };
+
+/// The finiteness check every data series passes before it is indexed, on
+/// its normal form (ts::Normalize): InvalidArgument when the mean or the
+/// stddev is not finite. That rejects a NaN or ±inf value, and also finite
+/// values whose sum or spread overflows (alternating ±1e308): such a point
+/// cannot be indexed or checkpointed. Finite statistics keep the normal
+/// form finite, and with it every index feature. Dataset::Append runs it
+/// on each series, so the constructor aborts on a series that fails; input
+/// that has not been checked yet (a loaded file, say) passes it before it
+/// reaches the constructor.
+Status ValidateNormalForm(const ts::NormalForm& normal);
 
 /// A query sequence prepared against a dataset: the spectrum of its normal
 /// form (after the optional fixed query transformation) and its index

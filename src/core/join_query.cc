@@ -227,9 +227,7 @@ Result<JoinQueryResult> RunJoinQuery(const Dataset& dataset,
         const Status join_status = rstar::SelfJoin(
             index.tree(),
             [&](const rstar::RectView& r) { return mbr.Apply(r); },
-            [&](const rstar::Rect& a, const rstar::Rect& b) {
-              return RectPairWithinSquaredDistance(a, b, layout, filter_eps2);
-            },
+            RectPairWithin(layout, filter_eps2),
             [&](std::uint64_t a, std::uint64_t b) {
               ++pass.candidates;
               if (a < dataset.size() && b < dataset.size() &&

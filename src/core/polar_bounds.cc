@@ -47,14 +47,45 @@ double BoxMin(double ul, double uh, double vl, double vh, double c) {
   return std::max(0.0, best);
 }
 
-// Gap between two magnitude intervals, under the same defensive clamps as
-// the boxes PolarBoxMinSquaredDistance minimizes over.
-double MagnitudeGap(double a_lo, double a_hi, double b_lo, double b_hi) {
-  a_lo = std::max(0.0, a_lo);
-  b_lo = std::max(0.0, b_lo);
-  a_hi = std::max(a_lo, a_hi);
-  b_hi = std::max(b_lo, b_hi);
-  return std::max({0.0, a_lo - b_hi, b_lo - a_hi});
+// One coefficient's box in the form the join prepares it in: the magnitude
+// interval under the defensive clamps 0 <= lo <= hi (magnitudes are
+// non-negative by construction; the clamps keep BoxMin's convexity argument
+// valid for slightly negative inputs), then the angle interval's centre and
+// width.
+void PrepareBox(double mag_lo, double mag_hi, double ang_lo, double ang_hi,
+                double* out) {
+  out[0] = std::max(0.0, mag_lo);
+  out[1] = std::max(out[0], mag_hi);
+  out[2] = 0.5 * (ang_lo + ang_hi);
+  out[3] = ang_hi - ang_lo;
+}
+
+// Gap between the magnitude intervals of two prepared boxes.
+double MagnitudeGap(const double* a, const double* b) {
+  return std::max({0.0, a[0] - b[1], b[0] - a[1]});
+}
+
+// PolarBoxMinSquaredDistance on two prepared boxes.
+double PreparedBoxMin(const double* a, const double* b) {
+  const double mag_gap = MagnitudeGap(a, b);
+  // Smallest circular gap between the two angle intervals: none when their
+  // widths cover the circle or the separation of their centres, reduced
+  // once, is within the sum of half-widths (CircularIntervalsIntersect).
+  double gap = 0.0;
+  const double widths = a[3] + b[3];
+  if (!(widths >= kTwoPi)) {
+    const double half_widths = 0.5 * widths;
+    const double delta = transform::CircularSeparation(b[2] - a[2]);
+    if (!(delta <= half_widths + 1e-12)) {
+      gap = std::max(0.0, delta - half_widths);
+    }
+  }
+  // Angles can coincide: distance is governed by the magnitude gap alone.
+  if (gap == 0.0) return mag_gap * mag_gap;
+  // BoxMin >= mag_gap^2 holds exactly, but with cos(gap) near 1 its
+  // cancellation can round below; the max keeps it in floating point.
+  return std::max(mag_gap * mag_gap,
+                  BoxMin(a[0], a[1], b[0], b[1], std::cos(gap)));
 }
 
 // A scratch array of `size` elements, inline up to N.
@@ -112,31 +143,10 @@ double PolarBoxMinSquaredDistance(double a_mag_lo, double a_mag_hi,
                                   double b_ang_lo, double b_ang_hi) {
   TSQ_DCHECK(a_mag_lo <= a_mag_hi);
   TSQ_DCHECK(b_mag_lo <= b_mag_hi);
-  const double mag_gap = MagnitudeGap(a_mag_lo, a_mag_hi, b_mag_lo, b_mag_hi);
-  // Magnitudes are non-negative by construction; clamp defensively so the
-  // convexity argument stays valid for slightly negative inputs.
-  a_mag_lo = std::max(0.0, a_mag_lo);
-  b_mag_lo = std::max(0.0, b_mag_lo);
-  a_mag_hi = std::max(a_mag_lo, a_mag_hi);
-  b_mag_hi = std::max(b_mag_lo, b_mag_hi);
-
-  // Smallest circular gap between the two angle intervals.
-  double gap = 0.0;
-  if (!transform::CircularIntervalsIntersect(a_ang_lo, a_ang_hi, b_ang_lo,
-                                             b_ang_hi)) {
-    const double center_a = 0.5 * (a_ang_lo + a_ang_hi);
-    const double center_b = 0.5 * (b_ang_lo + b_ang_hi);
-    const double half_widths =
-        0.5 * ((a_ang_hi - a_ang_lo) + (b_ang_hi - b_ang_lo));
-    const double delta = std::fabs(std::remainder(center_b - center_a, kTwoPi));
-    gap = std::max(0.0, delta - half_widths);
-  }
-  // Angles can coincide: distance is governed by the magnitude gap alone.
-  if (gap == 0.0) return mag_gap * mag_gap;
-  // BoxMin >= mag_gap^2 holds exactly, but with cos(gap) near 1 its
-  // cancellation can round below; the max keeps it in floating point.
-  return std::max(mag_gap * mag_gap, BoxMin(a_mag_lo, a_mag_hi, b_mag_lo,
-                                            b_mag_hi, std::cos(gap)));
+  double a[4] = {}, b[4] = {};
+  PrepareBox(a_mag_lo, a_mag_hi, a_ang_lo, a_ang_hi, a);
+  PrepareBox(b_mag_lo, b_mag_hi, b_ang_lo, b_ang_hi, b);
+  return PreparedBoxMin(a, b);
 }
 
 double RectPairSquaredDistanceLowerBound(
@@ -156,18 +166,36 @@ double RectPairSquaredDistanceLowerBound(
   return total;
 }
 
-bool RectPairWithinSquaredDistance(const rstar::Rect& a, const rstar::Rect& b,
-                                   const transform::FeatureLayout& layout,
-                                   double bound) {
-  double magnitudes = 0.0;
-  for (std::size_t i = 0; i < layout.num_coefficients; ++i) {
-    const std::size_t md = layout.magnitude_dimension(i);
-    const double gap =
-        MagnitudeGap(a.low(md), a.high(md), b.low(md), b.high(md));
-    magnitudes += layout.coefficient_weight() * (gap * gap);
+RectPairWithin::RectPairWithin(const transform::FeatureLayout& layout,
+                               double bound)
+    : layout_(layout), weight_(layout.coefficient_weight()), bound_(bound) {}
+
+void RectPairWithin::Prepare(const rstar::RectView& r, double* out) const {
+  TSQ_DCHECK(r.dimensions() == layout_.dimensions());
+  for (std::size_t i = 0; i < layout_.num_coefficients; ++i) {
+    const std::size_t md = layout_.magnitude_dimension(i);
+    const std::size_t ad = layout_.angle_dimension(i);
+    PrepareBox(r.low(md), r.high(md), r.low(ad), r.high(ad),
+               out + kPreparedPerCoefficient * i);
   }
-  if (magnitudes > bound) return false;
-  return RectPairSquaredDistanceLowerBound(a, b, layout) <= bound;
+}
+
+bool RectPairWithin::operator()(const double* a, const double* b) const {
+  const std::size_t coefficients = layout_.num_coefficients;
+  double magnitudes = 0.0;
+  for (std::size_t i = 0; i < coefficients; ++i) {
+    const double gap = MagnitudeGap(a + kPreparedPerCoefficient * i,
+                                    b + kPreparedPerCoefficient * i);
+    magnitudes += weight_ * (gap * gap);
+  }
+  if (magnitudes > bound_) return false;
+  double total = 0.0;
+  for (std::size_t i = 0; i < coefficients; ++i) {
+    total += weight_ * PreparedBoxMin(a + kPreparedPerCoefficient * i,
+                                      b + kPreparedPerCoefficient * i);
+    if (total > bound_) return false;
+  }
+  return total <= bound_;
 }
 
 PolarBound::PolarBound(const transform::FeatureLayout& layout,

@@ -37,15 +37,46 @@ double RectPairSquaredDistanceLowerBound(const rstar::Rect& a,
                                          const rstar::Rect& b,
                                          const transform::FeatureLayout& layout);
 
-/// Exactly `RectPairSquaredDistanceLowerBound(a, b, layout) <= bound`, the
-/// spatial join's predicate. It first sums the weighted squared gaps of the
-/// magnitude intervals and answers false when that sum exceeds `bound`,
-/// without any angle arithmetic. The early answer is exact: each polar term
-/// is at least its magnitude term (see PolarBoxMinSquaredDistance) and both
-/// sums add in the same order, so the full sum exceeds `bound` too.
-bool RectPairWithinSquaredDistance(const rstar::Rect& a, const rstar::Rect& b,
-                                   const transform::FeatureLayout& layout,
-                                   double bound);
+/// The spatial join's predicate (an rstar::JoinPredicate): decides exactly
+/// `RectPairSquaredDistanceLowerBound(a, b, layout) <= bound`, bit for bit,
+/// on rects prepared once each. Prepare writes, per retained coefficient,
+/// the magnitude interval under PolarBoxMinSquaredDistance's clamps and the
+/// angle interval's centre and width: the values that function derives from
+/// the rect on every call.
+///
+/// A call first sums the weighted squared gaps of the magnitude intervals
+/// and answers false when that sum exceeds `bound`, without any angle
+/// arithmetic. It then adds the coefficient terms in the lower bound's
+/// order, each reducing its centres' separation once with
+/// transform::CircularSeparation, and answers false as soon as the running
+/// total exceeds `bound`. Both early answers are exact: every term is
+/// non-negative, each polar term is at least its magnitude term (see
+/// PolarBoxMinSquaredDistance), and rounding is monotone, so the full sum
+/// exceeds `bound` too. The computed bound is not bitwise symmetric in
+/// (a, b), so neither is the decision at its margin.
+class RectPairWithin {
+ public:
+  RectPairWithin(const transform::FeatureLayout& layout, double bound);
+
+  /// Doubles per prepared rect.
+  std::size_t prepared_size() const {
+    return kPreparedPerCoefficient * layout_.num_coefficients;
+  }
+
+  /// Writes `r` (of the layout's dimensions) in prepared form to
+  /// `out[0, prepared_size())`.
+  void Prepare(const rstar::RectView& r, double* out) const;
+
+  /// The decision on the prepared rects `a` and `b`.
+  bool operator()(const double* a, const double* b) const;
+
+ private:
+  static constexpr std::size_t kPreparedPerCoefficient = 4;
+
+  transform::FeatureLayout layout_;
+  double weight_;
+  double bound_;
+};
 
 /// The exact feature-level lower bound that sits between the index filter
 /// and the record fetch (GEMINI lower bounding, Faloutsos et al. 1994). For

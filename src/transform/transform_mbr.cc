@@ -46,10 +46,10 @@ bool CircularIntervalsIntersect(double a_lo, double a_hi, double b_lo,
   if (width_a + width_b >= kTwoPi) return true;
   const double center_a = 0.5 * (a_lo + a_hi);
   const double center_b = 0.5 * (b_lo + b_hi);
-  // Reduce the center separation to (-pi, pi]; intervals (as arcs) intersect
-  // iff the separation is at most the sum of half-widths.
-  double delta = std::remainder(center_b - center_a, kTwoPi);
-  return std::fabs(delta) <= 0.5 * (width_a + width_b) + 1e-12;
+  // Intervals (as arcs) intersect iff the separation of their centers is at
+  // most the sum of half-widths.
+  return CircularSeparation(center_b - center_a) <=
+         0.5 * (width_a + width_b) + 1e-12;
 }
 
 bool CircularIntersects(const rstar::Rect& a, const rstar::Rect& b,

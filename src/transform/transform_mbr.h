@@ -1,6 +1,8 @@
 #ifndef TSQ_TRANSFORM_TRANSFORM_MBR_H_
 #define TSQ_TRANSFORM_TRANSFORM_MBR_H_
 
+#include <cmath>
+#include <numbers>
 #include <span>
 #include <vector>
 
@@ -75,6 +77,20 @@ class TransformMbr {
 /// exceed pi (the interval is reported unwrapped, hi - lo <= 2*pi). Requires
 /// a non-empty span of angles in [-pi, pi].
 std::pair<double, double> SmallestCircularInterval(std::span<const double> angles);
+
+/// The circular separation of two angles `x` apart, in [0, pi]: the bits of
+/// std::fabs(std::remainder(x, 2*pi)), without its cost where angles lie.
+/// For |x| <= pi that is |x|. For pi < |x| <= 2*pi it is 2*pi - |x|, one
+/// subtraction that is exact by Sterbenz's lemma (|x| is within a factor 2
+/// of 2*pi), as std::remainder's own result is. Beyond 2*pi, and for inf
+/// and NaN, it is std::remainder's.
+inline double CircularSeparation(double x) {
+  constexpr double kPi = std::numbers::pi;
+  const double a = std::fabs(x);
+  if (a <= kPi) return a;
+  if (a <= 2.0 * kPi) return 2.0 * kPi - a;
+  return std::fabs(std::remainder(x, 2.0 * kPi));
+}
 
 /// True when intervals [a_lo, a_hi] and [b_lo, b_hi] intersect modulo 2*pi.
 bool CircularIntervalsIntersect(double a_lo, double a_hi, double b_lo,

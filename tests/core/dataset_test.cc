@@ -1,5 +1,9 @@
 #include "core/dataset.h"
 
+#include <cmath>
+#include <limits>
+#include <vector>
+
 #include "test_util.h"
 #include "gtest/gtest.h"
 #include "ts/distance.h"
@@ -97,6 +101,35 @@ TEST(DatasetTest, ConstantSeriesHandled) {
     EXPECT_TRUE(std::isfinite(v));
   }
   EXPECT_EQ(dataset.normal(0).stddev, 0.0);
+}
+
+TEST(DatasetTest, ValidateNormalFormRejectsOverflowingStatistics) {
+  // Every value is finite, but the spread overflows.
+  ts::Series huge(128);
+  for (std::size_t i = 0; i < huge.size(); ++i) {
+    huge[i] = i % 2 == 0 ? 1e308 : -1e308;
+  }
+  EXPECT_EQ(ValidateNormalForm(ts::Normalize(huge)).code(),
+            StatusCode::kInvalidArgument);
+  ts::Series nan = testutil::RandomWalks(1, 128, 7)[0];
+  nan[40] = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(ValidateNormalForm(ts::Normalize(nan)).code(),
+            StatusCode::kInvalidArgument);
+  const std::vector<ts::Series> walks = testutil::RandomWalks(3, 128, 7);
+  EXPECT_TRUE(ValidateNormalForm(ts::Normalize(walks[0])).ok());
+
+  // Huge and tiny values whose statistics stay finite pass, and index to
+  // finite features.
+  std::vector<ts::Series> extreme = walks;
+  for (double& v : extreme[1]) v *= 1e140;
+  for (double& v : extreme[2]) v *= 1e-300;
+  for (const ts::Series& series : extreme) {
+    EXPECT_TRUE(ValidateNormalForm(ts::Normalize(series)).ok());
+  }
+  Dataset dataset(extreme, transform::FeatureLayout{});
+  for (std::size_t i = 0; i < dataset.size(); ++i) {
+    for (const double v : dataset.features(i)) EXPECT_TRUE(std::isfinite(v));
+  }
 }
 
 TEST(DatasetDeathTest, MismatchedLengthsRejected) {

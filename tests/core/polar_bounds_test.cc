@@ -131,31 +131,64 @@ rstar::Rect RandomPolarRect(Rng& rng, const transform::FeatureLayout& layout) {
   return rstar::Rect(std::move(lo), std::move(hi));
 }
 
+// `r` in `within`'s prepared form.
+std::vector<double> Prepared(const RectPairWithin& within,
+                             const rstar::Rect& r) {
+  std::vector<double> out(within.prepared_size());
+  within.Prepare(r, out.data());
+  return out;
+}
+
 TEST(RectBoundsTest, WithinAgreesWithLowerBound) {
   Rng rng(4);
   transform::FeatureLayout layout;
   layout.num_coefficients = 3;
   const double inf = std::numeric_limits<double>::infinity();
   int early = 0;  // pairs the magnitude sum alone rejects at bound = exact/2
+  int first_term_exits = 0;  // decisions the first coefficient's term ends
+  int far_centres = 0;       // coefficients whose centres are > 2 pi apart
+  int full_circles = 0;      // coefficients whose widths cover the circle
   for (int trial = 0; trial < 3000; ++trial) {
-    const rstar::Rect a = RandomPolarRect(rng, layout);
+    rstar::Rect a = RandomPolarRect(rng, layout);
     rstar::Rect b = RandomPolarRect(rng, layout);
-    if (trial % 4 == 0) {
-      // Just past a's corner in every coefficient, at an angle so small
-      // that cos rounds to 1: where rounding could push the full bound
-      // below the magnitude sum.
-      for (std::size_t i = 0; i < layout.num_coefficients; ++i) {
-        const std::size_t md = layout.magnitude_dimension(i);
-        const std::size_t ad = layout.angle_dimension(i);
+    for (std::size_t i = 0; i < layout.num_coefficients; ++i) {
+      const std::size_t md = layout.magnitude_dimension(i);
+      const std::size_t ad = layout.angle_dimension(i);
+      if (trial % 4 == 0) {
+        // Just past a's corner in every coefficient, at an angle so small
+        // that cos rounds to 1: where rounding could push the full bound
+        // below the magnitude sum.
         const double mag = a.high(md) * (1.0 + rng.Uniform(1e-9, 1e-6));
         const double angle = a.high(ad) + rng.Uniform(1e-12, 1e-8);
         b.set_low(md, mag);
         b.set_high(md, mag);
         b.set_low(ad, angle);
         b.set_high(ad, angle);
+      } else if (trial % 4 == 1) {
+        // b's angles some whole turns (and a bit) away: the separation of
+        // the centres exceeds 2 pi, so it takes std::remainder's branch.
+        const double turns = 2.0 * kPi * static_cast<double>(1 + trial % 3);
+        const double shift =
+            (trial % 8 == 1 ? 1.0 : -1.0) * (turns + rng.Uniform(0.0, 3.0));
+        b.set_low(ad, a.low(ad) + shift);
+        b.set_high(ad, b.low(ad) + rng.Uniform(0.0, 0.5));
+      } else if (trial % 4 == 2 && i == 0) {
+        // Widths that together cover the circle, or just fall short of it.
+        a.set_high(ad, a.low(ad) + rng.Uniform(kPi, 2.0 * kPi));
+        b.set_high(ad, b.low(ad) + (2.0 * kPi - (a.high(ad) - a.low(ad))) +
+                           rng.Uniform(-1e-9, 1.0));
+      }
+      const double widths = (a.high(ad) - a.low(ad)) + (b.high(ad) - b.low(ad));
+      const double centres =
+          0.5 * (b.low(ad) + b.high(ad)) - 0.5 * (a.low(ad) + a.high(ad));
+      if (widths >= 2.0 * kPi) {
+        ++full_circles;
+      } else if (std::fabs(centres) > 2.0 * kPi) {
+        ++far_centres;
       }
     }
     const double exact = RectPairSquaredDistanceLowerBound(a, b, layout);
+    const double exact_ba = RectPairSquaredDistanceLowerBound(b, a, layout);
     double magnitudes = 0.0;
     for (std::size_t i = 0; i < layout.num_coefficients; ++i) {
       const std::size_t md = layout.magnitude_dimension(i);
@@ -163,18 +196,34 @@ TEST(RectBoundsTest, WithinAgreesWithLowerBound) {
           std::max({0.0, a.low(md) - b.high(md), b.low(md) - a.high(md)});
       magnitudes += layout.coefficient_weight() * (gap * gap);
     }
+    const std::size_t md0 = layout.magnitude_dimension(0);
+    const std::size_t ad0 = layout.angle_dimension(0);
+    const double first_term =
+        layout.coefficient_weight() *
+        PolarBoxMinSquaredDistance(a.low(md0), a.high(md0), a.low(ad0),
+                                   a.high(ad0), b.low(md0), b.high(md0),
+                                   b.low(ad0), b.high(ad0));
     EXPECT_LE(magnitudes, exact);
     if (magnitudes > exact / 2) ++early;
     for (const double bound :
          {exact, std::nextafter(exact, -inf), std::nextafter(exact, inf),
           magnitudes, std::nextafter(magnitudes, -inf), exact / 2, 2 * exact,
-          0.0, rng.Uniform(0.0, 2.0 * exact + 1.0)}) {
-      EXPECT_EQ(RectPairWithinSquaredDistance(a, b, layout, bound),
-                exact <= bound)
+          first_term, std::nextafter(first_term, -inf), 0.0,
+          rng.Uniform(0.0, 2.0 * exact + 1.0)}) {
+      const RectPairWithin within(layout, bound);
+      const std::vector<double> pa = Prepared(within, a);
+      const std::vector<double> pb = Prepared(within, b);
+      EXPECT_EQ(within(pa.data(), pb.data()), exact <= bound)
           << "trial " << trial << " bound " << bound << " exact " << exact;
+      EXPECT_EQ(within(pb.data(), pa.data()), exact_ba <= bound)
+          << "trial " << trial << " bound " << bound << " exact " << exact_ba;
+      if (magnitudes <= bound && first_term > bound) ++first_term_exits;
     }
   }
   EXPECT_GT(early, 100);
+  EXPECT_GT(first_term_exits, 100);
+  EXPECT_GT(far_centres, 500);
+  EXPECT_GT(full_circles, 300);
 }
 
 TEST(RectBoundsTest, LayoutWeightingAndDimensions) {

@@ -15,20 +15,39 @@ namespace {
 
 using Pair = std::pair<std::uint64_t, std::uint64_t>;
 
-// Monotone, symmetric proximity test: squared gap between two rects.
-JoinPredicate WithinSquared(double radius2) {
-  return [radius2](const Rect& a, const Rect& b) {
+// Monotone, symmetric proximity test: squared gap between two rects of
+// `dims` dimensions, each prepared as its lows followed by its highs.
+struct WithinSquared {
+  std::size_t dims;
+  double radius2;
+
+  std::size_t prepared_size() const { return 2 * dims; }
+  void Prepare(const RectView& r, double* out) const {
+    for (std::size_t d = 0; d < dims; ++d) {
+      out[d] = r.low(d);
+      out[dims + d] = r.high(d);
+    }
+  }
+  bool operator()(const double* a, const double* b) const {
     double d2 = 0.0;
-    for (std::size_t d = 0; d < a.dimensions(); ++d) {
+    for (std::size_t d = 0; d < dims; ++d) {
       const double gap =
-          std::max({0.0, a.low(d) - b.high(d), b.low(d) - a.high(d)});
+          std::max({0.0, a[d] - b[dims + d], b[d] - a[dims + d]});
       d2 += gap * gap;
     }
     return d2 <= radius2;
-  };
-}
+  }
+};
 
-bool AcceptAll(const Rect&, const Rect&) { return true; }
+// A constant verdict; it prepares nothing.
+template <bool kVerdict>
+struct Constant {
+  std::size_t prepared_size() const { return 0; }
+  void Prepare(const RectView&, double*) const {}
+  bool operator()(const double*, const double*) const { return kVerdict; }
+};
+using AcceptAll = Constant<true>;
+using RejectAll = Constant<false>;
 
 // A non-identity, monotone map: dimension d is scaled by (d + 2) and shifted
 // by d. Rect containment survives it, so the join may prune with it.
@@ -42,9 +61,9 @@ Rect Stretch(const RectView& r) {
 }
 
 // Every reported pair, in report order.
+template <JoinPredicate P>
 std::vector<Pair> Join(const RStarTree& tree, const RectMap& map,
-                       const JoinPredicate& predicate,
-                       SearchStats* stats = nullptr) {
+                       const P& predicate, SearchStats* stats = nullptr) {
   std::vector<Pair> pairs;
   const Status status = SelfJoin(
       tree, map, predicate,
@@ -55,19 +74,24 @@ std::vector<Pair> Join(const RStarTree& tree, const RectMap& map,
 }
 
 // The nested loop the join must reproduce: each unordered pair of distinct
-// ids once, smaller id first, decided on the mapped rects in that order.
+// ids once, smaller id first, decided on the prepared mapped rects in that
+// order.
+template <JoinPredicate P>
 std::vector<Pair> BruteForce(const std::vector<Point>& points,
-                             const RectMap& map,
-                             const JoinPredicate& predicate) {
-  std::vector<Rect> mapped;
-  for (const Point& p : points) {
-    const Rect r = Rect::FromPoint(p);
-    mapped.push_back(map ? map(r) : r);
+                             const RectMap& map, const P& predicate) {
+  const std::size_t stride = predicate.prepared_size();
+  std::vector<double> prepared(points.size() * stride);
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const Rect r = Rect::FromPoint(points[i]);
+    predicate.Prepare(map ? map(r) : r, prepared.data() + i * stride);
   }
   std::vector<Pair> pairs;
   for (std::size_t a = 0; a < points.size(); ++a) {
     for (std::size_t b = a + 1; b < points.size(); ++b) {
-      if (predicate(mapped[a], mapped[b])) pairs.emplace_back(a, b);
+      if (predicate(prepared.data() + a * stride,
+                    prepared.data() + b * stride)) {
+        pairs.emplace_back(a, b);
+      }
     }
   }
   return pairs;
@@ -75,10 +99,10 @@ std::vector<Pair> BruteForce(const std::vector<Point>& points,
 
 // Joins `tree` (holding `points`, id = index) and checks the result against
 // the nested loop: same pairs, each exactly once, a < b.
+template <JoinPredicate P>
 void ExpectMatchesBruteForce(const RStarTree& tree,
                              const std::vector<Point>& points,
-                             const RectMap& map,
-                             const JoinPredicate& predicate) {
+                             const RectMap& map, const P& predicate) {
   std::vector<Pair> joined = Join(tree, map, predicate);
   for (const auto& [a, b] : joined) EXPECT_LT(a, b);
   std::sort(joined.begin(), joined.end());
@@ -126,11 +150,11 @@ TEST(SpatialJoinTest, EmptyInputsYieldNothing) {
   storage::PageFile file;
   RStarTree tree(&file, 2);
   SearchStats stats;
-  EXPECT_TRUE(Join(tree, nullptr, AcceptAll, &stats).empty());
+  EXPECT_TRUE(Join(tree, nullptr, AcceptAll{}, &stats).empty());
   EXPECT_EQ(stats.nodes_accessed, 0u);
   // One entry has no partner.
   ASSERT_TRUE(tree.Insert(Rect::FromPoint({0.0, 0.0}), 1).ok());
-  EXPECT_TRUE(Join(tree, nullptr, AcceptAll, &stats).empty());
+  EXPECT_TRUE(Join(tree, nullptr, AcceptAll{}, &stats).empty());
   EXPECT_EQ(stats.nodes_accessed, 1u);
 }
 
@@ -141,8 +165,8 @@ TEST(SpatialJoinTest, MatchesBruteForceOnDistancePredicate) {
   RStarTree tree(&file, 2, options);
   const std::vector<Point> points = InsertRandomPoints(tree, 250, 1);
   ASSERT_GE(tree.height(), 3u);
-  ExpectMatchesBruteForce(tree, points, Stretch, WithinSquared(49.0));
-  ExpectMatchesBruteForce(tree, points, nullptr, WithinSquared(25.0));
+  ExpectMatchesBruteForce(tree, points, Stretch, WithinSquared{2, 49.0});
+  ExpectMatchesBruteForce(tree, points, nullptr, WithinSquared{2, 25.0});
 }
 
 TEST(SpatialJoinTest, SelfJoinFindsClusters) {
@@ -161,7 +185,7 @@ TEST(SpatialJoinTest, SelfJoinFindsClusters) {
                       .ok());
     }
   }
-  const std::vector<Pair> joined = Join(tree, nullptr, WithinSquared(16.0));
+  const std::vector<Pair> joined = Join(tree, nullptr, WithinSquared{2, 16.0});
   // Only intra-cluster pairs: 2 * C(10,2) = 90.
   EXPECT_EQ(joined.size(), 90u);
   for (const auto& [a, b] : joined) EXPECT_EQ(a / 10, b / 10);
@@ -180,8 +204,8 @@ TEST(SpatialJoinTest, DifferentHeightsHandled) {
     const std::vector<Point> points = InsertRandomPoints(tree, count, count);
     EXPECT_GE(tree.height(), min_height) << count;
     EXPECT_LE(tree.height(), max_height) << count;
-    ExpectMatchesBruteForce(tree, points, Stretch, WithinSquared(400.0));
-    ExpectMatchesBruteForce(tree, points, nullptr, AcceptAll);
+    ExpectMatchesBruteForce(tree, points, Stretch, WithinSquared{2, 400.0});
+    ExpectMatchesBruteForce(tree, points, nullptr, AcceptAll{});
   }
 }
 
@@ -197,7 +221,7 @@ TEST(SpatialJoinTest, RectMapsAppliedPerEntry) {
     points.push_back({10.0 * static_cast<double>((i * 37) % 100)});
     ASSERT_TRUE(tree.Insert(Rect::FromPoint(points.back()), i).ok());
   }
-  const JoinPredicate predicate = WithinSquared(0.55 * 0.55);
+  const WithinSquared predicate{1, 0.55 * 0.55};
   EXPECT_TRUE(Join(tree, nullptr, predicate).empty());
 
   std::size_t map_calls = 0;
@@ -223,7 +247,7 @@ TEST(SpatialJoinTest, NodeCacheBoundsPhysicalReads) {
   const TreeShape shape = ShapeOf(tree);
   SearchStats stats;
   file.ResetStats();
-  EXPECT_EQ(Join(tree, nullptr, AcceptAll, &stats).size(), 200u * 199 / 2);
+  EXPECT_EQ(Join(tree, nullptr, AcceptAll{}, &stats).size(), 200u * 199 / 2);
   EXPECT_EQ(stats.nodes_accessed, shape.nodes);
   EXPECT_EQ(stats.leaf_nodes_accessed, shape.leaves);
   EXPECT_EQ(file.stats().reads, shape.nodes);
@@ -238,11 +262,8 @@ TEST(SpatialJoinTest, CountsEveryNodeOnce) {
   RStarTree tree(&file, 2, options);
   InsertRandomPoints(tree, 300, 4);
   const TreeShape shape = ShapeOf(tree);
-  const JoinPredicate reject_all = [](const Rect&, const Rect&) {
-    return false;
-  };
   SearchStats stats;
-  EXPECT_TRUE(Join(tree, nullptr, reject_all, &stats).empty());
+  EXPECT_TRUE(Join(tree, nullptr, RejectAll{}, &stats).empty());
   EXPECT_EQ(stats.nodes_accessed, shape.nodes);
   EXPECT_EQ(stats.leaf_nodes_accessed, shape.leaves);
 }
@@ -270,7 +291,8 @@ TEST(SpatialJoinTest, EmptyNodeIsCorruption) {
     std::memcpy(bytes + 4, &count, sizeof count);
   });
   const Status status =
-      SelfJoin(tree, nullptr, AcceptAll, [](std::uint64_t, std::uint64_t) {});
+      SelfJoin(tree, nullptr, AcceptAll{},
+               [](std::uint64_t, std::uint64_t) {});
   EXPECT_EQ(status.code(), StatusCode::kCorruption) << status.ToString();
 }
 
@@ -289,7 +311,8 @@ TEST(SpatialJoinTest, ChildPointingAtRootIsCorruption) {
     std::memcpy(bytes + 8, &root, sizeof root);
   });
   const Status status =
-      SelfJoin(tree, nullptr, AcceptAll, [](std::uint64_t, std::uint64_t) {});
+      SelfJoin(tree, nullptr, AcceptAll{},
+               [](std::uint64_t, std::uint64_t) {});
   EXPECT_EQ(status.code(), StatusCode::kCorruption) << status.ToString();
 }
 

@@ -1,7 +1,10 @@
 #include "transform/transform_mbr.h"
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <numbers>
+#include <vector>
 
 #include "common/rng.h"
 #include "gtest/gtest.h"
@@ -56,6 +59,33 @@ TEST(SmallestCircularIntervalTest, CoversAllInputsModulo2Pi) {
       EXPECT_TRUE(inside) << "angle " << a << " not in [" << lo << ", " << hi
                           << "]";
     }
+  }
+}
+
+// Same value bit for bit: also tells -0.0 from 0.0 and compares NaNs.
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+TEST(CircularSeparationTest, SameBitsAsFabsOfRemainder) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> xs = {nan, -nan, 1e3, -1e3, inf, -inf};
+  // The branch boundaries and one turn past them, with their neighbours.
+  for (const double x : {0.0, kPi, 2.0 * kPi, 3.0 * kPi}) {
+    for (const double signed_x : {x, -x}) {
+      xs.push_back(signed_x);
+      xs.push_back(std::nextafter(signed_x, -inf));
+      xs.push_back(std::nextafter(signed_x, inf));
+    }
+  }
+  Rng rng(7);
+  for (int i = 0; i < 400000; ++i) xs.push_back(rng.Uniform(-40.0, 40.0));
+  for (const double x : xs) {
+    const double expected = std::fabs(std::remainder(x, 2.0 * kPi));
+    EXPECT_TRUE(SameBits(CircularSeparation(x), expected))
+        << std::hexfloat << "x " << x << ": " << CircularSeparation(x)
+        << " against " << expected;
   }
 }
 
