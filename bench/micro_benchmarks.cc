@@ -4,10 +4,15 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <limits>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
+#include "core/dataset.h"
+#include "core/feature.h"
 #include "core/polar_bounds.h"
 #include "dft/fft.h"
 #include "kernels/kernels.h"
@@ -15,6 +20,7 @@
 #include "storage/page_file.h"
 #include "transform/builders.h"
 #include "transform/transform_mbr.h"
+#include "ts/distance.h"
 #include "ts/generate.h"
 
 namespace {
@@ -155,6 +161,57 @@ void BM_PolarBoxMin(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_PolarBoxMin);
+
+// The feature-level bound's verdict per candidate, in fig5's shape: 8 000
+// random walks of length 128, moving averages 10..25 in one rectangle, the
+// default layout, kBoth, the rho = 0.96 threshold. Like the index filter's
+// survivors, the candidates are the walks nearest one more walk (the query)
+// in the indexed coefficients: fig5's 1 542 per query.
+void BM_PolarBoundPrunes(benchmark::State& state) {
+  constexpr std::size_t kLength = 128;
+  constexpr std::size_t kWalks = 8000;
+  constexpr std::size_t kCandidates = 1542;
+  tsq::ts::RandomWalkConfig config;
+  config.num_series = kWalks + 1;
+  config.length = kLength;
+  config.seed = 5;
+  std::vector<tsq::ts::Series> walks = tsq::ts::GenerateRandomWalks(config);
+  const tsq::ts::Series query = walks.back();
+  walks.pop_back();
+  const tsq::transform::FeatureLayout layout;
+  const tsq::core::Dataset dataset(std::move(walks), layout);
+  const std::vector<tsq::transform::SpectralTransform> transforms =
+      tsq::transform::MovingAverageRange(kLength, 10, 25);
+  std::vector<std::size_t> group(transforms.size());
+  for (std::size_t t = 0; t < group.size(); ++t) group[t] = t;
+  const std::vector<tsq::dft::Complex> q = tsq::core::IndexedCoefficients(
+      tsq::core::PrepareQuery(dataset, query, std::nullopt).spectrum, layout);
+  const tsq::core::PolarBound bound(layout, transforms, group,
+                                    tsq::core::TransformTarget::kBoth, q);
+  std::vector<std::pair<double, std::size_t>> nearest;
+  for (std::size_t i = 0; i < kWalks; ++i) {
+    double d2 = 0.0;
+    for (std::size_t c = 0; c < q.size(); ++c) {
+      d2 += std::norm(dataset.coefficients(i)[c] - q[c]);
+    }
+    nearest.emplace_back(d2, i);
+  }
+  std::sort(nearest.begin(), nearest.end());
+  nearest.resize(kCandidates);
+  const double epsilon =
+      tsq::ts::CorrelationToDistanceThreshold(0.96, kLength);
+  std::size_t pruned = 0;
+  for (auto _ : state) {
+    pruned = 0;
+    for (const auto& [d2, id] : nearest) {
+      pruned += bound.Prunes(dataset.coefficients(id), epsilon * epsilon);
+    }
+    benchmark::DoNotOptimize(pruned);
+  }
+  state.SetItemsProcessed(state.iterations() * kCandidates);
+  state.counters["pruned"] = static_cast<double>(pruned);
+}
+BENCHMARK(BM_PolarBoundPrunes);
 
 void BM_StockGeneration(benchmark::State& state) {
   tsq::ts::StockMarketConfig config;

@@ -13,7 +13,9 @@
 # batch_determinism_test). The k-NN and join suites include the malformed
 # partition cases whose out-of-range indices once read past the
 # transformation vector. The feature-level bound (polar_bounds_test) reads
-# the dataset's flat feature array by ids that come from disk, and the
+# the dataset's flat array of cartesian coefficients (Dataset::coefficients,
+# checked against the records by dataset_test and persistence_test) by ids
+# that come from disk, in the range, k-NN and join executors, and the
 # join's predicate (RectBoundsTest) and the polar box bound (PolarBoxMin)
 # index raw prepared-box buffers, as the circular interval tests and the
 # angle reduction (transform_mbr_test) do through their callers; the
@@ -22,7 +24,7 @@
 # parser_test, compiler_test and workload_generator_test hold cases whose
 # names the filter also matches; every binary with a case the filter names
 # is built here, so a fresh build directory runs the same cases as the
-# tier-1 one.
+# tier-1 one: 213, as `ctest -N -R <filter>` lists them there.
 # Run this alongside scripts/tsan_exec_tests.sh when touching src/storage,
 # src/rstar, src/exec or the range executor.
 #

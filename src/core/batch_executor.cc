@@ -174,7 +174,8 @@ struct VerifyPart {
   std::vector<Match> matches;
   QueryStats stats;  // comparisons only
   std::uint64_t record_pages = 0;  // read into per-task scratch
-  std::uint64_t fetch_nanos = 0;   // bound plus fetches
+  std::uint64_t bound_nanos = 0;   // the bound over an indexed chunk
+  std::uint64_t fetch_nanos = 0;   // fetches (and a scan's id listing)
   std::uint64_t verify_nanos = 0;
   // The ids this task fetched and verified, in order: every live id of a
   // scan slice, the bound's survivors of an indexed chunk.
@@ -339,13 +340,15 @@ std::vector<Result<QueryResult>> SimilarityEngine::Run(
     }
     exec->rect_groups = exec->partition;
     exec->rect_ordered.resize(exec->partition.size());
+    const std::vector<dft::Complex> query_coefficients =
+        IndexedCoefficients(exec->query.spectrum, layout);
     for (std::size_t g = 0; g < exec->partition.size(); ++g) {
       exec->rect_ordered[g] =
           range->use_ordering && OrderGroupByChain(chain, &exec->rect_groups[g]);
       if (exec->kind == QueryExec::Kind::kIndexed) {
         exec->rect_bounds.emplace_back(layout, range->transforms,
                                        exec->rect_groups[g], range->target,
-                                       exec->query.features);
+                                       query_coefficients);
       }
     }
     exec->plan_nanos = MonotonicNanos() - plan_start;
@@ -435,7 +438,7 @@ std::vector<Result<QueryResult>> SimilarityEngine::Run(
             scan ? nullptr : &q.rects[ref.rect].candidates;
         // The ids to fetch: a scan's live ids, or the chunk's candidates the
         // rectangle's bound cannot rule out. An id past the dataset comes
-        // from a damaged leaf; it is never pruned (its features do not
+        // from a damaged leaf; it is never pruned (its coefficients do not
         // exist), so its fetch reports OutOfRange.
         const std::uint64_t bound_start = MonotonicNanos();
         const double eps2 = q.range->epsilon * q.range->epsilon;
@@ -444,12 +447,13 @@ std::vector<Result<QueryResult>> SimilarityEngine::Run(
           if (scan ? dataset_->removed(id)
                    : id < dataset_->size() &&
                          q.rect_bounds[ref.rect].Prunes(
-                             dataset_->features(id), eps2)) {
+                             dataset_->coefficients(id), eps2)) {
             continue;
           }
           part.verified_ids.push_back(id);
         }
-        part.fetch_nanos += MonotonicNanos() - bound_start;
+        (scan ? part.fetch_nanos : part.bound_nanos) +=
+            MonotonicNanos() - bound_start;
         std::vector<dft::Complex> scratch(dataset_->length());
         for (const std::uint64_t id : part.verified_ids) {
           const std::uint64_t fetch_start = MonotonicNanos();
@@ -498,6 +502,11 @@ std::vector<Result<QueryResult>> SimilarityEngine::Run(
       stats.verified_candidates += part.verified_ids.size();
       stats.record_pages_read += part.record_pages;
       rect_pages[q.verify_tasks[ti].rect] += part.record_pages;
+      if (q.kind == QueryExec::Kind::kIndexed) {
+        const exec::ChunkRange& range = q.verify_tasks[ti].range;
+        trace.at(obs::Phase::kBound)
+            .AddTask(part.bound_nanos, range.last - range.first);
+      }
       trace.at(obs::Phase::kCandidateFetch)
           .AddTask(part.fetch_nanos, part.verified_ids.size());
       trace.at(obs::Phase::kVerification)

@@ -21,6 +21,7 @@ Dataset::Dataset(std::vector<ts::Series> raw,
 
   normals_.reserve(raw.size());
   features_.reserve(raw.size() * layout_.dimensions());
+  coefficients_.reserve(raw.size() * layout_.num_coefficients);
   record_ids_.reserve(raw.size());
   for (const ts::Series& series : raw) {
     // Construction happens before any fault hook can be installed, so the
@@ -39,6 +40,8 @@ Result<std::size_t> Dataset::Append(const ts::Series& series) {
   TSQ_RETURN_IF_ERROR(ValidateNormalForm(normal));
   std::vector<dft::Complex> spectrum = plan_->Forward(normal.values);
   rstar::Point features = ExtractFeatures(normal, spectrum, layout_);
+  const std::vector<dft::Complex> coefficients =
+      IndexedCoefficients(spectrum, layout_);
   // The stored "full database record" is the normal form's spectrum
   // (real/imaginary interleaved). By Parseval (Eq. 8) it carries exactly
   // the information of the normal form itself, and the post-processing
@@ -54,6 +57,8 @@ Result<std::size_t> Dataset::Append(const ts::Series& series) {
        spectrum.size() * sizeof(dft::Complex)});
   TSQ_RETURN_IF_ERROR(id.status());
   features_.insert(features_.end(), features.begin(), features.end());
+  coefficients_.insert(coefficients_.end(), coefficients.begin(),
+                       coefficients.end());
   record_ids_.push_back(*id);
   normals_.push_back(std::move(normal));
   removed_.push_back(false);
@@ -108,6 +113,7 @@ Result<std::unique_ptr<Dataset>> Dataset::LoadFrom(
 
   dataset->normals_.reserve(sequences.size());
   dataset->features_.reserve(sequences.size() * layout.dimensions());
+  dataset->coefficients_.reserve(sequences.size() * layout.num_coefficients);
   dataset->record_ids_.reserve(sequences.size());
   for (const SequenceMeta& meta : sequences) {
     dataset->record_ids_.push_back(meta.record);
@@ -124,6 +130,10 @@ Result<std::unique_ptr<Dataset>> Dataset::LoadFrom(
         ExtractFeatures(normal, spectrum, dataset->layout_);
     dataset->features_.insert(dataset->features_.end(), features.begin(),
                               features.end());
+    const std::vector<dft::Complex> coefficients =
+        IndexedCoefficients(spectrum, dataset->layout_);
+    dataset->coefficients_.insert(dataset->coefficients_.end(),
+                                  coefficients.begin(), coefficients.end());
     dataset->normals_.push_back(std::move(normal));
   }
   dataset->record_file_.ResetStats();

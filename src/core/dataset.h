@@ -37,9 +37,16 @@ struct FeatureView : std::span<const double> {
 ///    from, with every touched page counted;
 ///  * per-sequence index feature vectors (mean, stddev, polar DFT
 ///    coefficients of the normal form), held in one flat array of
-///    layout().dimensions() values per sequence. They are derived from the
-///    stored record, never read from the index, so the executors' feature
-///    bound (core/polar_bounds.h) cannot be misled by a tampered leaf.
+///    layout().dimensions() values per sequence, the points the R*-tree
+///    indexes;
+///  * per-sequence indexed DFT coefficients in cartesian form, held in one
+///    flat array of layout().num_coefficients complex values per sequence
+///    (32 bytes per sequence under the default layout): the stored record's
+///    own values at those coefficients, bit for bit (IndexedCoefficients),
+///    which the executors' feature bound (core/polar_bounds.h) reads.
+///
+/// Both derived arrays come from the stored record, never from the index,
+/// so the feature bound cannot be misled by a tampered leaf.
 ///
 /// The record store is the one stored copy of each spectrum: executors and
 /// planner calibration fetch records and pay the I/O.
@@ -80,6 +87,14 @@ class Dataset {
   FeatureView features(std::size_t i) const {
     const std::size_t dims = layout_.dimensions();
     return FeatureView(features_.data() + i * dims, dims);
+  }
+
+  /// Sequence i's indexed DFT coefficients in cartesian form (i < size()):
+  /// element c equals the stored record's coefficient layout().coefficient(c)
+  /// bit for bit.
+  std::span<const dft::Complex> coefficients(std::size_t i) const {
+    const std::size_t count = layout_.num_coefficients;
+    return {coefficients_.data() + i * count, count};
   }
 
   /// Fetches sequence i's normal-form spectrum from the record store
@@ -145,7 +160,7 @@ class Dataset {
 
   /// Rebuilds a dataset from a record page file plus per-sequence metadata:
   /// normal forms come from the inverse DFT of the stored spectra, features
-  /// from the spectra.
+  /// and indexed coefficients from the spectra.
   static Result<std::unique_ptr<Dataset>> LoadFrom(
       const std::string& records_path, transform::FeatureLayout layout,
       std::size_t length, std::vector<SequenceMeta> sequences,
@@ -159,6 +174,8 @@ class Dataset {
   std::unique_ptr<dft::FftPlan> plan_;
   std::vector<ts::NormalForm> normals_;
   std::vector<double> features_;  // dimensions() values per sequence
+  // num_coefficients values per sequence
+  std::vector<dft::Complex> coefficients_;
   std::vector<bool> removed_;
   std::size_t active_count_ = 0;
   mutable storage::PageFile record_file_;

@@ -36,6 +36,18 @@ rstar::Point ExtractFeatures(const ts::NormalForm& normal,
   return features;
 }
 
+std::vector<dft::Complex> IndexedCoefficients(
+    std::span<const dft::Complex> spectrum,
+    const transform::FeatureLayout& layout) {
+  std::vector<dft::Complex> out(layout.num_coefficients);
+  for (std::size_t i = 0; i < layout.num_coefficients; ++i) {
+    const std::size_t f = layout.coefficient(i);
+    TSQ_CHECK_LT(f, spectrum.size());
+    out[i] = spectrum[f];
+  }
+  return out;
+}
+
 double SafeAngleHalfWidth(double epsilon_f, double min_query_magnitude) {
   TSQ_CHECK_GE(epsilon_f, 0.0);
   const double m = min_query_magnitude;

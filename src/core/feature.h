@@ -20,6 +20,14 @@ rstar::Point ExtractFeatures(const ts::NormalForm& normal,
                              std::span<const dft::Complex> spectrum,
                              const transform::FeatureLayout& layout);
 
+/// The layout's indexed DFT coefficients of `spectrum` in cartesian form:
+/// element i is spectrum[layout.coefficient(i)], copied bit for bit. The
+/// dataset keeps them for every stored record (Dataset::coefficients), and
+/// the feature-level bound (core::PolarBound) reads them beside the query's.
+std::vector<dft::Complex> IndexedCoefficients(
+    std::span<const dft::Complex> spectrum,
+    const transform::FeatureLayout& layout);
+
 /// Builds the query region ("qrect") of Algorithm 1 for one transformation
 /// group, sound against Lemma 1:
 ///

@@ -204,7 +204,8 @@ Result<JoinQueryResult> RunJoinQuery(const Dataset& dataset,
   // once per candidate pair. Each candidate pair then meets the rectangle's
   // feature-level bound, and only the pairs it cannot rule out go on to
   // verification. An id past the dataset comes from a damaged leaf and has
-  // no features; its pair is never pruned, so its fetch reports OutOfRange.
+  // no stored coefficients; its pair is never pruned, so its fetch reports
+  // OutOfRange.
   struct GroupPass {
     std::uint64_t candidates = 0;  // pairs passing the rectangle test
     std::vector<std::pair<std::size_t, std::size_t>> pairs;  // and the bound
@@ -231,8 +232,8 @@ Result<JoinQueryResult> RunJoinQuery(const Dataset& dataset,
             [&](std::uint64_t a, std::uint64_t b) {
               ++pass.candidates;
               if (a < dataset.size() && b < dataset.size() &&
-                  bound.PrunesPair(dataset.features(a), dataset.features(b),
-                                   filter_eps2)) {
+                  bound.PrunesPair(dataset.coefficients(a),
+                                   dataset.coefficients(b), filter_eps2)) {
                 return;
               }
               pass.pairs.emplace_back(a, b);

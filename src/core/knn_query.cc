@@ -217,14 +217,17 @@ Result<KnnQueryResult> RunKnnQuery(const Dataset& dataset,
   // Leaf entries are keyed by the feature-level bound, min over every
   // transformation: each t is paired with itself and the indexed
   // coefficients are summed, which the applied rectangle cannot do. An id
-  // past the dataset comes from a damaged leaf and has no features; it is
-  // keyed 0, so it surfaces first and its fetch reports OutOfRange.
+  // past the dataset comes from a damaged leaf and has no stored
+  // coefficients; it is keyed 0, so it surfaces first and its fetch reports
+  // OutOfRange.
   std::vector<std::size_t> all_transforms(spec.transforms.size());
   std::iota(all_transforms.begin(), all_transforms.end(), std::size_t{0});
   const PolarBound entry_bound(layout, spec.transforms, all_transforms,
-                               spec.target, query.features);
+                               spec.target,
+                               IndexedCoefficients(query.spectrum, layout));
   const auto entry_key = [&](std::uint64_t id) {
-    return id < dataset.size() ? entry_bound.Min(dataset.features(id)) : 0.0;
+    return id < dataset.size() ? entry_bound.Min(dataset.coefficients(id))
+                               : 0.0;
   };
 
   // Best-first search (Hjaltason-Samet): tree pages and unrefined leaf

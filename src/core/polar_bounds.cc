@@ -96,8 +96,6 @@ class Scratch {
     if (size > N) heap_.resize(size);
   }
   T* data() { return size_ > N ? heap_.data() : inline_.data(); }
-  std::span<T> span() { return {data(), size_}; }
-  T& operator[](std::size_t i) { return data()[i]; }
 
  private:
   std::size_t size_;
@@ -108,7 +106,7 @@ class Scratch {
 // LB_t less its rounding allowance under kBoth, from the interleaved
 // per-coefficient terms (|X_f - Q_f|^2, |X_f|^2 + |Q_f|^2): the bound sums
 // them with `bound_weights`, the allowance's scale S_t with `scale_weights`
-// (both are t's own weights, except in AppendAdmitSets' screen).
+// (both are t's own weights, except in the screen).
 double WeightedValue(const double* bound_weights, const double* scale_weights,
                      const double* terms, std::size_t coefficients) {
   double bound = 0.0;
@@ -202,28 +200,32 @@ PolarBound::PolarBound(const transform::FeatureLayout& layout,
                        std::span<const transform::SpectralTransform> transforms,
                        std::span<const std::size_t> group,
                        TransformTarget target,
-                       std::span<const double> query_features)
-    : layout_(layout),
-      coefficients_(layout.num_coefficients),
+                       std::span<const dft::Complex> query)
+    : coefficients_(layout.num_coefficients),
       transforms_(group.size()),
       data_only_(target == TransformTarget::kDataOnly),
-      query_features_(query_features.begin(), query_features.end()) {
-  TSQ_CHECK(query_features.empty() ||
-            query_features.size() == layout.dimensions());
-  const double w = layout.coefficient_weight();
+      weight_(layout.coefficient_weight()),
+      query_(query.begin(), query.end()) {
+  TSQ_CHECK(query.empty() || query.size() == coefficients_);
   for (const std::size_t t : group) {
     for (std::size_t i = 0; i < coefficients_; ++i) {
       const std::size_t f = layout.coefficient(i);
       if (data_only_) {
         multipliers_.push_back(transforms[t].multiplier(f));
       } else {
-        weights_.push_back(w * transforms[t].squared_magnitudes()[f]);
+        weights_.push_back(weight_ * transforms[t].squared_magnitudes()[f]);
       }
     }
   }
-  if (data_only_ && !query_features.empty()) {
-    query_.resize(coefficients_);
-    ToCartesian(layout, query_features, query_);
+  if (!data_only_) {
+    least_.assign(coefficients_, std::numeric_limits<double>::infinity());
+    greatest_.assign(coefficients_, 0.0);
+    for (std::size_t t = 0; t < transforms_; ++t) {
+      for (std::size_t i = 0; i < coefficients_; ++i) {
+        least_[i] = std::min(least_[i], weights_[t * coefficients_ + i]);
+        greatest_[i] = std::max(greatest_[i], weights_[t * coefficients_ + i]);
+      }
+    }
   }
 }
 
@@ -237,106 +239,89 @@ void PolarBound::ToCartesian(const transform::FeatureLayout& layout,
   }
 }
 
-double PolarBound::MinBoth(std::span<const double> x,
-                           std::span<const double> q) const {
-  // Per coefficient, |X_f - Q_f|^2 by the law of cosines (one cosine on the
-  // polar coordinates as stored) and |X_f|^2 + |Q_f|^2; neither depends on
-  // t, so each LB_t is a weighted sum of them.
-  Scratch<double, 16> terms(2 * coefficients_);
+void PolarBound::Terms(const dft::Complex* x, const dft::Complex* q,
+                       double* terms) const {
+  if (data_only_) return;
   for (std::size_t i = 0; i < coefficients_; ++i) {
-    const std::size_t md = layout_.magnitude_dimension(i);
-    const std::size_t ad = layout_.angle_dimension(i);
-    const double sum = x[md] * x[md] + q[md] * q[md];
-    terms[2 * i] = sum - 2.0 * x[md] * q[md] * std::cos(x[ad] - q[ad]);
-    terms[2 * i + 1] = sum;
+    terms[2 * i] = std::norm(x[i] - q[i]);
+    terms[2 * i + 1] = std::norm(x[i]) + std::norm(q[i]);
   }
+}
+
+bool PolarBound::Screens(const double* terms, double threshold) const {
+  // Every term is non-negative and rounding is monotone, so the screened
+  // value, summed in the same order, never exceeds any t's: when it
+  // exceeds the threshold, every t's does.
+  return !data_only_ && WeightedValue(least_.data(), greatest_.data(), terms,
+                                      coefficients_) > threshold;
+}
+
+double PolarBound::Value(std::size_t t, const dft::Complex* x,
+                         const dft::Complex* q, const double* terms) const {
+  if (data_only_) {
+    // The angle offset arg M_f differs per t, so each t takes its own
+    // complex products.
+    return DataOnlyValue(multipliers_.data() + t * coefficients_, x, q,
+                         coefficients_, weight_);
+  }
+  const double* weights = weights_.data() + t * coefficients_;
+  return WeightedValue(weights, weights, terms, coefficients_);
+}
+
+bool PolarBound::PrunesAgainst(const dft::Complex* x, const dft::Complex* q,
+                               double eps2) const {
+  const double threshold = eps2 * (1.0 + kRelativeMargin);
+  Scratch<double, 16> terms(2 * coefficients_);
+  Terms(x, q, terms.data());
+  if (Screens(terms.data(), threshold)) return true;
+  for (std::size_t t = 0; t < transforms_; ++t) {
+    if (!(Value(t, x, q, terms.data()) > threshold)) return false;
+  }
+  return true;
+}
+
+double PolarBound::Min(std::span<const dft::Complex> x) const {
+  TSQ_DCHECK(x.size() == coefficients_ && query_.size() == coefficients_);
+  Scratch<double, 16> terms(2 * coefficients_);
+  Terms(x.data(), query_.data(), terms.data());
   double best = std::numeric_limits<double>::infinity();
   for (std::size_t t = 0; t < transforms_; ++t) {
-    const double* weights = weights_.data() + t * coefficients_;
-    best = std::min(best, WeightedValue(weights, weights, terms.data(),
-                                        coefficients_));
+    best = std::min(best, Value(t, x.data(), query_.data(), terms.data()));
   }
   return std::max(0.0, best);
 }
 
-double PolarBound::MinDataOnly(std::span<const double> x) const {
-  // X_f in cartesian form once, then per t the complex product M_f X_f:
-  // the angle offset arg M_f differs per t, the trigonometry does not.
-  Scratch<dft::Complex, 8> xs(coefficients_);
-  ToCartesian(layout_, x, xs.span());
-  const double w = layout_.coefficient_weight();
-  double best = std::numeric_limits<double>::infinity();
-  for (std::size_t t = 0; t < transforms_; ++t) {
-    best = std::min(best, DataOnlyValue(multipliers_.data() + t * coefficients_,
-                                        xs.data(), query_.data(),
-                                        coefficients_, w));
-  }
-  return std::max(0.0, best);
+bool PolarBound::Prunes(std::span<const dft::Complex> x, double eps2) const {
+  TSQ_DCHECK(x.size() == coefficients_ && query_.size() == coefficients_);
+  return PrunesAgainst(x.data(), query_.data(), eps2);
 }
 
-double PolarBound::Min(std::span<const double> features) const {
-  TSQ_DCHECK(query_features_.size() == layout_.dimensions());
-  return data_only_ ? MinDataOnly(features)
-                    : MinBoth(features, query_features_);
-}
-
-double PolarBound::MinPair(std::span<const double> a,
-                           std::span<const double> b) const {
+bool PolarBound::PrunesPair(std::span<const dft::Complex> a,
+                            std::span<const dft::Complex> b,
+                            double eps2) const {
   TSQ_DCHECK(!data_only_);
-  return MinBoth(a, b);
+  TSQ_DCHECK(a.size() == coefficients_ && b.size() == coefficients_);
+  return PrunesAgainst(a.data(), b.data(), eps2);
 }
 
 std::size_t PolarBound::AppendAdmitSets(
     std::span<const dft::Complex> xs, std::size_t count, double eps2,
     std::vector<std::uint64_t>* out) const {
   TSQ_CHECK_EQ(xs.size(), count * coefficients_);
-  TSQ_DCHECK(query_features_.size() == layout_.dimensions());
+  TSQ_DCHECK(query_.size() == coefficients_);
   const std::size_t words = (transforms_ + 63) / 64;
   const double threshold = eps2 * (1.0 + kRelativeMargin);
-  const double w = layout_.coefficient_weight();
-  Scratch<dft::Complex, 8> q(coefficients_);
-  ToCartesian(layout_, query_features_, q.span());
-  // kBoth screen weights, per coefficient over the rectangle's
-  // transformations: the least on the bound, the greatest on its allowance.
-  Scratch<double, 8> least(coefficients_);
-  Scratch<double, 8> greatest(coefficients_);
-  for (std::size_t i = 0; i < coefficients_; ++i) {
-    least[i] = std::numeric_limits<double>::infinity();
-    greatest[i] = 0.0;
-    for (std::size_t t = 0; t < transforms_ && !data_only_; ++t) {
-      least[i] = std::min(least[i], weights_[t * coefficients_ + i]);
-      greatest[i] = std::max(greatest[i], weights_[t * coefficients_ + i]);
-    }
-  }
   Scratch<double, 16> terms(2 * coefficients_);
   std::size_t appended = 0;
   for (std::size_t c = 0; c < count; ++c) {
     const dft::Complex* x = xs.data() + c * coefficients_;
-    if (!data_only_) {
-      for (std::size_t i = 0; i < coefficients_; ++i) {
-        terms[2 * i] = std::norm(x[i] - q[i]);
-        terms[2 * i + 1] = std::norm(x[i]) + std::norm(q[i]);
-      }
-      // Every term is non-negative and rounding is monotone, so the
-      // screened value, summed in the same order, never exceeds any t's:
-      // when it fails the threshold, every t does.
-      if (WeightedValue(least.data(), greatest.data(), terms.data(),
-                        coefficients_) > threshold) {
-        continue;
-      }
-    }
+    Terms(x, query_.data(), terms.data());
+    if (Screens(terms.data(), threshold)) continue;
     const std::size_t at = out->size();
     out->resize(at + words);
     std::uint64_t any = 0;
     for (std::size_t t = 0; t < transforms_; ++t) {
-      const double value =
-          data_only_
-              ? DataOnlyValue(multipliers_.data() + t * coefficients_, x,
-                              q.data(), coefficients_, w)
-              : WeightedValue(weights_.data() + t * coefficients_,
-                              weights_.data() + t * coefficients_,
-                              terms.data(), coefficients_);
-      if (!(value > threshold)) {  // Prunes' test, per t
+      if (!(Value(t, x, query_.data(), terms.data()) > threshold)) {
         (*out)[at + t / 64] |= std::uint64_t{1} << (t % 64);
         any = 1;
       }

@@ -88,97 +88,114 @@ class RectPairWithin {
 ///   kDataOnly: LB_t(x) = sum_f w |M_f X_f - Q_f|^2
 ///
 /// where w is the layout's coefficient weight (2 under the symmetry
-/// property, Rafiei & Mendelzon) and X_f, Q_f come from the polar index
-/// features of the candidate and of the query (after its query_transform).
-/// Every term of the full distance is non-negative, so LB_t never exceeds
-/// t's distance, and a candidate whose LB_t reaches eps^2 for every t of its
-/// rectangle cannot match and need not be fetched.
+/// property, Rafiei & Mendelzon). X_f and Q_f are cartesian, the same
+/// doubles the kernel reads: the candidate's come from
+/// Dataset::coefficients, a bit-for-bit copy of its stored record, and the
+/// query's are picked from its prepared spectrum (IndexedCoefficients of
+/// PreparedQuery::spectrum, after its query_transform). Every term of the
+/// full distance is non-negative, so LB_t never exceeds t's distance, and a
+/// candidate whose LB_t exceeds eps^2 for every t of its rectangle cannot
+/// match and need not be fetched.
 ///
 /// Unlike the rectangle test, which pairs t(x) with t'(q) for any t, t' of
 /// the rectangle and gives each coefficient the whole eps budget, LB_t pairs
 /// t with itself and sums the coefficients.
 ///
-/// Rounding: the terms are computed from polar coordinates, so a computed
-/// LB_t can exceed its exact value by a few ulps of
-/// S_t = sum_f w (|M_f X_f|^2 + |M_f Q_f|^2) (kBoth) or
-/// sum_f w (|M_f X_f|^2 + |Q_f|^2) (kDataOnly). Min() subtracts
-/// kRoundingUlps ulps of S_t, and Prunes() also keeps a relative margin of
+/// Rounding: the bound sums its terms in another order than the kernel sums
+/// the full distance, so a computed LB_t can exceed the kernel's value by a
+/// few ulps of S_t = sum_f w (|M_f X_f|^2 + |M_f Q_f|^2) (kBoth) or
+/// sum_f w (|M_f X_f|^2 + |Q_f|^2) (kDataOnly). Every value subtracts
+/// kRoundingUlps ulps of S_t, and Prunes also keeps a relative margin of
 /// kRelativeMargin, so a candidate whose kernel distance is below eps^2 is
 /// never pruned. The arithmetic is plain scalar C++ with no kernel dispatch:
 /// a prune decision never depends on TSQ_KERNEL_ISA.
 ///
-/// AppendAdmitSets answers, per transformation, the question Prunes answers
-/// for the minimum, for candidates given in cartesian form (ToCartesian):
-/// the planner bounds a fixed sample of feature points against a few of
-/// them standing in for the query, converting each point once.
+/// Screen (kBoth): the terms |X_f - Q_f|^2 and |X_f|^2 + |Q_f|^2 are
+/// computed once per candidate with std::norm and do not depend on t.
+/// Prunes first sums them with, per coefficient, the least weight w |M_f|^2
+/// over the rectangle's transformations on the bound and the greatest on
+/// its allowance (both taken once, in the constructor). The screen is
+/// exact: the terms are never negative and rounding is monotone, so the
+/// screened value, summed in LB_t's order, never exceeds any t's value.
+/// When it exceeds the threshold, every t's does, and the candidate is
+/// pruned without the per-t sums; otherwise Prunes sums per t and stops at
+/// the first t that admits. AppendAdmitSets runs the same screen and sums.
 class PolarBound {
  public:
   static constexpr double kRelativeMargin = 1e-9;
   static constexpr double kRoundingUlps = 64.0;
 
   /// Prepared once per (query, rectangle): the transformations
-  /// `transforms[group[i]]` under `target`, against the query's index
-  /// features `query_features` (PreparedQuery::features). Empty
-  /// `query_features` prepare a kBoth bound for MinPair only.
+  /// `transforms[group[i]]` under `target`, against the query's indexed
+  /// coefficients `query` (IndexedCoefficients of PreparedQuery::spectrum).
+  /// An empty `query` prepares a kBoth bound for PrunesPair only.
   PolarBound(const transform::FeatureLayout& layout,
              std::span<const transform::SpectralTransform> transforms,
              std::span<const std::size_t> group, TransformTarget target,
-             std::span<const double> query_features);
+             std::span<const dft::Complex> query);
 
   /// min over the rectangle's t of LB_t(x) less its rounding allowance,
   /// clamped at 0: a lower bound of every t's distance between the
-  /// candidate with index features `features` and the query.
-  double Min(std::span<const double> features) const;
+  /// candidate with indexed coefficients `x` (Dataset::coefficients) and
+  /// the query. The k-NN search keys its leaf entries by it.
+  double Min(std::span<const dft::Complex> x) const;
 
   /// True when no transformation of the rectangle can bring the candidate
-  /// within `eps2`: Min(features) > eps2 * (1 + kRelativeMargin).
-  bool Prunes(std::span<const double> features, double eps2) const {
-    return Min(features) > eps2 * (1.0 + kRelativeMargin);
-  }
+  /// within `eps2`: Min(x) > eps2 * (1 + kRelativeMargin), decided by the
+  /// screen and then per t.
+  bool Prunes(std::span<const dft::Complex> x, double eps2) const;
 
-  /// Min for a pair of data sequences under kBoth: the same-transform
+  /// Prunes for a pair of data sequences under kBoth: the same-transform
   /// distance D(t(a), t(b)) of the self-join, with b in the query's place.
-  double MinPair(std::span<const double> a, std::span<const double> b) const;
+  bool PrunesPair(std::span<const dft::Complex> a,
+                  std::span<const dft::Complex> b, double eps2) const;
 
-  /// Prunes for a pair: MinPair(a, b) > eps2 * (1 + kRelativeMargin).
-  bool PrunesPair(std::span<const double> a, std::span<const double> b,
-                  double eps2) const {
-    return MinPair(a, b) > eps2 * (1.0 + kRelativeMargin);
-  }
-
-  /// The indexed coefficients of a feature point in cartesian form:
-  /// `out[i]` is X_f for the layout's i-th indexed coefficient f.
+  /// The indexed coefficients of a polar feature point in cartesian form:
+  /// `out[i]` is X_f for the layout's i-th indexed coefficient f. Only the
+  /// planner needs it, for its sample of feature points.
   static void ToCartesian(const transform::FeatureLayout& layout,
                           std::span<const double> features,
                           std::span<dft::Complex> out);
 
   /// Which transformations of the rectangle let each of `count` candidates
-  /// through under `eps2`. `xs` holds the candidates' ToCartesian
-  /// coefficients back to back. For each candidate that some transformation
-  /// admits, in order, appends ceil(transforms / 64) words to `out`: bit i
-  /// (64 per word) is set exactly when the i-th transformation's LB_t, less
-  /// its rounding allowance, is at most eps2 * (1 + kRelativeMargin).
-  /// Returns the number of candidates appended. The terms come from
-  /// cartesian coordinates instead of the law of cosines, so a value may
-  /// differ from Min's by a few ulps of S_t.
+  /// through under `eps2`. `xs` holds the candidates' indexed coefficients
+  /// back to back. For each candidate that some transformation admits, in
+  /// order, appends ceil(transforms / 64) words to `out`: bit i (64 per
+  /// word) is set exactly when the i-th transformation's LB_t, less its
+  /// rounding allowance, is at most eps2 * (1 + kRelativeMargin). A
+  /// candidate is appended exactly when Prunes would keep it. Returns the
+  /// number of candidates appended.
   std::size_t AppendAdmitSets(std::span<const dft::Complex> xs,
                               std::size_t count, double eps2,
                               std::vector<std::uint64_t>* out) const;
 
  private:
-  double MinBoth(std::span<const double> x, std::span<const double> q) const;
-  double MinDataOnly(std::span<const double> x) const;
+  // Writes the kBoth terms of x against q to `terms`, per coefficient
+  // |X_f - Q_f|^2 then |X_f|^2 + |Q_f|^2 (nothing under kDataOnly).
+  void Terms(const dft::Complex* x, const dft::Complex* q,
+             double* terms) const;
+  // The screen: under kBoth, whether the least-weight value of `terms`
+  // exceeds `threshold`, which implies that every t's does.
+  bool Screens(const double* terms, double threshold) const;
+  // LB_t less its allowance for the rectangle's t-th transformation.
+  double Value(std::size_t t, const dft::Complex* x, const dft::Complex* q,
+               const double* terms) const;
+  bool PrunesAgainst(const dft::Complex* x, const dft::Complex* q,
+                     double eps2) const;
 
-  transform::FeatureLayout layout_;
   std::size_t coefficients_ = 0;  // indexed coefficients per point
   std::size_t transforms_ = 0;    // transformations of the rectangle
   bool data_only_ = false;
+  double weight_ = 0.0;  // the layout's coefficient weight w
   // Per transformation, per indexed coefficient (t-major): w |M_f|^2 for
   // kBoth, M_f for kDataOnly.
   std::vector<double> weights_;
   std::vector<dft::Complex> multipliers_;
-  std::vector<double> query_features_;
-  std::vector<dft::Complex> query_;  // kDataOnly: Q_f in cartesian form
+  // kBoth screen weights per coefficient: the least w |M_f|^2 over the
+  // rectangle's transformations, and the greatest.
+  std::vector<double> least_;
+  std::vector<double> greatest_;
+  std::vector<dft::Complex> query_;  // Q_f in cartesian form
 };
 
 }  // namespace tsq::core

@@ -12,6 +12,8 @@ const char* PhaseName(Phase phase) {
       return "plan";
     case Phase::kIndexTraversal:
       return "index-traversal";
+    case Phase::kBound:
+      return "bound";
     case Phase::kCandidateFetch:
       return "candidate-fetch";
     case Phase::kVerification:

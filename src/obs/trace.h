@@ -22,10 +22,13 @@ enum class Phase : std::size_t {
   /// (core::PolarBound) inside their index walk, so its time lands here for
   /// them.
   kIndexTraversal,
+  /// The feature-level bound (core::PolarBound) of an indexed range query,
+  /// which decides which index-filter survivors are fetched. Its tasks are
+  /// the verify tasks, its items the candidates bounded
+  /// (QueryStats::candidates). A scan has no bound.
+  kBound,
   /// Fetching candidate records from the record store (the paper's "read
-  /// the full database record"). For range queries this phase also holds the
-  /// feature-level bound that decides which index-filter survivors are
-  /// fetched; its items are the records fetched
+  /// the full database record"); its items are the records fetched
   /// (QueryStats::verified_candidates for a range query).
   kCandidateFetch,
   /// Exact distance/correlation evaluation of fetched candidates.
@@ -34,7 +37,7 @@ enum class Phase : std::size_t {
   /// sort/truncate of a scan k-NN).
   kMerge,
 };
-inline constexpr std::size_t kPhaseCount = 5;
+inline constexpr std::size_t kPhaseCount = 6;
 
 /// Stable lowercase name ("plan", "index-traversal", ...), used by both the
 /// text and JSON renderings.

@@ -120,8 +120,9 @@ class SurvivorSample {
     const double eps2 = epsilon * epsilon;
     for (std::size_t p = 0; p < proxies; ++p) {
       // The proxies sit at an even stride over the sample.
-      const std::span<const double> proxy =
-          estimator.sample_point(p * points / proxies);
+      const std::span<const dft::Complex> proxy =
+          std::span(cartesian).subspan(p * points / proxies * coefficients,
+                                       coefficients);
       const core::PolarBound bound(layout, transforms, all, target, proxy);
       bound.AppendAdmitSets(cartesian, points, eps2, &admits_);
     }

@@ -38,6 +38,8 @@ TEST(DatasetTest, FeaturesMatchSpectra) {
                 std::abs(spectrum[1]), 1e-12);
     EXPECT_NEAR(features[layout.angle_dimension(1)], std::arg(spectrum[2]),
                 1e-12);
+    // The cartesian copy is the stored record's own coefficients.
+    EXPECT_TRUE(testutil::CoefficientsMatchRecord(dataset, i)) << i;
   }
 }
 

@@ -3,6 +3,7 @@
 // the live-sequence count and every algorithm still matches a fresh
 // brute-force oracle — whether the write committed or was compensated.
 
+#include <cstring>
 #include <vector>
 
 #include "common/rng.h"
@@ -115,6 +116,12 @@ TEST_F(EngineWriteFaultTest, InsertUnderEveryPolicyCommitsOrRollsBack) {
   for (const FaultPolicyConfig& config : AllPolicies()) {
     const std::size_t size_before = engine_.size();
     const std::uint64_t version_before = engine_.write_version();
+    // The last committed id's cartesian coefficients, to compare after a
+    // rolled-back insert.
+    const std::size_t last = engine_.dataset().size() - 1;
+    const std::vector<dft::Complex> last_coefficients(
+        engine_.dataset().coefficients(last).begin(),
+        engine_.dataset().coefficients(last).end());
     FaultPolicy policy(config);
     engine_.SetReadFaultHook(&policy);
     const Result<std::size_t> id = engine_.Insert(NewSeries());
@@ -124,7 +131,16 @@ TEST_F(EngineWriteFaultTest, InsertUnderEveryPolicyCommitsOrRollsBack) {
       EXPECT_FALSE(engine_.dataset().removed(*id)) << policy.Describe();
       EXPECT_EQ(engine_.write_version(), version_before + 1)
           << policy.Describe();
+      EXPECT_TRUE(testutil::CoefficientsMatchRecord(engine_.dataset(), *id))
+          << policy.Describe();
     } else {
+      EXPECT_TRUE(testutil::CoefficientsMatchRecord(engine_.dataset(), last))
+          << policy.Describe();
+      EXPECT_EQ(std::memcmp(engine_.dataset().coefficients(last).data(),
+                            last_coefficients.data(),
+                            engine_.dataset().coefficients(last).size_bytes()),
+                0)
+          << policy.Describe();
       // Failed either in the record append (nothing changed, no version
       // bump) or in the index insertion (appended id tombstoned and index
       // rebuilt — a state change, so the version moved). Either way the

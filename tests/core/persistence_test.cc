@@ -1,4 +1,5 @@
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 
@@ -50,6 +51,17 @@ TEST_F(PersistenceTest, SaveLoadRoundTripPreservesAnswers) {
   EXPECT_EQ((*loaded)->size(), original.size());
   EXPECT_EQ((*loaded)->length(), original.length());
   EXPECT_TRUE((*loaded)->index().tree().CheckInvariants().ok());
+  // The loaded cartesian coefficients are the loaded records' own, and the
+  // original's, bit for bit.
+  for (std::size_t i = 0; i < original.dataset().size(); ++i) {
+    EXPECT_TRUE(testutil::CoefficientsMatchRecord((*loaded)->dataset(), i))
+        << i;
+    EXPECT_EQ(std::memcmp((*loaded)->dataset().coefficients(i).data(),
+                          original.dataset().coefficients(i).data(),
+                          original.dataset().coefficients(i).size_bytes()),
+              0)
+        << i;
+  }
 
   // Identical answers and identical index traversal counters.
   for (Algorithm algorithm : {Algorithm::kSequentialScan, Algorithm::kStIndex,

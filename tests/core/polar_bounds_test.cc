@@ -304,10 +304,12 @@ std::vector<SpectralTransform> TransformMenu(std::size_t n) {
   return menu;
 }
 
-// The property over >= 3000 random (candidate, query, group) triples: for
-// every transformation t of the group, the single-t bound never exceeds the
-// kernel's exact Eq. 12 distance, the group bound never exceeds the best t,
-// and no eps2 that admits a kernel match prunes the candidate. Triples mix
+// The property over >= 3000 random (candidate, query, group) triples, on
+// the indexed coefficients of their spectra: for every transformation t of
+// the group, the single-t bound never exceeds the kernel's exact Eq. 12
+// distance, nor does a single-t pair bound prune at one ulp above it, the
+// group bound never exceeds the best t, and no eps2 that admits a kernel
+// match prunes the candidate. Triples mix
 // both targets, queries with and without a query transformation, layouts
 // with and without symmetry, angles on either side of +-pi and
 // near-duplicates whose whole distance sits in the indexed coefficients,
@@ -378,38 +380,38 @@ TEST(PolarBoundTest, NeverExceedsTheKernelAndNeverPrunesAMatch) {
                                   -kPi + rng.Uniform(0.0, gap)));
       }
     }
-    const rstar::Point fx = FeaturesOf(x, layout);
-    const rstar::Point fq = FeaturesOf(q, layout);
-    const PolarBound bound(layout, menu, group, target, fq);
+    const std::vector<dft::Complex> cx = IndexedCoefficients(x, layout);
+    const std::vector<dft::Complex> cq = IndexedCoefficients(q, layout);
+    const PolarBound bound(layout, menu, group, target, cq);
 
     double best = inf;
     for (const std::size_t t : group) {
       const double kernel = KernelDistance(menu[t], target, x, q);
       best = std::min(best, kernel);
       const std::vector<std::size_t> single = {t};
-      EXPECT_LE(PolarBound(layout, menu, single, target, fq).Min(fx), kernel)
+      EXPECT_LE(PolarBound(layout, menu, single, target, cq).Min(cx), kernel)
           << "trial " << trial << " transform " << menu[t].label();
       if (target == TransformTarget::kBoth) {
-        EXPECT_LE(PolarBound(layout, menu, single, target, {}).MinPair(fx, fq),
-                  kernel)
+        EXPECT_FALSE(PolarBound(layout, menu, single, target, {})
+                         .PrunesPair(cx, cq, std::nextafter(kernel, inf)))
             << "trial " << trial << " transform " << menu[t].label();
       }
     }
-    EXPECT_LE(bound.Min(fx), best) << "trial " << trial;
+    EXPECT_LE(bound.Min(cx), best) << "trial " << trial;
     // Every eps2 that admits the best transformation's kernel distance
     // keeps the candidate, down to the smallest such eps2.
     for (const double eps2 : {std::nextafter(best, inf), best * (1.0 + 1e-12),
                               best * 2.0 + 1e-300}) {
-      EXPECT_FALSE(bound.Prunes(fx, eps2))
+      EXPECT_FALSE(bound.Prunes(cx, eps2))
           << "trial " << trial << " kernel " << best << " eps2 " << eps2
-          << " bound " << bound.Min(fx);
+          << " bound " << bound.Min(cx);
       if (target == TransformTarget::kBoth) {
         EXPECT_FALSE(PolarBound(layout, menu, group, target, {})
-                         .PrunesPair(fx, fq, eps2))
+                         .PrunesPair(cx, cq, eps2))
             << "trial " << trial;
       }
     }
-    if (bound.Prunes(fx, best / 4)) ++pruned;
+    if (bound.Prunes(cx, best / 4)) ++pruned;
     ++triples;
   }
   EXPECT_GE(triples, 3000);
@@ -433,11 +435,12 @@ TEST(PolarBoundTest, WeightsMultipliersAndTargetsExactly) {
   const std::vector<SpectralTransform> transforms = {
       SpectralTransform::Identity(n), transform::ScaleTransform(n, 2.0),
       transform::ShiftTransform(n, 4)};
-  const rstar::Point fx = FeaturesOf(x, layout);
+  const std::vector<dft::Complex> cx = IndexedCoefficients(x, layout);
   const auto min_of = [&](std::vector<std::size_t> group,
                           TransformTarget target) {
-    return PolarBound(layout, transforms, group, target, FeaturesOf(q, layout))
-        .Min(fx);
+    return PolarBound(layout, transforms, group, target,
+                      IndexedCoefficients(q, layout))
+        .Min(cx);
   };
   // kBoth: 2 * |M_1|^2 * |3 - 4i|^2 = 50 |M_1|^2.
   EXPECT_NEAR(min_of({0}, TransformTarget::kBoth), 50.0, 1e-9);
@@ -461,8 +464,8 @@ TEST(PolarBoundTest, WeightsMultipliersAndTargetsExactly) {
   transform::FeatureLayout plain = layout;
   plain.use_symmetry = false;
   EXPECT_NEAR(PolarBound(plain, transforms, std::vector<std::size_t>{0},
-                         TransformTarget::kBoth, FeaturesOf(q, plain))
-                  .Min(FeaturesOf(x, plain)),
+                         TransformTarget::kBoth, IndexedCoefficients(q, plain))
+                  .Min(IndexedCoefficients(x, plain)),
               25.0, 1e-9);
 }
 
@@ -474,33 +477,45 @@ TEST(PolarBoundTest, PrunesOnlyAboveTheMargin) {
   const std::vector<SpectralTransform> transforms = {
       SpectralTransform::Identity(n)};
   const PolarBound bound(layout, transforms, std::vector<std::size_t>{0},
-                         TransformTarget::kBoth, FeaturesOf(q, layout));
-  const rstar::Point fx = FeaturesOf(x, layout);
-  EXPECT_TRUE(bound.Prunes(fx, 1.9));
-  EXPECT_FALSE(bound.Prunes(fx, 2.0));
+                         TransformTarget::kBoth,
+                         IndexedCoefficients(q, layout));
+  const std::vector<dft::Complex> cx = IndexedCoefficients(x, layout);
+  EXPECT_TRUE(bound.Prunes(cx, 1.9));
+  EXPECT_FALSE(bound.Prunes(cx, 2.0));
   // Within the relative margin of eps^2 the candidate is kept.
-  EXPECT_FALSE(bound.Prunes(fx, 2.0 * (1.0 - 1e-10)));
-  EXPECT_TRUE(bound.Prunes(fx, 2.0 * (1.0 - 1e-6)));
+  EXPECT_FALSE(bound.Prunes(cx, 2.0 * (1.0 - 1e-10)));
+  EXPECT_TRUE(bound.Prunes(cx, 2.0 * (1.0 - 1e-6)));
 }
 
 // AppendAdmitSets against the single-transformation bounds: over random
 // (candidate, query) pairs, both targets, layouts with and without symmetry,
 // and groups of up to 70 transformations (two admit words), bit i is set
-// exactly when the i-th transformation's own bound admits the candidate.
-// Thresholds sit between distinct per-t values: the cartesian terms may
-// differ from Min's polar ones in the last ulps. Candidates go in batches
-// of three (x, the query itself, x again), so every batch has at least one
-// admitted candidate and the words of each land in order.
+// exactly when the i-th transformation's own bound admits the candidate, and
+// the group's Prunes is true exactly when no bit is set. The bits, Min and
+// Prunes share their arithmetic, so the thresholds sit anywhere: a random
+// cut through the per-t values, and each per-t value with one ulp on either
+// side of it. Candidates go in batches of three (x, the query itself, x
+// again), so every batch has at least one admitted candidate and the words
+// of each land in order. Some candidates equal the query in every indexed
+// coefficient but one, and some groups take their least weight w |M_f|^2
+// at different coefficients from different transformations (the menu's
+// scale, EMA and second-difference filters against its moving averages and
+// momentum): there the screen must put the greatest weight on its rounding
+// allowance, or it prunes what some t admits at that t's own value.
 TEST(PolarBoundTest, AppendAdmitSetsMatchesEachTransformationsBound) {
   Rng rng(77);
+  Rng shape_rng(78);  // the partial duplicates, apart from rng's stream
   constexpr std::uint64_t kSentinel = 0xdeadbeefull;
+  const double inf = std::numeric_limits<double>::infinity();
   int admitted = 0, rejected = 0, rejected_both = 0;
+  int mixed_groups = 0, partial_duplicates = 0, thresholds = 0;
   for (int trial = 0; trial < 600; ++trial) {
     const std::size_t n = 32;
     transform::FeatureLayout layout;
     layout.num_coefficients = static_cast<std::size_t>(rng.UniformInt(1, 3));
     layout.include_mean_std = rng.Bernoulli(0.5);
     layout.use_symmetry = rng.Bernoulli(0.7);
+    const std::size_t c = layout.num_coefficients;
     const std::vector<SpectralTransform> menu = TransformMenu(n);
     const std::size_t group_size =
         trial % 5 == 0 ? 70 : static_cast<std::size_t>(rng.UniformInt(1, 8));
@@ -520,69 +535,111 @@ TEST(PolarBoundTest, AppendAdmitSetsMatchesEachTransformationsBound) {
         SetCoefficient(x, f, q[f] + dft::Complex(rng.Uniform(-0.3, 0.3),
                                                  rng.Uniform(-0.3, 0.3)));
       }
+    } else if (c >= 2 && shape_rng.Bernoulli(0.5)) {
+      // The query's indexed coefficients but one, which is off by up to
+      // 1e-6..1e-2: LB_t is positive and small, and the allowance of the
+      // equal coefficients decides the screen near it.
+      ++partial_duplicates;
+      const std::size_t off = static_cast<std::size_t>(
+          shape_rng.UniformInt(0, static_cast<std::int64_t>(c) - 1));
+      const double scale = std::pow(10.0, shape_rng.Uniform(-6.0, -2.0));
+      for (std::size_t i = 0; i < c; ++i) {
+        const std::size_t f = layout.coefficient(i);
+        SetCoefficient(x, f,
+                       i != off ? q[f]
+                                : q[f] + dft::Complex(
+                                             shape_rng.Uniform(-scale, scale),
+                                             shape_rng.Uniform(-scale, scale)));
+      }
     }
-    const rstar::Point fq = FeaturesOf(q, layout);
-    const rstar::Point fx = FeaturesOf(x, layout);
+    const std::vector<dft::Complex> cq = IndexedCoefficients(q, layout);
+    const std::vector<dft::Complex> cx = IndexedCoefficients(x, layout);
+    // The planner's polar sample points convert to the same coefficients,
+    // up to the rounding of the polar round trip.
+    std::vector<dft::Complex> from_features(c);
+    PolarBound::ToCartesian(layout, FeaturesOf(x, layout), from_features);
+    for (std::size_t i = 0; i < c; ++i) {
+      EXPECT_LE(std::abs(from_features[i] - cx[i]),
+                1e-14 * (1.0 + std::abs(cx[i])))
+          << "trial " << trial;
+    }
+
+    if (target == TransformTarget::kBoth) {
+      // Mixed: no transformation of the group has the least weight at
+      // every indexed coefficient.
+      std::vector<double> least(c, inf);
+      for (const std::size_t t : group) {
+        for (std::size_t i = 0; i < c; ++i) {
+          least[i] = std::min(
+              least[i], menu[t].squared_magnitudes()[layout.coefficient(i)]);
+        }
+      }
+      mixed_groups += std::none_of(group.begin(), group.end(), [&](auto t) {
+        for (std::size_t i = 0; i < c; ++i) {
+          if (menu[t].squared_magnitudes()[layout.coefficient(i)] !=
+              least[i]) {
+            return false;
+          }
+        }
+        return true;
+      });
+    }
 
     std::vector<double> values;
+    // The query against itself: LB_t = 0 for every t under kBoth; under
+    // kDataOnly only for the transformations that fix its coefficients.
+    std::vector<double> self_values;
     for (const std::size_t t : group) {
-      values.push_back(PolarBound(layout, menu, std::vector<std::size_t>{t},
-                                  target, fq)
-                           .Min(fx));
+      const PolarBound single(layout, menu, std::vector<std::size_t>{t},
+                              target, cq);
+      values.push_back(single.Min(cx));
+      self_values.push_back(single.Min(cq));
     }
     std::vector<double> sorted = values;
     std::sort(sorted.begin(), sorted.end());
     const std::size_t cut = static_cast<std::size_t>(
         rng.UniformInt(0, static_cast<std::int64_t>(sorted.size())));
-    double eps2 = 0.0;
-    if (cut == 0) {
-      eps2 = 0.5 * sorted.front();
-      if (sorted.front() < 1e-6) continue;
-    } else if (cut == sorted.size()) {
-      eps2 = 2.0 * sorted.back() + 1.0;
-    } else {
-      if (sorted[cut] - sorted[cut - 1] < 1e-6 * (1.0 + sorted[cut])) continue;
-      eps2 = 0.5 * (sorted[cut - 1] + sorted[cut]);
-    }
-    // The query against itself: LB_t = 0 for every t under kBoth; under
-    // kDataOnly only for the transformations that fix its coefficients.
-    std::vector<double> self_values;
-    for (const std::size_t t : group) {
-      self_values.push_back(PolarBound(layout, menu,
-                                       std::vector<std::size_t>{t}, target,
-                                       fq)
-                                .Min(fq));
+    std::vector<double> eps2s = {
+        cut == 0               ? 0.5 * sorted.front()
+        : cut == sorted.size() ? 2.0 * sorted.back() + 1.0
+                               : 0.5 * (sorted[cut - 1] + sorted[cut])};
+    for (const double v : values) {
+      for (const double eps2 :
+           {std::nextafter(v, -inf), v, std::nextafter(v, inf)}) {
+        if (eps2 >= 0.0) eps2s.push_back(eps2);
+      }
     }
 
-    const PolarBound bound(layout, menu, group, target, fq);
-    const std::size_t c = layout.num_coefficients;
-    std::vector<dft::Complex> xs(3 * c);
-    PolarBound::ToCartesian(layout, fx, std::span(xs).first(c));
-    PolarBound::ToCartesian(layout, fq, std::span(xs).subspan(c, c));
-    PolarBound::ToCartesian(layout, fx, std::span(xs).subspan(2 * c, c));
-    std::vector<std::uint64_t> out = {kSentinel};
-    const std::size_t appended = bound.AppendAdmitSets(xs, 3, eps2, &out);
-
+    const PolarBound bound(layout, menu, group, target, cq);
+    std::vector<dft::Complex> xs = cx;
+    xs.insert(xs.end(), cq.begin(), cq.end());
+    xs.insert(xs.end(), cx.begin(), cx.end());
     const std::size_t words = (group.size() + 63) / 64;
-    const double threshold = eps2 * (1.0 + PolarBound::kRelativeMargin);
-    std::vector<std::uint64_t> want = {kSentinel};
-    for (const std::vector<double>* v : {&values, &self_values, &values}) {
-      std::vector<std::uint64_t> set(words, 0);
-      for (std::size_t i = 0; i < v->size(); ++i) {
-        if ((*v)[i] <= threshold) set[i / 64] |= std::uint64_t{1} << (i % 64);
+    for (const double eps2 : eps2s) {
+      ++thresholds;
+      std::vector<std::uint64_t> out = {kSentinel};
+      const std::size_t appended = bound.AppendAdmitSets(xs, 3, eps2, &out);
+      const double threshold = eps2 * (1.0 + PolarBound::kRelativeMargin);
+      std::vector<std::uint64_t> want = {kSentinel};
+      std::vector<bool> none;  // per candidate: no bit set
+      for (const std::vector<double>* v : {&values, &self_values, &values}) {
+        std::vector<std::uint64_t> set(words, 0);
+        for (std::size_t i = 0; i < v->size(); ++i) {
+          if ((*v)[i] <= threshold) set[i / 64] |= std::uint64_t{1} << (i % 64);
+        }
+        none.push_back(std::all_of(set.begin(), set.end(),
+                                   [](std::uint64_t w) { return w == 0; }));
+        if (!none.back()) want.insert(want.end(), set.begin(), set.end());
       }
-      if (std::any_of(set.begin(), set.end(),
-                      [](std::uint64_t w) { return w != 0; })) {
-        want.insert(want.end(), set.begin(), set.end());
-      }
+      EXPECT_EQ(out, want) << "trial " << trial << " eps2 " << eps2;
+      EXPECT_EQ(appended, (want.size() - 1) / words) << "trial " << trial;
+      EXPECT_EQ(bound.Prunes(cx, eps2), none[0])
+          << "trial " << trial << " eps2 " << eps2;
+      EXPECT_EQ(bound.Prunes(cq, eps2), none[1])
+          << "trial " << trial << " eps2 " << eps2;
     }
-    if (target == TransformTarget::kDataOnly &&
-        std::any_of(self_values.begin(), self_values.end(),
-                    [&](double v) { return std::fabs(v - eps2) < 1e-6; })) {
-      continue;  // the self pair sits on the threshold
-    }
-    EXPECT_EQ(out, want) << "trial " << trial;
-    EXPECT_EQ(appended, (want.size() - 1) / words) << "trial " << trial;
+    const double threshold =
+        eps2s.front() * (1.0 + PolarBound::kRelativeMargin);
     const bool x_admitted = std::any_of(
         values.begin(), values.end(), [&](double v) { return v <= threshold; });
     ++(x_admitted ? admitted : rejected);
@@ -591,6 +648,9 @@ TEST(PolarBoundTest, AppendAdmitSetsMatchesEachTransformationsBound) {
   EXPECT_GT(admitted, 100);
   EXPECT_GT(rejected, 100);
   EXPECT_GT(rejected_both, 30);
+  EXPECT_GT(mixed_groups, 30);
+  EXPECT_GT(partial_duplicates, 30);
+  EXPECT_GT(thresholds, 10000);
 }
 
 }  // namespace

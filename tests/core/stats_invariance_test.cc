@@ -107,6 +107,8 @@ TEST_F(StatsInvarianceTest, TracePhasesMatchAlgorithmShape) {
   const obs::QueryTrace& scan_trace = scan->trace();
   EXPECT_FALSE(scan_trace.at(obs::Phase::kPlan).empty());
   EXPECT_TRUE(scan_trace.at(obs::Phase::kIndexTraversal).empty());
+  // A scan has no feature bound.
+  EXPECT_TRUE(scan_trace.at(obs::Phase::kBound).empty());
   EXPECT_FALSE(scan_trace.at(obs::Phase::kCandidateFetch).empty());
   EXPECT_FALSE(scan_trace.at(obs::Phase::kVerification).empty());
   // Scan fetches exactly the live sequences.
@@ -120,8 +122,12 @@ TEST_F(StatsInvarianceTest, TracePhasesMatchAlgorithmShape) {
   EXPECT_FALSE(mt_trace.at(obs::Phase::kIndexTraversal).empty());
   EXPECT_EQ(mt_trace.at(obs::Phase::kIndexTraversal).items,
             mt->stats().index_nodes_accessed);
-  // The fetch phase fetches the candidates the feature bound keeps, a
-  // subset of the index filter's.
+  // The bound runs in the verify tasks over every index-filter survivor;
+  // the fetch phase fetches the candidates it keeps, a subset of them.
+  EXPECT_FALSE(mt_trace.at(obs::Phase::kBound).empty());
+  EXPECT_EQ(mt_trace.at(obs::Phase::kBound).tasks,
+            mt_trace.at(obs::Phase::kCandidateFetch).tasks);
+  EXPECT_EQ(mt_trace.at(obs::Phase::kBound).items, mt->stats().candidates);
   EXPECT_EQ(mt_trace.at(obs::Phase::kCandidateFetch).items,
             mt->stats().verified_candidates);
   EXPECT_LT(mt->stats().verified_candidates, mt->stats().candidates);

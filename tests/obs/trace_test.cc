@@ -24,6 +24,7 @@ TEST(PhaseStatsTest, AddTaskAccumulatesSumMaxCountItems) {
 TEST(TraceTest, PhaseNamesAreStable) {
   EXPECT_STREQ(PhaseName(Phase::kPlan), "plan");
   EXPECT_STREQ(PhaseName(Phase::kIndexTraversal), "index-traversal");
+  EXPECT_STREQ(PhaseName(Phase::kBound), "bound");
   EXPECT_STREQ(PhaseName(Phase::kCandidateFetch), "candidate-fetch");
   EXPECT_STREQ(PhaseName(Phase::kVerification), "verification");
   EXPECT_STREQ(PhaseName(Phase::kMerge), "merge");
