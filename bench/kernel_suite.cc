@@ -13,6 +13,7 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -80,7 +81,11 @@ const KernelCase kCases[] = {
     {"weighted_squared_distance_within", 24,
      [](const KernelTable& t, const double* a, const double* b,
         const double* c, const double*, std::size_t n) {
-       return t.weighted_squared_distance_within(a, b, c, n, kNoBound).value;
+       // A group of one weight vector.
+       const std::span<const double> w(c, n);
+       tsq::kernels::EarlyAbandonResult r;
+       t.weighted_squared_distance_within(a, b, &w, 1, n, kNoBound, &r);
+       return r.value;
      }},
     {"transformed_to_plain_within", 32,
      [](const KernelTable& t, const double* a, const double* b,

@@ -6,7 +6,9 @@
 
 #include <algorithm>
 #include <limits>
+#include <memory>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -15,6 +17,7 @@
 #include "core/feature.h"
 #include "core/polar_bounds.h"
 #include "dft/fft.h"
+#include "dft/spectrum.h"
 #include "kernels/kernels.h"
 #include "rstar/rstar_tree.h"
 #include "storage/page_file.h"
@@ -73,12 +76,16 @@ void BM_KernelWeightedSquaredDistance(benchmark::State& state) {
   const auto x = RandomSignal(n, rng);
   const auto y = RandomSignal(n, rng);
   const std::vector<double> w(n, 1.0);
+  const std::span<const double> weights(w);
   const auto& table = tsq::kernels::TableFor(isa);
-  // At bound +inf the kernel never abandons: the full sum.
+  // At bound +inf the kernel never abandons: the full sum, for a group of
+  // one weight vector.
   const double bound = std::numeric_limits<double>::infinity();
+  tsq::kernels::EarlyAbandonResult r;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(table.weighted_squared_distance_within(
-        x.data(), y.data(), w.data(), n, bound));
+    table.weighted_squared_distance_within(x.data(), y.data(), &weights, 1, n,
+                                           bound, &r);
+    benchmark::DoNotOptimize(r);
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n) * 24);
@@ -162,56 +169,134 @@ void BM_PolarBoxMin(benchmark::State& state) {
 }
 BENCHMARK(BM_PolarBoxMin);
 
-// The feature-level bound's verdict per candidate, in fig5's shape: 8 000
-// random walks of length 128, moving averages 10..25 in one rectangle, the
-// default layout, kBoth, the rho = 0.96 threshold. Like the index filter's
-// survivors, the candidates are the walks nearest one more walk (the query)
-// in the indexed coefficients: fig5's 1 542 per query.
-void BM_PolarBoundPrunes(benchmark::State& state) {
-  constexpr std::size_t kLength = 128;
-  constexpr std::size_t kWalks = 8000;
-  constexpr std::size_t kCandidates = 1542;
-  tsq::ts::RandomWalkConfig config;
-  config.num_series = kWalks + 1;
-  config.length = kLength;
-  config.seed = 5;
-  std::vector<tsq::ts::Series> walks = tsq::ts::GenerateRandomWalks(config);
-  const tsq::ts::Series query = walks.back();
-  walks.pop_back();
-  const tsq::transform::FeatureLayout layout;
-  const tsq::core::Dataset dataset(std::move(walks), layout);
-  const std::vector<tsq::transform::SpectralTransform> transforms =
-      tsq::transform::MovingAverageRange(kLength, 10, 25);
-  std::vector<std::size_t> group(transforms.size());
-  for (std::size_t t = 0; t < group.size(); ++t) group[t] = t;
-  const std::vector<tsq::dft::Complex> q = tsq::core::IndexedCoefficients(
-      tsq::core::PrepareQuery(dataset, query, std::nullopt).spectrum, layout);
-  const tsq::core::PolarBound bound(layout, transforms, group,
-                                    tsq::core::TransformTarget::kBoth, q);
-  std::vector<std::pair<double, std::size_t>> nearest;
-  for (std::size_t i = 0; i < kWalks; ++i) {
-    double d2 = 0.0;
-    for (std::size_t c = 0; c < q.size(); ++c) {
-      d2 += std::norm(dataset.coefficients(i)[c] - q[c]);
+// Fig5's shape: 8 000 random walks of length 128, moving averages 10..25 in
+// one rectangle, the default layout, kBoth, the rho = 0.96 threshold. Like
+// the index filter's survivors, the candidates are the walks nearest one
+// more walk (the query) in the indexed coefficients: fig5's 1 542 per query.
+struct Fig5Shape {
+  static constexpr std::size_t kLength = 128;
+  static constexpr std::size_t kWalks = 8000;
+  static constexpr std::size_t kCandidates = 1542;
+  tsq::transform::FeatureLayout layout;
+  std::unique_ptr<tsq::core::Dataset> dataset;
+  std::vector<tsq::transform::SpectralTransform> transforms;
+  std::vector<std::size_t> group;  // every transformation, in order
+  tsq::core::PreparedQuery query;
+  std::vector<tsq::dft::Complex> query_coefficients;
+  std::vector<std::size_t> candidates;  // nearest first
+  double epsilon = 0.0;
+};
+
+const Fig5Shape& Fig5() {
+  static const Fig5Shape* const shape = [] {
+    auto* s = new Fig5Shape;
+    tsq::ts::RandomWalkConfig config;
+    config.num_series = Fig5Shape::kWalks + 1;
+    config.length = Fig5Shape::kLength;
+    config.seed = 5;
+    std::vector<tsq::ts::Series> walks = tsq::ts::GenerateRandomWalks(config);
+    const tsq::ts::Series query = walks.back();
+    walks.pop_back();
+    s->dataset =
+        std::make_unique<tsq::core::Dataset>(std::move(walks), s->layout);
+    s->transforms = tsq::transform::MovingAverageRange(Fig5Shape::kLength, 10, 25);
+    s->group.resize(s->transforms.size());
+    for (std::size_t t = 0; t < s->group.size(); ++t) s->group[t] = t;
+    s->query = tsq::core::PrepareQuery(*s->dataset, query, std::nullopt);
+    s->query_coefficients =
+        tsq::core::IndexedCoefficients(s->query.spectrum, s->layout);
+    std::vector<std::pair<double, std::size_t>> nearest;
+    for (std::size_t i = 0; i < Fig5Shape::kWalks; ++i) {
+      double d2 = 0.0;
+      for (std::size_t c = 0; c < s->query_coefficients.size(); ++c) {
+        d2 += std::norm(s->dataset->coefficients(i)[c] -
+                        s->query_coefficients[c]);
+      }
+      nearest.emplace_back(d2, i);
     }
-    nearest.emplace_back(d2, i);
-  }
-  std::sort(nearest.begin(), nearest.end());
-  nearest.resize(kCandidates);
-  const double epsilon =
-      tsq::ts::CorrelationToDistanceThreshold(0.96, kLength);
+    std::sort(nearest.begin(), nearest.end());
+    nearest.resize(Fig5Shape::kCandidates);
+    for (const auto& [d2, id] : nearest) s->candidates.push_back(id);
+    s->epsilon =
+        tsq::ts::CorrelationToDistanceThreshold(0.96, Fig5Shape::kLength);
+    return s;
+  }();
+  return *shape;
+}
+
+// The feature-level bound's verdict per candidate, in fig5's shape.
+void BM_PolarBoundPrunes(benchmark::State& state) {
+  const Fig5Shape& fig5 = Fig5();
+  const tsq::core::PolarBound bound(fig5.layout, fig5.transforms, fig5.group,
+                                    tsq::core::TransformTarget::kBoth,
+                                    fig5.query_coefficients);
+  const double eps2 = fig5.epsilon * fig5.epsilon;
   std::size_t pruned = 0;
   for (auto _ : state) {
     pruned = 0;
-    for (const auto& [d2, id] : nearest) {
-      pruned += bound.Prunes(dataset.coefficients(id), epsilon * epsilon);
+    for (const std::size_t id : fig5.candidates) {
+      pruned += bound.Prunes(fig5.dataset->coefficients(id), eps2);
     }
     benchmark::DoNotOptimize(pruned);
   }
-  state.SetItemsProcessed(state.iterations() * kCandidates);
+  state.SetItemsProcessed(state.iterations() * Fig5Shape::kCandidates);
   state.counters["pruned"] = static_cast<double>(pruned);
 }
 BENCHMARK(BM_PolarBoundPrunes);
+
+// Range verification per candidate, in fig5's shape: the bound's survivors
+// among the candidates above (fig5's ≈ 178 per query), their spectra fetched
+// once, each evaluated against all 16 moving averages at the rho = 0.96
+// bound. Arg 0 makes one group call per candidate (the verify path); arg 1
+// makes 16 single calls, one per transformation.
+void BM_VerifyGroup(benchmark::State& state) {
+  const bool singles = state.range(0) != 0;
+  const Fig5Shape& fig5 = Fig5();
+  const tsq::core::PolarBound bound(fig5.layout, fig5.transforms, fig5.group,
+                                    tsq::core::TransformTarget::kBoth,
+                                    fig5.query_coefficients);
+  const double eps2 = fig5.epsilon * fig5.epsilon;
+  std::vector<std::vector<tsq::dft::Complex>> spectra;
+  for (const std::size_t id : fig5.candidates) {
+    if (bound.Prunes(fig5.dataset->coefficients(id), eps2)) continue;
+    spectra.push_back(*fig5.dataset->FetchSpectrum(id));
+  }
+  std::vector<std::span<const double>> weights;
+  for (const tsq::transform::SpectralTransform& t : fig5.transforms) {
+    weights.push_back(t.component_squared_magnitudes());
+  }
+  std::vector<tsq::kernels::EarlyAbandonResult> out(weights.size());
+  const std::span<const double> query = tsq::dft::AsDoubles(fig5.query.spectrum);
+  std::size_t matches = 0;
+  for (auto _ : state) {
+    matches = 0;
+    for (const std::vector<tsq::dft::Complex>& x : spectra) {
+      if (singles) {
+        for (const tsq::transform::SpectralTransform& t : fig5.transforms) {
+          matches += t.TransformedSquaredDistance(x, fig5.query.spectrum,
+                                                  eps2) < eps2;
+        }
+      } else {
+        tsq::kernels::WeightedSquaredDistancesWithin(
+            tsq::dft::AsDoubles(x), query, weights, eps2, out);
+        for (const tsq::kernels::EarlyAbandonResult& r : out) {
+          matches += r.value < eps2;
+        }
+      }
+    }
+    benchmark::DoNotOptimize(matches);
+  }
+  const double candidates = static_cast<double>(spectra.size());
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(spectra.size()));
+  state.counters["candidates"] = candidates;
+  state.counters["matches"] = static_cast<double>(matches);
+  state.counters["per_candidate"] = benchmark::Counter(
+      candidates, benchmark::Counter::kIsIterationInvariantRate |
+                      benchmark::Counter::kInvert);
+  state.SetLabel(singles ? "16 single calls" : "one group call");
+}
+BENCHMARK(BM_VerifyGroup)->Arg(0)->Arg(1);
 
 void BM_StockGeneration(benchmark::State& state) {
   tsq::ts::StockMarketConfig config;

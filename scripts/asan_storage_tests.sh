@@ -24,7 +24,7 @@
 # parser_test, compiler_test and workload_generator_test hold cases whose
 # names the filter also matches; every binary with a case the filter names
 # is built here, so a fresh build directory runs the same cases as the
-# tier-1 one: 213, as `ctest -N -R <filter>` lists them there.
+# tier-1 one: 214, as `ctest -N -R <filter>` lists them there.
 # Run this alongside scripts/tsan_exec_tests.sh when touching src/storage,
 # src/rstar, src/exec or the range executor.
 #

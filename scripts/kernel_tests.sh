@@ -6,9 +6,12 @@
 # auditing: reinterpret_cast from std::complex to interleaved doubles,
 # unaligned vector loads at every offset, and blocked loops whose tail
 # handling is easy to get off by one. The property suite already sweeps
-# lengths 1..257 at offsets 0..3, so running it under ASan/UBSan turns any
-# out-of-bounds lane read into a hard failure instead of a silently
-# correct-looking sum.
+# lengths 1..257 at offsets 0..3, and the weighted kernel's groups of 1..9
+# and 16 weight vectors at their own alignments, so running it under
+# ASan/UBSan turns any out-of-bounds lane read into a hard failure instead
+# of a silently correct-looking sum. The `kernels` label holds 14 cases
+# (kernel_property_test and kernel_dispatch_test), as `ctest -N -L kernels`
+# lists them in the tier-1 build.
 #
 # The fuzz_smoke ctest slice (label `fuzz`) then runs whole queries: every
 # plain case repeats each algorithm's 1-thread run under the other kernel

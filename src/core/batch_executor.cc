@@ -9,10 +9,11 @@
 // (log |T| comparisons under an ordering). kStIndex / kMtIndex run
 // Algorithm 1: one index traversal per transformation rectangle (singletons
 // for ST-index), then post-processing fetches each candidate's full record
-// and evaluates the rectangle's transformations on it. Between the two, the
-// feature-level bound (PolarBound) drops every candidate that no
-// transformation of its rectangle can bring within epsilon, so the index
-// filter's survivors go through
+// and evaluates the rectangle's transformations on it (in one group kernel
+// call, unless an ordering or kDataOnly needs them one at a time). Between
+// the two, the feature-level bound (PolarBound) drops every candidate that
+// no transformation of its rectangle can bring within epsilon, so the
+// index filter's survivors go through
 //
 //   filter → bound → fetch → verify,
 //
@@ -50,6 +51,7 @@
 #include "common/clock.h"
 #include "core/engine.h"
 #include "core/polar_bounds.h"
+#include "dft/spectrum.h"
 #include "exec/parallel.h"
 #include "kernels/kernels.h"
 #include "plan/planner.h"
@@ -117,13 +119,18 @@ double PredicateDistance2Within(const RangeQuerySpec& spec, std::size_t t,
 
 /// Evaluates the distance predicate for one candidate against the (already
 /// chain-ordered, when `ordered`) transformation indices of a group,
-/// appending matches and counting comparisons.
+/// appending matches and counting comparisons. Without ordering, kBoth
+/// evaluates the whole group in one kernel call over `weights` (the group's
+/// Eq. 12 weights, in group order) into `distances`; each value is bit for
+/// bit the transformation's own TransformedSquaredDistance.
 void VerifyCandidate(const RangeQuerySpec& spec,
                      std::span<const dft::Complex> candidate_spectrum,
                      std::span<const dft::Complex> query_spectrum,
-                     const std::vector<std::size_t>& group, bool ordered,
-                     std::size_t series_id, std::vector<Match>* matches,
-                     QueryStats* stats) {
+                     const std::vector<std::size_t>& group,
+                     std::span<const std::span<const double>> weights,
+                     bool ordered, std::size_t series_id,
+                     std::vector<kernels::EarlyAbandonResult>* distances,
+                     std::vector<Match>* matches, QueryStats* stats) {
   const double eps2 = spec.epsilon * spec.epsilon;
   if (ordered) {
     // Distances are non-decreasing along the chain, so the qualifying
@@ -152,8 +159,21 @@ void VerifyCandidate(const RangeQuerySpec& spec,
     }
     return;
   }
+  stats->comparisons += group.size();
+  if (spec.target == TransformTarget::kBoth) {
+    distances->resize(group.size());
+    kernels::WeightedSquaredDistancesWithin(
+        dft::AsDoubles(candidate_spectrum), dft::AsDoubles(query_spectrum),
+        weights, eps2, *distances);
+    for (std::size_t pos = 0; pos < group.size(); ++pos) {
+      const double d2 = (*distances)[pos].value;
+      if (d2 < eps2) {
+        matches->push_back(Match{series_id, group[pos], std::sqrt(d2)});
+      }
+    }
+    return;
+  }
   for (const std::size_t t : group) {
-    ++stats->comparisons;
     const double d2 = PredicateDistance2Within(spec, t, candidate_spectrum,
                                                query_spectrum, eps2);
     if (d2 < eps2) {
@@ -212,6 +232,9 @@ struct QueryExec {
   std::vector<bool> rect_ordered;
   // Per rectangle, the feature-level bound against this query (indexed).
   std::vector<PolarBound> rect_bounds;
+  // Per rectangle, its transformations' Eq. 12 weights in rect_groups order
+  // (kBoth): what one kernel call per candidate evaluates.
+  std::vector<std::vector<std::span<const double>>> rect_weights;
   std::uint64_t plan_nanos = 0;
 
   // Per rectangle, its traversal (indexed).
@@ -350,6 +373,13 @@ std::vector<Result<QueryResult>> SimilarityEngine::Run(
                                        exec->rect_groups[g], range->target,
                                        query_coefficients);
       }
+      std::vector<std::span<const double>>& weights =
+          exec->rect_weights.emplace_back();
+      if (range->target == TransformTarget::kBoth) {
+        for (const std::size_t t : exec->rect_groups[g]) {
+          weights.push_back(range->transforms[t].component_squared_magnitudes());
+        }
+      }
     }
     exec->plan_nanos = MonotonicNanos() - plan_start;
     execs[i] = std::move(exec);
@@ -455,6 +485,7 @@ std::vector<Result<QueryResult>> SimilarityEngine::Run(
         (scan ? part.fetch_nanos : part.bound_nanos) +=
             MonotonicNanos() - bound_start;
         std::vector<dft::Complex> scratch(dataset_->length());
+        std::vector<kernels::EarlyAbandonResult> distances;
         for (const std::uint64_t id : part.verified_ids) {
           const std::uint64_t fetch_start = MonotonicNanos();
           const Status fetched =
@@ -463,8 +494,9 @@ std::vector<Result<QueryResult>> SimilarityEngine::Run(
           part.fetch_nanos += fetch_end - fetch_start;
           if (!fetched.ok()) return fetched;
           VerifyCandidate(*q.range, scratch, q.query.spectrum,
-                          q.rect_groups[ref.rect], q.rect_ordered[ref.rect],
-                          id, &part.matches, &part.stats);
+                          q.rect_groups[ref.rect], q.rect_weights[ref.rect],
+                          q.rect_ordered[ref.rect], id, &distances,
+                          &part.matches, &part.stats);
           part.verify_nanos += MonotonicNanos() - fetch_end;
         }
         return Status::Ok();

@@ -23,11 +23,15 @@ Dataset::Dataset(std::vector<ts::Series> raw,
   features_.reserve(raw.size() * layout_.dimensions());
   coefficients_.reserve(raw.size() * layout_.num_coefficients);
   record_ids_.reserve(raw.size());
-  for (const ts::Series& series : raw) {
+  for (ts::Series& series : raw) {
     // Construction happens before any fault hook can be installed, so the
     // only failure mode here is a real bug.
     const Result<std::size_t> id = Append(series);
     TSQ_CHECK(id.ok()) << id.status().ToString();
+    // Release the raw series once appended: the input's memory goes to the
+    // next normal forms and records instead of staying resident beside
+    // them until construction ends.
+    ts::Series().swap(series);
   }
   // Loading I/O is not part of any query's cost.
   record_file_.ResetStats();

@@ -7,8 +7,9 @@
 #include "common/check.h"
 #include "common/clock.h"
 #include "core/polar_bounds.h"
-#include "kernels/kernels.h"
+#include "dft/spectrum.h"
 #include "exec/parallel.h"
+#include "kernels/kernels.h"
 #include "obs/trace.h"
 #include "rstar/join.h"
 #include "transform/transform_mbr.h"
@@ -74,9 +75,7 @@ double TransformedCorrelation(const transform::SpectralTransform& t,
   // Re(X conj(Y)) = xr*yr + xi*yi is exactly the component-wise dot, and the
   // |M_f|^2 gains are the transform's cached duplicated weights.
   const kernels::WeightedDotSums sums = kernels::WeightedDotEnergies(
-      {reinterpret_cast<const double*>(x.data()), 2 * n},
-      {reinterpret_cast<const double*>(y.data()), 2 * n},
-      t.component_squared_magnitudes());
+      dft::AsDoubles(x), dft::AsDoubles(y), t.component_squared_magnitudes());
   if (sums.energy_x <= 0.0 || sums.energy_y <= 0.0) return 0.0;
   // Both transformed sequences are zero-mean (normal forms have X_0 = 0), so
   // sigma^2 = energy / (n-1) and rho = (dot/n) / (sigma_u * sigma_v).
@@ -227,7 +226,9 @@ Result<JoinQueryResult> RunJoinQuery(const Dataset& dataset,
                                TransformTarget::kBoth, {});
         const Status join_status = rstar::SelfJoin(
             index.tree(),
-            [&](const rstar::RectView& r) { return mbr.Apply(r); },
+            [&](const rstar::RectView& r, rstar::Rect* out) {
+              mbr.ApplyInto(r, out);
+            },
             RectPairWithin(layout, filter_eps2),
             [&](std::uint64_t a, std::uint64_t b) {
               ++pass.candidates;

@@ -42,6 +42,13 @@ std::vector<Complex> SpectrumFromPolar(std::span<const Polar> spectrum);
 /// by the law of cosines: |X|^2 + |Y|^2 - 2|X||Y|cos(angleX - angleY).
 double PolarSquaredDistance(const Polar& x, const Polar& y);
 
+/// A complex spectrum as its interleaved (re, im) doubles, the layout the
+/// kernel layer consumes (std::complex<double> is array-oriented-access
+/// compatible: a contiguous complex vector is exactly those doubles).
+inline std::span<const double> AsDoubles(std::span<const Complex> x) {
+  return {reinterpret_cast<const double*>(x.data()), 2 * x.size()};
+}
+
 /// Verifies the conjugate-symmetry property of the DFT of a real sequence
 /// (Eq. 6): |X_{n-f}| == |X_f| for f in [1, n). Returns the maximum absolute
 /// magnitude mismatch (0 for perfectly symmetric spectra).

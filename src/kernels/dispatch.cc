@@ -33,10 +33,13 @@ KernelMetrics& Metrics() {
   return m;
 }
 
-inline void Count(std::size_t elements) {
+// One update per counter per dispatched call.
+inline void Count(std::size_t calls, std::size_t elements,
+                  std::size_t abandons) {
   KernelMetrics& m = Metrics();
-  m.calls->Increment();
+  m.calls->Increment(calls);
   m.elements->Increment(elements);
+  if (abandons > 0) m.early_abandons->Increment(abandons);
 }
 
 // kScalar + 1 etc.; 0 means "not yet resolved".
@@ -44,6 +47,22 @@ std::atomic<int> g_active{0};
 
 inline const KernelTable& ActiveTable() {
   return TableFor(ActiveIsa());
+}
+
+// The weighted kernel of the active ISA on `count` weight vectors whose
+// lengths the caller checked, counted per weight vector.
+inline void RunWeighted(const double* x, const double* y,
+                        const std::span<const double>* w, std::size_t count,
+                        std::size_t n, double bound, EarlyAbandonResult* out) {
+  ActiveTable().weighted_squared_distance_within(x, y, w, count, n, bound,
+                                                 out);
+  std::size_t elements = 0;
+  std::size_t abandons = 0;
+  for (std::size_t t = 0; t < count; ++t) {
+    elements += out[t].consumed;
+    if (out[t].consumed < n) ++abandons;
+  }
+  Count(count, elements, abandons);
 }
 
 }  // namespace
@@ -131,11 +150,23 @@ double WeightedSquaredDistanceWithin(std::span<const double> x,
                                      std::span<const double> w, double bound) {
   TSQ_CHECK_EQ(x.size(), y.size());
   TSQ_CHECK_EQ(x.size(), w.size());
-  const EarlyAbandonResult r = ActiveTable().weighted_squared_distance_within(
-      x.data(), y.data(), w.data(), x.size(), bound);
-  Count(r.consumed);
-  if (r.consumed < x.size()) Metrics().early_abandons->Increment();
+  EarlyAbandonResult r;
+  RunWeighted(x.data(), y.data(), &w, 1, x.size(), bound, &r);
   return r.value;
+}
+
+void WeightedSquaredDistancesWithin(std::span<const double> x,
+                                    std::span<const double> y,
+                                    std::span<const std::span<const double>> w,
+                                    double bound,
+                                    std::span<EarlyAbandonResult> out) {
+  TSQ_CHECK_EQ(x.size(), y.size());
+  TSQ_CHECK_EQ(w.size(), out.size());
+  for (const std::span<const double> weights : w) {
+    TSQ_CHECK_EQ(x.size(), weights.size());
+  }
+  RunWeighted(x.data(), y.data(), w.data(), w.size(), x.size(), bound,
+              out.data());
 }
 
 double TransformedToPlainSquaredDistanceWithin(std::span<const double> x,
@@ -148,8 +179,7 @@ double TransformedToPlainSquaredDistanceWithin(std::span<const double> x,
   TSQ_CHECK_EQ(x.size(), mul_im.size());
   const EarlyAbandonResult r = ActiveTable().transformed_to_plain_within(
       x.data(), q.data(), mul_re.data(), mul_im.data(), x.size(), bound);
-  Count(r.consumed);
-  if (r.consumed < x.size()) Metrics().early_abandons->Increment();
+  Count(1, r.consumed, r.consumed < x.size() ? 1 : 0);
   return r.value;
 }
 
@@ -158,7 +188,7 @@ WeightedDotSums WeightedDotEnergies(std::span<const double> x,
                                     std::span<const double> w) {
   TSQ_CHECK_EQ(x.size(), y.size());
   TSQ_CHECK_EQ(x.size(), w.size());
-  Count(x.size());
+  Count(1, x.size(), 0);
   return ActiveTable().weighted_dot_sums(x.data(), y.data(), w.data(),
                                          x.size());
 }

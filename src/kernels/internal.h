@@ -6,10 +6,11 @@
 #include "kernels/kernels.h"
 
 // Shared building blocks of the two variants of the three kernels (see
-// KernelTable). Every TU that includes this header is compiled with
-// -ffp-contract=off, so the scalar arithmetic below produces identical bit
-// patterns whatever arch flags the enclosing TU uses — plain IEEE-754
-// add/sub/mul are fully determined by their operands.
+// KernelTable; the weighted one evaluates a group of weight vectors). Every
+// TU that includes this header is compiled with -ffp-contract=off, so the
+// scalar arithmetic below produces identical bit patterns whatever arch
+// flags the enclosing TU uses — plain IEEE-754 add/sub/mul are fully
+// determined by their operands.
 //
 // The determinism contract, implemented identically by both variants:
 //   * element i accumulates into lane (i mod 4);
@@ -19,12 +20,24 @@
 //     (`partial > bound`) after every full 64-element chunk of the blocked
 //     region, never inside a chunk and never in the scalar tail;
 //   * no fused multiply-add anywhere (FMA rounds once where mul+add rounds
-//     twice, which would make results ISA-dependent).
+//     twice, which would make results ISA-dependent);
+//   * the weighted kernel's group gives each weight vector its own four
+//     lanes and its own checkpoints: per element it may share d = x - y and
+//     d * d across the group (neither depends on the weight), then adds
+//     w_t[i] * (d * d) into vector t's lane. A vector that abandons keeps
+//     the partial and `consumed` of its checkpoint; nothing later in the
+//     group rewrites them, so every result is its group of one's.
 //
 // The AVX2 variant runs the blocked region with vectors and then feeds its
 // lanes through the same Tail* helpers for the last n mod 4 elements, so
 // scalar and AVX2 results agree bitwise — including for NaN, infinity and
-// denormal inputs, which propagate through identical op sequences.
+// denormal inputs, which propagate through identical op sequences. One
+// limit: where two different NaNs meet in one add (an input's quiet NaN and
+// the negative default NaN that 0 * inf makes), x86 returns the first
+// operand's, and the compiler may order a commutative add's operands either
+// way; so NaN bits agree only while the inputs make one kind of NaN.
+// Queries never meet this: their spectra are finite, so the only NaN a
+// query's kernel call can make is the default one.
 
 namespace tsq::kernels::internal {
 

@@ -65,16 +65,23 @@ struct WeightedDotSums {
 /// One ISA variant's raw kernel implementations: the three reductions a
 /// query runs per candidate — Eq. 12 verification of range and k-NN queries,
 /// its transformed-to-plain form for the data-only target, and the join's
-/// frequency-domain correlation. All pointers take raw double arrays (complex data is passed as its interleaved re,im doubles —
-/// `n` always counts doubles, so a length-m complex vector passes n = 2m).
+/// frequency-domain correlation. All pointers take raw double arrays (complex
+/// data is passed as its interleaved re,im doubles — `n` always counts
+/// doubles, so a length-m complex vector passes n = 2m).
 /// `mul_re`/`mul_im` are the *component-duplicated* multiplier arrays
 /// ([re0, re0, re1, re1, ...]) cached by transform::SpectralTransform.
+///
+/// The weighted kernel evaluates a group: `w` points at `count` weight
+/// vectors (each read for its first n doubles; the dispatcher checks their
+/// lengths) and `out[t]` receives the early-abandoning sum of weight vector
+/// t against the one `bound`, bit for bit (value and consumed) what the
+/// group {w[t]} of one writes. A single distance is a group of one.
 struct KernelTable {
-  EarlyAbandonResult (*weighted_squared_distance_within)(const double* x,
-                                                         const double* y,
-                                                         const double* w,
-                                                         std::size_t n,
-                                                         double bound);
+  void (*weighted_squared_distance_within)(const double* x, const double* y,
+                                           const std::span<const double>* w,
+                                           std::size_t count, std::size_t n,
+                                           double bound,
+                                           EarlyAbandonResult* out);
   EarlyAbandonResult (*transformed_to_plain_within)(const double* x,
                                                     const double* q,
                                                     const double* mul_re,
@@ -96,15 +103,30 @@ const KernelTable& TableFor(Isa isa);
 // ---------------------------------------------------------------------------
 
 /// sum_i w_i * (x_i - y_i)^2 — Eq. 12 with precomputed |M_f|^2 weights when
-/// called on interleaved complex components with duplicated weights (range
-/// and k-NN verification, the distance join).
+/// called on interleaved complex components with duplicated weights (k-NN
+/// verification, the ordered range path's probes, the distance join).
 /// Early-abandoning: returns the exact sum when it is <= bound (and often
 /// when slightly above); any return value > bound means "no match", whether
 /// exact or abandoned partial. At bound = +inf it never abandons and always
-/// returns the exact sum. See EarlyAbandonResult for the contract.
+/// returns the exact sum. See EarlyAbandonResult for the contract. The
+/// group of one of WeightedSquaredDistancesWithin.
 double WeightedSquaredDistanceWithin(std::span<const double> x,
                                      std::span<const double> y,
                                      std::span<const double> w, double bound);
+
+/// The same sum for a group of weight vectors in one pass over x and y
+/// (range verification: one candidate against every transformation of its
+/// rectangle). `out[t]` is bit for bit what a group of one on `w[t]` writes:
+/// the value WeightedSquaredDistanceWithin(x, y, w[t], bound) returns, and
+/// the elements it consumed. x, y and every w[t] have one length, and `out`
+/// has one entry per weight vector. Counted per weight vector: `w.size()`
+/// calls, the sum of `consumed` elements, one early abandon per abandoned
+/// vector.
+void WeightedSquaredDistancesWithin(std::span<const double> x,
+                                    std::span<const double> y,
+                                    std::span<const std::span<const double>> w,
+                                    double bound,
+                                    std::span<EarlyAbandonResult> out);
 
 /// sum_f |M_f * X_f - Q_f|^2 over interleaved complex doubles, with the
 /// multiplier passed as duplicated component arrays (verification when only

@@ -14,11 +14,9 @@ namespace {
 using internal::kAbandonCheckElements;
 using internal::ReduceLanes;
 
-EarlyAbandonResult WeightedSquaredDistanceWithinScalar(const double* x,
-                                                       const double* y,
-                                                       const double* w,
-                                                       std::size_t n,
-                                                       double bound) {
+EarlyAbandonResult WeightedSquaredDistanceOne(const double* x, const double* y,
+                                              const double* w, std::size_t n,
+                                              double bound) {
   double lanes[4] = {0.0, 0.0, 0.0, 0.0};
   std::size_t i = 0;
   while (i + kAbandonCheckElements <= n) {
@@ -30,6 +28,17 @@ EarlyAbandonResult WeightedSquaredDistanceWithinScalar(const double* x,
   }
   internal::TailWeightedSquaredDistance(lanes, x, y, w, i, n);
   return {ReduceLanes(lanes), n};
+}
+
+// The reference group: each weight vector on its own.
+void WeightedSquaredDistanceWithinScalar(const double* x, const double* y,
+                                         const std::span<const double>* w,
+                                         std::size_t count, std::size_t n,
+                                         double bound,
+                                         EarlyAbandonResult* out) {
+  for (std::size_t t = 0; t < count; ++t) {
+    out[t] = WeightedSquaredDistanceOne(x, y, w[t].data(), n, bound);
+  }
 }
 
 EarlyAbandonResult TransformedToPlainWithinScalar(const double* x,

@@ -37,8 +37,10 @@ using JoinCallback = std::function<void(std::uint64_t a, std::uint64_t b)>;
 
 /// Per-entry rectangle preprocessing (e.g. applying a transformation MBR,
 /// Section 4.1's join): applied once per entry when its node is first
-/// loaded, so the cost is not paid per candidate pair. Identity when empty.
-using RectMap = std::function<Rect(const RectView&)>;
+/// loaded, so the cost is not paid per candidate pair. It writes the mapped
+/// rect into the caller's `out`, whose storage the join reuses for every
+/// entry (see transform::TransformMbr::ApplyInto). Identity when empty.
+using RectMap = std::function<void(const RectView& in, Rect* out)>;
 
 namespace join_internal {
 
@@ -85,18 +87,18 @@ class SelfJoiner {
     node.level = decoded_.level;
     node.ids = decoded_.ids;
     node.prepared.resize((n + 1) * stride_);
-    Rect bound;
     for (std::size_t i = 0; i < n; ++i) {
-      const Rect mapped =
-          map_ ? map_(decoded_.rect(i)) : decoded_.rect(i).ToRect();
+      const RectView entry = decoded_.rect(i);
+      if (map_) map_(entry, &mapped_);
+      const RectView mapped = map_ ? RectView(mapped_) : entry;
       predicate_.Prepare(mapped, node.prepared.data() + i * stride_);
       if (i == 0) {
-        bound = mapped;
+        bound_.Assign(mapped);
       } else {
-        bound.Enlarge(mapped);
+        bound_.Enlarge(mapped);
       }
     }
-    predicate_.Prepare(bound, node.prepared.data() + n * stride_);
+    predicate_.Prepare(bound_, node.prepared.data() + n * stride_);
     return &cache_.emplace(page, std::move(node)).first->second;
   }
 
@@ -197,6 +199,8 @@ class SelfJoiner {
   SearchStats* stats_;
   const std::size_t stride_;     // doubles per prepared rect
   RStarTree::NodeView decoded_;  // decode scratch, reused for every miss
+  Rect mapped_;                  // map scratch, reused for every entry
+  Rect bound_;                   // the loading node's mapped bound
   std::unordered_map<storage::PageId, JoinNode> cache_;
   // Per level below the root's, the kept entry indices of either side of
   // the one JoinAcross running at that level.

@@ -87,6 +87,15 @@ bool Rect::ContainsPoint(const Point& point) const {
   return true;
 }
 
+void Rect::Assign(const RectView& other) {
+  low_.resize(other.dimensions());
+  high_.resize(other.dimensions());
+  for (std::size_t d = 0; d < dimensions(); ++d) {
+    low_[d] = other.low(d);
+    high_[d] = other.high(d);
+  }
+}
+
 void Rect::Enlarge(const RectView& other) {
   TSQ_DCHECK(dimensions() == other.dimensions());
   for (std::size_t d = 0; d < dimensions(); ++d) {

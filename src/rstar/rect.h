@@ -65,6 +65,9 @@ class Rect {
   bool Contains(const Rect& other) const;
   bool ContainsPoint(const Point& point) const;
 
+  /// Makes this rect a copy of `other`, reusing its storage.
+  void Assign(const RectView& other);
+
   /// Grows this rect to cover `other`.
   void Enlarge(const RectView& other);
 

@@ -9,17 +9,6 @@
 
 namespace tsq::transform {
 
-namespace {
-
-// std::complex<double> is array-oriented-access compatible: a contiguous
-// complex vector is exactly its interleaved (re, im) doubles, which is the
-// layout the kernel layer consumes.
-inline std::span<const double> AsDoubles(std::span<const dft::Complex> x) {
-  return {reinterpret_cast<const double*>(x.data()), 2 * x.size()};
-}
-
-}  // namespace
-
 SpectralTransform::SpectralTransform(std::string label,
                                      std::vector<dft::Complex> multipliers)
     : label_(std::move(label)), multipliers_(std::move(multipliers)) {
@@ -81,8 +70,8 @@ double SpectralTransform::TransformedSquaredDistance(
     double bound) const {
   TSQ_CHECK_EQ(x.size(), multipliers_.size());
   TSQ_CHECK_EQ(y.size(), multipliers_.size());
-  return kernels::WeightedSquaredDistanceWithin(AsDoubles(x), AsDoubles(y),
-                                                weights2_, bound);
+  return kernels::WeightedSquaredDistanceWithin(
+      dft::AsDoubles(x), dft::AsDoubles(y), weights2_, bound);
 }
 
 double SpectralTransform::TransformedToPlainSquaredDistance(
@@ -91,7 +80,7 @@ double SpectralTransform::TransformedToPlainSquaredDistance(
   TSQ_CHECK_EQ(x.size(), multipliers_.size());
   TSQ_CHECK_EQ(q.size(), multipliers_.size());
   return kernels::TransformedToPlainSquaredDistanceWithin(
-      AsDoubles(x), AsDoubles(q), mul_re2_, mul_im2_, bound);
+      dft::AsDoubles(x), dft::AsDoubles(q), mul_re2_, mul_im2_, bound);
 }
 
 SpectralTransform SpectralTransform::Compose(

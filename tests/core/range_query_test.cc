@@ -4,6 +4,8 @@
 #include <limits>
 
 #include "core/engine.h"
+#include "kernels/kernels.h"
+#include "obs/metrics.h"
 #include "test_util.h"
 #include "testing/oracle.h"
 #include "gtest/gtest.h"
@@ -106,6 +108,53 @@ TEST(RangeQueryTest, PartitionedMtIndexStillExact) {
     ASSERT_TRUE(result.ok());
     ExpectSameMatches(result->matches, expected);
     EXPECT_EQ(result->stats.traversals, spec.partition.size());
+  }
+}
+
+// Range verification evaluates a candidate against its rectangle's whole
+// group in one kernel call. With groups of 1, 2, 3, 5 and 16 transformations
+// (every remainder of the AVX2 blocks of four, and fig5's 16), every plan
+// returns the oracle's matches, forced scalar and the best ISA agree on
+// matches, QueryStats and the trace signature, and the kernel layer counts
+// one call per comparison.
+TEST(RangeQueryTest, GroupedVerificationAgreesAcrossIsas) {
+  Workload w = MakeWorkload(testutil::RandomWalks(300, 128, 30));
+  RangeQuerySpec spec = MovingAverageSpec(w, 11, 2, 28, 0.9);
+  std::size_t next = 0;
+  for (const std::size_t size : {1u, 2u, 3u, 5u, 16u}) {
+    std::vector<std::size_t>& group = spec.partition.emplace_back();
+    for (std::size_t k = 0; k < size; ++k) group.push_back(next++);
+  }
+  ASSERT_EQ(next, spec.transforms.size());
+  const std::vector<Match> expected =
+      testing::Oracle(*w.dataset).Range(spec);
+  ASSERT_FALSE(expected.empty());
+  obs::Counter* calls =
+      obs::MetricsRegistry::Global().counter("engine.kernels.calls");
+  const kernels::Isa best = kernels::BestSupportedIsa();
+  for (const Algorithm algorithm : {Algorithm::kSequentialScan,
+                                    Algorithm::kStIndex,
+                                    Algorithm::kMtIndex}) {
+    std::vector<QueryResult> runs;
+    for (const kernels::Isa isa : {kernels::Isa::kScalar, best}) {
+      kernels::ForceIsaForTesting(isa);
+      const std::uint64_t calls0 = calls->value();
+      Result<QueryResult> result =
+          w.engine->Execute(spec, {.planner = {.algorithm = algorithm}});
+      const std::uint64_t call_delta = calls->value() - calls0;
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      EXPECT_EQ(call_delta, result->stats().comparisons)
+          << AlgorithmName(algorithm) << " " << kernels::IsaName(isa);
+      ExpectSameMatches(result->range()->matches, expected);
+      runs.push_back(std::move(*result));
+    }
+    kernels::ForceIsaForTesting(best);
+    EXPECT_EQ(runs[0].range()->matches, runs[1].range()->matches)
+        << AlgorithmName(algorithm);
+    EXPECT_EQ(runs[0].stats(), runs[1].stats()) << AlgorithmName(algorithm);
+    EXPECT_EQ(runs[0].trace().DeterministicSignature(),
+              runs[1].trace().DeterministicSignature())
+        << AlgorithmName(algorithm);
   }
 }
 

@@ -5,16 +5,21 @@
 
 #include <bit>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
 #include "core/join_query.h"
 #include "dft/fft.h"
+#include "dft/spectrum.h"
 #include "gtest/gtest.h"
 #include "kernels/kernels.h"
 #include "obs/metrics.h"
 #include "transform/builders.h"
 #include "transform/spectral_transform.h"
+#include "ts/distance.h"
+#include "ts/generate.h"
+#include "ts/normal_form.h"
 
 namespace tsq::kernels {
 namespace {
@@ -79,6 +84,48 @@ TEST(DispatchTest, MetricsCountCallsElementsAndAbandons) {
   EXPECT_EQ(abandons->value(), abandons0 + 1);
 }
 
+// A group call counts per weight vector: G calls, the elements each vector
+// consumed, one abandon per abandoned vector.
+TEST(DispatchTest, GroupCountsEachWeightVector) {
+  auto& registry = obs::MetricsRegistry::Global();
+  obs::Counter* calls = registry.counter("engine.kernels.calls");
+  obs::Counter* elements = registry.counter("engine.kernels.elements");
+  obs::Counter* abandons = registry.counter("engine.kernels.early_abandons");
+
+  // d^2 = 4 per element, so weight c adds 4c per element: against a bound
+  // of 400, c = 1 abandons at the second checkpoint (512 at 128 elements),
+  // c = 2 and c = 4 at the first (512 and 1024 at 64), and c = 0.25 (256 in
+  // all) and c = 0 never do.
+  const std::vector<double> x(256, 3.0);
+  const std::vector<double> y(256, 1.0);
+  std::vector<std::vector<double>> storage;
+  for (const double c : {1.0, 0.25, 4.0, 0.0, 2.0}) {
+    storage.emplace_back(256, c);
+  }
+  const std::vector<std::span<const double>> weights(storage.begin(),
+                                                     storage.end());
+  std::vector<EarlyAbandonResult> out(weights.size());
+
+  const std::uint64_t calls0 = calls->value();
+  const std::uint64_t elements0 = elements->value();
+  const std::uint64_t abandons0 = abandons->value();
+  WeightedSquaredDistancesWithin(x, y, weights, 400.0, out);
+  EXPECT_EQ(calls->value(), calls0 + 5);
+  EXPECT_EQ(elements->value(), elements0 + 128 + 256 + 64 + 256 + 64);
+  EXPECT_EQ(abandons->value(), abandons0 + 3);
+
+  const std::size_t consumed[] = {128, 256, 64, 256, 64};
+  for (std::size_t t = 0; t < weights.size(); ++t) {
+    EXPECT_EQ(out[t].consumed, consumed[t]) << "vector " << t;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(out[t].value),
+              std::bit_cast<std::uint64_t>(
+                  WeightedSquaredDistanceWithin(x, y, weights[t], 400.0)))
+        << "vector " << t;
+  }
+  EXPECT_DOUBLE_EQ(out[1].value, 256.0);
+  EXPECT_DOUBLE_EQ(out[3].value, 0.0);
+}
+
 // The user-facing promise: switching ISAs never changes results. Evaluate
 // the library entry points that dispatch to a kernel under the best variant
 // and under forced scalar; every value must be bitwise identical.
@@ -94,8 +141,32 @@ TEST(DispatchTest, ForcedScalarMatchesBestIsaBitwise) {
   }
   const transform::SpectralTransform t =
       transform::MovingAverageTransform(kLength, 10);
+  // The group entry in fig5's shape: the normal forms of random walks near
+  // a query walk and of independent ones, 16 moving averages 10..25 in one
+  // group, the rho = 0.96 bound.
+  const std::vector<transform::SpectralTransform> averages =
+      transform::MovingAverageRange(kLength, 10, 25);
+  std::vector<std::span<const double>> weights;
+  for (const transform::SpectralTransform& average : averages) {
+    weights.push_back(average.component_squared_magnitudes());
+  }
+  const double bound = ts::CorrelationToSquaredDistance(0.96, kLength);
+  const ts::Series query_walk = ts::GenerateRandomWalk(kLength, 1.0, rng);
+  std::vector<std::vector<dft::Complex>> walks;
+  for (const double noise : {0.0, 0.05, 0.1, 0.2, 0.4, 0.8, 1.6}) {
+    ts::Series walk = query_walk;
+    for (double& v : walk) v += rng.Uniform(-noise, noise);
+    walks.push_back(plan.Forward(ts::Normalize(walk).values));
+  }
+  for (int k = 0; k < 3; ++k) {
+    walks.push_back(plan.Forward(
+        ts::Normalize(ts::GenerateRandomWalk(kLength, 1.0, rng)).values));
+  }
   // Per pair: the Eq. 12 distance, the transformed-to-plain distance and the
-  // join's correlation.
+  // join's correlation; per walk, the group's 16 distances to the query, each
+  // bitwise one TransformedSquaredDistance call.
+  std::size_t within = 0;
+  std::size_t abandoned = 0;
   const auto evaluate = [&] {
     std::vector<std::uint64_t> bits;
     for (std::size_t i = 0; i < spectra.size(); ++i) {
@@ -106,6 +177,22 @@ TEST(DispatchTest, ForcedScalarMatchesBestIsaBitwise) {
             t.TransformedToPlainSquaredDistance(spectra[i], spectra[j])));
         bits.push_back(std::bit_cast<std::uint64_t>(
             core::TransformedCorrelation(t, spectra[i], spectra[j])));
+      }
+    }
+    std::vector<EarlyAbandonResult> out(averages.size());
+    for (std::size_t w = 1; w < walks.size(); ++w) {
+      WeightedSquaredDistancesWithin(dft::AsDoubles(walks[w]),
+                                     dft::AsDoubles(walks[0]), weights, bound,
+                                     out);
+      for (std::size_t k = 0; k < averages.size(); ++k) {
+        const double single = averages[k].TransformedSquaredDistance(
+            walks[w], walks[0], bound);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(out[k].value),
+                  std::bit_cast<std::uint64_t>(single))
+            << IsaName(ActiveIsa()) << " walk " << w << ", average " << k;
+        bits.push_back(std::bit_cast<std::uint64_t>(out[k].value));
+        if (out[k].value < bound) ++within;
+        if (out[k].consumed < 2 * kLength) ++abandoned;
       }
     }
     return bits;
@@ -121,9 +208,11 @@ TEST(DispatchTest, ForcedScalarMatchesBestIsaBitwise) {
   ForceIsaForTesting(best);
   ASSERT_EQ(best_bits.size(), scalar_bits.size());
   for (std::size_t k = 0; k < best_bits.size(); ++k) {
-    EXPECT_EQ(best_bits[k], scalar_bits[k])
-        << "pair " << k / 3 << ", entry point " << k % 3;
+    EXPECT_EQ(best_bits[k], scalar_bits[k]) << "value " << k;
   }
+  // The walks near the query match some averages; the far ones abandon.
+  EXPECT_GT(within, 0u);
+  EXPECT_GT(abandoned, 0u);
 }
 
 }  // namespace

@@ -14,10 +14,12 @@
 
 #include "kernels/kernels.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
@@ -166,6 +168,16 @@ std::vector<double> BoundsFor(double full) {
   return SameBits(a.value, b.value);
 }
 
+// The weighted kernel on a group of one weight vector.
+EarlyAbandonResult WeightedOne(const KernelTable& table, const double* x,
+                               const double* y, const double* w,
+                               std::size_t n, double bound) {
+  const std::span<const double> weights(w, n);
+  EarlyAbandonResult r;
+  table.weighted_squared_distance_within(x, y, &weights, 1, n, bound, &r);
+  return r;
+}
+
 TEST(KernelBitwiseTest, WeightedSquaredDistanceMatchesScalarOnAllIsas) {
   const std::vector<Isa> isas = SupportedIsas();
   const KernelTable& ref = TableFor(Isa::kScalar);
@@ -175,17 +187,88 @@ TEST(KernelBitwiseTest, WeightedSquaredDistanceMatchesScalarOnAllIsas) {
     const double* w = in.w.data() + off;
     const double full = ReferenceWeightedSquaredDistance(x, y, w, n);
     for (const double bound : BoundsFor(full)) {
-      const EarlyAbandonResult expected =
-          ref.weighted_squared_distance_within(x, y, w, n, bound);
+      const EarlyAbandonResult expected = WeightedOne(ref, x, y, w, n, bound);
       for (const Isa isa : isas) {
         EXPECT_TRUE(SameResult(expected,
-                               TableFor(isa).weighted_squared_distance_within(
-                                   x, y, w, n, bound)))
+                               WeightedOne(TableFor(isa), x, y, w, n, bound)))
             << IsaName(isa) << " n=" << n << " off=" << off
             << " bound=" << bound;
       }
     }
   });
+}
+
+// The weighted kernel's group: every weight vector's result is its group
+// of one's on the scalar reference, whatever the group size (every
+// remainder of AVX2's blocks of four, and fig5's 16 transformations), on
+// every ISA. Weight vector t is the shared random weights scaled by a power
+// of two (exact, so its full sum is 2^e_t times the unscaled one) and stored
+// at its own alignment. Under a bound near the unscaled sum the heavy
+// vectors of one group abandon at different checkpoints and the light ones
+// never do.
+TEST(KernelBitwiseTest, WeightedGroupMatchesGroupsOfOneOnAllIsas) {
+  constexpr std::size_t kMaxGroup = 16;
+  const std::vector<Isa> isas = SupportedIsas();
+  const KernelTable& ref = TableFor(Isa::kScalar);
+  std::vector<double> scales(kMaxGroup);
+  for (std::size_t t = 0; t < kMaxGroup; ++t) {
+    scales[t] = std::ldexp(1.0, static_cast<int>((t * 5) % 9) - 4);
+  }
+  // A weight vector that never abandons. Not 0: 0 * inf would make a second
+  // kind of NaN beside the inputs' quiet NaN (see internal.h).
+  scales[6] = std::ldexp(1.0, -40);
+  bool saw_mixed_group = false;
+  ForEachCase([&](const Inputs& in, std::size_t n, std::size_t off) {
+    const double* x = in.x.data() + off;
+    const double* y = in.y.data() + off;
+    std::vector<std::vector<double>> buffers(kMaxGroup);
+    std::vector<std::span<const double>> weights(kMaxGroup);
+    for (std::size_t t = 0; t < kMaxGroup; ++t) {
+      const std::size_t shift = (off + t) % (kMaxOffset + 1);
+      buffers[t].resize(n + shift);
+      for (std::size_t i = 0; i < n; ++i) {
+        buffers[t][shift + i] = in.w[off + i] * scales[t];
+      }
+      weights[t] = std::span<const double>(buffers[t].data() + shift, n);
+    }
+    const double unit =
+        ReferenceWeightedSquaredDistance(x, y, in.w.data() + off, n);
+    std::vector<double> bounds = BoundsFor(unit);
+    bounds.push_back(unit * 3.0);
+    for (const double bound : bounds) {
+      std::vector<EarlyAbandonResult> expected(kMaxGroup);
+      for (std::size_t t = 0; t < kMaxGroup; ++t) {
+        expected[t] = WeightedOne(ref, x, y, weights[t].data(), n, bound);
+      }
+      for (const std::size_t count :
+           {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 16u}) {
+        for (const Isa isa : isas) {
+          std::vector<EarlyAbandonResult> out(count);
+          TableFor(isa).weighted_squared_distance_within(
+              x, y, weights.data(), count, n, bound, out.data());
+          for (std::size_t t = 0; t < count; ++t) {
+            EXPECT_TRUE(SameResult(expected[t], out[t]))
+                << IsaName(isa) << " group of " << count << ", vector " << t
+                << " n=" << n << " off=" << off << " bound=" << bound;
+          }
+        }
+      }
+      // The sweep holds groups whose vectors abandon at different
+      // checkpoints beside vectors that never abandon.
+      if (n == 256 && off == 0 && bound == unit && std::isfinite(unit)) {
+        std::vector<std::size_t> consumed;
+        for (const EarlyAbandonResult& r : expected) {
+          consumed.push_back(r.consumed);
+        }
+        std::sort(consumed.begin(), consumed.end());
+        consumed.erase(std::unique(consumed.begin(), consumed.end()),
+                       consumed.end());
+        saw_mixed_group = saw_mixed_group ||
+                          (consumed.size() >= 3 && consumed.back() == n);
+      }
+    }
+  });
+  EXPECT_TRUE(saw_mixed_group);
 }
 
 TEST(KernelBitwiseTest, TransformedToPlainMatchesScalarOnAllIsas) {
@@ -267,14 +350,12 @@ TEST(EarlyAbandonTest, WithinIsExactOrProvablyAboveBound) {
         const double* w = in.w.data() + off;
         const double full = ReferenceWeightedSquaredDistance(x, y, w, n);
         for (const double bound : BoundsFor(full)) {
-          EXPECT_TRUE(ExactOrAboveBound(
-              table.weighted_squared_distance_within(x, y, w, n, bound), full,
-              n, bound))
+          EXPECT_TRUE(ExactOrAboveBound(WeightedOne(table, x, y, w, n, bound),
+                                        full, n, bound))
               << IsaName(isa) << " n=" << n << " off=" << off;
         }
         // Bound exactly at the full sum: strict abandon must not trigger.
-        const EarlyAbandonResult exact =
-            table.weighted_squared_distance_within(x, y, w, n, full);
+        const EarlyAbandonResult exact = WeightedOne(table, x, y, w, n, full);
         EXPECT_EQ(exact.consumed, n) << IsaName(isa) << " n=" << n;
         EXPECT_TRUE(SameBits(full, exact.value)) << IsaName(isa);
       }
@@ -295,9 +376,8 @@ TEST(EarlyAbandonTest, WithinResultsBitwiseIdenticalAcrossIsas) {
       const double* q = in.q.data();
       const double wfull = ReferenceWeightedSquaredDistance(x, y, w, n);
       for (const double bound : {wfull * 0.1, wfull * 0.9, wfull * 1.1}) {
-        EXPECT_TRUE(SameResult(
-            ref.weighted_squared_distance_within(x, y, w, n, bound),
-            table.weighted_squared_distance_within(x, y, w, n, bound)))
+        EXPECT_TRUE(SameResult(WeightedOne(ref, x, y, w, n, bound),
+                               WeightedOne(table, x, y, w, n, bound)))
             << IsaName(isa) << " n=" << n;
       }
       // Complex data: whole (re, im) pairs only.

@@ -51,13 +51,14 @@ using RejectAll = Constant<false>;
 
 // A non-identity, monotone map: dimension d is scaled by (d + 2) and shifted
 // by d. Rect containment survives it, so the join may prune with it.
-Rect Stretch(const RectView& r) {
-  std::vector<double> low(r.dimensions()), high(r.dimensions());
+void Stretch(const RectView& r, Rect* out) {
+  out->Assign(r);
   for (std::size_t d = 0; d < r.dimensions(); ++d) {
-    low[d] = r.low(d) * static_cast<double>(d + 2) + static_cast<double>(d);
-    high[d] = r.high(d) * static_cast<double>(d + 2) + static_cast<double>(d);
+    out->set_low(d, r.low(d) * static_cast<double>(d + 2) +
+                        static_cast<double>(d));
+    out->set_high(d, r.high(d) * static_cast<double>(d + 2) +
+                         static_cast<double>(d));
   }
-  return Rect(std::move(low), std::move(high));
 }
 
 // Every reported pair, in report order.
@@ -83,7 +84,9 @@ std::vector<Pair> BruteForce(const std::vector<Point>& points,
   std::vector<double> prepared(points.size() * stride);
   for (std::size_t i = 0; i < points.size(); ++i) {
     const Rect r = Rect::FromPoint(points[i]);
-    predicate.Prepare(map ? map(r) : r, prepared.data() + i * stride);
+    Rect mapped = r;
+    if (map) map(r, &mapped);
+    predicate.Prepare(mapped, prepared.data() + i * stride);
   }
   std::vector<Pair> pairs;
   for (std::size_t a = 0; a < points.size(); ++a) {
@@ -225,9 +228,9 @@ TEST(SpatialJoinTest, RectMapsAppliedPerEntry) {
   EXPECT_TRUE(Join(tree, nullptr, predicate).empty());
 
   std::size_t map_calls = 0;
-  const RectMap shrink = [&map_calls](const RectView& r) {
+  const RectMap shrink = [&map_calls](const RectView& r, Rect* out) {
     ++map_calls;
-    return Rect({r.low(0) / 100.0}, {r.high(0) / 100.0});
+    *out = Rect({r.low(0) / 100.0}, {r.high(0) / 100.0});
   };
   ExpectMatchesBruteForce(tree, points, shrink, predicate);
   EXPECT_EQ(BruteForce(points, shrink, predicate).size(), 100u * 5 - 15);
