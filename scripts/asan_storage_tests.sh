@@ -20,11 +20,13 @@
 # index raw prepared-box buffers, as the circular interval tests and the
 # angle reduction (transform_mbr_test) do through their callers; the
 # tampered-leaf cases of checkpoint_robustness_test check that an id past
-# the dataset never indexes it. stats_invariance_test, engine_test,
+# the dataset never indexes it. The planner's survivor sample indexes the
+# same array by the leaf-entry ids the cost estimator's walk reads from disk
+# (cost_model_test, planner_test). stats_invariance_test, engine_test,
 # parser_test, compiler_test and workload_generator_test hold cases whose
 # names the filter also matches; every binary with a case the filter names
 # is built here, so a fresh build directory runs the same cases as the
-# tier-1 one: 214, as `ctest -N -R <filter>` lists them there.
+# tier-1 one: 239, as `ctest -N -R <filter>` lists them there.
 # Run this alongside scripts/tsan_exec_tests.sh when touching src/storage,
 # src/rstar, src/exec or the range executor.
 #
@@ -42,7 +44,7 @@ cmake --build "$BUILD_DIR" -j --target \
   range_query_test batch_determinism_test polar_bounds_test \
   transform_mbr_test parallel_test exec_determinism_test exec_concurrency_test \
   batch_concurrency_test stats_invariance_test engine_test parser_test \
-  compiler_test workload_generator_test
+  compiler_test workload_generator_test cost_model_test planner_test
 
 cd "$BUILD_DIR"
-ctest --output-on-failure -R 'PageFile|AtomicFile|RecordStore|Persistence|CheckpointRobustness|Dataset|RStarTree|SpatialJoin|JoinQueryTest|TransformedCorrelation|DistanceJoinEquivalence|EffectiveThreads|ParallelFor|Chunk|ExecutorDeterminism|ExecutorConcurrency|BatchConcurrency|RangeQuery|BatchDeterminism|KnnQuery|EngineFault|PolarBound|PolarBoxMin|RectBounds|CircularIntervals|CircularSeparation'
+ctest --output-on-failure -R 'PageFile|AtomicFile|RecordStore|Persistence|CheckpointRobustness|Dataset|RStarTree|SpatialJoin|JoinQueryTest|TransformedCorrelation|DistanceJoinEquivalence|EffectiveThreads|ParallelFor|Chunk|ExecutorDeterminism|ExecutorConcurrency|BatchConcurrency|RangeQuery|BatchDeterminism|KnnQuery|EngineFault|PolarBound|PolarBoxMin|RectBounds|CircularIntervals|CircularSeparation|CostEstimator|CostModelScaling|Planner'

@@ -30,9 +30,10 @@
 #      Execute() threads racing a continuous Insert/Remove writer through
 #      the engine's snapshot layer;
 #   9. scripts/asan_storage_tests.sh + scripts/kernel_tests.sh —
-#      lifetime/UB gate over storage, exec and the SIMD kernel layer
-#      (unaligned loads, complex reinterpret casts, blocked-loop tails),
-#      plus the fuzz_smoke slice, whose cases run both kernel ISAs;
+#      lifetime/UB gate over storage, exec, the planner and the SIMD
+#      kernel layer (unaligned loads, complex reinterpret casts,
+#      blocked-loop tails), plus the fuzz_smoke slice, whose cases run
+#      both kernel ISAs;
 #  10. python3 perfbench/selftest.py — the end-to-end benchmark driver on
 #      every workload: outputs checked against the oracle, the exact-count
 #      fingerprint repeatable and equal between traced and untraced runs.

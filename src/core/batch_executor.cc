@@ -363,15 +363,13 @@ std::vector<Result<QueryResult>> SimilarityEngine::Run(
     }
     exec->rect_groups = exec->partition;
     exec->rect_ordered.resize(exec->partition.size());
-    const std::vector<dft::Complex> query_coefficients =
-        IndexedCoefficients(exec->query.spectrum, layout);
     for (std::size_t g = 0; g < exec->partition.size(); ++g) {
       exec->rect_ordered[g] =
           range->use_ordering && OrderGroupByChain(chain, &exec->rect_groups[g]);
       if (exec->kind == QueryExec::Kind::kIndexed) {
         exec->rect_bounds.emplace_back(layout, range->transforms,
                                        exec->rect_groups[g], range->target,
-                                       query_coefficients);
+                                       exec->query.coefficients);
       }
       std::vector<std::span<const double>>& weights =
           exec->rect_weights.emplace_back();

@@ -2,6 +2,7 @@
 #define TSQ_CORE_COST_MODEL_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -69,14 +70,15 @@ class TreeCostEstimator {
   /// population `hit_fraction` applies to.
   double indexed_points() const;
 
-  /// A fixed sample of indexed feature points: min(kSamplePoints, entries)
-  /// leaf entries at an even stride over the order in which Create's walk
-  /// visits them. Deterministic for a given tree and drawn by the same walk,
-  /// so it costs no extra page read; the planner prices what the
-  /// feature-level bound lets through on it.
+  /// A fixed sample of indexed sequences: the ids of min(kSamplePoints,
+  /// entries) leaf entries at an even stride over the order in which
+  /// Create's walk visits them, drawn by that walk at no extra page read.
+  /// The ids are read from leaf pages, so a damaged one may lie past the
+  /// dataset. The planner prices what the feature bound lets through on
+  /// their Dataset::coefficients.
   static constexpr std::size_t kSamplePoints = 256;
-  std::size_t sample_size() const;
-  std::span<const double> sample_point(std::size_t i) const;
+  std::size_t sample_size() const { return sample_ids_.size(); }
+  std::uint64_t sample_id(std::size_t s) const { return sample_ids_[s]; }
 
  private:
   TreeCostEstimator() = default;  // for Create
@@ -90,7 +92,7 @@ class TreeCostEstimator {
   std::vector<LevelStats> levels_;  // levels_[0] = leaf level
   rstar::Rect domain_;
   double leaf_capacity_ = 0.0;
-  std::vector<double> sample_;  // sample_size() points, dimensions() each
+  std::vector<std::uint64_t> sample_ids_;
 };
 
 /// Group-cost function for transform::PartitionCostBased: estimated Eq. 19

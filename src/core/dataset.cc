@@ -20,7 +20,6 @@ Dataset::Dataset(std::vector<ts::Series> raw,
   records_ = std::make_unique<storage::RecordStore>(&record_file_);
 
   normals_.reserve(raw.size());
-  features_.reserve(raw.size() * layout_.dimensions());
   coefficients_.reserve(raw.size() * layout_.num_coefficients);
   record_ids_.reserve(raw.size());
   for (ts::Series& series : raw) {
@@ -42,10 +41,7 @@ Result<std::size_t> Dataset::Append(const ts::Series& series) {
       << "all series in a dataset must have equal length";
   ts::NormalForm normal = ts::Normalize(series);
   TSQ_RETURN_IF_ERROR(ValidateNormalForm(normal));
-  std::vector<dft::Complex> spectrum = plan_->Forward(normal.values);
-  rstar::Point features = ExtractFeatures(normal, spectrum, layout_);
-  const std::vector<dft::Complex> coefficients =
-      IndexedCoefficients(spectrum, layout_);
+  const std::vector<dft::Complex> spectrum = plan_->Forward(normal.values);
   // The stored "full database record" is the normal form's spectrum
   // (real/imaginary interleaved). By Parseval (Eq. 8) it carries exactly
   // the information of the normal form itself, and the post-processing
@@ -60,14 +56,18 @@ Result<std::size_t> Dataset::Append(const ts::Series& series) {
       {reinterpret_cast<const std::uint8_t*>(spectrum.data()),
        spectrum.size() * sizeof(dft::Complex)});
   TSQ_RETURN_IF_ERROR(id.status());
-  features_.insert(features_.end(), features.begin(), features.end());
-  coefficients_.insert(coefficients_.end(), coefficients.begin(),
-                       coefficients.end());
   record_ids_.push_back(*id);
-  normals_.push_back(std::move(normal));
-  removed_.push_back(false);
-  ++active_count_;
+  Store(std::move(normal), spectrum, /*removed=*/false);
   return normals_.size() - 1;
+}
+
+void Dataset::Store(ts::NormalForm normal,
+                    std::span<const dft::Complex> spectrum, bool removed) {
+  const std::vector<dft::Complex> x = IndexedCoefficients(spectrum, layout_);
+  coefficients_.insert(coefficients_.end(), x.begin(), x.end());
+  normals_.push_back(std::move(normal));
+  removed_.push_back(removed);
+  if (!removed) ++active_count_;
 }
 
 Status Dataset::MarkRemoved(std::size_t i) {
@@ -116,13 +116,10 @@ Result<std::unique_ptr<Dataset>> Dataset::LoadFrom(
                                     sequences.size());
 
   dataset->normals_.reserve(sequences.size());
-  dataset->features_.reserve(sequences.size() * layout.dimensions());
   dataset->coefficients_.reserve(sequences.size() * layout.num_coefficients);
   dataset->record_ids_.reserve(sequences.size());
   for (const SequenceMeta& meta : sequences) {
     dataset->record_ids_.push_back(meta.record);
-    dataset->removed_.push_back(meta.removed);
-    if (!meta.removed) ++dataset->active_count_;
     std::vector<dft::Complex> spectrum(length);
     TSQ_RETURN_IF_ERROR(dataset->FetchSpectrumInto(
         dataset->record_ids_.size() - 1, spectrum));
@@ -130,15 +127,7 @@ Result<std::unique_ptr<Dataset>> Dataset::LoadFrom(
     normal.values = dataset->plan_->InverseReal(spectrum);
     normal.mean = meta.mean;
     normal.stddev = meta.stddev;
-    const rstar::Point features =
-        ExtractFeatures(normal, spectrum, dataset->layout_);
-    dataset->features_.insert(dataset->features_.end(), features.begin(),
-                              features.end());
-    const std::vector<dft::Complex> coefficients =
-        IndexedCoefficients(spectrum, dataset->layout_);
-    dataset->coefficients_.insert(dataset->coefficients_.end(),
-                                  coefficients.begin(), coefficients.end());
-    dataset->normals_.push_back(std::move(normal));
+    dataset->Store(std::move(normal), spectrum, meta.removed);
   }
   dataset->record_file_.ResetStats();
   return dataset;
@@ -262,8 +251,10 @@ PreparedQuery PrepareQuery(
   if (query_transform.has_value()) {
     prepared.spectrum = query_transform->ApplyToSpectrum(prepared.spectrum);
   }
-  prepared.features =
-      ExtractFeatures(normal, prepared.spectrum, dataset.layout());
+  prepared.coefficients =
+      IndexedCoefficients(prepared.spectrum, dataset.layout());
+  prepared.features = ExtractFeatures(normal.mean, normal.stddev,
+                                      prepared.coefficients, dataset.layout());
   return prepared;
 }
 

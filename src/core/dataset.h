@@ -20,13 +20,6 @@
 
 namespace tsq::core {
 
-/// One sequence's index features: a view into the dataset's flat feature
-/// array, convertible to an owning rstar::Point where a copy is wanted.
-struct FeatureView : std::span<const double> {
-  using std::span<const double>::span;
-  operator rstar::Point() const { return rstar::Point(begin(), end()); }
-};
-
 /// The "stocks relation" of the paper: a collection of equal-length
 /// sequences, each stored in normal form together with its mean and standard
 /// deviation (Section 3.2), plus the derived artifacts the query algorithms
@@ -35,18 +28,16 @@ struct FeatureView : std::span<const double> {
 ///  * normal-form records packed into a paged RecordStore — the table the
 ///    sequential scan reads and the post-processing step fetches candidates
 ///    from, with every touched page counted;
-///  * per-sequence index feature vectors (mean, stddev, polar DFT
-///    coefficients of the normal form), held in one flat array of
-///    layout().dimensions() values per sequence, the points the R*-tree
-///    indexes;
 ///  * per-sequence indexed DFT coefficients in cartesian form, held in one
 ///    flat array of layout().num_coefficients complex values per sequence
 ///    (32 bytes per sequence under the default layout): the stored record's
 ///    own values at those coefficients, bit for bit (IndexedCoefficients),
-///    which the executors' feature bound (core/polar_bounds.h) reads.
+///    which the feature bound (core/polar_bounds.h) and the planner read.
+///    With the mean and stddev they give each sequence's index point
+///    (features), which is derived, not stored.
 ///
-/// Both derived arrays come from the stored record, never from the index,
-/// so the feature bound cannot be misled by a tampered leaf.
+/// The coefficients come from the stored record, never from the index, so
+/// the feature bound cannot be misled by a tampered leaf.
 ///
 /// The record store is the one stored copy of each spectrum: executors and
 /// planner calibration fetch records and pay the I/O.
@@ -83,10 +74,11 @@ class Dataset {
   const dft::FftPlan& plan() const { return *plan_; }
 
   const ts::NormalForm& normal(std::size_t i) const { return normals_[i]; }
-  /// Sequence i's index features (i < size()).
-  FeatureView features(std::size_t i) const {
-    const std::size_t dims = layout_.dimensions();
-    return FeatureView(features_.data() + i * dims, dims);
+  /// Sequence i's index features (i < size()), derived from its statistics
+  /// and coefficients(i): the point its R*-tree leaf entry holds.
+  rstar::Point features(std::size_t i) const {
+    return ExtractFeatures(normals_[i].mean, normals_[i].stddev,
+                           coefficients(i), layout_);
   }
 
   /// Sequence i's indexed DFT coefficients in cartesian form (i < size()):
@@ -159,8 +151,8 @@ class Dataset {
   };
 
   /// Rebuilds a dataset from a record page file plus per-sequence metadata:
-  /// normal forms come from the inverse DFT of the stored spectra, features
-  /// and indexed coefficients from the spectra.
+  /// normal forms come from the inverse DFT of the stored spectra, indexed
+  /// coefficients from the spectra.
   static Result<std::unique_ptr<Dataset>> LoadFrom(
       const std::string& records_path, transform::FeatureLayout layout,
       std::size_t length, std::vector<SequenceMeta> sequences,
@@ -169,11 +161,16 @@ class Dataset {
  private:
   Dataset() = default;  // for LoadFrom
 
+  // Pushes the in-memory state of the sequence whose record id was pushed
+  // last, derived from its normal form and stored `spectrum`. Append and
+  // LoadFrom both end here.
+  void Store(ts::NormalForm normal, std::span<const dft::Complex> spectrum,
+             bool removed);
+
   transform::FeatureLayout layout_;
   std::size_t length_ = 0;
   std::unique_ptr<dft::FftPlan> plan_;
   std::vector<ts::NormalForm> normals_;
-  std::vector<double> features_;  // dimensions() values per sequence
   // num_coefficients values per sequence
   std::vector<dft::Complex> coefficients_;
   std::vector<bool> removed_;
@@ -195,10 +192,11 @@ class Dataset {
 Status ValidateNormalForm(const ts::NormalForm& normal);
 
 /// A query sequence prepared against a dataset: the spectrum of its normal
-/// form (after the optional fixed query transformation) and its index
-/// feature vector.
+/// form (after the optional fixed query transformation), its indexed
+/// coefficients and its index feature vector.
 struct PreparedQuery {
   std::vector<dft::Complex> spectrum;
+  std::vector<dft::Complex> coefficients;
   rstar::Point features;
 };
 
@@ -234,9 +232,9 @@ Status ValidateQueryTransform(
 
 /// The one query preparation every executor runs: normalize `query`, take
 /// its DFT with the dataset's plan, apply `query_transform` when set, and
-/// extract features under the dataset's layout. Mean/stddev feature slots
-/// are never constrained by a query region, so the raw query statistics
-/// stand soundly beside a transformed spectrum.
+/// pick coefficients and features as Dataset does. Mean/stddev feature
+/// slots are never constrained by a query region, so the raw query
+/// statistics stand soundly beside a transformed spectrum.
 PreparedQuery PrepareQuery(
     const Dataset& dataset, const ts::Series& query,
     const std::optional<transform::SpectralTransform>& query_transform);

@@ -17,19 +17,17 @@ constexpr double kPi = std::numbers::pi;
 constexpr double kUnboundedExtent = 1e300;
 }  // namespace
 
-rstar::Point ExtractFeatures(const ts::NormalForm& normal,
-                             std::span<const dft::Complex> spectrum,
+rstar::Point ExtractFeatures(double mean, double stddev,
+                             std::span<const dft::Complex> coefficients,
                              const transform::FeatureLayout& layout) {
-  TSQ_CHECK_EQ(spectrum.size(), normal.values.size());
+  TSQ_CHECK_EQ(coefficients.size(), layout.num_coefficients);
   rstar::Point features(layout.dimensions(), 0.0);
   if (layout.include_mean_std) {
-    features[layout.mean_dimension()] = normal.mean;
-    features[layout.stddev_dimension()] = normal.stddev;
+    features[layout.mean_dimension()] = mean;
+    features[layout.stddev_dimension()] = stddev;
   }
   for (std::size_t i = 0; i < layout.num_coefficients; ++i) {
-    const std::size_t f = layout.coefficient(i);
-    TSQ_CHECK_LT(f, spectrum.size());
-    const dft::Polar polar = dft::ToPolar(spectrum[f]);
+    const dft::Polar polar = dft::ToPolar(coefficients[i]);
     features[layout.magnitude_dimension(i)] = polar.magnitude;
     features[layout.angle_dimension(i)] = polar.angle;
   }

@@ -8,22 +8,22 @@
 #include "rstar/rect.h"
 #include "transform/feature_layout.h"
 #include "transform/feature_transform.h"
-#include "ts/normal_form.h"
 
 namespace tsq::core {
 
-/// Extracts the index feature vector of a sequence per the paper's Section 5
-/// layout: [mean, stddev,] then (|X_f|, angle(X_f)) for each retained
-/// coefficient f of the normal form's spectrum. `spectrum` must be the
-/// unitary DFT of `normal.values`.
-rstar::Point ExtractFeatures(const ts::NormalForm& normal,
-                             std::span<const dft::Complex> spectrum,
+/// The index feature vector of a sequence per the paper's Section 5 layout:
+/// [mean, stddev,] then (|X_f|, angle(X_f)) for each retained coefficient f,
+/// from the raw series' statistics and IndexedCoefficients of its normal
+/// form's spectrum. Dataset::features and PrepareQuery both use it.
+rstar::Point ExtractFeatures(double mean, double stddev,
+                             std::span<const dft::Complex> coefficients,
                              const transform::FeatureLayout& layout);
 
 /// The layout's indexed DFT coefficients of `spectrum` in cartesian form:
 /// element i is spectrum[layout.coefficient(i)], copied bit for bit. The
 /// dataset keeps them for every stored record (Dataset::coefficients), and
-/// the feature-level bound (core::PolarBound) reads them beside the query's.
+/// the feature-level bound (core::PolarBound) reads them beside the query's
+/// (PreparedQuery::coefficients).
 std::vector<dft::Complex> IndexedCoefficients(
     std::span<const dft::Complex> spectrum,
     const transform::FeatureLayout& layout);

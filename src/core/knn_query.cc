@@ -223,8 +223,7 @@ Result<KnnQueryResult> RunKnnQuery(const Dataset& dataset,
   std::vector<std::size_t> all_transforms(spec.transforms.size());
   std::iota(all_transforms.begin(), all_transforms.end(), std::size_t{0});
   const PolarBound entry_bound(layout, spec.transforms, all_transforms,
-                               spec.target,
-                               IndexedCoefficients(query.spectrum, layout));
+                               spec.target, query.coefficients);
   const auto entry_key = [&](std::uint64_t id) {
     return id < dataset.size() ? entry_bound.Min(dataset.coefficients(id))
                                : 0.0;

@@ -229,16 +229,6 @@ PolarBound::PolarBound(const transform::FeatureLayout& layout,
   }
 }
 
-void PolarBound::ToCartesian(const transform::FeatureLayout& layout,
-                             std::span<const double> features,
-                             std::span<dft::Complex> out) {
-  TSQ_DCHECK(out.size() == layout.num_coefficients);
-  for (std::size_t i = 0; i < layout.num_coefficients; ++i) {
-    out[i] = std::polar(features[layout.magnitude_dimension(i)],
-                        features[layout.angle_dimension(i)]);
-  }
-}
-
 void PolarBound::Terms(const dft::Complex* x, const dft::Complex* q,
                        double* terms) const {
   if (data_only_) return;

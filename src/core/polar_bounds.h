@@ -91,8 +91,8 @@ class RectPairWithin {
 /// property, Rafiei & Mendelzon). X_f and Q_f are cartesian, the same
 /// doubles the kernel reads: the candidate's come from
 /// Dataset::coefficients, a bit-for-bit copy of its stored record, and the
-/// query's are picked from its prepared spectrum (IndexedCoefficients of
-/// PreparedQuery::spectrum, after its query_transform). Every term of the
+/// query's are PreparedQuery::coefficients, picked from its prepared
+/// spectrum after its query_transform. Every term of the
 /// full distance is non-negative, so LB_t never exceeds t's distance, and a
 /// candidate whose LB_t exceeds eps^2 for every t of its rectangle cannot
 /// match and need not be fetched.
@@ -127,7 +127,7 @@ class PolarBound {
 
   /// Prepared once per (query, rectangle): the transformations
   /// `transforms[group[i]]` under `target`, against the query's indexed
-  /// coefficients `query` (IndexedCoefficients of PreparedQuery::spectrum).
+  /// coefficients `query` (PreparedQuery::coefficients).
   /// An empty `query` prepares a kBoth bound for PrunesPair only.
   PolarBound(const transform::FeatureLayout& layout,
              std::span<const transform::SpectralTransform> transforms,
@@ -149,13 +149,6 @@ class PolarBound {
   /// distance D(t(a), t(b)) of the self-join, with b in the query's place.
   bool PrunesPair(std::span<const dft::Complex> a,
                   std::span<const dft::Complex> b, double eps2) const;
-
-  /// The indexed coefficients of a polar feature point in cartesian form:
-  /// `out[i]` is X_f for the layout's i-th indexed coefficient f. Only the
-  /// planner needs it, for its sample of feature points.
-  static void ToCartesian(const transform::FeatureLayout& layout,
-                          std::span<const double> features,
-                          std::span<dft::Complex> out);
 
   /// Which transformations of the rectangle let each of `count` candidates
   /// through under `eps2`. `xs` holds the candidates' indexed coefficients

@@ -25,32 +25,6 @@ Polar ToPolar(const Complex& value) {
   return Polar{std::abs(value), std::arg(value)};
 }
 
-Complex FromPolar(const Polar& polar) {
-  return std::polar(polar.magnitude, polar.angle);
-}
-
-std::vector<Polar> SpectrumToPolar(std::span<const Complex> spectrum) {
-  std::vector<Polar> out(spectrum.size());
-  for (std::size_t i = 0; i < spectrum.size(); ++i) out[i] = ToPolar(spectrum[i]);
-  return out;
-}
-
-std::vector<Complex> SpectrumFromPolar(std::span<const Polar> spectrum) {
-  std::vector<Complex> out(spectrum.size());
-  for (std::size_t i = 0; i < spectrum.size(); ++i) {
-    out[i] = FromPolar(spectrum[i]);
-  }
-  return out;
-}
-
-double PolarSquaredDistance(const Polar& x, const Polar& y) {
-  const double cosine = std::cos(x.angle - y.angle);
-  const double d2 = x.magnitude * x.magnitude + y.magnitude * y.magnitude -
-                    2.0 * x.magnitude * y.magnitude * cosine;
-  // Clamp tiny negative values caused by rounding.
-  return d2 < 0.0 ? 0.0 : d2;
-}
-
 double SymmetryDefect(std::span<const Complex> spectrum) {
   const std::size_t n = spectrum.size();
   double worst = 0.0;

@@ -3,7 +3,6 @@
 
 #include <complex>
 #include <span>
-#include <vector>
 
 #include "dft/fft.h"
 
@@ -28,19 +27,6 @@ double AngularDistance(double a, double b);
 
 /// Converts a complex value to polar form (angle wrapped into [-pi, pi]).
 Polar ToPolar(const Complex& value);
-
-/// Converts polar form back to a complex value.
-Complex FromPolar(const Polar& polar);
-
-/// Converts a spectrum to polar form element-wise.
-std::vector<Polar> SpectrumToPolar(std::span<const Complex> spectrum);
-
-/// Converts a polar spectrum back to complex form element-wise.
-std::vector<Complex> SpectrumFromPolar(std::span<const Polar> spectrum);
-
-/// Squared distance between two complex values given in polar form, computed
-/// by the law of cosines: |X|^2 + |Y|^2 - 2|X||Y|cos(angleX - angleY).
-double PolarSquaredDistance(const Polar& x, const Polar& y);
 
 /// A complex spectrum as its interleaved (re, im) doubles, the layout the
 /// kernel layer consumes (std::complex<double> is array-oriented-access

@@ -44,9 +44,13 @@ inline void Count(std::size_t calls, std::size_t elements,
 
 // kScalar + 1 etc.; 0 means "not yet resolved".
 std::atomic<int> g_active{0};
+// The active ISA's table, set where the ISA is resolved or forced (nullptr
+// until then), so that a dispatched call costs one atomic load.
+std::atomic<const KernelTable*> g_table{nullptr};
 
 inline const KernelTable& ActiveTable() {
-  return TableFor(ActiveIsa());
+  const KernelTable* table = g_table.load(std::memory_order_acquire);
+  return table != nullptr ? *table : TableFor(ActiveIsa());
 }
 
 // The weighted kernel of the active ISA on `count` weight vectors whose
@@ -115,9 +119,14 @@ Isa ActiveIsa() {
     packed = static_cast<int>(resolved) + 1;
     int expected = 0;
     // Racing first callers resolve identically (pure function of env+CPU),
-    // so whoever wins the CAS is equivalent.
-    g_active.compare_exchange_strong(expected, packed,
-                                     std::memory_order_acq_rel);
+    // so whoever wins the CAS is equivalent. The winner publishes its table
+    // unless a forced ISA already set one.
+    if (g_active.compare_exchange_strong(expected, packed,
+                                         std::memory_order_acq_rel)) {
+      const KernelTable* unset = nullptr;
+      g_table.compare_exchange_strong(unset, &TableFor(resolved),
+                                      std::memory_order_acq_rel);
+    }
   }
   return static_cast<Isa>(packed - 1);
 }
@@ -126,6 +135,7 @@ void ForceIsaForTesting(Isa isa) {
   TSQ_CHECK(IsaSupported(isa))
       << "cannot force unsupported kernel ISA " << IsaName(isa);
   g_active.store(static_cast<int>(isa) + 1, std::memory_order_release);
+  g_table.store(&TableFor(isa), std::memory_order_release);
 }
 
 const KernelTable& TableFor(Isa isa) {

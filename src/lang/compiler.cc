@@ -12,18 +12,9 @@ namespace tsq::lang {
 
 namespace {
 
-// Expands one factor argument into its list of values.
-std::vector<double> ExpandArg(const Arg& arg) {
-  std::vector<double> values;
-  if (!arg.is_range) {
-    values.push_back(arg.lo);
-    return values;
-  }
-  for (double v = arg.lo; v <= arg.hi + 1e-9; v += arg.step) {
-    values.push_back(v);
-  }
-  return values;
-}
+// The most values a range argument, and transformations a query, may expand
+// to: 40 times scale(2..100), the largest set the benches and docs use.
+constexpr std::size_t kMaxExpansion = 4096;
 
 Status ArityError(const Factor& factor, const char* expected) {
   std::ostringstream msg;
@@ -32,11 +23,35 @@ Status ArityError(const Factor& factor, const char* expected) {
   return Status::InvalidArgument(msg.str());
 }
 
+// Expands one argument of `factor` into its list of values; a range by
+// repeated addition of its step.
+Result<std::vector<double>> ExpandArg(const Factor& factor, const Arg& arg) {
+  std::vector<double> values;
+  if (!arg.is_range) {
+    values.push_back(arg.lo);
+    return values;
+  }
+  for (double v = arg.lo; v <= arg.hi + 1e-9; v += arg.step) {
+    // A step below the value's ulp would repeat it forever.
+    if (values.size() == kMaxExpansion || v + arg.step <= v) {
+      return ArityError(factor, "a range of at most 4096 distinct values");
+    }
+    values.push_back(v);
+  }
+  return values;
+}
+
 // Builds the transforms of a single factor (expanding range arguments).
 Result<std::vector<transform::SpectralTransform>> ExpandFactor(
     const Factor& factor, std::size_t n) {
   using transform::SpectralTransform;
   std::vector<SpectralTransform> out;
+  std::vector<std::vector<double>> args;  // each argument's values
+  for (const Arg& arg : factor.args) {
+    Result<std::vector<double>> values = ExpandArg(factor, arg);
+    if (!values.ok()) return values.status();
+    args.push_back(std::move(*values));
+  }
   const auto check_positive_int = [&](double v, const char* what) -> Status {
     if (v < 0.0 || std::fabs(v - std::round(v)) > 1e-9) {
       std::ostringstream msg;
@@ -48,7 +63,7 @@ Result<std::vector<transform::SpectralTransform>> ExpandFactor(
 
   if (factor.name == "mv" || factor.name == "ma") {
     if (factor.args.size() != 1) return ArityError(factor, "one window arg");
-    for (double w : ExpandArg(factor.args[0])) {
+    for (double w : args[0]) {
       TSQ_RETURN_IF_ERROR(check_positive_int(w, "window"));
       if (w < 1.0 || w > static_cast<double>(n)) {
         return ArityError(factor, "a window in [1, n]");
@@ -58,7 +73,7 @@ Result<std::vector<transform::SpectralTransform>> ExpandFactor(
     }
   } else if (factor.name == "lwma") {
     if (factor.args.size() != 1) return ArityError(factor, "one window arg");
-    for (double w : ExpandArg(factor.args[0])) {
+    for (double w : args[0]) {
       TSQ_RETURN_IF_ERROR(check_positive_int(w, "window"));
       if (w < 1.0 || w > static_cast<double>(n)) {
         return ArityError(factor, "a window in [1, n]");
@@ -68,7 +83,7 @@ Result<std::vector<transform::SpectralTransform>> ExpandFactor(
     }
   } else if (factor.name == "ema") {
     if (factor.args.size() != 1) return ArityError(factor, "one alpha arg");
-    for (double alpha : ExpandArg(factor.args[0])) {
+    for (double alpha : args[0]) {
       if (alpha <= 0.0 || alpha > 1.0) {
         return ArityError(factor, "alpha in (0, 1]");
       }
@@ -78,7 +93,7 @@ Result<std::vector<transform::SpectralTransform>> ExpandFactor(
     if (factor.args.empty()) {
       out.push_back(transform::MomentumTransform(n));
     } else if (factor.args.size() == 1) {
-      for (double s : ExpandArg(factor.args[0])) {
+      for (double s : args[0]) {
         TSQ_RETURN_IF_ERROR(check_positive_int(s, "step"));
         if (s < 1.0 || s >= static_cast<double>(n)) {
           return ArityError(factor, "a step in [1, n)");
@@ -91,7 +106,7 @@ Result<std::vector<transform::SpectralTransform>> ExpandFactor(
     }
   } else if (factor.name == "shift" || factor.name == "pshift") {
     if (factor.args.size() != 1) return ArityError(factor, "one shift arg");
-    for (double s : ExpandArg(factor.args[0])) {
+    for (double s : args[0]) {
       // Negative shifts are circular left shifts.
       double wrapped = std::fmod(s, static_cast<double>(n));
       if (wrapped < 0.0) wrapped += static_cast<double>(n);
@@ -103,7 +118,7 @@ Result<std::vector<transform::SpectralTransform>> ExpandFactor(
     }
   } else if (factor.name == "scale") {
     if (factor.args.size() != 1) return ArityError(factor, "one factor arg");
-    for (double a : ExpandArg(factor.args[0])) {
+    for (double a : args[0]) {
       out.push_back(transform::ScaleTransform(n, a));
     }
   } else if (factor.name == "invert") {
@@ -119,6 +134,9 @@ Result<std::vector<transform::SpectralTransform>> ExpandFactor(
     }
     TSQ_RETURN_IF_ERROR(check_positive_int(factor.args[0].lo, "band edge"));
     TSQ_RETURN_IF_ERROR(check_positive_int(factor.args[1].lo, "band edge"));
+    if (factor.args[0].lo > factor.args[1].lo) {
+      return ArityError(factor, "band edges lo <= hi");
+    }
     out.push_back(transform::BandPassTransform(
         n, static_cast<std::size_t>(factor.args[0].lo),
         static_cast<std::size_t>(factor.args[1].lo)));
@@ -146,15 +164,20 @@ Result<std::vector<transform::SpectralTransform>> ExpandPipelines(
     if (pipeline.empty()) {
       return Status::InvalidArgument("empty transformation pipeline");
     }
-    Result<std::vector<transform::SpectralTransform>> current =
-        ExpandFactor(pipeline[0], n);
-    if (!current.ok()) return current.status();
-    std::vector<transform::SpectralTransform> composed = std::move(*current);
-    for (std::size_t i = 1; i < pipeline.size(); ++i) {
-      Result<std::vector<transform::SpectralTransform>> next =
-          ExpandFactor(pipeline[i], n);
-      if (!next.ok()) return next.status();
-      composed = transform::ComposeSpectralSets(composed, *next);
+    // The composition's count is checked before composing allocates it.
+    std::vector<transform::SpectralTransform> composed;
+    std::size_t count = 1;
+    for (const Factor& factor : pipeline) {
+      Result<std::vector<transform::SpectralTransform>> set =
+          ExpandFactor(factor, n);
+      if (!set.ok()) return set.status();
+      count *= set->size();
+      if (all.size() + count > kMaxExpansion) {
+        return ArityError(factor, "at most 4096 transformations in all");
+      }
+      composed = composed.empty()
+                     ? std::move(*set)
+                     : transform::ComposeSpectralSets(composed, *set);
     }
     for (auto& t : composed) all.push_back(std::move(t));
   }

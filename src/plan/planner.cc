@@ -90,8 +90,8 @@ std::optional<double> MeasureCmpToDaRatio(const core::Dataset& dataset) {
 }
 
 // What a range plan fetches, estimated on data. Each of kQueryProxies
-// points of the snapshot's sample stands in for the query against every
-// sample point. The executor fetches exactly the candidates that the
+// sequences of the snapshot's sample stands in for the query against every
+// sampled sequence. The executor fetches exactly the candidates that the
 // feature-level bound (core::PolarBound) admits under some transformation of
 // their rectangle, so a rectangle G fetches the pairs admitted by some t in
 // G. Only pairs some t admits are kept, each with the set of
@@ -100,21 +100,24 @@ std::optional<double> MeasureCmpToDaRatio(const core::Dataset& dataset) {
 class SurvivorSample {
  public:
   SurvivorSample(const core::TreeCostEstimator& estimator,
-                 const transform::FeatureLayout& layout,
+                 const core::Dataset& dataset,
                  std::span<const transform::SpectralTransform> transforms,
                  core::TransformTarget target, double epsilon)
       : words_((transforms.size() + 63) / 64) {
-    const std::size_t points = estimator.sample_size();
-    const std::size_t proxies = std::min(kQueryProxies, points);
-    const std::size_t coefficients = layout.num_coefficients;
-    pairs_ = proxies * points;
-    // Each point in cartesian form once, for every proxy.
-    std::vector<dft::Complex> cartesian(points * coefficients);
-    for (std::size_t i = 0; i < points; ++i) {
-      core::PolarBound::ToCartesian(
-          layout, estimator.sample_point(i),
-          std::span(cartesian).subspan(i * coefficients, coefficients));
+    // The sampled ids' stored coefficients, back to back. An id past the
+    // dataset comes from a damaged leaf and has none; it is left out.
+    std::vector<dft::Complex> cartesian;
+    std::size_t points = 0;
+    for (std::size_t s = 0; s < estimator.sample_size(); ++s) {
+      const std::uint64_t id = estimator.sample_id(s);
+      if (id >= dataset.size()) continue;
+      const std::span<const dft::Complex> x = dataset.coefficients(id);
+      cartesian.insert(cartesian.end(), x.begin(), x.end());
+      ++points;
     }
+    const std::size_t proxies = std::min(kQueryProxies, points);
+    const std::size_t coefficients = dataset.layout().num_coefficients;
+    pairs_ = proxies * points;
     std::vector<std::size_t> all(transforms.size());
     std::iota(all.begin(), all.end(), std::size_t{0});
     const double eps2 = epsilon * epsilon;
@@ -123,7 +126,8 @@ class SurvivorSample {
       const std::span<const dft::Complex> proxy =
           std::span(cartesian).subspan(p * points / proxies * coefficients,
                                        coefficients);
-      const core::PolarBound bound(layout, transforms, all, target, proxy);
+      const core::PolarBound bound(dataset.layout(), transforms, all, target,
+                                   proxy);
       bound.AppendAdmitSets(cartesian, points, eps2, &admits_);
     }
   }
@@ -280,7 +284,11 @@ Result<Planned> Planner::PlanLocked(
   // Malformed specs fall through to the executor, which owns the proper
   // validation diagnostics; planning them would dereference out of range.
   if (count == 0 || !std::isfinite(epsilon) || epsilon < 0.0 ||
-      !PartitionIndicesInRange(spec_partition, count)) {
+      !PartitionIndicesInRange(spec_partition, count) ||
+      std::any_of(transforms.begin(), transforms.end(),
+                  [&](const transform::SpectralTransform& t) {
+                    return t.length() != dataset_.length();
+                  })) {
     return ForcedDecision(core::Algorithm::kMtIndex);
   }
 
@@ -349,7 +357,7 @@ Result<Planned> Planner::PlanLocked(
   // query_transform, as the analytic traversal estimate does.
   std::optional<SurvivorSample> survivors;
   if (kind == QueryKind::kRange) {
-    survivors.emplace(estimator, layout, transforms, target, epsilon);
+    survivors.emplace(estimator, dataset_, transforms, target, epsilon);
   }
 
   // Eq. 19 per-rectangle cost, summed over the partition (Eq. 20), plus the

@@ -51,13 +51,14 @@ struct Planned {
 /// one already priced is skipped) — prices each with the Eq. 18-20 cost
 /// model against a per-epoch snapshot of the index (TreeCostEstimator), and
 /// returns the cheapest. A range rectangle's fetches and comparisons are
-/// priced by what the feature-level bound admits on the snapshot's feature
-/// sample; k-NN and join plans keep the analytic rectangle-test estimate.
+/// priced by what the feature-level bound admits on the stored coefficients
+/// (Dataset::coefficients) of the snapshot's sampled ids; k-NN and join
+/// plans keep the analytic rectangle-test estimate.
 ///
 /// State it maintains, all lazily and behind one mutex (Plan() is safe to
 /// call from concurrent Execute() calls):
-///  * the index snapshot with its feature sample, rebuilt when the epoch
-///    changes (Insert/Remove);
+///  * the index snapshot with its sample of leaf-entry ids, rebuilt when the
+///    epoch changes (Insert/Remove);
 ///  * calibrated CostConstants — C_cmp measured as the ratio of one full
 ///    sequence comparison to one record-page fetch, re-measured after
 ///    SetSimulatedDiskLatency;

@@ -16,10 +16,12 @@
 #include <utility>
 #include <vector>
 
+#include "core/cost_model.h"
 #include "core/engine.h"
 #include "gtest/gtest.h"
 #include "storage/atomic_file.h"
 #include "test_util.h"
+#include "testing/differential.h"
 #include "testing/fault_policy.h"
 #include "transform/spectral_transform.h"
 #include "ts/normal_form.h"
@@ -171,6 +173,54 @@ class CheckpointRobustnessTest : public ::testing::Test {
     ASSERT_FALSE(loaded.ok()) << tag << ": damaged checkpoint loaded";
     EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption)
         << tag << ": " << loaded.status().ToString();
+  }
+
+  // Inserts a twin of live sequence 3 and checkpoints it, then drops the
+  // twin's meta row while its leaf entry stays: `*loaded` holds one leaf id
+  // past its dataset, beside the twin's live original. Sets `*twin` too.
+  void LoadWithTwinLeafPastTheDataset(
+      ts::Series* twin, std::unique_ptr<SimilarityEngine>* loaded) {
+    *twin = ts::Denormalize(engine_->dataset().normal(3));
+    ASSERT_TRUE(engine_->Insert(*twin).ok());
+    ASSERT_TRUE(engine_->SaveTo(prefix_).ok());
+    epoch_ = engine_->checkpoint_epoch();
+    const std::size_t dropped = engine_->dataset().size() - 1;
+    TamperMeta([](std::vector<std::string>& lines) {
+      lines.pop_back();  // the twin's row
+      EditFields(lines, 3, [](std::vector<std::string>& f) {
+        ASSERT_EQ(f[0], "tree");
+        f[3] = std::to_string(std::stoull(f[3]) - 1);
+      });
+      EditFields(lines, 5, [](std::vector<std::string>& f) {
+        ASSERT_EQ(f[0], "sequences");
+        f[1] = std::to_string(std::stoull(f[1]) - 1);
+      });
+    });
+    auto result = SimilarityEngine::LoadFrom(prefix_);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_EQ((*result)->dataset().size(), dropped);
+    *loaded = std::move(*result);
+  }
+
+  // Range, k-NN and join specs under two identities, the first two querying
+  // `twin`.
+  static std::vector<QuerySpec> TwinSpecs(const ts::Series& twin) {
+    const std::vector<transform::SpectralTransform> transforms = {
+        transform::SpectralTransform::Identity(64),
+        transform::SpectralTransform::Identity(64)};
+    RangeQuerySpec range;
+    range.query = twin;
+    range.transforms = transforms;
+    range.epsilon = 1e-6;
+    KnnQuerySpec knn;
+    knn.query = twin;
+    knn.transforms = transforms;
+    knn.k = 2;  // the live twin alone cannot end the search
+    JoinQuerySpec join;
+    join.mode = JoinMode::kDistance;
+    join.epsilon = 1e-6;
+    join.transforms = transforms;
+    return {range, knn, join};
   }
 
   std::string prefix_;  // set in SetUp() — unique per test
@@ -477,47 +527,15 @@ TEST_F(CheckpointRobustnessTest, LeafIdPastTheDatasetIsOutOfRange) {
 // fetch it and report OutOfRange. Pruning it instead would silently answer
 // OK.
 TEST_F(CheckpointRobustnessTest, LeafIdPastTheDatasetIsNeverPruned) {
-  const ts::Series twin = ts::Denormalize(engine_->dataset().normal(3));
-  ASSERT_TRUE(engine_->Insert(twin).ok());
-  ASSERT_TRUE(engine_->SaveTo(prefix_).ok());
-  epoch_ = engine_->checkpoint_epoch();
-  const std::size_t dropped = engine_->dataset().size() - 1;
-  TamperMeta([](std::vector<std::string>& lines) {
-    lines.pop_back();  // the twin's row
-    EditFields(lines, 3, [](std::vector<std::string>& f) {
-      ASSERT_EQ(f[0], "tree");
-      f[3] = std::to_string(std::stoull(f[3]) - 1);
-    });
-    EditFields(lines, 5, [](std::vector<std::string>& f) {
-      ASSERT_EQ(f[0], "sequences");
-      f[1] = std::to_string(std::stoull(f[1]) - 1);
-    });
-  });
-  const auto loaded = SimilarityEngine::LoadFrom(prefix_);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  ASSERT_EQ((*loaded)->dataset().size(), dropped);
-
-  const std::vector<transform::SpectralTransform> transforms = {
-      transform::SpectralTransform::Identity(64),
-      transform::SpectralTransform::Identity(64)};
-  RangeQuerySpec range;
-  range.query = twin;
-  range.transforms = transforms;
-  range.epsilon = 1e-6;
-  KnnQuerySpec knn;
-  knn.query = twin;
-  knn.transforms = transforms;
-  knn.k = 2;  // the live twin alone cannot end the search
-  JoinQuerySpec join;
-  join.mode = JoinMode::kDistance;
-  join.epsilon = 1e-6;
-  join.transforms = transforms;
+  ts::Series twin;
+  std::unique_ptr<SimilarityEngine> loaded;
+  ASSERT_NO_FATAL_FAILURE(LoadWithTwinLeafPastTheDataset(&twin, &loaded));
+  const std::vector<QuerySpec> specs = TwinSpecs(twin);
   for (const Algorithm algorithm : {Algorithm::kStIndex,
                                     Algorithm::kMtIndex}) {
     const ExecOptions options{.planner = {.algorithm = algorithm}};
-    for (const QuerySpec& spec :
-         {QuerySpec(range), QuerySpec(knn), QuerySpec(join)}) {
-      const auto result = (*loaded)->Execute(spec, options);
+    for (const QuerySpec& spec : specs) {
+      const auto result = loaded->Execute(spec, options);
       ASSERT_FALSE(result.ok()) << AlgorithmName(algorithm) << " spec "
                                 << spec.index();
       EXPECT_EQ(result.status().code(), StatusCode::kOutOfRange)
@@ -525,12 +543,55 @@ TEST_F(CheckpointRobustnessTest, LeafIdPastTheDatasetIsNeverPruned) {
           << result.status().ToString();
     }
     const auto batch =
-        (*loaded)->ExecuteBatch({range, range}, {.exec = options});
+        loaded->ExecuteBatch({specs[0], specs[0]}, {.exec = options});
     for (const auto& entry : batch) {
       EXPECT_EQ(entry.status().code(), StatusCode::kOutOfRange)
           << AlgorithmName(algorithm) << ": " << entry.status().ToString();
     }
   }
+}
+
+// The same damage under kAuto. The planner's sample reads
+// Dataset::coefficients by the ids its walk finds on leaf pages; the walk
+// reaches the damaged entry and the sample leaves it out. Every query then
+// reports the damage, or answers as the oracle does when its plan never
+// reads that leaf (a sequential scan).
+TEST_F(CheckpointRobustnessTest, AutoPlanSampleLeavesOutALeafIdPastTheDataset) {
+  // Over the fixture's 20 walks the tree is one leaf, and the twin's entry
+  // comes last in it, past every entry the sample takes; over 200 walks it
+  // sits inside the walk.
+  engine_ = std::make_unique<SimilarityEngine>(
+      testutil::RandomWalks(200, 64, 71));
+  ts::Series twin;
+  std::unique_ptr<SimilarityEngine> loaded;
+  ASSERT_NO_FATAL_FAILURE(LoadWithTwinLeafPastTheDataset(&twin, &loaded));
+  const std::size_t dropped = loaded->dataset().size();
+  const auto estimator = TreeCostEstimator::Create(loaded->index());
+  ASSERT_TRUE(estimator.ok()) << estimator.status().ToString();
+  bool sampled = false;
+  for (std::size_t s = 0; s < estimator->sample_size(); ++s) {
+    sampled = sampled || estimator->sample_id(s) == dropped;
+  }
+  ASSERT_TRUE(sampled) << "the sample does not reach the damaged entry";
+
+  const testing::Oracle oracle(loaded->dataset());
+  const std::vector<QuerySpec> specs = TwinSpecs(twin);
+  const auto check = [&](const QuerySpec& spec,
+                         const Result<QueryResult>& result) {
+    if (!result.ok()) {
+      EXPECT_EQ(result.status().code(), StatusCode::kOutOfRange)
+          << "spec " << spec.index() << ": " << result.status().ToString();
+      return;
+    }
+    EXPECT_EQ(testing::OracleDiff(testing::ExpectedFor(oracle, spec), *result,
+                                  Algorithm::kAuto, 1e-6),
+              "")
+        << "spec " << spec.index();
+  };
+  for (const QuerySpec& spec : specs) check(spec, loaded->Execute(spec));
+  const auto batch = loaded->ExecuteBatch(specs);
+  ASSERT_EQ(batch.size(), specs.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) check(specs[i], batch[i]);
 }
 
 TEST_F(CheckpointRobustnessTest, CheckpointEpochStampedIntoTraces) {

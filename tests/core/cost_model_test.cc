@@ -66,6 +66,28 @@ TEST_F(CostEstimatorTest, LeafCapacityMatchesIndex) {
   EXPECT_GT(estimator_->leaf_capacity(), 1.0);
 }
 
+// The s-th sample id is leaf entry floor(s * entries / wanted) in the order
+// the walk visits the leaves; 300 entries make the stride above 1.
+TEST_F(CostEstimatorTest, SampleIdsAreLeafEntriesAtAnEvenStride) {
+  std::vector<std::uint64_t> walk;
+  ASSERT_TRUE(index_->tree()
+                  .VisitNodes([&](const rstar::RStarTree::NodeView& node) {
+                    if (node.is_leaf) {
+                      walk.insert(walk.end(), node.ids.begin(),
+                                  node.ids.end());
+                    }
+                  })
+                  .ok());
+  const std::size_t entries = walk.size();
+  const std::size_t wanted =
+      std::min(TreeCostEstimator::kSamplePoints, entries);
+  ASSERT_GT(entries, wanted);
+  ASSERT_EQ(estimator_->sample_size(), wanted);
+  for (std::size_t s = 0; s < wanted; ++s) {
+    EXPECT_EQ(estimator_->sample_id(s), walk[s * entries / wanted]) << s;
+  }
+}
+
 TEST_F(CostEstimatorTest, EstimateIsPositiveAndBounded) {
   const auto& layout = dataset_->layout();
   std::vector<transform::FeatureTransform> group;

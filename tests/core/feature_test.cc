@@ -8,6 +8,7 @@
 #include "gtest/gtest.h"
 #include "transform/builders.h"
 #include "ts/distance.h"
+#include "ts/normal_form.h"
 
 namespace tsq::core {
 namespace {
@@ -32,7 +33,9 @@ TEST(ExtractFeaturesTest, LayoutPlacement) {
   dft::FftPlan plan(n);
   const auto spectrum = plan.Forward(std::span<const double>(normal.values));
   transform::FeatureLayout layout;
-  const rstar::Point features = ExtractFeatures(normal, spectrum, layout);
+  const rstar::Point features = ExtractFeatures(
+      normal.mean, normal.stddev, IndexedCoefficients(spectrum, layout),
+      layout);
   ASSERT_EQ(features.size(), 6u);
   EXPECT_NEAR(features[0], normal.mean, 1e-12);
   EXPECT_NEAR(features[1], normal.stddev, 1e-12);
@@ -51,7 +54,9 @@ TEST(ExtractFeaturesTest, NoMeanStdLayout) {
   transform::FeatureLayout layout;
   layout.include_mean_std = false;
   layout.num_coefficients = 3;
-  const rstar::Point features = ExtractFeatures(normal, spectrum, layout);
+  const rstar::Point features = ExtractFeatures(
+      normal.mean, normal.stddev, IndexedCoefficients(spectrum, layout),
+      layout);
   ASSERT_EQ(features.size(), 6u);
   EXPECT_NEAR(features[0], std::abs(spectrum[1]), 1e-12);
   EXPECT_NEAR(features[5], std::arg(spectrum[3]), 1e-12);
@@ -132,7 +137,9 @@ TEST(BuildQueryRegionTest, CoversAllTransformedQueryPoints) {
   const ts::NormalForm normal = ts::Normalize(RandomWalk(n, rng));
   dft::FftPlan plan(n);
   const auto spectrum = plan.Forward(std::span<const double>(normal.values));
-  const rstar::Point q = ExtractFeatures(normal, spectrum, layout);
+  const rstar::Point q = ExtractFeatures(
+      normal.mean, normal.stddev, IndexedCoefficients(spectrum, layout),
+      layout);
   const rstar::Rect region = BuildQueryRegion(q, fts, 0.5, layout);
   for (const auto& ft : fts) {
     const rstar::Point tq = ft.Apply(q);

@@ -4,6 +4,7 @@
 #include <fstream>
 
 #include "core/engine.h"
+#include "core/index.h"
 #include "core/range_query.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
@@ -186,6 +187,81 @@ TEST_F(PersistenceTest, SaveReplacesCheckpointAtomicallyAndSweepsOldEpochs) {
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ((*loaded)->checkpoint_epoch(), second);
   EXPECT_TRUE((*loaded)->dataset().removed(1));
+}
+
+// Every leaf entry holds exactly the point Dataset::features derives for its
+// id: the index is built, grown and shrunk by derived points, and a loaded
+// dataset derives them again from its records and meta statistics.
+void ExpectLeafPointsAreDerivedFeatures(const SimilarityEngine& engine,
+                                        const std::string& context) {
+  const Dataset& dataset = engine.dataset();
+  std::size_t entries = 0;
+  const Status walked = engine.index().tree().VisitNodes(
+      [&](const rstar::RStarTree::NodeView& node) {
+        if (!node.is_leaf) return;
+        for (std::size_t i = 0; i < node.size(); ++i) {
+          ++entries;
+          ASSERT_LT(node.ids[i], dataset.size()) << context;
+          const rstar::Point features = dataset.features(node.ids[i]);
+          ASSERT_EQ(features.size(), node.dimensions) << context;
+          const rstar::RectView rect = node.rect(i);
+          for (std::size_t d = 0; d < features.size(); ++d) {
+            const double low = rect.low(d);
+            const double high = rect.high(d);
+            EXPECT_EQ(std::memcmp(&low, &features[d], sizeof(double)), 0)
+                << context << ": id " << node.ids[i] << " dim " << d;
+            EXPECT_EQ(std::memcmp(&high, &features[d], sizeof(double)), 0)
+                << context << ": id " << node.ids[i] << " dim " << d;
+          }
+        }
+      });
+  ASSERT_TRUE(walked.ok()) << walked.ToString();
+  EXPECT_EQ(entries, dataset.active_size()) << context;
+}
+
+TEST_F(PersistenceTest, LeafPointsAreTheDerivedFeatures) {
+  SimilarityEngine engine(testutil::RandomWalks(600, 64, 61));
+  ExpectLeafPointsAreDerivedFeatures(engine, "fresh");
+  for (const ts::Series& series : testutil::RandomWalks(80, 64, 62)) {
+    ASSERT_TRUE(engine.Insert(series).ok());
+  }
+  for (std::size_t id = 0; id < engine.dataset().size(); id += 7) {
+    ASSERT_TRUE(engine.Remove(id).ok());
+  }
+  ExpectLeafPointsAreDerivedFeatures(engine, "after writes");
+  ASSERT_TRUE(engine.SaveTo(prefix_).ok());
+  const auto loaded = SimilarityEngine::LoadFrom(prefix_);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ExpectLeafPointsAreDerivedFeatures(**loaded, "loaded");
+}
+
+// SequenceIndex::RemoveEntry deletes by the derived point, so it must find
+// every live id's entry: on a built index, after InsertEntry, and on the
+// same pages reopened with LoadFrom. The engine's Remove rebuilds the whole
+// index when an entry is missed, so only a direct call can see a miss.
+TEST_F(PersistenceTest, IndexRemovesEveryLiveIdByItsDerivedPoint) {
+  Dataset dataset(testutil::RandomWalks(300, 64, 63),
+                  transform::FeatureLayout());
+  SequenceIndex built(dataset);
+  for (const ts::Series& series : testutil::RandomWalks(40, 64, 64)) {
+    const Result<std::size_t> id = dataset.Append(series);
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    ASSERT_TRUE(built.InsertEntry(*id).ok()) << *id;
+  }
+  const std::string path = prefix_ + ".index";
+  ASSERT_TRUE(built.SaveTo(path).ok());
+  auto reopened =
+      SequenceIndex::LoadFrom(dataset, rstar::TreeOptions(), path,
+                              built.tree().root_page(), built.tree().height(),
+                              built.tree().size());
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  for (SequenceIndex* index : {&built, reopened->get()}) {
+    for (std::size_t id = 0; id < dataset.size(); ++id) {
+      const Status removed = index->RemoveEntry(id);
+      ASSERT_TRUE(removed.ok()) << id << ": " << removed.ToString();
+    }
+    EXPECT_EQ(index->tree().size(), 0u);
+  }
 }
 
 }  // namespace

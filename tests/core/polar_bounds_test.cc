@@ -11,7 +11,6 @@
 #include "core/feature.h"
 #include "gtest/gtest.h"
 #include "transform/builders.h"
-#include "ts/normal_form.h"
 
 namespace tsq::core {
 namespace {
@@ -267,13 +266,6 @@ void SetCoefficient(std::vector<dft::Complex>& x, std::size_t f,
                     dft::Complex value) {
   x[f] = value;
   x[x.size() - f] = std::conj(value);
-}
-
-rstar::Point FeaturesOf(const std::vector<dft::Complex>& spectrum,
-                        const transform::FeatureLayout& layout) {
-  ts::NormalForm normal;
-  normal.values.assign(spectrum.size(), 0.0);
-  return ExtractFeatures(normal, spectrum, layout);
 }
 
 double KernelDistance(const SpectralTransform& t, TransformTarget target,
@@ -554,15 +546,6 @@ TEST(PolarBoundTest, AppendAdmitSetsMatchesEachTransformationsBound) {
     }
     const std::vector<dft::Complex> cq = IndexedCoefficients(q, layout);
     const std::vector<dft::Complex> cx = IndexedCoefficients(x, layout);
-    // The planner's polar sample points convert to the same coefficients,
-    // up to the rounding of the polar round trip.
-    std::vector<dft::Complex> from_features(c);
-    PolarBound::ToCartesian(layout, FeaturesOf(x, layout), from_features);
-    for (std::size_t i = 0; i < c; ++i) {
-      EXPECT_LE(std::abs(from_features[i] - cx[i]),
-                1e-14 * (1.0 + std::abs(cx[i])))
-          << "trial " << trial;
-    }
 
     if (target == TransformTarget::kBoth) {
       // Mixed: no transformation of the group has the least weight at

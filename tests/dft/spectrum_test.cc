@@ -54,39 +54,10 @@ TEST(PolarTest, RoundTrip) {
   Rng rng(3);
   for (int i = 0; i < 500; ++i) {
     const Complex z(rng.Uniform(-5.0, 5.0), rng.Uniform(-5.0, 5.0));
-    const Complex back = FromPolar(ToPolar(z));
+    const Polar polar = ToPolar(z);
+    const Complex back = std::polar(polar.magnitude, polar.angle);
     EXPECT_LT(std::abs(z - back), 1e-10);
   }
-}
-
-TEST(PolarTest, SpectrumRoundTrip) {
-  Rng rng(4);
-  std::vector<Complex> spectrum(16);
-  for (auto& v : spectrum) {
-    v = Complex(rng.Uniform(-1.0, 1.0), rng.Uniform(-1.0, 1.0));
-  }
-  const auto polar = SpectrumToPolar(spectrum);
-  const auto back = SpectrumFromPolar(polar);
-  for (std::size_t i = 0; i < spectrum.size(); ++i) {
-    EXPECT_LT(std::abs(spectrum[i] - back[i]), 1e-10);
-  }
-}
-
-TEST(PolarSquaredDistanceTest, MatchesComplexDistance) {
-  Rng rng(5);
-  for (int i = 0; i < 500; ++i) {
-    const Complex a(rng.Uniform(-4.0, 4.0), rng.Uniform(-4.0, 4.0));
-    const Complex b(rng.Uniform(-4.0, 4.0), rng.Uniform(-4.0, 4.0));
-    EXPECT_NEAR(PolarSquaredDistance(ToPolar(a), ToPolar(b)),
-                std::norm(a - b), 1e-9);
-  }
-}
-
-TEST(PolarSquaredDistanceTest, NeverNegative) {
-  // Identical points with rounding noise must clamp at zero.
-  const Polar p{1.0, 0.5};
-  EXPECT_GE(PolarSquaredDistance(p, p), 0.0);
-  EXPECT_NEAR(PolarSquaredDistance(p, p), 0.0, 1e-12);
 }
 
 TEST(SymmetryDefectTest, ZeroForRealSpectra) {

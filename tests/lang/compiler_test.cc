@@ -184,6 +184,66 @@ TEST(CompilerTest, SemanticErrors) {
             StatusCode::kInvalidArgument);
 }
 
+// A reversed band (which BandPassTransform's check would abort on), a range
+// of 10^8 values, a step below the value's ulp (which never advances) and a
+// composition past the limit are each InvalidArgument at their factor.
+TEST(CompilerTest, RejectsUnboundedExpansionsAtTheirPosition) {
+  const auto engine = MakeEngine();
+  const std::string prefix = "find similar to series 1 under ";
+  const struct {
+    const char* transforms;
+    std::size_t factor_offset;  // of the rejected factor, in `transforms`
+  } cases[] = {
+      {"band(5, 2)", 0},
+      {"scale(1..100000000)", 0},
+      {"scale(1..2:1e-300)", 0},
+      {"scale(1..4097)", 0},
+      {"scale(1..64) then scale(1..65)", 18},
+      {"scale(1..4000), scale(1..97)", 16},
+  };
+  for (const auto& c : cases) {
+    const auto compiled = CompileQuery(
+        prefix + c.transforms + " within correlation 0.96", engine);
+    ASSERT_FALSE(compiled.ok()) << c.transforms;
+    EXPECT_EQ(compiled.status().code(), StatusCode::kInvalidArgument)
+        << c.transforms;
+    const std::string position =
+        "(at position " + std::to_string(prefix.size() + c.factor_offset) +
+        ")";
+    EXPECT_NE(compiled.status().message().find(position), std::string::npos)
+        << c.transforms << ": " << compiled.status().ToString();
+  }
+}
+
+// The bounds admit exactly 4 096 values and transformations, and a range
+// that passes keeps the values its step accumulates.
+TEST(CompilerTest, ExpansionBoundsAdmitTheirLimit) {
+  const auto engine = MakeEngine();
+  for (const char* transforms :
+       {"scale(1..4096)", "scale(1..64) then scale(1..64)",
+        "scale(1..4000), scale(1..96)"}) {
+    const auto compiled = CompileQuery(
+        std::string("find similar to series 1 under ") + transforms +
+            " within correlation 0.96",
+        engine);
+    ASSERT_TRUE(compiled.ok()) << transforms << ": "
+                               << compiled.status().ToString();
+    EXPECT_EQ(
+        std::get<core::RangeQuerySpec>(compiled->spec).transforms.size(),
+        4096u)
+        << transforms;
+  }
+  Pipeline pipeline = {Factor{"scale", {Arg{0.1, 0.5, 0.1, true}}, 0}};
+  const auto transforms = ExpandPipelines({pipeline}, 128);
+  ASSERT_TRUE(transforms.ok()) << transforms.status().ToString();
+  ASSERT_EQ(transforms->size(), 5u);
+  double expected = 0.1;  // 0.1 + 0.1 + 0.1 is not 0.3
+  for (const transform::SpectralTransform& t : *transforms) {
+    EXPECT_EQ(t.multiplier(0).real(), expected);
+    expected += 0.1;
+  }
+}
+
 TEST(CompilerTest, AllDocumentedExamplesCompile) {
   // Every complete example in docs/QUERY_LANGUAGE.md must compile.
   const auto engine = MakeEngine();

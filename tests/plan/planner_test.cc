@@ -11,6 +11,7 @@
 #include "core/explain.h"
 #include "gtest/gtest.h"
 #include "obs/metrics.h"
+#include "testing/differential.h"
 #include "testing/oracle.h"
 #include "transform/builders.h"
 #include "transform/partition.h"
@@ -379,6 +380,72 @@ TEST(PlannerTest, ForcedAlgorithmsBypassPlanningAndPartitioningKnobs) {
   ASSERT_TRUE(result.ok());
   EXPECT_FALSE(result->trace().planner.planned);
   EXPECT_EQ(result->group_stats.size(), 3u);  // spec partition untouched
+}
+
+// A transformation of the wrong length falls through planning to the
+// executor's validation, as under a forced algorithm, instead of reaching
+// ToFeatureTransform, which aborts on it. In a batch the bad entry fails on
+// its own and a valid one beside it still answers.
+TEST(PlannerTest, AutoRejectsTransformationsOfTheWrongLength) {
+  core::SimilarityEngine engine(core::testutil::RandomWalks(200, 64, 98));
+  const std::vector<transform::SpectralTransform> short_set = {
+      transform::SpectralTransform::Identity(2)};
+  core::RangeQuerySpec range;
+  range.query = ts::Denormalize(engine.dataset().normal(1));
+  range.transforms = short_set;
+  range.epsilon = 1.0;
+  core::KnnQuerySpec knn;
+  knn.query = range.query;
+  knn.transforms = short_set;
+  knn.k = 3;
+  core::JoinQuerySpec join;
+  join.mode = core::JoinMode::kDistance;
+  join.epsilon = 1.0;
+  join.transforms = short_set;
+  for (const core::QuerySpec& spec : {core::QuerySpec(range),
+                                      core::QuerySpec(knn),
+                                      core::QuerySpec(join)}) {
+    const auto result = engine.Execute(spec);
+    ASSERT_FALSE(result.ok()) << "spec " << spec.index();
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+        << result.status().ToString();
+  }
+
+  core::RangeQuerySpec valid = range;
+  valid.transforms = {transform::SpectralTransform::Identity(64)};
+  const auto batch = engine.ExecuteBatch({valid, range, knn, join});
+  ASSERT_EQ(batch.size(), 4u);
+  ASSERT_TRUE(batch[0].ok()) << batch[0].status().ToString();
+  EXPECT_EQ(testing::OracleDiff(
+                testing::ExpectedFor(testing::Oracle(engine.dataset()), valid),
+                *batch[0], core::Algorithm::kAuto, 1e-6),
+            "");
+  for (std::size_t i = 1; i < batch.size(); ++i) {
+    EXPECT_EQ(batch[i].status().code(), StatusCode::kInvalidArgument)
+        << "entry " << i << ": " << batch[i].status().ToString();
+  }
+}
+
+// A layout of mean and stddev alone indexes no coefficient: the planner's
+// sample then holds no coefficient, and a kAuto range query still plans
+// and answers as the oracle does.
+TEST(PlannerTest, AutoPlansALayoutWithoutCoefficients) {
+  core::SimilarityEngine::Options options;
+  options.layout.num_coefficients = 0;
+  core::SimilarityEngine engine(core::testutil::Stocks(200, kLength, 99),
+                                options);
+  core::RangeQuerySpec spec;
+  spec.query = ts::Denormalize(engine.dataset().normal(5));
+  spec.transforms = transform::MovingAverageRange(kLength, 5, 12);
+  spec.epsilon = ts::CorrelationToDistanceThreshold(0.96, kLength);
+  const auto result =
+      engine.Execute(spec, {.planner = DeterministicPlannerOptions()});
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_TRUE(result->trace().planner.planned);
+  EXPECT_EQ(testing::OracleDiff(
+                testing::ExpectedFor(testing::Oracle(engine.dataset()), spec),
+                *result, core::Algorithm::kAuto, 1e-6),
+            "");
 }
 
 }  // namespace

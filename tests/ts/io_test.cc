@@ -11,7 +11,12 @@ namespace {
 class IoTest : public ::testing::Test {
  protected:
   void TearDown() override { std::remove(path_.c_str()); }
-  std::string path_ = ::testing::TempDir() + "/tsq_io_test.csv";
+  // Per-test path: ctest runs every case of this suite as its own process,
+  // in parallel, so a shared file would let one case read another's.
+  std::string path_ =
+      ::testing::TempDir() + "/tsq_io_test_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".csv";
 };
 
 TEST_F(IoTest, RoundTrip) {
